@@ -83,8 +83,9 @@ cluster-equiv:
 	$(GO) test -race -run 'TestClusterMatchesSerial|TestClusterStreamerMatchesSerial|TestClusterKillReconnect|TestClusterCheckpointRestore' -count=1 -timeout 20m ./internal/core
 
 # The steady-state allocation gate: testing.AllocsPerRun over the vendor
-# corpus (serial and sharded) and the storm corpus must stay at or under
-# one heap allocation per pushed message, net of open-state growth (see
+# corpus (serial, sharded, and the dispatcher side of a 2-shard loopback
+# cluster) and the storm corpus must stay at or under one heap allocation
+# per pushed message, net of open-state growth (see
 # internal/core/alloc_guard_test.go).
 alloc-guard:
 	$(GO) test -run 'TestStreamAllocs' -count=1 ./internal/core

@@ -1,10 +1,17 @@
 package core
 
 import (
+	"bufio"
 	"fmt"
+	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"syslogdigest/internal/cluster"
 	"syslogdigest/internal/gen"
 	"syslogdigest/internal/obs"
 	"syslogdigest/internal/syslogmsg"
@@ -27,7 +34,7 @@ const allocBudget = 1.0
 // record is one unavoidable pool allocation — that is the algorithm's
 // working set growing, not per-push overhead, and it is measured exactly by
 // the pool gets−puts delta. Once closures keep pace the correction is zero.
-func corpusAllocs(t *testing.T, kb *KnowledgeBase, ds *gen.Dataset, workers, warm, runs int) float64 {
+func corpusAllocs(t *testing.T, kb *KnowledgeBase, ds *gen.Dataset, opts StreamerOptions, warm, runs int) float64 {
 	t.Helper()
 	if need := warm + runs + 2; len(ds.Messages) < need {
 		t.Fatalf("corpus too small: %d messages, need %d", len(ds.Messages), need)
@@ -37,7 +44,7 @@ func corpusAllocs(t *testing.T, kb *KnowledgeBase, ds *gen.Dataset, workers, war
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	st := NewStreamerWith(d, StreamerOptions{StreamWorkers: workers})
+	st := NewStreamerWith(d, opts)
 	defer st.Close()
 	st.Instrument(reg)
 	i := 0
@@ -113,22 +120,115 @@ func syntheticAllocs(t *testing.T, workers int) float64 {
 	return avg
 }
 
+// shardHelperEnv names the knowledge-base file a re-executed test binary
+// should serve shards from (see TestShardHelperProcess).
+const shardHelperEnv = "SYSLOGDIGEST_TEST_SHARD_KB"
+
+// TestShardHelperProcess is not a test: run with shardHelperEnv set, the
+// test binary becomes a shard server process, the way sdshard is one. It
+// prints "listening ADDR" and serves until its stdin closes.
+func TestShardHelperProcess(t *testing.T) {
+	path := os.Getenv(shardHelperEnv)
+	if path == "" {
+		t.Skip("helper process for startShardProcess")
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb, err := LoadKnowledgeBase(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := cluster.Serve("127.0.0.1:0", cluster.ServerConfig{Dict: kb.Dictionary(), Rules: kb.RuleBase})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	os.Stdout.WriteString("listening " + srv.Addr() + "\n")
+	io.Copy(io.Discard, os.Stdin)
+}
+
+// startShardProcess hosts the shards in a child process, so a process-wide
+// allocation count in this one sees the dispatcher side of the wire only.
+// It returns the child's listen address.
+func startShardProcess(t *testing.T, kb *KnowledgeBase) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "kb.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := kb.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestShardHelperProcess$")
+	cmd.Env = append(os.Environ(), shardHelperEnv+"="+path)
+	cmd.Stderr = os.Stderr
+	stdin, err := cmd.StdinPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		stdin.Close()
+		cmd.Wait()
+	})
+	sc := bufio.NewScanner(stdout)
+	for sc.Scan() {
+		if addr, ok := strings.CutPrefix(sc.Text(), "listening "); ok {
+			go io.Copy(io.Discard, stdout) // the test framework's own trailer
+			return addr
+		}
+	}
+	t.Fatalf("shard helper process exited without listening (scan error: %v)", sc.Err())
+	return ""
+}
+
 // TestStreamAllocsSmall pins the steady-state allocation budget on the
-// small (learnSmall) corpus at serial and sharded worker counts. The
-// sharded measurement counts allocations process-wide, so the shard and
-// merge goroutines' work is included — channel backpressure keeps their
-// progress proportional to pushes.
+// small (learnSmall) corpus for every engine shape: serial, sharded
+// in-process, and clustered over two loopback shards. The measurement
+// counts allocations process-wide, so the shard and merge goroutines' work
+// is included — channel backpressure keeps their progress proportional to
+// pushes — and the cluster row hosts its shards in a child process so that
+// what it counts is the dispatcher: frame encoding, the client's replay
+// log and decision decoding, the Seq resolution, and the merge stage.
 func TestStreamAllocsSmall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates per push")
 	}
 	kb, ds := learnSmall(t, gen.DatasetA)
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+	for _, shape := range []struct {
+		name   string
+		opts   StreamerOptions
+		shards int // > 0: that many remote shards, hosted by one child process
+	}{
+		{name: "workers1", opts: StreamerOptions{StreamWorkers: 1}},
+		{name: "workers4", opts: StreamerOptions{StreamWorkers: 4}},
+		{name: "cluster2", shards: 2},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			opts := shape.opts
+			if shape.shards > 0 {
+				addr := startShardProcess(t, kb)
+				for k := 0; k < shape.shards; k++ {
+					opts.ShardAddrs = append(opts.ShardAddrs, addr)
+				}
+			}
 			warm := len(ds.Messages) / 2
 			runs := len(ds.Messages) - warm - 2
-			avg := corpusAllocs(t, kb, ds, workers, warm, runs)
-			t.Logf("small corpus, workers=%d: %.3f allocs/push", workers, avg)
+			avg := corpusAllocs(t, kb, ds, opts, warm, runs)
+			t.Logf("small corpus, %s: %.3f allocs/push", shape.name, avg)
 			if avg > allocBudget {
 				t.Fatalf("steady-state allocations per push = %.3f, want <= %v", avg, allocBudget)
 			}
@@ -154,7 +254,7 @@ func TestStreamAllocsStorm(t *testing.T) {
 			if runs > 16384 {
 				runs = 16384
 			}
-			avg := corpusAllocs(t, kb, ds, workers, warm, runs)
+			avg := corpusAllocs(t, kb, ds, StreamerOptions{StreamWorkers: workers}, warm, runs)
 			t.Logf("storm corpus, workers=%d: %.3f allocs/push", workers, avg)
 			if avg > allocBudget {
 				t.Fatalf("steady-state allocations per push = %.3f, want <= %v", avg, allocBudget)

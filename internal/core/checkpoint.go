@@ -215,8 +215,8 @@ func RestoreStreamer(d *Digester, snap []byte, opts StreamerOptions) (*Streamer,
 		if err != nil {
 			return nil, err
 		}
+		eng.SetClusterMetrics(s.engMetrics)
 		s.eng = eng
-		s.setEngineMetrics(eng)
 	}
 	return s, nil
 }

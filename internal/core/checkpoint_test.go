@@ -146,27 +146,33 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 }
 
 // TestCheckpointRestoreAcrossWorkerCounts kills a sharded run and restores
-// it serial (and vice versa): the snapshot is shape-independent, so the
-// stitched transcript must still match the uninterrupted reference.
+// it serial, sharded at another count, and clustered: the snapshot is
+// shape-independent, so the stitched transcript must still match the
+// uninterrupted reference — and each restored streamer, before it has been
+// pushed anything, must already report the open messages it inherited.
 func TestCheckpointRestoreAcrossWorkerCounts(t *testing.T) {
 	kb, ds := learnSmall(t, gen.DatasetA)
 	kb.SetMatchCache(0)
 	msgs := ds.Messages
 	want := runUninterrupted(t, kb, msgs, StreamerOptions{StreamWorkers: 1})
+	srv := startShardServer(t, kb)
 
-	// 4 workers → kill → 1 worker → kill → 3 workers.
-	plan := []int{4, 1, 3}
+	// 4 workers → kill → 1 worker → kill → 3 workers → kill → 2 remote shards.
+	plan := []StreamerOptions{
+		{StreamWorkers: 4}, {StreamWorkers: 1}, {StreamWorkers: 3}, {ShardAddrs: loopbackAddrs(srv, 2)},
+	}
 	cuts := killPoints(7, len(plan)-1, len(msgs))
 	d, err := NewDigester(kb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewStreamerWith(d, StreamerOptions{StreamWorkers: plan[0]})
+	st := NewStreamerWith(d, plan[0])
 	var got bytes.Buffer
 	next := 0
 	for i, m := range msgs {
 		if next < len(cuts) && i == cuts[next] {
 			next++
+			pending := st.Pending()
 			snap, err := st.Snapshot()
 			if err != nil {
 				t.Fatal(err)
@@ -176,9 +182,16 @@ func TestCheckpointRestoreAcrossWorkerCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err = RestoreStreamer(d2, snap, StreamerOptions{StreamWorkers: plan[next]})
+			st, err = RestoreStreamer(d2, snap, plan[next])
 			if err != nil {
 				t.Fatal(err)
+			}
+			if pending == 0 {
+				t.Fatalf("cut %d at message %d left nothing open; the check below would be vacuous", next, i)
+			}
+			if got := st.Pending(); got != pending {
+				t.Fatalf("restore %d (%+v): Pending() = %d right after restore, %d before the snapshot",
+					next, plan[next], got, pending)
 			}
 		}
 		res, err := st.Push(m)
@@ -429,14 +442,14 @@ func (f *failEngine) Observe(stream.Message) ([]event.Event, error) {
 	}
 	return []event.Event{{ID: f.calls}}, nil
 }
-func (f *failEngine) Drain() []event.Event               { return nil }
-func (f *failEngine) Close()                             {}
-func (f *failEngine) Watermark() time.Time               { return time.Time{} }
-func (f *failEngine) Pending() int                       { return 0 }
-func (f *failEngine) Stats() grouping.IncStats           { return grouping.IncStats{} }
-func (f *failEngine) ActiveRules() map[rules.PairKey]int { return nil }
-func (f *failEngine) SetMetrics(stream.Metrics)          {}
-func (f *failEngine) TakeUpdates() []event.Update        { return nil }
+func (f *failEngine) Drain() []event.Event                    { return nil }
+func (f *failEngine) Close()                                  {}
+func (f *failEngine) Watermark() time.Time                    { return time.Time{} }
+func (f *failEngine) Pending() int                            { return 0 }
+func (f *failEngine) Stats() grouping.IncStats                { return grouping.IncStats{} }
+func (f *failEngine) ActiveRules() map[rules.PairKey]int      { return nil }
+func (f *failEngine) SetClusterMetrics(stream.ClusterMetrics) {}
+func (f *failEngine) TakeUpdates() []event.Update             { return nil }
 func (f *failEngine) State() (stream.EngineState, []event.Event, []event.Update, error) {
 	return stream.EngineState{}, nil, nil, errBoom
 }

@@ -666,9 +666,10 @@ func (d *Digester) groupingConfig() grouping.Config {
 	return cfg
 }
 
-// streamEngine is the surface Streamer and DigestPlus drive; both the
-// serial stream.Engine and the sharded stream.ShardedEngine satisfy it
-// with byte-identical output.
+// streamEngine is the surface Streamer and DigestPlus drive. Two types
+// satisfy it with byte-identical output: the serial stream.Engine, and
+// stream.ShardedEngine — one dispatcher/merge core whose shards sit behind
+// either in-process or TCP links.
 type streamEngine interface {
 	Observe(stream.Message) ([]event.Event, error)
 	Drain() []event.Event
@@ -677,7 +678,9 @@ type streamEngine interface {
 	Pending() int
 	Stats() grouping.IncStats
 	ActiveRules() map[rules.PairKey]int
-	SetMetrics(stream.Metrics)
+	// SetClusterMetrics takes the superset metric struct; each engine
+	// installs the handles it has a use for.
+	SetClusterMetrics(stream.ClusterMetrics)
 	// TakeUpdates returns and clears the tier-tagged provisional updates
 	// queued since the last call; always empty when the provisional
 	// horizon is off.
@@ -688,6 +691,12 @@ type streamEngine interface {
 	// for exactly-once).
 	State() (stream.EngineState, []event.Event, []event.Update, error)
 }
+
+// Interface drift must fail the build, not a metrics setter at run time.
+var (
+	_ streamEngine = (*stream.Engine)(nil)
+	_ streamEngine = (*stream.ShardedEngine)(nil)
+)
 
 // engineConfig assembles the streaming engine config. maxStreams <= 0
 // takes the grouping default; prov > 0 turns on the provisional tier
@@ -709,10 +718,10 @@ func (d *Digester) newEngine(maxStreams int, prov time.Duration) (*stream.Engine
 	return stream.New(d.kb.dict, d.kb.RuleBase, d.engineConfig(maxStreams, prov))
 }
 
-// newStreamEngine builds the engine selected by the configuration: cluster
-// when addrs is non-empty (one remote shard per address), sharded when
-// workers > 1, serial otherwise. Cluster and sharded engines own
-// goroutines — callers must Close.
+// newStreamEngine builds the engine the configuration selects: serial, or
+// the sharded core — over TCP links when addrs is non-empty (one remote
+// shard per address), over workers in-process links otherwise. Sharded
+// engines own goroutines — callers must Close.
 func (d *Digester) newStreamEngine(maxStreams, workers int, addrs []string, prov time.Duration) (streamEngine, error) {
 	if len(addrs) > 0 {
 		return stream.NewCluster(d.kb.dict, d.kb.RuleBase, d.engineConfig(maxStreams, prov), addrs)
@@ -724,7 +733,7 @@ func (d *Digester) newStreamEngine(maxStreams, workers int, addrs []string, prov
 }
 
 // restoreStreamEngine rebuilds the selected engine from a checkpointed
-// state; the snapshot's own engine shape and worker count need not match,
+// state; the snapshot's own engine shape and shard count need not match,
 // and the provisional horizon is the restoring process's own setting (it
 // is a delivery knob, never part of the snapshot).
 func (d *Digester) restoreStreamEngine(maxStreams, workers int, addrs []string, prov time.Duration, st stream.EngineState) (streamEngine, error) {

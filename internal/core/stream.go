@@ -66,14 +66,14 @@ type StreamerOptions struct {
 // them complete — there is no batch boundary, no quiet-gap wait, and memory
 // holds only open-window state, not the feed.
 //
-// Until PR 4 this type buffered up to 500k messages and re-ran the batch
-// digester at quiet gaps; it now wraps stream.Engine, and Push/Flush keep
-// their signatures (results carry Events only — Messages is nil, since
-// messages no longer pass through in batches).
+// The engine behind it is the serial stream.Engine or, with StreamWorkers
+// > 1 or ShardAddrs set, stream.ShardedEngine over in-process or TCP
+// shard links. Results carry Events (and Updates) only — Messages is nil,
+// since messages do not pass through in batches.
 //
 // Not safe for concurrent use; callers serialize (the cmds push under one
-// mutex). In sharded mode (StreamWorkers > 1) the engine owns worker
-// goroutines: Close the streamer when the feed ends.
+// mutex). A sharded engine owns goroutines and connections: Close the
+// streamer when the feed ends.
 type Streamer struct {
 	d    *Digester
 	opts StreamerOptions
@@ -204,7 +204,7 @@ func (s *Streamer) Instrument(reg *obs.Registry) {
 		s.engMetrics.PunctApplied = reg.Counter("stream.cluster.punctuations_applied")
 	}
 	if s.eng != nil {
-		s.setEngineMetrics(s.eng)
+		s.eng.SetClusterMetrics(s.engMetrics)
 	}
 }
 
@@ -242,21 +242,6 @@ func (s *Streamer) provHorizon() time.Duration {
 	return s.d.provHorizon
 }
 
-// setEngineMetrics hands the metric set to the engine; the sharded engine
-// takes the per-shard and merge-stage handles too, the cluster engine adds
-// the wire-level handles. Metrics must land before the first Observe (they
-// do: engine() installs them immediately after construction).
-func (s *Streamer) setEngineMetrics(eng streamEngine) {
-	switch e := eng.(type) {
-	case *stream.ClusterEngine:
-		e.SetClusterMetrics(s.engMetrics)
-	case *stream.ShardedEngine:
-		e.SetShardedMetrics(s.engMetrics.ShardedMetrics)
-	default:
-		eng.SetMetrics(s.engMetrics.Metrics)
-	}
-}
-
 // engine lazily builds the underlying engine (construction can fail on
 // invalid temporal parameters, and NewStreamer has no error return).
 func (s *Streamer) engine() (streamEngine, error) {
@@ -265,8 +250,9 @@ func (s *Streamer) engine() (streamEngine, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Metrics must land before the first Observe.
+		eng.SetClusterMetrics(s.engMetrics)
 		s.eng = eng
-		s.setEngineMetrics(eng)
 	}
 	return s.eng, nil
 }

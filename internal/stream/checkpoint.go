@@ -1,12 +1,13 @@
 // Checkpoint capture and restore for the streaming engines (PR 6).
 //
-// Both engine shapes serialize to one EngineState, so a snapshot taken at
-// any worker count restores at any other: the grouping layer reshards (or
-// exactly restores) the router-local state, and the dispatcher-level fields
-// (next event ID, last accepted time) are shape-independent. Events already
-// emitted but not yet collected by the caller are returned alongside the
-// state — they are the caller's to persist, because dropping them would
-// break exactly-once delivery across a restart.
+// Every engine shape serializes to one EngineState, so a snapshot taken at
+// any shard count, in-process or clustered, restores at any other: the
+// grouping layer reshards (or exactly restores) the router-local state, and
+// the dispatcher-level fields (next event ID, last accepted time) are
+// shape-independent. Events already emitted but not yet collected by the
+// caller are returned alongside the state — they are the caller's to
+// persist, because dropping them would break exactly-once delivery across a
+// restart.
 package stream
 
 import (
@@ -19,9 +20,9 @@ import (
 	"syslogdigest/internal/rules"
 )
 
-// EngineState is the serializable state of a streaming engine (serial or
-// sharded). Worker count, batch size, and metrics are runtime configuration
-// and deliberately absent.
+// EngineState is the serializable state of a streaming engine of any
+// shape. Shard count, link kind, batch size, and metrics are runtime
+// configuration and deliberately absent.
 type EngineState struct {
 	NextID     int               `json:"next_id"`
 	LastTimeNs int64             `json:"last_time_ns"`
@@ -36,92 +37,116 @@ type EngineState struct {
 // the state to keep revision delivery exactly-once across a restart.
 func (e *Engine) State() (EngineState, []event.Event, []event.Update, error) {
 	inc := e.inc.State()
-	var pending []event.Update
-	if len(e.upd) > 0 {
-		pending = append(pending, e.upd...)
-	}
 	return EngineState{
-		NextID:     e.nextID,
+		NextID:     e.em.nextID,
 		LastTimeNs: inc.Merger.WatermarkNs,
 		Started:    inc.Merger.Started,
 		Inc:        inc,
-	}, nil, pending, nil
+	}, nil, append([]event.Update(nil), e.upd...), nil
 }
 
 // RestoreEngine rebuilds a serial engine from a snapshot taken at any
-// worker count (a multi-shard snapshot merges into the single local).
+// shard count (a multi-shard snapshot merges into the single local).
 func RestoreEngine(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config, st EngineState) (*Engine, error) {
 	inc, err := grouping.RestoreIncremental(dict, rb, cfg.Grouping, st.Inc)
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{
-		inc:     inc,
-		builder: event.NewBuilder(cfg.Freq, cfg.Labeler),
-		nextID:  st.NextID,
-		prov:    cfg.Grouping.ProvisionalHorizon > 0,
-	}, nil
+	e := &Engine{inc: inc, em: newEmitter(cfg)}
+	e.em.nextID = st.NextID
+	return e, nil
 }
 
 // State synchronizes (flushing any partial batch and waiting until the
-// merge stage has applied everything dispatched) and snapshots the engine.
-// It also returns copies of the events and tier-tagged updates emitted but
-// not yet collected — the caller must persist them with the state; they
-// stay queued here and still surface on the next collection from the live
-// engine.
+// merge stage has applied everything dispatched) and snapshots the engine:
+// every link returns its shard's RouterLocal as a self-contained part, and
+// the parts are stitched with the local merger into the EngineState the
+// serial engine would write in the same logical state (see
+// grouping.CaptureRemoteParts). It also returns copies of the events and
+// tier-tagged updates emitted but not yet collected — the caller must
+// persist them with the state; they stay queued here and still surface on
+// the next collection from the live engine.
 func (e *ShardedEngine) State() (EngineState, []event.Event, []event.Update, error) {
 	if e.closed {
 		return EngineState{}, nil, nil, fmt.Errorf("stream: sharded engine closed")
 	}
-	if e.running || e.pending > 0 {
-		e.dispatch(ctrlSync)
-		<-e.ack
-	}
+	e.sync()
 	if err := e.peekErr(); err != nil {
 		return EngineState{}, nil, nil, err
 	}
-	// Post-ack quiet window: the shard goroutines are parked on their input
-	// channels and the merge goroutine on its, so the locals and the merger
-	// are exclusively ours until the next dispatch.
+	// Quiet window: nothing steps a RouterLocal or the merger until the next
+	// dispatch. An engine restored but never started still holds its locals.
+	parts := make([]grouping.LocalPartState, 0, e.workers)
+	for _, rl := range e.locals {
+		parts = append(parts, grouping.CaptureLocal(rl))
+	}
+	for _, l := range e.links {
+		part, err := l.snapshot()
+		if err != nil {
+			return EngineState{}, nil, nil, err
+		}
+		parts = append(parts, part)
+	}
+	inc, err := grouping.CaptureRemoteParts(e.merger, parts)
+	if err != nil {
+		return EngineState{}, nil, nil, err
+	}
 	st := EngineState{
-		NextID:     e.nextID,
+		NextID:     e.em.nextID,
 		LastTimeNs: checkpoint.TimeNs(e.lastTime),
 		Started:    e.started,
-		Inc:        grouping.CaptureParts(e.locals, e.merger),
+		Inc:        inc,
 	}
 	e.mu.Lock()
-	var pending []event.Event
-	if len(e.out) > 0 {
-		pending = append(pending, e.out...)
-	}
-	var pendingUpd []event.Update
-	if len(e.upd) > 0 {
-		pendingUpd = append(pendingUpd, e.upd...)
-	}
-	e.mu.Unlock()
-	return st, pending, pendingUpd, nil
+	defer e.mu.Unlock()
+	return st, append([]event.Event(nil), e.out...), append([]event.Update(nil), e.upd...), nil
 }
 
-// RestoreSharded rebuilds a sharded engine from a snapshot taken at any
-// worker count. When the counts match, every shard's state (model LRU
-// order, per-shard bounds and counters) restores exactly; otherwise the
-// router-local state reshards by the same router hash the dispatcher uses.
-// Worker goroutines still start lazily on the first Observe.
+// RestoreSharded rebuilds an in-process sharded engine from a snapshot
+// taken at any shard count or engine shape. Worker goroutines still start
+// lazily on the first Observe.
 func RestoreSharded(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config, workers int, st EngineState) (*ShardedEngine, error) {
 	e, err := NewSharded(dict, rb, cfg, workers)
 	if err != nil {
 		return nil, err
 	}
-	perShard := (e.shardable.MaxStreams() + workers - 1) / workers
-	locals, mg, err := e.shardable.RestoreParts(st.Inc, workers, perShard, func(r string) int {
-		return shardOf(r, workers)
-	})
+	if err := e.restore(st); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// RestoreCluster is RestoreSharded for remote shards: each shard's part
+// ships in its session handshake when the connections open, on the first
+// Observe.
+func RestoreCluster(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config, addrs []string, st EngineState) (*ShardedEngine, error) {
+	e, err := NewCluster(dict, rb, cfg, addrs)
 	if err != nil {
 		return nil, err
 	}
-	e.locals = locals
-	e.merger = mg
-	e.nextID = st.NextID
+	if err := e.restore(st); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// restore loads a snapshot into a new engine. When the shard counts match,
+// every shard's state (model LRU order, per-shard bounds and counters)
+// restores exactly; otherwise the router-local state reshards by the same
+// router hash the dispatcher uses. The merger stays here; start hands each
+// link its RouterLocal.
+func (e *ShardedEngine) restore(st EngineState) error {
+	locals, mg, err := e.shardable.RestoreParts(st.Inc, e.workers, e.perShard, func(r string) int {
+		return shardOf(r, e.workers)
+	})
+	if err != nil {
+		return err
+	}
+	e.locals, e.merger = locals, mg
+	for k, rl := range locals {
+		e.localStats[k] = rl.Stats()
+	}
+	e.em.nextID = st.NextID
 	e.started = st.Started
 	e.lastTime = checkpoint.NsTime(st.LastTimeNs)
 	if e.started {
@@ -129,5 +154,5 @@ func RestoreSharded(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config, wo
 		e.maxDispatched.Store(ns)
 		e.lowWMns.Store(ns)
 	}
-	return e, nil
+	return nil
 }

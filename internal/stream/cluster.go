@@ -1,24 +1,18 @@
-// Cluster streaming engine: the multi-process form of ShardedEngine.
-//
-// Topology (the caller is the dispatcher; each shard is a remote process):
+// Cluster engine: ShardedEngine with its shards in other processes.
 //
 //	caller ──batch frame──▶ sdshard 0 (RouterLocal) ──decision frame──▶
 //	       ──batch frame──▶ sdshard 1 (RouterLocal) ──decision frame──▶  merge
 //	            ⋮                                            ⋮            (local)
 //
-// The split is exactly PR 5's: remote shards own the router-local half of
-// the grouper (temporal EWMA models, rule windows) and answer every batch
-// — empty sub-batches included — with one decision record per batch; the
-// local merge stage owns the group partition, closure, cross-router pass,
-// event building and IDs, and replays each batch's original interleaving.
-// The only difference from ShardedEngine is the hop: sub-batches travel as
-// wire frames (internal/cluster) instead of channel sends, and decisions
-// come back as Seq *deltas* instead of pointers. The merge stage resolves
-// a delta through bySeq, a map of every applied message still in an open
-// group — the closure-horizon invariant guarantees a decision's
-// predecessor is still open when the decision is applied, so the lookup
-// cannot miss. Output — events, scores, IDs, provisional updates, order —
-// is byte-identical to the serial engine at any shard count.
+// The engine is the sharded core unchanged; this file is only its TCP
+// shardLink. Sub-batches travel as wire frames (internal/cluster) and
+// decisions come back as Seq *deltas* instead of pointers, which the link
+// turns back into pointers through bySeq, a map of its shard's applied
+// messages still in an open group — the closure-horizon invariant
+// guarantees a decision's predecessor is still open when the decision is
+// applied, so the lookup cannot miss. Output — events, scores, IDs,
+// provisional updates, order — is byte-identical to the serial engine at
+// any shard count.
 //
 // Fault tolerance: a dropped shard connection is a shard restart. The
 // client layer re-seeds the replacement session from its last state
@@ -30,13 +24,9 @@ package stream
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"syslogdigest/internal/checkpoint"
 	"syslogdigest/internal/cluster"
-	"syslogdigest/internal/event"
 	"syslogdigest/internal/grouping"
 	"syslogdigest/internal/locdict"
 	"syslogdigest/internal/obs"
@@ -55,11 +45,10 @@ func ClusterRTTBounds() []float64 {
 	return []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}
 }
 
-// ClusterMetrics extend the sharded metric set with the wire-level series.
-// The embedded handles keep their sharded meanings (per-shard series are
-// fed from the decision records' stats instead of shard goroutines); the
-// Client handles are shared by every shard connection, so the counters are
-// engine totals.
+// ClusterMetrics extend the sharded metric set with the wire-level series;
+// it is the superset every engine shape's setter takes, and an engine
+// ignores the handles it has no use for. The Client handles are shared by
+// every shard connection, so the counters are engine totals.
 type ClusterMetrics struct {
 	ShardedMetrics
 	Client cluster.ClientMetrics
@@ -69,680 +58,139 @@ type ClusterMetrics struct {
 	PunctApplied *obs.Counter
 }
 
-// clusterBatch tells the merge stage how to apply one batch: the shard
-// sub-batches (whose pooled records the merge consumes), the interleaving,
-// and the batch sequence the decision frames will carry.
-type clusterBatch struct {
-	seq   uint64
-	order []uint8
-	subs  [][]*grouping.Pending
-	punct time.Time
-	kind  ctrlKind
-}
-
-// ClusterEngine is the distributed counterpart of ShardedEngine, with the
-// same external contract: Observe messages in nondecreasing time order,
-// receive closed events back, byte-identical to the serial engine.
-//
-// Not safe for concurrent use by multiple callers (one dispatcher), and
-// SetMetrics/SetClusterMetrics must precede the first Observe. Close
-// releases the merge goroutine and the shard connections.
-type ClusterEngine struct {
-	shardable *grouping.Shardable
-	builder   *event.Builder
-	workers   int
-	batchSize int
-	perShard  int
-	met       ClusterMetrics
-	logf      func(format string, args ...any)
-
-	addrs []string
-	ccfg  cluster.GroupConfig
-	kbSig string
-	seeds []*grouping.LocalPartState // restore seeds, nil when fresh
-
-	// Dispatcher state (caller goroutine); mirrors ShardedEngine.
-	running  bool
-	closed   bool
-	started  bool
-	lastTime time.Time
-	pending  int
-	order    []uint8
-	subs     [][]*grouping.Pending
-	batchSeq uint64
-
-	clients []*cluster.Client
-	mergeIn chan clusterBatch
-	ack     chan struct{}
-	wg      sync.WaitGroup
-
-	maxDispatched atomic.Int64
-	lowWMns       atomic.Int64
-
-	// Merge-goroutine state. The caller may touch these only in the quiet
-	// window after a sync/drain ack and before the next dispatch.
-	merger *grouping.Merger
-	// bySeq resolves decision deltas: every applied message, until its
-	// group closes. Bounded by open messages.
-	bySeq         map[int]*grouping.Pending
-	nextID        int
-	localStats    []grouping.LocalStats
-	evictionsPub  int
-	evictionsSeen []int          // per-shard cumulative evictions already published
-	members       []event.Member // emit scratch
-	rulesScratch  []*grouping.Pending
-	prov          bool
-	updMembers    []event.Member
-
-	mu  sync.Mutex
-	out []event.Event
-	upd []event.Update
-	err error
-}
-
-// NewCluster builds a cluster engine dispatching to one remote shard per
+// NewCluster builds a sharded engine dispatching to one remote shard per
 // address (repeat an address to host several shards in one process). The
-// connections open lazily on the first Observe.
-func NewCluster(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config, addrs []string) (*ClusterEngine, error) {
+// connections open lazily on the first Observe; the router hash is
+// NewSharded's, so a cluster of N shards sees exactly the sub-batches N
+// in-process workers would.
+func NewCluster(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config, addrs []string) (*ShardedEngine, error) {
 	if len(addrs) < 1 || len(addrs) > MaxShardWorkers {
 		return nil, fmt.Errorf("stream: shard address count %d out of range [1, %d]", len(addrs), MaxShardWorkers)
 	}
-	s, err := grouping.NewShardable(dict, rb, cfg.Grouping)
-	if err != nil {
-		return nil, err
-	}
-	workers := len(addrs)
-	return &ClusterEngine{
-		shardable:     s,
-		builder:       event.NewBuilder(cfg.Freq, cfg.Labeler),
-		workers:       workers,
-		batchSize:     DefaultShardBatch,
-		perShard:      (s.MaxStreams() + workers - 1) / workers,
-		addrs:         append([]string(nil), addrs...),
-		ccfg:          cluster.ConfigFrom(cfg.Grouping.Config),
-		kbSig:         cluster.Fingerprint(dict, rb),
-		seeds:         make([]*grouping.LocalPartState, workers),
-		merger:        s.NewMerger(),
-		bySeq:         make(map[int]*grouping.Pending),
-		prov:          cfg.Grouping.ProvisionalHorizon > 0,
-		localStats:    make([]grouping.LocalStats, workers),
-		evictionsSeen: make([]int, workers),
-		subs:          make([][]*grouping.Pending, workers),
-	}, nil
-}
-
-// Workers is the shard count.
-func (e *ClusterEngine) Workers() int { return e.workers }
-
-// SetBatchSize overrides the dispatch batch size (<= 0: DefaultShardBatch).
-// Must precede the first Observe.
-func (e *ClusterEngine) SetBatchSize(n int) {
-	if e.running {
-		return
-	}
-	if n <= 0 {
-		n = DefaultShardBatch
-	}
-	e.batchSize = n
-}
-
-// SetLogf installs a logger for connection lifecycle lines (reconnects,
-// replays). Must precede the first Observe; nil discards them.
-func (e *ClusterEngine) SetLogf(f func(format string, args ...any)) {
-	if !e.running {
-		e.logf = f
-	}
-}
-
-// SetMetrics installs the serial metric set (cluster and per-shard handles
-// absent). Must precede the first Observe.
-func (e *ClusterEngine) SetMetrics(m Metrics) {
-	e.SetClusterMetrics(ClusterMetrics{ShardedMetrics: ShardedMetrics{Metrics: m}})
-}
-
-// SetClusterMetrics installs the full cluster metric set. Must precede the
-// first Observe (same guard and reasoning as SetShardedMetrics).
-func (e *ClusterEngine) SetClusterMetrics(m ClusterMetrics) {
-	if e.running || e.pending > 0 {
-		return
-	}
-	e.met = m
-	e.shardable.Pool().SetMetrics(grouping.PoolMetrics{
-		Gets: m.Grouping.PoolGets,
-		Puts: m.Grouping.PoolPuts,
-		Live: m.Grouping.PoolLive,
+	addrs = append([]string(nil), addrs...)
+	ccfg := cluster.ConfigFrom(cfg.Grouping.Config)
+	kbSig := cluster.Fingerprint(dict, rb)
+	return newSharded(dict, rb, cfg, len(addrs), func(e *ShardedEngine, k int, local *grouping.RouterLocal) shardLink {
+		// A restored shard's state ships in the session handshake on first
+		// dial, and again after every reconnect until a fresher snapshot
+		// replaces it.
+		var seed *grouping.LocalPartState
+		if local != nil {
+			part := grouping.CaptureLocal(local)
+			seed = &part
+		}
+		l := &tcpLink{
+			shard: k,
+			bySeq: make(map[int]*grouping.Pending),
+			c: cluster.NewClient(cluster.ClientConfig{
+				Addr:       addrs[k],
+				Shard:      k,
+				Workers:    e.workers,
+				MaxStreams: e.perShard,
+				KBSig:      kbSig,
+				Config:     ccfg,
+				Metrics:    e.met.Client,
+				Logf:       e.logf,
+			}, seed),
+		}
+		// Every message open in a restored merger can still be named by a
+		// future decision. Other shards' members ride along; closed drops
+		// them with their groups.
+		e.merger.EachOpenPending(func(p *grouping.Pending) { l.bySeq[p.Msg().Seq] = p })
+		return l
 	})
 }
 
-// start opens the shard connections and launches the merge goroutine.
-func (e *ClusterEngine) start() {
-	e.running = true
-	e.clients = make([]*cluster.Client, e.workers)
-	for k := range e.clients {
-		e.clients[k] = cluster.NewClient(cluster.ClientConfig{
-			Addr:       e.addrs[k],
-			Shard:      k,
-			Workers:    e.workers,
-			MaxStreams: e.perShard,
-			KBSig:      e.kbSig,
-			Config:     e.ccfg,
-			Metrics:    e.met.Client,
-			Logf:       e.logf,
-		}, e.seeds[k])
-		e.seeds[k] = nil // the client owns the seed now
-	}
-	e.mergeIn = make(chan clusterBatch, shardQueueDepth)
-	e.ack = make(chan struct{}, 1)
-	e.merger.SetMetrics(grouping.MergeMetrics{
-		MergeTemporal:   e.met.Grouping.MergeTemporal,
-		MergeRule:       e.met.Grouping.MergeRule,
-		MergeCross:      e.met.Grouping.MergeCross,
-		CrossCandidates: e.met.Grouping.CrossCandidates,
-		OpenMessages:    e.met.Grouping.OpenMessages,
-		OpenGroups:      e.met.Grouping.OpenGroups,
-	})
-	e.wg.Add(1)
-	go e.mergeLoop()
+// tcpLink is the cross-process shardLink: a thin adapter over
+// cluster.Client, which owns the connection, the replay log and the
+// reconnect protocol. The link numbers the batches (one frame out, one
+// decision frame back, same sequence) and owns the Seq-delta → record
+// resolution, so nothing wire-shaped reaches the core.
+type tcpLink struct {
+	shard   int
+	c       *cluster.Client
+	sendSeq uint64 // dispatcher goroutine
+	recvSeq uint64 // merge goroutine, like everything below
+
+	// bySeq resolves decision deltas: every message of this shard handed to
+	// the merge stage, until its group closes. Bounded by open messages.
+	bySeq map[int]*grouping.Pending
+	items []shardItem         // result backings, reused by every recv
+	rules []*grouping.Pending //
 }
 
-// Observe ingests one message (nondecreasing Time required) and returns
-// the events emitted since the last call. Same contract and partitioning
-// as ShardedEngine.Observe; the router hash is the same, so a cluster of N
-// shards sees exactly the sub-batches N in-process workers would.
-func (e *ClusterEngine) Observe(m Message) ([]event.Event, error) {
-	if err := e.peekErr(); err != nil {
-		return nil, err
-	}
-	if e.closed {
-		return nil, fmt.Errorf("stream: cluster engine closed")
-	}
-	if e.started && m.Time.Before(e.lastTime) {
-		return nil, fmt.Errorf("grouping: incremental requires nondecreasing timestamps (got %v after watermark %v)",
-			m.Time, e.lastTime)
-	}
-	e.started = true
-	e.lastTime = m.Time
-	p := e.shardable.Pool().Get(grouping.Message{
-		Seq: m.Seq, Time: m.Time, Router: m.Router, Template: m.Template,
-		Loc: m.Loc, AllLocs: m.AllLocs, Peers: m.Peers, Raw: m.Raw,
-	})
-	k := shardOf(m.Router, e.workers)
-	e.subs[k] = append(e.subs[k], p)
-	e.order = append(e.order, uint8(k))
-	e.pending++
-	if e.pending >= e.batchSize {
-		e.dispatch(ctrlNone)
-	}
-	return e.collect(), nil
-}
-
-// dispatch ships every shard its sub-batch as a wire frame (empty included
-// — the sync invariant) and hands the merge stage the pendings plus the
-// interleaving. SendBatch encodes on this goroutine, so the merge stage is
-// free to recycle the records the moment their groups close.
-func (e *ClusterEngine) dispatch(kind ctrlKind) {
-	if !e.running {
-		e.start()
-	}
-	punct := e.lastTime
+// send encodes on the calling goroutine, so the frame is complete before
+// the merge stage can recycle any of the records.
+func (l *tcpLink) send(b shardBatch) {
+	l.sendSeq++
 	var punctNs int64
-	if e.started {
-		punctNs = punct.UnixNano()
-		e.maxDispatched.Store(punctNs)
+	if !b.punct.IsZero() {
+		punctNs = b.punct.UnixNano()
 	}
-	e.batchSeq++
-	cb := clusterBatch{
-		seq:   e.batchSeq,
-		order: e.order,
-		subs:  make([][]*grouping.Pending, e.workers),
-		punct: punct,
-		kind:  kind,
-	}
-	for k := 0; k < e.workers; k++ {
-		e.clients[k].SendBatch(e.batchSeq, punctNs, kind == ctrlDrain, e.subs[k])
-		cb.subs[k] = e.subs[k]
-		e.subs[k] = nil
-	}
-	e.mergeIn <- cb
-	e.order = nil
-	e.pending = 0
+	l.c.SendBatch(l.sendSeq, punctNs, b.drain, b.msgs)
 }
 
-// mergeLoop reads one decision record per shard per batch, replays the
-// interleaving, resolves the Seq deltas through bySeq, and applies each
-// message's joins to the global Merger — the same loop ShardedEngine runs,
-// with map lookups where it has pointers. After a failure it keeps
-// consuming so the dispatcher never blocks.
-func (e *ClusterEngine) mergeLoop() {
-	defer e.wg.Done()
-	var js grouping.Joins
-	decs := make([]*cluster.DecisionBatch, e.workers)
-	idx := make([]int, e.workers)
-	for cb := range e.mergeIn {
-		failed := e.peekErr() != nil
-		for k := 0; k < e.workers; k++ {
-			idx[k] = 0
-			decs[k] = nil
-			db, ok := <-e.clients[k].Decisions()
-			if !ok {
-				if !failed {
-					err := e.clients[k].Err()
-					if err == nil {
-						err = fmt.Errorf("stream: cluster shard %d: decision stream closed", k)
-					}
-					e.fail(err)
-					failed = true
-				}
-				continue
-			}
-			decs[k] = db
-			if !failed && db.Seq != cb.seq {
-				e.fail(fmt.Errorf("stream: cluster shard %d answered batch %d, expected %d", k, db.Seq, cb.seq))
-				failed = true
-			}
-			if !failed && db.ShardErr != "" {
-				e.fail(fmt.Errorf("stream: cluster shard %d: %s", k, db.ShardErr))
-				failed = true
+func (l *tcpLink) recv(sub []*grouping.Pending) shardResult {
+	l.recvSeq++
+	db, ok := <-l.c.Decisions()
+	if !ok {
+		err := l.c.Err()
+		if err == nil {
+			err = fmt.Errorf("stream: cluster shard %d: decision stream closed", l.shard)
+		}
+		return shardResult{err: err}
+	}
+	defer l.c.Recycle(db)
+	switch {
+	case db.Seq != l.recvSeq:
+		return shardResult{err: fmt.Errorf("stream: cluster shard %d answered batch %d, expected %d", l.shard, db.Seq, l.recvSeq)}
+	case db.ShardErr != "":
+		return shardResult{err: fmt.Errorf("stream: cluster shard %d: %s", l.shard, db.ShardErr)}
+	case len(db.Items) != len(sub):
+		return shardResult{err: fmt.Errorf("stream: cluster shard %d answered %d messages of %d", l.shard, len(db.Items), len(sub))}
+	}
+	l.items, l.rules = l.items[:0], l.rules[:0]
+	for i, p := range sub {
+		d := db.Items[i]
+		seq := p.Msg().Seq
+		it := shardItem{rs: int32(len(l.rules))}
+		if d.Temporal != 0 {
+			if it.temporal = l.bySeq[seq-int(d.Temporal)]; it.temporal == nil {
+				return l.desync("temporal", seq-int(d.Temporal), seq)
 			}
 		}
-		applied := false
-		for _, k := range cb.order {
-			db := decs[k]
-			if db == nil || idx[k] >= len(db.Items) {
-				break // shard failed, or erred mid-batch; its tail never computed
+		for _, rd := range db.Rules[d.RS:d.RE] {
+			pred := l.bySeq[seq-int(rd)]
+			if pred == nil {
+				return l.desync("rule", seq-int(rd), seq)
 			}
-			it := db.Items[idx[k]]
-			p := cb.subs[k][idx[k]]
-			idx[k]++
-			if failed {
-				continue
-			}
-			if !e.resolve(p, it, db, &js) {
-				failed = true
-				continue
-			}
-			e.bySeq[p.Msg().Seq] = p
-			closed, err := e.merger.Apply(p, &js)
-			if err != nil {
-				e.fail(err)
-				failed = true
-				continue
-			}
-			e.emitUpdates()
-			for _, cg := range closed {
-				for i := range cg.Members {
-					delete(e.bySeq, cg.Members[i].Seq)
-				}
-			}
-			e.emit(closed)
-			applied = true
+			l.rules = append(l.rules, pred)
 		}
-		if applied {
-			e.met.Watermark.Set(float64(e.merger.Watermark().UnixNano()) / 1e9)
-		}
-		for k := range decs {
-			db := decs[k]
-			if db == nil {
-				continue
-			}
-			e.localStats[k] = db.Stats
-			sm := e.met.shard(k)
-			sm.Pushed.Add(uint64(len(db.Items)))
-			sm.Streams.Set(float64(db.Stats.Streams))
-			if d := db.Stats.Evictions - e.evictionsSeen[k]; d > 0 {
-				sm.Evictions.Add(uint64(d))
-				e.evictionsSeen[k] = db.Stats.Evictions
-			}
-			if !cb.punct.IsZero() {
-				sm.Watermark.Set(float64(cb.punct.UnixNano()) / 1e9)
-			}
-			e.clients[k].Recycle(db)
-			decs[k] = nil
-		}
-		e.shardable.Pool().PublishLive()
-		if !cb.punct.IsZero() {
-			if !failed && len(cb.order) > 0 {
-				lag := time.Duration(e.maxDispatched.Load() - cb.punct.UnixNano())
-				e.met.MergeLag.Observe(lag.Seconds())
-			}
-			e.lowWMns.Store(cb.punct.UnixNano())
-		}
-		if !failed {
-			e.met.PunctApplied.Inc()
-		}
-		if cb.kind == ctrlDrain && !failed {
-			closed := e.merger.Drain()
-			e.emitUpdates()
-			e.emit(closed)
-			// Drain closed every open group, so no future decision can
-			// reference anything applied so far.
-			clear(e.bySeq)
-		}
-		if cb.kind != ctrlNone {
-			e.ack <- struct{}{}
+		it.re = int32(len(l.rules))
+		l.items = append(l.items, it)
+		l.bySeq[seq] = p
+	}
+	return shardResult{items: l.items, rules: l.rules, stats: db.Stats}
+}
+
+// desync reports a delta that names no open message: a protocol fault (the
+// closure-horizon invariant says an open group pins every join
+// predecessor), so it fails the engine.
+func (l *tcpLink) desync(pass string, pred, seq int) shardResult {
+	return shardResult{err: fmt.Errorf("stream: cluster decision desync: %s predecessor %d of %d not open", pass, pred, seq)}
+}
+
+func (l *tcpLink) closed(cgs []grouping.ClosedGroup) {
+	for i := range cgs {
+		for j := range cgs[i].Members {
+			delete(l.bySeq, cgs[i].Members[j].Seq)
 		}
 	}
 }
 
-// resolve rebuilds one message's Joins from its decision deltas. A miss is
-// a protocol desync (the closure-horizon invariant says an open group pins
-// every join predecessor), so it fails the engine.
-func (e *ClusterEngine) resolve(p *grouping.Pending, it cluster.DecisionItem, db *cluster.DecisionBatch, js *grouping.Joins) bool {
-	seq := p.Msg().Seq
-	js.Temporal = nil
-	if it.Temporal != 0 {
-		pred, ok := e.bySeq[seq-int(it.Temporal)]
-		if !ok {
-			e.fail(fmt.Errorf("stream: cluster decision desync: temporal predecessor %d of %d not open", seq-int(it.Temporal), seq))
-			return false
-		}
-		js.Temporal = pred
-	}
-	e.rulesScratch = e.rulesScratch[:0]
-	for _, d := range db.Rules[it.RS:it.RE] {
-		pred, ok := e.bySeq[seq-int(d)]
-		if !ok {
-			e.fail(fmt.Errorf("stream: cluster decision desync: rule predecessor %d of %d not open", seq-int(d), seq))
-			return false
-		}
-		e.rulesScratch = append(e.rulesScratch, pred)
-	}
-	js.Rules = e.rulesScratch
-	return true
+func (l *tcpLink) snapshot() (grouping.LocalPartState, error) {
+	return l.c.FetchState(stateFetchTimeout)
 }
 
-// emit mirrors ShardedEngine.emit: score closed groups, queue the events.
-func (e *ClusterEngine) emit(closed []grouping.ClosedGroup) {
-	if len(closed) == 0 {
-		return
-	}
-	wm := e.merger.Watermark()
-	e.mu.Lock()
-	for _, cg := range closed {
-		e.members = e.members[:0]
-		for i := range cg.Members {
-			gm := &cg.Members[i]
-			e.members = append(e.members, event.Member{
-				Seq: gm.Seq, Time: gm.Time, Router: gm.Router,
-				Template: gm.Template, Loc: gm.Loc, Raw: gm.Raw,
-			})
-		}
-		ev := e.builder.BuildGroup(e.members)
-		ev.ID = e.nextID
-		e.nextID++
-		e.met.Emitted.Inc()
-		e.met.MergeEmitted.Inc()
-		e.met.EmitLatency.Observe(wm.Sub(ev.End).Seconds())
-		if e.prov {
-			e.met.ProvFinalized.Inc()
-			e.met.RevisionChurn.Observe(float64(cg.Revision))
-			e.upd = append(e.upd, event.Update{
-				EventID: cg.ID, Revision: cg.Revision,
-				Status: event.StatusFinal, Event: ev,
-			})
-		}
-		e.out = append(e.out, ev)
-	}
-	e.mu.Unlock()
-	e.merger.Recycle(closed)
-}
-
-// emitUpdates mirrors ShardedEngine.emitUpdates (merge goroutine only).
-func (e *ClusterEngine) emitUpdates() {
-	if !e.prov {
-		return
-	}
-	gus := e.merger.TakeUpdates()
-	if len(gus) == 0 {
-		return
-	}
-	wm := e.merger.Watermark()
-	e.mu.Lock()
-	for _, gu := range gus {
-		e.upd = append(e.upd, buildUpdate(e.builder, &e.updMembers, &e.met.Metrics, wm, gu))
-	}
-	e.mu.Unlock()
-}
-
-// TakeUpdates takes the tier-tagged updates queued since the last call.
-func (e *ClusterEngine) TakeUpdates() []event.Update {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.upd) == 0 {
-		return nil
-	}
-	out := make([]event.Update, len(e.upd))
-	copy(out, e.upd)
-	clear(e.upd)
-	e.upd = e.upd[:0]
-	return out
-}
-
-// collect takes the events emitted since the last collection.
-func (e *ClusterEngine) collect() []event.Event {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.out) == 0 {
-		return nil
-	}
-	out := make([]event.Event, len(e.out))
-	copy(out, e.out)
-	clear(e.out)
-	e.out = e.out[:0]
-	return out
-}
-
-func (e *ClusterEngine) fail(err error) {
-	e.mu.Lock()
-	if e.err == nil {
-		e.err = err
-	}
-	e.mu.Unlock()
-}
-
-func (e *ClusterEngine) peekErr() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err
-}
-
-// sync flushes the partial batch and blocks until the merge stage has
-// applied everything dispatched (the post-ack quiet window).
-func (e *ClusterEngine) sync() {
-	if !e.running {
-		return
-	}
-	e.dispatch(ctrlSync)
-	<-e.ack
-}
-
-// publishGlobal refreshes the aggregate gauges from the latest per-shard
-// decision stats; post-sync quiet window only.
-func (e *ClusterEngine) publishGlobal() {
-	streams, evs := 0, 0
-	for _, ls := range e.localStats {
-		streams += ls.Streams
-		evs += ls.Evictions
-	}
-	e.met.Grouping.Streams.Set(float64(streams))
-	if evs > e.evictionsPub {
-		e.met.Grouping.StreamEvictions.Add(uint64(evs - e.evictionsPub))
-		e.evictionsPub = evs
-	}
-}
-
-// Drain flushes the partial batch, drops every shard's join windows,
-// force-closes every open group, and returns all uncollected events.
-func (e *ClusterEngine) Drain() []event.Event {
-	if !e.running && e.pending == 0 {
-		return nil
-	}
-	e.dispatch(ctrlDrain)
-	<-e.ack
-	e.publishGlobal()
-	e.shardable.Pool().PublishLive()
-	return e.collect()
-}
-
-// Close stops the merge goroutine and the shard connections; call Drain
-// first if open groups should still emit. Session state on the shards dies
-// with the connections.
-func (e *ClusterEngine) Close() {
-	if e.closed {
-		return
-	}
-	e.closed = true
-	if !e.running {
-		return
-	}
-	close(e.mergeIn)
-	e.wg.Wait()
-	for _, c := range e.clients {
-		c.Close()
-	}
-}
-
-// Watermark is the maximum message time observed (dispatcher view).
-func (e *ClusterEngine) Watermark() time.Time { return e.lastTime }
-
-// LowWatermark is the merge stage's progress, as in ShardedEngine.
-func (e *ClusterEngine) LowWatermark() time.Time {
-	ns := e.lowWMns.Load()
-	if ns == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, ns)
-}
-
-// Horizon is the closure bound.
-func (e *ClusterEngine) Horizon() time.Duration { return e.shardable.Horizon() }
-
-// ActiveRules synchronizes and snapshots the merge stage's cumulative
-// per-pair rule-merge tally.
-func (e *ClusterEngine) ActiveRules() map[rules.PairKey]int {
-	e.sync()
-	return e.merger.ActiveRules()
-}
-
-// Stats synchronizes and snapshots grouper state and merge counters.
-func (e *ClusterEngine) Stats() grouping.IncStats {
-	if !e.running {
-		return grouping.IncStats{}
-	}
-	e.sync()
-	e.publishGlobal()
-	ms := e.merger.Stats()
-	st := grouping.IncStats{
-		OpenMessages:    ms.OpenMessages,
-		OpenGroups:      ms.OpenGroups,
-		TemporalMerges:  ms.TemporalMerges,
-		RuleMerges:      ms.RuleMerges,
-		CrossMerges:     ms.CrossMerges,
-		CrossCandidates: ms.CrossCandidates,
-	}
-	for _, ls := range e.localStats {
-		st.Streams += ls.Streams
-		st.StreamEvictions += ls.Evictions
-		st.RuleCandidates += ls.RuleCandidates
-		st.RulePairs += ls.RulePairs
-	}
-	return st
-}
-
-// Pending is the number of messages in not-yet-closed groups.
-func (e *ClusterEngine) Pending() int {
-	if !e.running {
-		return e.pending
-	}
-	e.sync()
-	return e.merger.Stats().OpenMessages
-}
-
-// State synchronizes, fetches every shard's router-local state over the
-// wire, and stitches the parts with the local merger into the same
-// EngineState an in-process engine would snapshot (byte-identical — see
-// grouping.CaptureRemoteParts). The engine stays live.
-func (e *ClusterEngine) State() (EngineState, []event.Event, []event.Update, error) {
-	if e.closed {
-		return EngineState{}, nil, nil, fmt.Errorf("stream: cluster engine closed")
-	}
-	if e.running || e.pending > 0 {
-		e.dispatch(ctrlSync)
-		<-e.ack
-	}
-	if err := e.peekErr(); err != nil {
-		return EngineState{}, nil, nil, err
-	}
-	parts := make([]grouping.LocalPartState, e.workers)
-	for k := range parts {
-		switch {
-		case e.running:
-			part, err := e.clients[k].FetchState(stateFetchTimeout)
-			if err != nil {
-				return EngineState{}, nil, nil, err
-			}
-			parts[k] = part
-		case e.seeds[k] != nil:
-			// Restored but never started: the seeds still hold the state.
-			parts[k] = *e.seeds[k]
-		}
-	}
-	inc, err := grouping.CaptureRemoteParts(e.merger, parts)
-	if err != nil {
-		return EngineState{}, nil, nil, err
-	}
-	st := EngineState{
-		NextID:     e.nextID,
-		LastTimeNs: checkpoint.TimeNs(e.lastTime),
-		Started:    e.started,
-		Inc:        inc,
-	}
-	e.mu.Lock()
-	var pending []event.Event
-	if len(e.out) > 0 {
-		pending = append(pending, e.out...)
-	}
-	var pendingUpd []event.Update
-	if len(e.upd) > 0 {
-		pendingUpd = append(pendingUpd, e.upd...)
-	}
-	e.mu.Unlock()
-	return st, pending, pendingUpd, nil
-}
-
-// RestoreCluster rebuilds a cluster engine from a snapshot taken at any
-// worker count or engine shape. The router-local state reshards locally by
-// the dispatcher's hash, each shard's part becomes its connection seed
-// (shipped in the session handshake on first dial), and the merger state
-// stays local. Connections still open lazily on the first Observe.
-func RestoreCluster(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config, addrs []string, st EngineState) (*ClusterEngine, error) {
-	e, err := NewCluster(dict, rb, cfg, addrs)
-	if err != nil {
-		return nil, err
-	}
-	locals, mg, err := e.shardable.RestoreParts(st.Inc, e.workers, e.perShard, func(r string) int {
-		return shardOf(r, e.workers)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for k, rl := range locals {
-		part := grouping.CaptureLocal(rl)
-		e.seeds[k] = &part
-	}
-	e.merger = mg
-	// Rebuild the delta-resolution index: every open message can still be
-	// named by a future decision.
-	mg.EachOpenPending(func(p *grouping.Pending) {
-		e.bySeq[p.Msg().Seq] = p
-	})
-	e.nextID = st.NextID
-	e.started = st.Started
-	e.lastTime = checkpoint.NsTime(st.LastTimeNs)
-	if e.started {
-		ns := e.lastTime.UnixNano()
-		e.maxDispatched.Store(ns)
-		e.lowWMns.Store(ns)
-	}
-	return e, nil
-}
+// close drops the connection; session state on the shard dies with it.
+func (l *tcpLink) close() { l.c.Close() }

@@ -1,39 +1,43 @@
-// Sharded streaming engine: the multi-core form of Engine.
+// Sharded streaming engine: the multi-shard form of Engine.
 //
-// Topology (one goroutine per box, the caller is the dispatcher):
+// Topology (the caller is the dispatcher; merge is one goroutine):
 //
-//	caller ──batch──▶ shard 0 (RouterLocal) ──joins──▶
-//	        ──batch──▶ shard 1 (RouterLocal) ──joins──▶  merge (Merger +
-//	            ⋮                                  ⋮      event.Builder)
-//	        ──batch──▶ shard N-1             ──joins──▶
+//	caller ──sub-batch──▶ link 0 ─▶ shard 0 (RouterLocal) ──joins──▶
+//	       ──sub-batch──▶ link 1 ─▶ shard 1 (RouterLocal) ──joins──▶  merge (Merger +
+//	            ⋮                                              ⋮      emitter)
+//	       ──sub-batch──▶ link N-1 ─▶ shard N-1            ──joins──▶
 //
-// Messages hash by router onto N shard workers. A worker owns the
-// router-local half of the grouper state — temporal EWMA models and rule
-// windows for its routers — and computes, per message, the join decisions
-// (grouping.Joins). The merge stage owns everything global: the group
-// partition, the closure list, the cross-router pass, event building, and
-// event IDs. Because locdict location keys embed the router, every join
-// decision a worker makes depends only on its own routers' subsequence,
-// and because the merge stage applies those decisions in the original
-// global order, the emitted events — set, scores, IDs, order — are
-// byte-identical to the serial Engine at any worker count (see
-// grouping/shard.go for the argument; the one caveat is the MaxStreams
-// eviction bound, which is enforced per shard here and globally there).
+// Messages hash by router onto N shards. A shard owns the router-local half
+// of the grouper state — temporal EWMA models and rule windows for its
+// routers — and computes, per message, the join decisions (grouping.Joins).
+// The merge stage owns everything global: the group partition, the closure
+// list, the cross-router pass, event building, and event IDs. Because
+// locdict location keys embed the router, every join decision a shard makes
+// depends only on its own routers' subsequence, and because the merge stage
+// applies those decisions in the original global order, the emitted events
+// — set, scores, IDs, order — are byte-identical to the serial Engine at
+// any shard count (see grouping/shard.go for the argument; the one caveat
+// is the MaxStreams eviction bound, which is enforced per shard here and
+// globally there).
+//
+// Where a shard runs is the shardLink's business, and the only thing that
+// differs between the in-process engine (NewSharded: a goroutine behind
+// channels, this file) and the cluster engine (NewCluster: an sdshard
+// process behind a TCP connection, cluster.go). Dispatch, merge, emission,
+// synchronization, statistics and checkpointing are this one core.
 //
 // Coordination is batch punctuation: the dispatcher accumulates up to
-// BatchSize messages, partitions them by router, and sends every shard its
-// (possibly empty) sub-batch; each shard answers with exactly one result
-// record per batch carrying the join decisions in order. The merge stage
-// reads one record per shard per batch and replays the batch's original
-// interleaving from the dispatcher's order vector. All channels are
-// bounded, so a slow merge backpressures the shards and a slow shard
-// backpressures the dispatcher — memory in flight is O(workers × depth ×
-// batch).
+// BatchSize messages, partitioned by router as they arrive, and sends every
+// link its (possibly empty) sub-batch; each link answers with exactly one
+// result per batch carrying the join decisions in order. The merge stage
+// reads one result per link per batch and replays the batch's original
+// interleaving from the order vector. Every queue is bounded, so a slow
+// merge backpressures the shards and a slow shard backpressures the
+// dispatcher — memory in flight is O(shards × depth × batch).
 //
-// Watermarks: each shard's watermark is the punctuation (max message time)
-// of the last batch it finished. The merge stage's low watermark is the
-// punctuation of the last batch it fully applied — necessarily ≤ every
-// shard watermark, and monotone because dispatch order is time order.
+// Watermarks: the merge stage's low watermark is the punctuation (max
+// message time) of the last batch it fully applied — necessarily ≤ every
+// shard's own progress, and monotone because dispatch order is time order.
 // Group closure tests against the Merger's own watermark exactly as in the
 // serial engine, so closure (and thus emission) decisions are unchanged.
 package stream
@@ -53,19 +57,23 @@ import (
 
 const (
 	// DefaultShardBatch is the dispatch batch size: large enough to
-	// amortize channel handoffs, small enough that a live feed's events
+	// amortize link handoffs, small enough that a live feed's events
 	// surface promptly (a batch also flushes on Drain and on any state
 	// query).
 	DefaultShardBatch = 256
-	// shardQueueDepth bounds each channel in batches; total in-flight
-	// memory is workers × depth × batch messages.
+	// shardQueueDepth bounds each queue in batches; total in-flight
+	// memory is shards × depth × batch messages.
 	shardQueueDepth = 4
-	// MaxShardWorkers caps the worker count (the order vector stores shard
+	// freeListDepth sizes the recycling lists to everything that can be in
+	// flight on one path (a full queue, one item being consumed, one being
+	// filled), so steady state never drops a buffer to the GC.
+	freeListDepth = shardQueueDepth + 2
+	// MaxShardWorkers caps the shard count (the order vector stores shard
 	// indexes in a byte).
 	MaxShardWorkers = 256
 )
 
-// ShardMetrics are one shard worker's observability handles (nil-safe).
+// ShardMetrics are one shard's observability handles (nil-safe).
 type ShardMetrics struct {
 	Pushed    *obs.Counter // stream.shard.<k>.pushed
 	Streams   *obs.Gauge   // stream.shard.<k>.streams
@@ -77,9 +85,10 @@ type ShardMetrics struct {
 // The embedded Metrics keep their serial meanings: stream.emitted,
 // stream.emit_latency_seconds and stream.watermark_unix_seconds are
 // maintained by the merge stage, and the grouping merge counters and
-// open-state gauges by the Merger it drives. The global stream.state
-// streams/evictions handles aggregate across shards and refresh on every
-// synchronizing call (Drain, Stats); the per-shard handles are live.
+// open-state gauges by the Merger it drives. The per-shard handles, and
+// the global stream.state streams/evictions and rule-scan handles that
+// aggregate them, advance once per applied batch, from the LocalStats
+// every link result carries.
 type ShardedMetrics struct {
 	Metrics
 	MergeEmitted *obs.Counter   // stream.merge.emitted
@@ -102,35 +111,66 @@ func MergeLagBounds() []float64 {
 	return []float64{0.001, 0.01, 0.1, 1, 10, 60, 300, 1800, 3600, 14400}
 }
 
-// shardBatch is one dispatch to one shard worker. The sub-batch carries
-// pooled Pending records (acquired by the dispatcher, consumed by
-// Merger.Apply downstream): shipping 8-byte pointers instead of Message
-// values keeps the per-message cost of the shard hop to one struct copy —
-// the same pool.Get copy the serial engine pays.
+// shardBatch is one dispatch to one shard. The sub-batch carries pooled
+// Pending records (acquired by the dispatcher, consumed by Merger.Apply
+// downstream): shipping 8-byte pointers instead of Message values keeps
+// the per-message cost of an in-process hop to one struct copy — the same
+// pool.Get copy the serial engine pays. A link may read msgs until it has
+// produced the batch's result, and must not write it.
 type shardBatch struct {
 	msgs  []*grouping.Pending // this shard's sub-batch, in global order
 	punct time.Time           // whole-batch punctuation watermark
 	drain bool                // drop join windows after the batch
 }
 
-// shardItem is one message's computed join decisions. Rule predecessors
-// live in the owning shardResult's rules arena as the window [rs, re) —
-// one shared backing per result instead of one slice per item.
+// shardItem is one message's join decisions, as pointers to the records of
+// the predecessors it joins. Rule predecessors live in the owning
+// shardResult's rules arena as the window [rs, re) — one shared backing per
+// result instead of one slice per item.
 type shardItem struct {
-	p        *grouping.Pending
 	temporal *grouping.Pending
 	rs, re   int32
 }
 
-// shardResult is one shard's answer to one batch: exactly one per batch,
-// even when the sub-batch was empty. The merge stage recycles the items
-// and rules backings through freeResults once the batch is applied.
+// shardResult is one shard's answer to one batch — exactly one per batch,
+// even when the sub-batch was empty: one item per message, in order, plus
+// the shard's cumulative stats after the batch. err fails the engine; the
+// items of an erred result are not applied.
 type shardResult struct {
 	items []shardItem
 	rules []*grouping.Pending // arena backing the items' [rs, re) windows
 	stats grouping.LocalStats
 	err   error
 }
+
+// shardLink is the hop between the core and one shard's RouterLocal. The
+// core is written against pointer decisions only; how a decision crosses
+// the hop — a pointer through a channel, a Seq delta in a wire frame — is
+// the link's concern.
+type shardLink interface {
+	// send ships the next sub-batch (empty included). It may block: the
+	// link is the backpressure boundary. Dispatcher goroutine only.
+	send(b shardBatch)
+	// recv blocks for the result of the oldest unanswered send; sub is that
+	// send's msgs again (the merge stage holds them anyway, and a link that
+	// rebuilds pointers from Seqs needs the records). The result's slices
+	// are the link's, valid until its next recv. Once a link has broken for
+	// good it returns an erred result immediately, every time. Merge
+	// goroutine only.
+	recv(sub []*grouping.Pending) shardResult
+	// closed tells the link these groups' members can no longer be named by
+	// a decision, before their records recycle. Merge goroutine only.
+	closed(cgs []grouping.ClosedGroup)
+	// snapshot captures the shard's RouterLocal as of every batch sent;
+	// callable only in the post-sync quiet window.
+	snapshot() (grouping.LocalPartState, error)
+	// close releases the shard once the merge goroutine has exited.
+	close()
+}
+
+// linkMaker opens shard k's link when the engine starts. local is the
+// shard's RouterLocal from a checkpoint restore, nil on a fresh engine.
+type linkMaker func(e *ShardedEngine, k int, local *grouping.RouterLocal) shardLink
 
 type ctrlKind int
 
@@ -140,15 +180,17 @@ const (
 	ctrlDrain          // then force-close every open group, then ack
 )
 
-// mergeBatch tells the merge stage how to interleave one batch's shard
-// results: order[i] is the shard that holds the batch's i-th message.
-type mergeBatch struct {
-	order []uint8
+// batch is one dispatch unit on its way round the engine: filled by
+// Observe, sent to the links sub-batch by sub-batch, applied by the merge
+// stage, and recycled through the free list with its backings intact.
+type batch struct {
+	subs  [][]*grouping.Pending // subs[k]: shard k's messages, in global order
+	order []uint8               // order[i]: the shard holding the i-th message
 	punct time.Time
 	kind  ctrlKind
 }
 
-// ShardedEngine is the parallel counterpart of Engine, with the same
+// ShardedEngine is the multi-shard counterpart of Engine, with the same
 // external contract: Observe messages in nondecreasing time order, receive
 // closed events back. The only visible difference is delivery timing —
 // events surface on the Observe call after their batch is applied rather
@@ -156,94 +198,83 @@ type mergeBatch struct {
 // scores, IDs, order) is identical.
 //
 // Not safe for concurrent use by multiple callers (one dispatcher), and
-// SetMetrics must precede the first Observe. Close releases the worker
-// goroutines; an unclosed engine leaks them.
+// metrics must be installed before the first Observe. Close releases the
+// merge goroutine and the links; an unclosed engine leaks them.
 type ShardedEngine struct {
 	shardable *grouping.Shardable
-	builder   *event.Builder
 	workers   int
+	perShard  int // MaxStreams split evenly, so total model state keeps the serial cap
 	batchSize int
-	met       ShardedMetrics
+	newLink   linkMaker
+	met       ClusterMetrics
+	logf      func(format string, args ...any)
 
 	// Dispatcher state (caller goroutine). Messages are partitioned at
 	// Observe time: each one is wrapped in a pooled Pending and appended
-	// straight to its shard's sub-batch, with the order vector recording
-	// the interleaving — there is no intermediate whole-batch buffer to
-	// copy through and clear.
+	// straight to its shard's sub-batch in cur, with the order vector
+	// recording the interleaving.
 	running  bool
 	closed   bool
 	started  bool
 	lastTime time.Time
-	pending  int     // messages partitioned, not yet dispatched
-	order    []uint8 // their interleaving (order[i] = shard of message i)
+	cur      *batch
 
-	shardIn  []chan shardBatch
-	shardOut []chan shardResult
-	mergeIn  chan mergeBatch
-	ack      chan struct{}
-	wg       sync.WaitGroup
-
-	// Recycling channels: slice backings circulate dispatcher → shard →
-	// (merge) → back, so the steady state allocates nothing. A channel of
-	// slice headers (unlike sync.Pool, which would box them) recycles
-	// without allocating. All sends are non-blocking — a full free list
-	// just drops the buffer to the GC — and receives fall back to
-	// allocation, so the channels never add coupling, only reuse.
-	freeMsgs    chan []*grouping.Pending // sub-batch backings, returned by shards
-	freeResults chan shardResult         // items+rules backings, returned by merge
-	freeOrders  chan []uint8             // order vectors, returned by merge
-	subs        [][]*grouping.Pending    // in-progress partition, one per shard
-
-	// locals are the shard workers' RouterLocals, kept so checkpoint
-	// capture can reach them. Pre-populated by RestoreSharded, created by
-	// start otherwise; after start the caller may touch them only in the
-	// post-ack quiet window (see State).
-	locals []*grouping.RouterLocal
+	// locals holds a restored engine's RouterLocals until start hands each
+	// to its link.
+	locals    []*grouping.RouterLocal
+	links     []shardLink
+	mergeIn   chan *batch
+	free      chan *batch // applied batches on their way back to the dispatcher
+	ack       chan struct{}
+	mergeDone chan struct{}
 
 	maxDispatched atomic.Int64 // unixnano of newest dispatched message
 	lowWMns       atomic.Int64 // unixnano punctuation of last applied batch
 
-	// Merge-goroutine state. The caller may touch these only in the quiet
-	// window after a sync/drain ack and before the next dispatch.
-	merger       *grouping.Merger
-	nextID       int
-	localStats   []grouping.LocalStats
-	evictionsPub int
-	members      []event.Member // emit scratch, merge goroutine only
-
-	// Two-tier emission (PR 9): the merge stage converts the Merger's
-	// provisional-tier updates right where it emits finals, so the update
-	// sequence is the serial engine's at any worker count.
-	prov       bool
-	updMembers []event.Member // update scratch, merge goroutine only
+	// Merge-goroutine state. The caller may touch these only before start
+	// or in the quiet window after a sync/drain ack and before the next
+	// dispatch.
+	merger     *grouping.Merger
+	em         emitter
+	localStats []grouping.LocalStats // each shard's latest
 
 	mu  sync.Mutex
-	out []event.Event  // emitted, awaiting collection; backing reused (see collect)
+	out []event.Event  // emitted, awaiting collection; backing reused (see takeQueue)
 	upd []event.Update // tier-tagged updates awaiting collection
 	err error
 }
 
-// NewSharded builds a sharded engine over the same knowledge as New.
-// workers must be in [1, MaxShardWorkers]; worker goroutines start lazily
-// on the first Observe.
+// NewSharded builds a sharded engine over the same knowledge as New, its
+// shards in-process goroutines. workers must be in [1, MaxShardWorkers];
+// the goroutines start lazily on the first Observe.
 func NewSharded(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config, workers int) (*ShardedEngine, error) {
 	if workers < 1 || workers > MaxShardWorkers {
 		return nil, fmt.Errorf("stream: worker count %d out of range [1, %d]", workers, MaxShardWorkers)
 	}
+	return newSharded(dict, rb, cfg, workers, newChanLink)
+}
+
+func newSharded(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config, workers int, newLink linkMaker) (*ShardedEngine, error) {
 	s, err := grouping.NewShardable(dict, rb, cfg.Grouping)
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedEngine{
+	e := &ShardedEngine{
 		shardable:  s,
-		builder:    event.NewBuilder(cfg.Freq, cfg.Labeler),
 		workers:    workers,
+		perShard:   (s.MaxStreams() + workers - 1) / workers,
 		batchSize:  DefaultShardBatch,
+		newLink:    newLink,
 		merger:     s.NewMerger(),
-		prov:       cfg.Grouping.ProvisionalHorizon > 0,
+		em:         newEmitter(cfg),
 		localStats: make([]grouping.LocalStats, workers),
-		subs:       make([][]*grouping.Pending, workers),
-	}, nil
+	}
+	e.cur = e.newBatch()
+	return e, nil
+}
+
+func (e *ShardedEngine) newBatch() *batch {
+	return &batch{subs: make([][]*grouping.Pending, e.workers)}
 }
 
 // Workers is the shard count.
@@ -262,22 +293,32 @@ func (e *ShardedEngine) SetBatchSize(n int) {
 	e.batchSize = n
 }
 
-// SetMetrics installs the serial metric set (per-shard and merge-stage
-// handles absent). Must precede the first Observe.
-func (e *ShardedEngine) SetMetrics(m Metrics) {
-	e.SetShardedMetrics(ShardedMetrics{Metrics: m})
+// SetLogf installs a logger for link lifecycle lines (a cluster engine's
+// reconnects and replays). Must precede the first Observe; nil discards
+// them.
+func (e *ShardedEngine) SetLogf(f func(format string, args ...any)) {
+	if !e.running {
+		e.logf = f
+	}
 }
 
-// SetShardedMetrics installs the full sharded metric set. Must precede the
-// first Observe — the pool counters start recording here, and a record
-// acquired before installation would go uncounted (any Observe leaves
-// either a partitioned message or a running engine behind, which is
-// exactly what the guard checks; a freshly restored engine passes).
+// SetShardedMetrics installs the sharded metric set (wire-level handles
+// absent).
 func (e *ShardedEngine) SetShardedMetrics(m ShardedMetrics) {
-	if e.running || e.pending > 0 {
+	e.SetClusterMetrics(ClusterMetrics{ShardedMetrics: m})
+}
+
+// SetClusterMetrics installs the full metric set. Must precede the first
+// Observe — the pool counters start recording here, and a record acquired
+// before installation would go uncounted (any Observe leaves either a
+// partitioned message or a running engine behind, which is exactly what
+// the guard checks; a freshly restored engine passes).
+func (e *ShardedEngine) SetClusterMetrics(m ClusterMetrics) {
+	if !e.idle() {
 		return
 	}
 	e.met = m
+	e.em.met = m.Metrics
 	e.shardable.Pool().SetMetrics(grouping.PoolMetrics{
 		Gets: m.Grouping.PoolGets,
 		Puts: m.Grouping.PoolPuts,
@@ -285,44 +326,27 @@ func (e *ShardedEngine) SetShardedMetrics(m ShardedMetrics) {
 	})
 }
 
-// start launches the worker and merge goroutines. The MaxStreams bound is
-// split evenly across shards, so total temporal-model state stays bounded
-// by (roughly) the serial engine's cap.
+// idle reports that nothing was ever dispatched and nothing waits to be:
+// no goroutine exists, and the merger and locals (fresh or restored) are
+// the caller's to read.
+func (e *ShardedEngine) idle() bool { return !e.running && len(e.cur.order) == 0 }
+
+// start opens the links and launches the merge goroutine.
 func (e *ShardedEngine) start() {
 	e.running = true
-	perShard := (e.shardable.MaxStreams() + e.workers - 1) / e.workers
-	e.shardIn = make([]chan shardBatch, e.workers)
-	e.shardOut = make([]chan shardResult, e.workers)
-	if e.locals == nil {
-		e.locals = make([]*grouping.RouterLocal, e.workers)
-		for k := range e.locals {
-			e.locals[k] = e.shardable.NewLocal(perShard)
+	e.links = make([]shardLink, e.workers)
+	for k := range e.links {
+		var local *grouping.RouterLocal
+		if e.locals != nil {
+			local = e.locals[k]
 		}
+		e.links[k] = e.newLink(e, k, local)
 	}
-	for k := 0; k < e.workers; k++ {
-		e.shardIn[k] = make(chan shardBatch, shardQueueDepth)
-		e.shardOut[k] = make(chan shardResult, shardQueueDepth)
-		local := e.locals[k]
-		sm := e.met.shard(k)
-		local.SetMetrics(grouping.LocalMetrics{
-			Streams:         sm.Streams,
-			StreamEvictions: sm.Evictions,
-			// Scan tallies are atomic counters, so every shard shares the
-			// global handles rather than getting a per-shard series.
-			RuleCandidates: e.met.Grouping.RuleCandidates,
-			RulePairs:      e.met.Grouping.RulePairs,
-		})
-		e.wg.Add(1)
-		go e.shardLoop(k, local, sm)
-	}
-	e.mergeIn = make(chan mergeBatch, shardQueueDepth)
+	e.locals = nil
+	e.mergeIn = make(chan *batch, shardQueueDepth)
+	e.free = make(chan *batch, freeListDepth)
 	e.ack = make(chan struct{}, 1)
-	// Capacities cover everything that can be in flight (queued batches,
-	// one being processed, one being assembled) so steady state never
-	// drops a buffer.
-	e.freeMsgs = make(chan []*grouping.Pending, e.workers*(shardQueueDepth+2))
-	e.freeResults = make(chan shardResult, e.workers*(shardQueueDepth+2))
-	e.freeOrders = make(chan []uint8, shardQueueDepth+2)
+	e.mergeDone = make(chan struct{})
 	e.merger.SetMetrics(grouping.MergeMetrics{
 		MergeTemporal:   e.met.Grouping.MergeTemporal,
 		MergeRule:       e.met.Grouping.MergeRule,
@@ -331,7 +355,6 @@ func (e *ShardedEngine) start() {
 		OpenMessages:    e.met.Grouping.OpenMessages,
 		OpenGroups:      e.met.Grouping.OpenGroups,
 	})
-	e.wg.Add(1)
 	go e.mergeLoop()
 }
 
@@ -368,247 +391,172 @@ func (e *ShardedEngine) Observe(m Message) ([]event.Event, error) {
 	// per-message struct copy, same as the serial engine's pool.Get) and
 	// append the pointer to its shard's sub-batch. The record's pipeline
 	// reference travels with it and is consumed by Merger.Apply.
-	p := e.shardable.Pool().Get(grouping.Message{
-		Seq: m.Seq, Time: m.Time, Router: m.Router, Template: m.Template,
-		Loc: m.Loc, AllLocs: m.AllLocs, Peers: m.Peers, Raw: m.Raw,
-	})
+	p := e.shardable.Pool().Get(m.record())
 	k := shardOf(m.Router, e.workers)
-	sub := e.subs[k]
-	if sub == nil {
-		select {
-		case sub = <-e.freeMsgs:
-			sub = sub[:0]
-		default:
-			sub = make([]*grouping.Pending, 0, e.batchSize)
-		}
-	}
-	e.subs[k] = append(sub, p)
-	if e.order == nil {
-		select {
-		case e.order = <-e.freeOrders:
-			e.order = e.order[:0]
-		default:
-		}
-	}
-	e.order = append(e.order, uint8(k))
-	e.pending++
-	if e.pending >= e.batchSize {
+	b := e.cur
+	b.subs[k] = append(b.subs[k], p)
+	b.order = append(b.order, uint8(k))
+	if len(b.order) >= e.batchSize {
 		e.dispatch(ctrlNone)
 	}
 	return e.collect(), nil
 }
 
-// dispatch hands every shard its sub-batch (empty included — one record
-// per shard per batch is the synchronization invariant) and tells the
-// merge stage how to re-interleave the results. Partitioning already
-// happened in Observe; order vectors and sub-batch backings circulate
-// through the free channels.
+// dispatch hands every link its sub-batch (empty included — one result
+// per shard per batch is the synchronization invariant), queues the batch
+// for the merge stage, and takes a recycled one to fill next.
 func (e *ShardedEngine) dispatch(kind ctrlKind) {
 	if !e.running {
 		e.start()
 	}
-	punct := e.lastTime
+	b := e.cur
+	b.punct, b.kind = e.lastTime, kind
 	if e.started {
-		e.maxDispatched.Store(punct.UnixNano())
+		e.maxDispatched.Store(b.punct.UnixNano())
 	}
-	for k := 0; k < e.workers; k++ {
-		e.shardIn[k] <- shardBatch{msgs: e.subs[k], punct: punct, drain: kind == ctrlDrain}
-		e.subs[k] = nil
+	for k, l := range e.links {
+		l.send(shardBatch{msgs: b.subs[k], punct: b.punct, drain: kind == ctrlDrain})
 	}
-	e.mergeIn <- mergeBatch{order: e.order, punct: punct, kind: kind}
-	e.order = nil
-	e.pending = 0
-}
-
-// shardLoop is one worker: it runs the router-local grouping passes over
-// its sub-batches and ships the join decisions to the merge stage.
-// Pendings arrive already pooled by the dispatcher; items and rule
-// decisions land in recycled backings, and the consumed sub-batch backing
-// goes straight back to the dispatcher. Metrics flush once per batch — the
-// per-message atomic adds on shared counters were measurable contention.
-func (e *ShardedEngine) shardLoop(k int, local *grouping.RouterLocal, met ShardMetrics) {
-	defer e.wg.Done()
-	var js grouping.Joins
-	for b := range e.shardIn[k] {
-		var res shardResult
-		select {
-		case res = <-e.freeResults:
-		default:
-		}
-		for i := range b.msgs {
-			p := b.msgs[i]
-			if err := local.Step(p, &js); err != nil {
-				res.err = err
-				break
-			}
-			it := shardItem{p: p, temporal: js.Temporal, rs: int32(len(res.rules))}
-			res.rules = append(res.rules, js.Rules...)
-			it.re = int32(len(res.rules))
-			res.items = append(res.items, it)
-		}
-		met.Pushed.Add(uint64(len(res.items)))
-		if b.drain {
-			local.DrainWindows()
-		}
-		if !b.punct.IsZero() {
-			met.Watermark.Set(float64(b.punct.UnixNano()) / 1e9)
-		}
-		local.PublishMetrics()
-		res.stats = local.Stats()
-		if cap(b.msgs) > 0 {
-			clear(b.msgs)
-			select {
-			case e.freeMsgs <- b.msgs[:0]:
-			default:
-			}
-		}
-		e.shardOut[k] <- res
+	e.mergeIn <- b
+	select {
+	case e.cur = <-e.free:
+	default:
+		e.cur = e.newBatch()
 	}
 }
 
 // mergeLoop is the merge stage: per batch it reads one result from every
-// shard, replays the original interleaving, applies each message's join
+// link, replays the original interleaving, applies each message's join
 // decisions to the global Merger, and emits closed groups as events. After
-// a failure it keeps consuming (so the dispatcher never blocks) but stops
-// applying; the error surfaces on the caller's next Observe.
+// a failure it keeps consuming (so the dispatcher never blocks) but
+// releases the records instead of applying them; the error surfaces on the
+// caller's next Observe.
 func (e *ShardedEngine) mergeLoop() {
-	defer e.wg.Done()
+	defer close(e.mergeDone)
 	var js grouping.Joins
 	results := make([]shardResult, e.workers)
 	idx := make([]int, e.workers)
-	for mb := range e.mergeIn {
-		for k := 0; k < e.workers; k++ {
-			results[k] = <-e.shardOut[k]
-			idx[k] = 0
-		}
+	for b := range e.mergeIn {
 		failed := e.peekErr() != nil
-		if !failed {
-			for k := range results {
-				if results[k].err != nil {
-					e.fail(results[k].err)
-					failed = true
-					break
-				}
+		for k, l := range e.links {
+			res := l.recv(b.subs[k])
+			if res.err == nil && len(res.items) != len(b.subs[k]) {
+				res.err = fmt.Errorf("stream: shard %d answered %d messages of %d", k, len(res.items), len(b.subs[k]))
 			}
+			if res.err != nil && !failed {
+				e.fail(res.err)
+				failed = true
+			}
+			results[k], idx[k] = res, 0
 		}
 		applied := false
-		for _, k := range mb.order {
-			if idx[k] >= len(results[k].items) {
-				break // shard erred mid-batch; its tail never computed
-			}
-			it := results[k].items[idx[k]]
+		for _, k := range b.order {
+			i := idx[k]
 			idx[k]++
+			p := b.subs[k][i]
 			if failed {
+				p.Release()
 				continue
 			}
+			it := results[k].items[i]
 			js.Temporal = it.temporal
 			js.Rules = results[k].rules[it.rs:it.re:it.re]
-			closed, err := e.merger.Apply(it.p, &js)
+			closed, err := e.merger.Apply(p, &js)
 			if err != nil {
 				e.fail(err)
 				failed = true
+				p.Release() // Apply consumes the reference only on success
 				continue
 			}
-			e.emitUpdates()
 			e.emit(closed)
 			applied = true
 		}
 		if applied {
 			e.met.Watermark.Set(float64(e.merger.Watermark().UnixNano()) / 1e9)
 		}
-		for k := range results {
-			e.localStats[k] = results[k].stats
-			r := results[k]
-			clear(r.items)
-			clear(r.rules)
-			select {
-			case e.freeResults <- shardResult{items: r.items[:0], rules: r.rules[:0]}:
-			default:
-			}
-			results[k] = shardResult{}
-		}
-		if cap(mb.order) > 0 {
-			select {
-			case e.freeOrders <- mb.order[:0]:
-			default:
-			}
-		}
+		e.publishShards(results, b.punct)
 		e.shardable.Pool().PublishLive()
-		if !mb.punct.IsZero() {
-			if !failed && len(mb.order) > 0 {
-				lag := time.Duration(e.maxDispatched.Load() - mb.punct.UnixNano())
+		if !b.punct.IsZero() {
+			if !failed && len(b.order) > 0 {
+				lag := time.Duration(e.maxDispatched.Load() - b.punct.UnixNano())
 				e.met.MergeLag.Observe(lag.Seconds())
 			}
-			e.lowWMns.Store(mb.punct.UnixNano())
+			e.lowWMns.Store(b.punct.UnixNano())
 		}
-		if mb.kind == ctrlDrain && !failed {
-			closed := e.merger.Drain()
-			e.emitUpdates()
-			e.emit(closed)
+		if !failed {
+			e.met.PunctApplied.Inc()
+			if b.kind == ctrlDrain {
+				e.emit(e.merger.Drain())
+			}
 		}
-		if mb.kind != ctrlNone {
+		kind := b.kind
+		for k := range b.subs {
+			clear(b.subs[k])
+			b.subs[k] = b.subs[k][:0]
+		}
+		b.order = b.order[:0]
+		select {
+		case e.free <- b:
+		default:
+		}
+		if kind != ctrlNone {
 			e.ack <- struct{}{}
 		}
 	}
 }
 
-// emit scores closed groups exactly as Engine.emit and queues the events
-// for the caller to collect. The member scratch is reused across calls,
-// and the closed groups' member buffers go back to the Merger once the
-// events are built.
-func (e *ShardedEngine) emit(closed []grouping.ClosedGroup) {
-	if len(closed) == 0 {
-		return
-	}
-	wm := e.merger.Watermark()
-	e.mu.Lock()
-	for _, cg := range closed {
-		e.members = e.members[:0]
-		for i := range cg.Members {
-			gm := &cg.Members[i]
-			e.members = append(e.members, event.Member{
-				Seq: gm.Seq, Time: gm.Time, Router: gm.Router,
-				Template: gm.Template, Loc: gm.Loc, Raw: gm.Raw,
-			})
+// publishShards is the one place shard-side numbers reach the metric
+// handles: each link result carries its shard's cumulative LocalStats, so
+// the per-shard series and the global aggregates advance by the difference
+// from the previous batch (a restored engine starts from the restored
+// tallies, like the serial engine). Merge goroutine only.
+func (e *ShardedEngine) publishShards(results []shardResult, punct time.Time) {
+	streams := 0
+	for k := range results {
+		prev := &e.localStats[k]
+		if res := &results[k]; res.err == nil {
+			sm, st := e.met.shard(k), res.stats
+			sm.Pushed.Add(uint64(len(res.items)))
+			sm.Streams.Set(float64(st.Streams))
+			if !punct.IsZero() {
+				sm.Watermark.Set(float64(punct.UnixNano()) / 1e9)
+			}
+			if st.Evictions > prev.Evictions {
+				d := uint64(st.Evictions - prev.Evictions)
+				sm.Evictions.Add(d)
+				e.met.Grouping.StreamEvictions.Add(d)
+			}
+			if st.RuleCandidates > prev.RuleCandidates {
+				e.met.Grouping.RuleCandidates.Add(st.RuleCandidates - prev.RuleCandidates)
+			}
+			if st.RulePairs > prev.RulePairs {
+				e.met.Grouping.RulePairs.Add(st.RulePairs - prev.RulePairs)
+			}
+			*prev = st
 		}
-		ev := e.builder.BuildGroup(e.members)
-		ev.ID = e.nextID
-		e.nextID++
-		e.met.Emitted.Inc()
-		e.met.MergeEmitted.Inc()
-		e.met.EmitLatency.Observe(wm.Sub(ev.End).Seconds())
-		if e.prov {
-			e.met.ProvFinalized.Inc()
-			e.met.RevisionChurn.Observe(float64(cg.Revision))
-			e.upd = append(e.upd, event.Update{
-				EventID: cg.ID, Revision: cg.Revision,
-				Status: event.StatusFinal, Event: ev,
-			})
-		}
-		e.out = append(e.out, ev)
+		streams += prev.Streams
 	}
-	e.mu.Unlock()
-	e.merger.Recycle(closed)
+	e.met.Grouping.Streams.Set(float64(streams))
 }
 
-// emitUpdates converts the Merger's pending provisional-tier updates to
-// event form and queues them (merge goroutine only). Runs before emit for
-// the same Apply, so provisional records always precede the final records
-// they anticipate.
-func (e *ShardedEngine) emitUpdates() {
-	if !e.prov {
-		return
-	}
+// emit runs the shared emitter over what the last Merger step produced and
+// queues the results for the caller to collect; the closed groups' member
+// buffers go back to the Merger once the events are built.
+func (e *ShardedEngine) emit(closed []grouping.ClosedGroup) {
 	gus := e.merger.TakeUpdates()
-	if len(gus) == 0 {
+	if len(closed) == 0 && len(gus) == 0 {
 		return
 	}
-	wm := e.merger.Watermark()
-	e.mu.Lock()
-	for _, gu := range gus {
-		e.upd = append(e.upd, buildUpdate(e.builder, &e.updMembers, &e.met.Metrics, wm, gu))
+	if len(closed) > 0 {
+		for _, l := range e.links {
+			l.closed(closed)
+		}
 	}
+	e.mu.Lock()
+	e.em.emit(gus, closed, e.merger.Watermark(), &e.out, &e.upd)
 	e.mu.Unlock()
+	e.met.MergeEmitted.Add(uint64(len(closed)))
+	e.merger.Recycle(closed)
 }
 
 // TakeUpdates takes the tier-tagged updates queued since the last call, in
@@ -617,30 +565,28 @@ func (e *ShardedEngine) emitUpdates() {
 func (e *ShardedEngine) TakeUpdates() []event.Update {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.upd) == 0 {
-		return nil
-	}
-	out := make([]event.Update, len(e.upd))
-	copy(out, e.upd)
-	clear(e.upd)
-	e.upd = e.upd[:0]
-	return out
+	return takeQueue(&e.upd)
 }
 
-// collect takes the events emitted since the last collection. The caller
-// gets a fresh exact-size slice (it may retain the events indefinitely);
-// the queue's backing array is cleared and truncated for reuse, so closure
-// bursts grow it to their high-water mark exactly once.
+// collect takes the events emitted since the last collection.
 func (e *ShardedEngine) collect() []event.Event {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.out) == 0 {
+	return takeQueue(&e.out)
+}
+
+// takeQueue empties a collection queue. The caller gets a fresh exact-size
+// slice (it may retain the elements indefinitely); the queue's backing
+// array is cleared and truncated for reuse, so closure bursts grow it to
+// their high-water mark exactly once.
+func takeQueue[T any](q *[]T) []T {
+	if len(*q) == 0 {
 		return nil
 	}
-	out := make([]event.Event, len(e.out))
-	copy(out, e.out)
-	clear(e.out)
-	e.out = e.out[:0]
+	out := make([]T, len(*q))
+	copy(out, *q)
+	clear(*q)
+	*q = (*q)[:0]
 	return out
 }
 
@@ -661,47 +607,31 @@ func (e *ShardedEngine) peekErr() error {
 // sync flushes the partial batch and blocks until the merge stage has
 // applied everything dispatched. Until the next dispatch the caller has
 // exclusive (happens-before via the ack) access to the Merger and the
-// shard stats snapshots.
+// shard stats snapshots. An idle engine is already there.
 func (e *ShardedEngine) sync() {
-	if !e.running {
+	if e.idle() {
 		return
 	}
 	e.dispatch(ctrlSync)
 	<-e.ack
 }
 
-// publishGlobal refreshes the aggregate stream.state gauges from the
-// per-shard snapshots; callable only in the post-sync quiet window.
-func (e *ShardedEngine) publishGlobal() {
-	streams, evs := 0, 0
-	for _, ls := range e.localStats {
-		streams += ls.Streams
-		evs += ls.Evictions
-	}
-	e.met.Grouping.Streams.Set(float64(streams))
-	if evs > e.evictionsPub {
-		e.met.Grouping.StreamEvictions.Add(uint64(evs - e.evictionsPub))
-		e.evictionsPub = evs
-	}
-}
-
-// Drain flushes the partial batch, force-closes every open group, and
-// returns all uncollected events, oldest first. Temporal models and
-// watermarks persist, as in the serial engine.
+// Drain flushes the partial batch, drops every shard's join windows,
+// force-closes every open group, and returns all uncollected events, oldest
+// first. Temporal models and watermarks persist, as in the serial engine.
 func (e *ShardedEngine) Drain() []event.Event {
-	if !e.running && e.pending == 0 {
+	if e.idle() && e.merger.Stats().OpenMessages == 0 {
 		return nil
 	}
 	e.dispatch(ctrlDrain)
 	<-e.ack
-	e.publishGlobal()
 	e.shardable.Pool().PublishLive()
 	return e.collect()
 }
 
-// Close flushes nothing, drops nothing, and stops the worker goroutines;
-// call Drain first if open groups should still emit. The engine rejects
-// further use.
+// Close flushes nothing, drops nothing, and stops the merge goroutine and
+// the links; call Drain first if open groups should still emit. The engine
+// rejects further use.
 func (e *ShardedEngine) Close() {
 	if e.closed {
 		return
@@ -710,11 +640,13 @@ func (e *ShardedEngine) Close() {
 	if !e.running {
 		return
 	}
-	for k := range e.shardIn {
-		close(e.shardIn[k])
-	}
+	// The merge goroutine consumes every result of every batch still queued
+	// before it exits, so no link is left blocked on delivery.
 	close(e.mergeIn)
-	e.wg.Wait()
+	<-e.mergeDone
+	for _, l := range e.links {
+		l.close()
+	}
 }
 
 // Watermark is the maximum message time observed (dispatcher view — the
@@ -746,11 +678,7 @@ func (e *ShardedEngine) ActiveRules() map[rules.PairKey]int {
 // Stats synchronizes (flushing the partial batch) and snapshots the
 // grouper state and merge counters across all shards.
 func (e *ShardedEngine) Stats() grouping.IncStats {
-	if !e.running {
-		return grouping.IncStats{}
-	}
 	e.sync()
-	e.publishGlobal()
 	ms := e.merger.Stats()
 	st := grouping.IncStats{
 		OpenMessages:    ms.OpenMessages,
@@ -772,9 +700,91 @@ func (e *ShardedEngine) Stats() grouping.IncStats {
 // Pending is the number of messages in not-yet-closed groups (synchronizes
 // first, so nothing is in flight when it counts).
 func (e *ShardedEngine) Pending() int {
-	if !e.running {
-		return e.pending
-	}
 	e.sync()
 	return e.merger.Stats().OpenMessages
+}
+
+// chanLink is the in-process shardLink: a goroutine stepping its own
+// RouterLocal, fed and drained through bounded channels. Decisions cross
+// as the pointers Step produced, so the hop adds no per-message work.
+type chanLink struct {
+	local *grouping.RouterLocal
+	in    chan shardBatch
+	out   chan shardResult
+	free  chan shardResult // applied results' backings, on their way back to run
+	last  shardResult      // what the previous recv handed the merge stage
+	done  chan struct{}
+}
+
+func newChanLink(e *ShardedEngine, _ int, local *grouping.RouterLocal) shardLink {
+	if local == nil {
+		local = e.shardable.NewLocal(e.perShard)
+	}
+	l := &chanLink{
+		local: local,
+		in:    make(chan shardBatch, shardQueueDepth),
+		out:   make(chan shardResult, shardQueueDepth),
+		free:  make(chan shardResult, freeListDepth),
+		done:  make(chan struct{}),
+	}
+	go l.run()
+	return l
+}
+
+// run steps every sub-batch through the RouterLocal and ships the join
+// decisions, in recycled backings, to the merge stage.
+func (l *chanLink) run() {
+	defer close(l.done)
+	var js grouping.Joins
+	for b := range l.in {
+		var res shardResult
+		select {
+		case res = <-l.free:
+		default:
+		}
+		for _, p := range b.msgs {
+			if err := l.local.Step(p, &js); err != nil {
+				res.err = err
+				break
+			}
+			it := shardItem{temporal: js.Temporal, rs: int32(len(res.rules))}
+			res.rules = append(res.rules, js.Rules...)
+			it.re = int32(len(res.rules))
+			res.items = append(res.items, it)
+		}
+		if b.drain {
+			l.local.DrainWindows()
+		}
+		res.stats = l.local.Stats()
+		l.out <- res
+	}
+}
+
+func (l *chanLink) send(b shardBatch) { l.in <- b }
+
+func (l *chanLink) recv([]*grouping.Pending) shardResult {
+	// The previous result is applied by now: its backings go back to run.
+	// The send never blocks on a list sized to everything in flight, and a
+	// dropped buffer would only cost an allocation.
+	clear(l.last.items)
+	clear(l.last.rules)
+	select {
+	case l.free <- shardResult{items: l.last.items[:0], rules: l.last.rules[:0]}:
+	default:
+	}
+	l.last = <-l.out
+	return l.last
+}
+
+func (l *chanLink) closed([]grouping.ClosedGroup) {}
+
+// snapshot reads the RouterLocal directly: in the quiet window run is
+// parked on its input channel.
+func (l *chanLink) snapshot() (grouping.LocalPartState, error) {
+	return grouping.CaptureLocal(l.local), nil
+}
+
+func (l *chanLink) close() {
+	close(l.in)
+	<-l.done
 }

@@ -40,6 +40,14 @@ type Message struct {
 	Raw      uint64
 }
 
+// record is the grouping layer's view of m.
+func (m *Message) record() grouping.Message {
+	return grouping.Message{
+		Seq: m.Seq, Time: m.Time, Router: m.Router, Template: m.Template,
+		Loc: m.Loc, AllLocs: m.AllLocs, Peers: m.Peers, Raw: m.Raw,
+	}
+}
+
 // Config assembles an engine.
 type Config struct {
 	// Grouping tunes the incremental grouper (windows, stage selection,
@@ -86,15 +94,17 @@ func ChurnBounds() []float64 {
 	return []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
 }
 
-// Engine is one incremental digest pipeline instance.
+// Engine is one incremental digest pipeline instance: the grouper stepped
+// inline on the caller's goroutine, events returned by the call that closed
+// them. It stays apart from ShardedEngine's dispatcher/merge core on
+// purpose — that core is built around a goroutine hop (batching, a mutex-
+// guarded collection queue, sync barriers), and running it inline would
+// mean branching on "is there a hop" at every one of those steps. The two
+// share the part that has no hop in it: the emitter.
 type Engine struct {
-	inc     *grouping.Incremental
-	builder *event.Builder
-	nextID  int
-	prov    bool // provisional tier on (cfg.Grouping.ProvisionalHorizon > 0)
-	upd     []event.Update
-	met     Metrics
-	members []event.Member // emit scratch, reused across calls
+	inc *grouping.Incremental
+	em  emitter
+	upd []event.Update
 }
 
 // New builds an engine from learned knowledge. dict may not be nil; rb may
@@ -104,16 +114,14 @@ func New(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config) (*Engine, err
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{
-		inc:     inc,
-		builder: event.NewBuilder(cfg.Freq, cfg.Labeler),
-		prov:    cfg.Grouping.ProvisionalHorizon > 0,
-	}, nil
+	return &Engine{inc: inc, em: newEmitter(cfg)}, nil
 }
 
-// SetMetrics installs observability handles.
-func (e *Engine) SetMetrics(m Metrics) {
-	e.met = m
+// SetClusterMetrics installs observability handles. The serial engine has
+// no shards, merge stage or wire, so only the embedded Metrics apply; it
+// takes the superset so every engine shape has the one setter.
+func (e *Engine) SetClusterMetrics(m ClusterMetrics) {
+	e.em.met = m.Metrics
 	e.inc.SetMetrics(m.Grouping)
 }
 
@@ -122,25 +130,32 @@ func (e *Engine) SetMetrics(m Metrics) {
 // emission order; ranking across events is the caller's concern (a live
 // feed has no batch to rank within).
 func (e *Engine) Observe(m Message) ([]event.Event, error) {
-	closed, err := e.inc.Observe(grouping.Message{
-		Seq: m.Seq, Time: m.Time, Router: m.Router, Template: m.Template,
-		Loc: m.Loc, AllLocs: m.AllLocs, Peers: m.Peers, Raw: m.Raw,
-	})
+	closed, err := e.inc.Observe(m.record())
 	if err != nil {
 		return nil, err
 	}
-	e.met.Watermark.Set(float64(e.inc.Watermark().UnixNano()) / 1e9)
-	e.collectUpdates()
+	e.em.met.Watermark.Set(float64(e.inc.Watermark().UnixNano()) / 1e9)
 	return e.emit(closed), nil
 }
 
 // Drain force-closes every open group and returns the events, oldest
 // first. The temporal models and watermark persist; see
 // grouping.Incremental.Drain.
-func (e *Engine) Drain() []event.Event {
-	closed := e.inc.Drain()
-	e.collectUpdates()
-	return e.emit(closed)
+func (e *Engine) Drain() []event.Event { return e.emit(e.inc.Drain()) }
+
+// emit runs the shared emitter over what the last grouper step produced
+// and hands the member buffers back to the grouper. The returned event
+// slice is freshly allocated (the caller may retain it); it is the one
+// steady-state allocation left on the emission path, paid only on the rare
+// calls that actually close groups.
+func (e *Engine) emit(closed []grouping.ClosedGroup) []event.Event {
+	var evs []event.Event
+	if len(closed) > 0 {
+		evs = make([]event.Event, 0, len(closed))
+	}
+	e.em.emit(e.inc.TakeUpdates(), closed, e.inc.Watermark(), &evs, &e.upd)
+	e.inc.Recycle(closed)
+	return evs
 }
 
 // TakeUpdates returns and clears the tier-tagged updates queued since the
@@ -151,18 +166,6 @@ func (e *Engine) TakeUpdates() []event.Update {
 	out := e.upd
 	e.upd = nil
 	return out
-}
-
-// collectUpdates converts the grouper's pending provisional-tier updates
-// into event form. Must run before emit so the queue keeps provisional
-// records ahead of the final records they anticipate.
-func (e *Engine) collectUpdates() {
-	if !e.prov {
-		return
-	}
-	for _, gu := range e.inc.TakeUpdates() {
-		e.upd = append(e.upd, buildUpdate(e.builder, &e.members, &e.met, e.inc.Watermark(), gu))
-	}
 }
 
 // Close is a no-op: the serial engine owns no goroutines. It exists so
@@ -185,78 +188,3 @@ func (e *Engine) Stats() grouping.IncStats { return e.inc.Stats() }
 
 // Pending is the number of messages in not-yet-closed groups.
 func (e *Engine) Pending() int { return e.inc.Stats().OpenMessages }
-
-// emit scores closed groups and hands the member buffers back to the
-// grouper for reuse. The returned event slice is freshly allocated (the
-// caller may retain it); it is the one steady-state allocation left on the
-// emission path, paid only on the rare calls that actually close groups.
-func (e *Engine) emit(closed []grouping.ClosedGroup) []event.Event {
-	if len(closed) == 0 {
-		return nil
-	}
-	wm := e.inc.Watermark()
-	evs := make([]event.Event, 0, len(closed))
-	for _, cg := range closed {
-		e.members = e.members[:0]
-		for i := range cg.Members {
-			gm := &cg.Members[i]
-			e.members = append(e.members, event.Member{
-				Seq: gm.Seq, Time: gm.Time, Router: gm.Router,
-				Template: gm.Template, Loc: gm.Loc, Raw: gm.Raw,
-			})
-		}
-		ev := e.builder.BuildGroup(e.members)
-		ev.ID = e.nextID
-		e.nextID++
-		e.met.Emitted.Inc()
-		e.met.EmitLatency.Observe(wm.Sub(ev.End).Seconds())
-		if e.prov {
-			e.met.ProvFinalized.Inc()
-			e.met.RevisionChurn.Observe(float64(cg.Revision))
-			e.upd = append(e.upd, event.Update{
-				EventID: cg.ID, Revision: cg.Revision,
-				Status: event.StatusFinal, Event: ev,
-			})
-		}
-		evs = append(evs, ev)
-	}
-	e.inc.Recycle(closed)
-	return evs
-}
-
-// buildUpdate converts one grouping-layer update into its event form and
-// records the provisional books — the shared tail of both engines' update
-// paths (the sharded engine runs it on the merge goroutine, preserving the
-// serial emission order). members is the caller's reusable scratch.
-func buildUpdate(b *event.Builder, members *[]event.Member, met *Metrics, wm time.Time, gu grouping.GroupUpdate) event.Update {
-	u := event.Update{EventID: gu.ID, Revision: gu.Revision}
-	switch gu.Kind {
-	case grouping.UpdateSuperseded:
-		u.Status = event.StatusSuperseded
-		u.SupersededBy = gu.SupersededBy
-		met.ProvSuperseded.Inc()
-		return u
-	case grouping.UpdateRevised:
-		u.Status = event.StatusRevised
-		met.ProvRevised.Inc()
-	default:
-		u.Status = event.StatusProvisional
-		met.ProvEmitted.Inc()
-	}
-	ms := (*members)[:0]
-	for i := range gu.Members {
-		gm := &gu.Members[i]
-		ms = append(ms, event.Member{
-			Seq: gm.Seq, Time: gm.Time, Router: gm.Router,
-			Template: gm.Template, Loc: gm.Loc, Raw: gm.Raw,
-		})
-	}
-	*members = ms
-	ev := b.BuildGroup(ms)
-	ev.ID = -1 // the sequential final-stream ID is assigned only at closure
-	u.Event = ev
-	if u.Status == event.StatusProvisional {
-		met.ProvLatency.Observe(wm.Sub(ev.End).Seconds())
-	}
-	return u
-}
