@@ -85,7 +85,9 @@ cluster-equiv:
 # The steady-state allocation gate: testing.AllocsPerRun over the vendor
 # corpus (serial, sharded, and the dispatcher side of a 2-shard loopback
 # cluster) and the storm corpus must stay at or under one heap allocation
-# per pushed message, net of open-state growth (see
+# per pushed message, net of open-state growth; with the provisional tier on
+# and one large group revised every sixth push (TestStreamAllocsProvisional,
+# serial and 2 workers), at or under 3 allocations and 12 KiB per push (see
 # internal/core/alloc_guard_test.go).
 alloc-guard:
 	$(GO) test -run 'TestStreamAllocs' -count=1 ./internal/core

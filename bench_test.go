@@ -18,9 +18,12 @@ import (
 	"time"
 
 	"syslogdigest/internal/core"
+	"syslogdigest/internal/event"
 	"syslogdigest/internal/experiments"
 	"syslogdigest/internal/gen"
+	"syslogdigest/internal/grouping"
 	"syslogdigest/internal/locdict"
+	"syslogdigest/internal/netconf"
 	"syslogdigest/internal/par"
 	"syslogdigest/internal/rules"
 	"syslogdigest/internal/template"
@@ -430,6 +433,78 @@ func BenchmarkMicroAugmentRepeated(b *testing.B) {
 				n++
 				_ = c.KB.Augment(m)
 			}
+		})
+	}
+}
+
+// BenchmarkMicroProvisionalRevision measures what the provisional tier pays
+// per member each time it republishes a group: one group grown to 4096
+// members — the two ends of a flapping link, four signatures each,
+// interleaved, the shape of the large groups on the paced benchmark feed —
+// with a revision due every k joins. One iteration is one growth; every
+// publication goes through Merger.Apply's member snapshot and
+// Builder.BuildMessages, as in the engines' emit step, and the reported
+// ns/member-visit divides the whole iteration by the members published.
+func BenchmarkMicroProvisionalRevision(b *testing.B) {
+	const members = 4096
+	dict, err := locdict.Build([]*netconf.Config{{Hostname: "r1"}, {Hostname: "r2"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	t0 := time.Date(2010, 1, 10, 0, 0, 0, 0, time.UTC)
+	msgs := make([]grouping.Message, members)
+	for i := range msgs {
+		r := [2]string{"r1", "r2"}[i%2]
+		msgs[i] = grouping.Message{
+			Seq: i, Raw: uint64(i), Time: t0.Add(time.Duration(i) * time.Second),
+			Router: r, Template: 1 + (i/2)%4, Loc: locdict.IntfLoc(r, "Serial1/0.10/10:0"),
+		}
+	}
+	for _, k := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("every%d", k), func(b *testing.B) {
+			cfg := grouping.IncrementalConfig{ProvisionalHorizon: time.Duration(k)*time.Second - time.Nanosecond}
+			cfg.OnlyTemporal = true
+			sh, err := grouping.NewShardable(dict, nil, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			merger, pool := sh.NewMerger(), sh.Pool()
+			builder := event.NewBuilder(nil, nil)
+			visits, builds := 0, 0
+			publish := func(closed []grouping.ClosedGroup) {
+				for _, gu := range merger.TakeUpdates() {
+					if gu.Kind != grouping.UpdateSuperseded {
+						builder.BuildMessages(gu.Members)
+						visits += len(gu.Members)
+						builds++
+					}
+				}
+				for _, cg := range closed {
+					builder.BuildMessages(cg.Members)
+				}
+				merger.Recycle(closed)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var js grouping.Joins
+				for j := range msgs {
+					m := msgs[j]
+					m.Time = m.Time.Add(time.Duration(i) * 24 * time.Hour) // time may not run backwards across growths
+					p := pool.Get(m)
+					closed, err := merger.Apply(p, &js)
+					if err != nil {
+						b.Fatal(err)
+					}
+					publish(closed)
+					js.Temporal = p // the next message joins this one's group
+				}
+				js.Temporal = nil
+				publish(merger.Drain())
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(visits), "ns/member-visit")
+			b.ReportMetric(float64(visits)/float64(builds), "members/publication")
 		})
 	}
 }

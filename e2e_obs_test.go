@@ -90,13 +90,18 @@ func livePipelineRun(t *testing.T, kb *syslogdigest.KnowledgeBase, ds *gen.Datas
 		digested  int
 		eventsOut int
 		updSeen   [4]uint64 // delivered updates by Status
+		pubVisits uint64    // members across delivered provisional and revised records
 	)
 	countUpdates := func(res *syslogdigest.DigestResult) {
 		if res == nil {
 			return
 		}
 		for i := range res.Updates {
-			updSeen[res.Updates[i].Status]++
+			u := &res.Updates[i]
+			updSeen[u.Status]++
+			if u.Status == syslogdigest.StatusProvisional || u.Status == syslogdigest.StatusRevised {
+				pubVisits += uint64(u.Event.Size())
+			}
 		}
 	}
 	col, err := collector.New(collector.Config{
@@ -283,6 +288,14 @@ func livePipelineRun(t *testing.T, kb *syslogdigest.KnowledgeBase, ds *gen.Datas
 	}
 	if h := snap.Histogram("stream.provisional.revision_churn"); h == nil || h.Count != provFinalized {
 		t.Fatalf("exporter: revision churn observations %+v, want %d", h, provFinalized)
+	}
+	// Every provisional or revised record rebuilt its whole event: one
+	// observation each, and their sum — the tier's member visits — is the
+	// membership of the records delivered.
+	if h := snap.Histogram("stream.provisional.publication_members"); h == nil ||
+		h.Count != provEmitted+provRevised || h.Sum != float64(pubVisits) {
+		t.Fatalf("exporter: publication members %+v, want %d observations summing to %d",
+			h, provEmitted+provRevised, pubVisits)
 	}
 	// Pending-pool books: every record handed out was either returned or is
 	// still live (gets == puts + live), and after Flush force-closed every

@@ -7,12 +7,15 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"syslogdigest/internal/cluster"
 	"syslogdigest/internal/gen"
+	"syslogdigest/internal/grouping"
 	"syslogdigest/internal/obs"
 	"syslogdigest/internal/syslogmsg"
 )
@@ -273,5 +276,83 @@ func TestStreamAllocsSyntheticSharded(t *testing.T) {
 	t.Logf("synthetic feed, workers=4: %.3f allocs/push", avg)
 	if avg > allocBudget {
 		t.Fatalf("steady-state allocations per push = %.3f, want <= %v", avg, allocBudget)
+	}
+}
+
+// Provisional-tier ceilings per push on the large-group fixture below
+// (one group of 2048 to 2560 members, republished every sixth push;
+// measured 1.4 allocations and 7.7 KB). What is left to allocate is what a
+// publication hands its consumer: the event's MessageSeqs and RawIndexes,
+// 16 bytes per member per revision — ≈ 6 KB per push at this size — plus
+// its small slices and the update record. The member snapshot (152 bytes
+// per member per revision; 66 KB per push here before PR 13) and the
+// builder's working set recycle.
+const (
+	provAllocBudget = 3.0
+	provBytesBudget = 12 << 10
+)
+
+// TestStreamAllocsProvisional extends the allocation guards to the
+// provisional tier, which the other guards run without: a single stream
+// (one router, one signature, one message a second) that the temporal pass
+// keeps in one ever-growing group, with a 4 s provisional horizon so the
+// group is revised every sixth push. Counts are process-wide, and
+// Streamer.Pending — a barrier that waits for the sharded engine's merge
+// stage — brackets the window, so every push's publications are inside it.
+// They are net of the one Pending record each push adds to the open group,
+// which never closes.
+func TestStreamAllocsProvisional(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates per push")
+	}
+	kb, _ := learnSmall(t, gen.DatasetA)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			d, err := NewDigester(kb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			st := NewStreamerWith(d, StreamerOptions{StreamWorkers: workers, ProvisionalHorizon: 4 * time.Second})
+			defer st.Close()
+			st.Instrument(reg)
+			t0 := time.Date(2010, 1, 1, 12, 0, 0, 0, time.UTC)
+			const warm, runs = 2048, 512
+			var ms [2]runtime.MemStats
+			var revised [2]uint64
+			pushed := 0
+			pushTo := func(n int) {
+				for ; pushed < n; pushed++ {
+					m := syslogmsg.Message{Time: t0.Add(time.Duration(pushed) * time.Second),
+						Router: "x", Code: "A-1-B", Detail: "d"}
+					if _, err := st.Push(m); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			mark := func(k int) {
+				if open := st.Pending(); open != pushed {
+					t.Fatalf("fixture holds %d messages in open groups after %d pushes, want one group of all", open, pushed)
+				}
+				revised[k] = reg.Snapshot().Counter("stream.provisional.revised")
+				runtime.ReadMemStats(&ms[k])
+			}
+			pushTo(warm)
+			mark(0)
+			pushTo(warm + runs)
+			mark(1)
+			pending := float64(unsafe.Sizeof(grouping.Pending{})) // one per push joins the open group
+			allocs := float64(ms[1].Mallocs-ms[0].Mallocs)/runs - 1
+			bytes := float64(ms[1].TotalAlloc-ms[0].TotalAlloc)/runs - pending
+			t.Logf("workers=%d: %.2f allocs/push, %.0f B/push, %d revisions over %d pushes",
+				workers, allocs, bytes, revised[1]-revised[0], runs)
+			if n := revised[1] - revised[0]; n < runs/8 {
+				t.Fatalf("fixture published %d revisions over %d pushes, want one every sixth push", n, runs)
+			}
+			if allocs > provAllocBudget || bytes > provBytesBudget {
+				t.Fatalf("provisional tier: %.2f allocs/push (ceiling %v), %.0f B/push (ceiling %d)",
+					allocs, provAllocBudget, bytes, provBytesBudget)
+			}
+		})
 	}
 }

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"syslogdigest/internal/event"
 	"syslogdigest/internal/gen"
+	"syslogdigest/internal/grouping"
+	"syslogdigest/internal/locdict"
 	"syslogdigest/internal/syslogmsg"
 )
 
@@ -166,6 +169,106 @@ func TestProvisionalFinalEquivalence(t *testing.T) {
 				}
 				checkUpdateInvariants(t, upds, got)
 			})
+		}
+	}
+}
+
+// TestProvisionalScratchPoisoned proves the scratch contract of
+// Merger.TakeUpdates and of the closed-group slice: once a step's
+// publications have been turned into events, nothing reads their Members
+// again. It composes the serial engine's step by hand — Incremental.Observe,
+// TakeUpdates, one BuildMessages per record, Recycle — and, before the next
+// step, overwrites every Members buffer it was handed, to its full
+// capacity, with garbage. The buffers go back into circulation poisoned; if
+// the Merger re-read one, handed one out twice within a step, or an event
+// kept a reference into one, the transcript would diverge from the real
+// engines', serial and sharded, which it must equal record for record.
+func TestProvisionalScratchPoisoned(t *testing.T) {
+	kb, ds := learnSmall(t, gen.DatasetA)
+	kb.SetMatchCache(0)
+	d, err := NewDigester(kb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := d.engineConfig(0, provHorizon)
+	inc, err := grouping.NewIncremental(kb.Dictionary(), kb.RuleBase, cfg.Grouping)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builder := event.NewBuilder(cfg.Freq, cfg.Labeler)
+	poison := grouping.Message{
+		Seq: -1, Time: time.Unix(1<<40, 0), Router: "POISON", Template: -99,
+		Loc: locdict.RouterLoc("POISON"), AllLocs: []locdict.Location{{}}, Peers: []string{"POISON"}, Raw: ^uint64(0),
+	}
+	scribble := func(ms []grouping.Message) {
+		ms = ms[:cap(ms)]
+		for i := range ms {
+			ms[i] = poison
+		}
+	}
+	var got []event.Update
+	nextID, poisoned := 0, 0
+	step := func(closed []grouping.ClosedGroup) {
+		gus := inc.TakeUpdates()
+		for i := range gus {
+			gu := &gus[i]
+			u := event.Update{EventID: gu.ID, Revision: gu.Revision}
+			switch gu.Kind {
+			case grouping.UpdateSuperseded:
+				u.Status, u.SupersededBy = event.StatusSuperseded, gu.SupersededBy
+			case grouping.UpdateRevised:
+				u.Status = event.StatusRevised
+			default:
+				u.Status = event.StatusProvisional
+			}
+			if gu.Kind != grouping.UpdateSuperseded {
+				u.Event = builder.BuildMessages(gu.Members)
+				u.Event.ID = -1
+			}
+			got = append(got, u)
+		}
+		for i := range closed {
+			ev := builder.BuildMessages(closed[i].Members)
+			ev.ID = nextID
+			nextID++
+			got = append(got, event.Update{EventID: closed[i].ID, Revision: closed[i].Revision, Status: event.StatusFinal, Event: ev})
+		}
+		for i := range gus {
+			scribble(gus[i].Members)
+			poisoned += cap(gus[i].Members)
+		}
+		for i := range closed {
+			scribble(closed[i].Members)
+		}
+		inc.Recycle(closed)
+	}
+	for i := range ds.Messages {
+		pm := kb.Augment(&ds.Messages[i])
+		closed, err := inc.Observe(grouping.Message{
+			Seq: i, Time: pm.Time, Router: pm.Router, Template: pm.Template,
+			Loc: pm.Loc, AllLocs: pm.AllLocs, Peers: pm.Peers, Raw: pm.Index,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		step(closed)
+	}
+	step(inc.Drain())
+	if poisoned == 0 {
+		t.Fatal("no provisional publication was poisoned: the run never exercised the scratch")
+	}
+
+	for _, workers := range []int{1, 2} {
+		_, want := runProvisional(t, kb, ds.Messages, StreamerOptions{
+			StreamWorkers: workers, ProvisionalHorizon: provHorizon,
+		})
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: poisoned composition produced %d records, engine %d", workers, len(got), len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("workers=%d: record %d differs\npoisoned composition: %+v\nengine: %+v", workers, i, got[i], want[i])
+			}
 		}
 	}
 }

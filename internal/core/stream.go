@@ -175,6 +175,7 @@ func (s *Streamer) Instrument(reg *obs.Registry) {
 		s.engMetrics.ProvFinalized = reg.Counter("stream.provisional.finalized")
 		s.engMetrics.RevisionChurn = reg.Histogram("stream.provisional.revision_churn", stream.ChurnBounds())
 		s.engMetrics.ProvLatency = reg.Histogram("stream.provisional.latency_seconds", stream.EmitLatencyBounds())
+		s.engMetrics.ProvMembers = reg.Histogram("stream.provisional.publication_members", stream.PublicationMembersBounds())
 	}
 	if w := s.workers(); w > 1 {
 		s.engMetrics.MergeEmitted = reg.Counter("stream.merge.emitted")

@@ -49,8 +49,10 @@ type PendingState struct {
 	Raw      uint64             `json:"raw"`
 }
 
-// GroupState is one open group: member indexes in live slice order plus
-// the closure timestamp. The two-tier emission fields (PR 9) ride along:
+// GroupState is one open group: member indexes plus the closure timestamp.
+// The order of Members is unspecified — join order until the group's first
+// provisional publication sorts the live list by Seq — and restore yields
+// the same streams from any order (TestCheckpointMemberOrderUnspecified). The two-tier emission fields (PR 9) ride along:
 // ID is the stable event identity (0 in snapshots from older builds —
 // restore assigns fresh ones), Rev/Pub/Dirty are the revision cursor that
 // makes provisional delivery exactly-once across a restore.

@@ -3,9 +3,11 @@ package grouping
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -88,6 +90,106 @@ func TestIncrementalCheckpointDifferential(t *testing.T) {
 		if got := restored.Stats(); got != refStats {
 			t.Fatalf("cut %d: stats diverge\ngot  %+v\nwant %+v", cut, got, refStats)
 		}
+	}
+}
+
+// TestCheckpointMemberOrderUnspecified pins what a checkpoint's group member
+// order means: nothing. A provisional publication sorts an open group's
+// live member list in place, so a snapshot taken with the tier on lists a
+// published group in Seq order and an unpublished one in join order. Each
+// cut restores the state as captured and again with every group's members
+// shuffled; both must continue — closed groups, provisional updates, drain,
+// stats — exactly like the uninterrupted run.
+func TestCheckpointMemberOrderUnspecified(t *testing.T) {
+	rng := rand.New(rand.NewSource(131))
+	batch := randomBatch(rng, 400)
+	sort.SliceStable(batch, func(i, j int) bool {
+		if !batch[i].Time.Equal(batch[j].Time) {
+			return batch[i].Time.Before(batch[j].Time)
+		}
+		return batch[i].Seq < batch[j].Seq
+	})
+	cfg := ckptCfg()
+	cfg.ProvisionalHorizon = 30 * time.Second
+	fresh := func() *Incremental {
+		inc, err := NewIncremental(toyDict(t), flapRuleBase(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inc
+	}
+	// record renders what one step hands its caller.
+	record := func(inc *Incremental, closed []ClosedGroup) string {
+		var b strings.Builder
+		for _, u := range inc.TakeUpdates() {
+			fmt.Fprintf(&b, "update %d.%d kind %d by %d last %d %v\n", u.ID, u.Revision, u.Kind,
+				u.SupersededBy, u.Last.UnixNano(), closedToGroups([]ClosedGroup{{Members: u.Members}}))
+		}
+		for _, cg := range closed {
+			fmt.Fprintf(&b, "closed %d.%d %v\n", cg.ID, cg.Revision, closedToGroups([]ClosedGroup{cg}))
+		}
+		return b.String()
+	}
+	run := func(inc *Incremental, from int) (steps []string) {
+		for i := from; i < len(batch); i++ {
+			closed, err := inc.Observe(batch[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps = append(steps, record(inc, closed))
+		}
+		steps = append(steps, record(inc, inc.Drain()), fmt.Sprintf("%+v", inc.Stats()))
+		return steps
+	}
+	ref := run(fresh(), 0)
+	if !strings.Contains(strings.Join(ref, ""), "kind 1") {
+		t.Fatal("the fixture revises no group")
+	}
+
+	sortedGroups, reordered := 0, 0
+	for cut := 40; cut < len(batch); cut += 40 {
+		inc := fresh()
+		resume := func(st IncState, what string) {
+			raw, err := json.Marshal(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back IncState
+			if err := json.Unmarshal(raw, &back); err != nil {
+				t.Fatal(err)
+			}
+			restored, err := RestoreIncremental(toyDict(t), flapRuleBase(), cfg, back)
+			if err != nil {
+				t.Fatalf("cut %d, %s: restore: %v", cut, what, err)
+			}
+			if got := run(restored, cut); !reflect.DeepEqual(got, ref[cut:]) {
+				t.Fatalf("cut %d, %s: the restored run diverges from the uninterrupted one", cut, what)
+			}
+		}
+		for i := 0; i < cut; i++ {
+			if _, err := inc.Observe(batch[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := inc.State()
+		resume(st, "members as captured")
+		for gi := range st.Merger.Groups {
+			ms := st.Merger.Groups[gi].Members
+			if len(ms) < 3 {
+				continue
+			}
+			if st.Merger.Groups[gi].Pub && sort.SliceIsSorted(ms, func(i, j int) bool {
+				return st.Pendings[ms[i]].Seq < st.Pendings[ms[j]].Seq
+			}) {
+				sortedGroups++
+			}
+			rng.Shuffle(len(ms), func(i, j int) { ms[i], ms[j] = ms[j], ms[i] })
+			reordered++
+		}
+		resume(st, "members shuffled")
+	}
+	if sortedGroups == 0 || reordered == sortedGroups {
+		t.Fatalf("the cuts should capture published (Seq-ordered) and unpublished groups of 3+ members: %d of %d in Seq order", sortedGroups, reordered)
 	}
 }
 

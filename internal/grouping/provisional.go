@@ -34,11 +34,7 @@
 // makes the final stream deterministic.
 package grouping
 
-import (
-	"cmp"
-	"slices"
-	"time"
-)
+import "time"
 
 // UpdateKind distinguishes the provisional-tier publications.
 type UpdateKind uint8
@@ -52,9 +48,11 @@ const (
 	UpdateSuperseded
 )
 
-// GroupUpdate is one provisional-tier publication. Members is a fresh copy
-// in ascending Seq order (the order event scoring depends on), empty for
-// UpdateSuperseded; Last is the group's newest member time at publication.
+// GroupUpdate is one provisional-tier publication. Members is a copy in
+// ascending Seq order (the order event scoring depends on), empty for
+// UpdateSuperseded; like the update itself it is scratch the Merger takes
+// back at its next Apply or Drain. Last is the group's newest member time
+// at publication.
 type GroupUpdate struct {
 	ID           uint64
 	Revision     int
@@ -129,20 +127,14 @@ func (mg *Merger) armDirty(g *incGroup) {
 // publish snapshots g's membership into the update buffer. For
 // UpdateProvisional it stamps the group published; for UpdateRevised the
 // caller has already advanced g.rev and cleared the dirty flag. The member
-// copy is freshly allocated — provisional mode trades a few allocations per
-// publication for timeliness; the final-stream path stays allocation-free.
+// copy lands in a recycled buffer, the same way a closed group's does.
 func (mg *Merger) publish(g *incGroup, kind UpdateKind) {
 	if kind == UpdateProvisional {
 		g.pub = true
 		g.dirty = false
 	}
-	ms := make([]Message, 0, len(g.members))
-	for _, m := range g.members {
-		ms = append(ms, m.msg)
-	}
-	slices.SortFunc(ms, func(a, b Message) int { return cmp.Compare(a.Seq, b.Seq) })
 	mg.updBuf = append(mg.updBuf, GroupUpdate{
-		ID: g.id, Revision: g.rev, Kind: kind, Members: ms, Last: g.last,
+		ID: g.id, Revision: g.rev, Kind: kind, Members: mg.memberMessages(g), Last: g.last,
 	})
 }
 
@@ -196,9 +188,10 @@ func (mg *Merger) noteMerge(ga, gb *incGroup) {
 
 // TakeUpdates returns the provisional-tier updates generated by the last
 // Apply or Drain, oldest first. Like the closed-group slice, the returned
-// slice is scratch valid until the next Apply or Drain; the Members copies
-// inside are the caller's to keep. Always empty when the provisional
-// horizon is off.
+// slice is scratch valid until the next Apply or Drain — and so is every
+// Members slice inside it: the next step takes those buffers back and
+// overwrites them, so a caller that keeps an update copies the messages
+// out first. Always empty when the provisional horizon is off.
 func (mg *Merger) TakeUpdates() []GroupUpdate { return mg.updBuf }
 
 // TakeUpdates is the incremental grouper's view of Merger.TakeUpdates.

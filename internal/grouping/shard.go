@@ -36,6 +36,7 @@ package grouping
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -631,7 +632,7 @@ type Merger struct {
 	// the provisional tier on; nextGroupID hands out birth identities
 	// (always assigned — cheap, and it keeps snapshots uniform); provQueue
 	// holds the armed due-times; updBuf backs the slice TakeUpdates returns
-	// — like closedBuf, valid until the next Apply/Drain.
+	// — like closedBuf, valid until the next Apply/Drain, Members included.
 	provHorizon time.Duration
 	nextGroupID uint64
 	provQueue   provQueue
@@ -639,11 +640,12 @@ type Merger struct {
 
 	// Recycling scratch (merge goroutine only). closedBuf backs the slice
 	// Apply/Drain return — valid until the next Apply/Drain. memberFree
-	// recycles heap-grown group member lists; msgFree recycles ClosedGroup
-	// member buffers handed back through Recycle.
+	// recycles heap-grown group member lists; msgFree recycles the Members
+	// buffers of closed groups (handed back through Recycle) and of
+	// provisional updates (reclaimed by the next Apply/Drain).
 	closedBuf  []ClosedGroup
 	memberFree [][]*Pending
-	msgFree    [][]Message
+	msgFree    [][][]Message // by size class: capacity minMsgBuf << class
 }
 
 // memberBuf returns a recycled member slice with capacity >= need (length
@@ -678,20 +680,61 @@ func (mg *Merger) putMemberBuf(b []*Pending) {
 	mg.memberFree = append(mg.memberFree, b[:0])
 }
 
-// msgBuf returns a recycled message buffer with capacity >= need (length 0).
+// msgBuf returns a recycled message buffer with capacity >= need (length
+// 0). Capacities are powers of two and msgFree keeps one stack per
+// capacity, so a large group's buffer is never spent on a small group nor
+// dropped for being too small: allocation stops once each size in use has
+// as many buffers as one step hands out.
 func (mg *Merger) msgBuf(need int) []Message {
-	if n := len(mg.msgFree); n > 0 {
-		b := mg.msgFree[n-1]
-		mg.msgFree = mg.msgFree[:n-1]
-		if cap(b) >= need {
+	c := msgClass(need)
+	if c < len(mg.msgFree) {
+		if free := mg.msgFree[c]; len(free) > 0 {
+			b := free[len(free)-1]
+			mg.msgFree[c] = free[:len(free)-1]
 			return b
 		}
 	}
-	c := 4
-	for c < need {
-		c *= 2
+	return make([]Message, 0, minMsgBuf<<c)
+}
+
+// minMsgBuf is the smallest message buffer capacity (size class 0).
+const minMsgBuf = 4
+
+// msgClass is the size class whose capacity, minMsgBuf << class, is the
+// smallest that holds need.
+func msgClass(need int) int {
+	return bits.Len(uint(max(need, minMsgBuf)-1)) - bits.Len(minMsgBuf-1)
+}
+
+// putMsgBuf takes back a buffer from msgBuf whose contents are dead. Only
+// the written prefix is cleared — the rest of a recycled buffer is zero
+// already — so a pooled buffer pins nothing.
+func (mg *Merger) putMsgBuf(ms []Message) {
+	if cap(ms) < minMsgBuf {
+		return
 	}
-	return make([]Message, 0, c)
+	clear(ms)
+	// A buffer the Merger did not allocate files under the largest class
+	// it can serve.
+	c := bits.Len(uint(cap(ms))) - bits.Len(minMsgBuf)
+	for len(mg.msgFree) <= c {
+		mg.msgFree = append(mg.msgFree, nil)
+	}
+	mg.msgFree[c] = append(mg.msgFree[c], ms[:0:minMsgBuf<<c])
+}
+
+// memberMessages sorts g's members ascending by Seq in place (the order
+// event scoring depends on) and copies their messages into a recycled
+// buffer. Sorting the pointers keeps the swaps at 8 bytes, and the list is
+// already sorted from its previous publication but for what joined since.
+// Seqs are unique, so the order is total.
+func (mg *Merger) memberMessages(g *incGroup) []Message {
+	slices.SortFunc(g.members, func(a, b *Pending) int { return cmp.Compare(a.msg.Seq, b.msg.Seq) })
+	msgs := mg.msgBuf(len(g.members))
+	for _, m := range g.members {
+		msgs = append(msgs, m.msg)
+	}
+	return msgs
 }
 
 // Recycle returns the Members buffers of closed groups the caller has fully
@@ -700,15 +743,18 @@ func (mg *Merger) msgBuf(need int) []Message {
 // not be read again.
 func (mg *Merger) Recycle(closed []ClosedGroup) {
 	for i := range closed {
-		ms := closed[i].Members
-		if cap(ms) == 0 {
-			continue
-		}
-		ms = ms[:cap(ms)]
-		clear(ms)
-		mg.msgFree = append(mg.msgFree, ms[:0])
+		mg.putMsgBuf(closed[i].Members)
 		closed[i].Members = nil
 	}
+}
+
+// reclaimUpdates ends the previous step's provisional updates: their
+// Members buffers return to msgFree and the update list empties.
+func (mg *Merger) reclaimUpdates() {
+	for i := range mg.updBuf {
+		mg.putMsgBuf(mg.updBuf[i].Members)
+	}
+	mg.updBuf = mg.updBuf[:0]
 }
 
 // SetMetrics installs observability handles.
@@ -758,9 +804,7 @@ func (mg *Merger) Apply(p *Pending, js *Joins) ([]ClosedGroup, error) {
 	}
 	mg.started = true
 	mg.watermark = p.msg.Time
-	if mg.provHorizon > 0 {
-		mg.updBuf = mg.updBuf[:0]
-	}
+	mg.reclaimUpdates()
 
 	g := &p.grp
 	g.inline[0] = p
@@ -825,7 +869,7 @@ func (mg *Merger) Apply(p *Pending, js *Joins) ([]ClosedGroup, error) {
 // Apply, the returned slice is scratch valid until the next Apply or
 // Drain.
 func (mg *Merger) Drain() []ClosedGroup {
-	mg.updBuf = mg.updBuf[:0]
+	mg.reclaimUpdates()
 	mg.drainProvQueue()
 	mg.closedBuf = mg.closedBuf[:0]
 	for mg.oHead != nil {
@@ -940,12 +984,10 @@ func (mg *Merger) closeReady(out []ClosedGroup) []ClosedGroup {
 	return out
 }
 
-// closeGroup finalizes one group: members sort ascending by Seq (the order
-// event scoring depends on), their messages are copied out, and each
-// member's group reference is released. Member records may outlive the
-// group inside retained windows; the closed mark keeps a late merge from
-// resurrecting it. Seqs are unique, so swapping sort.Slice for the
-// allocation-free slices.SortFunc cannot change the order.
+// closeGroup finalizes one group: its messages are copied out in ascending
+// Seq order and each member's group reference is released. Member records
+// may outlive the group inside retained windows; the closed mark keeps a
+// late merge from resurrecting it.
 func (mg *Merger) closeGroup(g *incGroup) ClosedGroup {
 	if mg.provHorizon > 0 && !g.pub {
 		// A group closing before its due time (short horizon, or a Drain)
@@ -958,10 +1000,8 @@ func (mg *Merger) closeGroup(g *incGroup) ClosedGroup {
 	g.rev++ // the closure is the identity's last revision
 	mg.openGroups--
 	mg.openMsgs -= len(g.members)
-	slices.SortFunc(g.members, func(a, b *Pending) int { return cmp.Compare(a.msg.Seq, b.msg.Seq) })
-	msgs := mg.msgBuf(len(g.members))
+	msgs := mg.memberMessages(g)
 	for _, m := range g.members {
-		msgs = append(msgs, m.msg)
 		m.unref() // group membership reference
 	}
 	mg.putMemberBuf(g.members)

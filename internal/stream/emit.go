@@ -18,7 +18,6 @@ type emitter struct {
 	nextID  int  // next final-stream event ID
 	prov    bool // provisional tier on (cfg.Grouping.ProvisionalHorizon > 0)
 	met     Metrics
-	members []event.Member // scratch, reused across calls
 }
 
 func newEmitter(cfg Config) emitter {
@@ -32,14 +31,16 @@ func newEmitter(cfg Config) emitter {
 // watermark wm): the provisional-tier updates first, so provisional
 // records always precede the final records they anticipate, then one event
 // per closed group, oldest first, each with its final record when the tier
-// is on. Events append to out, tier-tagged records to upd.
+// is on. Events append to out, tier-tagged records to upd. The Members of
+// gus and closed are the grouper's scratch (see Merger.TakeUpdates); the
+// builder reads them in place and the events it returns hold none of them.
 func (em *emitter) emit(gus []grouping.GroupUpdate, closed []grouping.ClosedGroup, wm time.Time, out *[]event.Event, upd *[]event.Update) {
 	for i := range gus {
 		*upd = append(*upd, em.update(&gus[i], wm))
 	}
 	for i := range closed {
 		cg := &closed[i]
-		ev := em.build(cg.Members)
+		ev := em.builder.BuildMessages(cg.Members)
 		ev.ID = em.nextID
 		em.nextID++
 		em.met.Emitted.Inc()
@@ -73,23 +74,11 @@ func (em *emitter) update(gu *grouping.GroupUpdate, wm time.Time) event.Update {
 		u.Status = event.StatusProvisional
 		em.met.ProvEmitted.Inc()
 	}
-	u.Event = em.build(gu.Members)
+	em.met.ProvMembers.Observe(float64(len(gu.Members)))
+	u.Event = em.builder.BuildMessages(gu.Members)
 	u.Event.ID = -1 // the sequential final-stream ID is assigned only at closure
 	if u.Status == event.StatusProvisional {
 		em.met.ProvLatency.Observe(wm.Sub(u.Event.End).Seconds())
 	}
 	return u
-}
-
-// build scores one group's members through the reusable scratch.
-func (em *emitter) build(ms []grouping.Message) event.Event {
-	em.members = em.members[:0]
-	for i := range ms {
-		gm := &ms[i]
-		em.members = append(em.members, event.Member{
-			Seq: gm.Seq, Time: gm.Time, Router: gm.Router,
-			Template: gm.Template, Loc: gm.Loc, Raw: gm.Raw,
-		})
-	}
-	return em.builder.BuildGroup(em.members)
 }

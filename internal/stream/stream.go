@@ -77,6 +77,7 @@ type Metrics struct {
 	ProvFinalized  *obs.Counter   // stream.provisional.finalized
 	RevisionChurn  *obs.Histogram // stream.provisional.revision_churn (revisions per final event)
 	ProvLatency    *obs.Histogram // stream.provisional.latency_seconds (log time, first signal)
+	ProvMembers    *obs.Histogram // stream.provisional.publication_members (members per provisional/revised record)
 }
 
 // EmitLatencyBounds are histogram bounds sized for closure latency, which
@@ -92,6 +93,13 @@ func EmitLatencyBounds() []float64 {
 // always single digits (one provisional plus a handful of revisions).
 func ChurnBounds() []float64 {
 	return []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
+}
+
+// PublicationMembersBounds are histogram bounds for the size of a published
+// group. Every publication rebuilds its whole event, so the histogram's sum
+// divided by the messages pushed is the tier's member visits per message.
+func PublicationMembersBounds() []float64 {
+	return []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192}
 }
 
 // Engine is one incremental digest pipeline instance: the grouper stepped
