@@ -2,7 +2,9 @@
 // evaluation, plus microbenchmarks of the pipeline stages. Each experiment
 // benchmark regenerates the corresponding result and logs the rendered rows
 // (visible with `go test -bench=. -v` or in -benchmem runs via -run=^$);
-// cmd/sdbench prints the same tables without the timing harness.
+// cmd/sdbench prints the same tables without the timing harness. These are
+// for profiling one experiment or stage while working; performance claims
+// are measured by `go run ./benchmark` (BENCHMARK.json).
 //
 // Profile: benches run the small profile by default so the whole suite
 // finishes in minutes; set SD_BENCH_PROFILE=full for the paper-scale run

@@ -1,7 +1,8 @@
 // Command sdbench regenerates every table and figure of the paper's
 // evaluation against the simulated datasets and prints them in the paper's
-// layout. This is the human-facing face of the benchmark harness; the
-// bench_test.go benchmarks run the same experiments under testing.B.
+// layout; the bench_test.go benchmarks run the same experiments under
+// testing.B. It reports results, not speed: performance is measured by
+// `go run ./benchmark` (see BENCHMARK.json).
 //
 // Usage:
 //
@@ -9,16 +10,7 @@
 //	sdbench -profile full    # paper-scale profile (minutes)
 //	sdbench -dataset A       # one dataset only
 //	sdbench -out results.txt # also write the report to a file
-//	sdbench -json bench.json # machine-readable stage-benchmark snapshot
 //	sdbench -j 4             # worker parallelism (0 = GOMAXPROCS)
-//
-//	sdbench -compare old.json -tolerance 10 new.json
-//	                         # diff two snapshots; non-zero exit on regression
-//	                         # (-alloc-tolerance separately gates allocs/op)
-//
-// -json skips the report and instead times each pipeline stage serially and
-// at the -j fan-out, writing a stable JSON snapshot (see benchjson.go).
-// -compare diffs two such snapshots stage by stage (see compare.go).
 package main
 
 import (
@@ -40,23 +32,9 @@ func main() {
 		profileFlag = flag.String("profile", "small", "experiment profile: small or full")
 		datasetFlag = flag.String("dataset", "both", "dataset: A, B, or both")
 		outPath     = flag.String("out", "", "also write the report to this file")
-		jsonPath    = flag.String("json", "", "write a machine-readable stage-benchmark snapshot to this file instead of the report")
 		workers     = flag.Int("j", 0, "worker parallelism for learning and digesting (0 = GOMAXPROCS, 1 = serial; results are identical at any setting)")
-		comparePath = flag.String("compare", "", "baseline -json snapshot; compare the snapshot given as the positional argument against it and exit non-zero on regression beyond -tolerance")
-		tolerance   = flag.Float64("tolerance", 10, "with -compare, maximum allowed ns/op regression in percent")
-		allocTol    = flag.Float64("alloc-tolerance", 15, "with -compare, maximum allowed allocs/op regression in percent (alloc counts are near-deterministic, so this can sit far below -tolerance)")
 	)
 	flag.Parse()
-
-	if *comparePath != "" {
-		if flag.NArg() != 1 {
-			fatalf("-compare needs exactly one positional argument: the new snapshot (got %d)", flag.NArg())
-		}
-		if err := compareSnapshots(*comparePath, flag.Arg(0), *tolerance, *allocTol); err != nil {
-			fatalf("compare: %v", err)
-		}
-		return
-	}
 
 	var profile experiments.Profile
 	switch strings.ToLower(*profileFlag) {
@@ -80,14 +58,6 @@ func main() {
 		fatalf("unknown -dataset %q", *datasetFlag)
 	}
 	profile.Parallelism = *workers
-
-	if *jsonPath != "" {
-		if err := writeBenchJSON(*jsonPath, profile, kinds, *workers); err != nil {
-			fatalf("bench snapshot: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "sdbench: wrote %s\n", *jsonPath)
-		return
-	}
 
 	var out io.Writer = os.Stdout
 	if *outPath != "" {

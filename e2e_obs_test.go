@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -34,6 +35,12 @@ import (
 // emitted == finalized + superseded (every identity that got a first signal
 // either closed or was absorbed), and the delivered Update records match
 // the counters tier for tier.
+//
+// Across runs, stream.emit_latency_seconds (watermark at emission minus the
+// event's last message time, in log time) must be bucket-for-bucket the
+// same at every worker count: the sharded engine's merge stage replays the
+// serial engine's closure sequence against its own watermark, so any
+// difference is a real divergence in when events close.
 func TestLivePipelineObservability(t *testing.T) {
 	ds, err := gen.Generate(gen.Spec{
 		Kind: gen.DatasetA, Routers: 12, Seed: 11,
@@ -46,14 +53,23 @@ func TestLivePipelineObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var serial []obs.Bucket
 	for _, workers := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			livePipelineRun(t, kb, ds, workers)
+			lat := livePipelineRun(t, kb, ds, workers)
+			if workers == 1 {
+				serial = lat
+			} else if serial != nil && !reflect.DeepEqual(lat, serial) {
+				t.Fatalf("emit latency histogram differs from the serial engine's:\nworkers %d: %+v\nserial:    %+v",
+					workers, lat, serial)
+			}
 		})
 	}
 }
 
-func livePipelineRun(t *testing.T, kb *syslogdigest.KnowledgeBase, ds *gen.Dataset, workers int) {
+// livePipelineRun is one reconciled run; it returns the run's
+// stream.emit_latency_seconds buckets.
+func livePipelineRun(t *testing.T, kb *syslogdigest.KnowledgeBase, ds *gen.Dataset, workers int) []obs.Bucket {
 	reg := obs.NewRegistry()
 	obs.PublishRuntime(reg)
 	health := obs.NewHealth(0)
@@ -254,8 +270,9 @@ func livePipelineRun(t *testing.T, kb *syslogdigest.KnowledgeBase, ds *gen.Datas
 	if got := snap.Counter("digest.match.candidates_scanned"); got == 0 {
 		t.Fatal("exporter: matcher scanned no candidates")
 	}
-	if h := snap.Histogram("stream.emit_latency_seconds"); h == nil || h.Count != uint64(eventsOut) {
-		t.Fatalf("exporter: emit latency observations %+v, want %d", h, eventsOut)
+	emitLat := snap.Histogram("stream.emit_latency_seconds")
+	if emitLat == nil || emitLat.Count != uint64(eventsOut) {
+		t.Fatalf("exporter: emit latency observations %+v, want %d", emitLat, eventsOut)
 	}
 	// Two-tier emission books. Every final event carries exactly one
 	// finalized record; every first signal (revision 0) is eventually
@@ -352,6 +369,7 @@ func livePipelineRun(t *testing.T, kb *syslogdigest.KnowledgeBase, ds *gen.Datas
 	if err := json.Unmarshal(body, &hst); err != nil || !hst.Ready || !hst.Live {
 		t.Fatalf("healthz body: %s (err %v)", body, err)
 	}
+	return emitLat.Buckets
 }
 
 func httpGet(t *testing.T, addr, path string) (int, []byte) {

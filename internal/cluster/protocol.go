@@ -22,7 +22,6 @@ type GroupConfig struct {
 	RuleWindowNs  int64           `json:"rule_window_ns"`
 	CrossWindowNs int64           `json:"cross_window_ns"`
 	MaxScan       int             `json:"max_scan"`
-	LinearScan    bool            `json:"linear_scan,omitempty"`
 	OnlyTemporal  bool            `json:"only_temporal,omitempty"`
 	TemporalRules bool            `json:"temporal_rules,omitempty"`
 }
@@ -34,7 +33,6 @@ func ConfigFrom(cfg grouping.Config) GroupConfig {
 		RuleWindowNs:  int64(cfg.RuleWindow),
 		CrossWindowNs: int64(cfg.CrossWindow),
 		MaxScan:       cfg.MaxScan,
-		LinearScan:    cfg.LinearScan,
 		OnlyTemporal:  cfg.OnlyTemporal,
 		TemporalRules: cfg.TemporalAndRules,
 	}
@@ -47,7 +45,6 @@ func (gc GroupConfig) GroupingConfig() grouping.Config {
 		RuleWindow:       time.Duration(gc.RuleWindowNs),
 		CrossWindow:      time.Duration(gc.CrossWindowNs),
 		MaxScan:          gc.MaxScan,
-		LinearScan:       gc.LinearScan,
 		OnlyTemporal:     gc.OnlyTemporal,
 		TemporalAndRules: gc.TemporalRules,
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 	"time"
 
@@ -336,4 +337,56 @@ func FuzzDecodeState(f *testing.F) {
 		decodeState(data)
 		decodeStateReq(data)
 	})
+}
+
+// fillNonZero sets every exported field under v (recursing into structs) to
+// a distinct non-zero value, except the top-level fields named in skip.
+func fillNonZero(t *testing.T, v reflect.Value, skip map[string]bool, next *int64) {
+	t.Helper()
+	for i := 0; i < v.NumField(); i++ {
+		sf, f := v.Type().Field(i), v.Field(i)
+		if !sf.IsExported() || skip[sf.Name] {
+			continue
+		}
+		*next++
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(*next)
+		case reflect.Float64:
+			f.SetFloat(float64(*next) + 0.5)
+		case reflect.Struct:
+			fillNonZero(t, f, nil, next)
+		default:
+			t.Fatalf("field %s has kind %s: teach fillNonZero to set it", sf.Name, f.Kind())
+		}
+		if f.IsZero() {
+			t.Fatalf("field %s left zero", sf.Name)
+		}
+	}
+}
+
+// TestHelloConfigRoundTrip pins the handshake's coverage of
+// grouping.Config: with every exported field set (Pool excepted — the
+// documented runtime-only knob, never serialized), ConfigFrom → Hello JSON →
+// GroupingConfig must give the configuration back. A field added to Config
+// and forgotten on the wire fails here instead of silently running the
+// shard on its default.
+func TestHelloConfigRoundTrip(t *testing.T) {
+	var want grouping.Config
+	var next int64
+	fillNonZero(t, reflect.ValueOf(&want).Elem(), map[string]bool{"Pool": true}, &next)
+
+	raw, err := marshalJSONFrame(Hello{Config: ConfigFrom(want)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hello Hello
+	if err := unmarshalJSONFrame(raw, &hello); err != nil {
+		t.Fatal(err)
+	}
+	if got := hello.Config.GroupingConfig(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("grouping.Config changed across the handshake:\ngot  %+v\nwant %+v", got, want)
+	}
 }

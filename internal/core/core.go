@@ -528,7 +528,6 @@ type Digester struct {
 	streamWorks int
 	shardAddrs  []string
 	provHorizon time.Duration
-	linearScan  bool
 	met         digestMetrics
 }
 
@@ -594,12 +593,6 @@ func (d *Digester) SetProvisionalHorizon(h time.Duration) {
 // ProvisionalHorizon is the digester-level two-tier emission setting.
 func (d *Digester) ProvisionalHorizon() time.Duration { return d.provHorizon }
 
-// SetLinearScan forces the grouping passes onto the original O(window)
-// candidate scans instead of the template index. Output is byte-identical
-// either way; the knob exists for differential tests and for measuring the
-// index (see grouping.Config.LinearScan). Affects engines built afterward.
-func (d *Digester) SetLinearScan(on bool) { d.linearScan = on }
-
 // Instrument publishes the digester's metrics (digest.*, group.merges.*)
 // into reg: wall-time histograms for the augment/group/build stages, batch
 // size and message/event counters, the last batch's compression ratio, and
@@ -655,7 +648,6 @@ func (d *Digester) groupingConfig() grouping.Config {
 		CrossWindow: d.kb.Params.CrossWindow,
 		MaxScan:     d.kb.Params.MaxScan,
 		Pool:        d.pool,
-		LinearScan:  d.linearScan,
 	}
 	switch d.stage {
 	case StageTemporal:

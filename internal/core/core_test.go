@@ -30,6 +30,36 @@ func learnSmall(t *testing.T, kind gen.DatasetKind) (*KnowledgeBase, *gen.Datase
 	return kb, ds
 }
 
+// learnStorm builds a knowledge base from the normal learnSmall corpus,
+// then generates a flap-storm corpus over the same topology (same kind,
+// router count, and seed, so the network is identical): link, BGP, and
+// tunnel episodes at an order of magnitude above the learn-time rates plus
+// heavy noise, so the rule and cross windows stay near-full with messages
+// whose templates are mostly NOT rule partners of each other — the regime
+// the template index exists for. This mirrors deployment: knowledge mined
+// offline from history, applied during a storm.
+func learnStorm(t *testing.T) (*KnowledgeBase, *gen.Dataset) {
+	t.Helper()
+	kb, _ := learnSmall(t, gen.DatasetA)
+	storm, err := gen.Generate(gen.Spec{
+		Kind: gen.DatasetA, Routers: 16, Seed: 3,
+		Duration: 6 * time.Hour,
+		Rates: gen.Rates{
+			LinkFlap: 40, Controller: 6, BGPFlap: 20, CPUSpike: 60,
+			PeriodicMsg: 12000, Noise: 200000, Config: 60, EnvAlarm: 24, TunnelFlap: 15,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Storm-tuned digest parameters: a wide rule window and a raised scan
+	// cap, so the windows actually hold the storm instead of trimming to
+	// the newest burst.
+	kb.Params.Rules.Window = 600 * time.Second
+	kb.Params.MaxScan = 4096
+	return kb, storm
+}
+
 func TestLearnProducesKnowledge(t *testing.T) {
 	kb, _ := learnSmall(t, gen.DatasetA)
 	if len(kb.Templates) < 10 {

@@ -48,14 +48,26 @@ func runEngine(t *testing.T, eng streamEngine, plus []PlusMessage, order []int) 
 }
 
 // TestShardedMatchesSerial is the PR 5 differential test and the make
-// check equivalence smoke: on both vendor corpora, the sharded engine at
-// workers ∈ {1, 2, 8} must emit the byte-identical event sequence — set,
-// scores, labels, IDs, and emission order — as the serial engine, both at
-// the engine surface and through DigestPlus.
+// check equivalence smoke: on both vendor corpora at workers ∈ {1, 2, 8},
+// and on the flap-storm corpus (near-full rule and cross windows) at 4, the
+// sharded engine must emit the byte-identical event sequence — set, scores,
+// labels, IDs, and emission order — as the serial engine, both at the
+// engine surface and through DigestPlus.
 func TestShardedMatchesSerial(t *testing.T) {
-	for _, kind := range []gen.DatasetKind{gen.DatasetA, gen.DatasetB} {
-		t.Run(fmt.Sprintf("kind%d", kind), func(t *testing.T) {
-			kb, ds := learnSmall(t, kind)
+	vendor := func(kind gen.DatasetKind) func(*testing.T) (*KnowledgeBase, *gen.Dataset) {
+		return func(t *testing.T) (*KnowledgeBase, *gen.Dataset) { return learnSmall(t, kind) }
+	}
+	for _, tc := range []struct {
+		name    string
+		corpus  func(*testing.T) (*KnowledgeBase, *gen.Dataset)
+		workers []int
+	}{
+		{fmt.Sprintf("kind%d", gen.DatasetA), vendor(gen.DatasetA), []int{1, 2, 8}},
+		{fmt.Sprintf("kind%d", gen.DatasetB), vendor(gen.DatasetB), []int{1, 2, 8}},
+		{"storm", learnStorm, []int{4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			kb, ds := tc.corpus(t)
 			d, err := NewDigester(kb)
 			if err != nil {
 				t.Fatal(err)
@@ -76,7 +88,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			for _, workers := range []int{1, 2, 8} {
+			for _, workers := range tc.workers {
 				t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 					eng, err := stream.NewSharded(kb.Dictionary(), kb.RuleBase, d.engineConfig(0, 0), workers)
 					if err != nil {

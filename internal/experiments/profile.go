@@ -141,30 +141,10 @@ func Load(kind gen.DatasetKind, p Profile) (*Corpus, error) {
 	return c, nil
 }
 
-// Storm generates a message-storm corpus over the same topology as the
-// learning period (same kind, router count, and seed, so the knowledge
-// base's dictionary applies): moderate link/BGP/tunnel flap episodes
-// riding on an order-of-magnitude noise and periodic-message flood — the
-// regime the paper's operators actually page on, and the worst case for
-// any per-window scan. Rates scale with the profile's router count.
-func (c *Corpus) Storm() (*gen.Dataset, error) {
-	scale := float64(c.Profile.Routers) / 16
-	r := func(v float64) float64 { return v * scale }
-	return gen.Generate(gen.Spec{
-		Kind: c.Kind, Routers: c.Profile.Routers, Seed: c.Profile.Seed,
-		Start:    time.Date(2009, 12, 20, 0, 0, 0, 0, time.UTC),
-		Duration: 6 * time.Hour,
-		Rates: gen.Rates{
-			LinkFlap: r(40), Controller: r(6), BGPFlap: r(20), CPUSpike: r(60),
-			PeriodicMsg: r(12000), Noise: r(2400000), Config: r(60),
-			EnvAlarm: r(24), TunnelFlap: r(15),
-		},
-	})
-}
-
-// StormParams are the digest parameters for the storm corpus: the learned
-// knowledge with a widened rule window and a raised scan cap, so the join
-// windows hold the storm instead of trimming to the newest burst.
+// StormParams are the digest parameters for a message-storm feed (the
+// benchmark's storm_serial workload): the learned knowledge with a widened
+// rule window and a raised scan cap, so the join windows hold the storm
+// instead of trimming to the newest burst.
 func StormParams(p core.Params) core.Params {
 	p.Rules.Window = 600 * time.Second
 	p.MaxScan = 4096

@@ -63,16 +63,16 @@ type Config struct {
 	// partition is identical at any worker count. Nil means a default
 	// pool at GOMAXPROCS. Runtime knob only — never serialized.
 	Pool *par.Pool
-	// LinearScan disables the template-indexed candidate lookup in the rule
-	// and cross windows, forcing the original O(window) scans. Output is
-	// byte-identical either way (the differential tests prove it); the
-	// toggle exists as the reference baseline for those tests and for
-	// honest before/after scan-count measurement. Runtime knob only —
-	// never serialized.
-	LinearScan bool
 	// Stage selection for the Table 7 ablation; all false means all on.
 	OnlyTemporal     bool // T
 	TemporalAndRules bool // T+R
+	// linearScan turns off the template-indexed candidate lookup in the rule
+	// and cross windows, forcing the original O(window) scans. Output is
+	// byte-identical either way; the scans are kept as the reference this
+	// package's differential tests compare the index against, and being
+	// unexported the field can be set only from those tests (external test
+	// packages go through LinearReference in export_test.go).
+	linearScan bool
 }
 
 func (c Config) normalize() Config {
@@ -248,7 +248,7 @@ func (g *Grouper) rulePass(byTime []*Message, uf *unionFind, active map[rules.Pa
 	sort.Strings(routers)
 	for _, r := range routers {
 		stream := byRouter[r]
-		if g.cfg.LinearScan {
+		if g.cfg.linearScan {
 			g.ruleScanLinear(stream, uf, active, merges)
 		} else {
 			g.ruleScanIndexed(stream, uf, active, merges)

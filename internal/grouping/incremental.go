@@ -112,7 +112,7 @@ type IncStats struct {
 	// Candidate-scan counters (cumulative): window entries examined and
 	// matched by the rule pass, and examined by the cross pass. The
 	// template index shrinks the examined counts without changing any
-	// match (see Config.LinearScan).
+	// match.
 	RuleCandidates  uint64
 	RulePairs       uint64
 	CrossCandidates uint64

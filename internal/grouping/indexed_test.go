@@ -15,7 +15,7 @@ import (
 )
 
 // Differential tests for the template-indexed rule and cross windows: with
-// Config.LinearScan toggled, the incremental and batch groupers must emit
+// Config.linearScan toggled, the incremental and batch groupers must emit
 // byte-identical partitions, merge tallies, and pair counts — only the
 // candidates-scanned counters may (and should) shrink.
 
@@ -73,7 +73,7 @@ func runIncremental(t *testing.T, cfg Config, sorted []Message) ([][][]int, IncS
 }
 
 // TestIncrementalIndexedMatchesLinear is the streaming differential: over
-// random and storm-shaped batches, LinearScan on and off must produce the
+// random and storm-shaped batches, linearScan on and off must produce the
 // same closed groups at every step, the same drain, and the same stats —
 // except the candidates-scanned counters, where the index must never
 // examine more than the linear scan.
@@ -88,7 +88,7 @@ func TestIncrementalIndexedMatchesLinear(t *testing.T) {
 	} {
 		for _, seed := range []int64{1, 17, 99} {
 			batch := sortBatch(tc.gen(rand.New(rand.NewSource(seed)), tc.n))
-			linOut, linStats := runIncremental(t, Config{LinearScan: true}, batch)
+			linOut, linStats := runIncremental(t, Config{linearScan: true}, batch)
 			idxOut, idxStats := runIncremental(t, Config{}, batch)
 			if !reflect.DeepEqual(idxOut, linOut) {
 				t.Fatalf("%s seed %d: closed groups diverge", tc.name, seed)
@@ -116,14 +116,14 @@ func TestIncrementalIndexedMatchesLinear(t *testing.T) {
 }
 
 // TestBatchGroupIndexedMatchesLinear is the batch differential: the
-// Grouper's partition and ActiveRules tally must not depend on LinearScan.
+// Grouper's partition and ActiveRules tally must not depend on linearScan.
 func TestBatchGroupIndexedMatchesLinear(t *testing.T) {
 	dict := toyDict(t)
 	rb := flapRuleBase()
 	for _, gen := range []func(*rand.Rand, int) []Message{randomBatch, stormBatch} {
 		for _, seed := range []int64{3, 21, 77} {
 			batch := gen(rand.New(rand.NewSource(seed)), 150)
-			gl := newGrouper(t, dict, rb, Config{LinearScan: true})
+			gl := newGrouper(t, dict, rb, Config{linearScan: true})
 			gi := newGrouper(t, dict, rb, Config{})
 			rl, err := gl.Group(batch)
 			if err != nil {
@@ -262,7 +262,7 @@ func benchRuleStorm(b *testing.B, cfg Config) {
 }
 
 func BenchmarkRuleStepIndexed(b *testing.B) { benchRuleStorm(b, Config{}) }
-func BenchmarkRuleStepLinear(b *testing.B)  { benchRuleStorm(b, Config{LinearScan: true}) }
+func BenchmarkRuleStepLinear(b *testing.B)  { benchRuleStorm(b, Config{linearScan: true}) }
 
 // benchCross drives only the cross pass (temporal and rule disabled via a
 // degenerate rule base and OnlyTemporal off): every message lands in the
@@ -289,4 +289,4 @@ func benchCross(b *testing.B, cfg Config) {
 }
 
 func BenchmarkCrossStepIndexed(b *testing.B) { benchCross(b, Config{}) }
-func BenchmarkCrossStepLinear(b *testing.B)  { benchCross(b, Config{LinearScan: true}) }
+func BenchmarkCrossStepLinear(b *testing.B)  { benchCross(b, Config{linearScan: true}) }

@@ -335,9 +335,9 @@ type LocalStats struct {
 	Evictions int
 	// RuleCandidates counts window entries the rule pass examined
 	// (cumulative); RulePairs counts those whose pair predicate matched.
-	// With the template index off (Config.LinearScan) candidates equal the
-	// whole window per arrival — the ratio between the two modes is the
-	// index's win.
+	// With the template index off (the tests' linear reference) candidates
+	// equal the whole window per arrival — the ratio between the two modes
+	// is the index's win.
 	RuleCandidates uint64
 	RulePairs      uint64
 }
@@ -481,8 +481,8 @@ func (rl *RouterLocal) temporalStep(p *Pending, js *Joins) error {
 // the arrival's in the rule base — then visits the surviving candidates in
 // ascending ring order, so the join sequence (and with it every
 // order-dependent tally downstream) is byte-identical to the linear scan.
-// Config.LinearScan forces the original full-window scan, retained as the
-// differential reference.
+// Config.linearScan forces the original full-window scan, retained as the
+// tests' differential reference.
 func (rl *RouterLocal) ruleStep(p *Pending, js *Joins) {
 	rw := rl.routerWin[p.msg.Router]
 	if rw == nil {
@@ -495,7 +495,7 @@ func (rl *RouterLocal) ruleStep(p *Pending, js *Joins) {
 		rw.popFront()
 	}
 	var cand, matched uint64
-	if rl.g.cfg.LinearScan {
+	if rl.g.cfg.linearScan {
 		for i := 0; i < rw.n; i++ {
 			mi := rw.at(i)
 			cand++
@@ -884,7 +884,7 @@ func (mg *Merger) Drain() []ClosedGroup {
 // within the near-simultaneity bound. crossPair requires equal templates,
 // so the default path walks only the arrival's own template bucket — which
 // is already in ascending ring order, preserving the linear scan's merge
-// sequence exactly. Config.LinearScan forces the full-window reference
+// sequence exactly. Config.linearScan forces the full-window reference
 // scan.
 func (mg *Merger) crossStep(p *Pending) error {
 	cw := &mg.crossWin
@@ -892,7 +892,7 @@ func (mg *Merger) crossStep(p *Pending) error {
 		cw.popFront()
 	}
 	var cand uint64
-	if mg.g.cfg.LinearScan {
+	if mg.g.cfg.linearScan {
 		for i := 0; i < cw.n; i++ {
 			mi := cw.at(i)
 			cand++
