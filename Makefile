@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet test race build bench bench-smoke stream-equiv checkpoint-equiv provisional-equiv cluster-equiv alloc-guard
+.PHONY: check fmt vet test race build bench bench-smoke profile-stream stream-equiv checkpoint-equiv provisional-equiv cluster-equiv alloc-guard
 
 check: fmt vet race stream-equiv checkpoint-equiv provisional-equiv cluster-equiv alloc-guard bench-smoke
 
@@ -39,6 +39,19 @@ bench:
 # no longer compile or crash without paying for a full timed run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^(BenchmarkStage|BenchmarkMicro)' -benchtime=1x .
+
+# CPU profile of the streaming hot path while working on it: the serial and
+# sharded Streamer over corpus A plus the RouterLocal.Step micro shapes.
+# The profile and the test binary go to PROFILE_DIR, outside the tree (a
+# profile is a build product of one commit on one host, not a source file);
+# read it with `go tool pprof -top` or `-list ruleStep`. Not a measurement:
+# claims are made with `go run ./benchmark`.
+PROFILE_DIR ?= /tmp/syslogdigest-profiles
+profile-stream:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench 'BenchmarkStageStream|BenchmarkMicroRuleStep' \
+		-cpuprofile $(PROFILE_DIR)/stream.cpu.prof -o $(PROFILE_DIR)/syslogdigest.test .
+	@echo "go tool pprof -top $(PROFILE_DIR)/syslogdigest.test $(PROFILE_DIR)/stream.cpu.prof"
 
 # The streaming-equivalence smoke: the incremental engine must reproduce the
 # batch oracle's events on both vendor corpora at serial and parallel

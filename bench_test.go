@@ -511,6 +511,83 @@ func BenchmarkMicroProvisionalRevision(b *testing.B) {
 	}
 }
 
+// BenchmarkMicroRuleStep measures one RouterLocal.Step — resolve the
+// location, temporal model, rule window — on two window shapes, with the
+// steady-state candidate and match counts reported beside the time so a
+// change of shape cannot pass for a change of speed:
+//
+//   - calm: the benchmark's steady feed. Four flap templates, every pair
+//     ruled, one message per 7 s, so the 120 s window holds about 17 entries,
+//     13 of them in the arrival's three partner buckets; locations cycle
+//     router / interface / another interface, which puts 10 of the 13 on
+//     spatially matching locations.
+//   - storm: the window full at MaxScan (one message per 100 ms), three in
+//     four messages an unruled noise template, so a flap arrival meets 48
+//     candidates across three buckets in a 256-entry ring and a noise
+//     arrival none: 12 per step.
+func BenchmarkMicroRuleStep(b *testing.B) {
+	dict, err := locdict.Build([]*netconf.Config{{Hostname: "r1", Interfaces: []netconf.Interface{
+		{Name: "Serial1/0.10/10:0"}, {Name: "Serial2/0.20/20:0"},
+	}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rb := rules.NewRuleBase()
+	for x := 0; x < 4; x++ {
+		for y := x + 1; y < 4; y++ {
+			rb.Add(rules.Rule{X: x, Y: y, Support: 0.1, Conf: 0.9})
+		}
+	}
+	locs := []locdict.Location{
+		locdict.RouterLoc("r1"), locdict.IntfLoc("r1", "Serial1/0.10/10:0"), locdict.IntfLoc("r1", "Serial2/0.20/20:0"),
+	}
+	const noise = 4
+	for _, shape := range []struct {
+		name  string
+		every time.Duration
+		flap  int // one message in flap carries a flap template, the rest noise
+	}{
+		{"calm", 7 * time.Second, 1},
+		{"storm", 100 * time.Millisecond, 4},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			sh, err := grouping.NewShardable(dict, rb, grouping.IncrementalConfig{Config: grouping.Config{Temporal: temporal.DefaultParams()}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			local, pool := sh.NewLocal(0), sh.Pool()
+			t0 := time.Date(2010, 1, 10, 0, 0, 0, 0, time.UTC)
+			var js grouping.Joins
+			step := func(i int) {
+				m := grouping.Message{Seq: i, Time: t0.Add(time.Duration(i) * shape.every), Router: "r1", Template: noise, Loc: locs[0]}
+				if i%shape.flap == 0 {
+					k := i / shape.flap
+					m.Template, m.Loc = k%4, locs[k%3]
+				}
+				p := pool.Get(m)
+				if err := local.Step(p, &js); err != nil {
+					b.Fatal(err)
+				}
+				p.Release() // no Merger here to consume the pipeline reference
+			}
+			const warm = 1024 // four times MaxScan: the window is in steady state
+			for i := 0; i < warm; i++ {
+				step(i)
+			}
+			before := local.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step(warm + i)
+			}
+			b.StopTimer()
+			after := local.Stats()
+			b.ReportMetric(float64(after.RuleCandidates-before.RuleCandidates)/float64(b.N), "cands/step")
+			b.ReportMetric(float64(after.RulePairs-before.RulePairs)/float64(b.N), "pairs/step")
+		})
+	}
+}
+
 func BenchmarkStageRuleMining(b *testing.B) {
 	c := mustCorpus(b, gen.DatasetA)
 	events := core.RuleEvents(c.KB.AugmentAll(c.Learn.Messages))

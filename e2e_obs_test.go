@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"syslogdigest"
+	"syslogdigest/internal/cluster"
 	"syslogdigest/internal/collector"
 	"syslogdigest/internal/gen"
 	"syslogdigest/internal/obs"
@@ -251,6 +252,11 @@ func livePipelineRun(t *testing.T, kb *syslogdigest.KnowledgeBase, ds *gen.Datas
 	if ruleScanned == 0 {
 		t.Fatal("exporter: rule pass scanned no candidates on a real feed")
 	}
+	// Every location on a generated feed comes out of the dictionary the
+	// knowledge base was learned with, so none takes the overflow path.
+	if got := snap.Counter("group.rule.unresolved_locations"); got != 0 {
+		t.Fatalf("exporter: %d unresolved locations on a feed from configured routers", got)
+	}
 	if cm := snap.Counter("group.merges.cross"); cm > snap.Counter("group.cross.candidates_scanned") {
 		t.Fatalf("exporter: cross merges %d > candidates scanned %d", cm, snap.Counter("group.cross.candidates_scanned"))
 	}
@@ -370,6 +376,93 @@ func livePipelineRun(t *testing.T, kb *syslogdigest.KnowledgeBase, ds *gen.Datas
 		t.Fatalf("healthz body: %s (err %v)", body, err)
 	}
 	return emitLat.Buckets
+}
+
+// TestUnresolvedLocsReconcile: group.rule.unresolved_locations counts
+// the messages whose location the dictionary never interned. A feed with
+// every 40th message repeated under a hostname no config names must report
+// exactly the injected count — those messages resolve to the unknown
+// router's router-level location, an overflow ID — and the same count from
+// the serial engine, the in-process sharded engine and a two-shard loopback
+// cluster (where the tally crosses the wire in the Decisions frame), with
+// the same events out of all three.
+func TestUnresolvedLocsReconcile(t *testing.T) {
+	ds, err := gen.Generate(gen.Spec{
+		Kind: gen.DatasetA, Routers: 12, Seed: 11,
+		Duration: 6 * time.Hour, RateScale: 0.5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb, err := syslogdigest.NewLearner(syslogdigest.DefaultParams()).Learn(ds.Messages, ds.Net.Configs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var feed []syslogmsg.Message
+	injected := uint64(0)
+	for i, m := range ds.Messages {
+		feed = append(feed, m)
+		if i%40 == 0 {
+			m.Router = "unconfigured-rtr"
+			feed = append(feed, m)
+			injected++
+		}
+	}
+	if injected < 10 {
+		t.Fatalf("only %d messages injected into a feed of %d", injected, len(ds.Messages))
+	}
+	srv, err := cluster.Serve("127.0.0.1:0", cluster.ServerConfig{Dict: kb.Dictionary(), Rules: kb.RuleBase})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	wantEvents := -1
+	for _, shape := range []struct {
+		name string
+		opts syslogdigest.StreamerOptions
+	}{
+		{"serial", syslogdigest.StreamerOptions{StreamWorkers: 1}},
+		{"sharded", syslogdigest.StreamerOptions{StreamWorkers: 3}},
+		{"cluster", syslogdigest.StreamerOptions{ShardAddrs: []string{srv.Addr(), srv.Addr()}}},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			d, err := syslogdigest.NewDigester(kb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			st := syslogdigest.NewStreamerWith(d, shape.opts)
+			defer st.Close()
+			st.Instrument(reg)
+			events := 0
+			for _, m := range feed {
+				res, err := st.Push(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res != nil {
+					events += len(res.Events)
+				}
+			}
+			res, err := st.Flush()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res != nil {
+				events += len(res.Events)
+			}
+			if got := reg.Snapshot().Counter("group.rule.unresolved_locations"); got != injected {
+				t.Fatalf("unresolved locations %d, want the %d injected messages", got, injected)
+			}
+			t.Logf("%d messages (%d injected) -> %d events", len(feed), injected, events)
+			if wantEvents < 0 {
+				wantEvents = events
+			} else if events != wantEvents {
+				t.Fatalf("%d events, the serial engine %d", events, wantEvents)
+			}
+		})
+	}
 }
 
 func httpGet(t *testing.T, addr, path string) (int, []byte) {

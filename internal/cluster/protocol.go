@@ -286,7 +286,10 @@ type DecisionBatch struct {
 	Err      error
 }
 
-// appendDecisions appends a Decisions frame payload.
+// appendDecisions appends a Decisions frame payload. The unresolved-location
+// tally trails the items and is written only when non-zero: a decoder that
+// predates it stops after the items, and one that knows it reads what is
+// left, so the frame needs no version bump.
 func appendDecisions(b []byte, seq uint64, items []DecisionItem, ruleArena []uint64, stats grouping.LocalStats, shardErr string) []byte {
 	b = binary.AppendUvarint(b, seq)
 	b = binary.AppendUvarint(b, uint64(stats.Streams))
@@ -302,6 +305,9 @@ func appendDecisions(b []byte, seq uint64, items []DecisionItem, ruleArena []uin
 		for _, d := range ruleArena[it.RS:it.RE] {
 			b = binary.AppendUvarint(b, d)
 		}
+	}
+	if stats.UnresolvedLocs > 0 {
+		b = binary.AppendUvarint(b, stats.UnresolvedLocs)
 	}
 	return b
 }
@@ -369,6 +375,12 @@ func decodeDecisions(payload []byte, db *DecisionBatch) error {
 		}
 		it.RE = int32(len(db.Rules))
 		db.Items = append(db.Items, it)
+	}
+	db.Stats.UnresolvedLocs = 0
+	if len(r.rest()) > 0 {
+		if db.Stats.UnresolvedLocs, err = r.uvarint(); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -216,33 +216,45 @@ func TestDecisionsRoundTrip(t *testing.T) {
 		{Temporal: 1, RS: 2, RE: 3},
 	}
 	arena := []uint64{4, 9, 1}
-	stats := grouping.LocalStats{Streams: 12, Evictions: 3, RuleCandidates: 44, RulePairs: 7}
-	payload := appendDecisions(nil, 17, items, arena, stats, "boom")
-	var db DecisionBatch
-	if err := decodeDecisions(payload, &db); err != nil {
-		t.Fatal(err)
-	}
-	if db.Seq != 17 || db.Stats != stats || db.ShardErr != "boom" {
-		t.Fatalf("decoded %+v", db)
-	}
-	if len(db.Items) != len(items) {
-		t.Fatalf("items %d", len(db.Items))
-	}
-	for i, it := range db.Items {
-		if it != items[i] {
-			t.Fatalf("item %d: %+v != %+v", i, it, items[i])
+	old := grouping.LocalStats{Streams: 12, Evictions: 3, RuleCandidates: 44, RulePairs: 7}
+	withTail := old
+	withTail.UnresolvedLocs = 300
+	oldLen := len(appendDecisions(nil, 17, items, arena, old, "boom"))
+	for _, stats := range []grouping.LocalStats{old, withTail} {
+		payload := appendDecisions(nil, 17, items, arena, stats, "boom")
+		db := DecisionBatch{Stats: grouping.LocalStats{UnresolvedLocs: 9}} // reused batches must not keep a stale tally
+		if err := decodeDecisions(payload, &db); err != nil {
+			t.Fatal(err)
 		}
-	}
-	for i, d := range db.Rules {
-		if d != arena[i] {
-			t.Fatalf("arena %d: %d != %d", i, d, arena[i])
+		if db.Seq != 17 || db.Stats != stats || db.ShardErr != "boom" {
+			t.Fatalf("decoded %+v", db)
 		}
-	}
-	// Truncation anywhere inside must error, never panic.
-	for cut := 0; cut < len(payload); cut++ {
-		var trunc DecisionBatch
-		if err := decodeDecisions(payload[:cut], &trunc); err == nil {
-			t.Fatalf("cut %d: no error", cut)
+		if len(db.Items) != len(items) {
+			t.Fatalf("items %d", len(db.Items))
+		}
+		for i, it := range db.Items {
+			if it != items[i] {
+				t.Fatalf("item %d: %+v != %+v", i, it, items[i])
+			}
+		}
+		for i, d := range db.Rules {
+			if d != arena[i] {
+				t.Fatalf("arena %d: %d != %d", i, d, arena[i])
+			}
+		}
+		// Truncation anywhere inside must error, never panic — except at the
+		// one cut that leaves exactly the frame an older shard sends: the
+		// unresolved-location tally is a trailing optional field.
+		for cut := 0; cut < len(payload); cut++ {
+			var trunc DecisionBatch
+			err := decodeDecisions(payload[:cut], &trunc)
+			if cut == oldLen {
+				if err != nil || trunc.Stats != old {
+					t.Fatalf("cut %d (the older frame): %v, stats %+v", cut, err, trunc.Stats)
+				}
+			} else if err == nil {
+				t.Fatalf("cut %d: no error", cut)
+			}
 		}
 	}
 }

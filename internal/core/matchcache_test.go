@@ -8,6 +8,7 @@ import (
 	"syslogdigest/internal/gen"
 	"syslogdigest/internal/locdict"
 	"syslogdigest/internal/locparse"
+	"syslogdigest/internal/par"
 )
 
 func ck(router, code, detail string) cacheKey {
@@ -109,7 +110,7 @@ func TestAugmentConcurrentSmallCache(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			got[g] = kb.AugmentAllParallel(msgs, 2)
+			got[g] = kb.augmentWith(par.New(2), msgs)
 		}(g)
 	}
 	wg.Wait()

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"syslogdigest/internal/par"
 	"syslogdigest/internal/rules"
 	"syslogdigest/internal/syslogmsg"
 	"syslogdigest/internal/template"
@@ -87,12 +86,4 @@ func (l *Learner) Relearn(kb *KnowledgeBase, period []syslogmsg.Message) (Relear
 	}
 	st.Rules = kb.RuleBase.Update(res)
 	return st, nil
-}
-
-// AugmentAllParallel is AugmentAll fanned out over workers; the knowledge
-// base is immutable during augmentation, so this is safe (see the
-// KnowledgeBase type comment). workers <= 0 means GOMAXPROCS. Order is
-// preserved, so the output is identical to AugmentAll.
-func (kb *KnowledgeBase) AugmentAllParallel(msgs []syslogmsg.Message, workers int) []PlusMessage {
-	return kb.augmentWith(par.New(workers), msgs)
 }

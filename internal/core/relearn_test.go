@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"syslogdigest/internal/gen"
+	"syslogdigest/internal/par"
 	"syslogdigest/internal/syslogmsg"
 )
 
@@ -92,29 +93,31 @@ func TestRelearnUninitialized(t *testing.T) {
 	}
 }
 
-func TestAugmentAllParallelMatchesSerial(t *testing.T) {
+// TestAugmentWithPoolMatchesSerial: the pool fan-out Digest and Relearn
+// augment through is order-preserving at any worker count (0: GOMAXPROCS).
+func TestAugmentWithPoolMatchesSerial(t *testing.T) {
 	kb, ds := learnSmall(t, gen.DatasetA)
 	msgs := ds.Messages[:3000]
 	serial := kb.AugmentAll(msgs)
 	for _, workers := range []int{0, 1, 2, 7, 64} {
-		par := kb.AugmentAllParallel(msgs, workers)
-		if len(par) != len(serial) {
-			t.Fatalf("workers=%d: length %d != %d", workers, len(par), len(serial))
+		got := kb.augmentWith(par.New(workers), msgs)
+		if len(got) != len(serial) {
+			t.Fatalf("workers=%d: length %d != %d", workers, len(got), len(serial))
 		}
 		for i := range serial {
-			if par[i].Template != serial[i].Template || par[i].Loc != serial[i].Loc {
-				t.Fatalf("workers=%d: message %d differs: %+v vs %+v", workers, i, par[i], serial[i])
+			if got[i].Template != serial[i].Template || got[i].Loc != serial[i].Loc {
+				t.Fatalf("workers=%d: message %d differs: %+v vs %+v", workers, i, got[i], serial[i])
 			}
-			if len(par[i].Peers) != len(serial[i].Peers) {
+			if len(got[i].Peers) != len(serial[i].Peers) {
 				t.Fatalf("workers=%d: message %d peers differ", workers, i)
 			}
 		}
 	}
 }
 
-func TestAugmentAllParallelEmpty(t *testing.T) {
+func TestAugmentWithPoolEmpty(t *testing.T) {
 	kb, _ := learnSmall(t, gen.DatasetA)
-	if out := kb.AugmentAllParallel(nil, 4); len(out) != 0 {
+	if out := kb.augmentWith(par.New(4), nil); len(out) != 0 {
 		t.Fatalf("empty input produced %d", len(out))
 	}
 }

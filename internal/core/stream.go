@@ -156,6 +156,7 @@ func (s *Streamer) Instrument(reg *obs.Registry) {
 			RuleCandidates:  reg.Counter("group.rule.candidates_scanned"),
 			RulePairs:       reg.Counter("group.rule.pairs_matched"),
 			CrossCandidates: reg.Counter("group.cross.candidates_scanned"),
+			UnresolvedLocs:  reg.Counter("group.rule.unresolved_locations"),
 			OpenMessages:    reg.Gauge("stream.state.messages"),
 			OpenGroups:      reg.Gauge("stream.state.groups"),
 			Streams:         reg.Gauge("stream.state.streams"),

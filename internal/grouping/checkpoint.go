@@ -127,8 +127,11 @@ type LocalState struct {
 	Evictions   int   `json:"evictions"`
 	// Rule-pass scan tallies, cumulative like Evictions; absent in
 	// snapshots from builds before the template index (restore as 0).
-	RuleCandidates uint64        `json:"rule_candidates,omitempty"`
-	RulePairs      uint64        `json:"rule_pairs,omitempty"`
+	RuleCandidates uint64 `json:"rule_candidates,omitempty"`
+	RulePairs      uint64 `json:"rule_pairs,omitempty"`
+	// UnresolvedLocs is cumulative too; absent in snapshots from builds
+	// before the resolved-location windows (restores as 0).
+	UnresolvedLocs uint64        `json:"unresolved_locations,omitempty"`
 	Models         []ModelState  `json:"models"`
 	Windows        []WindowState `json:"windows"`
 }
@@ -249,16 +252,18 @@ func captureLocal(x *pendingIndexer, rl *RouterLocal) LocalState {
 		Evictions:      rl.evictions,
 		RuleCandidates: rl.ruleCandidates,
 		RulePairs:      rl.rulePairs,
+		UnresolvedLocs: rl.unresolved,
 		Models:         []ModelState{},
 		Windows:        []WindowState{},
 	}
 	for md := rl.mHead; md != nil; md = md.next {
-		// The live key holds the Location struct (hot-path economy); the
-		// snapshot keeps the canonical Key() string so the format is
-		// unchanged from older builds. ParseKey inverts it on restore.
+		// The live key packs a location ID private to this local; the
+		// snapshot keeps the canonical Key() string, so the format is
+		// unchanged from older builds. ParseKey inverts it on restore and
+		// the restoring local resolves its own ID.
 		ms := ModelState{
-			Template: md.key.template,
-			LocKey:   md.key.loc.Key(),
+			Template: md.template,
+			LocKey:   md.loc.Key(),
 			Router:   md.router,
 			Temporal: md.tg.State(),
 			Last:     -1,
@@ -359,7 +364,10 @@ func (s *Shardable) RestoreParts(st IncState, workers, localMax int, shardFor fu
 	// references the live engine would hold (group membership, model
 	// last-message, ring slots), and the final loop drops the
 	// materialization reference, leaving exactly the live counts.
-	ps := materializePendings(st.Pendings)
+	ps, err := materializePendings(st.Pendings)
+	if err != nil {
+		return nil, nil, err
+	}
 	at := indexAccessor(ps)
 
 	// Merger: groups in closure-list order, cross ring, tallies.
@@ -412,7 +420,7 @@ func (s *Shardable) RestoreParts(st IncState, workers, localMax int, shardFor fu
 		if err != nil {
 			return nil, nil, err
 		}
-		mg.crossWin.push(p)
+		mg.crossWin.push(p, 0)
 	}
 	for _, a := range st.Merger.Active {
 		mg.active[rules.PairKey{X: a.X, Y: a.Y}] = a.Count
@@ -472,6 +480,7 @@ func (s *Shardable) RestoreParts(st IncState, workers, localMax int, shardFor fu
 			locals[i].evictions = lst.Evictions
 			locals[i].ruleCandidates = lst.RuleCandidates
 			locals[i].rulePairs = lst.RulePairs
+			locals[i].unresolved = lst.UnresolvedLocs
 		}
 	} else {
 		for _, rl := range locals {
@@ -493,10 +502,15 @@ func (s *Shardable) RestoreParts(st IncState, workers, localMax int, shardFor fu
 
 // materializePendings rebuilds the in-flight records of a snapshot. Each
 // record is GC-managed and starts with one materialization reference (see
-// RestoreParts); callers drop it once incorporation is complete.
-func materializePendings(sts []PendingState) []*Pending {
+// RestoreParts); callers drop it once incorporation is complete. A template
+// the windows could not index fails the restore here, before any window is
+// built.
+func materializePendings(sts []PendingState) ([]*Pending, error) {
 	ps := make([]*Pending, len(sts))
 	for i, pst := range sts {
+		if err := checkTemplate(pst.Template); err != nil {
+			return nil, fmt.Errorf("grouping: restore: pending %d: %w", i, err)
+		}
 		ps[i] = NewPending(Message{
 			Seq:      pst.Seq,
 			Time:     checkpoint.NsTime(pst.TimeNs),
@@ -508,7 +522,7 @@ func materializePendings(sts []PendingState) []*Pending {
 			Raw:      pst.Raw,
 		})
 	}
-	return ps
+	return ps, nil
 }
 
 // indexAccessor is the bounds-checked snapshot-index → record lookup every
@@ -522,13 +536,18 @@ func indexAccessor(ps []*Pending) func(int) (*Pending, error) {
 	}
 }
 
-// restoreModel rebuilds one temporal stream into rl.
+// restoreModel rebuilds one temporal stream into rl. Location IDs are
+// private to a RouterLocal and never serialized, so the key is packed from
+// the ID rl itself resolves the snapshot's location to.
 func (s *Shardable) restoreModel(rl *RouterLocal, ms ModelState, at func(int) (*Pending, error)) error {
 	loc, err := locdict.ParseKey(ms.Router, ms.LocKey)
 	if err != nil {
 		return fmt.Errorf("grouping: restore: %w", err)
 	}
-	key := modelKey{template: ms.Template, loc: loc}
+	if err := checkTemplate(ms.Template); err != nil {
+		return fmt.Errorf("grouping: restore: model %q: %w", ms.LocKey, err)
+	}
+	key := packModelKey(ms.Template, rl.resolve(loc).id)
 	if rl.models[key] != nil {
 		return fmt.Errorf("grouping: restore: duplicate model %d/%q", ms.Template, ms.LocKey)
 	}
@@ -536,7 +555,7 @@ func (s *Shardable) restoreModel(rl *RouterLocal, ms ModelState, at func(int) (*
 	if err != nil {
 		return err
 	}
-	md := &model{key: key, router: ms.Router, tg: tg}
+	md := &model{key: key, template: ms.Template, loc: loc, router: ms.Router, tg: tg}
 	if ms.Last >= 0 {
 		p, err := at(ms.Last)
 		if err != nil {
@@ -550,20 +569,22 @@ func (s *Shardable) restoreModel(rl *RouterLocal, ms ModelState, at func(int) (*
 	return nil
 }
 
-// restoreWindow rebuilds one router's rule window into rl.
+// restoreWindow rebuilds one router's rule window into rl, resolving each
+// member's location again: the bucket entries the next rule step compares
+// carry this local's IDs, which no snapshot holds. (The window itself may
+// exist already, empty — resolving a model's location creates its router's.)
 func restoreWindow(rl *RouterLocal, ws WindowState, at func(int) (*Pending, error)) error {
-	if rl.routerWin[ws.Router] != nil {
+	rw := rl.window(ws.Router)
+	if rw.n > 0 {
 		return fmt.Errorf("grouping: restore: duplicate window for router %q", ws.Router)
 	}
-	rw := &memberRing{}
 	for _, wi := range ws.Members {
 		p, err := at(wi)
 		if err != nil {
 			return err
 		}
-		rw.push(p)
+		rw.push(p, rl.resolve(p.msg.Loc).id)
 	}
-	rl.routerWin[ws.Router] = rw
 	return nil
 }
 

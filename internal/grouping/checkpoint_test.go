@@ -366,3 +366,96 @@ func TestRestoreRejectsCorruptIndexes(t *testing.T) {
 		t.Error("empty group accepted")
 	}
 }
+
+// TestRestoreResolvesLocationsAgain: a RouterLocal's location IDs are
+// private to it and in no snapshot, so a restore has to resolve every window
+// member and every model key again or the first rule step after it compares
+// IDs against zeroes. Cut the mixed corpus (full windows, overflow IDs,
+// unmatched templates) mid-feed and restore the local both ways it travels —
+// inside a checkpoint (RestoreParts) and alone, as the seed of a cluster
+// session (RestoreLocal): every later step must decide exactly what the
+// uninterrupted local decides, joins to pre-cut window members included, and
+// the unresolved-location tally must carry over.
+func TestRestoreResolvesLocationsAgain(t *testing.T) {
+	batch := sortBatch(mixedBatch(rand.New(rand.NewSource(37)), 900))
+	for i := range batch {
+		// A model snapshot keys its location under the message's router
+		// (ModelState), so a checkpointable feed has the two agree.
+		batch[i].Router = batch[i].Loc.Router
+	}
+	const cut = 500
+	s, err := NewShardable(toyDict(t), mixedRules(), ckptCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl, mg := s.NewLocal(0), s.NewMerger()
+	var js Joins
+	for i := 0; i < cut; i++ {
+		p := NewPending(batch[i])
+		if err := rl.Step(p, &js); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mg.Apply(p, &js); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var viaJSON IncState
+	raw, err := json.Marshal(CaptureParts([]*RouterLocal{rl}, mg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &viaJSON); err != nil {
+		t.Fatal(err)
+	}
+	locals, _, err := s.RestoreParts(viaJSON, 1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var part LocalPartState
+	if raw, err = json.Marshal(CaptureLocal(rl)); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &part); err != nil {
+		t.Fatal(err)
+	}
+	seeded, err := s.RestoreLocal(part, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	restored := map[string]*RouterLocal{"checkpoint": locals[0], "session seed": seeded}
+	preCut := make(map[int]bool, cut)
+	for i := 0; i < cut; i++ {
+		preCut[batch[i].Seq] = true
+	}
+	joinsAcrossCut := 0
+	var jsR Joins
+	for i := cut; i < len(batch); i++ {
+		if err := rl.Step(NewPending(batch[i]), &js); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range js.Rules {
+			if preCut[m.msg.Seq] {
+				joinsAcrossCut++
+			}
+		}
+		for what, r := range restored {
+			if err := r.Step(NewPending(batch[i]), &jsR); err != nil {
+				t.Fatal(err)
+			}
+			if !sameJoinSeqs(&js, &jsR) {
+				t.Fatalf("%s: step %d (seq %d) decides %v, the uninterrupted local %v",
+					what, i, batch[i].Seq, joinSeqs(&jsR), joinSeqs(&js))
+			}
+		}
+	}
+	if joinsAcrossCut == 0 {
+		t.Fatal("no rule join reached a pre-cut window member; the fixture does not exercise restored windows")
+	}
+	for what, r := range restored {
+		if got, want := r.Stats(), rl.Stats(); got != want {
+			t.Fatalf("%s: stats %+v, uninterrupted %+v", what, got, want)
+		}
+	}
+}

@@ -91,6 +91,7 @@ type IncMetrics struct {
 	RuleCandidates  *obs.Counter // group.rule.candidates_scanned
 	RulePairs       *obs.Counter // group.rule.pairs_matched
 	CrossCandidates *obs.Counter // group.cross.candidates_scanned
+	UnresolvedLocs  *obs.Counter // group.rule.unresolved_locations
 	OpenMessages    *obs.Gauge   // stream.state.messages
 	OpenGroups      *obs.Gauge   // stream.state.groups
 	Streams         *obs.Gauge   // stream.state.streams
@@ -116,6 +117,9 @@ type IncStats struct {
 	RuleCandidates  uint64
 	RulePairs       uint64
 	CrossCandidates uint64
+	// UnresolvedLocs counts messages at locations the dictionary never
+	// interned (see LocalStats).
+	UnresolvedLocs uint64
 }
 
 // ClosedGroup is one finished group: its members in ascending Seq order,
@@ -161,6 +165,7 @@ func (inc *Incremental) SetMetrics(m IncMetrics) {
 		StreamEvictions: m.StreamEvictions,
 		RuleCandidates:  m.RuleCandidates,
 		RulePairs:       m.RulePairs,
+		UnresolvedLocs:  m.UnresolvedLocs,
 	})
 	inc.merge.SetMetrics(MergeMetrics{
 		MergeTemporal:   m.MergeTemporal,
@@ -198,6 +203,7 @@ func (inc *Incremental) Stats() IncStats {
 		RuleCandidates:  ls.RuleCandidates,
 		RulePairs:       ls.RulePairs,
 		CrossCandidates: ms.CrossCandidates,
+		UnresolvedLocs:  ls.UnresolvedLocs,
 	}
 }
 
@@ -214,6 +220,7 @@ func (inc *Incremental) Observe(m Message) ([]ClosedGroup, error) {
 	}
 	p := inc.pool.Get(m)
 	if err := inc.local.Step(p, &inc.js); err != nil {
+		p.Release() // Step refuses a message before touching any state
 		return nil, err
 	}
 	out, err := inc.merge.Apply(p, &inc.js)

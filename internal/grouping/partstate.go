@@ -37,7 +37,10 @@ func CaptureLocal(rl *RouterLocal) LocalPartState {
 // records are GC-managed and carry no group identity — a remote local never
 // reads group state, so every record restores as a closed singleton.
 func (s *Shardable) RestoreLocal(st LocalPartState, maxStreams int) (*RouterLocal, error) {
-	ps := materializePendings(st.Pendings)
+	ps, err := materializePendings(st.Pendings)
+	if err != nil {
+		return nil, err
+	}
 	for _, p := range ps {
 		p.grp.closed = true
 		p.g = &p.grp
@@ -59,6 +62,7 @@ func (s *Shardable) RestoreLocal(st LocalPartState, maxStreams int) (*RouterLoca
 	rl.evictions = st.Local.Evictions
 	rl.ruleCandidates = st.Local.RuleCandidates
 	rl.rulePairs = st.Local.RulePairs
+	rl.unresolved = st.Local.UnresolvedLocs
 	for _, p := range ps {
 		p.unref() // drop the materialization reference (see RestoreParts)
 	}

@@ -52,6 +52,14 @@ import (
 // is immutable after creation; the group fields are owned by the Merger.
 // refs counts the holders listed in pool.go; a pooled record (owner != nil)
 // recycles when the count hits zero.
+//
+// A Pending carries no resolved identity. The dense location ID a
+// RouterLocal resolves a message to (RouterLocal.resolve) is private to
+// that local — overflow IDs mean nothing outside it — so it lives where the
+// local alone reads it: in the rule window's bucket entries and in the
+// temporal model key. The Merger goroutine never sees an ID, and a record
+// that crosses a process boundary or a checkpoint has none to lose: the
+// restoring local resolves again.
 type Pending struct {
 	msg Message
 
@@ -116,23 +124,40 @@ type incGroup struct {
 	dirty bool
 }
 
-// modelKey identifies a temporal stream. The location is kept as the
-// struct, not its Key() string: building the string key allocated once per
-// message on the hot path, and Location is comparable as-is. Checkpoints
-// still serialize the canonical Key() string (see checkpoint.go), so the
-// snapshot format is unchanged.
-type modelKey struct {
-	template int
-	loc      locdict.Location
+// maxTemplate bounds the template IDs the windows accept: template buckets
+// are slices indexed by template+1 (-1 is the unmatched template), so an ID
+// outside [-1, maxTemplate] — which no matcher assigns; IDs are dense from 0
+// — is refused before it can index or size one.
+const maxTemplate = 1 << 20
+
+func checkTemplate(t int) error {
+	if t < -1 || t > maxTemplate {
+		return fmt.Errorf("grouping: template id %d outside [-1, %d]", t, maxTemplate)
+	}
+	return nil
+}
+
+// modelKey identifies a temporal stream: the template and the RouterLocal's
+// resolved location ID packed into one word, so the per-message model
+// lookup hashes eight bytes instead of a Location's two strings.
+type modelKey uint64
+
+func packModelKey(template int, loc int32) modelKey {
+	return modelKey(uint32(template))<<32 | modelKey(uint32(loc))
 }
 
 // model is one live temporal stream: its EWMA state, its previous message,
-// and its position on the least-recently-observed eviction list. router is
-// the stream's owner, carried so checkpoint restore can reshard models
-// across a different worker count (the location key embeds the router, but
-// parsing it back out would couple restore to the key format).
+// and its position on the least-recently-observed eviction list. template
+// and loc are what key packs, kept for checkpoints (which serialize the
+// location's canonical Key() string, so the snapshot format does not know
+// about IDs). router is the stream's owner, carried so checkpoint restore
+// can reshard models across a different worker count (the location key
+// embeds the router, but parsing it back out would couple restore to the
+// key format).
 type model struct {
 	key        modelKey
+	template   int
+	loc        locdict.Location
 	router     string
 	tg         *temporal.Grouper
 	last       *Pending
@@ -144,11 +169,13 @@ type model struct {
 // is then reused forever, so steady-state window maintenance allocates
 // nothing.
 //
-// Alongside the ring it maintains a per-template bucket index: each bucket
-// is the FIFO of *absolute* entry indexes (pops + ring offset) of the live
-// entries carrying that template, ascending. The ring stays authoritative
-// for expiry and the MaxScan cap; the index only accelerates candidate
-// lookup. Two invariants keep it exact with O(1) maintenance:
+// Alongside the ring it maintains a per-template bucket index, a slice
+// indexed by template+1: each bucket is the FIFO of *absolute* entry indexes
+// (pops + ring offset) of the live entries carrying that template,
+// ascending, each with the location ID its pusher resolved (rule windows;
+// the cross window has no use for one and stores 0). The ring stays
+// authoritative for expiry and the MaxScan cap; the index only accelerates
+// candidate lookup. Two invariants keep it exact with O(1) maintenance:
 //
 //   - push appends the new entry's absolute index to its template's bucket,
 //     so each bucket is ascending (entries arrive in ring order);
@@ -165,46 +192,56 @@ type memberRing struct {
 	head int
 	n    int
 
-	pops    uint64 // total popFront count == absolute index of the front entry
-	buckets map[int]*tplBucket
+	pops    uint64      // total popFront count == absolute index of the front entry
+	buckets []tplBucket // by template+1, grown to the largest template pushed
 }
 
-// tplBucket is one template's FIFO of absolute indexes: live view
-// abs[head:], amortized-O(1) pop via occasional compaction.
+// bucketEnt is one live window entry as its template's bucket sees it.
+type bucketEnt struct {
+	abs uint64 // absolute entry index
+	loc int32  // the pusher's resolved location ID
+}
+
+// tplBucket is one template's FIFO of entries: live view ents[head:],
+// amortized-O(1) pop via occasional compaction.
 type tplBucket struct {
-	abs  []uint64
+	ents []bucketEnt
 	head int
 }
 
-func (b *tplBucket) push(a uint64) { b.abs = append(b.abs, a) }
-
 func (b *tplBucket) pop() {
 	b.head++
-	if b.head >= 64 && b.head*2 >= len(b.abs) {
-		n := copy(b.abs, b.abs[b.head:])
-		b.abs = b.abs[:n]
+	if b.head >= 64 && b.head*2 >= len(b.ents) {
+		n := copy(b.ents, b.ents[b.head:])
+		b.ents = b.ents[:n]
 		b.head = 0
 	}
 }
 
-func (b *tplBucket) live() []uint64 { return b.abs[b.head:] }
+// live is the bucket of template t, ascending; empty when the ring has
+// never held the template.
+func (r *memberRing) live(t int) []bucketEnt {
+	if uint(t+1) >= uint(len(r.buckets)) {
+		return nil
+	}
+	b := &r.buckets[t+1]
+	return b.ents[b.head:]
+}
 
-func (r *memberRing) push(m *Pending) {
+// push appends m, whose template the caller has checked (checkTemplate).
+func (r *memberRing) push(m *Pending, loc int32) {
 	m.ref() // ring slot reference, released by popFront
 	if r.n == len(r.buf) {
 		r.grow()
 	}
 	r.buf[(r.head+r.n)&(len(r.buf)-1)] = m
 	r.n++
-	if r.buckets == nil {
-		r.buckets = make(map[int]*tplBucket)
+	t := m.msg.Template + 1
+	if t >= len(r.buckets) {
+		r.buckets = append(r.buckets, make([]tplBucket, t+1-len(r.buckets))...)
 	}
-	b := r.buckets[m.msg.Template]
-	if b == nil {
-		b = &tplBucket{}
-		r.buckets[m.msg.Template] = b
-	}
-	b.push(r.pops + uint64(r.n-1))
+	b := &r.buckets[t]
+	b.ents = append(b.ents, bucketEnt{abs: r.pops + uint64(r.n-1), loc: loc})
 }
 
 func (r *memberRing) grow() {
@@ -231,13 +268,13 @@ func (r *memberRing) popFront() {
 	r.buf[r.head] = nil
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
-	r.buckets[t].pop() // its front is exactly this entry (global FIFO)
+	r.buckets[t+1].pop() // its front is exactly this entry (global FIFO)
 	r.pops++
 	front.unref()
 }
 
 // popAll empties the ring (releasing every slot reference) while keeping
-// its buffer and bucket map for reuse.
+// its buffer and buckets for reuse.
 func (r *memberRing) popAll() {
 	for r.n > 0 {
 		r.popFront()
@@ -285,10 +322,6 @@ func NewShardable(dict *locdict.Dictionary, rb *rules.RuleBase, cfg IncrementalC
 // this Shardable.
 func (s *Shardable) Pool() *PendingPool { return s.pool }
 
-// Horizon is the closure bound: a group closes once the watermark passes
-// its newest member by more than this.
-func (s *Shardable) Horizon() time.Duration { return s.horizon }
-
 // MaxStreams is the validated temporal-model bound, for callers splitting
 // it across shards.
 func (s *Shardable) MaxStreams() int { return s.maxStreams }
@@ -304,8 +337,10 @@ func (s *Shardable) NewLocal(maxStreams int) *RouterLocal {
 	return &RouterLocal{
 		g:          s.g,
 		maxStreams: maxStreams,
+		locs:       make(map[locdict.Location]locEntry),
 		models:     make(map[modelKey]*model),
 		routerWin:  make(map[string]*memberRing),
+		matched:    make([]uint64, (s.g.cfg.MaxScan+63)/64),
 	}
 }
 
@@ -327,6 +362,7 @@ type LocalMetrics struct {
 	StreamEvictions *obs.Counter // models evicted by the MaxStreams bound
 	RuleCandidates  *obs.Counter // rule-window candidates examined
 	RulePairs       *obs.Counter // rule-window candidates that matched
+	UnresolvedLocs  *obs.Counter // messages at locations the dictionary never interned
 }
 
 // LocalStats snapshots one RouterLocal.
@@ -340,6 +376,24 @@ type LocalStats struct {
 	// is the index's win.
 	RuleCandidates uint64
 	RulePairs      uint64
+	// UnresolvedLocs counts messages (cumulative) whose location the
+	// dictionary never interned — an unconfigured router, typically. They
+	// group exactly as before, through the chain-walking spatial match, but
+	// a rising count says the dictionary is missing part of the network.
+	UnresolvedLocs uint64
+}
+
+// locEntry is what a RouterLocal resolves a message location to, once per
+// message: the dense ID the rule and temporal passes compare instead of the
+// Location's strings, and the rule window of the location's router.
+type locEntry struct {
+	// id is the dictionary's interned ID (locdict.Dictionary.LocID) or, for
+	// a location the dictionary never interned, a negative overflow ID this
+	// RouterLocal assigned. Overflow IDs identify a location (equal IDs,
+	// equal locations) and nothing more: matching one against a different
+	// ID falls back to SpatialMatchLinear on the two Locations.
+	id int32
+	rw *memberRing
 }
 
 // RouterLocal is the router-local half of the incremental grouper:
@@ -351,6 +405,12 @@ type RouterLocal struct {
 	g          *Grouper
 	maxStreams int
 
+	// locs is the one string-hashing lookup a message pays: everything
+	// after it in Step runs on the entry's ID and window. It grows with the
+	// distinct locations seen, as routerWin does with the routers.
+	locs      map[locdict.Location]locEntry
+	overflows int32 // overflow IDs handed out; the next one is -1 - overflows
+
 	models       map[modelKey]*model
 	mHead, mTail *model
 
@@ -361,14 +421,19 @@ type RouterLocal struct {
 	evictions      int
 	ruleCandidates uint64
 	rulePairs      uint64
-	scratch        []uint64 // candidate merge buffer, reused across steps
-	met            LocalMetrics
+	unresolved     uint64
+	// matched is the rule pass's bitmap over ring offsets, one bit per
+	// window entry (a ring holds at most MaxScan at scan time); all zero
+	// between steps.
+	matched []uint64
+	met     LocalMetrics
 
 	// Published high-water marks for PublishMetrics: the scan counters are
 	// shared atomic handles across shards, so each local adds deltas in
 	// batches instead of per message.
 	pubCandidates uint64
 	pubPairs      uint64
+	pubUnresolved uint64
 }
 
 // SetMetrics installs observability handles.
@@ -384,7 +449,35 @@ func (rl *RouterLocal) Stats() LocalStats {
 		Evictions:      rl.evictions,
 		RuleCandidates: rl.ruleCandidates,
 		RulePairs:      rl.rulePairs,
+		UnresolvedLocs: rl.unresolved,
 	}
+}
+
+// resolve maps a message location to its entry, creating it on first sight:
+// the dictionary's ID when it interned the location, the next overflow ID
+// otherwise, and the rule window of the location's router.
+func (rl *RouterLocal) resolve(loc locdict.Location) locEntry {
+	if e, ok := rl.locs[loc]; ok {
+		return e
+	}
+	id, ok := rl.g.dict.LocID(loc)
+	if !ok {
+		rl.overflows++
+		id = -rl.overflows
+	}
+	e := locEntry{id: id, rw: rl.window(loc.Router)}
+	rl.locs[loc] = e
+	return e
+}
+
+// window is the router's rule window, created on first use.
+func (rl *RouterLocal) window(router string) *memberRing {
+	rw := rl.routerWin[router]
+	if rw == nil {
+		rw = &memberRing{}
+		rl.routerWin[router] = rw
+	}
+	return rw
 }
 
 // Step runs the temporal and rule passes for p, writing the join
@@ -396,13 +489,20 @@ func (rl *RouterLocal) Stats() LocalStats {
 // shards were measurable contention).
 func (rl *RouterLocal) Step(p *Pending, js *Joins) error {
 	js.Reset()
+	if err := checkTemplate(p.msg.Template); err != nil {
+		return err
+	}
 	rl.started = true
 	rl.watermark = p.msg.Time
-	if err := rl.temporalStep(p, js); err != nil {
+	e := rl.resolve(p.msg.Loc)
+	if e.id < 0 {
+		rl.unresolved++
+	}
+	if err := rl.temporalStep(p, e.id, js); err != nil {
 		return err
 	}
 	if rl.g.cfg.useRules() {
-		rl.ruleStep(p, js)
+		rl.ruleStep(p, e, js)
 	}
 	return nil
 }
@@ -419,13 +519,17 @@ func (rl *RouterLocal) PublishMetrics() {
 		rl.met.RulePairs.Add(d)
 		rl.pubPairs = rl.rulePairs
 	}
+	if d := rl.unresolved - rl.pubUnresolved; d > 0 {
+		rl.met.UnresolvedLocs.Add(d)
+		rl.pubUnresolved = rl.unresolved
+	}
 }
 
 // DrainWindows clears the rule windows and per-stream predecessors so no
 // later message can join anything observed before the drain. The EWMA
 // models persist (interarrival knowledge survives a drain), and so do the
-// ring buffers and bucket maps — a drain empties them, releasing every
-// slot reference, without reallocating.
+// ring buffers and buckets — a drain empties them, releasing every slot
+// reference, without reallocating.
 func (rl *RouterLocal) DrainWindows() {
 	for _, rw := range rl.routerWin {
 		rw.popAll()
@@ -441,15 +545,15 @@ func (rl *RouterLocal) DrainWindows() {
 // temporalStep runs the stream's EWMA model on the new arrival and records
 // a join to the stream's previous message when the model accepts the
 // interarrival.
-func (rl *RouterLocal) temporalStep(p *Pending, js *Joins) error {
-	key := modelKey{p.msg.Template, p.msg.Loc}
+func (rl *RouterLocal) temporalStep(p *Pending, loc int32, js *Joins) error {
+	key := packModelKey(p.msg.Template, loc)
 	md := rl.models[key]
 	if md == nil {
 		tg, err := temporal.NewGrouper(rl.g.cfg.Temporal)
 		if err != nil {
 			return err
 		}
-		md = &model{key: key, router: p.msg.Router, tg: tg}
+		md = &model{key: key, template: p.msg.Template, loc: p.msg.Loc, router: p.msg.Router, tg: tg}
 		rl.models[key] = md
 		rl.pushModel(md)
 		rl.evictModels()
@@ -477,17 +581,18 @@ func (rl *RouterLocal) temporalStep(p *Pending, js *Joins) error {
 // position distance is at most MaxScan.
 //
 // The default path consults only the window's buckets for the arrival's
-// rule partners — a candidate can match only when its template pairs with
-// the arrival's in the rule base — then visits the surviving candidates in
-// ascending ring order, so the join sequence (and with it every
-// order-dependent tally downstream) is byte-identical to the linear scan.
-// Config.linearScan forces the original full-window scan, retained as the
-// tests' differential reference.
-func (rl *RouterLocal) ruleStep(p *Pending, js *Joins) {
-	rw := rl.routerWin[p.msg.Router]
-	if rw == nil {
-		rw = &memberRing{}
-		rl.routerWin[p.msg.Router] = rw
+// rule partners — a bucket holds one template, so membership settles the
+// rule-pair half of the predicate and only the spatial half is left, on
+// IDs. A matching candidate sets the bit of its ring offset; walking the set
+// bits ascending then visits the matches in ring order, which is the order
+// the linear scan meets them in, so the join sequence (and with it every
+// order-dependent tally downstream) is byte-identical to it without
+// sorting anything. Config.linearScan forces the original full-window scan,
+// retained as the tests' differential reference.
+func (rl *RouterLocal) ruleStep(p *Pending, e locEntry, js *Joins) {
+	rw := e.rw
+	if p.msg.Router != p.msg.Loc.Router {
+		rw = rl.window(p.msg.Router) // windows are per message router, whatever the location says
 	}
 	// Time is nondecreasing, so a front entry out of window for this
 	// message is out of window for every later one: expire before scanning.
@@ -505,32 +610,53 @@ func (rl *RouterLocal) ruleStep(p *Pending, js *Joins) {
 			}
 		}
 	} else {
-		rl.scratch = rl.scratch[:0]
+		words := (rw.n + 63) >> 6
+		if words > len(rl.matched) {
+			// Only a window restored from a snapshot taken under a larger
+			// MaxScan is longer than this configuration's.
+			rl.matched = make([]uint64, words)
+		}
+		bm := rl.matched[:words]
 		for _, q := range rl.g.rb.Partners(p.msg.Template) {
 			if q == p.msg.Template {
-				continue // ruleMatch rejects same-template pairs
+				continue // same-template grouping is the temporal pass's job
 			}
-			if b := rw.buckets[q]; b != nil {
-				rl.scratch = append(rl.scratch, b.live()...)
+			for _, c := range rw.live(q) {
+				cand++
+				if rl.spatialMatch(rw, c, p, e.id) {
+					off := c.abs - rw.pops
+					bm[off>>6] |= 1 << (off & 63)
+				}
 			}
 		}
-		if len(rl.scratch) > 1 {
-			slices.Sort(rl.scratch) // restore ascending ring (= scan) order
-		}
-		for _, a := range rl.scratch {
-			mi := rw.atAbs(a)
-			cand++
-			if rl.g.ruleMatch(&mi.msg, &p.msg) {
-				js.Rules = append(js.Rules, mi)
+		for w, word := range bm {
+			for ; word != 0; word &= word - 1 {
+				js.Rules = append(js.Rules, rw.at(w<<6|bits.TrailingZeros64(word)))
 				matched++
 			}
+			bm[w] = 0
 		}
 	}
 	rl.ruleCandidates += cand
 	rl.rulePairs += matched
-	rw.push(p)
+	rw.push(p, e.id)
 	if rw.n > rl.g.cfg.MaxScan {
 		rw.popFront()
+	}
+}
+
+// spatialMatch is the spatial half of the rule predicate between window
+// entry c of rw and the arrival p resolved to id: equal IDs are equal
+// locations, two dictionary IDs take its integer match, and an overflow ID
+// on either side takes the chain walk on the two messages' Locations.
+func (rl *RouterLocal) spatialMatch(rw *memberRing, c bucketEnt, p *Pending, id int32) bool {
+	switch {
+	case c.loc == id:
+		return true
+	case c.loc < 0 || id < 0:
+		return rl.g.dict.SpatialMatchLinear(rw.atAbs(c.abs).msg.Loc, p.msg.Loc)
+	default:
+		return rl.g.dict.SpatialMatchID(c.loc, id)
 	}
 }
 
@@ -802,6 +928,9 @@ func (mg *Merger) Apply(p *Pending, js *Joins) ([]ClosedGroup, error) {
 		return nil, fmt.Errorf("grouping: incremental requires nondecreasing timestamps (got %v after watermark %v)",
 			p.msg.Time, mg.watermark)
 	}
+	if err := checkTemplate(p.msg.Template); err != nil {
+		return nil, err
+	}
 	mg.started = true
 	mg.watermark = p.msg.Time
 	mg.reclaimUpdates()
@@ -900,18 +1029,17 @@ func (mg *Merger) crossStep(p *Pending) error {
 				return err
 			}
 		}
-	} else if b := cw.buckets[p.msg.Template]; b != nil {
-		for _, a := range b.live() {
-			mi := cw.atAbs(a)
+	} else {
+		for _, c := range cw.live(p.msg.Template) {
 			cand++
-			if err := mg.crossExamine(mi, p); err != nil {
+			if err := mg.crossExamine(cw.atAbs(c.abs), p); err != nil {
 				return err
 			}
 		}
 	}
 	mg.crossCandidates += cand
 	mg.met.CrossCandidates.Add(cand)
-	cw.push(p)
+	cw.push(p, 0)
 	if cw.n > mg.g.cfg.MaxScan {
 		cw.popFront()
 	}

@@ -217,10 +217,11 @@ type Dictionary struct {
 	sessionPeer map[string]string
 
 	// Spatial-match interning (built once at Build): every canonical
-	// location gets a dense ID and a spatEntry with its interned ancestor
-	// chain and bundle symbols, so SpatialMatch on two interned locations
-	// is integer comparisons with no Ancestors allocation. Locations the
-	// dictionary has never seen fall back to SpatialMatchLinear.
+	// location gets a dense ID (LocID) and a spatEntry with its interned
+	// ancestor chain and bundle symbols, so SpatialMatchID on two interned
+	// locations is integer comparisons with no Ancestors allocation.
+	// Locations the dictionary has never seen fall back to
+	// SpatialMatchLinear.
 	spat     map[Location]int32
 	spatEnt  []spatEntry
 	spatLocs []Location       // id -> location, for the fill pass
@@ -230,6 +231,7 @@ type Dictionary struct {
 // spatEntry is one interned location's precomputed match state.
 type spatEntry struct {
 	anc    [3]int32 // ancestor IDs, self excluded, coarser last
+	router int32    // ID of the location's router-level location (its own, at router level)
 	nanc   int8     // live prefix of anc; -1 disables the fast path
 	level  Level
 	name   int32 // interface-name symbol, -1 unless interface-level
@@ -536,7 +538,7 @@ func (d *Dictionary) buildSpatialIndex() {
 	// iterate by index over the growing table.
 	for id := 0; id < len(d.spatLocs); id++ {
 		loc := d.spatLocs[id]
-		e := spatEntry{level: loc.Level, name: -1, bundle: -1}
+		e := spatEntry{level: loc.Level, name: -1, bundle: -1, router: d.intern(RouterLoc(loc.Router))}
 		chain := d.Ancestors(loc)
 		if len(chain)-1 > len(e.anc) {
 			e.nanc = -1 // cannot happen by construction; stay exact if it does

@@ -62,10 +62,10 @@ func (d *Dictionary) Ancestors(loc Location) []Location {
 // interfaces on the same slot do NOT match — without the ancestor
 // relationship there is no evidence they share a condition.
 //
-// When both locations were interned at Build (every location Normalize can
-// return is), the match runs on precomputed ancestor IDs and bundle
-// symbols — integer comparisons, no allocation. Anything else falls back to
-// SpatialMatchLinear, the retained reference implementation.
+// The predicate itself is SpatialMatchID: this form resolves both locations
+// to the IDs Build interned them under (every location Normalize can return
+// has one) and delegates. A location the dictionary never interned has no
+// ID, and the pair goes to SpatialMatchLinear instead.
 func (d *Dictionary) SpatialMatch(a, b Location) bool {
 	if a.Router != b.Router {
 		return false
@@ -81,17 +81,39 @@ func (d *Dictionary) SpatialMatch(a, b Location) bool {
 	if !ok {
 		return d.SpatialMatchLinear(a, b)
 	}
-	ea, eb := &d.spatEnt[ia], &d.spatEnt[ib]
+	return d.SpatialMatchID(ia, ib)
+}
+
+// LocID returns the dense ID Build interned loc under, and whether it has
+// one. IDs are stable for the life of the Dictionary and private to it: a
+// caller that sees the same locations repeatedly (the rule windows of
+// internal/grouping) resolves each once and matches on the IDs.
+func (d *Dictionary) LocID(loc Location) (int32, bool) {
+	id, ok := d.spat[loc]
+	return id, ok
+}
+
+// SpatialMatchID is SpatialMatch on two IDs from LocID: integer comparisons
+// over the precomputed ancestor chains and bundle symbols, no hashing and no
+// allocation.
+func (d *Dictionary) SpatialMatchID(a, b int32) bool {
+	if a == b {
+		return true
+	}
+	ea, eb := &d.spatEnt[a], &d.spatEnt[b]
+	if ea.router != eb.router {
+		return false // bundle symbols are per name, not per router
+	}
 	if ea.nanc < 0 || eb.nanc < 0 {
-		return d.SpatialMatchLinear(a, b)
+		return d.SpatialMatchLinear(d.spatLocs[a], d.spatLocs[b])
 	}
 	for _, x := range ea.anc[:ea.nanc] {
-		if x == ib {
+		if x == b {
 			return true
 		}
 	}
 	for _, x := range eb.anc[:eb.nanc] {
-		if x == ia {
+		if x == a {
 			return true
 		}
 	}
@@ -110,9 +132,13 @@ func (d *Dictionary) SpatialMatch(a, b Location) bool {
 }
 
 // SpatialMatchLinear is the original chain-walking implementation of
-// SpatialMatch, retained as the differential reference for the interned
-// fast path (the MatchTokensLinear precedent) and as the fallback for
-// locations the dictionary never interned.
+// SpatialMatch. It stays in the production path for one case the interned
+// form cannot take: a location the dictionary never interned (a message
+// from a router with no config, a hand-built Location) has no ID and no
+// precomputed ancestors, and walking Ancestors is the exact answer for it.
+// Interning such locations on first sight would make the Dictionary mutable
+// under concurrent readers. It is also the reference the differential tests
+// compare SpatialMatch and SpatialMatchID against.
 func (d *Dictionary) SpatialMatchLinear(a, b Location) bool {
 	if a.Router != b.Router {
 		return false

@@ -47,6 +47,45 @@ func TestSpatialMatchIndexedMatchesLinear(t *testing.T) {
 				}
 			}
 		}
+
+		// The ID form directly, as the rule windows call it: every pair of
+		// locations interned for the busiest router, and every pair between
+		// it and one other router (bundle symbols are shared across routers,
+		// so only the router check keeps those apart).
+		perRouter := make(map[string][]int32)
+		for id, loc := range d.spatLocs {
+			if got, ok := d.LocID(loc); !ok || got != int32(id) {
+				t.Fatalf("seed %d: LocID(%+v) = %d, %v; interned as %d", seed, loc, got, ok, id)
+			}
+			perRouter[loc.Router] = append(perRouter[loc.Router], int32(id))
+		}
+		var busiest, other string
+		for r, ids := range perRouter {
+			if len(ids) > len(perRouter[busiest]) || (len(ids) == len(perRouter[busiest]) && r < busiest) {
+				busiest = r
+			}
+		}
+		for r := range perRouter {
+			if r != busiest && (other == "" || r < other) {
+				other = r
+			}
+		}
+		matches := 0
+		targets := append(append([]int32(nil), perRouter[busiest]...), perRouter[other]...)
+		for _, a := range perRouter[busiest] {
+			for _, b := range targets {
+				got, want := d.SpatialMatchID(a, b), d.SpatialMatchLinear(d.spatLocs[a], d.spatLocs[b])
+				if got != want {
+					t.Fatalf("seed %d: SpatialMatchID(%+v, %+v) = %v, linear = %v", seed, d.spatLocs[a], d.spatLocs[b], got, want)
+				}
+				if got && a != b {
+					matches++
+				}
+			}
+		}
+		if matches == 0 {
+			t.Fatalf("seed %d: no two distinct locations of %s match; the pair sweep checked nothing", seed, busiest)
+		}
 	}
 }
 

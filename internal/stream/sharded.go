@@ -277,9 +277,6 @@ func (e *ShardedEngine) newBatch() *batch {
 	return &batch{subs: make([][]*grouping.Pending, e.workers)}
 }
 
-// Workers is the shard count.
-func (e *ShardedEngine) Workers() int { return e.workers }
-
 // SetBatchSize overrides the dispatch batch size (<= 0: DefaultShardBatch);
 // batch boundaries never affect output, only handoff amortization and
 // delivery timing. Must precede the first Observe.
@@ -532,6 +529,9 @@ func (e *ShardedEngine) publishShards(results []shardResult, punct time.Time) {
 			if st.RulePairs > prev.RulePairs {
 				e.met.Grouping.RulePairs.Add(st.RulePairs - prev.RulePairs)
 			}
+			if st.UnresolvedLocs > prev.UnresolvedLocs {
+				e.met.Grouping.UnresolvedLocs.Add(st.UnresolvedLocs - prev.UnresolvedLocs)
+			}
 			*prev = st
 		}
 		streams += prev.Streams
@@ -664,9 +664,6 @@ func (e *ShardedEngine) LowWatermark() time.Time {
 	return time.Unix(0, ns)
 }
 
-// Horizon is the closure bound.
-func (e *ShardedEngine) Horizon() time.Duration { return e.shardable.Horizon() }
-
 // ActiveRules synchronizes and returns the merge stage's cumulative
 // per-pair rule-merge tally. The map is a snapshot copy; the caller may
 // keep or mutate it freely.
@@ -693,6 +690,7 @@ func (e *ShardedEngine) Stats() grouping.IncStats {
 		st.StreamEvictions += ls.Evictions
 		st.RuleCandidates += ls.RuleCandidates
 		st.RulePairs += ls.RulePairs
+		st.UnresolvedLocs += ls.UnresolvedLocs
 	}
 	return st
 }
