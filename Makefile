@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet test race build bench bench-smoke profile-stream stream-equiv checkpoint-equiv provisional-equiv cluster-equiv alloc-guard
+.PHONY: check fmt vet test race build bench bench-smoke profile-stream stream-equiv checkpoint-equiv provisional-equiv cluster-equiv alloc-guard cli-smoke
 
-check: fmt vet race stream-equiv checkpoint-equiv provisional-equiv cluster-equiv alloc-guard bench-smoke
+check: fmt vet race stream-equiv checkpoint-equiv provisional-equiv cluster-equiv alloc-guard bench-smoke cli-smoke
 
 # gofmt -l prints offending files; fail if it prints anything.
 fmt:
@@ -97,3 +97,12 @@ cluster-equiv:
 # internal/core/alloc_guard_test.go).
 alloc-guard:
 	$(GO) test -run 'TestStreamAllocs' -count=1 ./internal/core
+
+# The command-line surfaces end to end, on binaries built into a temporary
+# directory: sdgen -> sdlearn -> sddigest, then the same corpus through
+# `sddigest -stream` (digest lines, and NDJSON with -json), `sdreplay -kb`,
+# and an `sdreplay -kb -checkpoint` run killed and started again — every
+# surface must report the batch digest's event count, and the killed and
+# resumed runs between them must print the uninterrupted run's lines.
+cli-smoke:
+	$(GO) test -run 'TestCLISmoke' -count=1 ./cmd/...

@@ -1,0 +1,118 @@
+// Package streamrun is the set-up and output the streaming commands share
+// (sdcollect, sdreplay -kb, sddigest -stream, sdviz -live): load the
+// knowledge base, parse -shards, build the run's streamer — restored from a
+// checkpoint file when there is one — and print what each push returns.
+// The commands keep their own flags; a run's shape reaches the library as
+// one syslogdigest.StreamerOptions value.
+package streamrun
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"os"
+	"strings"
+
+	"syslogdigest"
+	"syslogdigest/internal/event"
+)
+
+// LoadKB reads the knowledge base sdlearn saved at path.
+func LoadKB(path string) (*syslogdigest.KnowledgeBase, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("open kb: %w", err)
+	}
+	defer f.Close()
+	kb, err := syslogdigest.LoadKnowledgeBase(f)
+	if err != nil {
+		return nil, fmt.Errorf("load kb: %w", err)
+	}
+	return kb, nil
+}
+
+// SplitAddrs parses a -shards flag: comma-separated host:port entries,
+// blanks ignored; nil when the flag is unset (in-process engine).
+func SplitAddrs(s string) []string {
+	var out []string
+	for _, a := range strings.Split(s, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// Open builds the run's streamer over d: restored from the checkpoint file
+// at ckptPath when that file exists (the bool reports it), new otherwise —
+// an empty ckptPath never restores. Either way opts are this run's own.
+func Open(d *syslogdigest.Digester, opts syslogdigest.StreamerOptions, ckptPath string) (*syslogdigest.Streamer, bool, error) {
+	if ckptPath != "" {
+		snap, err := syslogdigest.ReadCheckpoint(ckptPath)
+		switch {
+		case err == nil:
+			st, err := syslogdigest.RestoreStreamer(d, snap, opts)
+			if err != nil {
+				return nil, false, fmt.Errorf("restore checkpoint %s: %w", ckptPath, err)
+			}
+			return st, true, nil
+		case !errors.Is(err, os.ErrNotExist):
+			return nil, false, fmt.Errorf("read checkpoint %s: %w", ckptPath, err)
+		}
+	}
+	return syslogdigest.NewStreamerWith(d, opts), false, nil
+}
+
+// Printer writes streaming results the way every command does: the
+// tier-tagged provisional/revised/superseded records first (in a live feed
+// a provisional record precedes the final event it anticipates; the final
+// tier record is skipped — the event itself is the final record), then each
+// closed event. The counters total what was written.
+type Printer struct {
+	W io.Writer
+	// JSON switches from digest lines to newline-delimited JSON: one object
+	// per tier record (they carry "status") and one per event.
+	JSON bool
+	// Raw adds each event's raw message indices under its digest line.
+	Raw bool
+
+	Events  int // events written
+	Updates int // tier records written
+}
+
+// Print writes one Push or Flush result (nil prints nothing) and returns
+// the first write error.
+func (p *Printer) Print(res *syslogdigest.DigestResult) error {
+	if res == nil {
+		return nil
+	}
+	var tier []syslogdigest.Update
+	for i := range res.Updates {
+		if res.Updates[i].Status != syslogdigest.StatusFinal {
+			tier = append(tier, res.Updates[i])
+		}
+	}
+	p.Updates += len(tier)
+	p.Events += len(res.Events)
+	if p.JSON {
+		if err := event.WriteUpdatesJSON(p.W, tier); err != nil {
+			return err
+		}
+		return event.WriteJSON(p.W, res.Events)
+	}
+	for i := range tier {
+		if _, err := fmt.Fprintln(p.W, tier[i].Digest()); err != nil {
+			return err
+		}
+	}
+	for _, e := range res.Events {
+		line := e.Digest() + "\n"
+		if p.Raw {
+			line += fmt.Sprintf("  raw indices: %v\n", e.RawIndexes)
+		}
+		if _, err := io.WriteString(p.W, line); err != nil {
+			return err
+		}
+	}
+	return nil
+}

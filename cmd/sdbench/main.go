@@ -211,7 +211,7 @@ func pipelineMetrics(c *experiments.Corpus) (string, error) {
 		return "", err
 	}
 	d.Instrument(reg)
-	st := core.NewStreamer(d, 0)
+	st := core.NewStreamerWith(d, core.StreamerOptions{})
 	st.Instrument(reg)
 	for _, m := range c.Online.Messages {
 		if _, err := st.Push(m); err != nil {

@@ -43,17 +43,16 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
 
 	"syslogdigest"
+	"syslogdigest/cmd/internal/streamrun"
 	"syslogdigest/internal/collector"
 	"syslogdigest/internal/obs"
 	"syslogdigest/internal/syslogmsg"
@@ -94,14 +93,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sdcollect: metrics on http://%s/metrics\n", srv.Addr())
 	}
 
-	kf, err := os.Open(*kbPath)
+	kb, err := streamrun.LoadKB(*kbPath)
 	if err != nil {
-		fatalf("open kb: %v", err)
-	}
-	kb, err := syslogdigest.LoadKnowledgeBase(kf)
-	kf.Close()
-	if err != nil {
-		fatalf("load kb: %v", err)
+		fatalf("%v", err)
 	}
 	if *matchCache != 0 {
 		kb.SetMatchCache(*matchCache)
@@ -113,27 +107,18 @@ func main() {
 	d.Instrument(reg)
 	health.SetReady(true)
 
-	opts := syslogdigest.StreamerOptions{
+	st, restored, err := streamrun.Open(d, syslogdigest.StreamerOptions{
 		ReorderTolerance:   *reorder,
 		StreamWorkers:      *streamWorks,
-		ShardAddrs:         splitAddrs(*shardAddrs),
+		ShardAddrs:         streamrun.SplitAddrs(*shardAddrs),
 		ProvisionalHorizon: *provisional,
+	}, *ckptPath)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	var st *syslogdigest.Streamer
-	if *ckptPath != "" {
-		if snap, err := syslogdigest.ReadCheckpoint(*ckptPath); err == nil {
-			st, err = syslogdigest.RestoreStreamer(d, snap, opts)
-			if err != nil {
-				fatalf("restore checkpoint %s: %v", *ckptPath, err)
-			}
-			fmt.Fprintf(os.Stderr, "sdcollect: restored checkpoint %s (watermark %s)\n",
-				*ckptPath, st.Watermark().Format(time.RFC3339))
-		} else if !errors.Is(err, os.ErrNotExist) {
-			fatalf("read checkpoint %s: %v", *ckptPath, err)
-		}
-	}
-	if st == nil {
-		st = syslogdigest.NewStreamerWith(d, opts)
+	if restored {
+		fmt.Fprintf(os.Stderr, "sdcollect: restored checkpoint %s (watermark %s)\n",
+			*ckptPath, st.Watermark().Format(time.RFC3339))
 	}
 	st.Instrument(reg)
 
@@ -141,17 +126,10 @@ func main() {
 		mu      sync.Mutex
 		lastMsg time.Time
 	)
+	out := streamrun.Printer{W: os.Stdout}
 	printEvents := func(res *syslogdigest.DigestResult) {
-		if res == nil {
-			return
-		}
-		for i := range res.Updates {
-			if u := &res.Updates[i]; u.Status != syslogdigest.StatusFinal {
-				fmt.Println(u.Digest())
-			}
-		}
-		for _, e := range res.Events {
-			fmt.Println(e.Digest())
+		if err := out.Print(res); err != nil {
+			fmt.Fprintln(os.Stderr, "sdcollect: write:", err)
 		}
 	}
 	cfg := collector.Config{UDPAddr: *udpAddr, TCPAddr: *tcpAddr, Year: *year, Metrics: reg}
@@ -256,16 +234,4 @@ func main() {
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "sdcollect: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-// splitAddrs parses the -shards flag: comma-separated host:port entries,
-// blanks ignored; nil when the flag is unset (in-process engine).
-func splitAddrs(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
 }

@@ -15,12 +15,14 @@
 // -stream pushes the messages through the incremental streaming engine one
 // at a time and prints events in closure order — the order a live feed
 // would have surfaced them — instead of batch rank order. The event set is
-// identical to the batch digest (-top selects by rank either way).
+// identical to the batch digest. -top and -show need the ranked batch and
+// are rejected with -stream; -json emits newline-delimited JSON either way.
 //
 // -provisional (with -stream) turns on two-tier emission: each group also
 // prints a tagged provisional line shortly after the given log-time horizon
 // passes its birth, then revised/superseded lines as it grows or merges,
-// and a final line at closure. The untagged final stream is unchanged.
+// and a final line at closure. The untagged final stream is unchanged. With
+// -json the tier records are JSON objects too (they carry "status").
 //
 // -metrics starts an HTTP exporter serving /metrics (pipeline counters and
 // stage-latency histograms as JSON) and /healthz (503 until the knowledge
@@ -39,6 +41,7 @@ import (
 	"syscall"
 
 	"syslogdigest"
+	"syslogdigest/cmd/internal/streamrun"
 	"syslogdigest/internal/event"
 	"syslogdigest/internal/obs"
 	"syslogdigest/internal/syslogmsg"
@@ -83,14 +86,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sddigest: metrics on http://%s/metrics\n", srv.Addr())
 	}
 
-	kf, err := os.Open(*kbPath)
+	kb, err := streamrun.LoadKB(*kbPath)
 	if err != nil {
-		fatalf("open kb: %v", err)
-	}
-	kb, err := syslogdigest.LoadKnowledgeBase(kf)
-	kf.Close()
-	if err != nil {
-		fatalf("load kb: %v", err)
+		fatalf("%v", err)
 	}
 	if *matchCache != 0 {
 		kb.SetMatchCache(*matchCache)
@@ -107,13 +105,6 @@ func main() {
 		fatalf("digester: %v", err)
 	}
 	d.SetParallelism(*workers)
-	d.SetStreamWorkers(*streamWorks)
-	if addrs := splitAddrs(*shardAddrs); len(addrs) > 0 {
-		if !*streaming {
-			fatalf("-shards requires -stream (a batch digest runs in-process)")
-		}
-		d.SetShardAddrs(addrs)
-	}
 	d.Instrument(reg)
 	switch strings.ToUpper(*stageFlag) {
 	case "T":
@@ -126,17 +117,29 @@ func main() {
 		fatalf("unknown -stage %q (want T, T+R, or T+R+C)", *stageFlag)
 	}
 
-	if *provisional != 0 && !*streaming {
-		fatalf("-provisional requires -stream (a batch digest is final by nature)")
-	}
-	d.SetProvisionalHorizon(*provisional)
-
+	addrs := streamrun.SplitAddrs(*shardAddrs)
 	if *streaming {
-		streamDigest(d, msgs, *raw, reg)
+		if *top != 0 || *show != 0 {
+			fatalf("-top and -show require the batch digest (closure order has no rank to cut, and -stream keeps no message store)")
+		}
+		st := syslogdigest.NewStreamerWith(d, syslogdigest.StreamerOptions{
+			StreamWorkers:      *streamWorks,
+			ShardAddrs:         addrs,
+			ProvisionalHorizon: *provisional,
+		})
+		st.Instrument(reg)
+		streamDigest(st, msgs, &streamrun.Printer{W: os.Stdout, JSON: *asJSON, Raw: *raw})
 		waitIfServing(*metricsAddr)
 		return
 	}
+	if len(addrs) > 0 {
+		fatalf("-shards requires -stream (a batch digest runs in-process)")
+	}
+	if *provisional != 0 {
+		fatalf("-provisional requires -stream (a batch digest is final by nature)")
+	}
 
+	d.SetStreamWorkers(*streamWorks)
 	res, err := d.Digest(msgs)
 	if err != nil {
 		fatalf("digest: %v", err)
@@ -184,32 +187,12 @@ func main() {
 
 // streamDigest replays the corpus through the incremental engine, printing
 // each event the moment the watermark closes it.
-func streamDigest(d *syslogdigest.Digester, msgs []syslogmsg.Message, raw bool, reg *obs.Registry) {
+func streamDigest(st *syslogdigest.Streamer, msgs []syslogmsg.Message, out *streamrun.Printer) {
 	sorted := append([]syslogmsg.Message(nil), msgs...)
 	sort.SliceStable(sorted, func(i, j int) bool { return syslogmsg.SortByTime(&sorted[i], &sorted[j]) })
-	st := syslogdigest.NewStreamer(d, 0)
-	st.Instrument(reg)
-	events, updates := 0, 0
 	print := func(res *syslogdigest.DigestResult) {
-		if res == nil {
-			return
-		}
-		// Tier-tagged lines first: in a live feed a provisional record
-		// always precedes the final event it anticipates.
-		for i := range res.Updates {
-			u := &res.Updates[i]
-			if u.Status == syslogdigest.StatusFinal {
-				continue // the untagged closure line below is the final record
-			}
-			updates++
-			fmt.Println(u.Digest())
-		}
-		for _, e := range res.Events {
-			events++
-			fmt.Println(e.Digest())
-			if raw {
-				fmt.Printf("  raw indices: %v\n", e.RawIndexes)
-			}
+		if err := out.Print(res); err != nil {
+			fatalf("write: %v", err)
 		}
 	}
 	for i := range sorted {
@@ -225,12 +208,12 @@ func streamDigest(d *syslogdigest.Digester, msgs []syslogmsg.Message, raw bool, 
 	}
 	print(res)
 	st.Close()
-	if updates > 0 {
+	if out.Updates > 0 {
 		fmt.Fprintf(os.Stderr, "%d messages -> %d events (streamed, closure order; %d provisional-tier lines)\n",
-			len(msgs), events, updates)
+			len(msgs), out.Events, out.Updates)
 		return
 	}
-	fmt.Fprintf(os.Stderr, "%d messages -> %d events (streamed, closure order)\n", len(msgs), events)
+	fmt.Fprintf(os.Stderr, "%d messages -> %d events (streamed, closure order)\n", len(msgs), out.Events)
 }
 
 // waitIfServing blocks until interrupt when the metrics exporter is up, so
@@ -248,16 +231,4 @@ func waitIfServing(addr string) {
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "sddigest: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-// splitAddrs parses the -shards flag: comma-separated host:port entries,
-// blanks ignored; nil when the flag is unset (in-process engine).
-func splitAddrs(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
 }

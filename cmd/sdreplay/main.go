@@ -24,7 +24,6 @@ package main
 
 import (
 	"bufio"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -33,6 +32,7 @@ import (
 	"time"
 
 	"syslogdigest"
+	"syslogdigest/cmd/internal/streamrun"
 	"syslogdigest/internal/syslogmsg"
 )
 
@@ -72,7 +72,11 @@ func main() {
 		fatalf("empty stream")
 	}
 	if local {
-		replayLocal(*kbPath, msgs, *speed, *streamWork, splitAddrs(*shardAddrs), *provisional, *ckptPath, *ckptEvery)
+		replayLocal(*kbPath, msgs, *speed, syslogdigest.StreamerOptions{
+			StreamWorkers:      *streamWork,
+			ShardAddrs:         streamrun.SplitAddrs(*shardAddrs),
+			ProvisionalHorizon: *provisional,
+		}, *ckptPath, *ckptEvery)
 		return
 	}
 	if *provisional != 0 {
@@ -147,60 +151,33 @@ func main() {
 // snapshotted run already pushed, and the replay skips exactly that prefix,
 // so a killed replay continues where it stopped with each event printed
 // exactly once across the restarts.
-func replayLocal(kbPath string, msgs []syslogmsg.Message, speed float64, streamWorkers int, shardAddrs []string, provisional time.Duration, ckptPath string, ckptEvery time.Duration) {
-	kf, err := os.Open(kbPath)
+func replayLocal(kbPath string, msgs []syslogmsg.Message, speed float64, opts syslogdigest.StreamerOptions, ckptPath string, ckptEvery time.Duration) {
+	kb, err := streamrun.LoadKB(kbPath)
 	if err != nil {
-		fatalf("open kb: %v", err)
-	}
-	kb, err := syslogdigest.LoadKnowledgeBase(kf)
-	kf.Close()
-	if err != nil {
-		fatalf("load kb: %v", err)
+		fatalf("%v", err)
 	}
 	d, err := syslogdigest.NewDigester(kb)
 	if err != nil {
 		fatalf("digester: %v", err)
 	}
-	opts := syslogdigest.StreamerOptions{
-		StreamWorkers:      streamWorkers,
-		ShardAddrs:         shardAddrs,
-		ProvisionalHorizon: provisional,
+	st, restored, err := streamrun.Open(d, opts, ckptPath)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	var st *syslogdigest.Streamer
 	skip := 0
-	if ckptPath != "" {
-		if snap, err := syslogdigest.ReadCheckpoint(ckptPath); err == nil {
-			st, err = syslogdigest.RestoreStreamer(d, snap, opts)
-			if err != nil {
-				fatalf("restore checkpoint %s: %v", ckptPath, err)
-			}
-			if skip = int(st.Pushed()); skip > len(msgs) {
-				fatalf("checkpoint %s is ahead of the stream: %d pushed, %d messages", ckptPath, skip, len(msgs))
-			}
-			fmt.Fprintf(os.Stderr, "sdreplay: restored checkpoint %s, resuming at message %d\n", ckptPath, skip)
-		} else if !errors.Is(err, os.ErrNotExist) {
-			fatalf("read checkpoint %s: %v", ckptPath, err)
+	if restored {
+		if skip = int(st.Pushed()); skip > len(msgs) {
+			fatalf("checkpoint %s is ahead of the stream: %d pushed, %d messages", ckptPath, skip, len(msgs))
 		}
-	}
-	if st == nil {
-		st = syslogdigest.NewStreamerWith(d, opts)
+		fmt.Fprintf(os.Stderr, "sdreplay: restored checkpoint %s, resuming at message %d\n", ckptPath, skip)
 	}
 
 	start := time.Now()
 	logStart := msgs[0].Time
-	events := 0
+	out := streamrun.Printer{W: os.Stdout}
 	print := func(res *syslogdigest.DigestResult) {
-		if res == nil {
-			return
-		}
-		for i := range res.Updates {
-			if u := &res.Updates[i]; u.Status != syslogdigest.StatusFinal {
-				fmt.Println(u.Digest())
-			}
-		}
-		for _, e := range res.Events {
-			events++
-			fmt.Println(e.Digest())
+		if err := out.Print(res); err != nil {
+			fatalf("write: %v", err)
 		}
 	}
 	writeCkpt := func() {
@@ -242,22 +219,10 @@ func replayLocal(kbPath string, msgs []syslogmsg.Message, speed float64, streamW
 	}
 	st.Close()
 	fmt.Fprintf(os.Stderr, "sdreplay: %d messages -> %d events in %s (local engine)\n",
-		len(msgs)-skip, events, time.Since(start).Round(time.Millisecond))
+		len(msgs)-skip, out.Events, time.Since(start).Round(time.Millisecond))
 }
 
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "sdreplay: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-// splitAddrs parses the -shards flag: comma-separated host:port entries,
-// blanks ignored; nil when the flag is unset (in-process engine).
-func splitAddrs(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
 }

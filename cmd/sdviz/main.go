@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"syslogdigest"
+	"syslogdigest/cmd/internal/streamrun"
 	"syslogdigest/internal/syslogmsg"
 )
 
@@ -46,14 +47,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	kf, err := os.Open(*kbPath)
+	kb, err := streamrun.LoadKB(*kbPath)
 	if err != nil {
-		fatalf("open kb: %v", err)
-	}
-	kb, err := syslogdigest.LoadKnowledgeBase(kf)
-	kf.Close()
-	if err != nil {
-		fatalf("load kb: %v", err)
+		fatalf("%v", err)
 	}
 	sf, err := os.Open(*syslogPath)
 	if err != nil {

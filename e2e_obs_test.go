@@ -385,7 +385,8 @@ func livePipelineRun(t *testing.T, kb *syslogdigest.KnowledgeBase, ds *gen.Datas
 // router's router-level location, an overflow ID — and the same count from
 // the serial engine, the in-process sharded engine and a two-shard loopback
 // cluster (where the tally crosses the wire in the Decisions frame), with
-// the same events out of all three.
+// the same events out of all three — and, no shard being lost, no batch
+// replayed.
 func TestUnresolvedLocsReconcile(t *testing.T) {
 	ds, err := gen.Generate(gen.Spec{
 		Kind: gen.DatasetA, Routers: 12, Seed: 11,
@@ -452,8 +453,17 @@ func TestUnresolvedLocsReconcile(t *testing.T) {
 			if res != nil {
 				events += len(res.Events)
 			}
-			if got := reg.Snapshot().Counter("group.rule.unresolved_locations"); got != injected {
+			snap := reg.Snapshot()
+			if got := snap.Counter("group.rule.unresolved_locations"); got != injected {
 				t.Fatalf("unresolved locations %d, want the %d injected messages", got, injected)
+			}
+			// The wire books of a healthy run: every batch written once. (Absent
+			// series read 0, so the in-process shapes pass trivially.)
+			if rc, rp := snap.Counter("stream.cluster.reconnects"), snap.Counter("stream.cluster.replayed_batches"); rc != 0 || rp != 0 {
+				t.Fatalf("reconnects=%d replayed_batches=%d with no shard ever lost, want 0 and 0", rc, rp)
+			}
+			if len(shape.opts.ShardAddrs) > 0 && snap.Counter("stream.cluster.batches_sent") == 0 {
+				t.Fatal("the cluster shape sent no batches: the wire books above checked nothing")
 			}
 			t.Logf("%d messages (%d injected) -> %d events", len(feed), injected, events)
 			if wantEvents < 0 {

@@ -58,7 +58,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := syslogdigest.NewStreamer(d, 0)
+	st := syslogdigest.NewStreamerWith(d, syslogdigest.StreamerOptions{})
 	var events []syslogdigest.Event
 	msgs := 0
 	for _, m := range today.Messages {

@@ -21,7 +21,7 @@ type ClientMetrics struct {
 	BytesIn        *obs.Counter
 	BatchesSent    *obs.Counter // batches enqueued toward a shard
 	BatchesAcked   *obs.Counter // decision batches delivered to the merge
-	Replayed       *obs.Counter // batch frames re-sent after a reconnect
+	Replayed       *obs.Counter // batch frames re-sent into a replacement session
 	Reconnects     *obs.Counter // successful re-dials (the first dial is free)
 	StateSnapshots *obs.Counter // state responses received
 	RTT            *obs.Histogram
@@ -148,7 +148,7 @@ type Client struct {
 
 // NewClient prepares a shard connection; the dial happens lazily on the
 // first send. seed, when non-nil, re-seeds the remote shard from a
-// checkpoint part before any batch is sent (the RestoreCluster path).
+// checkpoint part before any batch is sent (a restored cluster engine).
 func NewClient(cfg ClientConfig, seed *grouping.LocalPartState) *Client {
 	if cfg.StateEvery <= 0 {
 		cfg.StateEvery = DefaultStateEvery
@@ -511,7 +511,11 @@ func (c *Client) setup(conn net.Conn) (err error) {
 		if err := c.writeConn(e.frame); err != nil {
 			return fmt.Errorf("cluster: replay: %w", err)
 		}
-		c.met.Replayed.Inc()
+		// SendBatch logs a batch before the lazy first dial, so the first
+		// session's set-up writes frames no shard has seen: not replays.
+		if c.everConnected {
+			c.met.Replayed.Inc()
+		}
 		written = e.seq
 	}
 	// Re-issue an in-flight checkpoint state request: its response died

@@ -352,12 +352,12 @@ func FuzzDecodeState(f *testing.F) {
 }
 
 // fillNonZero sets every exported field under v (recursing into structs) to
-// a distinct non-zero value, except the top-level fields named in skip.
-func fillNonZero(t *testing.T, v reflect.Value, skip map[string]bool, next *int64) {
+// a distinct non-zero value.
+func fillNonZero(t *testing.T, v reflect.Value, next *int64) {
 	t.Helper()
 	for i := 0; i < v.NumField(); i++ {
 		sf, f := v.Type().Field(i), v.Field(i)
-		if !sf.IsExported() || skip[sf.Name] {
+		if !sf.IsExported() {
 			continue
 		}
 		*next++
@@ -369,7 +369,7 @@ func fillNonZero(t *testing.T, v reflect.Value, skip map[string]bool, next *int6
 		case reflect.Float64:
 			f.SetFloat(float64(*next) + 0.5)
 		case reflect.Struct:
-			fillNonZero(t, f, nil, next)
+			fillNonZero(t, f, next)
 		default:
 			t.Fatalf("field %s has kind %s: teach fillNonZero to set it", sf.Name, f.Kind())
 		}
@@ -380,15 +380,14 @@ func fillNonZero(t *testing.T, v reflect.Value, skip map[string]bool, next *int6
 }
 
 // TestHelloConfigRoundTrip pins the handshake's coverage of
-// grouping.Config: with every exported field set (Pool excepted — the
-// documented runtime-only knob, never serialized), ConfigFrom → Hello JSON →
+// grouping.Config: with every exported field set, ConfigFrom → Hello JSON →
 // GroupingConfig must give the configuration back. A field added to Config
 // and forgotten on the wire fails here instead of silently running the
 // shard on its default.
 func TestHelloConfigRoundTrip(t *testing.T) {
 	var want grouping.Config
 	var next int64
-	fillNonZero(t, reflect.ValueOf(&want).Elem(), map[string]bool{"Pool": true}, &next)
+	fillNonZero(t, reflect.ValueOf(&want).Elem(), &next)
 
 	raw, err := marshalJSONFrame(Hello{Config: ConfigFrom(want)})
 	if err != nil {

@@ -5,10 +5,10 @@
 // internal/checkpoint; RestoreStreamer rebuilds a streamer that continues
 // the run with byte-identical output and exactly-once event delivery.
 //
-// Excluded, by the package-wide rule: runtime knobs (worker counts,
-// reorder options, match cache sizing) come from the restore call's own
-// Digester and StreamerOptions; metrics re-instrument; the augmentation
-// match cache rebuilds as a plain cache.
+// Excluded, by the package-wide rule: the run's shape (engine, provisional
+// horizon, reorder options) is the restore call's own StreamerOptions;
+// metrics re-instrument; the augmentation match cache rebuilds as a plain
+// cache.
 package core
 
 import (
@@ -211,12 +211,15 @@ func RestoreStreamer(d *Digester, snap []byte, opts StreamerOptions) (*Streamer,
 		s.carryUpd = append(s.carryUpd, u)
 	}
 	if st.Engine != nil {
-		eng, err := d.restoreStreamEngine(s.opts.MaxStreams, s.workers(), s.clusterAddrs(), s.provHorizon(), *st.Engine)
+		// The snapshot's own engine shape and shard count need not match
+		// opts: any engine restores any EngineState.
+		eng, err := s.engine()
 		if err != nil {
 			return nil, err
 		}
-		eng.SetClusterMetrics(s.engMetrics)
-		s.eng = eng
+		if err := eng.Restore(*st.Engine); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }

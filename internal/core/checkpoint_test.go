@@ -453,6 +453,7 @@ func (f *failEngine) TakeUpdates() []event.Update             { return nil }
 func (f *failEngine) State() (stream.EngineState, []event.Event, []event.Update, error) {
 	return stream.EngineState{}, nil, nil, errBoom
 }
+func (f *failEngine) Restore(stream.EngineState) error { return errBoom }
 
 // TestStreamerFlushPartialOnError: when a feed fails mid-Flush, the events
 // already closed come back alongside the error (nothing emitted is lost),

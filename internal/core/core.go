@@ -72,34 +72,16 @@ type Params struct {
 	// CalibrateTemporal makes Learn sweep alpha/beta grids instead of
 	// trusting Temporal as given.
 	CalibrateTemporal bool
-	// Parallelism bounds the worker fan-out of every parallel stage, both
-	// offline (template learning, temporal calibration, rule mining) and
-	// online (batch augmentation, the temporal grouping pass). 0 means
-	// runtime.GOMAXPROCS(0); 1 forces the serial path. Every parallel
-	// path is deterministic — output is byte-identical at any setting.
-	// Runtime knob only: it is not part of the learned knowledge and is
-	// not serialized into the knowledge base (a reloaded base defaults to
-	// 0 and can be re-tuned per process via the -j flags).
+	// Parallelism bounds the worker fan-out of every parallel stage: offline
+	// template learning, temporal calibration and rule mining, and online
+	// batch augmentation (grouping is not fanned out here — see
+	// Digester.SetStreamWorkers). 0 means runtime.GOMAXPROCS(0); 1 forces
+	// the serial path. Every parallel path is deterministic — output is
+	// byte-identical at any setting. Runtime knob only: it is not part of
+	// the learned knowledge and is not serialized into the knowledge base (a
+	// reloaded base defaults to 0 and can be re-tuned per process via the -j
+	// flags).
 	Parallelism int
-	// StreamWorkers selects the streaming engine the online pipeline runs:
-	// <= 1 means the serial stream.Engine, N > 1 the sharded engine with N
-	// router-hashed shard workers feeding one merge stage. Output is
-	// byte-identical at any setting (events, scores, IDs, emission order);
-	// only throughput and event delivery timing change. Like Parallelism
-	// this is a runtime knob, never serialized into the knowledge base —
-	// tune per process via SetStreamWorkers or the -stream-workers flags.
-	StreamWorkers int
-	// ProvisionalHorizon enables two-tier event emission on the streaming
-	// path when positive: an open group that outlives this much log time
-	// publishes a provisional record (revision 0) and then revised or
-	// superseded records as it grows or merges, alongside the unchanged
-	// final stream. Meant to be seconds against the hours-scale closure
-	// horizon; zero disables the provisional tier (final records only).
-	// Like StreamWorkers this is a runtime delivery knob, never serialized
-	// into the knowledge base: the final stream is byte-identical at any
-	// setting. Tune per process via SetProvisionalHorizon or the
-	// -provisional flags.
-	ProvisionalHorizon time.Duration
 	// MatchCache bounds the repeat-message augment cache in entries:
 	// messages whose (router, code, detail) was augmented before reuse the
 	// cached template match and parsed locations instead of re-matching.
@@ -516,18 +498,18 @@ type digestMetrics struct {
 	mergeC     *obs.Counter   // group.merges.cross
 }
 
-// Digester is the online half of SyslogDigest. Batch augmentation and the
-// temporal grouping pass fan out over one worker pool sized by the
-// knowledge base's Params.Parallelism (overridable via SetParallelism).
+// Digester is the online half of SyslogDigest. Batch augmentation fans out
+// over one worker pool sized by the knowledge base's Params.Parallelism
+// (overridable via SetParallelism); batch grouping runs on the engine
+// SetStreamWorkers selects. The shape of a streaming run is not decided
+// here: it is StreamerOptions, per streamer.
 type Digester struct {
 	kb          *KnowledgeBase
 	stage       Stage
 	builder     *event.Builder
 	labeler     *event.Labeler
 	pool        *par.Pool
-	streamWorks int
-	shardAddrs  []string
-	provHorizon time.Duration
+	streamWorks int // Digest's engine only (SetStreamWorkers)
 	met         digestMetrics
 }
 
@@ -541,13 +523,11 @@ func NewDigester(kb *KnowledgeBase) (*Digester, error) {
 		labeler.SetName(id, name)
 	}
 	return &Digester{
-		kb:          kb,
-		stage:       StageFull,
-		builder:     event.NewBuilder(kb.Freq, labeler),
-		labeler:     labeler,
-		pool:        par.New(kb.Params.Parallelism),
-		streamWorks: kb.Params.StreamWorkers,
-		provHorizon: kb.Params.ProvisionalHorizon,
+		kb:      kb,
+		stage:   StageFull,
+		builder: event.NewBuilder(kb.Freq, labeler),
+		labeler: labeler,
+		pool:    par.New(kb.Params.Parallelism),
 	}, nil
 }
 
@@ -559,39 +539,12 @@ func (d *Digester) SetStage(s Stage) { d.stage = s }
 // Call before Instrument so the new pool's metrics are registered.
 func (d *Digester) SetParallelism(n int) { d.pool = par.New(n) }
 
-// SetStreamWorkers selects the streaming engine for subsequent batches and
-// streamers (<= 1 serial, N > 1 sharded with N workers). Byte-identical
-// output at any setting; see Params.StreamWorkers.
+// SetStreamWorkers selects the engine that groups subsequent batch Digest
+// and DigestPlus calls: <= 1 the serial engine, N > 1 the sharded engine
+// with N router-hashed workers. Byte-identical output at any setting.
+// Batch-only: a Streamer takes its shape from StreamerOptions and never
+// reads this.
 func (d *Digester) SetStreamWorkers(n int) { d.streamWorks = n }
-
-// StreamWorkers is the resolved engine selection.
-func (d *Digester) StreamWorkers() int { return d.streamWorks }
-
-// SetShardAddrs selects the cluster streaming engine for subsequent
-// streamers: one remote shard per address (repeat an address to host
-// several shards in one process), dispatched over the shard wire protocol
-// and merged locally. Output is byte-identical to the serial engine at any
-// address count. Empty (the default) keeps the in-process engines; when
-// set, it takes precedence over SetStreamWorkers.
-func (d *Digester) SetShardAddrs(addrs []string) {
-	d.shardAddrs = append([]string(nil), addrs...)
-}
-
-// ShardAddrs is the configured remote-shard address list (nil: in-process).
-func (d *Digester) ShardAddrs() []string { return d.shardAddrs }
-
-// SetProvisionalHorizon turns two-tier emission on (positive) or off (zero
-// or negative) for subsequent streamers; see Params.ProvisionalHorizon.
-// The final stream is byte-identical at any setting.
-func (d *Digester) SetProvisionalHorizon(h time.Duration) {
-	if h < 0 {
-		h = 0
-	}
-	d.provHorizon = h
-}
-
-// ProvisionalHorizon is the digester-level two-tier emission setting.
-func (d *Digester) ProvisionalHorizon() time.Duration { return d.provHorizon }
 
 // Instrument publishes the digester's metrics (digest.*, group.merges.*)
 // into reg: wall-time histograms for the augment/group/build stages, batch
@@ -647,7 +600,6 @@ func (d *Digester) groupingConfig() grouping.Config {
 		RuleWindow:  d.kb.Params.Rules.Window,
 		CrossWindow: d.kb.Params.CrossWindow,
 		MaxScan:     d.kb.Params.MaxScan,
-		Pool:        d.pool,
 	}
 	switch d.stage {
 	case StageTemporal:
@@ -682,6 +634,9 @@ type streamEngine interface {
 	// stay queued in the live engine; the snapshot owner must persist them
 	// for exactly-once).
 	State() (stream.EngineState, []event.Event, []event.Update, error)
+	// Restore loads a State taken by any engine shape at any shard count
+	// into an engine that has observed nothing yet.
+	Restore(stream.EngineState) error
 }
 
 // Interface drift must fail the build, not a metrics setter at run time.
@@ -705,37 +660,20 @@ func (d *Digester) engineConfig(maxStreams int, prov time.Duration) stream.Confi
 	}
 }
 
-// newEngine builds a serial streaming engine over the digester's knowledge.
-func (d *Digester) newEngine(maxStreams int, prov time.Duration) (*stream.Engine, error) {
-	return stream.New(d.kb.dict, d.kb.RuleBase, d.engineConfig(maxStreams, prov))
-}
-
-// newStreamEngine builds the engine the configuration selects: serial, or
-// the sharded core — over TCP links when addrs is non-empty (one remote
-// shard per address), over workers in-process links otherwise. Sharded
-// engines own goroutines — callers must Close.
-func (d *Digester) newStreamEngine(maxStreams, workers int, addrs []string, prov time.Duration) (streamEngine, error) {
-	if len(addrs) > 0 {
-		return stream.NewCluster(d.kb.dict, d.kb.RuleBase, d.engineConfig(maxStreams, prov), addrs)
+// newStreamEngine is the one place an engine shape is chosen: the sharded
+// core over TCP links when opts.ShardAddrs is non-empty (one remote shard
+// per address), over in-process links when opts.StreamWorkers > 1, the
+// serial engine otherwise. Sharded engines own goroutines — callers must
+// Close.
+func (d *Digester) newStreamEngine(opts StreamerOptions) (streamEngine, error) {
+	cfg := d.engineConfig(opts.MaxStreams, opts.ProvisionalHorizon)
+	switch {
+	case len(opts.ShardAddrs) > 0:
+		return stream.NewCluster(d.kb.dict, d.kb.RuleBase, cfg, opts.ShardAddrs)
+	case opts.StreamWorkers > 1:
+		return stream.NewSharded(d.kb.dict, d.kb.RuleBase, cfg, opts.StreamWorkers)
 	}
-	if workers > 1 {
-		return stream.NewSharded(d.kb.dict, d.kb.RuleBase, d.engineConfig(maxStreams, prov), workers)
-	}
-	return d.newEngine(maxStreams, prov)
-}
-
-// restoreStreamEngine rebuilds the selected engine from a checkpointed
-// state; the snapshot's own engine shape and shard count need not match,
-// and the provisional horizon is the restoring process's own setting (it
-// is a delivery knob, never part of the snapshot).
-func (d *Digester) restoreStreamEngine(maxStreams, workers int, addrs []string, prov time.Duration, st stream.EngineState) (streamEngine, error) {
-	if len(addrs) > 0 {
-		return stream.RestoreCluster(d.kb.dict, d.kb.RuleBase, d.engineConfig(maxStreams, prov), addrs, st)
-	}
-	if workers > 1 {
-		return stream.RestoreSharded(d.kb.dict, d.kb.RuleBase, d.engineConfig(maxStreams, prov), workers, st)
-	}
-	return stream.RestoreEngine(d.kb.dict, d.kb.RuleBase, d.engineConfig(maxStreams, prov), st)
+	return stream.New(d.kb.dict, d.kb.RuleBase, cfg)
 }
 
 // streamMsg projects one augmented message into the engine's input shape.
@@ -754,7 +692,7 @@ func streamMsg(pm *PlusMessage, seq int) stream.Message {
 // oracle the streaming path is tested against.
 func (d *Digester) DigestPlus(plus []PlusMessage) (*DigestResult, error) {
 	groupStart := time.Now()
-	eng, err := d.newStreamEngine(0, d.streamWorks, nil, 0)
+	eng, err := d.newStreamEngine(StreamerOptions{StreamWorkers: d.streamWorks})
 	if err != nil {
 		return nil, err
 	}
@@ -821,15 +759,7 @@ func (d *Digester) ReferenceDigestPlus(plus []PlusMessage) (*DigestResult, error
 	batch := make([]grouping.Message, len(plus))
 	raw := make([]uint64, len(plus))
 	for i := range plus {
-		batch[i] = grouping.Message{
-			Seq:      i,
-			Time:     plus[i].Time,
-			Router:   plus[i].Router,
-			Template: plus[i].Template,
-			Loc:      plus[i].Loc,
-			AllLocs:  plus[i].AllLocs,
-			Peers:    plus[i].Peers,
-		}
+		batch[i] = streamMsg(&plus[i], i)
 		raw[i] = plus[i].Index
 	}
 	res, err := g.Group(batch)

@@ -282,7 +282,7 @@ func TestStreamerEquivalentAtQuietBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewStreamer(d2, 0)
+	s := NewStreamerWith(d2, StreamerOptions{})
 	total := 0
 	for _, m := range ds.Messages {
 		res, err := s.Push(m)

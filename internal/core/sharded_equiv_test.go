@@ -75,7 +75,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 			plus := kb.AugmentAll(ds.Messages)
 			order := feedOrder(plus)
 
-			serial, err := d.newEngine(0, 0)
+			serial, err := stream.New(kb.Dictionary(), kb.RuleBase, d.engineConfig(0, 0))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +188,7 @@ func TestShardedRandomizedSchedule(t *testing.T) {
 	plus := kb.AugmentAll(ds.Messages)
 	order := feedOrder(plus)
 
-	serial, err := d.newEngine(0, 0)
+	serial, err := stream.New(kb.Dictionary(), kb.RuleBase, d.engineConfig(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

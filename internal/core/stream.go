@@ -24,7 +24,12 @@ const (
 	DefaultReorderCap = 8192
 )
 
-// StreamerOptions tune the streaming front-end.
+// StreamerOptions are a streaming run's whole shape — reorder buffering,
+// state bound, engine, delivery tiers — and the only place it is decided:
+// nothing is inherited from the Digester or the knowledge base's Params.
+// All of it is runtime configuration, never serialized (a checkpoint
+// restores under the restoring run's own options), and the engine and tier
+// choices never change the final event stream.
 type StreamerOptions struct {
 	// ReorderTolerance is the reorder-buffer hold time: a message is
 	// released to the engine once the newest arrival is at least this much
@@ -39,24 +44,24 @@ type StreamerOptions struct {
 	// MaxStreams caps the engine's temporal-model table
 	// (<= 0: grouping.DefaultMaxStreams).
 	MaxStreams int
-	// StreamWorkers selects the engine: 0 inherits the digester's setting
-	// (Params.StreamWorkers / SetStreamWorkers), 1 forces the serial
-	// engine, N > 1 the sharded engine with N router-hashed workers.
-	// Output is byte-identical at any setting.
+	// StreamWorkers selects the in-process engine: <= 1 the serial engine,
+	// N > 1 the sharded engine with N router-hashed workers feeding one
+	// merge stage. Output is byte-identical at any setting; only throughput
+	// and event delivery timing change.
 	StreamWorkers int
-	// ShardAddrs selects the cluster engine: one remote shard process per
-	// address (repeat an address to host several shards in one process),
-	// reached over the shard wire protocol, merged locally. Empty inherits
-	// the digester's setting (SetShardAddrs); when resolved non-empty it
-	// takes precedence over StreamWorkers. Output stays byte-identical to
+	// ShardAddrs, when non-empty, selects the cluster engine instead: one
+	// remote shard process per address (repeat an address to host several
+	// shards in one process), reached over the shard wire protocol, merged
+	// locally; StreamWorkers is then unused. Output stays byte-identical to
 	// the serial engine at any address count.
 	ShardAddrs []string
-	// ProvisionalHorizon turns on two-tier emission: 0 inherits the
-	// digester's setting (Params.ProvisionalHorizon /
-	// SetProvisionalHorizon), positive enables provisional records at that
-	// log-time horizon, negative forces the tier off. Results then carry
-	// tier-tagged Updates alongside the unchanged final Events — the final
-	// stream is byte-identical at any setting.
+	// ProvisionalHorizon, when positive, turns on two-tier emission: an open
+	// group that outlives this much log time publishes a provisional record
+	// (revision 0), then revised or superseded records as it grows or
+	// merges, and results carry these tier-tagged Updates alongside the
+	// final Events. Meant to be seconds against the hours-scale closure
+	// horizon. Zero or negative: final records only. The final stream is
+	// byte-identical at any setting.
 	ProvisionalHorizon time.Duration
 }
 
@@ -108,13 +113,8 @@ type Streamer struct {
 	mDroppedOvf *obs.Counter // stream.dropped.overflow
 }
 
-// NewStreamer wraps a digester with default options; maxBuffer (<= 0 for
-// the default) caps the reorder buffer, preserving the old signature.
-func NewStreamer(d *Digester, maxBuffer int) *Streamer {
-	return NewStreamerWith(d, StreamerOptions{ReorderCap: maxBuffer})
-}
-
-// NewStreamerWith wraps a digester with explicit options.
+// NewStreamerWith wraps a digester with explicit options (the zero value is
+// the serial engine behind the default reorder buffer, final records only).
 func NewStreamerWith(d *Digester, opts StreamerOptions) *Streamer {
 	if opts.ReorderTolerance == 0 {
 		opts.ReorderTolerance = DefaultReorderTolerance
@@ -169,7 +169,7 @@ func (s *Streamer) Instrument(reg *obs.Registry) {
 		EmitLatency: reg.Histogram("stream.emit_latency_seconds", stream.EmitLatencyBounds()),
 		Watermark:   reg.Gauge("stream.watermark_unix_seconds"),
 	}}}
-	if s.provHorizon() > 0 {
+	if s.opts.ProvisionalHorizon > 0 {
 		s.engMetrics.ProvEmitted = reg.Counter("stream.provisional.emitted")
 		s.engMetrics.ProvRevised = reg.Counter("stream.provisional.revised")
 		s.engMetrics.ProvSuperseded = reg.Counter("stream.provisional.superseded")
@@ -178,11 +178,15 @@ func (s *Streamer) Instrument(reg *obs.Registry) {
 		s.engMetrics.ProvLatency = reg.Histogram("stream.provisional.latency_seconds", stream.EmitLatencyBounds())
 		s.engMetrics.ProvMembers = reg.Histogram("stream.provisional.publication_members", stream.PublicationMembersBounds())
 	}
-	if w := s.workers(); w > 1 {
+	shards := s.opts.StreamWorkers
+	if len(s.opts.ShardAddrs) > 0 {
+		shards = len(s.opts.ShardAddrs) // one shard per address
+	}
+	if shards > 1 {
 		s.engMetrics.MergeEmitted = reg.Counter("stream.merge.emitted")
 		s.engMetrics.MergeLag = reg.Histogram("stream.merge.lag_seconds", stream.MergeLagBounds())
-		s.engMetrics.Shards = make([]stream.ShardMetrics, w)
-		for k := 0; k < w; k++ {
+		s.engMetrics.Shards = make([]stream.ShardMetrics, shards)
+		for k := 0; k < shards; k++ {
 			s.engMetrics.Shards[k] = stream.ShardMetrics{
 				Pushed:    reg.Counter(fmt.Sprintf("stream.shard.%d.pushed", k)),
 				Streams:   reg.Gauge(fmt.Sprintf("stream.shard.%d.streams", k)),
@@ -191,7 +195,7 @@ func (s *Streamer) Instrument(reg *obs.Registry) {
 			}
 		}
 	}
-	if len(s.clusterAddrs()) > 0 {
+	if len(s.opts.ShardAddrs) > 0 {
 		s.engMetrics.Client = cluster.ClientMetrics{
 			BytesOut:       reg.Counter("stream.cluster.bytes_out"),
 			BytesIn:        reg.Counter("stream.cluster.bytes_in"),
@@ -210,45 +214,11 @@ func (s *Streamer) Instrument(reg *obs.Registry) {
 	}
 }
 
-// workers resolves the engine's shard count: the cluster address list when
-// one is configured (one shard per address), else the explicit streamer
-// option, else the digester's setting.
-func (s *Streamer) workers() int {
-	if addrs := s.clusterAddrs(); len(addrs) > 0 {
-		return len(addrs)
-	}
-	if s.opts.StreamWorkers != 0 {
-		return s.opts.StreamWorkers
-	}
-	return s.d.streamWorks
-}
-
-// clusterAddrs resolves the remote-shard address list: explicit streamer
-// option first, then the digester's setting. Empty means in-process.
-func (s *Streamer) clusterAddrs() []string {
-	if len(s.opts.ShardAddrs) > 0 {
-		return s.opts.ShardAddrs
-	}
-	return s.d.shardAddrs
-}
-
-// provHorizon resolves the two-tier emission setting: explicit streamer
-// option first (negative forces off), then the digester's setting.
-func (s *Streamer) provHorizon() time.Duration {
-	if s.opts.ProvisionalHorizon != 0 {
-		if s.opts.ProvisionalHorizon < 0 {
-			return 0
-		}
-		return s.opts.ProvisionalHorizon
-	}
-	return s.d.provHorizon
-}
-
 // engine lazily builds the underlying engine (construction can fail on
-// invalid temporal parameters, and NewStreamer has no error return).
+// invalid temporal parameters, and NewStreamerWith has no error return).
 func (s *Streamer) engine() (streamEngine, error) {
 	if s.eng == nil {
-		eng, err := s.d.newStreamEngine(s.opts.MaxStreams, s.workers(), s.clusterAddrs(), s.provHorizon())
+		eng, err := s.d.newStreamEngine(s.opts)
 		if err != nil {
 			return nil, err
 		}

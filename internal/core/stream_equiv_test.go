@@ -67,7 +67,7 @@ func TestStreamingMatchesBatch(t *testing.T) {
 
 				// (b) Streamer (one message at a time, events at closure)
 				// vs the oracle: same multiset.
-				st := NewStreamer(d, 0)
+				st := NewStreamerWith(d, StreamerOptions{})
 				var streamed []event.Event
 				for _, m := range ds.Messages {
 					res, err := st.Push(m)
@@ -133,7 +133,7 @@ func TestStreamerReorderWithinTolerance(t *testing.T) {
 		t.Fatal("corpus produced no swappable pairs; shrink the interval")
 	}
 
-	st := NewStreamer(d, 0)
+	st := NewStreamerWith(d, StreamerOptions{})
 	reg := obs.NewRegistry()
 	st.Instrument(reg)
 	var streamed []event.Event

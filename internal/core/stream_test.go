@@ -7,8 +7,74 @@ import (
 
 	"syslogdigest/internal/gen"
 	"syslogdigest/internal/obs"
+	"syslogdigest/internal/stream"
 	"syslogdigest/internal/syslogmsg"
 )
+
+// TestStreamerOptionsDecideShape pins the literal meaning of the three shape
+// fields of StreamerOptions — there is nothing to inherit them from: the
+// engine is serial unless StreamWorkers > 1 (sharded) or ShardAddrs is set
+// (sharded over the wire, whatever StreamWorkers says), the run carries
+// Updates only under a positive ProvisionalHorizon, and the digester's
+// batch-engine choice (SetStreamWorkers) does not reach a streamer.
+func TestStreamerOptionsDecideShape(t *testing.T) {
+	kb, ds := learnSmall(t, gen.DatasetA)
+	srv := startShardServer(t, kb)
+	for _, tc := range []struct {
+		name         string
+		batchWorkers int // Digester.SetStreamWorkers before the streamer is built
+		opts         StreamerOptions
+		sharded      bool // the engine is the dispatcher/merge core
+		wire         bool // its shards sit behind TCP links
+		updates      bool
+	}{
+		{name: "zero value", opts: StreamerOptions{}},
+		{name: "workers 1", opts: StreamerOptions{StreamWorkers: 1}},
+		{name: "workers 3", opts: StreamerOptions{StreamWorkers: 3}, sharded: true},
+		{name: "addrs", opts: StreamerOptions{ShardAddrs: loopbackAddrs(srv, 2)}, sharded: true, wire: true},
+		{name: "addrs over workers 1", opts: StreamerOptions{StreamWorkers: 1, ShardAddrs: loopbackAddrs(srv, 1)}, sharded: true, wire: true},
+		{name: "horizon negative", opts: StreamerOptions{ProvisionalHorizon: -provHorizon}},
+		{name: "horizon positive", opts: StreamerOptions{ProvisionalHorizon: provHorizon}, updates: true},
+		{name: "batch workers stay out", batchWorkers: 4, opts: StreamerOptions{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := NewDigester(kb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.SetStreamWorkers(tc.batchWorkers)
+			s := NewStreamerWith(d, tc.opts)
+			defer s.Close()
+			reg := obs.NewRegistry()
+			s.Instrument(reg)
+			updates := 0
+			collect := func(res *DigestResult, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res != nil {
+					updates += len(res.Updates)
+				}
+			}
+			for _, m := range ds.Messages {
+				collect(s.Push(m))
+			}
+			collect(s.Flush())
+
+			_, sharded := s.eng.(*stream.ShardedEngine)
+			if sharded != tc.sharded {
+				t.Errorf("engine is %T, want sharded=%v", s.eng, tc.sharded)
+			}
+			if wire := reg.Snapshot().Counter("stream.cluster.batches_sent") > 0; wire != tc.wire {
+				t.Errorf("batches crossed the wire: %v, want %v", wire, tc.wire)
+			}
+			if (updates > 0) != tc.updates {
+				t.Errorf("%d updates, want any=%v", updates, tc.updates)
+			}
+		})
+	}
+}
 
 // TestStreamerMonotonicAcrossFlushes: the late-drop frontier persists
 // across Flush — the first message after a flush cannot rewind behind what
@@ -126,7 +192,7 @@ func TestStreamerMetricsReconcile(t *testing.T) {
 func TestStreamerSteadyStateAllocs(t *testing.T) {
 	kb, _ := learnSmall(t, gen.DatasetA)
 	d, _ := NewDigester(kb)
-	s := NewStreamer(d, 0)
+	s := NewStreamerWith(d, StreamerOptions{})
 	t0 := time.Date(2010, 1, 1, 12, 0, 0, 0, time.UTC)
 	step := 0
 	push := func() {

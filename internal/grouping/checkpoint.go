@@ -588,16 +588,14 @@ func restoreWindow(rl *RouterLocal, ws WindowState, at func(int) (*Pending, erro
 	return nil
 }
 
-// RestoreIncremental rebuilds a single-threaded incremental grouper from a
-// snapshot taken at any worker count.
-func RestoreIncremental(dict *locdict.Dictionary, rb *rules.RuleBase, cfg IncrementalConfig, st IncState) (*Incremental, error) {
-	s, err := NewShardable(dict, rb, cfg)
+// Restore loads a snapshot taken at any worker count into a grouper that
+// has observed nothing yet (a multi-shard snapshot merges into the single
+// local). Metrics installed earlier must be installed again.
+func (inc *Incremental) Restore(st IncState) error {
+	locals, mg, err := inc.s.RestoreParts(st, 1, 0, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	locals, mg, err := s.RestoreParts(st, 1, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Incremental{local: locals[0], merge: mg, pool: s.Pool()}, nil
+	inc.local, inc.merge = locals[0], mg
+	return nil
 }

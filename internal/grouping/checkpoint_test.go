@@ -32,11 +32,21 @@ func restoreFromState(t *testing.T, st IncState) *Incremental {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatalf("unmarshal state: %v", err)
 	}
-	inc, err := RestoreIncremental(toyDict(t), flapRuleBase(), ckptCfg(), back)
+	inc, err := restoreIncremental(t, ckptCfg(), back)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	return inc
+}
+
+// restoreIncremental loads st into a fresh grouper over the toy knowledge.
+func restoreIncremental(t *testing.T, cfg IncrementalConfig, st IncState) (*Incremental, error) {
+	t.Helper()
+	inc, err := NewIncremental(toyDict(t), flapRuleBase(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inc, inc.Restore(st)
 }
 
 // TestIncrementalCheckpointDifferential kills and restores the incremental
@@ -158,7 +168,7 @@ func TestCheckpointMemberOrderUnspecified(t *testing.T) {
 			if err := json.Unmarshal(raw, &back); err != nil {
 				t.Fatal(err)
 			}
-			restored, err := RestoreIncremental(toyDict(t), flapRuleBase(), cfg, back)
+			restored, err := restoreIncremental(t, cfg, back)
 			if err != nil {
 				t.Fatalf("cut %d, %s: restore: %v", cut, what, err)
 			}
@@ -268,7 +278,7 @@ func TestRestorePartsResharding(t *testing.T) {
 		}
 	}
 	st := CaptureParts(locals, mg)
-	merged, err := RestoreIncremental(toyDict(t), flapRuleBase(), ckptCfg(), st)
+	merged, err := restoreIncremental(t, ckptCfg(), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +336,7 @@ func TestRestoreRejectsCorruptIndexes(t *testing.T) {
 			t.Fatal(err)
 		}
 		mut(&st)
-		_, err := RestoreIncremental(toyDict(t), flapRuleBase(), ckptCfg(), st)
+		_, err := restoreIncremental(t, ckptCfg(), st)
 		return err
 	}
 

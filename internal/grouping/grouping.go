@@ -20,12 +20,10 @@ package grouping
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
 	"syslogdigest/internal/locdict"
-	"syslogdigest/internal/par"
 	"syslogdigest/internal/rules"
 	"syslogdigest/internal/temporal"
 )
@@ -57,21 +55,16 @@ type Config struct {
 	// against within a window, bounding worst-case storm cost. Zero
 	// defaults to 256.
 	MaxScan int
-	// Pool bounds the temporal pass's worker fan-out: independent
-	// (template, location) streams run their EWMA models concurrently and
-	// the resulting merges are applied to the union-find serially, so the
-	// partition is identical at any worker count. Nil means a default
-	// pool at GOMAXPROCS. Runtime knob only — never serialized.
-	Pool *par.Pool
 	// Stage selection for the Table 7 ablation; all false means all on.
 	OnlyTemporal     bool // T
 	TemporalAndRules bool // T+R
-	// linearScan turns off the template-indexed candidate lookup in the rule
-	// and cross windows, forcing the original O(window) scans. Output is
-	// byte-identical either way; the scans are kept as the reference this
-	// package's differential tests compare the index against, and being
-	// unexported the field can be set only from those tests (external test
-	// packages go through LinearReference in export_test.go).
+	// linearScan turns off the template-indexed candidate lookup in the
+	// incremental rule and cross windows (RouterLocal, Merger), forcing the
+	// original O(window) scans; the batch Grouper always scans linearly.
+	// Output is byte-identical either way; the scans are kept as the
+	// reference this package's differential tests compare the index against,
+	// and being unexported the field can be set only from those tests
+	// (external test packages go through LinearReference in export_test.go).
 	linearScan bool
 }
 
@@ -84,9 +77,6 @@ func (c Config) normalize() Config {
 	}
 	if c.MaxScan == 0 {
 		c.MaxScan = 256
-	}
-	if c.Pool == nil {
-		c.Pool = par.New(0)
 	}
 	return c
 }
@@ -173,12 +163,9 @@ func (g *Grouper) Group(msgs []Message) (*Result, error) {
 }
 
 // temporalPass runs the learned interarrival model per (template, location)
-// stream, merging consecutive same-group messages. Streams are mutually
-// independent — each has its own EWMA state and its merges only ever join
-// messages of that stream — so they run concurrently over cfg.Pool; the
-// collected merges are applied to the union-find serially in stream
-// first-appearance order, making the outcome identical to the serial scan
-// at any worker count.
+// stream, merging consecutive same-group messages. Streams are visited in
+// first-appearance order; each has its own EWMA state and its merges only
+// ever join messages of that stream.
 func (g *Grouper) temporalPass(byTime []*Message, uf *unionFind, merges *int) error {
 	type streamKey struct {
 		template int
@@ -193,49 +180,28 @@ func (g *Grouper) temporalPass(byTime []*Message, uf *unionFind, merges *int) er
 		}
 		streams[key] = append(streams[key], m)
 	}
-
-	// pairs[i] holds stream i's (previous, current) Seq merges in time
-	// order; the temporal model never joins across streams, so per-stream
-	// collection loses nothing. Streams are far cheaper than pool tasks
-	// (often a handful of messages each), so workers take contiguous chunks
-	// of streams rather than one stream per task.
-	pairs := make([][][2]int, len(keys))
-	err := g.cfg.Pool.Chunks(len(keys), func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			tg, err := temporal.NewGrouper(g.cfg.Temporal)
-			if err != nil {
-				return err
-			}
-			var out [][2]int
-			last := -1
-			for _, m := range streams[keys[i]] {
-				if tg.Observe(m.Time) {
-					out = append(out, [2]int{last, m.Seq})
-				}
-				last = m.Seq
-			}
-			pairs[i] = out
+	for _, key := range keys {
+		tg, err := temporal.NewGrouper(g.cfg.Temporal)
+		if err != nil {
+			return err
 		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, ps := range pairs {
-		for _, pr := range ps {
-			if uf.union(pr[0], pr[1]) {
+		last := -1
+		for _, m := range streams[key] {
+			if tg.Observe(m.Time) && uf.union(last, m.Seq) {
 				*merges++
 			}
+			last = m.Seq
 		}
 	}
 	return nil
 }
 
 // rulePass scans each router's time-ordered messages with window W and
-// merges rule-connected, spatially-matched pairs. Routers iterate in
-// sorted order — map order would make the ActiveRules tallies depend on
-// the run (per-router merge sets are disjoint at this stage, but the
-// iteration order of a map is still nondeterministic state to build on).
+// merges rule-connected, spatially-matched pairs: for each message, every
+// following message within W and MaxScan positions is examined. Routers
+// iterate in sorted order — map order would make the ActiveRules tallies
+// depend on the run (per-router merge sets are disjoint at this stage, but
+// the iteration order of a map is still nondeterministic state to build on).
 func (g *Grouper) rulePass(byTime []*Message, uf *unionFind, active map[rules.PairKey]int, merges *int) {
 	byRouter := make(map[string][]*Message)
 	routers := make([]string, 0, 16)
@@ -248,89 +214,22 @@ func (g *Grouper) rulePass(byTime []*Message, uf *unionFind, active map[rules.Pa
 	sort.Strings(routers)
 	for _, r := range routers {
 		stream := byRouter[r]
-		if g.cfg.linearScan {
-			g.ruleScanLinear(stream, uf, active, merges)
-		} else {
-			g.ruleScanIndexed(stream, uf, active, merges)
-		}
-	}
-}
-
-// ruleScanLinear is the original window scan over one router's stream: for
-// each message, every following message within W and MaxScan positions is
-// examined. Retained as the differential reference for ruleScanIndexed.
-func (g *Grouper) ruleScanLinear(stream []*Message, uf *unionFind, active map[rules.PairKey]int, merges *int) {
-	for i, mi := range stream {
-		deadline := mi.Time.Add(g.cfg.RuleWindow)
-		scanned := 0
-		for j := i + 1; j < len(stream) && scanned < g.cfg.MaxScan; j++ {
-			mj := stream[j]
-			if mj.Time.After(deadline) {
-				break
-			}
-			scanned++
-			if !g.ruleMatch(mi, mj) {
-				continue
-			}
-			if uf.union(mi.Seq, mj.Seq) {
-				*merges++
-				active[rulePair(mi.Template, mj.Template)]++
-			}
-		}
-	}
-}
-
-// ruleScanIndexed produces ruleScanLinear's exact union sequence from
-// per-template position lists. The linear scan for message i examines
-// positions (i, min(i+MaxScan, lastInWindow(i))] — the stream is
-// time-sorted, so the W deadline is a prefix bound — and only candidates
-// whose template rule-pairs with mi's can match, so it suffices to walk
-// the position lists of mi's rule partners inside that range, merged back
-// into ascending position order.
-func (g *Grouper) ruleScanIndexed(stream []*Message, uf *unionFind, active map[rules.PairKey]int, merges *int) {
-	byTpl := make(map[int][]int32)
-	for i, m := range stream {
-		byTpl[m.Template] = append(byTpl[m.Template], int32(i))
-	}
-	var cands []int32
-	jt := 0 // lastInWindow pointer; deadlines are nondecreasing with i
-	for i, mi := range stream {
-		deadline := mi.Time.Add(g.cfg.RuleWindow)
-		if jt < i {
-			jt = i
-		}
-		for jt+1 < len(stream) && !stream[jt+1].Time.After(deadline) {
-			jt++
-		}
-		limit := jt
-		if bound := i + g.cfg.MaxScan; bound < limit {
-			limit = bound
-		}
-		if limit <= i {
-			continue
-		}
-		cands = cands[:0]
-		for _, q := range g.rb.Partners(mi.Template) {
-			if q == mi.Template {
-				continue // ruleMatch rejects same-template pairs
-			}
-			pos := byTpl[q]
-			lo := sort.Search(len(pos), func(k int) bool { return pos[k] > int32(i) })
-			for ; lo < len(pos) && pos[lo] <= int32(limit); lo++ {
-				cands = append(cands, pos[lo])
-			}
-		}
-		if len(cands) > 1 {
-			slices.Sort(cands) // ascending position = linear union order
-		}
-		for _, j := range cands {
-			mj := stream[j]
-			if !g.ruleMatch(mi, mj) {
-				continue
-			}
-			if uf.union(mi.Seq, mj.Seq) {
-				*merges++
-				active[rulePair(mi.Template, mj.Template)]++
+		for i, mi := range stream {
+			deadline := mi.Time.Add(g.cfg.RuleWindow)
+			scanned := 0
+			for j := i + 1; j < len(stream) && scanned < g.cfg.MaxScan; j++ {
+				mj := stream[j]
+				if mj.Time.After(deadline) {
+					break
+				}
+				scanned++
+				if !g.ruleMatch(mi, mj) {
+					continue
+				}
+				if uf.union(mi.Seq, mj.Seq) {
+					*merges++
+					active[rulePair(mi.Template, mj.Template)]++
+				}
 			}
 		}
 	}

@@ -141,6 +141,7 @@ type Incremental struct {
 	merge *Merger
 	pool  *PendingPool
 	js    Joins
+	s     *Shardable // built the halves; Restore builds them again
 }
 
 // NewIncremental builds an incremental grouper over the same knowledge a
@@ -150,7 +151,7 @@ func NewIncremental(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Incrementa
 	if err != nil {
 		return nil, err
 	}
-	return &Incremental{local: s.NewLocal(0), merge: s.NewMerger(), pool: s.Pool()}, nil
+	return &Incremental{s: s, local: s.NewLocal(0), merge: s.NewMerger(), pool: s.Pool()}, nil
 }
 
 // Pool is the grouper's Pending pool (see pool.go): runtime plumbing only,

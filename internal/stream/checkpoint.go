@@ -16,8 +16,6 @@ import (
 	"syslogdigest/internal/checkpoint"
 	"syslogdigest/internal/event"
 	"syslogdigest/internal/grouping"
-	"syslogdigest/internal/locdict"
-	"syslogdigest/internal/rules"
 )
 
 // EngineState is the serializable state of a streaming engine of any
@@ -45,16 +43,16 @@ func (e *Engine) State() (EngineState, []event.Event, []event.Update, error) {
 	}, nil, append([]event.Update(nil), e.upd...), nil
 }
 
-// RestoreEngine rebuilds a serial engine from a snapshot taken at any
-// shard count (a multi-shard snapshot merges into the single local).
-func RestoreEngine(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config, st EngineState) (*Engine, error) {
-	inc, err := grouping.RestoreIncremental(dict, rb, cfg.Grouping, st.Inc)
-	if err != nil {
-		return nil, err
+// Restore loads a snapshot taken by any engine shape at any shard count (a
+// multi-shard snapshot merges into the single local). The engine must not
+// have observed anything yet.
+func (e *Engine) Restore(st EngineState) error {
+	if err := e.inc.Restore(st.Inc); err != nil {
+		return err
 	}
-	e := &Engine{inc: inc, em: newEmitter(cfg)}
+	e.inc.SetMetrics(e.em.met.Grouping)
 	e.em.nextID = st.NextID
-	return e, nil
+	return nil
 }
 
 // State synchronizes (flushing any partial batch and waiting until the
@@ -102,40 +100,14 @@ func (e *ShardedEngine) State() (EngineState, []event.Event, []event.Update, err
 	return st, append([]event.Event(nil), e.out...), append([]event.Update(nil), e.upd...), nil
 }
 
-// RestoreSharded rebuilds an in-process sharded engine from a snapshot
-// taken at any shard count or engine shape. Worker goroutines still start
-// lazily on the first Observe.
-func RestoreSharded(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config, workers int, st EngineState) (*ShardedEngine, error) {
-	e, err := NewSharded(dict, rb, cfg, workers)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.restore(st); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// RestoreCluster is RestoreSharded for remote shards: each shard's part
-// ships in its session handshake when the connections open, on the first
-// Observe.
-func RestoreCluster(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config, addrs []string, st EngineState) (*ShardedEngine, error) {
-	e, err := NewCluster(dict, rb, cfg, addrs)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.restore(st); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// restore loads a snapshot into a new engine. When the shard counts match,
+// Restore loads a snapshot taken by any engine shape at any shard count
+// into an engine that has observed nothing yet. When the shard counts match,
 // every shard's state (model LRU order, per-shard bounds and counters)
 // restores exactly; otherwise the router-local state reshards by the same
 // router hash the dispatcher uses. The merger stays here; start hands each
-// link its RouterLocal.
-func (e *ShardedEngine) restore(st EngineState) error {
+// link its RouterLocal — a remote shard's part ships in its session
+// handshake when the connections open, on the first Observe.
+func (e *ShardedEngine) Restore(st EngineState) error {
 	locals, mg, err := e.shardable.RestoreParts(st.Inc, e.workers, e.perShard, func(r string) int {
 		return shardOf(r, e.workers)
 	})

@@ -17,13 +17,15 @@
 // Fault tolerance: a dropped shard connection is a shard restart. The
 // client layer re-seeds the replacement session from its last state
 // snapshot and replays the batches after it (see cluster.Client); the
-// merge stage never notices. A shard that stays unreachable past the
+// merge stage never notices, and the operator reads about it in the
+// standard log. A shard that stays unreachable past the
 // client's bounded retries fails the engine, surfacing on the next
 // Observe, like any engine error.
 package stream
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"syslogdigest/internal/cluster"
@@ -90,7 +92,7 @@ func NewCluster(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config, addrs 
 				KBSig:      kbSig,
 				Config:     ccfg,
 				Metrics:    e.met.Client,
-				Logf:       e.logf,
+				Logf:       log.Printf,
 			}, seed),
 		}
 		// Every message open in a restored merger can still be named by a

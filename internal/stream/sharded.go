@@ -207,7 +207,6 @@ type ShardedEngine struct {
 	batchSize int
 	newLink   linkMaker
 	met       ClusterMetrics
-	logf      func(format string, args ...any)
 
 	// Dispatcher state (caller goroutine). Messages are partitioned at
 	// Observe time: each one is wrapped in a pooled Pending and appended
@@ -288,15 +287,6 @@ func (e *ShardedEngine) SetBatchSize(n int) {
 		n = DefaultShardBatch
 	}
 	e.batchSize = n
-}
-
-// SetLogf installs a logger for link lifecycle lines (a cluster engine's
-// reconnects and replays). Must precede the first Observe; nil discards
-// them.
-func (e *ShardedEngine) SetLogf(f func(format string, args ...any)) {
-	if !e.running {
-		e.logf = f
-	}
 }
 
 // SetShardedMetrics installs the sharded metric set (wire-level handles
@@ -388,7 +378,7 @@ func (e *ShardedEngine) Observe(m Message) ([]event.Event, error) {
 	// per-message struct copy, same as the serial engine's pool.Get) and
 	// append the pointer to its shard's sub-batch. The record's pipeline
 	// reference travels with it and is consumed by Merger.Apply.
-	p := e.shardable.Pool().Get(m.record())
+	p := e.shardable.Pool().Get(m)
 	k := shardOf(m.Router, e.workers)
 	b := e.cur
 	b.subs[k] = append(b.subs[k], p)

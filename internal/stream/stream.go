@@ -26,27 +26,11 @@ import (
 	"syslogdigest/internal/rules"
 )
 
-// Message is one augmented message entering the engine. Seq must be unique
-// and assigned in feed order (the engine's events report it back in
+// Message is one augmented message entering the engine — the grouping
+// layer's own record, so it crosses into the grouper without a copy. Seq must
+// be unique and assigned in feed order (the engine's events report it back in
 // MessageSeqs); Raw is the raw syslog index carried through to RawIndexes.
-type Message struct {
-	Seq      int
-	Time     time.Time
-	Router   string
-	Template int
-	Loc      locdict.Location
-	AllLocs  []locdict.Location
-	Peers    []string
-	Raw      uint64
-}
-
-// record is the grouping layer's view of m.
-func (m *Message) record() grouping.Message {
-	return grouping.Message{
-		Seq: m.Seq, Time: m.Time, Router: m.Router, Template: m.Template,
-		Loc: m.Loc, AllLocs: m.AllLocs, Peers: m.Peers, Raw: m.Raw,
-	}
-}
+type Message = grouping.Message
 
 // Config assembles an engine.
 type Config struct {
@@ -138,7 +122,7 @@ func (e *Engine) SetClusterMetrics(m ClusterMetrics) {
 // emission order; ranking across events is the caller's concern (a live
 // feed has no batch to rank within).
 func (e *Engine) Observe(m Message) ([]event.Event, error) {
-	closed, err := e.inc.Observe(m.record())
+	closed, err := e.inc.Observe(m)
 	if err != nil {
 		return nil, err
 	}

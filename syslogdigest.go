@@ -48,24 +48,29 @@ type (
 	Event = event.Event
 	// Update is one tier-tagged record of the two-tier emission stream:
 	// provisional, revised, superseded, or final (see
-	// Params.ProvisionalHorizon and StreamerOptions.ProvisionalHorizon).
+	// StreamerOptions.ProvisionalHorizon).
 	Update = event.Update
 	// Status is the tier of one Update.
 	Status = event.Status
-	// Params bundles all pipeline tunables (Table 6 of the paper).
+	// Params bundles the learning and grouping tunables (Table 6 of the
+	// paper) plus two per-process knobs that are never serialized
+	// (Parallelism, MatchCache). Nothing about a streaming run lives here.
 	Params = core.Params
 	// KnowledgeBase is the offline learning output.
 	KnowledgeBase = core.KnowledgeBase
 	// Learner runs offline domain knowledge learning.
 	Learner = core.Learner
-	// Digester runs online digesting over a knowledge base.
+	// Digester runs online digesting over a knowledge base. Its
+	// SetStreamWorkers picks the engine behind batch Digest calls only.
 	Digester = core.Digester
 	// Streamer adapts the digester to a continuous feed: a bounded reorder
 	// buffer in front of the incremental engine, emitting each event as
 	// soon as the watermark proves it complete.
 	Streamer = core.Streamer
-	// StreamerOptions tune the streaming front-end (reorder tolerance and
-	// cap, temporal-state bound).
+	// StreamerOptions are the one place a streaming run's shape is set:
+	// reorder tolerance and cap, temporal-state bound, engine (serial,
+	// StreamWorkers > 1 sharded, ShardAddrs clustered), and the provisional
+	// tier's horizon. Runtime only, never serialized.
 	StreamerOptions = core.StreamerOptions
 	// DigestResult is one batch's events plus bookkeeping.
 	DigestResult = core.DigestResult
@@ -102,12 +107,10 @@ func NewLearner(params Params) *Learner { return core.NewLearner(params) }
 // NewDigester builds an online digester over a learned knowledge base.
 func NewDigester(kb *KnowledgeBase) (*Digester, error) { return core.NewDigester(kb) }
 
-// NewStreamer wraps a digester for continuous feeds with default options;
-// maxBuffer (<= 0 for the default) caps the reorder buffer.
-func NewStreamer(d *Digester, maxBuffer int) *Streamer { return core.NewStreamer(d, maxBuffer) }
-
-// NewStreamerWith wraps a digester for continuous feeds with explicit
-// options.
+// NewStreamerWith wraps a digester for continuous feeds. opts is the whole
+// shape of the run (StreamerOptions{} is the serial engine behind the
+// default reorder buffer, final records only); nothing is inherited from
+// the digester.
 func NewStreamerWith(d *Digester, opts StreamerOptions) *Streamer {
 	return core.NewStreamerWith(d, opts)
 }
