@@ -1,7 +1,8 @@
 // Package streamrun is the set-up and output the streaming commands share
 // (sdcollect, sdreplay -kb, sddigest -stream, sdviz -live): load the
 // knowledge base, parse -shards, build the run's streamer — restored from a
-// checkpoint file when there is one — and print what each push returns.
+// checkpoint file when there is one — replay a message file into it, and
+// print what each push returns.
 // The commands keep their own flags; a run's shape reaches the library as
 // one syslogdigest.StreamerOptions value.
 package streamrun
@@ -12,6 +13,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"time"
 
 	"syslogdigest"
 	"syslogdigest/internal/event"
@@ -61,6 +63,69 @@ func Open(d *syslogdigest.Digester, opts syslogdigest.StreamerOptions, ckptPath 
 		}
 	}
 	return syslogdigest.NewStreamerWith(d, opts), false, nil
+}
+
+// ReplayOptions are what the file-fed commands vary about a replay.
+type ReplayOptions struct {
+	Speed       float64 // log seconds per wall second; 0 replays unpaced
+	BeforeSleep func()  // optional, runs before each pacing sleep (sdviz repaints its board)
+	// CheckpointPath, when set, gets a snapshot every CheckpointEvery of wall
+	// time and one after the Flush, which marks the replay complete: a
+	// restart then skips the whole file instead of emitting it again.
+	CheckpointPath  string
+	CheckpointEvery time.Duration
+}
+
+// Replay pushes msgs into st paced by their timestamps, then flushes and
+// closes it. Each result goes to deliver (Printer.Print, say) before its
+// error is looked at: events that accompany an error are final. A streamer
+// restored from a checkpoint has pushed a prefix of msgs already; Replay
+// skips exactly that prefix (Streamer.Pushed), so a killed replay continues
+// where it stopped and delivers each event once across the restarts.
+func Replay(st *syslogdigest.Streamer, msgs []syslogdigest.Message, o ReplayOptions, deliver func(*syslogdigest.DigestResult) error) error {
+	start, lastCkpt := time.Now(), time.Now()
+	// Step len(msgs) is the Flush; what follows a Push follows it too.
+	for i := int(st.Pushed()); i <= len(msgs); i++ {
+		flush := i == len(msgs)
+		if !flush && o.Speed > 0 {
+			due := start.Add(time.Duration(float64(msgs[i].Time.Sub(msgs[0].Time)) / o.Speed))
+			if d := time.Until(due); d > 0 {
+				if o.BeforeSleep != nil {
+					o.BeforeSleep()
+				}
+				time.Sleep(d)
+			}
+		}
+		var (
+			res  *syslogdigest.DigestResult
+			err  error
+			what = "stream"
+		)
+		if flush {
+			what = "stream flush"
+			res, err = st.Flush()
+		} else {
+			res, err = st.Push(msgs[i])
+		}
+		if werr := deliver(res); werr != nil {
+			return fmt.Errorf("write: %w", werr)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", what, err)
+		}
+		if o.CheckpointPath != "" && (flush || time.Since(lastCkpt) >= o.CheckpointEvery) {
+			snap, err := st.Snapshot()
+			if err == nil {
+				err = syslogdigest.WriteCheckpoint(o.CheckpointPath, snap)
+			}
+			if err != nil {
+				return fmt.Errorf("checkpoint: %w", err)
+			}
+			lastCkpt = time.Now()
+		}
+	}
+	st.Close()
+	return nil
 }
 
 // Printer writes streaming results the way every command does: the

@@ -190,24 +190,9 @@ func main() {
 func streamDigest(st *syslogdigest.Streamer, msgs []syslogmsg.Message, out *streamrun.Printer) {
 	sorted := append([]syslogmsg.Message(nil), msgs...)
 	sort.SliceStable(sorted, func(i, j int) bool { return syslogmsg.SortByTime(&sorted[i], &sorted[j]) })
-	print := func(res *syslogdigest.DigestResult) {
-		if err := out.Print(res); err != nil {
-			fatalf("write: %v", err)
-		}
+	if err := streamrun.Replay(st, sorted, streamrun.ReplayOptions{}, out.Print); err != nil {
+		fatalf("%v", err)
 	}
-	for i := range sorted {
-		res, err := st.Push(sorted[i])
-		if err != nil {
-			fatalf("stream: %v", err)
-		}
-		print(res)
-	}
-	res, err := st.Flush()
-	if err != nil {
-		fatalf("stream flush: %v", err)
-	}
-	print(res)
-	st.Close()
 	if out.Updates > 0 {
 		fmt.Fprintf(os.Stderr, "%d messages -> %d events (streamed, closure order; %d provisional-tier lines)\n",
 			len(msgs), out.Events, out.Updates)

@@ -147,10 +147,7 @@ func main() {
 // replayLocal paces the corpus into the incremental engine, printing each
 // event when the watermark closes it — what a collector at the same feed
 // rate would have printed, without the network. With a checkpoint file the
-// replay is resumable: the restored streamer reports how many messages the
-// snapshotted run already pushed, and the replay skips exactly that prefix,
-// so a killed replay continues where it stopped with each event printed
-// exactly once across the restarts.
+// replay is resumable (see streamrun.Replay).
 func replayLocal(kbPath string, msgs []syslogmsg.Message, speed float64, opts syslogdigest.StreamerOptions, ckptPath string, ckptEvery time.Duration) {
 	kb, err := streamrun.LoadKB(kbPath)
 	if err != nil {
@@ -173,51 +170,13 @@ func replayLocal(kbPath string, msgs []syslogmsg.Message, speed float64, opts sy
 	}
 
 	start := time.Now()
-	logStart := msgs[0].Time
 	out := streamrun.Printer{W: os.Stdout}
-	print := func(res *syslogdigest.DigestResult) {
-		if err := out.Print(res); err != nil {
-			fatalf("write: %v", err)
-		}
-	}
-	writeCkpt := func() {
-		snap, err := st.Snapshot()
-		if err != nil {
-			fatalf("checkpoint: %v", err)
-		}
-		if err := syslogdigest.WriteCheckpoint(ckptPath, snap); err != nil {
-			fatalf("checkpoint: %v", err)
-		}
-	}
-	lastCkpt := time.Now()
-	for i := skip; i < len(msgs); i++ {
-		if speed > 0 {
-			due := start.Add(time.Duration(float64(msgs[i].Time.Sub(logStart)) / speed))
-			if d := time.Until(due); d > 0 {
-				time.Sleep(d)
-			}
-		}
-		res, err := st.Push(msgs[i])
-		print(res) // partial events accompany an error; they are final
-		if err != nil {
-			fatalf("stream: %v", err)
-		}
-		if ckptPath != "" && time.Since(lastCkpt) >= ckptEvery {
-			writeCkpt()
-			lastCkpt = time.Now()
-		}
-	}
-	res, err := st.Flush()
-	print(res)
+	err = streamrun.Replay(st, msgs, streamrun.ReplayOptions{
+		Speed: speed, CheckpointPath: ckptPath, CheckpointEvery: ckptEvery,
+	}, out.Print)
 	if err != nil {
-		fatalf("stream flush: %v", err)
+		fatalf("%v", err)
 	}
-	if ckptPath != "" {
-		// Final write marks the replay complete: a restart skips the whole
-		// stream instead of re-emitting it.
-		writeCkpt()
-	}
-	st.Close()
 	fmt.Fprintf(os.Stderr, "sdreplay: %d messages -> %d events in %s (local engine)\n",
 		len(msgs)-skip, out.Events, time.Since(start).Round(time.Millisecond))
 }

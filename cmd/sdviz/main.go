@@ -145,38 +145,19 @@ func liveView(kb *syslogdigest.KnowledgeBase, msgs []syslogdigest.Message, horiz
 		fatalf("digester: %v", err)
 	}
 	st := syslogdigest.NewStreamerWith(d, syslogdigest.StreamerOptions{ProvisionalHorizon: horizon})
-	defer st.Close()
 
 	b := newBoard(os.Stdout)
-	apply := func(res *syslogdigest.DigestResult) {
-		if res == nil {
-			return
-		}
-		for i := range res.Updates {
-			b.apply(&res.Updates[i])
-		}
-	}
-	start := time.Now()
-	logStart := msgs[0].Time
-	for i := range msgs {
-		if speed > 0 {
-			due := start.Add(time.Duration(float64(msgs[i].Time.Sub(logStart)) / speed))
-			if d := time.Until(due); d > 0 {
-				b.redraw()
-				time.Sleep(d)
+	err = streamrun.Replay(st, msgs, streamrun.ReplayOptions{Speed: speed, BeforeSleep: b.redraw}, func(res *syslogdigest.DigestResult) error {
+		if res != nil {
+			for i := range res.Updates {
+				b.apply(&res.Updates[i])
 			}
 		}
-		res, err := st.Push(msgs[i])
-		if err != nil {
-			fatalf("stream: %v", err)
-		}
-		apply(res)
-	}
-	res, err := st.Flush()
+		return nil
+	})
 	if err != nil {
-		fatalf("stream flush: %v", err)
+		fatalf("%v", err)
 	}
-	apply(res)
 	b.close()
 }
 

@@ -13,10 +13,12 @@ import (
 	"time"
 
 	"syslogdigest"
+	"syslogdigest/internal/checkpoint"
 	"syslogdigest/internal/cluster"
 	"syslogdigest/internal/collector"
 	"syslogdigest/internal/gen"
 	"syslogdigest/internal/obs"
+	"syslogdigest/internal/stream"
 	"syslogdigest/internal/syslogmsg"
 )
 
@@ -399,19 +401,7 @@ func TestUnresolvedLocsReconcile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var feed []syslogmsg.Message
-	injected := uint64(0)
-	for i, m := range ds.Messages {
-		feed = append(feed, m)
-		if i%40 == 0 {
-			m.Router = "unconfigured-rtr"
-			feed = append(feed, m)
-			injected++
-		}
-	}
-	if injected < 10 {
-		t.Fatalf("only %d messages injected into a feed of %d", injected, len(ds.Messages))
-	}
+	feed, injected := withUnconfiguredRouter(t, ds.Messages)
 	srv, err := cluster.Serve("127.0.0.1:0", cluster.ServerConfig{Dict: kb.Dictionary(), Rules: kb.RuleBase})
 	if err != nil {
 		t.Fatal(err)
@@ -472,6 +462,206 @@ func TestUnresolvedLocsReconcile(t *testing.T) {
 				t.Fatalf("%d events, the serial engine %d", events, wantEvents)
 			}
 		})
+	}
+}
+
+// withUnconfiguredRouter repeats every 40th message under a hostname no
+// config names and returns the feed with the number of repeats.
+func withUnconfiguredRouter(t *testing.T, msgs []syslogmsg.Message) ([]syslogmsg.Message, uint64) {
+	t.Helper()
+	var feed []syslogmsg.Message
+	injected := uint64(0)
+	for i, m := range msgs {
+		feed = append(feed, m)
+		if i%40 == 0 {
+			m.Router = "unconfigured-rtr"
+			feed = append(feed, m)
+			injected++
+		}
+	}
+	if injected < 10 {
+		t.Fatalf("only %d messages injected into a feed of %d", injected, len(msgs))
+	}
+	return feed, injected
+}
+
+// grouperBook is the grouper's numbers under the names they are published
+// by: cumulative tallies as counters, current levels as gauges.
+type grouperBook struct {
+	counters map[string]uint64
+	gauges   map[string]float64
+}
+
+// snapshotBook takes a streamer snapshot and reads the grouper's book out of
+// it — the persisted form of the engine's Stats(), field for field. The
+// pool's tallies are runtime plumbing no snapshot carries; the caller knows
+// them.
+func snapshotBook(t *testing.T, st *syslogdigest.Streamer) (grouperBook, []byte) {
+	t.Helper()
+	snap, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload struct {
+		Engine *stream.EngineState `json:"engine"`
+	}
+	if _, err := checkpoint.Decode(snap, &payload); err != nil {
+		t.Fatal(err)
+	}
+	if payload.Engine == nil {
+		t.Fatal("snapshot of a streamer that never built its engine")
+	}
+	mg := payload.Engine.Inc.Merger
+	b := grouperBook{
+		counters: map[string]uint64{
+			"group.merges.temporal":          uint64(mg.TemporalMerges),
+			"group.merges.rule":              uint64(mg.RuleMerges),
+			"group.merges.cross":             uint64(mg.CrossMerges),
+			"group.cross.candidates_scanned": mg.CrossCandidates,
+		},
+		gauges: map[string]float64{"stream.state.groups": float64(len(mg.Groups))},
+	}
+	for _, g := range mg.Groups {
+		b.gauges["stream.state.messages"] += float64(len(g.Members))
+	}
+	for _, l := range payload.Engine.Inc.Locals {
+		b.counters["group.rule.candidates_scanned"] += l.RuleCandidates
+		b.counters["group.rule.pairs_matched"] += l.RulePairs
+		b.counters["group.rule.unresolved_locations"] += l.UnresolvedLocs
+		b.counters["stream.state.evictions"] += uint64(l.Evictions)
+		b.gauges["stream.state.streams"] += float64(len(l.Models))
+	}
+	return b, snap
+}
+
+// TestPublishedEqualsTallies: the grouper keeps one book (its Stats(), which
+// is what a checkpoint persists) and one publisher turns it into metrics,
+// so on every engine shape, fresh or restored from a snapshot taken at the
+// midpoint, after Flush each group.*, stream.state.* and
+// stream.pool.pending.* counter reads the work this process did — the
+// book's movement since the engine was built or restored — each gauge
+// reads the current level, and the three shapes publish the same values.
+func TestPublishedEqualsTallies(t *testing.T) {
+	ds, err := gen.Generate(gen.Spec{
+		Kind: gen.DatasetA, Routers: 12, Seed: 11,
+		Duration: 6 * time.Hour, RateScale: 0.5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb, err := syslogdigest.NewLearner(syslogdigest.DefaultParams()).Learn(ds.Messages, ds.Net.Configs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed, _ := withUnconfiguredRouter(t, ds.Messages)
+	srv, err := cluster.Serve("127.0.0.1:0", cluster.ServerConfig{Dict: kb.Dictionary(), Rules: kb.RuleBase})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	push := func(t *testing.T, st *syslogdigest.Streamer, msgs []syslogmsg.Message) {
+		t.Helper()
+		for _, m := range msgs {
+			if _, err := st.Push(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	serial := map[bool]obs.Snapshot{} // by restored
+	for _, shape := range []struct {
+		name string
+		opts syslogdigest.StreamerOptions
+	}{
+		{"serial", syslogdigest.StreamerOptions{StreamWorkers: 1}},
+		{"sharded2", syslogdigest.StreamerOptions{StreamWorkers: 2}},
+		{"cluster2", syslogdigest.StreamerOptions{ShardAddrs: []string{srv.Addr(), srv.Addr()}}},
+	} {
+		for _, restored := range []bool{false, true} {
+			name := shape.name + "/fresh"
+			if restored {
+				name = shape.name + "/restored"
+			}
+			t.Run(name, func(t *testing.T) {
+				// No reorder buffer: every Push reaches the engine at once, so
+				// the pool hands out one record per message this process pushes.
+				opts := shape.opts
+				opts.ReorderTolerance = -1
+				d, err := syslogdigest.NewDigester(kb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := syslogdigest.NewStreamerWith(d, opts)
+				defer func() { st.Close() }()
+				base := grouperBook{}
+				rest := feed
+				if restored {
+					push(t, st, feed[:len(feed)/2])
+					var snap []byte
+					base, snap = snapshotBook(t, st)
+					st.Close()
+					if st, err = syslogdigest.RestoreStreamer(d, snap, opts); err != nil {
+						t.Fatal(err)
+					}
+					rest = feed[len(feed)/2:]
+					if base.counters["group.rule.candidates_scanned"] == 0 || base.counters["group.merges.temporal"] == 0 {
+						t.Fatalf("nothing tallied before the snapshot (%v): the restored row would check what the fresh row does", base.counters)
+					}
+				}
+				reg := obs.NewRegistry()
+				st.Instrument(reg)
+				push(t, st, rest)
+				if _, err := st.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				now, _ := snapshotBook(t, st)
+				pub := reg.Snapshot()
+				if n := pub.Counter("stream.dropped.late") + pub.Counter("stream.dropped.overflow"); n != 0 {
+					t.Fatalf("%d messages dropped on an in-order feed: the pool expectation below is off", n)
+				}
+
+				want := map[string]uint64{
+					"stream.pool.pending.gets": uint64(len(rest)),
+					"stream.pool.pending.puts": uint64(len(rest)), // Flush closed every group
+				}
+				for name, v := range now.counters {
+					want[name] = v - base.counters[name]
+				}
+				for name, v := range want {
+					if got := pub.Counter(name); got != v {
+						t.Errorf("%s published %d, the book moved by %d (%d -> %d)", name, got, v, base.counters[name], now.counters[name])
+					}
+				}
+				now.gauges["stream.pool.pending.live"] = 0
+				for name, v := range now.gauges {
+					if got := pub.Gauge(name); got != v {
+						t.Errorf("%s published %v, the level is %v", name, got, v)
+					}
+				}
+				if now.gauges["stream.state.messages"] != 0 || now.gauges["stream.state.streams"] == 0 || want["group.rule.unresolved_locations"] == 0 {
+					t.Errorf("degenerate book after Flush: %v %v", now.gauges, want)
+				}
+
+				if shape.name == "serial" {
+					serial[restored] = pub
+					return
+				}
+				ref, ok := serial[restored]
+				if !ok {
+					t.Fatal("no serial run to compare with")
+				}
+				for name := range want {
+					if got, s := pub.Counter(name), ref.Counter(name); got != s {
+						t.Errorf("%s published %d, the serial engine %d", name, got, s)
+					}
+				}
+				for name := range now.gauges {
+					if got, s := pub.Gauge(name), ref.Gauge(name); got != s {
+						t.Errorf("%s published %v, the serial engine %v", name, got, s)
+					}
+				}
+			})
+		}
 	}
 }
 

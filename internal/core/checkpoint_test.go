@@ -149,7 +149,8 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 // it serial, sharded at another count, and clustered: the snapshot is
 // shape-independent, so the stitched transcript must still match the
 // uninterrupted reference — and each restored streamer, before it has been
-// pushed anything, must already report the open messages it inherited.
+// pushed anything, must already report the open messages it inherited and
+// every tally of the run so far.
 func TestCheckpointRestoreAcrossWorkerCounts(t *testing.T) {
 	kb, ds := learnSmall(t, gen.DatasetA)
 	kb.SetMatchCache(0)
@@ -173,6 +174,7 @@ func TestCheckpointRestoreAcrossWorkerCounts(t *testing.T) {
 		if next < len(cuts) && i == cuts[next] {
 			next++
 			pending := st.Pending()
+			stats := st.eng.Stats()
 			snap, err := st.Snapshot()
 			if err != nil {
 				t.Fatal(err)
@@ -192,6 +194,16 @@ func TestCheckpointRestoreAcrossWorkerCounts(t *testing.T) {
 			if got := st.Pending(); got != pending {
 				t.Fatalf("restore %d (%+v): Pending() = %d right after restore, %d before the snapshot",
 					next, plan[next], got, pending)
+			}
+			// The whole book crosses a reshard, the cumulative tallies
+			// included: what Stats() reports is what the next snapshot
+			// persists.
+			if stats.RuleCandidates == 0 || stats.RulePairs == 0 {
+				t.Fatalf("cut %d at message %d: no rule-pass tallies yet (%+v); the check below would be vacuous", next, i, stats)
+			}
+			if got := st.eng.Stats(); got != stats {
+				t.Fatalf("restore %d (%+v): Stats() right after restore\n got %+v\nwant %+v (before the snapshot)",
+					next, plan[next], got, stats)
 			}
 		}
 		res, err := st.Push(m)

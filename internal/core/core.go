@@ -493,9 +493,9 @@ type digestMetrics struct {
 	augment    *obs.Histogram // digest.augment_seconds
 	group      *obs.Histogram // digest.group_seconds
 	build      *obs.Histogram // digest.build_seconds
-	mergeT     *obs.Counter   // group.merges.temporal
-	mergeR     *obs.Counter   // group.merges.rule
-	mergeC     *obs.Counter   // group.merges.cross
+	// grouping holds only the three group.merges.* counters: a batch has
+	// no open state to gauge once it is digested.
+	grouping stream.IncMetrics
 }
 
 // Digester is the online half of SyslogDigest. Batch augmentation fans out
@@ -561,9 +561,11 @@ func (d *Digester) Instrument(reg *obs.Registry) {
 		augment:    reg.Histogram("digest.augment_seconds", obs.LatencyBounds()),
 		group:      reg.Histogram("digest.group_seconds", obs.LatencyBounds()),
 		build:      reg.Histogram("digest.build_seconds", obs.LatencyBounds()),
-		mergeT:     reg.Counter("group.merges.temporal"),
-		mergeR:     reg.Counter("group.merges.rule"),
-		mergeC:     reg.Counter("group.merges.cross"),
+		grouping: stream.IncMetrics{
+			MergeTemporal: reg.Counter("group.merges.temporal"),
+			MergeRule:     reg.Counter("group.merges.rule"),
+			MergeCross:    reg.Counter("group.merges.cross"),
+		},
 	}
 	d.pool.Instrument(reg, "digest.pool")
 	d.kb.Instrument(reg)
@@ -735,16 +737,14 @@ func (d *Digester) DigestPlus(plus []PlusMessage) (*DigestResult, error) {
 	}
 	d.met.build.Observe(time.Since(buildStart).Seconds())
 
-	st := eng.Stats()
 	out := &DigestResult{Events: events, Messages: plus, ActiveRules: eng.ActiveRules()}
 	d.met.batches.Inc()
 	d.met.messagesIn.Add(uint64(len(plus)))
 	d.met.eventsOut.Add(uint64(len(events)))
 	d.met.batchSize.Observe(float64(len(plus)))
 	d.met.ratio.Set(out.CompressionRatio())
-	d.met.mergeT.Add(uint64(st.TemporalMerges))
-	d.met.mergeR.Add(uint64(st.RuleMerges))
-	d.met.mergeC.Add(uint64(st.CrossMerges))
+	// The engine lived for this batch only: its whole book is the batch's work.
+	d.met.grouping.Publish(&stream.Tallies{}, &stream.Tallies{IncStats: eng.Stats()})
 	return out, nil
 }
 

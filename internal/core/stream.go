@@ -6,7 +6,6 @@ import (
 
 	"syslogdigest/internal/cluster"
 	"syslogdigest/internal/event"
-	"syslogdigest/internal/grouping"
 	"syslogdigest/internal/obs"
 	"syslogdigest/internal/stream"
 	"syslogdigest/internal/syslogmsg"
@@ -85,7 +84,6 @@ type Streamer struct {
 
 	eng        streamEngine
 	engMetrics stream.ClusterMetrics
-	reg        *obs.Registry
 
 	buf      reorderHeap
 	arrivals uint64 // heap tiebreak: preserves arrival order at equal times
@@ -142,14 +140,13 @@ func NewStreamerWith(d *Digester, opts StreamerOptions) *Streamer {
 // rtt_seconds,inflight,punctuations_applied}). A nil registry leaves the
 // streamer uninstrumented.
 func (s *Streamer) Instrument(reg *obs.Registry) {
-	s.reg = reg
 	s.mBuffered = reg.Gauge("stream.buffered")
 	s.mPushed = reg.Counter("stream.pushed")
 	s.mReordered = reg.Counter("stream.reordered")
 	s.mDropped = reg.Counter("stream.dropped.late")
 	s.mDroppedOvf = reg.Counter("stream.dropped.overflow")
 	s.engMetrics = stream.ClusterMetrics{ShardedMetrics: stream.ShardedMetrics{Metrics: stream.Metrics{
-		Grouping: grouping.IncMetrics{
+		Grouping: stream.IncMetrics{
 			MergeTemporal:   reg.Counter("group.merges.temporal"),
 			MergeRule:       reg.Counter("group.merges.rule"),
 			MergeCross:      reg.Counter("group.merges.cross"),
@@ -222,7 +219,7 @@ func (s *Streamer) engine() (streamEngine, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Metrics must land before the first Observe.
+		// A sharded engine takes handles only while it has dispatched nothing.
 		eng.SetClusterMetrics(s.engMetrics)
 		s.eng = eng
 	}

@@ -22,8 +22,8 @@
 //     fully recovered from the open-group member lists.
 //
 // What is NOT serialized: the Grouper predicates and windows (knowledge,
-// supplied again at restore via the Shardable), MaxStreams and worker
-// counts (runtime knobs), and metrics handles (re-installed by the owner).
+// supplied again at restore via the Shardable) and MaxStreams and worker
+// counts (runtime knobs).
 package grouping
 
 import (
@@ -193,10 +193,10 @@ func captureMerger(x *pendingIndexer, mg *Merger) MergerState {
 		Groups:          []GroupState{},
 		CrossWin:        []int{},
 		Active:          []ActiveRuleState{},
-		TemporalMerges:  mg.temporalMerges,
-		RuleMerges:      mg.ruleMerges,
-		CrossMerges:     mg.crossMerges,
-		CrossCandidates: mg.crossCandidates,
+		TemporalMerges:  mg.st.TemporalMerges,
+		RuleMerges:      mg.st.RuleMerges,
+		CrossMerges:     mg.st.CrossMerges,
+		CrossCandidates: mg.st.CrossCandidates,
 		NextGroupID:     mg.nextGroupID,
 	}
 	gidx := make(map[uint64]int)
@@ -249,10 +249,10 @@ func captureLocal(x *pendingIndexer, rl *RouterLocal) LocalState {
 	ls := LocalState{
 		Started:        rl.started,
 		WatermarkNs:    checkpoint.TimeNs(rl.watermark),
-		Evictions:      rl.evictions,
-		RuleCandidates: rl.ruleCandidates,
-		RulePairs:      rl.rulePairs,
-		UnresolvedLocs: rl.unresolved,
+		Evictions:      rl.tally.Evictions,
+		RuleCandidates: rl.tally.RuleCandidates,
+		RulePairs:      rl.tally.RulePairs,
+		UnresolvedLocs: rl.tally.UnresolvedLocs,
 		Models:         []ModelState{},
 		Windows:        []WindowState{},
 	}
@@ -374,10 +374,10 @@ func (s *Shardable) RestoreParts(st IncState, workers, localMax int, shardFor fu
 	mg := s.NewMerger()
 	mg.started = st.Merger.Started
 	mg.watermark = checkpoint.NsTime(st.Merger.WatermarkNs)
-	mg.temporalMerges = st.Merger.TemporalMerges
-	mg.ruleMerges = st.Merger.RuleMerges
-	mg.crossMerges = st.Merger.CrossMerges
-	mg.crossCandidates = st.Merger.CrossCandidates
+	mg.st.TemporalMerges = st.Merger.TemporalMerges
+	mg.st.RuleMerges = st.Merger.RuleMerges
+	mg.st.CrossMerges = st.Merger.CrossMerges
+	mg.st.CrossCandidates = st.Merger.CrossCandidates
 	groups := make([]*incGroup, len(st.Merger.Groups))
 	for gi, gs := range st.Merger.Groups {
 		if len(gs.Members) == 0 {
@@ -409,8 +409,8 @@ func (s *Shardable) RestoreParts(st IncState, workers, localMax int, shardFor fu
 		g.id, g.rev, g.pub, g.dirty = gs.ID, gs.Rev, gs.Pub, gs.Dirty
 		groups[gi] = g
 		mg.pushOpen(g)
-		mg.openGroups++
-		mg.openMsgs += len(g.members)
+		mg.st.OpenGroups++
+		mg.st.OpenMessages += len(g.members)
 	}
 	if err := restoreProv(mg, st.Merger, groups); err != nil {
 		return nil, nil, err
@@ -473,20 +473,23 @@ func (s *Shardable) RestoreParts(st IncState, workers, localMax int, shardFor fu
 			}
 		}
 	}
-	if exact {
-		for i, lst := range st.Locals {
-			locals[i].started = lst.Started
-			locals[i].watermark = checkpoint.NsTime(lst.WatermarkNs)
-			locals[i].evictions = lst.Evictions
-			locals[i].ruleCandidates = lst.RuleCandidates
-			locals[i].rulePairs = lst.RulePairs
-			locals[i].unresolved = lst.UnresolvedLocs
+	for _, rl := range locals {
+		rl.started, rl.watermark = mg.started, mg.watermark
+	}
+	for i, lst := range st.Locals {
+		// Progress and the cumulative tallies restore per local when the
+		// shard counts match. Across a reshard every local starts at the
+		// merger's watermark and the first carries all the tallies: nothing
+		// says which did a past shard's work, and only the sums are read.
+		rl := locals[0]
+		if exact {
+			rl = locals[i]
+			rl.started, rl.watermark = lst.Started, checkpoint.NsTime(lst.WatermarkNs)
 		}
-	} else {
-		for _, rl := range locals {
-			rl.started = mg.started
-			rl.watermark = mg.watermark
-		}
+		rl.tally.Evictions += lst.Evictions
+		rl.tally.RuleCandidates += lst.RuleCandidates
+		rl.tally.RulePairs += lst.RulePairs
+		rl.tally.UnresolvedLocs += lst.UnresolvedLocs
 	}
 	// Incorporation complete: drop the materialization references so every
 	// record carries exactly the references the live engine would hold.
@@ -590,7 +593,7 @@ func restoreWindow(rl *RouterLocal, ws WindowState, at func(int) (*Pending, erro
 
 // Restore loads a snapshot taken at any worker count into a grouper that
 // has observed nothing yet (a multi-shard snapshot merges into the single
-// local). Metrics installed earlier must be installed again.
+// local).
 func (inc *Incremental) Restore(st IncState) error {
 	locals, mg, err := inc.s.RestoreParts(st, 1, 0, nil)
 	if err != nil {

@@ -56,7 +56,6 @@ import (
 	"time"
 
 	"syslogdigest/internal/locdict"
-	"syslogdigest/internal/obs"
 	"syslogdigest/internal/rules"
 )
 
@@ -82,44 +81,16 @@ type IncrementalConfig struct {
 	ProvisionalHorizon time.Duration
 }
 
-// IncMetrics are the incremental grouper's optional observability handles;
-// all are nil-safe, so the zero value records nothing.
-type IncMetrics struct {
-	MergeTemporal   *obs.Counter // group.merges.temporal
-	MergeRule       *obs.Counter // group.merges.rule
-	MergeCross      *obs.Counter // group.merges.cross
-	RuleCandidates  *obs.Counter // group.rule.candidates_scanned
-	RulePairs       *obs.Counter // group.rule.pairs_matched
-	CrossCandidates *obs.Counter // group.cross.candidates_scanned
-	UnresolvedLocs  *obs.Counter // group.rule.unresolved_locations
-	OpenMessages    *obs.Gauge   // stream.state.messages
-	OpenGroups      *obs.Gauge   // stream.state.groups
-	Streams         *obs.Gauge   // stream.state.streams
-	StreamEvictions *obs.Counter // stream.state.evictions
-	PoolGets        *obs.Counter // stream.pool.pending.gets
-	PoolPuts        *obs.Counter // stream.pool.pending.puts
-	PoolLive        *obs.Gauge   // stream.pool.pending.live
-}
-
-// IncStats is a point-in-time snapshot of the incremental grouper.
+// IncStats is a point-in-time snapshot of the incremental grouper: its
+// merger's stats and its locals' summed (see LocalStats for what the
+// cumulative ones count).
 type IncStats struct {
-	OpenMessages    int // messages in not-yet-closed groups
-	OpenGroups      int
+	MergeStats
 	Streams         int // live temporal models
 	StreamEvictions int
-	TemporalMerges  int
-	RuleMerges      int
-	CrossMerges     int
-	// Candidate-scan counters (cumulative): window entries examined and
-	// matched by the rule pass, and examined by the cross pass. The
-	// template index shrinks the examined counts without changing any
-	// match.
 	RuleCandidates  uint64
 	RulePairs       uint64
-	CrossCandidates uint64
-	// UnresolvedLocs counts messages at locations the dictionary never
-	// interned (see LocalStats).
-	UnresolvedLocs uint64
+	UnresolvedLocs  uint64
 }
 
 // ClosedGroup is one finished group: its members in ascending Seq order,
@@ -139,7 +110,6 @@ type ClosedGroup struct {
 type Incremental struct {
 	local *RouterLocal
 	merge *Merger
-	pool  *PendingPool
 	js    Joins
 	s     *Shardable // built the halves; Restore builds them again
 }
@@ -151,33 +121,12 @@ func NewIncremental(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Incrementa
 	if err != nil {
 		return nil, err
 	}
-	return &Incremental{s: s, local: s.NewLocal(0), merge: s.NewMerger(), pool: s.Pool()}, nil
+	return &Incremental{s: s, local: s.NewLocal(0), merge: s.NewMerger()}, nil
 }
 
 // Pool is the grouper's Pending pool (see pool.go): runtime plumbing only,
-// exposed for observability.
-func (inc *Incremental) Pool() *PendingPool { return inc.pool }
-
-// SetMetrics installs observability handles (may be called before or after
-// the first Observe; gauges update on the next one).
-func (inc *Incremental) SetMetrics(m IncMetrics) {
-	inc.local.SetMetrics(LocalMetrics{
-		Streams:         m.Streams,
-		StreamEvictions: m.StreamEvictions,
-		RuleCandidates:  m.RuleCandidates,
-		RulePairs:       m.RulePairs,
-		UnresolvedLocs:  m.UnresolvedLocs,
-	})
-	inc.merge.SetMetrics(MergeMetrics{
-		MergeTemporal:   m.MergeTemporal,
-		MergeRule:       m.MergeRule,
-		MergeCross:      m.MergeCross,
-		CrossCandidates: m.CrossCandidates,
-		OpenMessages:    m.OpenMessages,
-		OpenGroups:      m.OpenGroups,
-	})
-	inc.pool.SetMetrics(PoolMetrics{Gets: m.PoolGets, Puts: m.PoolPuts, Live: m.PoolLive})
-}
+// exposed for its tallies.
+func (inc *Incremental) Pool() *PendingPool { return inc.s.pool }
 
 // Watermark is the maximum message time observed so far.
 func (inc *Incremental) Watermark() time.Time { return inc.merge.Watermark() }
@@ -191,21 +140,19 @@ func (inc *Incremental) Horizon() time.Duration { return inc.merge.Horizon() }
 func (inc *Incremental) ActiveRules() map[rules.PairKey]int { return inc.merge.ActiveRules() }
 
 // Stats snapshots the grouper's state and merge counters.
-func (inc *Incremental) Stats() IncStats {
-	ls, ms := inc.local.Stats(), inc.merge.Stats()
-	return IncStats{
-		OpenMessages:    ms.OpenMessages,
-		OpenGroups:      ms.OpenGroups,
-		Streams:         ls.Streams,
-		StreamEvictions: ls.Evictions,
-		TemporalMerges:  ms.TemporalMerges,
-		RuleMerges:      ms.RuleMerges,
-		CrossMerges:     ms.CrossMerges,
-		RuleCandidates:  ls.RuleCandidates,
-		RulePairs:       ls.RulePairs,
-		CrossCandidates: ms.CrossCandidates,
-		UnresolvedLocs:  ls.UnresolvedLocs,
+func (inc *Incremental) Stats() IncStats { return SumStats(inc.merge.Stats(), inc.local.Stats()) }
+
+// SumStats assembles the grouper's snapshot from a merger's and its locals'.
+func SumStats(ms MergeStats, locals ...LocalStats) IncStats {
+	st := IncStats{MergeStats: ms}
+	for _, ls := range locals {
+		st.Streams += ls.Streams
+		st.StreamEvictions += ls.Evictions
+		st.RuleCandidates += ls.RuleCandidates
+		st.RulePairs += ls.RulePairs
+		st.UnresolvedLocs += ls.UnresolvedLocs
 	}
+	return st
 }
 
 // Observe ingests one message (nondecreasing time order required) and
@@ -219,7 +166,7 @@ func (inc *Incremental) Observe(m Message) ([]ClosedGroup, error) {
 		return nil, fmt.Errorf("grouping: incremental requires nondecreasing timestamps (got %v after watermark %v)",
 			m.Time, inc.merge.watermark)
 	}
-	p := inc.pool.Get(m)
+	p := inc.s.pool.Get(m)
 	if err := inc.local.Step(p, &inc.js); err != nil {
 		p.Release() // Step refuses a message before touching any state
 		return nil, err
@@ -228,8 +175,6 @@ func (inc *Incremental) Observe(m Message) ([]ClosedGroup, error) {
 	if err != nil {
 		return nil, err
 	}
-	inc.local.PublishMetrics()
-	inc.pool.PublishLive()
 	return out, nil
 }
 
@@ -244,7 +189,5 @@ func (inc *Incremental) Recycle(closed []ClosedGroup) { inc.merge.Recycle(closed
 func (inc *Incremental) Drain() []ClosedGroup {
 	out := inc.merge.Drain()
 	inc.local.DrainWindows()
-	inc.local.PublishMetrics()
-	inc.pool.PublishLive()
 	return out
 }

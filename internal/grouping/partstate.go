@@ -59,10 +59,10 @@ func (s *Shardable) RestoreLocal(st LocalPartState, maxStreams int) (*RouterLoca
 	}
 	rl.started = st.Local.Started
 	rl.watermark = checkpoint.NsTime(st.Local.WatermarkNs)
-	rl.evictions = st.Local.Evictions
-	rl.ruleCandidates = st.Local.RuleCandidates
-	rl.rulePairs = st.Local.RulePairs
-	rl.unresolved = st.Local.UnresolvedLocs
+	rl.tally.Evictions = st.Local.Evictions
+	rl.tally.RuleCandidates = st.Local.RuleCandidates
+	rl.tally.RulePairs = st.Local.RulePairs
+	rl.tally.UnresolvedLocs = st.Local.UnresolvedLocs
 	for _, p := range ps {
 		p.unref() // drop the materialization reference (see RestoreParts)
 	}

@@ -35,39 +35,27 @@ package grouping
 import (
 	"sync"
 	"sync/atomic"
-
-	"syslogdigest/internal/obs"
 )
 
 // PendingPool recycles Pending records for one engine. Safe for concurrent
 // use (the sharded engine's shard and merge goroutines share it). The zero
 // value is not usable; engines get one from their Shardable.
 type PendingPool struct {
-	pool sync.Pool
-	live atomic.Int64
-
-	gets *obs.Counter // stream.pool.pending.gets
-	puts *obs.Counter // stream.pool.pending.puts
-	met  *obs.Gauge   // stream.pool.pending.live
+	pool       sync.Pool
+	gets, puts atomic.Uint64 // records handed out, records returned
 }
 
-// PoolMetrics are a pool's optional observability handles (nil-safe).
-type PoolMetrics struct {
-	Gets *obs.Counter // stream.pool.pending.gets
-	Puts *obs.Counter // stream.pool.pending.puts
-	Live *obs.Gauge   // stream.pool.pending.live
+// PoolStats snapshots a pool's tallies. They count from the pool's creation
+// and are never checkpointed (pools are runtime plumbing).
+type PoolStats struct {
+	Gets, Puts uint64
+	Live       int64 // handed out and not yet returned
 }
 
 func newPendingPool() *PendingPool {
 	pp := &PendingPool{}
 	pp.pool.New = func() any { return new(Pending) }
 	return pp
-}
-
-// SetMetrics installs observability handles. Install before the first Get;
-// the handles are read from pool operations on multiple goroutines.
-func (pp *PendingPool) SetMetrics(m PoolMetrics) {
-	pp.gets, pp.puts, pp.met = m.Gets, m.Puts, m.Live
 }
 
 // Get acquires a recycled (or fresh) record wrapping m, holding one
@@ -77,8 +65,7 @@ func (pp *PendingPool) Get(m Message) *Pending {
 	p.msg = m
 	p.refs.Store(1)
 	p.owner = pp
-	pp.live.Add(1)
-	pp.gets.Inc()
+	pp.gets.Add(1)
 	return p
 }
 
@@ -93,17 +80,19 @@ func (pp *PendingPool) put(p *Pending) {
 	p.msg = Message{}
 	p.g = nil
 	p.owner = nil
-	pp.live.Add(-1)
-	pp.puts.Inc()
+	pp.puts.Add(1)
 	pp.pool.Put(p)
 }
 
-// Live is the number of records handed out and not yet returned.
-func (pp *PendingPool) Live() int64 { return pp.live.Load() }
-
-// PublishLive refreshes the live gauge; engines call it at quiet points
-// (the counters are live, the gauge is sampled).
-func (pp *PendingPool) PublishLive() { pp.met.Set(float64(pp.live.Load())) }
+// Stats reads the tallies. Puts is read first: a record is handed out
+// before it can come back, so with the pool in use on other goroutines Live
+// may run ahead of the truth but is never negative; at a quiet point the
+// three are exact.
+func (pp *PendingPool) Stats() PoolStats {
+	puts := pp.puts.Load()
+	gets := pp.gets.Load()
+	return PoolStats{Gets: gets, Puts: puts, Live: int64(gets - puts)}
+}
 
 // ref adds one reference.
 func (p *Pending) ref() { p.refs.Add(1) }

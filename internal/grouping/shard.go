@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"syslogdigest/internal/locdict"
-	"syslogdigest/internal/obs"
 	"syslogdigest/internal/rules"
 	"syslogdigest/internal/temporal"
 )
@@ -365,16 +364,6 @@ func (s *Shardable) NewMerger() *Merger {
 	}
 }
 
-// LocalMetrics are a RouterLocal's optional observability handles
-// (nil-safe).
-type LocalMetrics struct {
-	Streams         *obs.Gauge   // live temporal models
-	StreamEvictions *obs.Counter // models evicted by the MaxStreams bound
-	RuleCandidates  *obs.Counter // rule-window candidates examined
-	RulePairs       *obs.Counter // rule-window candidates that matched
-	UnresolvedLocs  *obs.Counter // messages at locations the dictionary never interned
-}
-
 // LocalStats snapshots one RouterLocal.
 type LocalStats struct {
 	Streams   int
@@ -426,41 +415,25 @@ type RouterLocal struct {
 
 	routerWin map[string]*memberRing
 
-	started        bool
-	watermark      time.Time
-	evictions      int
-	ruleCandidates uint64
-	rulePairs      uint64
-	unresolved     uint64
+	started   bool
+	watermark time.Time
+	// tally is the local's book as Stats reports it, except Streams, which
+	// is the size of the model table.
+	tally LocalStats
 	// matched is the rule pass's bitmap over ring offsets, one bit per
 	// window entry (a ring holds at most MaxScan at scan time); all zero
 	// between steps.
 	matched []uint64
-	met     LocalMetrics
-
-	// Published high-water marks for PublishMetrics: the scan counters are
-	// shared atomic handles across shards, so each local adds deltas in
-	// batches instead of per message.
-	pubCandidates uint64
-	pubPairs      uint64
-	pubUnresolved uint64
 }
-
-// SetMetrics installs observability handles.
-func (rl *RouterLocal) SetMetrics(m LocalMetrics) { rl.met = m }
 
 // Watermark is the maximum message time this local half has stepped.
 func (rl *RouterLocal) Watermark() time.Time { return rl.watermark }
 
 // Stats snapshots the local state.
 func (rl *RouterLocal) Stats() LocalStats {
-	return LocalStats{
-		Streams:        len(rl.models),
-		Evictions:      rl.evictions,
-		RuleCandidates: rl.ruleCandidates,
-		RulePairs:      rl.rulePairs,
-		UnresolvedLocs: rl.unresolved,
-	}
+	st := rl.tally
+	st.Streams = len(rl.models)
+	return st
 }
 
 // resolve maps a message location to its entry, creating it on first sight:
@@ -492,11 +465,9 @@ func (rl *RouterLocal) window(router string) *memberRing {
 
 // Step runs the temporal and rule passes for p, writing the join
 // predecessors into js (which is reset first; its backing storage is
-// reused). Messages must arrive in nondecreasing time order. Step updates
-// only the local tallies; call PublishMetrics to flush them to the
-// installed handles (the serial grouper publishes per Observe, the sharded
-// engine once per batch — per-message atomic adds on handles shared across
-// shards were measurable contention).
+// reused). Messages must arrive in nondecreasing time order. Step keeps
+// plain tallies for Stats to report; turning them into metrics is the
+// streaming engine's job (stream's emitter.publish), not this package's.
 func (rl *RouterLocal) Step(p *Pending, js *Joins) error {
 	js.Reset()
 	if err := checkTemplate(p.msg.Template); err != nil {
@@ -506,7 +477,7 @@ func (rl *RouterLocal) Step(p *Pending, js *Joins) error {
 	rl.watermark = p.msg.Time
 	e := rl.resolve(p.msg.Loc)
 	if e.id < 0 {
-		rl.unresolved++
+		rl.tally.UnresolvedLocs++
 	}
 	if err := rl.temporalStep(p, e.id, js); err != nil {
 		return err
@@ -515,24 +486,6 @@ func (rl *RouterLocal) Step(p *Pending, js *Joins) error {
 		rl.ruleStep(p, e, js)
 	}
 	return nil
-}
-
-// PublishMetrics flushes the stream gauge and the scan-counter deltas
-// accumulated since the last publish to the installed handles.
-func (rl *RouterLocal) PublishMetrics() {
-	rl.met.Streams.Set(float64(len(rl.models)))
-	if d := rl.ruleCandidates - rl.pubCandidates; d > 0 {
-		rl.met.RuleCandidates.Add(d)
-		rl.pubCandidates = rl.ruleCandidates
-	}
-	if d := rl.rulePairs - rl.pubPairs; d > 0 {
-		rl.met.RulePairs.Add(d)
-		rl.pubPairs = rl.rulePairs
-	}
-	if d := rl.unresolved - rl.pubUnresolved; d > 0 {
-		rl.met.UnresolvedLocs.Add(d)
-		rl.pubUnresolved = rl.unresolved
-	}
 }
 
 // DrainWindows clears the rule windows and per-stream predecessors so no
@@ -647,8 +600,8 @@ func (rl *RouterLocal) ruleStep(p *Pending, e locEntry, js *Joins) {
 			bm[w] = 0
 		}
 	}
-	rl.ruleCandidates += cand
-	rl.rulePairs += matched
+	rl.tally.RuleCandidates += cand
+	rl.tally.RulePairs += matched
 	rw.push(p, e.id)
 	if rw.n > rl.g.cfg.MaxScan {
 		rw.popFront()
@@ -715,28 +668,19 @@ func (rl *RouterLocal) evictModels() {
 			old.last.unref()
 			old.last = nil
 		}
-		rl.evictions++
-		rl.met.StreamEvictions.Inc()
+		rl.tally.Evictions++
 	}
-}
-
-// MergeMetrics are a Merger's optional observability handles (nil-safe).
-type MergeMetrics struct {
-	MergeTemporal   *obs.Counter // group.merges.temporal
-	MergeRule       *obs.Counter // group.merges.rule
-	MergeCross      *obs.Counter // group.merges.cross
-	CrossCandidates *obs.Counter // cross-window candidates examined
-	OpenMessages    *obs.Gauge   // messages in not-yet-closed groups
-	OpenGroups      *obs.Gauge
 }
 
 // MergeStats snapshots a Merger.
 type MergeStats struct {
-	OpenMessages    int
-	OpenGroups      int
-	TemporalMerges  int
-	RuleMerges      int
-	CrossMerges     int
+	OpenMessages   int // messages in not-yet-closed groups
+	OpenGroups     int
+	TemporalMerges int
+	RuleMerges     int
+	CrossMerges    int
+	// CrossCandidates counts window entries the cross pass examined
+	// (cumulative); the template index shrinks it without changing a match.
 	CrossCandidates uint64
 }
 
@@ -756,13 +700,8 @@ type Merger struct {
 	crossWin memberRing
 
 	oHead, oTail *incGroup
-	openGroups   int
-	openMsgs     int
-
-	active                                  map[rules.PairKey]int
-	temporalMerges, ruleMerges, crossMerges int
-	crossCandidates                         uint64
-	met                                     MergeMetrics
+	active       map[rules.PairKey]int
+	st           MergeStats // the merger's book, as Stats reports it
 
 	// Two-tier emission (PR 9; see provisional.go). provHorizon > 0 turns
 	// the provisional tier on; nextGroupID hands out birth identities
@@ -893,9 +832,6 @@ func (mg *Merger) reclaimUpdates() {
 	mg.updBuf = mg.updBuf[:0]
 }
 
-// SetMetrics installs observability handles.
-func (mg *Merger) SetMetrics(m MergeMetrics) { mg.met = m }
-
 // Watermark is the maximum message time applied so far.
 func (mg *Merger) Watermark() time.Time { return mg.watermark }
 
@@ -914,16 +850,7 @@ func (mg *Merger) ActiveRules() map[rules.PairKey]int {
 }
 
 // Stats snapshots the merger.
-func (mg *Merger) Stats() MergeStats {
-	return MergeStats{
-		OpenMessages:    mg.openMsgs,
-		OpenGroups:      mg.openGroups,
-		TemporalMerges:  mg.temporalMerges,
-		RuleMerges:      mg.ruleMerges,
-		CrossMerges:     mg.crossMerges,
-		CrossCandidates: mg.crossCandidates,
-	}
-}
+func (mg *Merger) Stats() MergeStats { return mg.st }
 
 // Apply admits one message (global nondecreasing time order required) with
 // its router-local join decisions, runs the cross-router pass, and returns
@@ -958,16 +885,16 @@ func (mg *Merger) Apply(p *Pending, js *Joins) ([]ClosedGroup, error) {
 	p.g = g
 	p.ref() // group membership reference, released by closeGroup
 	mg.pushOpen(g)
-	mg.openGroups++
-	mg.openMsgs++
+	mg.st.OpenGroups++
+	mg.st.OpenMessages++
 
 	if js.Temporal != nil {
-		if _, err := mg.merge(js.Temporal, p, &mg.temporalMerges, mg.met.MergeTemporal); err != nil {
+		if _, err := mg.merge(js.Temporal, p, &mg.st.TemporalMerges); err != nil {
 			return nil, err
 		}
 	}
 	for _, mi := range js.Rules {
-		did, err := mg.merge(mi, p, &mg.ruleMerges, mg.met.MergeRule)
+		did, err := mg.merge(mi, p, &mg.st.RuleMerges)
 		if err != nil {
 			return nil, err
 		}
@@ -993,7 +920,6 @@ func (mg *Merger) Apply(p *Pending, js *Joins) ([]ClosedGroup, error) {
 	}
 
 	mg.closedBuf = mg.closeReady(mg.closedBuf[:0])
-	mg.publishGauges()
 	// Apply owns the caller's pipeline reference; p cannot recycle here —
 	// its own group holds a reference and cannot have closed above (its
 	// last member time is the current watermark).
@@ -1015,7 +941,6 @@ func (mg *Merger) Drain() []ClosedGroup {
 		mg.closedBuf = append(mg.closedBuf, mg.closeGroup(mg.oHead))
 	}
 	mg.crossWin.popAll()
-	mg.publishGauges()
 	return mg.closedBuf
 }
 
@@ -1047,8 +972,7 @@ func (mg *Merger) crossStep(p *Pending) error {
 			}
 		}
 	}
-	mg.crossCandidates += cand
-	mg.met.CrossCandidates.Add(cand)
+	mg.st.CrossCandidates += cand
 	cw.push(p, 0)
 	if cw.n > mg.g.cfg.MaxScan {
 		cw.popFront()
@@ -1066,7 +990,7 @@ func (mg *Merger) crossExamine(mi, p *Pending) error {
 		return nil
 	}
 	if mg.g.crossLinked(&mi.msg, &p.msg) {
-		if _, err := mg.merge(mi, p, &mg.crossMerges, mg.met.MergeCross); err != nil {
+		if _, err := mg.merge(mi, p, &mg.st.CrossMerges); err != nil {
 			return err
 		}
 	}
@@ -1075,7 +999,7 @@ func (mg *Merger) crossExamine(mi, p *Pending) error {
 
 // merge joins the groups of a and b (b is always the current message).
 // Small-into-large pointer rewriting keeps total rewrite work O(n log n).
-func (mg *Merger) merge(a, b *Pending, tally *int, c *obs.Counter) (bool, error) {
+func (mg *Merger) merge(a, b *Pending, tally *int) (bool, error) {
 	ga, gb := a.g, b.g
 	if ga == gb {
 		return false, nil
@@ -1101,13 +1025,12 @@ func (mg *Merger) merge(a, b *Pending, tally *int, c *obs.Counter) (bool, error)
 	mg.unlinkOpen(gb)
 	mg.putMemberBuf(gb.members)
 	gb.members = nil
-	mg.openGroups--
+	mg.st.OpenGroups--
 	// b is the newest message overall, so the merged group's lastTime is
 	// the current watermark — the list maximum — and a move-to-tail keeps
 	// the closure list sorted.
 	mg.moveToTail(ga)
 	*tally++
-	c.Inc()
 	if mg.provHorizon > 0 {
 		mg.noteMerge(ga, gb)
 	}
@@ -1136,8 +1059,8 @@ func (mg *Merger) closeGroup(g *incGroup) ClosedGroup {
 	mg.unlinkOpen(g)
 	g.closed = true
 	g.rev++ // the closure is the identity's last revision
-	mg.openGroups--
-	mg.openMsgs -= len(g.members)
+	mg.st.OpenGroups--
+	mg.st.OpenMessages -= len(g.members)
 	msgs := mg.memberMessages(g)
 	for _, m := range g.members {
 		m.unref() // group membership reference
@@ -1145,11 +1068,6 @@ func (mg *Merger) closeGroup(g *incGroup) ClosedGroup {
 	mg.putMemberBuf(g.members)
 	g.members = nil
 	return ClosedGroup{ID: g.id, Revision: g.rev, Members: msgs}
-}
-
-func (mg *Merger) publishGauges() {
-	mg.met.OpenMessages.Set(float64(mg.openMsgs))
-	mg.met.OpenGroups.Set(float64(mg.openGroups))
 }
 
 // Closure list maintenance (doubly linked, ascending last).

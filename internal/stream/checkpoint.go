@@ -50,8 +50,8 @@ func (e *Engine) Restore(st EngineState) error {
 	if err := e.inc.Restore(st.Inc); err != nil {
 		return err
 	}
-	e.inc.SetMetrics(e.em.met.Grouping)
 	e.em.nextID = st.NextID
+	e.em.pub = Tallies{IncStats: e.inc.Stats(), Pool: e.inc.Pool().Stats()}
 	return nil
 }
 
@@ -119,6 +119,7 @@ func (e *ShardedEngine) Restore(st EngineState) error {
 		e.localStats[k] = rl.Stats()
 	}
 	e.em.nextID = st.NextID
+	e.em.pub = Tallies{IncStats: e.stats(), Pool: e.shardable.Pool().Stats()}
 	e.started = st.Started
 	e.lastTime = checkpoint.NsTime(st.LastTimeNs)
 	if e.started {

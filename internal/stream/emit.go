@@ -5,19 +5,29 @@ import (
 
 	"syslogdigest/internal/event"
 	"syslogdigest/internal/grouping"
+	"syslogdigest/internal/obs"
 )
 
 // emitter is the one grouper-output → event step, shared by every engine
 // shape: it scores and labels a closed group exactly as the batch path
-// would, numbers the final stream, converts provisional-tier updates, and
-// keeps the emission books. The serial engine calls it inline, the sharded
-// core on its merge goroutine — which is why the update stream is the
-// serial engine's at any shard count. Not safe for concurrent use.
+// would, numbers the final stream, converts provisional-tier updates, keeps
+// the emission books and publishes the grouper's. The serial engine calls
+// it inline, the sharded core on its merge goroutine — which is why the
+// update stream is the serial engine's at any shard count. Not safe for
+// concurrent use.
 type emitter struct {
 	builder *event.Builder
 	nextID  int  // next final-stream event ID
 	prov    bool // provisional tier on (cfg.Grouping.ProvisionalHorizon > 0)
 	met     Metrics
+	grouped bool // met.Grouping holds a handle (setMetrics)
+	// pub is the grouper's book as the handles last saw it; before the first
+	// publication, the book the engine was built (zero) or restored with.
+	pub Tallies
+}
+
+func (em *emitter) setMetrics(m Metrics) {
+	em.met, em.grouped = m, m.Grouping != (IncMetrics{})
 }
 
 func newEmitter(cfg Config) emitter {
@@ -81,4 +91,74 @@ func (em *emitter) update(gu *grouping.GroupUpdate, wm time.Time) event.Update {
 		em.met.ProvLatency.Observe(wm.Sub(u.Event.End).Seconds())
 	}
 	return u
+}
+
+// IncMetrics are the handles for the grouper's numbers (all nil-safe, so
+// the zero value records nothing). The grouping package keeps the numbers
+// themselves as plain tallies behind Stats(); Publish is the only code that
+// writes these handles.
+type IncMetrics struct {
+	MergeTemporal   *obs.Counter // group.merges.temporal
+	MergeRule       *obs.Counter // group.merges.rule
+	MergeCross      *obs.Counter // group.merges.cross
+	RuleCandidates  *obs.Counter // group.rule.candidates_scanned
+	RulePairs       *obs.Counter // group.rule.pairs_matched
+	CrossCandidates *obs.Counter // group.cross.candidates_scanned
+	UnresolvedLocs  *obs.Counter // group.rule.unresolved_locations
+	OpenMessages    *obs.Gauge   // stream.state.messages
+	OpenGroups      *obs.Gauge   // stream.state.groups
+	Streams         *obs.Gauge   // stream.state.streams
+	StreamEvictions *obs.Counter // stream.state.evictions
+	PoolGets        *obs.Counter // stream.pool.pending.gets
+	PoolPuts        *obs.Counter // stream.pool.pending.puts
+	PoolLive        *obs.Gauge   // stream.pool.pending.live
+}
+
+// Tallies is one reading of the grouper's book: an engine's Stats() and its
+// Pending pool's.
+type Tallies struct {
+	grouping.IncStats
+	Pool grouping.PoolStats
+}
+
+// Publish moves the handles from one reading of the book to a later one:
+// each counter advances by how far its tally moved, each gauge shows the
+// later level. Every engine shape and the batch digest publish through it,
+// starting from the book the engine was built or restored with, so a counter
+// reads the work this process did; a restored engine's earlier life is in
+// its Stats() and its checkpoints, not in its metrics.
+func (m *IncMetrics) Publish(from, to *Tallies) {
+	advance(m.MergeTemporal, uint64(from.TemporalMerges), uint64(to.TemporalMerges))
+	advance(m.MergeRule, uint64(from.RuleMerges), uint64(to.RuleMerges))
+	advance(m.MergeCross, uint64(from.CrossMerges), uint64(to.CrossMerges))
+	advance(m.RuleCandidates, from.RuleCandidates, to.RuleCandidates)
+	advance(m.RulePairs, from.RulePairs, to.RulePairs)
+	advance(m.CrossCandidates, from.CrossCandidates, to.CrossCandidates)
+	advance(m.UnresolvedLocs, from.UnresolvedLocs, to.UnresolvedLocs)
+	advance(m.StreamEvictions, uint64(from.StreamEvictions), uint64(to.StreamEvictions))
+	advance(m.PoolGets, from.Pool.Gets, to.Pool.Gets)
+	advance(m.PoolPuts, from.Pool.Puts, to.Pool.Puts)
+	m.OpenMessages.Set(float64(to.OpenMessages))
+	m.OpenGroups.Set(float64(to.OpenGroups))
+	m.Streams.Set(float64(to.Streams))
+	m.PoolLive.Set(float64(to.Pool.Live))
+}
+
+// advance adds a tally's movement to its counter. Most tallies stand still
+// across most steps, and an atomic add of zero costs what any other does.
+func advance(c *obs.Counter, from, to uint64) {
+	if to > from {
+		c.Add(to - from)
+	}
+}
+
+// publish brings the handles up to the book as it stands now. With no
+// handle installed it leaves pub alone, so handles installed late start
+// from the engine's beginning, not from their installation.
+func (em *emitter) publish(now Tallies) {
+	if !em.grouped {
+		return
+	}
+	em.met.Grouping.Publish(&em.pub, &now)
+	em.pub = now
 }

@@ -141,7 +141,7 @@ func TestShardedLinkFaults(t *testing.T) {
 					t.Errorf("link %d: %d results consumed for %d sub-batches sent", k, l.recvs, l.sent)
 				}
 			}
-			if live, open := e.shardable.Pool().Live(), e.merger.Stats().OpenMessages; live != int64(open) {
+			if live, open := e.shardable.Pool().Stats().Live, e.merger.Stats().OpenMessages; live != int64(open) {
 				t.Errorf("pool gets − puts = %d, want the %d open messages", live, open)
 			}
 		})

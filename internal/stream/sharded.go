@@ -84,11 +84,10 @@ type ShardMetrics struct {
 // ShardedMetrics extend Metrics with the sharded topology's handles.
 // The embedded Metrics keep their serial meanings: stream.emitted,
 // stream.emit_latency_seconds and stream.watermark_unix_seconds are
-// maintained by the merge stage, and the grouping merge counters and
-// open-state gauges by the Merger it drives. The per-shard handles, and
-// the global stream.state streams/evictions and rule-scan handles that
-// aggregate them, advance once per applied batch, from the LocalStats
-// every link result carries.
+// maintained by the merge stage, which also publishes the grouper's book
+// (Metrics.Grouping) once per applied batch, as the serial engine does once
+// per Observe. The per-shard handles advance at the same moment, from the
+// LocalStats every link result carries.
 type ShardedMetrics struct {
 	Metrics
 	MergeEmitted *obs.Counter   // stream.merge.emitted
@@ -197,9 +196,8 @@ type batch struct {
 // than the exact call that closed them; the event sequence itself (set,
 // scores, IDs, order) is identical.
 //
-// Not safe for concurrent use by multiple callers (one dispatcher), and
-// metrics must be installed before the first Observe. Close releases the
-// merge goroutine and the links; an unclosed engine leaks them.
+// Not safe for concurrent use by multiple callers (one dispatcher). Close
+// releases the merge goroutine and the links; an unclosed engine leaks them.
 type ShardedEngine struct {
 	shardable *grouping.Shardable
 	workers   int
@@ -295,22 +293,16 @@ func (e *ShardedEngine) SetShardedMetrics(m ShardedMetrics) {
 	e.SetClusterMetrics(ClusterMetrics{ShardedMetrics: m})
 }
 
-// SetClusterMetrics installs the full metric set. Must precede the first
-// Observe — the pool counters start recording here, and a record acquired
-// before installation would go uncounted (any Observe leaves either a
-// partitioned message or a running engine behind, which is exactly what
-// the guard checks; a freshly restored engine passes).
+// SetClusterMetrics installs the full metric set. It is ignored once the
+// engine has dispatched anything (a freshly restored engine has not): the
+// merge goroutine and the links then read the handles with no lock. Nothing
+// else hangs on the moment — the grouper's series publish from its tallies.
 func (e *ShardedEngine) SetClusterMetrics(m ClusterMetrics) {
 	if !e.idle() {
 		return
 	}
 	e.met = m
-	e.em.met = m.Metrics
-	e.shardable.Pool().SetMetrics(grouping.PoolMetrics{
-		Gets: m.Grouping.PoolGets,
-		Puts: m.Grouping.PoolPuts,
-		Live: m.Grouping.PoolLive,
-	})
+	e.em.setMetrics(m.Metrics)
 }
 
 // idle reports that nothing was ever dispatched and nothing waits to be:
@@ -334,14 +326,6 @@ func (e *ShardedEngine) start() {
 	e.free = make(chan *batch, freeListDepth)
 	e.ack = make(chan struct{}, 1)
 	e.mergeDone = make(chan struct{})
-	e.merger.SetMetrics(grouping.MergeMetrics{
-		MergeTemporal:   e.met.Grouping.MergeTemporal,
-		MergeRule:       e.met.Grouping.MergeRule,
-		MergeCross:      e.met.Grouping.MergeCross,
-		CrossCandidates: e.met.Grouping.CrossCandidates,
-		OpenMessages:    e.met.Grouping.OpenMessages,
-		OpenGroups:      e.met.Grouping.OpenGroups,
-	})
 	go e.mergeLoop()
 }
 
@@ -462,7 +446,6 @@ func (e *ShardedEngine) mergeLoop() {
 			e.met.Watermark.Set(float64(e.merger.Watermark().UnixNano()) / 1e9)
 		}
 		e.publishShards(results, b.punct)
-		e.shardable.Pool().PublishLive()
 		if !b.punct.IsZero() {
 			if !failed && len(b.order) > 0 {
 				lag := time.Duration(e.maxDispatched.Load() - b.punct.UnixNano())
@@ -476,6 +459,12 @@ func (e *ShardedEngine) mergeLoop() {
 				e.emit(e.merger.Drain())
 			}
 		}
+		// Once per batch, from the shards' plain tallies: per-message atomic
+		// adds on handles shared across shards were measurable contention.
+		// Every link has answered this batch and the merger is done with it
+		// (a drain included), so after a sync or drain batch — the links
+		// parked, nothing in flight — the book published here is exact.
+		e.em.publish(Tallies{IncStats: e.stats(), Pool: e.shardable.Pool().Stats()})
 		kind := b.kind
 		for k := range b.subs {
 			clear(b.subs[k])
@@ -492,41 +481,26 @@ func (e *ShardedEngine) mergeLoop() {
 	}
 }
 
-// publishShards is the one place shard-side numbers reach the metric
-// handles: each link result carries its shard's cumulative LocalStats, so
-// the per-shard series and the global aggregates advance by the difference
-// from the previous batch (a restored engine starts from the restored
-// tallies, like the serial engine). Merge goroutine only.
+// publishShards records each shard's latest cumulative LocalStats (every
+// link result carries them) and advances the per-shard stream.shard.<k>.*
+// series; the global series that aggregate the shards publish from the
+// recorded stats with the rest of the grouper's book (emitter.publish). A
+// restored engine starts from the restored tallies. Merge goroutine only.
 func (e *ShardedEngine) publishShards(results []shardResult, punct time.Time) {
-	streams := 0
 	for k := range results {
-		prev := &e.localStats[k]
-		if res := &results[k]; res.err == nil {
-			sm, st := e.met.shard(k), res.stats
-			sm.Pushed.Add(uint64(len(res.items)))
-			sm.Streams.Set(float64(st.Streams))
-			if !punct.IsZero() {
-				sm.Watermark.Set(float64(punct.UnixNano()) / 1e9)
-			}
-			if st.Evictions > prev.Evictions {
-				d := uint64(st.Evictions - prev.Evictions)
-				sm.Evictions.Add(d)
-				e.met.Grouping.StreamEvictions.Add(d)
-			}
-			if st.RuleCandidates > prev.RuleCandidates {
-				e.met.Grouping.RuleCandidates.Add(st.RuleCandidates - prev.RuleCandidates)
-			}
-			if st.RulePairs > prev.RulePairs {
-				e.met.Grouping.RulePairs.Add(st.RulePairs - prev.RulePairs)
-			}
-			if st.UnresolvedLocs > prev.UnresolvedLocs {
-				e.met.Grouping.UnresolvedLocs.Add(st.UnresolvedLocs - prev.UnresolvedLocs)
-			}
-			*prev = st
+		res := &results[k]
+		if res.err != nil {
+			continue
 		}
-		streams += prev.Streams
+		sm, prev := e.met.shard(k), e.localStats[k]
+		sm.Pushed.Add(uint64(len(res.items)))
+		sm.Streams.Set(float64(res.stats.Streams))
+		if !punct.IsZero() {
+			sm.Watermark.Set(float64(punct.UnixNano()) / 1e9)
+		}
+		advance(sm.Evictions, uint64(prev.Evictions), uint64(res.stats.Evictions))
+		e.localStats[k] = res.stats
 	}
-	e.met.Grouping.Streams.Set(float64(streams))
 }
 
 // emit runs the shared emitter over what the last Merger step produced and
@@ -615,7 +589,6 @@ func (e *ShardedEngine) Drain() []event.Event {
 	}
 	e.dispatch(ctrlDrain)
 	<-e.ack
-	e.shardable.Pool().PublishLive()
 	return e.collect()
 }
 
@@ -666,31 +639,18 @@ func (e *ShardedEngine) ActiveRules() map[rules.PairKey]int {
 // grouper state and merge counters across all shards.
 func (e *ShardedEngine) Stats() grouping.IncStats {
 	e.sync()
-	ms := e.merger.Stats()
-	st := grouping.IncStats{
-		OpenMessages:    ms.OpenMessages,
-		OpenGroups:      ms.OpenGroups,
-		TemporalMerges:  ms.TemporalMerges,
-		RuleMerges:      ms.RuleMerges,
-		CrossMerges:     ms.CrossMerges,
-		CrossCandidates: ms.CrossCandidates,
-	}
-	for _, ls := range e.localStats {
-		st.Streams += ls.Streams
-		st.StreamEvictions += ls.Evictions
-		st.RuleCandidates += ls.RuleCandidates
-		st.RulePairs += ls.RulePairs
-		st.UnresolvedLocs += ls.UnresolvedLocs
-	}
-	return st
+	return e.stats()
+}
+
+// stats reads the merger and the shards' recorded stats as they stand: the
+// merge goroutine's view, or the caller's in a quiet window.
+func (e *ShardedEngine) stats() grouping.IncStats {
+	return grouping.SumStats(e.merger.Stats(), e.localStats...)
 }
 
 // Pending is the number of messages in not-yet-closed groups (synchronizes
 // first, so nothing is in flight when it counts).
-func (e *ShardedEngine) Pending() int {
-	e.sync()
-	return e.merger.Stats().OpenMessages
-}
+func (e *ShardedEngine) Pending() int { return e.Stats().OpenMessages }
 
 // chanLink is the in-process shardLink: a goroutine stepping its own
 // RouterLocal, fed and drained through bounded channels. Decisions cross

@@ -46,7 +46,7 @@ type Config struct {
 
 // Metrics are the engine's optional observability handles (all nil-safe).
 type Metrics struct {
-	Grouping    grouping.IncMetrics
+	Grouping    IncMetrics
 	Emitted     *obs.Counter   // stream.emitted
 	EmitLatency *obs.Histogram // stream.emit_latency_seconds (log time)
 	Watermark   *obs.Gauge     // stream.watermark_unix_seconds
@@ -112,10 +112,7 @@ func New(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config) (*Engine, err
 // SetClusterMetrics installs observability handles. The serial engine has
 // no shards, merge stage or wire, so only the embedded Metrics apply; it
 // takes the superset so every engine shape has the one setter.
-func (e *Engine) SetClusterMetrics(m ClusterMetrics) {
-	e.em.met = m.Metrics
-	e.inc.SetMetrics(m.Grouping)
-}
+func (e *Engine) SetClusterMetrics(m ClusterMetrics) { e.em.setMetrics(m.Metrics) }
 
 // Observe ingests one message (nondecreasing Time required) and returns the
 // events its watermark advance closed, oldest first. Event IDs count up in
@@ -135,11 +132,12 @@ func (e *Engine) Observe(m Message) ([]event.Event, error) {
 // grouping.Incremental.Drain.
 func (e *Engine) Drain() []event.Event { return e.emit(e.inc.Drain()) }
 
-// emit runs the shared emitter over what the last grouper step produced
-// and hands the member buffers back to the grouper. The returned event
-// slice is freshly allocated (the caller may retain it); it is the one
-// steady-state allocation left on the emission path, paid only on the rare
-// calls that actually close groups.
+// emit runs the shared emitter over what the last grouper step produced,
+// hands the member buffers back to the grouper and publishes the grouper's
+// book, so once per Observe or Drain. The returned event slice is freshly
+// allocated (the caller may retain it); it is the one steady-state
+// allocation left on the emission path, paid only on the rare calls that
+// actually close groups.
 func (e *Engine) emit(closed []grouping.ClosedGroup) []event.Event {
 	var evs []event.Event
 	if len(closed) > 0 {
@@ -147,6 +145,7 @@ func (e *Engine) emit(closed []grouping.ClosedGroup) []event.Event {
 	}
 	e.em.emit(e.inc.TakeUpdates(), closed, e.inc.Watermark(), &evs, &e.upd)
 	e.inc.Recycle(closed)
+	e.em.publish(Tallies{IncStats: e.inc.Stats(), Pool: e.inc.Pool().Stats()})
 	return evs
 }
 
