@@ -249,7 +249,8 @@ func TestStreamAllocsStorm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("storm corpus generation is slow")
 	}
-	kb, ds := learnStorm(t)
+	storm := learnStorm(t)
+	kb, ds := storm.kb, storm.ds
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			warm := len(ds.Messages) * 3 / 4

@@ -13,53 +13,6 @@ import (
 	"syslogdigest/internal/syslogmsg"
 )
 
-// learnSmall builds a knowledge base from a small generated dataset A.
-func learnSmall(t *testing.T, kind gen.DatasetKind) (*KnowledgeBase, *gen.Dataset) {
-	t.Helper()
-	ds, err := gen.Generate(gen.Spec{
-		Kind: kind, Routers: 16, Seed: 3,
-		Duration: 36 * time.Hour, RateScale: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kb, err := NewLearner(DefaultParams()).Learn(ds.Messages, ds.Net.Configs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return kb, ds
-}
-
-// learnStorm builds a knowledge base from the normal learnSmall corpus,
-// then generates a flap-storm corpus over the same topology (same kind,
-// router count, and seed, so the network is identical): link, BGP, and
-// tunnel episodes at an order of magnitude above the learn-time rates plus
-// heavy noise, so the rule and cross windows stay near-full with messages
-// whose templates are mostly NOT rule partners of each other — the regime
-// the template index exists for. This mirrors deployment: knowledge mined
-// offline from history, applied during a storm.
-func learnStorm(t *testing.T) (*KnowledgeBase, *gen.Dataset) {
-	t.Helper()
-	kb, _ := learnSmall(t, gen.DatasetA)
-	storm, err := gen.Generate(gen.Spec{
-		Kind: gen.DatasetA, Routers: 16, Seed: 3,
-		Duration: 6 * time.Hour,
-		Rates: gen.Rates{
-			LinkFlap: 40, Controller: 6, BGPFlap: 20, CPUSpike: 60,
-			PeriodicMsg: 12000, Noise: 200000, Config: 60, EnvAlarm: 24, TunnelFlap: 15,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Storm-tuned digest parameters: a wide rule window and a raised scan
-	// cap, so the windows actually hold the storm instead of trimming to
-	// the newest burst.
-	kb.Params.Rules.Window = 600 * time.Second
-	kb.Params.MaxScan = 4096
-	return kb, storm
-}
-
 func TestLearnProducesKnowledge(t *testing.T) {
 	kb, _ := learnSmall(t, gen.DatasetA)
 	if len(kb.Templates) < 10 {
@@ -261,7 +214,7 @@ func TestLearnWithCalibration(t *testing.T) {
 }
 
 func TestUpdateRulesWeekly(t *testing.T) {
-	kb, ds := learnSmall(t, gen.DatasetA)
+	kb, ds := mutableKB(t, gen.DatasetA)
 	l := NewLearner(DefaultParams())
 	before := kb.RuleBase.Len()
 	st, err := l.UpdateRules(kb, ds.Messages)
@@ -271,40 +224,6 @@ func TestUpdateRulesWeekly(t *testing.T) {
 	// Re-mining the same period cannot contradict rules it just confirmed.
 	if st.Total < before {
 		t.Fatalf("self-update shrank the rule base: %+v (was %d)", st, before)
-	}
-}
-
-func TestStreamerEquivalentAtQuietBoundaries(t *testing.T) {
-	kb, ds := learnSmall(t, gen.DatasetA)
-	d1, _ := NewDigester(kb)
-	d2, _ := NewDigester(kb)
-	whole, err := d1.Digest(ds.Messages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewStreamerWith(d2, StreamerOptions{})
-	total := 0
-	for _, m := range ds.Messages {
-		res, err := s.Push(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res != nil {
-			total += len(res.Events)
-		}
-	}
-	res, err := s.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res != nil {
-		total += len(res.Events)
-	}
-	if total != len(whole.Events) {
-		t.Fatalf("streamed events %d != batch events %d", total, len(whole.Events))
-	}
-	if s.Pending() != 0 {
-		t.Fatal("messages left pending after Flush")
 	}
 }
 
@@ -361,7 +280,7 @@ func TestNewDigesterErrors(t *testing.T) {
 }
 
 func TestApplyExpertPersists(t *testing.T) {
-	kb, _ := learnSmall(t, gen.DatasetA)
+	kb, _ := mutableKB(t, gen.DatasetA)
 	// Name the LINK-down template and assert a rule between the first two
 	// templates, then check both survive KB serialization.
 	var linkDown core0TemplateRef
@@ -405,7 +324,7 @@ type core0TemplateRef struct {
 }
 
 func TestApplyExpertBadDirectives(t *testing.T) {
-	kb, _ := learnSmall(t, gen.DatasetA)
+	kb, _ := mutableKB(t, gen.DatasetA)
 	if _, err := kb.ApplyExpert(strings.NewReader("name NOPE|missing => x\n")); err == nil {
 		t.Fatal("bad directive accepted")
 	}

@@ -58,26 +58,30 @@ func FuzzRestoreStreamer(f *testing.F) {
 
 	probe := ds.Messages[len(ds.Messages)-1]
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d2, err := NewDigester(kb)
-		if err != nil {
-			t.Fatal(err)
+		// Serial, and sharded: a restore into two workers reshards the
+		// decoded router-local state.
+		for _, opts := range []StreamerOptions{{}, {StreamWorkers: 2}} {
+			d2, err := NewDigester(kb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := RestoreStreamer(d2, data, opts)
+			if err != nil {
+				continue // rejected: the only acceptable failure mode
+			}
+			// A snapshot the decoder accepted must yield a usable streamer.
+			m := probe
+			m.Time = s.maxSeen.Add(time.Hour)
+			if m.Time.Before(s.frontier) {
+				m.Time = s.frontier.Add(time.Hour)
+			}
+			if _, err := s.Push(m); err != nil {
+				t.Logf("push after restore (%d workers): %v", opts.StreamWorkers, err)
+			}
+			if _, err := s.Flush(); err != nil {
+				t.Logf("flush after restore (%d workers): %v", opts.StreamWorkers, err)
+			}
+			s.Close()
 		}
-		s, err := RestoreStreamer(d2, data, StreamerOptions{})
-		if err != nil {
-			return // rejected: the only acceptable failure mode
-		}
-		// A snapshot the decoder accepted must yield a usable streamer.
-		m := probe
-		m.Time = s.maxSeen.Add(time.Hour)
-		if m.Time.Before(s.frontier) {
-			m.Time = s.frontier.Add(time.Hour)
-		}
-		if _, err := s.Push(m); err != nil {
-			t.Logf("push after restore: %v", err)
-		}
-		if _, err := s.Flush(); err != nil {
-			t.Logf("flush after restore: %v", err)
-		}
-		s.Close()
 	})
 }

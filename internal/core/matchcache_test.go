@@ -68,7 +68,7 @@ func TestMatchCacheClockEviction(t *testing.T) {
 }
 
 func TestSetMatchCache(t *testing.T) {
-	kb, ds := learnSmall(t, gen.DatasetA)
+	kb, ds := mutableKB(t, gen.DatasetA)
 	kb.Augment(&ds.Messages[0])
 	if kb.cache == nil || kb.cache.len() == 0 {
 		t.Fatal("default cache not populated by Augment")
@@ -93,7 +93,7 @@ func TestSetMatchCache(t *testing.T) {
 // `make check`, this is both the determinism proof and the data-race probe
 // for the cache.
 func TestAugmentConcurrentSmallCache(t *testing.T) {
-	kb, ds := learnSmall(t, gen.DatasetA)
+	kb, ds := mutableKB(t, gen.DatasetA)
 	msgs := ds.Messages
 	if len(msgs) > 3000 {
 		msgs = msgs[:3000]
@@ -101,7 +101,6 @@ func TestAugmentConcurrentSmallCache(t *testing.T) {
 	kb.SetMatchCache(-1)
 	want := kb.AugmentAll(msgs)
 	kb.SetMatchCache(64) // far below the working set: evicts constantly
-	defer kb.SetMatchCache(0)
 
 	const goroutines = 4
 	got := make([][]PlusMessage, goroutines)

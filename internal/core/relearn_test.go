@@ -10,7 +10,7 @@ import (
 )
 
 func TestRelearnKeepsTemplateIDs(t *testing.T) {
-	kb, ds := learnSmall(t, gen.DatasetA)
+	kb, ds := mutableKB(t, gen.DatasetA)
 	l := NewLearner(DefaultParams())
 
 	byPattern := make(map[string]int)
@@ -41,7 +41,7 @@ func TestRelearnKeepsTemplateIDs(t *testing.T) {
 }
 
 func TestRelearnAddsNewFormats(t *testing.T) {
-	kb, ds := learnSmall(t, gen.DatasetA)
+	kb, ds := mutableKB(t, gen.DatasetA)
 	l := NewLearner(DefaultParams())
 
 	before := len(kb.Templates)

@@ -2,11 +2,20 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
+	"syslogdigest/internal/event"
 	"syslogdigest/internal/gen"
+	"syslogdigest/internal/grouping"
+	"syslogdigest/internal/locdict"
 	"syslogdigest/internal/obs"
+	"syslogdigest/internal/rules"
 	"syslogdigest/internal/stream"
 	"syslogdigest/internal/syslogmsg"
 )
@@ -19,7 +28,7 @@ import (
 // batch-engine choice (SetStreamWorkers) does not reach a streamer.
 func TestStreamerOptionsDecideShape(t *testing.T) {
 	kb, ds := learnSmall(t, gen.DatasetA)
-	srv := startShardServer(t, kb)
+	srv := fixtureFor(t, corpusA).server(t)
 	for _, tc := range []struct {
 		name         string
 		batchWorkers int // Digester.SetStreamWorkers before the streamer is built
@@ -265,7 +274,7 @@ func TestKnowledgeBaseRoundTripStable(t *testing.T) {
 	params.Template.MinChildFraction = 0.25
 	params.Template.MinChildCount = 3
 	params.Template.NoPreMask = true
-	kb, _ := learnSmallWith(t, gen.DatasetA, params)
+	kb := *learnSmallWith(t, gen.DatasetA, params).kb // the fixture stays as learned
 	kb.Params.CalibrateTemporal = true
 
 	var first bytes.Buffer
@@ -291,19 +300,443 @@ func TestKnowledgeBaseRoundTripStable(t *testing.T) {
 	}
 }
 
-// learnSmallWith is learnSmall with explicit params.
-func learnSmallWith(t *testing.T, kind gen.DatasetKind, params Params) (*KnowledgeBase, *gen.Dataset) {
-	t.Helper()
-	ds, err := gen.Generate(gen.Spec{
-		Kind: kind, Routers: 16, Seed: 3,
-		Duration: 36 * time.Hour, RateScale: 0.5,
-	})
+// TestStreamerReorderCapBoundary: the reorder buffer must never hold more
+// than ReorderCap messages — the historical off-by-one let it reach cap+1.
+// Covers both overflow paths: releasing the oldest buffered message to make
+// room, and feeding the new arrival directly when it precedes everything
+// buffered.
+func TestStreamerReorderCapBoundary(t *testing.T) {
+	kb, _ := learnSmall(t, gen.DatasetA)
+	d, err := NewDigester(kb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kb, err := NewLearner(params).Learn(ds.Messages, ds.Net.Configs)
+	const cap = 4
+	s := NewStreamerWith(d, StreamerOptions{ReorderTolerance: time.Hour, ReorderCap: cap})
+	defer s.Close()
+	t0 := time.Date(2010, 1, 1, 12, 0, 0, 0, time.UTC)
+	mk := func(at time.Time) syslogmsg.Message {
+		return syslogmsg.Message{Time: at, Router: "x", Code: "A-1-B", Detail: "d"}
+	}
+	// Fill to the cap, then keep pushing: the buffer must stay at the bound,
+	// with each overflow releasing exactly one message.
+	for i := 0; i < cap+3; i++ {
+		if _, err := s.Push(mk(t0.Add(time.Duration(i) * time.Second))); err != nil {
+			t.Fatal(err)
+		}
+		if len(s.buf) > cap {
+			t.Fatalf("after push %d: buffer holds %d > cap %d", i, len(s.buf), cap)
+		}
+	}
+	if len(s.buf) != cap {
+		t.Fatalf("buffer holds %d, want exactly %d", len(s.buf), cap)
+	}
+	released := s.frontier
+	// A full buffer plus an arrival older than everything buffered (but not
+	// behind the frontier): the arrival itself releases, never occupying a
+	// slot, and the buffer must not shrink or grow.
+	mid := released.Add(500 * time.Millisecond)
+	if mid.After(s.buf[0].m.Time) {
+		t.Fatalf("test setup: %v should precede buffered head %v", mid, s.buf[0].m.Time)
+	}
+	if _, err := s.Push(mk(mid)); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.buf) != cap {
+		t.Fatalf("direct-feed path changed buffer to %d, want %d", len(s.buf), cap)
+	}
+	if !s.frontier.Equal(mid) {
+		t.Fatalf("frontier %v, want %v (direct feed released the arrival)", s.frontier, mid)
+	}
+}
+
+// failEngine is a streamEngine whose Observe fails on the Nth call,
+// emitting one synthetic event per successful call.
+type failEngine struct {
+	calls  int
+	failAt int
+}
+
+var errBoom = errors.New("engine: boom")
+
+func (f *failEngine) Observe(stream.Message) ([]event.Event, error) {
+	f.calls++
+	if f.calls >= f.failAt {
+		return nil, errBoom
+	}
+	return []event.Event{{ID: f.calls}}, nil
+}
+func (f *failEngine) Drain() []event.Event                    { return nil }
+func (f *failEngine) Close()                                  {}
+func (f *failEngine) Watermark() time.Time                    { return time.Time{} }
+func (f *failEngine) Pending() int                            { return 0 }
+func (f *failEngine) Stats() grouping.IncStats                { return grouping.IncStats{} }
+func (f *failEngine) ActiveRules() map[rules.PairKey]int      { return nil }
+func (f *failEngine) SetClusterMetrics(stream.ClusterMetrics) {}
+func (f *failEngine) TakeUpdates() []event.Update             { return nil }
+func (f *failEngine) State() (stream.EngineState, []event.Event, []event.Update, error) {
+	return stream.EngineState{}, nil, nil, errBoom
+}
+func (f *failEngine) Restore(stream.EngineState) error { return errBoom }
+
+// TestStreamerFlushPartialOnError: when a feed fails mid-Flush, the events
+// already closed come back alongside the error (nothing emitted is lost),
+// the unfed remainder stays buffered, and stream.buffered tells the truth.
+func TestStreamerFlushPartialOnError(t *testing.T) {
+	kb, _ := learnSmall(t, gen.DatasetA)
+	d, err := NewDigester(kb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return kb, ds
+	s := NewStreamerWith(d, StreamerOptions{ReorderTolerance: time.Hour})
+	reg := obs.NewRegistry()
+	s.Instrument(reg)
+	t0 := time.Date(2010, 1, 1, 12, 0, 0, 0, time.UTC)
+	for i := 0; i < 4; i++ {
+		m := syslogmsg.Message{Time: t0.Add(time.Duration(i) * time.Second),
+			Router: "x", Code: "A-1-B", Detail: "d"}
+		if _, err := s.Push(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.buf) != 4 {
+		t.Fatalf("setup: buffered %d, want 4", len(s.buf))
+	}
+	s.eng = &failEngine{failAt: 3}
+	res, err := s.Flush()
+	if !errors.Is(err, errBoom) {
+		t.Fatalf("Flush error = %v, want errBoom", err)
+	}
+	if res == nil || len(res.Events) != 2 {
+		t.Fatalf("Flush returned %v events alongside the error, want 2", res)
+	}
+	if res.Events[0].ID != 1 || res.Events[1].ID != 2 {
+		t.Fatalf("partial events %v, want IDs 1,2 in order", res.Events)
+	}
+	if len(s.buf) != 1 {
+		t.Fatalf("buffer holds %d after failed flush, want 1 (the unfed remainder)", len(s.buf))
+	}
+	if got := reg.Snapshot().Gauge("stream.buffered"); got != 1 {
+		t.Fatalf("stream.buffered gauge = %v, want 1", got)
+	}
+}
+
+// TestStreamerOverflowDropCounting: a drop caused by the cap forcing the
+// frontier forward early (the arrival is still within tolerance) counts as
+// stream.dropped.overflow; an arrival beyond the tolerance counts as
+// stream.dropped.late. The two series separate "buffer undersized" from
+// "sender misbehaved".
+func TestStreamerOverflowDropCounting(t *testing.T) {
+	kb, _ := learnSmall(t, gen.DatasetA)
+	d, err := NewDigester(kb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStreamerWith(d, StreamerOptions{ReorderTolerance: 10 * time.Second, ReorderCap: 2})
+	defer s.Close()
+	reg := obs.NewRegistry()
+	s.Instrument(reg)
+	t0 := time.Date(2010, 1, 1, 12, 0, 0, 0, time.UTC)
+	mk := func(at time.Time) syslogmsg.Message {
+		return syslogmsg.Message{Time: at, Router: "x", Code: "A-1-B", Detail: "d"}
+	}
+	// Three in-tolerance arrivals against a cap of 2: the third forces t0
+	// out early, moving the frontier to t0 while the tolerance window still
+	// reaches back to maxSeen-10s.
+	for i := 0; i < 3; i++ {
+		if _, err := s.Push(mk(t0.Add(time.Duration(i) * time.Second))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s.frontier.Equal(t0) {
+		t.Fatalf("setup: frontier %v, want %v", s.frontier, t0)
+	}
+	// Behind the frontier but within tolerance of the newest arrival: only
+	// the undersized buffer lost its slot — an overflow drop.
+	if res, err := s.Push(mk(t0.Add(-time.Second))); err != nil || res != nil {
+		t.Fatalf("overflow drop: res=%v err=%v, want silent drop", res, err)
+	}
+	// Behind the frontier and beyond the tolerance: a genuinely late sender.
+	if res, err := s.Push(mk(t0.Add(-9 * time.Second))); err != nil || res != nil {
+		t.Fatalf("late drop: res=%v err=%v, want silent drop", res, err)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counter("stream.dropped.overflow"); got != 1 {
+		t.Fatalf("stream.dropped.overflow = %d, want 1", got)
+	}
+	if got := snap.Counter("stream.dropped.late"); got != 1 {
+		t.Fatalf("stream.dropped.late = %d, want 1", got)
+	}
+	if got := snap.Counter("stream.pushed"); got != 5 {
+		t.Fatalf("stream.pushed = %d, want 5", got)
+	}
+}
+
+// TestRestoreRejectsFutureVersion: a snapshot stamped with a later format
+// version (a newer build's file) must be refused, not misread.
+func TestRestoreRejectsFutureVersion(t *testing.T) {
+	kb, ds := learnSmall(t, gen.DatasetA)
+	d, err := NewDigester(kb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStreamerWith(d, StreamerOptions{})
+	defer st.Close()
+	for _, m := range ds.Messages[:200] {
+		if _, err := st.Push(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env map[string]json.RawMessage
+	if err := json.Unmarshal(snap, &env); err != nil {
+		t.Fatal(err)
+	}
+	env["version"] = json.RawMessage("999")
+	tampered, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := NewDigester(kb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreStreamer(d2, tampered, StreamerOptions{}); err == nil {
+		t.Fatal("restore accepted a version-999 snapshot")
+	}
+}
+
+// TestProvisionalScratchPoisoned proves the scratch contract of
+// Merger.TakeUpdates and of the closed-group slice: once a step's
+// publications have been turned into events, nothing reads their Members
+// again. It composes the serial engine's step by hand — Incremental.Observe,
+// TakeUpdates, one BuildMessages per record, Recycle — and, before the next
+// step, overwrites every Members buffer it was handed, to its full
+// capacity, with garbage. The buffers go back into circulation poisoned; if
+// the Merger re-read one, handed one out twice within a step, or an event
+// kept a reference into one, the transcript would diverge from the serial
+// streamer's, which it must equal record for record (TestDifferential's
+// A/sharded2/prov row holds the sharded engine to the same records).
+func TestProvisionalScratchPoisoned(t *testing.T) {
+	kb, ds := learnSmall(t, gen.DatasetA)
+	d, err := NewDigester(kb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := d.engineConfig(0, provHorizon)
+	inc, err := grouping.NewIncremental(kb.Dictionary(), kb.RuleBase, cfg.Grouping)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builder := event.NewBuilder(cfg.Freq, cfg.Labeler)
+	poison := grouping.Message{
+		Seq: -1, Time: time.Unix(1<<40, 0), Router: "POISON", Template: -99,
+		Loc: locdict.RouterLoc("POISON"), AllLocs: []locdict.Location{{}}, Peers: []string{"POISON"}, Raw: ^uint64(0),
+	}
+	scribble := func(ms []grouping.Message) {
+		ms = ms[:cap(ms)]
+		for i := range ms {
+			ms[i] = poison
+		}
+	}
+	var got []event.Update
+	nextID, poisoned := 0, 0
+	step := func(closed []grouping.ClosedGroup) {
+		gus := inc.TakeUpdates()
+		for i := range gus {
+			gu := &gus[i]
+			u := event.Update{EventID: gu.ID, Revision: gu.Revision}
+			switch gu.Kind {
+			case grouping.UpdateSuperseded:
+				u.Status, u.SupersededBy = event.StatusSuperseded, gu.SupersededBy
+			case grouping.UpdateRevised:
+				u.Status = event.StatusRevised
+			default:
+				u.Status = event.StatusProvisional
+			}
+			if gu.Kind != grouping.UpdateSuperseded {
+				u.Event = builder.BuildMessages(gu.Members)
+				u.Event.ID = -1
+			}
+			got = append(got, u)
+		}
+		for i := range closed {
+			ev := builder.BuildMessages(closed[i].Members)
+			ev.ID = nextID
+			nextID++
+			got = append(got, event.Update{EventID: closed[i].ID, Revision: closed[i].Revision, Status: event.StatusFinal, Event: ev})
+		}
+		for i := range gus {
+			scribble(gus[i].Members)
+			poisoned += cap(gus[i].Members)
+		}
+		for i := range closed {
+			scribble(closed[i].Members)
+		}
+		inc.Recycle(closed)
+	}
+	for i := range ds.Messages {
+		pm := kb.Augment(&ds.Messages[i])
+		closed, err := inc.Observe(grouping.Message{
+			Seq: i, Time: pm.Time, Router: pm.Router, Template: pm.Template,
+			Loc: pm.Loc, AllLocs: pm.AllLocs, Peers: pm.Peers, Raw: pm.Index,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		step(closed)
+	}
+	step(inc.Drain())
+	if poisoned == 0 {
+		t.Fatal("no provisional publication was poisoned: the run never exercised the scratch")
+	}
+
+	want := reference(t, plan{corpus: corpusA, horizon: provHorizon}).upds
+	if len(got) != len(want) {
+		t.Fatalf("poisoned composition produced %d records, engine %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("record %d differs\npoisoned composition: %+v\nengine: %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestShardedLowWatermarkMonotone is the low-watermark property test: under
+// heavy shard skew (one router carries almost all traffic, so one shard
+// works while others idle), the merge stage's low watermark must be
+// nondecreasing, never ahead of the dispatcher watermark, and must reach
+// it at drain.
+func TestShardedLowWatermarkMonotone(t *testing.T) {
+	kb, _ := learnSmall(t, gen.DatasetA)
+	d, err := NewDigester(kb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := stream.NewSharded(kb.Dictionary(), kb.RuleBase, d.engineConfig(0, 0), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	eng.SetBatchSize(16)
+
+	t0 := time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC)
+	rng := rand.New(rand.NewSource(5))
+	var msgs []syslogmsg.Message
+	for i := 0; i < 4096; i++ {
+		router := "hub-router"
+		if rng.Intn(10) == 0 {
+			router = fmt.Sprintf("spoke-%d", rng.Intn(8))
+		}
+		msgs = append(msgs, syslogmsg.Message{Index: uint64(i), Time: t0.Add(time.Duration(i) * 250 * time.Millisecond),
+			Router: router, Code: "SKEW-1-TEST", Detail: "skewed feed"})
+	}
+	plus := kb.AugmentAll(msgs)
+
+	var low time.Time
+	for i := range plus {
+		if _, err := eng.Observe(streamMsg(&plus[i], i)); err != nil {
+			t.Fatal(err)
+		}
+		lw := eng.LowWatermark()
+		if lw.Before(low) {
+			t.Fatalf("low watermark regressed: %v after %v", lw, low)
+		}
+		low = lw
+		if lw.After(eng.Watermark()) {
+			t.Fatalf("low watermark %v ahead of dispatcher watermark %v", lw, eng.Watermark())
+		}
+	}
+	if low.IsZero() {
+		t.Fatal("low watermark never advanced")
+	}
+	eng.Drain()
+	if lw := eng.LowWatermark(); !lw.Equal(eng.Watermark()) {
+		t.Fatalf("after drain low watermark %v != watermark %v", lw, eng.Watermark())
+	}
+}
+
+// TestEngineEvictionBounded is the state bound: a storm corpus cycling
+// through many (template, location) streams — 16 routers, each active in
+// exactly one era, eras separated by more than the closure horizon — run
+// with MaxStreams 4 must (1) evict temporal models, (2) keep the open-state
+// and stream gauges bounded far below corpus size, and (3) still produce
+// the batch oracle's event multiset, because a stream that never revives
+// loses nothing to eviction.
+func TestEngineEvictionBounded(t *testing.T) {
+	kb, _ := learnSmall(t, gen.DatasetA)
+	d, err := NewDigester(kb)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const (
+		routers    = 16
+		perEra     = 400
+		eraSpacing = 4 * time.Hour // > closure horizon (Smax = 3h)
+	)
+	t0 := time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC)
+	var msgs []syslogmsg.Message
+	for r := 0; r < routers; r++ {
+		era := t0.Add(time.Duration(r) * eraSpacing)
+		for i := 0; i < perEra; i++ {
+			msgs = append(msgs, syslogmsg.Message{Index: uint64(len(msgs)), Time: era.Add(time.Duration(i) * time.Second),
+				Router: fmt.Sprintf("storm-%02d", r), Code: "STORM-1-FLOOD", Detail: "interface flap storm"})
+		}
+	}
+	want, err := d.ReferenceDigestPlus(kb.AugmentAll(msgs))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st := NewStreamerWith(d, StreamerOptions{MaxStreams: 4})
+	reg := obs.NewRegistry()
+	st.Instrument(reg)
+	var streamed []event.Event
+	peakStreams, peakOpen := 0.0, 0.0
+	for _, m := range msgs {
+		res, err := st.Push(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res != nil {
+			streamed = append(streamed, res.Events...)
+		}
+		snap := reg.Snapshot()
+		if g := snap.Gauge("stream.state.streams"); g > peakStreams {
+			peakStreams = g
+		}
+		if g := snap.Gauge("stream.state.messages"); g > peakOpen {
+			peakOpen = g
+		}
+	}
+	res, err := st.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res != nil {
+		streamed = append(streamed, res.Events...)
+	}
+
+	snap := reg.Snapshot()
+	if got := snap.Counter("stream.state.evictions"); got == 0 {
+		t.Error("no stream evictions despite MaxStreams 4 and 16 streams")
+	}
+	if peakStreams > 5 {
+		t.Errorf("peak stream.state.streams = %v, want <= 5 (cap 4 + in-flight)", peakStreams)
+	}
+	// Open state must track the window, not the corpus: one era can be
+	// fully open (eras outlast the horizon), but never several.
+	if max := float64(3 * perEra); peakOpen > max {
+		t.Errorf("peak stream.state.messages = %v, want <= %v (corpus %d)", peakOpen, max, len(msgs))
+	}
+	if got := snap.Gauge("stream.state.messages"); got != 0 {
+		t.Errorf("open messages after flush = %v, want 0", got)
+	}
+	if sn, wn := normalizeEvents(streamed), normalizeEvents(want.Events); !reflect.DeepEqual(sn, wn) {
+		t.Fatalf("streamed event multiset differs from the oracle's (%d vs %d events)", len(sn), len(wn))
+	}
 }

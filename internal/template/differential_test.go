@@ -1,14 +1,15 @@
 package template_test
 
 // Differential tests proving the interned matcher (MatchTokens) is a pure
-// drop-in for the pre-interning string scan (MatchTokensLinear): identical
-// (template, ok) on every input. The external test package lets these tests
-// drive the matcher with internal/gen corpora (gen imports template, so an
-// internal test would cycle).
+// drop-in for the pre-interning string scan (linearMatcher below):
+// identical (template, ok) on every input. The external test package lets
+// these tests drive the matcher with internal/gen corpora (gen imports
+// template, so an internal test would cycle).
 
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -17,11 +18,53 @@ import (
 	"syslogdigest/internal/textutil"
 )
 
+// linearEntry is one template with its literal words.
+type linearEntry struct {
+	t    template.Template
+	lits []string
+}
+
+// linearMatcher is the reference: per code, a full most-specific-first scan
+// (more literal words first, then lower ID) comparing literal words as
+// strings.
+type linearMatcher map[string][]linearEntry
+
+func newLinearMatcher(m *template.Matcher) linearMatcher {
+	lm := linearMatcher{}
+	for _, t := range m.Templates() { // by ID
+		lm[t.Code] = append(lm[t.Code], linearEntry{t, t.Literals()})
+	}
+	for _, es := range lm {
+		sort.SliceStable(es, func(i, j int) bool { return len(es[i].lits) > len(es[j].lits) })
+	}
+	return lm
+}
+
+func (lm linearMatcher) match(code string, toks []string) (template.Template, bool) {
+	for _, e := range lm[code] {
+		if matchesLiterals(e.lits, toks) {
+			return e.t, true
+		}
+	}
+	return template.Template{}, false
+}
+
+// matchesLiterals tests ordered containment of the literal words in toks.
+func matchesLiterals(lits, toks []string) bool {
+	k := 0
+	for _, w := range toks {
+		if k < len(lits) && w == lits[k] {
+			k++
+		}
+	}
+	return k == len(lits)
+}
+
 // diffCheck asserts both matcher implementations agree on one input.
-func diffCheck(t *testing.T, m *template.Matcher, code string, toks []string) {
+func diffCheck(t *testing.T, m *template.Matcher, lm linearMatcher, code string, toks []string) {
 	t.Helper()
 	got, gok := m.MatchTokens(code, toks)
-	want, wok := m.MatchTokensLinear(code, toks)
+	want, wok := lm.match(code, toks)
 	if gok != wok || got.ID != want.ID {
 		t.Fatalf("matcher divergence on code=%q toks=%q:\n  interned: id=%d ok=%v\n  linear:   id=%d ok=%v",
 			code, toks, got.ID, gok, want.ID, wok)
@@ -42,8 +85,9 @@ func TestMatcherDifferentialCorpus(t *testing.T) {
 					t.Fatal(err)
 				}
 				m := template.NewMatcher(template.Learn(ds.Messages, template.Options{}))
+				lm := newLinearMatcher(m)
 				for i := range ds.Messages {
-					diffCheck(t, m, ds.Messages[i].Code,
+					diffCheck(t, m, lm, ds.Messages[i].Code,
 						textutil.Tokenize(ds.Messages[i].Detail))
 				}
 			})
@@ -96,6 +140,7 @@ func TestMatcherDifferentialRandom(t *testing.T) {
 	add("SMALL-5-CODE", 4) // below invertedIndexMin: inline scan
 	add("BIG-3-CODE", 48)  // far above: posting-list path
 	m := template.NewMatcher(tmpls)
+	lm := newLinearMatcher(m)
 
 	codes := []string{"SMALL-5-CODE", "BIG-3-CODE", "UNKNOWN-0-CODE"}
 	outOfVocab := []string{"zzz", "0x1A2B", "Serial1/0", "10.0.0.1"}
@@ -109,6 +154,6 @@ func TestMatcherDifferentialRandom(t *testing.T) {
 				toks[i] = vocab[rng.Intn(len(vocab))]
 			}
 		}
-		diffCheck(t, m, codes[rng.Intn(len(codes))], toks)
+		diffCheck(t, m, lm, codes[rng.Intn(len(codes))], toks)
 	}
 }

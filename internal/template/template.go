@@ -507,8 +507,9 @@ func leafPattern(group [][]string) []string {
 // code), and a match only tests templates whose discriminating literal
 // actually occurs in the message, plus the literal-free templates that match
 // anything. Candidates are tested in the same most-specific-first order as a
-// full scan, so results are byte-identical to the linear reference
-// (MatchTokensLinear); the differential tests assert exactly that.
+// full scan, so results are byte-identical to a linear string scan; the
+// differential tests, which keep that scan as their reference, assert
+// exactly that.
 type Matcher struct {
 	byCode map[string]*codeIndex
 	byID   map[int]Template
@@ -530,9 +531,10 @@ type Matcher struct {
 const noSym int32 = -1
 
 // matchEntry is one indexed template with its literal words precomputed —
-// both as strings (for the linear reference path) and as interned symbols
-// (for the hot path). Match is the hottest call in the online pipeline, so
-// all per-template work is paid once at index build instead of per message.
+// both as strings (their count orders the scan most-specific-first) and as
+// interned symbols (for the hot path). Match is the hottest call in the
+// online pipeline, so all per-template work is paid once at index build
+// instead of per message.
 type matchEntry struct {
 	t    Template
 	lits []string
@@ -714,7 +716,7 @@ func (m *Matcher) Match(code, detail string) (Template, bool) {
 
 // MatchTokens is Match over a pre-tokenized detail, letting callers that
 // also location-parse the message tokenize it once and share the slice.
-// Results are byte-identical to MatchTokensLinear at a fraction of the
+// Results are byte-identical to a linear string scan at a fraction of the
 // comparisons; the steady-state path allocates nothing.
 func (m *Matcher) MatchTokens(code string, toks []string) (Template, bool) {
 	ci := m.byCode[code]
@@ -792,37 +794,9 @@ func containsSym(syms []int32, s int32) bool {
 	return false
 }
 
-// MatchTokensLinear is the pre-interning reference implementation: a full
-// most-specific-first scan comparing literal words as strings. It is kept
-// off the hot path for differential testing and A/B benchmarking — MatchTokens
-// must agree with it on every input.
-func (m *Matcher) MatchTokensLinear(code string, toks []string) (Template, bool) {
-	ci := m.byCode[code]
-	if ci == nil {
-		return Template{}, false
-	}
-	for i := range ci.entries {
-		if matchesLiterals(ci.entries[i].lits, toks) {
-			return ci.entries[i].t, true
-		}
-	}
-	return Template{}, false
-}
-
-// matchesLiterals tests ordered containment of the literal words in toks.
-func matchesLiterals(lits, toks []string) bool {
-	k := 0
-	for _, w := range toks {
-		if k < len(lits) && w == lits[k] {
-			k++
-		}
-	}
-	return k == len(lits)
-}
-
-// matchesSymbols is matchesLiterals over interned symbols. Unknown message
-// tokens are noSym (-1), which never equals a literal symbol, so they are
-// skipped implicitly.
+// matchesSymbols tests ordered containment of the literal symbols in a
+// message's symbols. Unknown message tokens are noSym (-1), which never
+// equals a literal symbol, so they are skipped implicitly.
 func matchesSymbols(lits, syms []int32) bool {
 	k := 0
 	for _, s := range syms {
