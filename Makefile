@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet test race build bench bench-smoke profile-stream equiv alloc-guard cli-smoke
+.PHONY: check fmt vet test race build bench bench-smoke profile-stream equiv alloc-guard cli-smoke fuzz-smoke
 
-check: fmt vet race equiv alloc-guard bench-smoke cli-smoke
+check: fmt vet race equiv alloc-guard bench-smoke cli-smoke fuzz-smoke
 
 # gofmt -l prints offending files; fail if it prints anything.
 fmt:
@@ -89,3 +89,14 @@ alloc-guard:
 # resumed runs between them must print the uninterrupted run's lines.
 cli-smoke:
 	$(GO) test -run 'TestCLISmoke' -count=1 ./cmd/...
+
+# Ten seconds of fuzzing each for the three fuzzers that guard damaged state:
+# checkpoint bytes restored into the serial and sharded streamer
+# (FuzzRestoreStreamer), a shard's part-state restored the way a shard
+# server applies a Restore frame (FuzzRestoreLocal), and state frames off
+# the cluster wire (FuzzDecodeState). None may panic; a crasher lands in the
+# package's testdata/fuzz and fails plain `go test` from then on.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreStreamer$$' -fuzztime=10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreLocal$$' -fuzztime=10s ./internal/grouping
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime=10s ./internal/cluster

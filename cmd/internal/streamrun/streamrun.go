@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"syslogdigest"
+	"syslogdigest/internal/checkpoint"
 	"syslogdigest/internal/event"
 )
 
@@ -47,14 +48,21 @@ func SplitAddrs(s string) []string {
 
 // Open builds the run's streamer over d: restored from the checkpoint file
 // at ckptPath when that file exists (the bool reports it), new otherwise —
-// an empty ckptPath never restores. Either way opts are this run's own.
+// an empty ckptPath never restores. Either way opts are this run's own. A
+// checkpoint that does not restore is an error whose message says whether
+// this build cannot read it or it is damaged; the run does not start.
 func Open(d *syslogdigest.Digester, opts syslogdigest.StreamerOptions, ckptPath string) (*syslogdigest.Streamer, bool, error) {
 	if ckptPath != "" {
 		snap, err := syslogdigest.ReadCheckpoint(ckptPath)
 		switch {
 		case err == nil:
 			st, err := syslogdigest.RestoreStreamer(d, snap, opts)
-			if err != nil {
+			switch {
+			case errors.Is(err, checkpoint.ErrUnsupportedVersion):
+				return nil, false, fmt.Errorf("restore checkpoint %s: written by a newer build or not a checkpoint: %w", ckptPath, err)
+			case errors.Is(err, checkpoint.ErrCorrupt):
+				return nil, false, fmt.Errorf("restore checkpoint %s: damaged: %w", ckptPath, err)
+			case err != nil:
 				return nil, false, fmt.Errorf("restore checkpoint %s: %w", ckptPath, err)
 			}
 			return st, true, nil

@@ -1,0 +1,62 @@
+package streamrun
+
+import (
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"syslogdigest"
+	"syslogdigest/internal/checkpoint"
+	"syslogdigest/internal/gen"
+)
+
+// TestOpenNamesRefusal: a checkpoint that does not restore stops the run
+// with a message saying which refusal it is — a file this build cannot read,
+// or a damaged one.
+func TestOpenNamesRefusal(t *testing.T) {
+	ds, err := gen.Generate(gen.Spec{Kind: gen.DatasetA, Routers: 4, Seed: 9, Duration: 4 * time.Hour, RateScale: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb, err := syslogdigest.NewLearner(syslogdigest.DefaultParams()).Learn(ds.Messages, ds.Net.Configs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := syslogdigest.NewDigester(kb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := syslogdigest.NewStreamerWith(d, syslogdigest.StreamerOptions{})
+	for _, m := range ds.Messages {
+		if _, err := st.Push(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, says string
+		data       []byte
+		want       error
+	}{
+		{"newer", "newer build", []byte(strings.Replace(string(snap), `"version": 1`, `"version": 2`, 1)), checkpoint.ErrUnsupportedVersion},
+		{"truncated", "damaged", snap[:len(snap)/2], checkpoint.ErrCorrupt},
+	} {
+		path := filepath.Join(t.TempDir(), c.name+".ckpt")
+		if err := os.WriteFile(path, c.data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		_, restored, err := Open(d, syslogdigest.StreamerOptions{}, path)
+		if err == nil || restored {
+			t.Fatalf("%s: Open restored it", c.name)
+		}
+		if !errors.Is(err, c.want) || !strings.Contains(err.Error(), c.says) {
+			t.Fatalf("%s: %q does not wrap %q and say %q", c.name, err, c.want, c.says)
+		}
+	}
+}

@@ -27,6 +27,7 @@ package checkpoint
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -41,6 +42,18 @@ const (
 	// Version is the snapshot version this build writes. Decode accepts
 	// [1, Version].
 	Version = 1
+)
+
+// The two ways a snapshot is refused. Every error a restore returns for the
+// snapshot's bytes wraps one of them (errors.Is), so a caller can tell a
+// file this build cannot read from a file that is damaged.
+var (
+	// ErrUnsupportedVersion: the envelope names another format or a version
+	// outside [1, Version] — a newer build's snapshot, or not a checkpoint.
+	ErrUnsupportedVersion = errors.New("checkpoint: unsupported format or version")
+	// ErrCorrupt: the envelope, the payload, or the grouping state's index
+	// space does not decode into a consistent state.
+	ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
 )
 
 // envelope is the outer JSON document. Payload stays raw on decode so the
@@ -74,21 +87,22 @@ func Encode(watermarkNs int64, payload any) ([]byte, error) {
 
 // Decode validates the envelope and unmarshals the payload into dst,
 // returning the snapshot's low watermark. Unknown magics and versions newer
-// than this build are errors; so is any malformed payload — Decode never
-// panics on corrupted or truncated input.
+// than this build are ErrUnsupportedVersion; malformed envelopes and
+// payloads are ErrCorrupt — Decode never panics on corrupted or truncated
+// input.
 func Decode(data []byte, dst any) (int64, error) {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
-		return 0, fmt.Errorf("checkpoint: decode envelope: %w", err)
+		return 0, fmt.Errorf("%w: envelope: %w", ErrCorrupt, err)
 	}
 	if env.Format != Format {
-		return 0, fmt.Errorf("checkpoint: format %q, want %q", env.Format, Format)
+		return 0, fmt.Errorf("%w: format %q, want %q", ErrUnsupportedVersion, env.Format, Format)
 	}
 	if env.Version < 1 || env.Version > Version {
-		return 0, fmt.Errorf("checkpoint: version %d not in [1, %d] (snapshot from a newer build?)", env.Version, Version)
+		return 0, fmt.Errorf("%w: version %d not in [1, %d] (snapshot from a newer build?)", ErrUnsupportedVersion, env.Version, Version)
 	}
 	if err := json.Unmarshal(env.Payload, dst); err != nil {
-		return 0, fmt.Errorf("checkpoint: decode payload: %w", err)
+		return 0, fmt.Errorf("%w: payload: %w", ErrCorrupt, err)
 	}
 	return env.WatermarkNs, nil
 }

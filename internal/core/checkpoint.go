@@ -99,7 +99,7 @@ func encodeUpdate(u *event.Update) checkpoint.Update {
 func decodeUpdate(cu *checkpoint.Update) (event.Update, error) {
 	st, ok := event.StatusFromString(cu.Status)
 	if !ok {
-		return event.Update{}, fmt.Errorf("core: restore: unknown update status %q", cu.Status)
+		return event.Update{}, fmt.Errorf("core: restore: unknown update status %q: %w", cu.Status, checkpoint.ErrCorrupt)
 	}
 	u := event.Update{
 		EventID:      cu.EventID,
@@ -174,7 +174,8 @@ func (s *Streamer) Snapshot() ([]byte, error) {
 // worker count may differ — the engine reshards). The restored streamer
 // resumes mid-stream: events the snapshotted run had closed but not
 // delivered surface on the next Push or Flush, and every event emits
-// exactly once across the restart.
+// exactly once across the restart. Every error for the snapshot's bytes
+// wraps checkpoint.ErrUnsupportedVersion or checkpoint.ErrCorrupt.
 func RestoreStreamer(d *Digester, snap []byte, opts StreamerOptions) (*Streamer, error) {
 	var st streamerState
 	if _, err := checkpoint.Decode(snap, &st); err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"syslogdigest/internal/checkpoint"
 	"syslogdigest/internal/event"
 	"syslogdigest/internal/gen"
 	"syslogdigest/internal/grouping"
@@ -509,17 +510,97 @@ func TestRestoreRejectsFutureVersion(t *testing.T) {
 	}
 }
 
+// TestRestoreErrorsAreTyped: a snapshot this build cannot read and a
+// damaged one are refused with errors a caller can tell apart — whichever
+// shape it restores into, the damage in the envelope or deep in the
+// grouping state's index space.
+func TestRestoreErrorsAreTyped(t *testing.T) {
+	f := fixtureFor(t, corpusA)
+	d, err := NewDigester(f.kb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStreamerWith(d, StreamerOptions{})
+	for _, m := range f.ds.Messages[:400] {
+		if _, err := st.Push(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	envelope := func(field, value string) []byte {
+		var env map[string]json.RawMessage
+		if err := json.Unmarshal(snap, &env); err != nil {
+			t.Fatal(err)
+		}
+		env[field] = json.RawMessage(value)
+		out, err := json.Marshal(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	payload := func(mut func(*streamerState)) []byte {
+		var ss streamerState
+		wm, err := checkpoint.Decode(snap, &ss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mut(&ss)
+		out, err := checkpoint.Encode(wm, ss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"newer version", envelope("version", "999"), checkpoint.ErrUnsupportedVersion},
+		{"wrong magic", envelope("format", `"someone-elses-checkpoint"`), checkpoint.ErrUnsupportedVersion},
+		{"truncated", snap[:len(snap)*2/3], checkpoint.ErrCorrupt},
+		{"pending index out of range", payload(func(ss *streamerState) {
+			inc := &ss.Engine.Inc
+			inc.Merger.CrossWin = append(inc.Merger.CrossWin, len(inc.Pendings)+7)
+		}), checkpoint.ErrCorrupt},
+		{"unknown update status", payload(func(ss *streamerState) {
+			ss.CarryUpdates = append(ss.CarryUpdates, checkpoint.Update{Status: "tentative"})
+		}), checkpoint.ErrCorrupt},
+	} {
+		for _, opts := range []StreamerOptions{{}, {StreamWorkers: 2}, {ShardAddrs: loopbackAddrs(f.server(t), 2)}} {
+			d2, err := NewDigester(f.kb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := RestoreStreamer(d2, c.data, opts)
+			if err == nil {
+				s.Close()
+				t.Fatalf("%s (%+v): restore accepted it", c.name, opts)
+			}
+			if !errors.Is(err, c.want) {
+				t.Fatalf("%s (%+v): error %q does not wrap %q", c.name, opts, err, c.want)
+			}
+		}
+	}
+}
+
 // TestProvisionalScratchPoisoned proves the scratch contract of
 // Merger.TakeUpdates and of the closed-group slice: once a step's
 // publications have been turned into events, nothing reads their Members
-// again. It composes the serial engine's step by hand — Incremental.Observe,
-// TakeUpdates, one BuildMessages per record, Recycle — and, before the next
-// step, overwrites every Members buffer it was handed, to its full
-// capacity, with garbage. The buffers go back into circulation poisoned; if
-// the Merger re-read one, handed one out twice within a step, or an event
-// kept a reference into one, the transcript would diverge from the serial
-// streamer's, which it must equal record for record (TestDifferential's
-// A/sharded2/prov row holds the sharded engine to the same records).
+// again. It composes the serial engine's step by hand — RouterLocal.Step,
+// Merger.Apply, TakeUpdates, one BuildMessages per record, Recycle — and,
+// before the next step, overwrites every Members buffer it was handed, to
+// its full capacity, with garbage. The buffers go back into circulation
+// poisoned; if the Merger re-read one, handed one out twice within a step,
+// or an event kept a reference into one, the transcript would diverge from
+// the serial streamer's, which it must equal record for record
+// (TestDifferential's A/sharded2/prov row holds the sharded engine to the
+// same records).
 func TestProvisionalScratchPoisoned(t *testing.T) {
 	kb, ds := learnSmall(t, gen.DatasetA)
 	d, err := NewDigester(kb)
@@ -527,10 +608,12 @@ func TestProvisionalScratchPoisoned(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := d.engineConfig(0, provHorizon)
-	inc, err := grouping.NewIncremental(kb.Dictionary(), kb.RuleBase, cfg.Grouping)
+	sh, err := grouping.NewShardable(kb.Dictionary(), kb.RuleBase, cfg.Grouping)
 	if err != nil {
 		t.Fatal(err)
 	}
+	local, mg := sh.NewLocal(0), sh.NewMerger()
+	var js grouping.Joins
 	builder := event.NewBuilder(cfg.Freq, cfg.Labeler)
 	poison := grouping.Message{
 		Seq: -1, Time: time.Unix(1<<40, 0), Router: "POISON", Template: -99,
@@ -545,7 +628,7 @@ func TestProvisionalScratchPoisoned(t *testing.T) {
 	var got []event.Update
 	nextID, poisoned := 0, 0
 	step := func(closed []grouping.ClosedGroup) {
-		gus := inc.TakeUpdates()
+		gus := mg.TakeUpdates()
 		for i := range gus {
 			gu := &gus[i]
 			u := event.Update{EventID: gu.ID, Revision: gu.Revision}
@@ -576,20 +659,23 @@ func TestProvisionalScratchPoisoned(t *testing.T) {
 		for i := range closed {
 			scribble(closed[i].Members)
 		}
-		inc.Recycle(closed)
+		mg.Recycle(closed)
 	}
 	for i := range ds.Messages {
 		pm := kb.Augment(&ds.Messages[i])
-		closed, err := inc.Observe(grouping.Message{
-			Seq: i, Time: pm.Time, Router: pm.Router, Template: pm.Template,
-			Loc: pm.Loc, AllLocs: pm.AllLocs, Peers: pm.Peers, Raw: pm.Index,
-		})
+		p := sh.Pool().Get(streamMsg(&pm, i))
+		if err := local.Step(p, &js); err != nil {
+			t.Fatal(err)
+		}
+		closed, err := mg.Apply(p, &js)
 		if err != nil {
 			t.Fatal(err)
 		}
 		step(closed)
 	}
-	step(inc.Drain())
+	closed := mg.Drain()
+	local.DrainWindows()
+	step(closed)
 	if poisoned == 0 {
 		t.Fatal("no provisional publication was poisoned: the run never exercised the scratch")
 	}

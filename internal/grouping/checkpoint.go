@@ -169,21 +169,6 @@ func (x *pendingIndexer) of(p *Pending) int {
 	return i
 }
 
-// CaptureParts snapshots a merger and its feeding locals. The caller must
-// hold the state quiescent (no concurrent Step/Apply); the sharded engine
-// guarantees that with its sync barrier.
-func CaptureParts(locals []*RouterLocal, mg *Merger) IncState {
-	x := &pendingIndexer{idx: make(map[*Pending]int)}
-	st := IncState{Pendings: []PendingState{}}
-	st.Merger = captureMerger(x, mg)
-	st.Locals = make([]LocalState, len(locals))
-	for li, rl := range locals {
-		st.Locals[li] = captureLocal(x, rl)
-	}
-	st.Pendings = x.pool
-	return st
-}
-
 // captureMerger flattens the global half: open groups in closure-list
 // order, then the cross ring, then the tallies.
 func captureMerger(x *pendingIndexer, mg *Merger) MergerState {
@@ -289,11 +274,6 @@ func captureLocal(x *pendingIndexer, rl *RouterLocal) LocalState {
 	return ls
 }
 
-// State snapshots a single-threaded incremental grouper.
-func (inc *Incremental) State() IncState {
-	return CaptureParts([]*RouterLocal{inc.local}, inc.merge)
-}
-
 // restoreProv rebuilds the two-tier emission cursors: group identities, the
 // identity counter, and the armed due queue. Snapshots from older builds
 // carry no identities (ID 0 everywhere) — fresh ones are assigned in
@@ -319,7 +299,7 @@ func restoreProv(mg *Merger, ms MergerState, groups []*incGroup) error {
 	if mg.provHorizon > 0 {
 		for qi, es := range ms.ProvQueue {
 			if es.Group < 0 || es.Group >= len(groups) {
-				return fmt.Errorf("grouping: restore: prov entry %d group %d out of range [0, %d)", qi, es.Group, len(groups))
+				return corrupt("prov entry %d group %d out of range [0, %d)", qi, es.Group, len(groups))
 			}
 			g := groups[es.Group]
 			p := g.members[0]
@@ -381,7 +361,7 @@ func (s *Shardable) RestoreParts(st IncState, workers, localMax int, shardFor fu
 	groups := make([]*incGroup, len(st.Merger.Groups))
 	for gi, gs := range st.Merger.Groups {
 		if len(gs.Members) == 0 {
-			return nil, nil, fmt.Errorf("grouping: restore: group %d has no members", gi)
+			return nil, nil, corrupt("group %d has no members", gi)
 		}
 		first, err := at(gs.Members[0])
 		if err != nil {
@@ -399,7 +379,7 @@ func (s *Shardable) RestoreParts(st IncState, workers, localMax int, shardFor fu
 				return nil, nil, err
 			}
 			if p.g != nil {
-				return nil, nil, fmt.Errorf("grouping: restore: pending %d in more than one group", mi)
+				return nil, nil, corrupt("pending %d in more than one group", mi)
 			}
 			p.g = g
 			p.ref() // group membership reference
@@ -503,6 +483,12 @@ func (s *Shardable) RestoreParts(st IncState, workers, localMax int, shardFor fu
 	return locals, mg, nil
 }
 
+// corrupt is the error of every restore step that finds the snapshot's
+// state inconsistent: it wraps checkpoint.ErrCorrupt.
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("grouping: restore: "+format+": %w", append(args, checkpoint.ErrCorrupt)...)
+}
+
 // materializePendings rebuilds the in-flight records of a snapshot. Each
 // record is GC-managed and starts with one materialization reference (see
 // RestoreParts); callers drop it once incorporation is complete. A template
@@ -512,7 +498,7 @@ func materializePendings(sts []PendingState) ([]*Pending, error) {
 	ps := make([]*Pending, len(sts))
 	for i, pst := range sts {
 		if err := checkTemplate(pst.Template); err != nil {
-			return nil, fmt.Errorf("grouping: restore: pending %d: %w", i, err)
+			return nil, corrupt("pending %d: %w", i, err)
 		}
 		ps[i] = NewPending(Message{
 			Seq:      pst.Seq,
@@ -533,7 +519,7 @@ func materializePendings(sts []PendingState) ([]*Pending, error) {
 func indexAccessor(ps []*Pending) func(int) (*Pending, error) {
 	return func(i int) (*Pending, error) {
 		if i < 0 || i >= len(ps) {
-			return nil, fmt.Errorf("grouping: restore: pending index %d out of range [0, %d)", i, len(ps))
+			return nil, corrupt("pending index %d out of range [0, %d)", i, len(ps))
 		}
 		return ps[i], nil
 	}
@@ -545,18 +531,18 @@ func indexAccessor(ps []*Pending) func(int) (*Pending, error) {
 func (s *Shardable) restoreModel(rl *RouterLocal, ms ModelState, at func(int) (*Pending, error)) error {
 	loc, err := locdict.ParseKey(ms.Router, ms.LocKey)
 	if err != nil {
-		return fmt.Errorf("grouping: restore: %w", err)
+		return corrupt("%w", err)
 	}
 	if err := checkTemplate(ms.Template); err != nil {
-		return fmt.Errorf("grouping: restore: model %q: %w", ms.LocKey, err)
+		return corrupt("model %q: %w", ms.LocKey, err)
 	}
 	key := packModelKey(ms.Template, rl.resolve(loc).id)
 	if rl.models[key] != nil {
-		return fmt.Errorf("grouping: restore: duplicate model %d/%q", ms.Template, ms.LocKey)
+		return corrupt("duplicate model %d/%q", ms.Template, ms.LocKey)
 	}
 	tg, err := temporal.RestoreGrouper(s.g.cfg.Temporal, ms.Temporal)
 	if err != nil {
-		return err
+		return corrupt("model %q: %w", ms.LocKey, err)
 	}
 	md := &model{key: key, template: ms.Template, loc: loc, router: ms.Router, tg: tg}
 	if ms.Last >= 0 {
@@ -579,7 +565,7 @@ func (s *Shardable) restoreModel(rl *RouterLocal, ms ModelState, at func(int) (*
 func restoreWindow(rl *RouterLocal, ws WindowState, at func(int) (*Pending, error)) error {
 	rw := rl.window(ws.Router)
 	if rw.n > 0 {
-		return fmt.Errorf("grouping: restore: duplicate window for router %q", ws.Router)
+		return corrupt("duplicate window for router %q", ws.Router)
 	}
 	for _, wi := range ws.Members {
 		p, err := at(wi)
@@ -588,17 +574,5 @@ func restoreWindow(rl *RouterLocal, ws WindowState, at func(int) (*Pending, erro
 		}
 		rw.push(p, rl.resolve(p.msg.Loc).id)
 	}
-	return nil
-}
-
-// Restore loads a snapshot taken at any worker count into a grouper that
-// has observed nothing yet (a multi-shard snapshot merges into the single
-// local).
-func (inc *Incremental) Restore(st IncState) error {
-	locals, mg, err := inc.s.RestoreParts(st, 1, 0, nil)
-	if err != nil {
-		return err
-	}
-	inc.local, inc.merge = locals[0], mg
 	return nil
 }

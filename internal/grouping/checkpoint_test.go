@@ -3,6 +3,7 @@ package grouping
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -11,18 +12,20 @@ import (
 	"testing"
 	"time"
 
+	"syslogdigest/internal/checkpoint"
 	"syslogdigest/internal/temporal"
 )
 
 // ckptCfg is the config every engine in these tests shares (matching the
-// defaults newIncremental injects).
+// defaults newSerial injects).
 func ckptCfg() IncrementalConfig {
 	return IncrementalConfig{Config: Config{Temporal: temporal.DefaultParams()}}
 }
 
 // restoreFromState round-trips an IncState through JSON (as the real
-// checkpoint path does) and rebuilds an Incremental over the toy knowledge.
-func restoreFromState(t *testing.T, st IncState) *Incremental {
+// checkpoint path does) and rebuilds the serial composition over the toy
+// knowledge.
+func restoreFromState(t *testing.T, st IncState) *serial {
 	t.Helper()
 	raw, err := json.Marshal(st)
 	if err != nil {
@@ -32,21 +35,11 @@ func restoreFromState(t *testing.T, st IncState) *Incremental {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatalf("unmarshal state: %v", err)
 	}
-	inc, err := restoreIncremental(t, ckptCfg(), back)
+	inc, err := restoreSerial(t, ckptCfg(), back)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	return inc
-}
-
-// restoreIncremental loads st into a fresh grouper over the toy knowledge.
-func restoreIncremental(t *testing.T, cfg IncrementalConfig, st IncState) (*Incremental, error) {
-	t.Helper()
-	inc, err := NewIncremental(toyDict(t), flapRuleBase(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return inc, inc.Restore(st)
 }
 
 // TestIncrementalCheckpointDifferential kills and restores the incremental
@@ -65,7 +58,7 @@ func TestIncrementalCheckpointDifferential(t *testing.T) {
 	})
 
 	// Uninterrupted reference: closed groups per step plus final stats.
-	ref := newIncremental(t, Config{})
+	ref := newSerial(t, Config{})
 	refClosed := make([][][]int, len(sorted))
 	for i := range sorted {
 		cgs, err := ref.Observe(sorted[i])
@@ -78,13 +71,13 @@ func TestIncrementalCheckpointDifferential(t *testing.T) {
 	refStats := ref.Stats()
 
 	for cut := 0; cut <= len(sorted); cut += 7 {
-		inc := newIncremental(t, Config{})
+		inc := newSerial(t, Config{})
 		for i := 0; i < cut; i++ {
 			if _, err := inc.Observe(sorted[i]); err != nil {
 				t.Fatalf("cut %d observe: %v", cut, err)
 			}
 		}
-		restored := restoreFromState(t, inc.State())
+		restored := restoreFromState(t, inc.State(t))
 		for i := cut; i < len(sorted); i++ {
 			cgs, err := restored.Observe(sorted[i])
 			if err != nil {
@@ -121,17 +114,11 @@ func TestCheckpointMemberOrderUnspecified(t *testing.T) {
 	})
 	cfg := ckptCfg()
 	cfg.ProvisionalHorizon = 30 * time.Second
-	fresh := func() *Incremental {
-		inc, err := NewIncremental(toyDict(t), flapRuleBase(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return inc
-	}
+	fresh := func() *serial { return newSerialWith(t, toyDict(t), flapRuleBase(), cfg) }
 	// record renders what one step hands its caller.
-	record := func(inc *Incremental, closed []ClosedGroup) string {
+	record := func(inc *serial, closed []ClosedGroup) string {
 		var b strings.Builder
-		for _, u := range inc.TakeUpdates() {
+		for _, u := range inc.merge.TakeUpdates() {
 			fmt.Fprintf(&b, "update %d.%d kind %d by %d last %d %v\n", u.ID, u.Revision, u.Kind,
 				u.SupersededBy, u.Last.UnixNano(), closedToGroups([]ClosedGroup{{Members: u.Members}}))
 		}
@@ -140,7 +127,7 @@ func TestCheckpointMemberOrderUnspecified(t *testing.T) {
 		}
 		return b.String()
 	}
-	run := func(inc *Incremental, from int) (steps []string) {
+	run := func(inc *serial, from int) (steps []string) {
 		for i := from; i < len(batch); i++ {
 			closed, err := inc.Observe(batch[i])
 			if err != nil {
@@ -168,7 +155,7 @@ func TestCheckpointMemberOrderUnspecified(t *testing.T) {
 			if err := json.Unmarshal(raw, &back); err != nil {
 				t.Fatal(err)
 			}
-			restored, err := restoreIncremental(t, cfg, back)
+			restored, err := restoreSerial(t, cfg, back)
 			if err != nil {
 				t.Fatalf("cut %d, %s: restore: %v", cut, what, err)
 			}
@@ -181,7 +168,7 @@ func TestCheckpointMemberOrderUnspecified(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		st := inc.State()
+		st := inc.State(t)
 		resume(st, "members as captured")
 		for gi := range st.Merger.Groups {
 			ms := st.Merger.Groups[gi].Members
@@ -214,19 +201,19 @@ func TestIncrementalStateRoundTripStable(t *testing.T) {
 		}
 		return batch[i].Seq < batch[j].Seq
 	})
-	inc := newIncremental(t, Config{})
+	inc := newSerial(t, Config{})
 	for i := range batch {
 		if _, err := inc.Observe(batch[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := inc.State()
+	st := inc.State(t)
 	raw1, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	restored := restoreFromState(t, st)
-	raw2, err := json.Marshal(restored.State())
+	raw2, err := json.Marshal(restored.State(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,14 +264,14 @@ func TestRestorePartsResharding(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := CaptureParts(locals, mg)
-	merged, err := restoreIncremental(t, ckptCfg(), st)
+	st := captureParts(t, locals, mg)
+	merged, err := restoreSerial(t, ckptCfg(), st)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Serial reference over the whole batch.
-	ref := newIncremental(t, Config{})
+	ref := newSerial(t, Config{})
 	var refOut, gotOut [][]int
 	for i := range batch {
 		cgs, err := ref.Observe(batch[i])
@@ -317,7 +304,7 @@ func TestRestorePartsResharding(t *testing.T) {
 // TestRestoreRejectsCorruptIndexes hits the bounds checks: out-of-range and
 // double-assigned member indexes must error, not panic.
 func TestRestoreRejectsCorruptIndexes(t *testing.T) {
-	inc := newIncremental(t, Config{})
+	inc := newSerial(t, Config{})
 	base := time.Date(2010, 1, 10, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 5; i++ {
 		m := randomBatch(rand.New(rand.NewSource(int64(i))), 1)[0]
@@ -327,7 +314,7 @@ func TestRestoreRejectsCorruptIndexes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	good := inc.State()
+	good := inc.State(t)
 
 	corrupt := func(mut func(*IncState)) error {
 		raw, _ := json.Marshal(good)
@@ -336,7 +323,10 @@ func TestRestoreRejectsCorruptIndexes(t *testing.T) {
 			t.Fatal(err)
 		}
 		mut(&st)
-		_, err := restoreIncremental(t, ckptCfg(), st)
+		_, err := restoreSerial(t, ckptCfg(), st)
+		if err != nil && !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Errorf("refusal %q does not wrap checkpoint.ErrCorrupt", err)
+		}
 		return err
 	}
 
@@ -411,7 +401,7 @@ func TestRestoreResolvesLocationsAgain(t *testing.T) {
 	}
 
 	var viaJSON IncState
-	raw, err := json.Marshal(CaptureParts([]*RouterLocal{rl}, mg))
+	raw, err := json.Marshal(captureParts(t, []*RouterLocal{rl}, mg))
 	if err != nil {
 		t.Fatal(err)
 	}

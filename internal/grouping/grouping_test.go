@@ -24,7 +24,7 @@ const (
 
 // toyDict wires the Table 2 topology: r1's Serial1/0.10/10:0 is connected
 // to r2's Serial1/0.20/20:0.
-func toyDict(t *testing.T) *locdict.Dictionary {
+func toyDict(t testing.TB) *locdict.Dictionary {
 	t.Helper()
 	r1 := &netconf.Config{
 		Hostname: "r1", Vendor: syslogmsg.VendorV1,

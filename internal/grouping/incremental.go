@@ -45,19 +45,14 @@
 // (see shard.go): RouterLocal owns the temporal models and per-router rule
 // windows — everything whose join decisions depend only on one router's
 // message stream — and Merger owns the groups, the closure list, and the
-// cross-router ring. Incremental composes one of each inline; the sharded
-// streaming engine runs N RouterLocals on worker goroutines feeding one
-// Merger, and produces byte-identical output because the Merger executes
-// the exact same operation sequence either way.
+// cross-router ring. This package composes neither: the serial streaming
+// engine steps one of each inline, the sharded one runs N RouterLocals on
+// worker goroutines feeding one Merger, and both produce byte-identical
+// output because the Merger executes the exact same operation sequence
+// either way.
 package grouping
 
-import (
-	"fmt"
-	"time"
-
-	"syslogdigest/internal/locdict"
-	"syslogdigest/internal/rules"
-)
+import "time"
 
 // DefaultMaxStreams bounds the temporal model table when the caller does
 // not: ~256k live (template, location) streams, far above any of the
@@ -103,46 +98,8 @@ type ClosedGroup struct {
 	Members  []Message
 }
 
-// Incremental is the streaming counterpart of Grouper: feed it messages in
-// nondecreasing time order via Observe and it returns groups as they close.
-// It is the single-threaded composition of the two sharding halves — one
-// RouterLocal and one Merger (see shard.go). Not safe for concurrent use.
-type Incremental struct {
-	local *RouterLocal
-	merge *Merger
-	js    Joins
-	s     *Shardable // built the halves; Restore builds them again
-}
-
-// NewIncremental builds an incremental grouper over the same knowledge a
-// batch Grouper takes. dict may not be nil; rb may be nil.
-func NewIncremental(dict *locdict.Dictionary, rb *rules.RuleBase, cfg IncrementalConfig) (*Incremental, error) {
-	s, err := NewShardable(dict, rb, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Incremental{s: s, local: s.NewLocal(0), merge: s.NewMerger()}, nil
-}
-
-// Pool is the grouper's Pending pool (see pool.go): runtime plumbing only,
-// exposed for its tallies.
-func (inc *Incremental) Pool() *PendingPool { return inc.s.pool }
-
-// Watermark is the maximum message time observed so far.
-func (inc *Incremental) Watermark() time.Time { return inc.merge.Watermark() }
-
-// Horizon is the closure bound: a group closes once the watermark passes
-// its newest member by more than this.
-func (inc *Incremental) Horizon() time.Duration { return inc.merge.Horizon() }
-
-// ActiveRules is the cumulative per-pair rule-merge tally (Figure 12),
-// returned as a snapshot copy safe to keep or mutate.
-func (inc *Incremental) ActiveRules() map[rules.PairKey]int { return inc.merge.ActiveRules() }
-
-// Stats snapshots the grouper's state and merge counters.
-func (inc *Incremental) Stats() IncStats { return SumStats(inc.merge.Stats(), inc.local.Stats()) }
-
 // SumStats assembles the grouper's snapshot from a merger's and its locals'.
+// Every engine shape reports its Stats through it.
 func SumStats(ms MergeStats, locals ...LocalStats) IncStats {
 	st := IncStats{MergeStats: ms}
 	for _, ls := range locals {
@@ -153,41 +110,4 @@ func SumStats(ms MergeStats, locals ...LocalStats) IncStats {
 		st.UnresolvedLocs += ls.UnresolvedLocs
 	}
 	return st
-}
-
-// Observe ingests one message (nondecreasing time order required) and
-// returns any groups the advanced watermark closed, oldest first. The
-// returned slice is scratch valid until the next Observe or Drain; see
-// Merger.Apply and Recycle.
-func (inc *Incremental) Observe(m Message) ([]ClosedGroup, error) {
-	// Validate before any state mutation: a time regression must leave the
-	// models untouched, exactly as before the local/merge split.
-	if inc.merge.started && m.Time.Before(inc.merge.watermark) {
-		return nil, fmt.Errorf("grouping: incremental requires nondecreasing timestamps (got %v after watermark %v)",
-			m.Time, inc.merge.watermark)
-	}
-	p := inc.s.pool.Get(m)
-	if err := inc.local.Step(p, &inc.js); err != nil {
-		p.Release() // Step refuses a message before touching any state
-		return nil, err
-	}
-	out, err := inc.merge.Apply(p, &inc.js)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Recycle hands fully-consumed closed groups' member buffers back for
-// reuse; optional (see Merger.Recycle).
-func (inc *Incremental) Recycle(closed []ClosedGroup) { inc.merge.Recycle(closed) }
-
-// Drain closes every open group (oldest first) and clears the join windows
-// and per-stream predecessors, so no later message can group with anything
-// emitted here. The EWMA models and the watermark persist: interarrival
-// knowledge survives a drain, and time still may not run backwards.
-func (inc *Incremental) Drain() []ClosedGroup {
-	out := inc.merge.Drain()
-	inc.local.DrainWindows()
-	return out
 }

@@ -1,25 +1,88 @@
 package grouping
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"syslogdigest/internal/locdict"
+	"syslogdigest/internal/rules"
 	"syslogdigest/internal/temporal"
 )
 
-func newIncremental(t *testing.T, cfg Config) *Incremental {
+// serial is the tests' single-threaded composition of the two halves —
+// one RouterLocal and one Merger stepped inline, as the serial streaming
+// engine steps them — snapshotting and restoring through the one path every
+// engine shape takes (CaptureLocal + CaptureParts, RestoreParts).
+type serial struct {
+	s     *Shardable
+	local *RouterLocal
+	merge *Merger
+	js    Joins
+}
+
+func newSerial(t *testing.T, cfg Config) *serial {
 	t.Helper()
 	if cfg.Temporal == (temporal.Params{}) {
 		cfg.Temporal = temporal.DefaultParams()
 	}
-	inc, err := NewIncremental(toyDict(t), flapRuleBase(), IncrementalConfig{Config: cfg})
+	return newSerialWith(t, toyDict(t), flapRuleBase(), IncrementalConfig{Config: cfg})
+}
+
+func newSerialWith(tb testing.TB, dict *locdict.Dictionary, rb *rules.RuleBase, cfg IncrementalConfig) *serial {
+	tb.Helper()
+	s, err := NewShardable(dict, rb, cfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return inc
+	return &serial{s: s, local: s.NewLocal(0), merge: s.NewMerger()}
+}
+
+// Observe steps one message through both halves and returns the groups it
+// closed (scratch, valid until the next step).
+func (c *serial) Observe(m Message) ([]ClosedGroup, error) {
+	if c.merge.started && m.Time.Before(c.merge.watermark) {
+		return nil, fmt.Errorf("time regression: %v after watermark %v", m.Time, c.merge.watermark)
+	}
+	p := c.s.pool.Get(m)
+	if err := c.local.Step(p, &c.js); err != nil {
+		p.Release()
+		return nil, err
+	}
+	closed, err := c.merge.Apply(p, &c.js)
+	if err != nil {
+		p.Release()
+		return nil, err
+	}
+	return closed, nil
+}
+
+// Drain closes every open group and clears the join windows.
+func (c *serial) Drain() []ClosedGroup {
+	out := c.merge.Drain()
+	c.local.DrainWindows()
+	return out
+}
+
+func (c *serial) Stats() IncStats { return SumStats(c.merge.Stats(), c.local.Stats()) }
+
+func (c *serial) State(tb testing.TB) IncState {
+	return captureParts(tb, []*RouterLocal{c.local}, c.merge)
+}
+
+// restoreSerial loads st into a fresh composition over the toy knowledge.
+func restoreSerial(t *testing.T, cfg IncrementalConfig, st IncState) (*serial, error) {
+	t.Helper()
+	c := newSerialWith(t, toyDict(t), flapRuleBase(), cfg)
+	locals, mg, err := c.s.RestoreParts(st, 1, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	c.local, c.merge = locals[0], mg
+	return c, nil
 }
 
 // canonical reduces a partition to sorted member lists sorted by first
@@ -45,9 +108,9 @@ func closedToGroups(closed []ClosedGroup) [][]int {
 	return out
 }
 
-// feedSorted runs a batch through an Incremental in time order (ties by
-// Seq, matching the batch grouper's sort) and returns every group.
-func feedSorted(t *testing.T, inc *Incremental, batch []Message) [][]int {
+// feedSorted runs a batch through the serial composition in time order
+// (ties by Seq, matching the batch grouper's sort) and returns every group.
+func feedSorted(t *testing.T, inc *serial, batch []Message) [][]int {
 	t.Helper()
 	sorted := append([]Message(nil), batch...)
 	sort.SliceStable(sorted, func(i, j int) bool {
@@ -87,7 +150,7 @@ func TestIncrementalMatchesBatchQuick(t *testing.T) {
 			return false
 		}
 
-		inc := newIncremental(t, Config{})
+		inc := newSerial(t, Config{})
 		got := feedSorted(t, inc, batch)
 
 		a, b := canonical(got), canonical(want.Groups)
@@ -131,7 +194,7 @@ func TestIncrementalMatchesBatchQuick(t *testing.T) {
 // TestIncrementalRejectsRegression: feeding a message older than the
 // watermark is a contract violation (the caller owns reordering).
 func TestIncrementalRejectsRegression(t *testing.T) {
-	inc := newIncremental(t, Config{})
+	inc := newSerial(t, Config{})
 	base := time.Date(2010, 1, 10, 0, 0, 0, 0, time.UTC)
 	m := Message{Seq: 0, Time: base, Router: "r1", Template: 1}
 	if _, err := inc.Observe(m); err != nil {
@@ -151,7 +214,7 @@ func TestIncrementalRejectsRegression(t *testing.T) {
 // TestIncrementalClosesBehindWatermark: once the feed advances past the
 // horizon, earlier groups emit without a drain.
 func TestIncrementalClosesBehindWatermark(t *testing.T) {
-	inc := newIncremental(t, Config{})
+	inc := newSerial(t, Config{})
 	base := time.Date(2010, 1, 10, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 3; i++ {
 		m := Message{Seq: i, Time: base.Add(time.Duration(i) * time.Second), Router: "r1", Template: 1}
@@ -161,7 +224,7 @@ func TestIncrementalClosesBehindWatermark(t *testing.T) {
 	}
 	// The group's last member is at base+2s; closure needs the watermark
 	// strictly more than a horizon past it.
-	far := Message{Seq: 3, Time: base.Add(inc.Horizon() + 3*time.Second), Router: "r2", Template: 2}
+	far := Message{Seq: 3, Time: base.Add(inc.merge.horizon + 3*time.Second), Router: "r2", Template: 2}
 	cgs, err := inc.Observe(far)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +245,7 @@ func TestIncrementalClosesBehindWatermark(t *testing.T) {
 // TestIncrementalDrainResets: Drain closes everything and leaves no open
 // state, but keeps the watermark (a later regression still errors).
 func TestIncrementalDrainResets(t *testing.T) {
-	inc := newIncremental(t, Config{})
+	inc := newSerial(t, Config{})
 	base := time.Date(2010, 1, 10, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 5; i++ {
 		m := Message{Seq: i, Time: base.Add(time.Duration(i) * time.Minute), Router: "r1", Template: 1 + i%2}

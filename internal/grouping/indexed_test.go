@@ -283,7 +283,7 @@ func TestStepRejectsUnindexableTemplate(t *testing.T) {
 		if st := rl.Stats(); st.Streams != 0 || mg.Stats().OpenMessages != 0 {
 			t.Fatalf("template %d: rejected message left state behind: %+v", tpl, st)
 		}
-		inc := newIncremental(t, Config{})
+		inc := newSerial(t, Config{})
 		if _, err := inc.Observe(p.msg); err == nil {
 			t.Fatalf("template %d: Observe accepted it", tpl)
 		}
@@ -318,17 +318,17 @@ func TestBatchRulePassDeterministic(t *testing.T) {
 }
 
 // TestActiveRulesReturnsCopy pins the mutation-safety fix: the tally map
-// Incremental.ActiveRules returns is a snapshot, so corrupting it must not
+// Merger.ActiveRules returns is a snapshot, so corrupting it must not
 // leak into the grouper's internal state.
 func TestActiveRulesReturnsCopy(t *testing.T) {
 	batch := sortBatch(stormBatch(rand.New(rand.NewSource(9)), 120))
-	inc := newIncremental(t, Config{})
+	inc := newSerial(t, Config{})
 	for i := range batch {
 		if _, err := inc.Observe(batch[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before := inc.ActiveRules()
+	before := inc.merge.ActiveRules()
 	if len(before) == 0 {
 		t.Fatal("storm batch produced no rule merges; the copy test needs a live tally")
 	}
@@ -336,7 +336,7 @@ func TestActiveRulesReturnsCopy(t *testing.T) {
 		before[k] = -999
 	}
 	before[rules.PairKey{X: 1234, Y: 5678}] = 1
-	after := inc.ActiveRules()
+	after := inc.merge.ActiveRules()
 	for k, v := range after {
 		if v <= 0 {
 			t.Fatalf("mutating the returned map corrupted internal tally: %v = %d", k, v)
@@ -347,16 +347,12 @@ func TestActiveRulesReturnsCopy(t *testing.T) {
 	}
 }
 
-func benchIncremental(b *testing.B, cfg Config) *Incremental {
+func benchIncremental(b *testing.B, cfg Config) *serial {
 	b.Helper()
 	if cfg.Temporal == (temporal.Params{}) {
 		cfg.Temporal = temporal.DefaultParams()
 	}
-	inc, err := NewIncremental(benchToyDict(b), flapRuleBase(), IncrementalConfig{Config: cfg})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return inc
+	return newSerialWith(b, benchToyDict(b), flapRuleBase(), IncrementalConfig{Config: cfg})
 }
 
 func benchToyDict(b *testing.B) *locdict.Dictionary {
@@ -422,10 +418,7 @@ func benchCross(b *testing.B, cfg Config) {
 		cfg.Temporal = temporal.DefaultParams()
 	}
 	for i := 0; i < b.N; i++ {
-		inc, err := NewIncremental(benchToyDict(b), nil, IncrementalConfig{Config: cfg})
-		if err != nil {
-			b.Fatal(err)
-		}
+		inc := newSerialWith(b, benchToyDict(b), nil, IncrementalConfig{Config: cfg})
 		for j := range batch {
 			if _, err := inc.Observe(batch[j]); err != nil {
 				b.Fatal(err)

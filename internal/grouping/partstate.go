@@ -1,20 +1,17 @@
-// Single-shard snapshots for cluster mode (PR 10).
+// Single-shard snapshots: the one capture path of every engine shape
+// (serial, sharded and cluster engines all capture the same way).
 //
 // A remote shard process holds one RouterLocal and nothing else: no merger,
 // no shared pending pool. LocalPartState is therefore a *self-contained*
 // snapshot of one local — its own dense pending table plus the LocalState
 // that indexes into it — so it can cross a process boundary alone. The
 // traversal order inside one local (models in LRU order, then windows
-// sorted by router) is exactly the order CaptureParts uses, which is what
-// lets CaptureRemoteParts stitch per-shard snapshots back into an IncState
-// byte-identical to an in-process CaptureParts of the same logical state.
+// sorted by router) is the checkpoint traversal's (see checkpoint.go), which
+// is what lets CaptureParts stitch the merger and the parts, wherever each
+// local runs, into the IncState that traversal defines.
 package grouping
 
-import (
-	"fmt"
-
-	"syslogdigest/internal/checkpoint"
-)
+import "fmt"
 
 // LocalPartState is a self-contained snapshot of one RouterLocal: a private
 // pending table plus the local structure referring into it. JSON-encodable
@@ -32,51 +29,25 @@ func CaptureLocal(rl *RouterLocal) LocalPartState {
 	return LocalPartState{Pendings: x.pool, Local: ls}
 }
 
-// RestoreLocal rebuilds one RouterLocal from a self-contained part.
-// maxStreams caps the model table (<= 0: the Shardable bound). The restored
-// records are GC-managed and carry no group identity — a remote local never
-// reads group state, so every record restores as a closed singleton.
-func (s *Shardable) RestoreLocal(st LocalPartState, maxStreams int) (*RouterLocal, error) {
-	ps, err := materializePendings(st.Pendings)
+// RestoreLocal rebuilds one RouterLocal from a self-contained part, as the
+// one-local IncState with an empty merger (see RestoreParts). Every record
+// restores as a closed singleton: a remote local never reads group state.
+func (s *Shardable) RestoreLocal(part LocalPartState, maxStreams int) (*RouterLocal, error) {
+	locals, _, err := s.RestoreParts(IncState{Pendings: part.Pendings, Locals: []LocalState{part.Local}}, 1, maxStreams, nil)
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range ps {
-		p.grp.closed = true
-		p.g = &p.grp
-	}
-	at := indexAccessor(ps)
-	rl := s.NewLocal(maxStreams)
-	for _, ms := range st.Local.Models {
-		if err := s.restoreModel(rl, ms, at); err != nil {
-			return nil, err
-		}
-	}
-	for _, ws := range st.Local.Windows {
-		if err := restoreWindow(rl, ws, at); err != nil {
-			return nil, err
-		}
-	}
-	rl.started = st.Local.Started
-	rl.watermark = checkpoint.NsTime(st.Local.WatermarkNs)
-	rl.tally.Evictions = st.Local.Evictions
-	rl.tally.RuleCandidates = st.Local.RuleCandidates
-	rl.tally.RulePairs = st.Local.RulePairs
-	rl.tally.UnresolvedLocs = st.Local.UnresolvedLocs
-	for _, p := range ps {
-		p.unref() // drop the materialization reference (see RestoreParts)
-	}
-	return rl, nil
+	return locals[0], nil
 }
 
-// CaptureRemoteParts stitches a local merger and per-shard remote snapshots
-// into one IncState. The result is byte-identical to what CaptureParts
-// would produce on an in-process engine in the same logical state: the
+// CaptureParts stitches a merger and its locals' self-contained parts
+// (CaptureLocal, one per local in shard order) into one IncState: the
 // merger traversal assigns the first indexes, and each part's records are
 // matched to already-indexed pendings by Seq (sequence numbers are unique
-// for the life of an engine) or appended in the part's own traversal order
-// — the same order CaptureParts visits them in.
-func CaptureRemoteParts(mg *Merger, parts []LocalPartState) (IncState, error) {
+// for the life of an engine) or appended in the part's own traversal order.
+// The result is the checkpoint traversal of the whole engine, byte for byte.
+// The caller must hold the merger quiescent (no concurrent Apply).
+func CaptureParts(mg *Merger, parts []LocalPartState) (IncState, error) {
 	x := &pendingIndexer{idx: make(map[*Pending]int)}
 	st := IncState{Pendings: []PendingState{}}
 	st.Merger = captureMerger(x, mg)
@@ -92,7 +63,7 @@ func CaptureRemoteParts(mg *Merger, parts []LocalPartState) (IncState, error) {
 		}
 		global := func(idx int) (int, error) {
 			if idx < 0 || idx >= len(part.Pendings) {
-				return 0, fmt.Errorf("grouping: remote capture: shard %d pending index %d out of range [0, %d)",
+				return 0, fmt.Errorf("grouping: capture: shard %d pending index %d out of range [0, %d)",
 					li, idx, len(part.Pendings))
 			}
 			if g := seen[idx]; g >= 0 {

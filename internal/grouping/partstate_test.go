@@ -3,14 +3,19 @@ package grouping
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
+
+	"syslogdigest/internal/checkpoint"
+	"syslogdigest/internal/locdict"
 )
 
-// shardedFixture runs a 3-shard split over a randomized sorted batch and
-// returns the fed halves plus the remaining tail.
-func shardedFixture(t *testing.T, seed int64, n, cut int) (*Shardable, []*RouterLocal, *Merger, []Message) {
+// shardedFixture runs a split over `workers` locals on a randomized sorted
+// batch and returns the fed halves plus the remaining tail.
+func shardedFixture(t *testing.T, seed int64, n, cut, workers int) (*Shardable, []*RouterLocal, *Merger, []Message) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	batch := randomBatch(rng, n)
@@ -24,7 +29,6 @@ func shardedFixture(t *testing.T, seed int64, n, cut int) (*Shardable, []*Router
 	if err != nil {
 		t.Fatal(err)
 	}
-	const workers = 3
 	locals := make([]*RouterLocal, workers)
 	for i := range locals {
 		locals[i] = s.NewLocal(0)
@@ -55,7 +59,7 @@ func partShardFor(r string, workers int) int {
 // restore → capture is byte-stable, and the restored local produces the
 // same join decisions as the uninterrupted one on the remaining tail.
 func TestLocalPartRoundTrip(t *testing.T) {
-	s, locals, _, tail := shardedFixture(t, 41, 90, 45)
+	s, locals, _, tail := shardedFixture(t, 41, 90, 45, 3)
 	for li, rl := range locals {
 		st := CaptureLocal(rl)
 		raw1, err := json.Marshal(st)
@@ -116,36 +120,61 @@ func sameJoinSeqs(a, b *Joins) bool {
 	return true
 }
 
-// TestCaptureRemotePartsMatchesCaptureParts is the stitching guarantee the
-// cluster checkpoint path rests on: merging per-shard parts with the local
-// merger must reproduce the in-process CaptureParts snapshot byte for byte.
-func TestCaptureRemotePartsMatchesCaptureParts(t *testing.T) {
-	_, locals, mg, _ := shardedFixture(t, 97, 110, 80)
-	want, err := json.Marshal(CaptureParts(locals, mg))
-	if err != nil {
-		t.Fatal(err)
-	}
+// captureParts is the production capture of an engine's halves: each local
+// as a self-contained part, stitched with the merger.
+func captureParts(tb testing.TB, locals []*RouterLocal, mg *Merger) IncState {
+	tb.Helper()
 	parts := make([]LocalPartState, len(locals))
 	for i, rl := range locals {
 		parts[i] = CaptureLocal(rl)
 	}
-	st, err := CaptureRemoteParts(mg, parts)
+	st, err := CaptureParts(mg, parts)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	got, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
+	return st
+}
+
+// referenceCapture is the checkpoint traversal written out in one pass over
+// the in-process halves — one pending indexer shared by the merger and every
+// local — which the stitch must reproduce byte for byte.
+func referenceCapture(locals []*RouterLocal, mg *Merger) IncState {
+	x := &pendingIndexer{idx: make(map[*Pending]int)}
+	st := IncState{Pendings: []PendingState{}}
+	st.Merger = captureMerger(x, mg)
+	st.Locals = make([]LocalState, len(locals))
+	for li, rl := range locals {
+		st.Locals[li] = captureLocal(x, rl)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("remote capture diverges from in-process capture:\n%s\nvs\n%s", got, want)
+	st.Pendings = x.pool
+	return st
+}
+
+// TestCaptureRemotePartsMatchesCaptureParts is the stitching guarantee every
+// engine's checkpoint rests on: merging per-local parts with the merger must
+// reproduce the one-pass traversal byte for byte — for three shards, and for
+// the one local the serial engine writes.
+func TestCaptureRemotePartsMatchesCaptureParts(t *testing.T) {
+	for _, workers := range []int{3, 1} {
+		_, locals, mg, _ := shardedFixture(t, 97, 110, 80, workers)
+		want, err := json.Marshal(referenceCapture(locals, mg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(captureParts(t, locals, mg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d locals: stitched capture diverges from the one-pass traversal:\n%s\nvs\n%s", workers, got, want)
+		}
 	}
 }
 
 // TestCaptureRemotePartsRejectsCorruptIndexes: a part referencing outside
 // its own pending table must error, not panic.
 func TestCaptureRemotePartsRejectsCorruptIndexes(t *testing.T) {
-	_, locals, mg, _ := shardedFixture(t, 13, 60, 40)
+	_, locals, mg, _ := shardedFixture(t, 13, 60, 40, 3)
 	parts := make([]LocalPartState, len(locals))
 	for i, rl := range locals {
 		parts[i] = CaptureLocal(rl)
@@ -161,7 +190,93 @@ func TestCaptureRemotePartsRejectsCorruptIndexes(t *testing.T) {
 	if !found {
 		t.Skip("no models in fixture")
 	}
-	if _, err := CaptureRemoteParts(mg, parts); err == nil {
+	if _, err := CaptureParts(mg, parts); err == nil {
 		t.Error("out-of-range part index accepted")
 	}
+}
+
+// FuzzRestoreLocal feeds what a shard does with a Restore frame damaged
+// part-state: the bytes decode as a LocalPartState, restore through the
+// one-local RestoreParts the shard server calls, step a probe, capture and
+// drain. It must never panic, and a part the restore refuses is refused
+// with checkpoint.ErrCorrupt. The seeds start from a real CaptureLocal over
+// the mixed corpus (full windows, overflow IDs, unmatched templates).
+func FuzzRestoreLocal(f *testing.F) {
+	// Small on purpose: the fuzzer minimizes every new input it keeps, and
+	// minimizing takes passes over every byte.
+	batch := sortBatch(mixedBatch(rand.New(rand.NewSource(37)), 40))
+	cfg := ckptCfg()
+	cfg.MaxScan = 8
+	s, err := NewShardable(toyDict(f), mixedRules(), cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	rl := s.NewLocal(0)
+	var js Joins
+	for i := range batch {
+		batch[i].Router = batch[i].Loc.Router
+		if err := rl.Step(NewPending(batch[i]), &js); err != nil {
+			f.Fatal(err)
+		}
+	}
+	seed, err := json.Marshal(CaptureLocal(rl))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	f.Add(seed[:len(seed)-1])
+	// Flip the low bit of a few digits: the JSON stays well-formed and the
+	// damage lands in indexes, times, template IDs and EWMA state.
+	flipped := append([]byte(nil), seed...)
+	for i := len(flipped) / 5; i < len(flipped); i += len(flipped) / 9 {
+		for ; i < len(flipped) && (flipped[i] < '0' || flipped[i] > '9'); i++ {
+		}
+		if i < len(flipped) {
+			flipped[i] ^= 1
+		}
+	}
+	f.Add(flipped)
+	f.Add([]byte(`{"pendings":[],"local":{"models":[{"template":1,"loc_key":"r1","router":"r1","last":3}]}}`))
+
+	probe := Message{
+		Seq: 1 << 30, Time: batch[len(batch)-1].Time.Add(time.Second),
+		Router: "r1", Template: tLinkDown, Loc: locdict.IntfLoc("r1", "Serial1/0.10/10:0"),
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var part LocalPartState
+		if json.Unmarshal(data, &part) != nil {
+			return // the session's frame decoder refuses it first
+		}
+		// Any template ID up to maxTemplate is valid, and a window holding one
+		// sizes its bucket table to it (tens of MB near the bound): fold the
+		// large valid IDs down so every exec stays fast. IDs past the bound
+		// still reach the restore, which must refuse them.
+		fold := func(t *int) {
+			if *t > 1<<10 && *t <= maxTemplate {
+				*t %= 1 << 10
+			}
+		}
+		for i := range part.Pendings {
+			fold(&part.Pendings[i].Template)
+		}
+		for i := range part.Local.Models {
+			fold(&part.Local.Models[i].Template)
+		}
+		restored, err := s.RestoreLocal(part, 0)
+		if err != nil {
+			if !errors.Is(err, checkpoint.ErrCorrupt) {
+				t.Fatalf("refusal %q does not wrap checkpoint.ErrCorrupt", err)
+			}
+			return
+		}
+		p := NewPending(probe)
+		var pjs Joins
+		if err := restored.Step(p, &pjs); err != nil {
+			t.Logf("probe step: %v", err)
+		}
+		p.Release()
+		CaptureLocal(restored)
+		restored.DrainWindows()
+	})
 }

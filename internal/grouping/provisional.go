@@ -194,9 +194,6 @@ func (mg *Merger) noteMerge(ga, gb *incGroup) {
 // out first. Always empty when the provisional horizon is off.
 func (mg *Merger) TakeUpdates() []GroupUpdate { return mg.updBuf }
 
-// TakeUpdates is the incremental grouper's view of Merger.TakeUpdates.
-func (inc *Incremental) TakeUpdates() []GroupUpdate { return inc.merge.TakeUpdates() }
-
 // drainProvQueue discards every armed entry (releasing its reference);
 // Drain closes all groups, so nothing left in the queue could ever fire.
 func (mg *Merger) drainProvQueue() {

@@ -13,7 +13,7 @@
 //   - Merger: groups, the closure list, the cross-router ring, and the
 //     merge tallies. Given every message in global time order together
 //     with its Joins, it performs exactly the operation sequence the
-//     pre-split Incremental performed: singleton, temporal merge, rule
+//     unsplit serial grouper performed: singleton, temporal merge, rule
 //     merges in scan order, cross scan, watermark closure.
 //
 // Because a RouterLocal never reads group state and a Merger never makes a
@@ -834,9 +834,6 @@ func (mg *Merger) reclaimUpdates() {
 
 // Watermark is the maximum message time applied so far.
 func (mg *Merger) Watermark() time.Time { return mg.watermark }
-
-// Horizon is the closure bound.
-func (mg *Merger) Horizon() time.Duration { return mg.horizon }
 
 // ActiveRules is the cumulative per-pair rule-merge tally (Figure 12).
 // The returned map is a copy: callers may keep or mutate it freely without

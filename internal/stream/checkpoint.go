@@ -28,13 +28,18 @@ type EngineState struct {
 	Inc        grouping.IncState `json:"inc"`
 }
 
-// State snapshots the serial engine. The extra return values mirror the
-// sharded signature: uncollected events (always nil here — the serial
-// engine hands events straight back from Observe) and tier-tagged updates
-// not yet taken via TakeUpdates, which the caller must persist alongside
-// the state to keep revision delivery exactly-once across a restart.
+// State snapshots the serial engine through the one capture path every
+// shape takes: its local as a self-contained part, stitched with the merger
+// (grouping.CaptureParts). The extra return values mirror the sharded
+// signature: uncollected events (always nil here — the serial engine hands
+// events straight back from Observe) and tier-tagged updates not yet taken
+// via TakeUpdates, which the caller must persist alongside the state to
+// keep revision delivery exactly-once across a restart.
 func (e *Engine) State() (EngineState, []event.Event, []event.Update, error) {
-	inc := e.inc.State()
+	inc, err := grouping.CaptureParts(e.merger, []grouping.LocalPartState{grouping.CaptureLocal(e.local)})
+	if err != nil {
+		return EngineState{}, nil, nil, err
+	}
 	return EngineState{
 		NextID:     e.em.nextID,
 		LastTimeNs: inc.Merger.WatermarkNs,
@@ -47,11 +52,13 @@ func (e *Engine) State() (EngineState, []event.Event, []event.Update, error) {
 // multi-shard snapshot merges into the single local). The engine must not
 // have observed anything yet.
 func (e *Engine) Restore(st EngineState) error {
-	if err := e.inc.Restore(st.Inc); err != nil {
+	locals, mg, err := e.shardable.RestoreParts(st.Inc, 1, 0, nil)
+	if err != nil {
 		return err
 	}
+	e.local, e.merger = locals[0], mg
 	e.em.nextID = st.NextID
-	e.em.pub = Tallies{IncStats: e.inc.Stats(), Pool: e.inc.Pool().Stats()}
+	e.em.pub = Tallies{IncStats: e.Stats(), Pool: e.shardable.Pool().Stats()}
 	return nil
 }
 
@@ -60,7 +67,7 @@ func (e *Engine) Restore(st EngineState) error {
 // every link returns its shard's RouterLocal as a self-contained part, and
 // the parts are stitched with the local merger into the EngineState the
 // serial engine would write in the same logical state (see
-// grouping.CaptureRemoteParts). It also returns copies of the events and
+// grouping.CaptureParts). It also returns copies of the events and
 // tier-tagged updates emitted but not yet collected — the caller must
 // persist them with the state; they stay queued here and still surface on
 // the next collection from the live engine.
@@ -85,7 +92,7 @@ func (e *ShardedEngine) State() (EngineState, []event.Event, []event.Update, err
 		}
 		parts = append(parts, part)
 	}
-	inc, err := grouping.CaptureRemoteParts(e.merger, parts)
+	inc, err := grouping.CaptureParts(e.merger, parts)
 	if err != nil {
 		return EngineState{}, nil, nil, err
 	}

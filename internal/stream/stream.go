@@ -3,20 +3,22 @@
 // soon as no grouping pass can still extend it, instead of re-running the
 // batch pipeline at quiet gaps.
 //
-// The engine wraps grouping.Incremental (which maintains the partition over
-// bounded state and decides closure against the watermark) and
-// event.Builder (which scores and labels each closed group exactly as the
-// batch path would). Event-emission latency — how far the watermark had to
-// advance past an event's last message before the event could be proven
-// complete — is the closure horizon by construction: max(Smax, W, Cross)
-// for enabled passes, ≈3h at the paper's Table 6 defaults. That is the
-// price of exactness; operators wanting earlier previews can lower Smax or
-// Drain on a timer.
+// The engine steps the grouper's two halves inline — a RouterLocal making
+// the temporal and rule join decisions, a Merger keeping the partition over
+// bounded state and deciding closure against the watermark — and hands
+// what closes to event.Builder, which scores and labels each group exactly
+// as the batch path would. Event-emission latency — how far the watermark
+// had to advance past an event's last message before the event could be
+// proven complete — is the closure horizon by construction:
+// max(Smax, W, Cross) for enabled passes, ≈3h at the paper's Table 6
+// defaults. That is the price of exactness; operators wanting earlier
+// previews can lower Smax or Drain on a timer.
 //
 // Not safe for concurrent use: one engine per feed, callers serialize.
 package stream
 
 import (
+	"fmt"
 	"time"
 
 	"syslogdigest/internal/event"
@@ -86,27 +88,31 @@ func PublicationMembersBounds() []float64 {
 	return []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192}
 }
 
-// Engine is one incremental digest pipeline instance: the grouper stepped
-// inline on the caller's goroutine, events returned by the call that closed
-// them. It stays apart from ShardedEngine's dispatcher/merge core on
-// purpose — that core is built around a goroutine hop (batching, a mutex-
-// guarded collection queue, sync barriers), and running it inline would
-// mean branching on "is there a hop" at every one of those steps. The two
-// share the part that has no hop in it: the emitter.
+// Engine is one incremental digest pipeline instance: one RouterLocal and
+// one Merger built from one Shardable (ShardedEngine holds N and one),
+// stepped inline on the caller's goroutine, events returned by the call
+// that closed them. It stays apart from ShardedEngine's dispatcher/merge
+// core on purpose — that core is built around a goroutine hop (batching, a
+// mutex-guarded collection queue, sync barriers), and running it inline
+// would mean branching on "is there a hop" at every one of those steps. The
+// two share the part that has no hop in it: the emitter.
 type Engine struct {
-	inc *grouping.Incremental
-	em  emitter
-	upd []event.Update
+	shardable *grouping.Shardable
+	local     *grouping.RouterLocal
+	merger    *grouping.Merger
+	js        grouping.Joins
+	em        emitter
+	upd       []event.Update
 }
 
 // New builds an engine from learned knowledge. dict may not be nil; rb may
 // be nil when rule-based grouping is disabled or nothing was mined.
 func New(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config) (*Engine, error) {
-	inc, err := grouping.NewIncremental(dict, rb, cfg.Grouping)
+	s, err := grouping.NewShardable(dict, rb, cfg.Grouping)
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{inc: inc, em: newEmitter(cfg)}, nil
+	return &Engine{shardable: s, local: s.NewLocal(0), merger: s.NewMerger(), em: newEmitter(cfg)}, nil
 }
 
 // SetClusterMetrics installs observability handles. The serial engine has
@@ -119,21 +125,38 @@ func (e *Engine) SetClusterMetrics(m ClusterMetrics) { e.em.setMetrics(m.Metrics
 // emission order; ranking across events is the caller's concern (a live
 // feed has no batch to rank within).
 func (e *Engine) Observe(m Message) ([]event.Event, error) {
-	closed, err := e.inc.Observe(m)
-	if err != nil {
+	// Validate before any state mutation: a time regression must leave the
+	// models untouched. (The merger's watermark is zero until it starts.)
+	if wm := e.merger.Watermark(); m.Time.Before(wm) {
+		return nil, fmt.Errorf("grouping: incremental requires nondecreasing timestamps (got %v after watermark %v)", m.Time, wm)
+	}
+	p := e.shardable.Pool().Get(m)
+	if err := e.local.Step(p, &e.js); err != nil {
+		p.Release() // Step refuses a message before touching any state
 		return nil, err
 	}
-	e.em.met.Watermark.Set(float64(e.inc.Watermark().UnixNano()) / 1e9)
+	closed, err := e.merger.Apply(p, &e.js)
+	if err != nil {
+		p.Release() // Apply consumes the reference only on success
+		return nil, err
+	}
+	e.em.met.Watermark.Set(float64(e.merger.Watermark().UnixNano()) / 1e9)
 	return e.emit(closed), nil
 }
 
 // Drain force-closes every open group and returns the events, oldest
-// first. The temporal models and watermark persist; see
-// grouping.Incremental.Drain.
-func (e *Engine) Drain() []event.Event { return e.emit(e.inc.Drain()) }
+// first, and clears the join windows and per-stream predecessors, so no
+// later message can group with anything emitted here. The temporal models
+// and the watermark persist: interarrival knowledge survives a drain, and
+// time still may not run backwards.
+func (e *Engine) Drain() []event.Event {
+	closed := e.merger.Drain()
+	e.local.DrainWindows()
+	return e.emit(closed)
+}
 
 // emit runs the shared emitter over what the last grouper step produced,
-// hands the member buffers back to the grouper and publishes the grouper's
+// hands the member buffers back to the merger and publishes the grouper's
 // book, so once per Observe or Drain. The returned event slice is freshly
 // allocated (the caller may retain it); it is the one steady-state
 // allocation left on the emission path, paid only on the rare calls that
@@ -143,9 +166,9 @@ func (e *Engine) emit(closed []grouping.ClosedGroup) []event.Event {
 	if len(closed) > 0 {
 		evs = make([]event.Event, 0, len(closed))
 	}
-	e.em.emit(e.inc.TakeUpdates(), closed, e.inc.Watermark(), &evs, &e.upd)
-	e.inc.Recycle(closed)
-	e.em.publish(Tallies{IncStats: e.inc.Stats(), Pool: e.inc.Pool().Stats()})
+	e.em.emit(e.merger.TakeUpdates(), closed, e.merger.Watermark(), &evs, &e.upd)
+	e.merger.Recycle(closed)
+	e.em.publish(Tallies{IncStats: e.Stats(), Pool: e.shardable.Pool().Stats()})
 	return evs
 }
 
@@ -165,17 +188,15 @@ func (e *Engine) TakeUpdates() []event.Update {
 func (e *Engine) Close() {}
 
 // Watermark is the maximum message time observed.
-func (e *Engine) Watermark() time.Time { return e.inc.Watermark() }
-
-// Horizon is the closure bound (also the worst-case emission latency in
-// log time).
-func (e *Engine) Horizon() time.Duration { return e.inc.Horizon() }
+func (e *Engine) Watermark() time.Time { return e.merger.Watermark() }
 
 // ActiveRules is the cumulative per-pair rule-merge tally.
-func (e *Engine) ActiveRules() map[rules.PairKey]int { return e.inc.ActiveRules() }
+func (e *Engine) ActiveRules() map[rules.PairKey]int { return e.merger.ActiveRules() }
 
 // Stats snapshots the grouper state and merge counters.
-func (e *Engine) Stats() grouping.IncStats { return e.inc.Stats() }
+func (e *Engine) Stats() grouping.IncStats {
+	return grouping.SumStats(e.merger.Stats(), e.local.Stats())
+}
 
 // Pending is the number of messages in not-yet-closed groups.
-func (e *Engine) Pending() int { return e.inc.Stats().OpenMessages }
+func (e *Engine) Pending() int { return e.merger.Stats().OpenMessages }
