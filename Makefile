@@ -46,8 +46,10 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^(BenchmarkStage|BenchmarkMicro)' -benchtime=1x .
 
-# CPU profile of the streaming hot path while working on it: the serial and
-# sharded Streamer over corpus A plus the RouterLocal.Step micro shapes.
+# CPU profile of the streaming hot path while working on it: the serial,
+# sharded and 2-shard loopback cluster Streamer over corpus A (the cluster
+# row puts dispatcher, wire and shards in one profile) plus the
+# RouterLocal.Step micro shapes.
 # The profile and the test binary go to PROFILE_DIR, outside the tree (a
 # profile is a build product of one commit on one host, not a source file);
 # read it with `go tool pprof -top` or `-list ruleStep`. Not a measurement:
@@ -90,13 +92,19 @@ alloc-guard:
 cli-smoke:
 	$(GO) test -run 'TestCLISmoke' -count=1 ./cmd/...
 
-# Ten seconds of fuzzing each for the three fuzzers that guard damaged state:
+# Ten seconds of fuzzing each for the four fuzzers that guard damaged state:
 # checkpoint bytes restored into the serial and sharded streamer
 # (FuzzRestoreStreamer), a shard's part-state restored the way a shard
-# server applies a Restore frame (FuzzRestoreLocal), and state frames off
-# the cluster wire (FuzzDecodeState). None may panic; a crasher lands in the
-# package's testdata/fuzz and fails plain `go test` from then on.
+# server applies a Restore frame (FuzzRestoreLocal), state frames off the
+# cluster wire (FuzzDecodeState), and Restore frame bytes taken down the
+# shard's whole restore path — decode, RestoreLocal, a probe Step
+# (FuzzRestoreFrame). None may panic; a crasher lands in the package's
+# testdata/fuzz and fails plain `go test` from then on. FuzzDecodeState is
+# seeded with a real part of several kilobytes, and minimizing each new
+# input that size would take the whole ten seconds: it gets one second per
+# input instead of the default minute.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreStreamer$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreLocal$$' -fuzztime=10s ./internal/grouping
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime=10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreFrame$$' -fuzztime=10s ./internal/cluster

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"syslogdigest/internal/cluster"
 	"syslogdigest/internal/core"
 	"syslogdigest/internal/event"
 	"syslogdigest/internal/experiments"
@@ -639,14 +640,31 @@ func BenchmarkStageStream(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// w1 is the serial engine; w>1 runs the router-sharded engine, whose
-	// output is byte-identical, so events/op must not move across the sweep.
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
+	// w1 is the serial engine; w>1 runs the router-sharded engine; cluster2
+	// puts two shards behind a loopback shard server in this process, so one
+	// profile holds the dispatcher, both ends of the wire and the shards.
+	// Output is byte-identical across the rows, so events/op must not move.
+	srv, err := cluster.Serve("127.0.0.1:0", cluster.ServerConfig{Dict: c.KB.Dictionary(), Rules: c.KB.RuleBase})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	rows := []struct {
+		name string
+		opts core.StreamerOptions
+	}{
+		{"w1", core.StreamerOptions{StreamWorkers: 1}},
+		{"w2", core.StreamerOptions{StreamWorkers: 2}},
+		{"w4", core.StreamerOptions{StreamWorkers: 4}},
+		{"w8", core.StreamerOptions{StreamWorkers: 8}},
+		{"cluster2", core.StreamerOptions{ShardAddrs: []string{srv.Addr(), srv.Addr()}}},
+	}
+	for _, row := range rows {
+		b.Run(row.name, func(b *testing.B) {
 			events := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				st := core.NewStreamerWith(d, core.StreamerOptions{StreamWorkers: w})
+				st := core.NewStreamerWith(d, row.opts)
 				events = 0
 				for j := range c.Online.Messages {
 					res, err := st.Push(c.Online.Messages[j])

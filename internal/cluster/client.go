@@ -83,11 +83,13 @@ type replayEntry struct {
 }
 
 // seedState is the reconnect seed: the shard's state as of batch seq, the
-// dictionary prefix that state was encoded against, and the part itself.
+// connection dictionary's prefix as of that state, and the part as the
+// validated bytes of its State body — a Restore frame re-sends them as
+// they are, so a seed is never decoded or encoded again.
 type seedState struct {
 	seq  uint64
 	dict []string
-	part grouping.LocalPartState
+	part []byte
 }
 
 type stateWait struct {
@@ -116,8 +118,9 @@ type Client struct {
 	cfg ClientConfig
 	met ClientMetrics
 
-	ed      *encDict // dispatcher goroutine only
-	lastSeq uint64   // dispatcher goroutine only: last batch seq enqueued
+	ed       *encDict // dispatcher goroutine only
+	lastSeq  uint64   // dispatcher goroutine only: last batch seq enqueued
+	frameCap int      // dispatcher goroutine only: last batch frame's length, the next one's starting capacity
 
 	sendCh   chan sendReq
 	decCh    chan *DecisionBatch
@@ -148,7 +151,8 @@ type Client struct {
 
 // NewClient prepares a shard connection; the dial happens lazily on the
 // first send. seed, when non-nil, re-seeds the remote shard from a
-// checkpoint part before any batch is sent (a restored cluster engine).
+// checkpoint part before any batch is sent (a restored cluster engine); it
+// is encoded once, here. A seed the shard refuses fails the client.
 func NewClient(cfg ClientConfig, seed *grouping.LocalPartState) *Client {
 	if cfg.StateEvery <= 0 {
 		cfg.StateEvery = DefaultStateEvery
@@ -172,7 +176,7 @@ func NewClient(cfg ClientConfig, seed *grouping.LocalPartState) *Client {
 		stateDicts: make(map[uint64][]string),
 	}
 	if seed != nil {
-		c.seed = &seedState{part: *seed}
+		c.seed = &seedState{part: appendPart(nil, seed)}
 	}
 	go c.run()
 	return c
@@ -219,8 +223,9 @@ func (c *Client) getDecBuf() *DecisionBatch {
 // Blocks when the pipe is full: the shard connection is the backpressure
 // boundary. Dispatcher goroutine only.
 func (c *Client) SendBatch(seq uint64, punctNs int64, drain bool, msgs []*grouping.Pending) {
-	payload := appendBatch(nil, c.ed, seq, punctNs, drain, msgs)
-	frame := appendFrame(nil, FrameBatch, payload)
+	frame := beginFrame(make([]byte, 0, c.frameCap), FrameBatch)
+	frame = finishFrame(appendBatch(frame, c.ed, seq, punctNs, drain, msgs), 0)
+	c.frameCap = len(frame)
 	c.lastSeq = seq
 	c.mu.Lock()
 	failed := c.failed
@@ -420,7 +425,8 @@ func (c *Client) redial() error {
 		c.cfg.Shard, c.cfg.Addr, c.cfg.MaxAttempts, lastErr)
 }
 
-// rejectedError marks a server-side Hello rejection: structural, no retry.
+// rejectedError marks a server-side rejection of the Hello or of the seed
+// it announced: structural, no retry.
 type rejectedError struct{ msg string }
 
 func (e *rejectedError) Error() string { return "cluster: shard rejected session: " + e.msg }
@@ -442,18 +448,6 @@ func (c *Client) setup(conn net.Conn) (err error) {
 		}
 	}()
 
-	hello, err := marshalJSONFrame(Hello{
-		Shard:      c.cfg.Shard,
-		Workers:    c.cfg.Workers,
-		MaxStreams: c.cfg.MaxStreams,
-		KBSig:      c.cfg.KBSig,
-		Config:     c.cfg.Config,
-	})
-	if err != nil {
-		return err
-	}
-	head := appendFrame(nil, FrameHello, hello)
-
 	// Snapshot seed + replay under the lock (the previous connection's
 	// reader may have been pruning); the frames themselves are immutable.
 	// RTT stamps reset — an outage is not the shard's round trip.
@@ -465,19 +459,29 @@ func (c *Client) setup(conn net.Conn) (err error) {
 	pendingWaiter := c.waiter
 	c.mu.Unlock()
 
+	hello, err := marshalJSONFrame(Hello{
+		Shard:      c.cfg.Shard,
+		Workers:    c.cfg.Workers,
+		MaxStreams: c.cfg.MaxStreams,
+		KBSig:      c.cfg.KBSig,
+		Config:     c.cfg.Config,
+		Restore:    seed != nil,
+	})
+	if err != nil {
+		return err
+	}
+	head := appendFrame(nil, FrameHello, hello)
 	if seed != nil {
-		raw, err := marshalJSONFrame(Restore{BatchSeq: seed.seq, Dict: seed.dict, Part: seed.part})
-		if err != nil {
-			return err
-		}
-		head = appendFrame(head, FrameRestore, raw)
+		start := len(head)
+		head = finishFrame(appendRestore(beginFrame(head, FrameRestore), seed.seq, seed.dict, seed.part), start)
 	}
 	if _, err := conn.Write(head); err != nil {
 		return err
 	}
 	c.met.BytesOut.Add(uint64(len(head)))
 
-	// The Welcome comes back before any reader exists.
+	// The Welcome comes back before any reader exists, after the shard has
+	// applied the seed: a refused seed is a rejection, like a KB mismatch.
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	typ, payload, _, err := readFrame(conn, nil)
 	if err != nil {
@@ -569,7 +573,7 @@ func (c *Client) reader(conn net.Conn, done chan struct{}) {
 			c.publishInflight()
 			c.decCh <- db
 		case FrameState:
-			token, part, err := decodeState(payload)
+			token, body, part, err := decodeState(payload)
 			if err != nil {
 				c.logf("cluster: shard %d: bad state frame: %v", c.cfg.Shard, err)
 				c.noteConnLost(conn)
@@ -578,7 +582,8 @@ func (c *Client) reader(conn net.Conn, done chan struct{}) {
 			c.met.StateSnapshots.Inc()
 			c.mu.Lock()
 			if dict, ok := c.stateDicts[token]; ok {
-				c.seed = &seedState{seq: token, dict: dict, part: part}
+				// body aliases the frame buffer the next read reuses.
+				c.seed = &seedState{seq: token, dict: dict, part: append([]byte(nil), body...)}
 				for t := range c.stateDicts {
 					if t <= token {
 						delete(c.stateDicts, t)

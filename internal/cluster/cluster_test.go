@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"syslogdigest/internal/checkpoint"
 	"syslogdigest/internal/grouping"
 	"syslogdigest/internal/locdict"
 	"syslogdigest/internal/netconf"
@@ -19,7 +20,7 @@ import (
 
 // testKnowledge mirrors the grouping package's toy topology: two routers
 // with one connected serial link, rules over the four flap templates.
-func testKnowledge(t *testing.T) (*locdict.Dictionary, *rules.RuleBase) {
+func testKnowledge(t testing.TB) (*locdict.Dictionary, *rules.RuleBase) {
 	t.Helper()
 	r1 := &netconf.Config{
 		Hostname: "r1", Vendor: syslogmsg.VendorV1,
@@ -92,6 +93,31 @@ func testBatches(seed int64, n, batchSize int) [][]grouping.Message {
 		msgs = msgs[k:]
 	}
 	return batches
+}
+
+// testPartBase is when testPart's messages start.
+var testPartBase = time.Date(2010, 1, 10, 0, 0, 0, 0, time.UTC)
+
+// testPart steps n messages a quarter second apart, so the rule windows
+// keep every one, each with AllLocs and some with Peers, through a fresh
+// local and captures it: a real part with about n pendings.
+func testPart(tb testing.TB, n int) grouping.LocalPartState {
+	tb.Helper()
+	dict, rb := testKnowledge(tb)
+	s, err := grouping.NewShardable(dict, rb, grouping.IncrementalConfig{Config: testGroupingConfig()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	local := s.NewLocal(0)
+	var js grouping.Joins
+	for i, m := range testBatches(int64(n), n, n)[0] {
+		m.Time = testPartBase.Add(time.Duration(i) * 250 * time.Millisecond)
+		m.AllLocs = []locdict.Location{m.Loc, locdict.RouterLoc(m.Loc.Router)}
+		if err := local.Step(grouping.NewPending(m), &js); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return grouping.CaptureLocal(local)
 }
 
 func newTestServer(t *testing.T, dict *locdict.Dictionary, rb *rules.RuleBase) *Server {
@@ -373,5 +399,48 @@ func TestClientFailsWhenUnreachable(t *testing.T) {
 	}
 	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "unreachable") {
 		t.Fatalf("err = %v, want unreachable", err)
+	}
+}
+
+// TestClientRefusedSeedFails: a seed the shard refuses — here a window that
+// names pending 5 of 0 — comes back as a Welcome rejection, so the client
+// fails with the shard's reason on its first session instead of
+// reconnecting in a loop with no backoff.
+func TestClientRefusedSeedFails(t *testing.T) {
+	dict, rb := testKnowledge(t)
+	reg := obs.NewRegistry()
+	srv, err := Serve("127.0.0.1:0", ServerConfig{
+		Dict: dict, Rules: rb, Logf: t.Logf,
+		Metrics: ServerMetrics{Connections: reg.Counter("test.connections")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cfg := testClientConfig(t, srv.Addr(), dict, rb)
+	cfg.Metrics.Reconnects = reg.Counter("test.reconnects")
+	bad := grouping.LocalPartState{Local: grouping.LocalState{
+		Windows: []grouping.WindowState{{Router: "r1", Members: []int{5}}},
+	}}
+	c := NewClient(cfg, &bad)
+	defer c.Close()
+	sendPendings(c, 1, false, nil)
+	select {
+	case _, ok := <-c.Decisions():
+		if ok {
+			t.Fatal("got a decision from a session with a refused seed")
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatalf("client still running after 15s, %d reconnects", cfg.Metrics.Reconnects.Value())
+	}
+	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "rejected") ||
+		!strings.Contains(err.Error(), checkpoint.ErrCorrupt.Error()) {
+		t.Fatalf("err = %v, want a rejection naming %q", err, checkpoint.ErrCorrupt)
+	}
+	if n := cfg.Metrics.Reconnects.Value(); n != 0 {
+		t.Fatalf("%d reconnects, want 0", n)
+	}
+	if n := reg.Counter("test.connections").Value(); n != 1 {
+		t.Fatalf("%d sessions, want 1", n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"syslogdigest/internal/grouping"
@@ -76,6 +77,9 @@ type Hello struct {
 	MaxStreams int         `json:"max_streams"`
 	KBSig      string      `json:"kb_sig"`
 	Config     GroupConfig `json:"config"`
+	// Restore says a Restore frame follows the Hello: the shard applies it
+	// before it answers, so a seed it refuses is a Welcome error.
+	Restore bool `json:"restore,omitempty"`
 }
 
 // Welcome accepts or rejects a Hello.
@@ -84,13 +88,14 @@ type Welcome struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Restore re-seeds a shard session before a replay: the dictionary prefix
-// as of the seed snapshot, the RouterLocal part, and the batch sequence
-// the seed reflects (replayed batches follow with higher sequences).
+// Restore re-seeds a shard session before a replay: the batch sequence the
+// seed reflects (replayed batches follow with higher sequences), the
+// connection dictionary's prefix as of the seed snapshot, and the
+// RouterLocal part.
 type Restore struct {
-	BatchSeq uint64                  `json:"batch_seq"`
-	Dict     []string                `json:"dict"`
-	Part     grouping.LocalPartState `json:"part"`
+	BatchSeq uint64
+	Dict     []string
+	Part     grouping.LocalPartState
 }
 
 // BatchHeader is the fixed head of a Batch frame.
@@ -101,8 +106,8 @@ type BatchHeader struct {
 	Count   int
 }
 
-// appendBatch appends a Batch frame payload: header, then each message
-// with Seq/time as deltas and strings as dictionary references.
+// appendBatch appends a Batch frame payload: header, then one message
+// record per message (appendMsg) against the connection dictionary.
 func appendBatch(b []byte, d *encDict, seq uint64, punctNs int64, drain bool, msgs []*grouping.Pending) []byte {
 	b = binary.AppendUvarint(b, seq)
 	b = binary.AppendVarint(b, punctNs)
@@ -112,29 +117,46 @@ func appendBatch(b []byte, d *encDict, seq uint64, punctNs int64, drain bool, ms
 	}
 	b = append(b, flags)
 	b = binary.AppendUvarint(b, uint64(len(msgs)))
-	prevSeq, prevNs := uint64(0), int64(0)
+	var cur msgCursor
 	for _, p := range msgs {
-		m := p.Msg()
-		s := uint64(m.Seq)
-		b = binary.AppendUvarint(b, s-prevSeq)
-		prevSeq = s
-		ns := m.Time.UnixNano()
-		b = binary.AppendVarint(b, ns-prevNs)
-		prevNs = ns
-		b = d.appendSym(b, m.Router)
-		b = binary.AppendVarint(b, int64(m.Template))
-		b = appendLoc(b, d, m.Loc)
-		b = binary.AppendUvarint(b, uint64(len(m.AllLocs)))
-		for _, loc := range m.AllLocs {
-			b = appendLoc(b, d, loc)
-		}
-		b = binary.AppendUvarint(b, uint64(len(m.Peers)))
-		for _, peer := range m.Peers {
-			b = d.appendSym(b, peer)
-		}
-		b = binary.AppendUvarint(b, m.Raw)
+		b = appendMsg(b, d, &cur, p.Msg())
 	}
 	return b
+}
+
+// msgCursor holds the delta bases of one frame's message records.
+type msgCursor struct{ seq, ns int64 }
+
+// Minimum encoded sizes, which bound a decoded count by the bytes left.
+const (
+	minLocBytes   = 3  // router, level, name
+	minMsgBytes   = 10 // seq, time, router, template, loc, two counts, raw
+	minModelBytes = 14 // template, two symbols, 8 EWMA bytes, flags, LastNs, Last
+	minWinBytes   = 2  // router, member count
+)
+
+// appendMsg appends one message record: Seq and Unix-nanosecond time as
+// deltas from the previous record, strings as symbol references, AllLocs
+// and Peers with their nil-ness. A batch message and a part-state's pending
+// have exactly the same fields, so both travel as this record.
+func appendMsg(b []byte, d *encDict, cur *msgCursor, m *grouping.Message) []byte {
+	b = binary.AppendVarint(b, int64(m.Seq)-cur.seq)
+	cur.seq = int64(m.Seq)
+	ns := m.Time.UnixNano()
+	b = binary.AppendVarint(b, ns-cur.ns)
+	cur.ns = ns
+	b = d.appendSym(b, m.Router)
+	b = binary.AppendVarint(b, int64(m.Template))
+	b = appendLoc(b, d, m.Loc)
+	b = appendCount(b, len(m.AllLocs), m.AllLocs == nil)
+	for _, loc := range m.AllLocs {
+		b = appendLoc(b, d, loc)
+	}
+	b = appendCount(b, len(m.Peers), m.Peers == nil)
+	for _, peer := range m.Peers {
+		b = d.appendSym(b, peer)
+	}
+	return binary.AppendUvarint(b, m.Raw)
 }
 
 func appendLoc(b []byte, d *encDict, loc locdict.Location) []byte {
@@ -143,20 +165,94 @@ func appendLoc(b []byte, d *encDict, loc locdict.Location) []byte {
 	return d.appendSym(b, loc.Name)
 }
 
+// msgReader decodes message records against a decoding dictionary.
+type msgReader struct {
+	r   wireReader
+	d   *decDict
+	cur msgCursor
+}
+
+// msg decodes one record into m. Strings alias the dictionary (interned
+// once); AllLocs/Peers allocate only when non-empty.
+func (mr *msgReader) msg(m *grouping.Message) error {
+	ds, err := mr.r.varint()
+	if err != nil {
+		return err
+	}
+	mr.cur.seq += ds
+	dns, err := mr.r.varint()
+	if err != nil {
+		return err
+	}
+	mr.cur.ns += dns
+	m.Seq, m.Time = int(mr.cur.seq), time.Unix(0, mr.cur.ns).UTC()
+	if m.Router, err = mr.d.readSym(&mr.r); err != nil {
+		return err
+	}
+	tpl, err := mr.r.varint()
+	if err != nil {
+		return err
+	}
+	m.Template = int(tpl)
+	if m.Loc, err = mr.loc(); err != nil {
+		return err
+	}
+	nl, err := mr.r.count(minLocBytes)
+	if err != nil {
+		return err
+	}
+	m.AllLocs = nil
+	if nl >= 0 {
+		m.AllLocs = make([]locdict.Location, nl)
+		for i := range m.AllLocs {
+			if m.AllLocs[i], err = mr.loc(); err != nil {
+				return err
+			}
+		}
+	}
+	np, err := mr.r.count(1)
+	if err != nil {
+		return err
+	}
+	m.Peers = nil
+	if np >= 0 {
+		m.Peers = make([]string, np)
+		for i := range m.Peers {
+			if m.Peers[i], err = mr.d.readSym(&mr.r); err != nil {
+				return err
+			}
+		}
+	}
+	m.Raw, err = mr.r.uvarint()
+	return err
+}
+
+func (mr *msgReader) loc() (locdict.Location, error) {
+	var loc locdict.Location
+	var err error
+	if loc.Router, err = mr.d.readSym(&mr.r); err != nil {
+		return loc, err
+	}
+	lvl, err := mr.r.uvarint()
+	if err != nil {
+		return loc, err
+	}
+	loc.Level = locdict.Level(lvl)
+	loc.Name, err = mr.d.readSym(&mr.r)
+	return loc, err
+}
+
 // batchDecoder streams the messages of a Batch payload.
 type batchDecoder struct {
-	r       wireReader
-	d       *decDict
-	left    int
-	prevSeq uint64
-	prevNs  int64
+	msgReader
+	left int
 }
 
 // decodeBatch parses the header and positions a decoder at the first
 // message. The decoder aliases payload; both are valid until the next
 // frame read.
 func decodeBatch(payload []byte, d *decDict) (BatchHeader, batchDecoder, error) {
-	bd := batchDecoder{r: wireReader{b: payload}, d: d}
+	bd := batchDecoder{msgReader: msgReader{r: wireReader{b: payload}, d: d}}
 	var h BatchHeader
 	var err error
 	if h.Seq, err = bd.r.uvarint(); err != nil {
@@ -165,7 +261,7 @@ func decodeBatch(payload []byte, d *decDict) (BatchHeader, batchDecoder, error) 
 	if h.PunctNs, err = bd.r.varint(); err != nil {
 		return h, bd, err
 	}
-	flags, err := bd.r.u8()
+	flags, err := bd.r.flags(1)
 	if err != nil {
 		return h, bd, err
 	}
@@ -183,87 +279,16 @@ func decodeBatch(payload []byte, d *decDict) (BatchHeader, batchDecoder, error) 
 }
 
 // next decodes one message into m. Returns false when the batch is
-// exhausted. Strings alias the connection dictionary (interned once);
-// AllLocs/Peers allocate only when present.
+// exhausted.
 func (bd *batchDecoder) next(m *grouping.Message) (bool, error) {
 	if bd.left == 0 {
 		return false, nil
 	}
 	bd.left--
-	ds, err := bd.r.uvarint()
-	if err != nil {
-		return false, err
-	}
-	bd.prevSeq += ds
-	dns, err := bd.r.varint()
-	if err != nil {
-		return false, err
-	}
-	bd.prevNs += dns
-	m.Seq = int(bd.prevSeq)
-	m.Time = time.Unix(0, bd.prevNs).UTC()
-	if m.Router, err = bd.d.readSym(&bd.r); err != nil {
-		return false, err
-	}
-	tpl, err := bd.r.varint()
-	if err != nil {
-		return false, err
-	}
-	m.Template = int(tpl)
-	if m.Loc, err = bd.readLoc(); err != nil {
-		return false, err
-	}
-	nl, err := bd.r.uvarint()
-	if err != nil {
-		return false, err
-	}
-	if nl > uint64(len(bd.r.b)) {
-		return false, ErrTruncated
-	}
-	m.AllLocs = nil
-	if nl > 0 {
-		m.AllLocs = make([]locdict.Location, nl)
-		for i := range m.AllLocs {
-			if m.AllLocs[i], err = bd.readLoc(); err != nil {
-				return false, err
-			}
-		}
-	}
-	np, err := bd.r.uvarint()
-	if err != nil {
-		return false, err
-	}
-	if np > uint64(len(bd.r.b)) {
-		return false, ErrTruncated
-	}
-	m.Peers = nil
-	if np > 0 {
-		m.Peers = make([]string, np)
-		for i := range m.Peers {
-			if m.Peers[i], err = bd.d.readSym(&bd.r); err != nil {
-				return false, err
-			}
-		}
-	}
-	if m.Raw, err = bd.r.uvarint(); err != nil {
+	if err := bd.msg(m); err != nil {
 		return false, err
 	}
 	return true, nil
-}
-
-func (bd *batchDecoder) readLoc() (locdict.Location, error) {
-	var loc locdict.Location
-	var err error
-	if loc.Router, err = bd.d.readSym(&bd.r); err != nil {
-		return loc, err
-	}
-	lvl, err := bd.r.uvarint()
-	if err != nil {
-		return loc, err
-	}
-	loc.Level = locdict.Level(lvl)
-	loc.Name, err = bd.d.readSym(&bd.r)
-	return loc, err
 }
 
 // DecisionItem is one message's join decisions: the temporal predecessor
@@ -395,32 +420,255 @@ func decodeStateReq(payload []byte) (uint64, error) {
 	return r.uvarint()
 }
 
-// appendState appends a State payload: the echoed token, the dictionary
-// length the snapshot reflects, then the JSON part.
-func appendState(b []byte, token uint64, part *grouping.LocalPartState) ([]byte, error) {
-	raw, err := json.Marshal(part)
-	if err != nil {
-		return b, err
-	}
+// appendState appends a State payload: the echoed token, then the part.
+func appendState(b []byte, token uint64, part *grouping.LocalPartState) []byte {
 	b = binary.AppendUvarint(b, token)
-	return append(b, raw...), nil
+	return appendPart(b, part)
 }
 
-// decodeState parses a State payload.
-func decodeState(payload []byte) (uint64, grouping.LocalPartState, error) {
+// decodeState parses a State payload into its token and part. body is the
+// encoded part as it lay in payload (aliasing it), ready to be re-sent in a
+// Restore frame.
+func decodeState(payload []byte) (token uint64, body []byte, part grouping.LocalPartState, err error) {
 	r := wireReader{b: payload}
-	var part grouping.LocalPartState
-	token, err := r.uvarint()
-	if err != nil {
-		return 0, part, err
+	if token, err = r.uvarint(); err != nil {
+		return 0, nil, part, fmt.Errorf("cluster: state payload: %w", err)
 	}
-	if err := json.Unmarshal(r.rest(), &part); err != nil {
-		return 0, part, fmt.Errorf("cluster: state payload: %w", err)
+	body = r.rest()
+	if part, err = decodePart(body); err != nil {
+		return 0, nil, part, fmt.Errorf("cluster: state payload: %w", err)
 	}
-	return token, part, nil
+	return token, body, part, nil
 }
 
-// marshalJSONFrame / unmarshalJSONFrame wrap the JSON control payloads.
+// appendRestore appends a Restore payload around an encoded part (a State
+// body, or appendPart's output).
+func appendRestore(b []byte, seq uint64, dict []string, part []byte) []byte {
+	b = binary.AppendUvarint(b, seq)
+	b = appendCount(b, len(dict), dict == nil)
+	for _, s := range dict {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	return append(b, part...)
+}
+
+// decodeRestore parses a Restore payload.
+func decodeRestore(payload []byte) (Restore, error) {
+	r := wireReader{b: payload}
+	var res Restore
+	var err error
+	if res.BatchSeq, err = r.uvarint(); err != nil {
+		return res, fmt.Errorf("cluster: restore payload: %w", err)
+	}
+	n, err := r.count(1)
+	if err != nil {
+		return res, fmt.Errorf("cluster: restore payload: %w", err)
+	}
+	if n >= 0 {
+		res.Dict = make([]string, n)
+	}
+	for i := range res.Dict {
+		ln, err := r.uvarint()
+		if err != nil {
+			return res, fmt.Errorf("cluster: restore payload: %w", err)
+		}
+		raw, err := r.bytes(ln)
+		if err != nil {
+			return res, fmt.Errorf("cluster: restore payload: %w", err)
+		}
+		res.Dict[i] = string(raw)
+	}
+	if res.Part, err = decodePart(r.rest()); err != nil {
+		return res, fmt.Errorf("cluster: restore payload: %w", err)
+	}
+	return res, nil
+}
+
+// appendPart appends a self-contained part body: the pendings as message
+// records, then the local — its flags and tallies, models as template,
+// loc-key and router symbols, EWMA bits, flags, LastNs and Last, and
+// windows as router plus member indexes. The body carries its own symbol
+// table, so the same bytes mean the same part in any session.
+func appendPart(b []byte, part *grouping.LocalPartState) []byte {
+	d := newEncDict()
+	b = appendCount(b, len(part.Pendings), part.Pendings == nil)
+	var cur msgCursor
+	for i := range part.Pendings {
+		ps := &part.Pendings[i]
+		m := grouping.Message{
+			Seq: ps.Seq, Time: time.Unix(0, ps.TimeNs), Router: ps.Router, Template: ps.Template,
+			Loc: ps.Loc, AllLocs: ps.AllLocs, Peers: ps.Peers, Raw: ps.Raw,
+		}
+		b = appendMsg(b, d, &cur, &m)
+	}
+	ls := &part.Local
+	b = append(b, flagBits(ls.Started, false))
+	b = binary.AppendVarint(b, ls.WatermarkNs)
+	b = binary.AppendVarint(b, int64(ls.Evictions))
+	b = binary.AppendUvarint(b, ls.RuleCandidates)
+	b = binary.AppendUvarint(b, ls.RulePairs)
+	b = binary.AppendUvarint(b, ls.UnresolvedLocs)
+	b = appendCount(b, len(ls.Models), ls.Models == nil)
+	var lastNs int64
+	for i := range ls.Models {
+		ms := &ls.Models[i]
+		b = binary.AppendVarint(b, int64(ms.Template))
+		b = d.appendSym(b, ms.LocKey)
+		b = d.appendSym(b, ms.Router)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ms.Temporal.EwmaValue))
+		b = append(b, flagBits(ms.Temporal.EwmaStarted, ms.Temporal.Started))
+		b = binary.AppendVarint(b, ms.Temporal.LastNs-lastNs)
+		lastNs = ms.Temporal.LastNs
+		b = binary.AppendVarint(b, int64(ms.Last))
+	}
+	b = appendCount(b, len(ls.Windows), ls.Windows == nil)
+	for i := range ls.Windows {
+		ws := &ls.Windows[i]
+		b = d.appendSym(b, ws.Router)
+		b = appendCount(b, len(ws.Members), ws.Members == nil)
+		var prev int64
+		for _, m := range ws.Members {
+			b = binary.AppendVarint(b, int64(m)-prev)
+			prev = int64(m)
+		}
+	}
+	return b
+}
+
+func flagBits(b0, b1 bool) byte {
+	var f byte
+	if b0 {
+		f |= 1
+	}
+	if b1 {
+		f |= 2
+	}
+	return f
+}
+
+// decodePart parses an appendPart body, the whole of body: structure,
+// counts, symbol references and flag bits are checked here; whether the
+// indexes and keys make a consistent local is RestoreLocal's to judge.
+func decodePart(body []byte) (grouping.LocalPartState, error) {
+	mr := msgReader{r: wireReader{b: body}, d: &decDict{}}
+	r := &mr.r
+	var part grouping.LocalPartState
+	n, err := r.count(minMsgBytes)
+	if err != nil {
+		return part, err
+	}
+	if n >= 0 {
+		part.Pendings = make([]grouping.PendingState, n)
+	}
+	var m grouping.Message
+	for i := range part.Pendings {
+		if err := mr.msg(&m); err != nil {
+			return part, err
+		}
+		part.Pendings[i] = grouping.PendingState{
+			Seq: m.Seq, TimeNs: m.Time.UnixNano(), Router: m.Router, Template: m.Template,
+			Loc: m.Loc, AllLocs: m.AllLocs, Peers: m.Peers, Raw: m.Raw,
+		}
+	}
+	ls := &part.Local
+	f, err := r.flags(1)
+	if err != nil {
+		return part, err
+	}
+	ls.Started = f&1 != 0
+	if ls.WatermarkNs, err = r.varint(); err != nil {
+		return part, err
+	}
+	ev, err := r.varint()
+	if err != nil {
+		return part, err
+	}
+	ls.Evictions = int(ev)
+	if ls.RuleCandidates, err = r.uvarint(); err != nil {
+		return part, err
+	}
+	if ls.RulePairs, err = r.uvarint(); err != nil {
+		return part, err
+	}
+	if ls.UnresolvedLocs, err = r.uvarint(); err != nil {
+		return part, err
+	}
+	if n, err = r.count(minModelBytes); err != nil {
+		return part, err
+	}
+	if n >= 0 {
+		ls.Models = make([]grouping.ModelState, n)
+	}
+	var lastNs int64
+	for i := range ls.Models {
+		ms := &ls.Models[i]
+		tpl, err := r.varint()
+		if err != nil {
+			return part, err
+		}
+		ms.Template = int(tpl)
+		if ms.LocKey, err = mr.d.readSym(r); err != nil {
+			return part, err
+		}
+		if ms.Router, err = mr.d.readSym(r); err != nil {
+			return part, err
+		}
+		bits, err := r.u64()
+		if err != nil {
+			return part, err
+		}
+		ms.Temporal.EwmaValue = math.Float64frombits(bits)
+		f, err := r.flags(3)
+		if err != nil {
+			return part, err
+		}
+		ms.Temporal.EwmaStarted, ms.Temporal.Started = f&1 != 0, f&2 != 0
+		dns, err := r.varint()
+		if err != nil {
+			return part, err
+		}
+		lastNs += dns
+		ms.Temporal.LastNs = lastNs
+		last, err := r.varint()
+		if err != nil {
+			return part, err
+		}
+		ms.Last = int(last)
+	}
+	if n, err = r.count(minWinBytes); err != nil {
+		return part, err
+	}
+	if n >= 0 {
+		ls.Windows = make([]grouping.WindowState, n)
+	}
+	for i := range ls.Windows {
+		ws := &ls.Windows[i]
+		if ws.Router, err = mr.d.readSym(r); err != nil {
+			return part, err
+		}
+		nm, err := r.count(1)
+		if err != nil {
+			return part, err
+		}
+		if nm >= 0 {
+			ws.Members = make([]int, nm)
+		}
+		var prev int64
+		for j := range ws.Members {
+			dm, err := r.varint()
+			if err != nil {
+				return part, err
+			}
+			prev += dm
+			ws.Members[j] = int(prev)
+		}
+	}
+	return part, r.done()
+}
+
+// marshalJSONFrame / unmarshalJSONFrame wrap the handshake payloads, the
+// only JSON on the wire.
 func marshalJSONFrame(v any) ([]byte, error) { return json.Marshal(v) }
 
 func unmarshalJSONFrame(payload []byte, v any) error {

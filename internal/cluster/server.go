@@ -175,7 +175,9 @@ func (s *Server) session(conn net.Conn) {
 		}
 	}
 
-	// Handshake.
+	// Handshake. A Restore the Hello announces is read before anything is
+	// answered and applied before the Welcome, so a seed this shard refuses
+	// is a rejection the client will not retry, not a dropped session.
 	typ, payload, buf, err := readFrame(br, nil)
 	if err != nil {
 		fail("hello", err)
@@ -189,6 +191,17 @@ func (s *Server) session(conn net.Conn) {
 	if err := unmarshalJSONFrame(payload, &hello); err != nil {
 		fail("hello", err)
 		return
+	}
+	var restore []byte // aliases buf until the next frame read
+	if hello.Restore {
+		if typ, restore, buf, err = readFrame(br, buf); err != nil {
+			fail("restore", err)
+			return
+		}
+		if typ != FrameRestore {
+			fail("restore", fmt.Errorf("unexpected frame type %d", typ))
+			return
+		}
 	}
 	reject := func(msg string) {
 		raw, _ := marshalJSONFrame(Welcome{Error: msg})
@@ -212,6 +225,20 @@ func (s *Server) session(conn net.Conn) {
 		reject(fmt.Sprintf("grouping config: %v", err))
 		return
 	}
+	var dd decDict
+	local := shardable.NewLocal(hello.MaxStreams)
+	if hello.Restore {
+		res, err := decodeRestore(restore)
+		if err == nil {
+			local, err = shardable.RestoreLocal(res.Part, hello.MaxStreams)
+		}
+		if err != nil {
+			reject(fmt.Sprintf("restore: %v", err))
+			return
+		}
+		dd.seed(res.Dict)
+		s.cfg.Metrics.Restores.Inc()
+	}
 	raw, err := marshalJSONFrame(Welcome{OK: true})
 	if err != nil {
 		fail("welcome", err)
@@ -226,13 +253,10 @@ func (s *Server) session(conn net.Conn) {
 		return
 	}
 
-	local := shardable.NewLocal(hello.MaxStreams)
 	var (
-		dd      decDict
 		js      grouping.Joins
 		items   []DecisionItem
 		arena   []uint64
-		outBuf  []byte
 		frame   []byte
 		stepErr string
 	)
@@ -244,22 +268,6 @@ func (s *Server) session(conn net.Conn) {
 			return
 		}
 		switch typ {
-		case FrameRestore:
-			var res Restore
-			if err := unmarshalJSONFrame(payload, &res); err != nil {
-				fail("restore", err)
-				return
-			}
-			rl, err := shardable.RestoreLocal(res.Part, hello.MaxStreams)
-			if err != nil {
-				fail("restore", err)
-				return
-			}
-			local.DrainWindows() // release any pooled references the old local held
-			local = rl
-			dd.seed(res.Dict)
-			s.cfg.Metrics.Restores.Inc()
-
 		case FrameBatch:
 			h, bd, err := decodeBatch(payload, &dd)
 			if err != nil {
@@ -306,9 +314,8 @@ func (s *Server) session(conn net.Conn) {
 			}
 			s.cfg.Metrics.Batches.Inc()
 			s.cfg.Metrics.Messages.Add(uint64(len(items)))
-			outBuf = appendDecisions(outBuf[:0], h.Seq, items, arena, local.Stats(), stepErr)
-			frame = appendFrame(frame[:0], FrameDecisions, outBuf)
-			if _, err := bw.Write(frame); err != nil {
+			frame = appendDecisions(beginFrame(frame[:0], FrameDecisions), h.Seq, items, arena, local.Stats(), stepErr)
+			if _, err := bw.Write(finishFrame(frame, 0)); err != nil {
 				fail("write", err)
 				return
 			}
@@ -324,13 +331,8 @@ func (s *Server) session(conn net.Conn) {
 				return
 			}
 			part := grouping.CaptureLocal(local)
-			outBuf, err = appendState(outBuf[:0], token, &part)
-			if err != nil {
-				fail("state", err)
-				return
-			}
-			frame = appendFrame(frame[:0], FrameState, outBuf)
-			if _, err := bw.Write(frame); err != nil {
+			frame = appendState(beginFrame(frame[:0], FrameState), token, &part)
+			if _, err := bw.Write(finishFrame(frame, 0)); err != nil {
 				fail("write", err)
 				return
 			}

@@ -14,15 +14,17 @@
 //
 //	magic(4) version(1) type(1) payloadLen(4) crc32(4) payload
 //
-// big-endian, CRC-32 (IEEE) over the payload. Control frames (Hello,
-// Welcome, Restore, State) carry JSON payloads — once per connection or
-// per checkpoint, robustness over bytes. Data frames (Batch, Decisions)
-// are hand-rolled varint encodings with an incremental symbol dictionary:
-// the first occurrence of a string on a connection defines the next
+// big-endian, CRC-32 (IEEE) over the payload. Only the handshake frames
+// (Hello, Welcome) carry JSON payloads — once per connection, robustness
+// over bytes. Every other frame is a hand-rolled varint encoding with
+// symbol references: the first occurrence of a string defines the next
 // dictionary id inline, every later occurrence is a 1-based varint
-// reference, so interned router/location symbols survive the hop at ~2
-// bytes each. A reference beyond the table is a desync and kills the
-// connection — the decoder never guesses.
+// reference, so interned router/location symbols cost ~2 bytes each. Batch
+// frames share one incremental dictionary for the life of a connection; a
+// shard's part-state (the State frame a shard answers every 64 batches,
+// and the Restore frame that re-seeds a session) carries its own, so it
+// can be stored and re-sent into a later session. A reference beyond the
+// table is a desync and kills the connection — the decoder never guesses.
 package cluster
 
 import (
@@ -33,9 +35,9 @@ import (
 	"io"
 )
 
-// Version is the protocol version. A frame with a higher version is
-// rejected (ErrVersion): no forward compatibility is promised.
-const Version = 1
+// Version is the protocol version. A frame with any other version is
+// rejected (ErrVersion): neither side speaks an older or a newer protocol.
+const Version = 2
 
 const (
 	frameMagic = 0x53445731 // "SDW1"
@@ -55,7 +57,7 @@ const (
 	// FrameWelcome acknowledges or rejects a Hello (JSON, server → client).
 	FrameWelcome FrameType = 2
 	// FrameRestore re-seeds the shard's RouterLocal and dictionary before a
-	// replay (JSON, client → server).
+	// replay; it follows a Hello that announces it (binary, client → server).
 	FrameRestore FrameType = 3
 	// FrameBatch carries one message sub-batch with its punctuation
 	// (binary, client → server).
@@ -66,8 +68,7 @@ const (
 	// FrameStateReq asks for the shard's LocalPartState as of the batches
 	// processed so far (binary, client → server).
 	FrameStateReq FrameType = 6
-	// FrameState answers a StateReq (binary envelope, JSON body,
-	// server → client).
+	// FrameState answers a StateReq (binary, server → client).
 	FrameState FrameType = 7
 )
 
@@ -80,23 +81,50 @@ var (
 	ErrCRC        = errors.New("cluster: frame crc mismatch")
 	ErrTruncated  = errors.New("cluster: truncated payload")
 	ErrDictDesync = errors.New("cluster: symbol dictionary desync")
+	ErrMalformed  = errors.New("cluster: malformed payload")
 )
 
-// appendFrame appends a complete frame (header + payload) to dst.
-func appendFrame(dst []byte, typ FrameType, payload []byte) []byte {
-	var h [headerLen]byte
+// putHeader fills h[:headerLen] for a frame of type typ carrying payload.
+func putHeader(h []byte, typ FrameType, payload []byte) {
 	binary.BigEndian.PutUint32(h[0:4], frameMagic)
 	h[4] = Version
 	h[5] = byte(typ)
 	binary.BigEndian.PutUint32(h[6:10], uint32(len(payload)))
 	binary.BigEndian.PutUint32(h[10:14], crc32.ChecksumIEEE(payload))
-	dst = append(dst, h[:]...)
-	return append(dst, payload...)
 }
 
-// writeFrame writes one frame to w.
+// beginFrame reserves a frame header at the end of dst. The caller appends
+// the payload right behind it and seals the frame with finishFrame, so a
+// payload is encoded in place instead of built apart and copied in.
+func beginFrame(dst []byte, typ FrameType) []byte {
+	dst = append(dst, make([]byte, headerLen)...)
+	dst[len(dst)-headerLen+5] = byte(typ)
+	return dst
+}
+
+// finishFrame fills in the header beginFrame reserved at b[start:] for the
+// payload that runs from behind it to the end of b.
+func finishFrame(b []byte, start int) []byte {
+	h := b[start : start+headerLen]
+	putHeader(h, FrameType(h[5]), b[start+headerLen:])
+	return b
+}
+
+// appendFrame appends a complete frame (header + payload) to dst.
+func appendFrame(dst []byte, typ FrameType, payload []byte) []byte {
+	start := len(dst)
+	return finishFrame(append(beginFrame(dst, typ), payload...), start)
+}
+
+// writeFrame writes one frame to w (meant to be buffered): the header, then
+// the payload where it lies.
 func writeFrame(w io.Writer, typ FrameType, payload []byte) error {
-	_, err := w.Write(appendFrame(nil, typ, payload))
+	var h [headerLen]byte
+	putHeader(h[:], typ, payload)
+	if _, err := w.Write(h[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
 	return err
 }
 
@@ -111,8 +139,8 @@ func readFrame(r io.Reader, buf []byte) (FrameType, []byte, []byte, error) {
 	if binary.BigEndian.Uint32(h[0:4]) != frameMagic {
 		return 0, nil, buf, ErrBadMagic
 	}
-	if h[4] > Version {
-		return 0, nil, buf, fmt.Errorf("%w: %d > %d", ErrVersion, h[4], Version)
+	if h[4] != Version {
+		return 0, nil, buf, fmt.Errorf("%w: %d, want %d", ErrVersion, h[4], Version)
 	}
 	typ := FrameType(h[5])
 	n := binary.BigEndian.Uint32(h[6:10])
@@ -177,5 +205,60 @@ func (r *wireReader) u8() (byte, error) {
 	return b, nil
 }
 
-// rest returns the unread remainder (for embedded JSON bodies).
+// u64 reads a fixed 8-byte little-endian word (float bits).
+func (r *wireReader) u64() (uint64, error) {
+	b, err := r.bytes(8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(b), nil
+}
+
+// count reads a slice length written by appendCount: -1 for a nil slice.
+// Every element takes at least minBytes, so a length the unread bytes
+// cannot hold is truncation, refused before anything is allocated for it.
+func (r *wireReader) count(minBytes int) (int, error) {
+	u, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if u == 0 {
+		return -1, nil
+	}
+	if u-1 > uint64((len(r.b)-r.off)/minBytes) {
+		return 0, ErrTruncated
+	}
+	return int(u - 1), nil
+}
+
+// flags reads a flag byte, refusing bits outside mask.
+func (r *wireReader) flags(mask byte) (byte, error) {
+	f, err := r.u8()
+	if err != nil {
+		return 0, err
+	}
+	if f&^mask != 0 {
+		return 0, fmt.Errorf("%w: flags %#x", ErrMalformed, f)
+	}
+	return f, nil
+}
+
+// appendCount writes a slice length so that count tells a nil slice from an
+// empty one: the JSON checkpoint a part ends up in does.
+func appendCount(b []byte, n int, isNil bool) []byte {
+	if isNil {
+		return append(b, 0)
+	}
+	return binary.AppendUvarint(b, uint64(n)+1)
+}
+
+// rest returns the unread remainder.
 func (r *wireReader) rest() []byte { return r.b[r.off:] }
+
+// done refuses bytes left after a payload's last field.
+func (r *wireReader) done() error {
+	if n := len(r.b) - r.off; n > 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrMalformed, n)
+	}
+	return nil
+}
