@@ -70,16 +70,24 @@ profile-stream:
 # flap storm and seeded random plans, with the wire, pool and per-shard
 # books reconciling (see internal/core/differential_test.go). A failing
 # random plan replays alone: go test -run 'TestDifferential/random/seed=N'.
+# Every shape above resumes provisional events through the same
+# accumulators, so two oracles run beside it: every record the serial
+# engine publishes equals a fresh build of its membership
+# (TestPublishedRecordsMatchFreshBuilds), and Builder.Extend equals a full
+# build bit for bit under growth, merges and table changes
+# (TestExtendMatchesFullBuild).
 equiv:
-	$(GO) test -run TestDifferential -count=1 ./internal/core
+	$(GO) test -run 'TestDifferential|TestPublishedRecordsMatchFreshBuilds' -count=1 ./internal/core
+	$(GO) test -run TestExtendMatchesFullBuild -count=1 ./internal/event
 
 # The steady-state allocation gate: testing.AllocsPerRun over the vendor
 # corpus (serial, sharded, and the dispatcher side of a 2-shard loopback
 # cluster) and the storm corpus must stay at or under one heap allocation
 # per pushed message, net of open-state growth; with the provisional tier on
 # and one large group revised every sixth push (TestStreamAllocsProvisional,
-# serial and 2 workers), at or under 3 allocations and 12 KiB per push (see
-# internal/core/alloc_guard_test.go).
+# serial and 2 workers), at or under 3 allocations and 12 KiB per push, and
+# its revisions folding one member into the event builder per push, not the
+# whole group per revision (see internal/core/alloc_guard_test.go).
 alloc-guard:
 	$(GO) test -run 'TestStreamAllocs' -count=1 ./internal/core
 

@@ -446,8 +446,10 @@ func BenchmarkMicroAugmentRepeated(b *testing.B) {
 // interleaved, the shape of the large groups on the paced benchmark feed —
 // with a revision due every k joins. One iteration is one growth; every
 // publication goes through Merger.Apply's member snapshot and
-// Builder.BuildMessages, as in the engines' emit step, and the reported
-// ns/member-visit divides the whole iteration by the members published.
+// Builder.Extend on the identity's accumulator, as in the engines' emit
+// step, and the reported ns/member-visit divides the whole iteration by the
+// members published (the builder folds in only the members gained since
+// the identity's last publication; the snapshot copies them all).
 func BenchmarkMicroProvisionalRevision(b *testing.B) {
 	const members = 4096
 	dict, err := locdict.Build([]*netconf.Config{{Hostname: "r1"}, {Hostname: "r2"}})
@@ -473,17 +475,30 @@ func BenchmarkMicroProvisionalRevision(b *testing.B) {
 			}
 			merger, pool := sh.NewMerger(), sh.Pool()
 			builder := event.NewBuilder(nil, nil)
+			accs := map[uint64]*event.Accumulator{} // per published identity, as the engines' emitter keeps them
 			visits, builds := 0, 0
 			publish := func(closed []grouping.ClosedGroup) {
 				for _, gu := range merger.TakeUpdates() {
-					if gu.Kind != grouping.UpdateSuperseded {
-						builder.BuildMessages(gu.Members)
-						visits += len(gu.Members)
-						builds++
+					if gu.Kind == grouping.UpdateSuperseded {
+						delete(accs, gu.ID)
+						continue
 					}
+					acc := accs[gu.ID]
+					if acc == nil {
+						acc = new(event.Accumulator)
+						accs[gu.ID] = acc
+					}
+					builder.Extend(acc, gu.Members)
+					visits += len(gu.Members)
+					builds++
 				}
 				for _, cg := range closed {
-					builder.BuildMessages(cg.Members)
+					if acc := accs[cg.ID]; acc != nil {
+						builder.Extend(acc, cg.Members)
+						delete(accs, cg.ID)
+					} else {
+						builder.BuildMessages(cg.Members)
+					}
 				}
 				merger.Recycle(closed)
 			}

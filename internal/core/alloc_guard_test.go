@@ -14,6 +14,7 @@ import (
 	"unsafe"
 
 	"syslogdigest/internal/cluster"
+	"syslogdigest/internal/event"
 	"syslogdigest/internal/gen"
 	"syslogdigest/internal/grouping"
 	"syslogdigest/internal/obs"
@@ -320,7 +321,7 @@ func TestStreamAllocsProvisional(t *testing.T) {
 			t0 := time.Date(2010, 1, 1, 12, 0, 0, 0, time.UTC)
 			const warm, runs = 2048, 512
 			var ms [2]runtime.MemStats
-			var revised [2]uint64
+			var revised, steps [2]uint64
 			pushed := 0
 			pushTo := func(n int) {
 				for ; pushed < n; pushed++ {
@@ -336,6 +337,7 @@ func TestStreamAllocsProvisional(t *testing.T) {
 					t.Fatalf("fixture holds %d messages in open groups after %d pushes, want one group of all", open, pushed)
 				}
 				revised[k] = reg.Snapshot().Counter("stream.provisional.revised")
+				steps[k] = event.MemberSteps()
 				runtime.ReadMemStats(&ms[k])
 			}
 			pushTo(warm)
@@ -345,10 +347,20 @@ func TestStreamAllocsProvisional(t *testing.T) {
 			pending := float64(unsafe.Sizeof(grouping.Pending{})) // one per push joins the open group
 			allocs := float64(ms[1].Mallocs-ms[0].Mallocs)/runs - 1
 			bytes := float64(ms[1].TotalAlloc-ms[0].TotalAlloc)/runs - pending
-			t.Logf("workers=%d: %.2f allocs/push, %.0f B/push, %d revisions over %d pushes",
-				workers, allocs, bytes, revised[1]-revised[0], runs)
-			if n := revised[1] - revised[0]; n < runs/8 {
+			n, folded := revised[1]-revised[0], steps[1]-steps[0]
+			t.Logf("workers=%d: %.2f allocs/push, %.0f B/push, %d revisions over %d pushes folding in %d members",
+				workers, allocs, bytes, n, runs, folded)
+			if n < runs/8 {
 				t.Fatalf("fixture published %d revisions over %d pushes, want one every sixth push", n, runs)
+			}
+			// The work guard: a revision folds in only the members its group
+			// gained since the last one, so the window's revisions fold in one
+			// member per push, give or take the pushes between two revisions
+			// at either end. Rebuilding would fold in the whole group, ≈ 2 300
+			// members, per revision.
+			if slack := uint64(runs)/n + 1; folded+slack < runs || folded > runs+slack {
+				t.Fatalf("provisional tier: %d revisions folded in %d members over %d pushes, want %d ± %d",
+					n, folded, runs, runs, slack)
 			}
 			if allocs > provAllocBudget || bytes > provBytesBudget {
 				t.Fatalf("provisional tier: %.2f allocs/push (ceiling %v), %.0f B/push (ceiling %d)",

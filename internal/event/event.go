@@ -22,6 +22,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"syslogdigest/internal/grouping"
@@ -105,19 +106,30 @@ func (e *Event) Span() time.Duration { return e.End.Sub(e.Start) }
 // reused across calls, so it is single-engine state: one Builder per
 // pipeline, calls serialized (exactly the discipline the stream engines
 // already impose). The slices an Event retains are always freshly allocated
-// at exact size — only the intermediate working sets recycle.
+// — only the intermediate working sets recycle.
 //
-// The provisional tier rebuilds a group's event at every revision, so what
-// one member costs is what a revision costs: two lookups on small keys (the
-// router's name, then the template in that router's own table) and a short
-// scan of the router's location tally. Two tables persist across calls: the
-// router intern table (name -> dense accumulator index) and one entry per
-// (router, template) signature seen, holding the memoised logarithm its
-// score terms divide by. Both are caches — everything in them is
-// recomputable — and begin empties them when they pass maxRouters/maxSigs,
-// so a feed of garbled or spoofed hostnames cannot grow a long-lived
-// builder without bound. A call's working set is whatever carries the
-// current generation stamp, so nothing is cleared between calls.
+// Every build is one accumulation: the members are folded one at a time
+// into an Accumulator (span, running score, member lists, per-router
+// location tally, template set) and the event is read off it. Build,
+// BuildGroup and BuildMessages fold a group into an empty accumulator of
+// the builder's own; Extend folds into one the caller keeps, and when the
+// group's first members are exactly the ones that accumulator already
+// holds — a provisional event that has only grown since its last
+// publication — it folds in just the rest. The score is a sum over members
+// in ascending Seq order, so resuming it adds the same terms in the same
+// order a full build would, and the event is bit-identical.
+//
+// What one member costs is two lookups on small keys (the router's name,
+// then the template in that router's own table) and a short scan of the
+// router's location tally. Two tables persist across calls: the router
+// intern table (name -> dense index) and one entry per (router, template)
+// signature seen, holding the memoised logarithm its score terms divide by.
+// Both are caches — everything in them is recomputable — and begin empties
+// them when they pass maxRouters/maxSigs, so a feed of garbled or spoofed
+// hostnames cannot grow a long-lived builder without bound. Emptying them,
+// or a FreqTable that changed, starts a new epoch: an accumulator folded
+// under an earlier one starts over. A call's working set is whatever carries
+// the current generation stamp, so nothing is cleared between calls.
 type Builder struct {
 	freq    *FreqTable
 	labeler *Labeler
@@ -126,13 +138,12 @@ type Builder struct {
 	accs      []routerAcc
 	sigs      []sigEntry // reached through routerAcc.sigs
 	freqGen   int        // FreqTable revision sigs was computed under
+	epoch     uint64     // bumped whenever the tables above start over
 
-	// One call's working set.
-	gen     uint64         // stamps equal to gen belong to the call in progress
-	ev      Event          // the event under assembly
-	touched []int32        // accs of the routers seen, in first-seen order
-	tpls    []int          // template of every signature seen (deduplicated in finish)
-	locIdx  map[locKey]int // tally index of a router's locations past locScan
+	gen    uint64      // stamps equal to gen belong to the call in progress
+	one    Accumulator // the accumulator of Build, BuildGroup and BuildMessages
+	seqBuf []int       // mergeTail scratch
+	rawBuf []uint64
 
 	// Label memoization: events overwhelmingly repeat a small set of
 	// template combinations, so labels are cached by the sorted template
@@ -151,14 +162,44 @@ const (
 	maxSigs    = 1 << 18
 )
 
-// routerAcc is one interned router and, while stamp == Builder.gen, what
-// the call in progress has seen on it: the coarsest location level and the
-// tally of distinct locations at that level (the presentation location is
-// the most common of them).
+// routerAcc is one interned router: its signatures and, while stamp ==
+// Builder.gen, where the accumulator of the call in progress tallies it.
 type routerAcc struct {
 	name  string
 	sigs  map[int]int32 // template -> index into Builder.sigs
 	stamp uint64
+	slot  int32 // index into that accumulator's routers
+}
+
+// Accumulator is one event's assembly state between Builder calls: what
+// the members folded so far sum to, the members themselves (Seqs and raw
+// indexes, sorted: 16 bytes per member) and small per-router and template
+// tallies. The zero value is empty. It belongs to the Builder that fills it
+// and shares nothing with the events built from it.
+type Accumulator struct {
+	epoch      uint64 // Builder.epoch the members were folded under
+	start, end time.Time
+	score      float64
+	seqs       []int       // ascending
+	raws       []uint64    // ascending
+	routers    []accRouter // by router name between calls
+	tpls       []int       // distinct templates, ascending between calls
+	locIdx     map[locKey]int
+}
+
+// Reset empties acc for another event, releasing its member lists and
+// keeping the small tallies' storage.
+func (acc *Accumulator) Reset() {
+	routers, tpls, locIdx := acc.routers[:0], acc.tpls[:0], acc.locIdx
+	clear(locIdx)
+	*acc = Accumulator{routers: routers, tpls: tpls, locIdx: locIdx}
+}
+
+// accRouter is what an accumulation has seen on one router: the coarsest
+// location level and the tally of distinct locations at that level (the
+// presentation location is the most common of them).
+type accRouter struct {
+	ri    int32 // index into Builder.accs
 	level locdict.Level
 	locs  []locTally
 }
@@ -169,9 +210,9 @@ type locTally struct {
 }
 
 // locScan is how many of a router's tallied locations a member scans before
-// it falls back on locIdx. A group rarely shows more than a couple per
-// router, but a rebooting router can show hundreds, and scanning those per
-// member would be quadratic.
+// it falls back on the accumulator's locIdx. A group rarely shows more than
+// a couple per router, but a rebooting router can show hundreds, and
+// scanning those per member would be quadratic.
 const locScan = 8
 
 type locKey struct {
@@ -188,6 +229,14 @@ type sigEntry struct {
 	stamp uint64 // == Builder.gen once the call in progress has listed the template
 }
 
+// memberSteps counts the members every Builder has folded in.
+var memberSteps atomic.Uint64
+
+// MemberSteps returns how many members all Builders in the process have
+// folded into an accumulation so far: the work counter of event assembly,
+// which lets a test hold a resumed build to the members it gained.
+func MemberSteps() uint64 { return memberSteps.Load() }
+
 // NewBuilder creates a builder. freq may be nil (all frequencies treated as
 // unseen); labeler may be nil (default heuristics).
 func NewBuilder(freq *FreqTable, labeler *Labeler) *Builder {
@@ -202,7 +251,6 @@ func NewBuilder(freq *FreqTable, labeler *Labeler) *Builder {
 		labeler:    labeler,
 		routerIdx:  make(map[string]int32),
 		freqGen:    freq.gen,
-		locIdx:     make(map[locKey]int),
 		labelCache: make(map[string]string),
 		labelGen:   labeler.generation(),
 	}
@@ -231,7 +279,8 @@ func (b *Builder) Build(msgs []grouping.Message, res *grouping.Result, rawIndex 
 	}
 	events := make([]Event, 0, len(res.Groups))
 	for _, seqs := range res.Groups {
-		b.begin(len(seqs))
+		acc := &b.one
+		b.begin(acc, 0, len(seqs))
 		for _, seq := range seqs {
 			m := bySeq[seq]
 			if m == nil {
@@ -241,9 +290,9 @@ func (b *Builder) Build(msgs []grouping.Message, res *grouping.Result, rawIndex 
 			if rawIndex != nil {
 				raw = rawIndex[seq]
 			}
-			b.add(seq, m.Time, m.Router, m.Template, &m.Loc, raw)
+			b.add(acc, seq, m.Time, m.Router, m.Template, &m.Loc, raw)
 		}
-		e := b.finish()
+		e := b.finish(acc, 0)
 		e.ID = len(events)
 		events = append(events, e)
 	}
@@ -261,12 +310,13 @@ func (b *Builder) Build(msgs []grouping.Message, res *grouping.Result, rawIndex 
 // which makes their scores bit-identical, not merely close. The caller
 // assigns ID.
 func (b *Builder) BuildGroup(members []Member) Event {
-	b.begin(len(members))
+	acc := &b.one
+	b.begin(acc, 0, len(members))
 	for i := range members {
 		m := &members[i]
-		b.add(m.Seq, m.Time, m.Router, m.Template, &m.Loc, m.Raw)
+		b.add(acc, m.Seq, m.Time, m.Router, m.Template, &m.Loc, m.Raw)
 	}
-	return b.finish()
+	return b.finish(acc, 0)
 }
 
 // BuildMessages is BuildGroup over the grouping layer's own records (a
@@ -274,23 +324,52 @@ func (b *Builder) BuildGroup(members []Member) Event {
 // streaming engines a conversion copy per member per revision. Raw is the
 // record's carried raw index.
 func (b *Builder) BuildMessages(ms []grouping.Message) Event {
-	b.begin(len(ms))
-	for i := range ms {
-		m := &ms[i]
-		b.add(m.Seq, m.Time, m.Router, m.Template, &m.Loc, m.Raw)
-	}
-	return b.finish()
+	return b.Extend(&b.one, ms) // finish leaves the builder's own accumulator empty
 }
 
-// begin opens a call for a group of n members: a new generation retires
-// the previous call's working set, a FreqTable that changed since the terms
-// were memoised drops them, and tables past their bound start over.
-func (b *Builder) begin(n int) {
+// Extend is BuildMessages resuming from acc, and leaves acc holding ms for
+// the next call. ms must be in ascending Seq order, as for BuildGroup. When
+// the Seqs acc holds are the Seqs of ms's first members and acc was folded
+// under the builder's current epoch, only the members after them are folded
+// in; otherwise — a merge brought in older members, or the frequency table
+// changed — acc starts over. Either way the event is BuildMessages(ms), bit
+// for bit.
+func (b *Builder) Extend(acc *Accumulator, ms []grouping.Message) Event {
+	k := len(acc.seqs)
+	if k > len(ms) || !heldPrefix(acc.seqs, ms) {
+		k = 0
+	}
+	k = b.begin(acc, k, len(ms))
+	for i := k; i < len(ms); i++ {
+		m := &ms[i]
+		b.add(acc, m.Seq, m.Time, m.Router, m.Template, &m.Loc, m.Raw)
+	}
+	return b.finish(acc, k)
+}
+
+// heldPrefix reports whether seqs are the Seqs of ms's first len(seqs)
+// members.
+func heldPrefix(seqs []int, ms []grouping.Message) bool {
+	for i, s := range seqs {
+		if ms[i].Seq != s {
+			return false
+		}
+	}
+	return true
+}
+
+// begin opens a call that resumes acc after its first k members, for a
+// group of n: a new generation retires the previous call's working set, a
+// FreqTable that changed since the terms were memoised drops them, and
+// tables past their bound start over — either of which starts a new epoch.
+// acc starts over when k is 0 or it was folded under an earlier epoch.
+// begin returns how many members acc kept.
+func (b *Builder) begin(acc *Accumulator, k, n int) int {
 	b.gen++
 	stale := b.freq.gen != b.freqGen || len(b.sigs) > maxSigs
 	if len(b.accs) > maxRouters {
 		clear(b.routerIdx)
-		b.accs = nil // releases every router's tally backing as well
+		b.accs = nil
 		stale = true // signatures hang off their routers
 	}
 	if stale {
@@ -299,38 +378,51 @@ func (b *Builder) begin(n int) {
 		}
 		b.sigs = b.sigs[:0]
 		b.freqGen = b.freq.gen
+		b.epoch++
 	}
-	b.ev = Event{
-		MessageSeqs: make([]int, 0, n),
-		RawIndexes:  make([]uint64, 0, n),
+	if k == 0 || acc.epoch != b.epoch {
+		seqs, raws := acc.seqs[:0], acc.raws[:0]
+		if seqs == nil || cap(seqs) < n {
+			seqs = make([]int, 0, n)
+		}
+		if raws == nil || cap(raws) < n {
+			raws = make([]uint64, 0, n)
+		}
+		acc.Reset()
+		acc.epoch, acc.seqs, acc.raws = b.epoch, seqs, raws
+		return 0
 	}
+	for i := range acc.routers {
+		a := &b.accs[acc.routers[i].ri]
+		a.stamp, a.slot = b.gen, int32(i)
+	}
+	return k
 }
 
 // add is the per-member step every build path shares.
-func (b *Builder) add(seq int, t time.Time, router string, template int, loc *locdict.Location, raw uint64) {
-	e := &b.ev
-	if e.Start.IsZero() || t.Before(e.Start) {
-		e.Start = t
+func (b *Builder) add(acc *Accumulator, seq int, t time.Time, router string, template int, loc *locdict.Location, raw uint64) {
+	if acc.start.IsZero() || t.Before(acc.start) {
+		acc.start = t
 	}
-	if t.After(e.End) {
-		e.End = t
+	if t.After(acc.end) {
+		acc.end = t
 	}
-	e.MessageSeqs = append(e.MessageSeqs, seq)
-	e.RawIndexes = append(e.RawIndexes, raw)
+	acc.seqs = append(acc.seqs, seq)
+	acc.raws = append(acc.raws, raw)
 
-	ri, a := b.router(router)
-	b.tally(a, ri, loc)
+	a := b.router(acc, router)
+	tally(acc, &acc.routers[a.slot], loc)
 	s := b.sig(a, template)
 	if s.stamp != b.gen {
 		s.stamp = b.gen
-		b.tpls = append(b.tpls, template)
+		acc.tpls = append(acc.tpls, template)
 	}
-	e.Score += loc.Level.Weight() / s.logf
+	acc.score += loc.Level.Weight() / s.logf
 }
 
-// router finds (interning at first sight) the accumulator of the named
-// router and enrols it in the call in progress.
-func (b *Builder) router(name string) (int32, *routerAcc) {
+// router finds (interning at first sight) the named router and enrols it
+// in acc's tally.
+func (b *Builder) router(acc *Accumulator, name string) *routerAcc {
 	ri, ok := b.routerIdx[name]
 	if !ok {
 		ri = int32(len(b.accs))
@@ -340,12 +432,16 @@ func (b *Builder) router(name string) (int32, *routerAcc) {
 	}
 	a := &b.accs[ri]
 	if a.stamp != b.gen {
-		a.stamp = b.gen
-		a.level = locdict.LevelInterface
-		a.locs = a.locs[:0]
-		b.touched = append(b.touched, ri)
+		a.stamp, a.slot = b.gen, int32(len(acc.routers))
+		if len(acc.routers) < cap(acc.routers) { // reuse the slot's tally storage
+			acc.routers = acc.routers[:len(acc.routers)+1]
+			r := &acc.routers[a.slot]
+			r.ri, r.level, r.locs = ri, locdict.LevelInterface, r.locs[:0]
+		} else {
+			acc.routers = append(acc.routers, accRouter{ri: ri, level: locdict.LevelInterface})
+		}
 	}
-	return ri, a
+	return a
 }
 
 // sig finds the memo entry of template on router a, computing the
@@ -365,62 +461,98 @@ func (b *Builder) sig(a *routerAcc, template int) *sigEntry {
 // tally counts loc toward its router's presentation location: only the
 // coarsest level seen so far is tallied (a router-level message subsumes
 // interface detail — §4.2.4, and needs no tally at all).
-func (b *Builder) tally(a *routerAcc, ri int32, loc *locdict.Location) {
-	if loc.Level != a.level {
-		if loc.Level < a.level {
+func tally(acc *Accumulator, r *accRouter, loc *locdict.Location) {
+	if loc.Level != r.level {
+		if loc.Level < r.level {
 			return
 		}
-		a.level = loc.Level
-		a.locs = a.locs[:0]
+		r.level = loc.Level
+		r.locs = r.locs[:0]
 	}
-	if a.level == locdict.LevelRouter {
+	if r.level == locdict.LevelRouter {
 		return
 	}
-	for i := range a.locs[:min(len(a.locs), locScan)] {
-		if a.locs[i].loc == *loc {
-			a.locs[i].n++
+	for i := range r.locs[:min(len(r.locs), locScan)] {
+		if r.locs[i].loc == *loc {
+			r.locs[i].n++
 			return
 		}
 	}
-	i := len(a.locs)
+	i := len(r.locs)
 	if i >= locScan {
-		k := locKey{ri, *loc}
-		if j, ok := b.locIdx[k]; ok {
+		if acc.locIdx == nil {
+			acc.locIdx = make(map[locKey]int)
+		}
+		k := locKey{r.ri, *loc}
+		if j, ok := acc.locIdx[k]; ok {
 			i = j
 		} else {
-			b.locIdx[k] = i
+			acc.locIdx[k] = i
 		}
 	}
-	if i == len(a.locs) {
-		a.locs = append(a.locs, locTally{loc: *loc})
+	if i == len(r.locs) {
+		r.locs = append(r.locs, locTally{loc: *loc})
 	}
-	a.locs[i].n++
+	r.locs[i].n++
 }
 
-// finish closes the call: the distinct routers, one presentation location
-// per router, the distinct templates and the label, all sorted into fresh
-// exact-size slices.
-func (b *Builder) finish() Event {
-	e := b.ev
-	b.ev = Event{}
-	slices.SortFunc(b.touched, func(x, y int32) int { return cmp.Compare(b.accs[x].name, b.accs[y].name) })
-	e.Routers = make([]string, len(b.touched))
-	e.Locations = make([]locdict.Location, len(b.touched))
-	for i, ri := range b.touched {
-		a := &b.accs[ri]
-		e.Routers[i] = a.name
-		e.Locations[i] = a.presentationLoc()
+// finish closes the call on acc, whose members past the first k it folded
+// in: the distinct routers, one presentation location per router, the
+// distinct templates, the members and the label, all sorted into fresh
+// slices. The builder's own accumulator hands its member lists to the
+// event and is left empty; a caller's keeps them for Extend.
+func (b *Builder) finish(acc *Accumulator, k int) Event {
+	memberSteps.Add(uint64(len(acc.seqs) - k))
+	mergeTail(acc.seqs, k, &b.seqBuf)
+	mergeTail(acc.raws, k, &b.rawBuf)
+	slices.SortFunc(acc.routers, func(x, y accRouter) int { return cmp.Compare(b.accs[x.ri].name, b.accs[y.ri].name) })
+	slices.Sort(acc.tpls)
+	acc.tpls = slices.Compact(acc.tpls)
+
+	e := Event{
+		Start:     acc.start,
+		End:       acc.end,
+		Routers:   make([]string, len(acc.routers)),
+		Locations: make([]locdict.Location, len(acc.routers)),
+		Templates: append(make([]int, 0, len(acc.tpls)), acc.tpls...),
+		Score:     acc.score,
 	}
-	slices.Sort(b.tpls)
-	tpls := slices.Compact(b.tpls)
-	e.Templates = append(make([]int, 0, len(tpls)), tpls...)
-	slices.Sort(e.MessageSeqs)
-	slices.Sort(e.RawIndexes)
+	for i := range acc.routers {
+		r := &acc.routers[i]
+		e.Routers[i] = b.accs[r.ri].name
+		e.Locations[i] = r.presentationLoc(e.Routers[i])
+	}
+	if acc == &b.one {
+		e.MessageSeqs, e.RawIndexes = acc.seqs, acc.raws
+		acc.Reset()
+	} else {
+		e.MessageSeqs, e.RawIndexes = slices.Clone(acc.seqs), slices.Clone(acc.raws)
+	}
 	e.Label = b.eventLabel(e.Templates)
-	b.touched = b.touched[:0]
-	b.tpls = b.tpls[:0]
-	clear(b.locIdx)
 	return e
+}
+
+// mergeTail sorts s[k:] and merges it into the already sorted s[:k] in
+// place, staging the tail in buf. A resumed group's new members usually
+// all sort after the ones it held, which costs one comparison.
+func mergeTail[E cmp.Ordered](s []E, k int, buf *[]E) {
+	tail := s[k:]
+	slices.Sort(tail)
+	if k == 0 || len(tail) == 0 || s[k-1] <= tail[0] {
+		return
+	}
+	*buf = append((*buf)[:0], tail...)
+	t := *buf
+	i, j := k-1, len(t)-1
+	for w := len(s) - 1; j >= 0; w-- {
+		if i >= 0 && s[i] > t[j] {
+			s[w] = s[i]
+			i--
+		} else {
+			s[w] = t[j]
+			j--
+		}
+	}
 }
 
 // eventLabel memoizes Labeler.EventLabel by the sorted distinct template
@@ -443,17 +575,17 @@ func (b *Builder) eventLabel(templates []int) string {
 	return s
 }
 
-// presentationLoc picks the router's display location: the coarsest level
-// present, and among that level's locations the most common, ties broken by
-// the order of their Key() strings.
-func (a *routerAcc) presentationLoc() locdict.Location {
-	if a.level == locdict.LevelRouter {
-		return locdict.RouterLoc(a.name)
+// presentationLoc picks the display location of the router named name: the
+// coarsest level present, and among that level's locations the most common,
+// ties broken by the order of their Key() strings.
+func (r *accRouter) presentationLoc(name string) locdict.Location {
+	if r.level == locdict.LevelRouter {
+		return locdict.RouterLoc(name)
 	}
 	var pick locTally
 	pick.n = -1
-	for i := range a.locs {
-		if l := &a.locs[i]; l.n > pick.n || (l.n == pick.n && keyLess(&l.loc, &pick.loc)) {
+	for i := range r.locs {
+		if l := &r.locs[i]; l.n > pick.n || (l.n == pick.n && keyLess(&l.loc, &pick.loc)) {
 			pick = *l
 		}
 	}

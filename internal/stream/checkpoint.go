@@ -58,7 +58,7 @@ func (e *Engine) Restore(st EngineState) error {
 	}
 	e.local, e.merger = locals[0], mg
 	e.em.nextID = st.NextID
-	e.em.pub = Tallies{IncStats: e.Stats(), Pool: e.shardable.Pool().Stats()}
+	e.em.pub = e.tallies()
 	return nil
 }
 
@@ -126,7 +126,7 @@ func (e *ShardedEngine) Restore(st EngineState) error {
 		e.localStats[k] = rl.Stats()
 	}
 	e.em.nextID = st.NextID
-	e.em.pub = Tallies{IncStats: e.stats(), Pool: e.shardable.Pool().Stats()}
+	e.em.pub = e.tallies()
 	e.started = st.Started
 	e.lastTime = checkpoint.NsTime(st.LastTimeNs)
 	if e.started {

@@ -19,6 +19,13 @@ type emitter struct {
 	builder *event.Builder
 	nextID  int  // next final-stream event ID
 	prov    bool // provisional tier on (cfg.Grouping.ProvisionalHorizon > 0)
+	// accs holds the assembly state of every identity published and not yet
+	// final or superseded, so that a revision folds in only the members it
+	// gained (event.Builder.Extend); spare holds emptied ones for reuse. Not
+	// part of any checkpoint: a restored engine starts without them and its
+	// next publication of each identity builds in full.
+	accs    map[uint64]*event.Accumulator
+	spare   []*event.Accumulator
 	met     Metrics
 	grouped bool // met.Grouping holds a handle (setMetrics)
 	// pub is the grouper's book as the handles last saw it; before the first
@@ -34,6 +41,7 @@ func newEmitter(cfg Config) emitter {
 	return emitter{
 		builder: event.NewBuilder(cfg.Freq, cfg.Labeler),
 		prov:    cfg.Grouping.ProvisionalHorizon > 0,
+		accs:    make(map[uint64]*event.Accumulator),
 	}
 }
 
@@ -50,7 +58,13 @@ func (em *emitter) emit(gus []grouping.GroupUpdate, closed []grouping.ClosedGrou
 	}
 	for i := range closed {
 		cg := &closed[i]
-		ev := em.builder.BuildMessages(cg.Members)
+		var ev event.Event
+		if acc := em.accs[cg.ID]; acc != nil {
+			ev = em.builder.Extend(acc, cg.Members)
+			em.retire(cg.ID, acc)
+		} else {
+			ev = em.builder.BuildMessages(cg.Members)
+		}
 		ev.ID = em.nextID
 		em.nextID++
 		em.met.Emitted.Inc()
@@ -76,6 +90,9 @@ func (em *emitter) update(gu *grouping.GroupUpdate, wm time.Time) event.Update {
 		u.Status = event.StatusSuperseded
 		u.SupersededBy = gu.SupersededBy
 		em.met.ProvSuperseded.Inc()
+		if acc := em.accs[gu.ID]; acc != nil {
+			em.retire(gu.ID, acc)
+		}
 		return u
 	case grouping.UpdateRevised:
 		u.Status = event.StatusRevised
@@ -85,12 +102,35 @@ func (em *emitter) update(gu *grouping.GroupUpdate, wm time.Time) event.Update {
 		em.met.ProvEmitted.Inc()
 	}
 	em.met.ProvMembers.Observe(float64(len(gu.Members)))
-	u.Event = em.builder.BuildMessages(gu.Members)
+	acc := em.accs[gu.ID]
+	if acc == nil {
+		acc = em.newAcc()
+		em.accs[gu.ID] = acc
+	}
+	u.Event = em.builder.Extend(acc, gu.Members)
 	u.Event.ID = -1 // the sequential final-stream ID is assigned only at closure
 	if u.Status == event.StatusProvisional {
 		em.met.ProvLatency.Observe(wm.Sub(u.Event.End).Seconds())
 	}
 	return u
+}
+
+// newAcc returns an empty accumulator, a spare one when there is one.
+func (em *emitter) newAcc() *event.Accumulator {
+	if n := len(em.spare); n > 0 {
+		acc := em.spare[n-1]
+		em.spare = em.spare[:n-1]
+		return acc
+	}
+	return new(event.Accumulator)
+}
+
+// retire drops the accumulator of an identity that went final or was
+// superseded: it is emptied (its member lists released) and kept spare.
+func (em *emitter) retire(id uint64, acc *event.Accumulator) {
+	delete(em.accs, id)
+	acc.Reset()
+	em.spare = append(em.spare, acc)
 }
 
 // IncMetrics are the handles for the grouper's numbers (all nil-safe, so
@@ -152,13 +192,14 @@ func advance(c *obs.Counter, from, to uint64) {
 	}
 }
 
-// publish brings the handles up to the book as it stands now. With no
-// handle installed it leaves pub alone, so handles installed late start
-// from the engine's beginning, not from their installation.
-func (em *emitter) publish(now Tallies) {
+// publish brings the handles up to the book as read now. With no handle
+// installed it reads nothing and leaves pub alone, so handles installed late
+// start from the engine's beginning, not from their installation.
+func (em *emitter) publish(read func() Tallies) {
 	if !em.grouped {
 		return
 	}
+	now := read()
 	em.met.Grouping.Publish(&em.pub, &now)
 	em.pub = now
 }

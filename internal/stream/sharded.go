@@ -464,7 +464,7 @@ func (e *ShardedEngine) mergeLoop() {
 		// Every link has answered this batch and the merger is done with it
 		// (a drain included), so after a sync or drain batch — the links
 		// parked, nothing in flight — the book published here is exact.
-		e.em.publish(Tallies{IncStats: e.stats(), Pool: e.shardable.Pool().Stats()})
+		e.em.publish(e.tallies)
 		kind := b.kind
 		for k := range b.subs {
 			clear(b.subs[k])
@@ -646,6 +646,11 @@ func (e *ShardedEngine) Stats() grouping.IncStats {
 // merge goroutine's view, or the caller's in a quiet window.
 func (e *ShardedEngine) stats() grouping.IncStats {
 	return grouping.SumStats(e.merger.Stats(), e.localStats...)
+}
+
+// tallies reads the grouper's book from the same view as stats.
+func (e *ShardedEngine) tallies() Tallies {
+	return Tallies{IncStats: e.stats(), Pool: e.shardable.Pool().Stats()}
 }
 
 // Pending is the number of messages in not-yet-closed groups (synchronizes

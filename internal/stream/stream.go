@@ -168,8 +168,13 @@ func (e *Engine) emit(closed []grouping.ClosedGroup) []event.Event {
 	}
 	e.em.emit(e.merger.TakeUpdates(), closed, e.merger.Watermark(), &evs, &e.upd)
 	e.merger.Recycle(closed)
-	e.em.publish(Tallies{IncStats: e.Stats(), Pool: e.shardable.Pool().Stats()})
+	e.em.publish(e.tallies)
 	return evs
+}
+
+// tallies reads the grouper's book.
+func (e *Engine) tallies() Tallies {
+	return Tallies{IncStats: e.Stats(), Pool: e.shardable.Pool().Stats()}
 }
 
 // TakeUpdates returns and clears the tier-tagged updates queued since the
