@@ -75,9 +75,12 @@ profile-stream:
 # engine publishes equals a fresh build of its membership
 # (TestPublishedRecordsMatchFreshBuilds), and Builder.Extend equals a full
 # build bit for bit under growth, merges and table changes
-# (TestExtendMatchesFullBuild).
+# (TestExtendMatchesFullBuild). A version-1 checkpoint, which also kept
+# copies of the engine's progress, must restore into the streamer today's
+# snapshot of the same state does, serial and sharded
+# (TestRestoreVersion1Snapshot).
 equiv:
-	$(GO) test -run 'TestDifferential|TestPublishedRecordsMatchFreshBuilds' -count=1 ./internal/core
+	$(GO) test -run 'TestDifferential|TestPublishedRecordsMatchFreshBuilds|TestRestoreVersion1Snapshot' -count=1 ./internal/core
 	$(GO) test -run TestExtendMatchesFullBuild -count=1 ./internal/event
 
 # The steady-state allocation gate: testing.AllocsPerRun over the vendor

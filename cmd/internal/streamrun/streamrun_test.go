@@ -2,6 +2,7 @@ package streamrun
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -39,12 +40,17 @@ func TestOpenNamesRefusal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stamped := fmt.Sprintf(`"version": %d`, checkpoint.Version)
+	if !strings.Contains(string(snap), stamped) {
+		t.Fatalf("snapshot does not carry %s", stamped)
+	}
+	newer := strings.Replace(string(snap), stamped, fmt.Sprintf(`"version": %d`, checkpoint.Version+1), 1)
 	for _, c := range []struct {
 		name, says string
 		data       []byte
 		want       error
 	}{
-		{"newer", "newer build", []byte(strings.Replace(string(snap), `"version": 1`, `"version": 2`, 1)), checkpoint.ErrUnsupportedVersion},
+		{"newer", "newer build", []byte(newer), checkpoint.ErrUnsupportedVersion},
 		{"truncated", "damaged", snap[:len(snap)/2], checkpoint.ErrCorrupt},
 	} {
 		path := filepath.Join(t.TempDir(), c.name+".ckpt")

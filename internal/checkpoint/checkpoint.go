@@ -40,8 +40,12 @@ const (
 	// Format is the envelope magic.
 	Format = "syslogdigest-checkpoint"
 	// Version is the snapshot version this build writes. Decode accepts
-	// [1, Version].
-	Version = 1
+	// [1, Version]. Version 2 stores the engine's progress once, in the
+	// merger state; a version-1 snapshot also carries copies of it (the
+	// streamer's released frontier, the engine's last accepted time, each
+	// local's watermark), which restore ignores. A version-1 build given a
+	// version-2 snapshot would miss them, so it refuses it.
+	Version = 2
 )
 
 // The two ways a snapshot is refused. Every error a restore returns for the

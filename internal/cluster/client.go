@@ -222,9 +222,9 @@ func (c *Client) getDecBuf() *DecisionBatch {
 // replay log, and enqueues it. seq must start at 1 and increase by 1.
 // Blocks when the pipe is full: the shard connection is the backpressure
 // boundary. Dispatcher goroutine only.
-func (c *Client) SendBatch(seq uint64, punctNs int64, drain bool, msgs []*grouping.Pending) {
+func (c *Client) SendBatch(seq uint64, drain bool, msgs []*grouping.Pending) {
 	frame := beginFrame(make([]byte, 0, c.frameCap), FrameBatch)
-	frame = finishFrame(appendBatch(frame, c.ed, seq, punctNs, drain, msgs), 0)
+	frame = finishFrame(appendBatch(frame, c.ed, seq, drain, msgs), 0)
 	c.frameCap = len(frame)
 	c.lastSeq = seq
 	c.mu.Lock()

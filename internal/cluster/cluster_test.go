@@ -200,11 +200,7 @@ func sendPendings(c *Client, seq uint64, drain bool, batch []grouping.Message) {
 	for i, m := range batch {
 		ps[i] = grouping.NewPending(m)
 	}
-	var punct int64
-	if n := len(batch); n > 0 {
-		punct = batch[n-1].Time.UnixNano()
-	}
-	c.SendBatch(seq, punct, drain, ps)
+	c.SendBatch(seq, drain, ps)
 }
 
 // TestClientServerLoopback drives a full session over TCP loopback and

@@ -98,19 +98,19 @@ type Restore struct {
 	Part     grouping.LocalPartState
 }
 
-// BatchHeader is the fixed head of a Batch frame.
+// BatchHeader is the fixed head of a Batch frame. It carries no
+// watermark: a shard's RouterLocal keeps no progress, and the merge stage
+// reads the dispatcher's from the batch it already holds.
 type BatchHeader struct {
-	Seq     uint64
-	PunctNs int64
-	Drain   bool
-	Count   int
+	Seq   uint64
+	Drain bool
+	Count int
 }
 
 // appendBatch appends a Batch frame payload: header, then one message
 // record per message (appendMsg) against the connection dictionary.
-func appendBatch(b []byte, d *encDict, seq uint64, punctNs int64, drain bool, msgs []*grouping.Pending) []byte {
+func appendBatch(b []byte, d *encDict, seq uint64, drain bool, msgs []*grouping.Pending) []byte {
 	b = binary.AppendUvarint(b, seq)
-	b = binary.AppendVarint(b, punctNs)
 	var flags byte
 	if drain {
 		flags |= 1
@@ -256,9 +256,6 @@ func decodeBatch(payload []byte, d *decDict) (BatchHeader, batchDecoder, error) 
 	var h BatchHeader
 	var err error
 	if h.Seq, err = bd.r.uvarint(); err != nil {
-		return h, bd, err
-	}
-	if h.PunctNs, err = bd.r.varint(); err != nil {
 		return h, bd, err
 	}
 	flags, err := bd.r.flags(1)
@@ -486,7 +483,7 @@ func decodeRestore(payload []byte) (Restore, error) {
 }
 
 // appendPart appends a self-contained part body: the pendings as message
-// records, then the local — its flags and tallies, models as template,
+// records, then the local — its tallies, models as template,
 // loc-key and router symbols, EWMA bits, flags, LastNs and Last, and
 // windows as router plus member indexes. The body carries its own symbol
 // table, so the same bytes mean the same part in any session.
@@ -503,8 +500,6 @@ func appendPart(b []byte, part *grouping.LocalPartState) []byte {
 		b = appendMsg(b, d, &cur, &m)
 	}
 	ls := &part.Local
-	b = append(b, flagBits(ls.Started, false))
-	b = binary.AppendVarint(b, ls.WatermarkNs)
 	b = binary.AppendVarint(b, int64(ls.Evictions))
 	b = binary.AppendUvarint(b, ls.RuleCandidates)
 	b = binary.AppendUvarint(b, ls.RulePairs)
@@ -572,14 +567,6 @@ func decodePart(body []byte) (grouping.LocalPartState, error) {
 		}
 	}
 	ls := &part.Local
-	f, err := r.flags(1)
-	if err != nil {
-		return part, err
-	}
-	ls.Started = f&1 != 0
-	if ls.WatermarkNs, err = r.varint(); err != nil {
-		return part, err
-	}
 	ev, err := r.varint()
 	if err != nil {
 		return part, err

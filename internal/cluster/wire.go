@@ -37,7 +37,7 @@ import (
 
 // Version is the protocol version. A frame with any other version is
 // rejected (ErrVersion): neither side speaks an older or a newer protocol.
-const Version = 2
+const Version = 3
 
 const (
 	frameMagic = 0x53445731 // "SDW1"
@@ -59,8 +59,7 @@ const (
 	// FrameRestore re-seeds the shard's RouterLocal and dictionary before a
 	// replay; it follows a Hello that announces it (binary, client → server).
 	FrameRestore FrameType = 3
-	// FrameBatch carries one message sub-batch with its punctuation
-	// (binary, client → server).
+	// FrameBatch carries one message sub-batch (binary, client → server).
 	FrameBatch FrameType = 4
 	// FrameDecisions carries one batch's join decisions, local stats, and
 	// shard-side error, completing the batch (binary, server → client).

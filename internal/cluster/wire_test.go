@@ -50,6 +50,7 @@ func TestFrameCorruption(t *testing.T) {
 		{"bad magic", func(b []byte) []byte { b[0] ^= 0xff; return b }, ErrBadMagic},
 		{"future version", func(b []byte) []byte { b[4] = Version + 1; return b }, ErrVersion},
 		{"version 1", func(b []byte) []byte { b[4] = 1; return b }, ErrVersion},
+		{"version 2", func(b []byte) []byte { b[4] = 2; return b }, ErrVersion},
 		{"oversize length", func(b []byte) []byte {
 			binary.BigEndian.PutUint32(b[6:10], MaxFrameBytes+1)
 			return b
@@ -137,12 +138,12 @@ func TestBatchRoundTrip(t *testing.T) {
 	ed := newEncDict()
 	var dd decDict
 	for round := 1; round <= 2; round++ {
-		payload := appendBatch(nil, ed, uint64(round), 1234567890, round == 2, ps)
+		payload := appendBatch(nil, ed, uint64(round), round == 2, ps)
 		h, bd, err := decodeBatch(payload, &dd)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if h.Seq != uint64(round) || h.PunctNs != 1234567890 || h.Drain != (round == 2) || h.Count != len(msgs) {
+		if h.Seq != uint64(round) || h.Drain != (round == 2) || h.Count != len(msgs) {
 			t.Fatalf("round %d: header %+v", round, h)
 		}
 		var m grouping.Message
@@ -173,8 +174,8 @@ func TestBatchDictDesync(t *testing.T) {
 		ps[i] = grouping.NewPending(m)
 	}
 	ed := newEncDict()
-	appendBatch(nil, ed, 1, 0, false, ps) // defines the symbols
-	second := appendBatch(nil, ed, 2, 0, false, ps)
+	appendBatch(nil, ed, 1, false, ps) // defines the symbols
+	second := appendBatch(nil, ed, 2, false, ps)
 
 	var fresh decDict
 	_, bd, err := decodeBatch(second, &fresh)
@@ -427,8 +428,8 @@ func FuzzDecodeBatch(f *testing.F) {
 	for _, m := range wireMessages() {
 		ps = append(ps, grouping.NewPending(m))
 	}
-	f.Add(appendBatch(nil, ed, 1, 99, true, ps))
-	f.Add(appendBatch(nil, ed, 2, -5, false, ps)) // reference-only symbols
+	f.Add(appendBatch(nil, ed, 1, true, ps))
+	f.Add(appendBatch(nil, ed, 2, false, ps)) // reference-only symbols
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var dd decDict

@@ -1,6 +1,7 @@
 // Streamer checkpointing (PR 6): Snapshot captures everything the
-// streaming pipeline would lose in a crash — the reorder buffer, the drop
-// frontier, the sequence counters, the engine's grouping state, and any
+// streaming pipeline would lose in a crash — the reorder buffer and its
+// high-water mark, the sequence counters, the engine's grouping state (whose
+// progress is also the late-arrival frontier), and any
 // emitted-but-uncollected events — inside the versioned envelope of
 // internal/checkpoint; RestoreStreamer rebuilds a streamer that continues
 // the run with byte-identical output and exactly-once event delivery.
@@ -30,18 +31,18 @@ type bufferedMsg struct {
 	Order  uint64 `json:"order"`
 }
 
-// streamerState is the Snapshot payload.
+// streamerState is the Snapshot payload. The released frontier is the
+// engine's progress, stored once inside Engine; version-1 snapshots also
+// carried a copy here ("released", "frontier_ns"), which restore ignores.
 type streamerState struct {
-	Pushed     uint64              `json:"pushed"`
-	Arrivals   uint64              `json:"arrivals"`
-	Seq        int                 `json:"seq"`
-	Started    bool                `json:"started"`
-	MaxSeenNs  int64               `json:"max_seen_ns"`
-	Released   bool                `json:"released"`
-	FrontierNs int64               `json:"frontier_ns"`
-	Buffer     []bufferedMsg       `json:"buffer"`
-	Engine     *stream.EngineState `json:"engine,omitempty"` // nil: engine never created
-	Carry      []checkpoint.Event  `json:"carry"`
+	Pushed    uint64              `json:"pushed"`
+	Arrivals  uint64              `json:"arrivals"`
+	Seq       int                 `json:"seq"`
+	Started   bool                `json:"started"`
+	MaxSeenNs int64               `json:"max_seen_ns"`
+	Buffer    []bufferedMsg       `json:"buffer"`
+	Engine    *stream.EngineState `json:"engine,omitempty"` // nil: engine never created
+	Carry     []checkpoint.Event  `json:"carry"`
 	// CarryUpdates are tier-tagged updates emitted but undelivered at the
 	// snapshot (PR 9); absent entirely when the provisional tier is off,
 	// so final-only snapshots are byte-identical to pre-PR 9 ones.
@@ -121,15 +122,13 @@ func decodeUpdate(cu *checkpoint.Update) (event.Update, error) {
 // The live streamer remains usable afterwards.
 func (s *Streamer) Snapshot() ([]byte, error) {
 	st := streamerState{
-		Pushed:     s.pushed,
-		Arrivals:   s.arrivals,
-		Seq:        s.seq,
-		Started:    s.started,
-		MaxSeenNs:  checkpoint.TimeNs(s.maxSeen),
-		Released:   s.released,
-		FrontierNs: checkpoint.TimeNs(s.frontier),
-		Buffer:     []bufferedMsg{},
-		Carry:      []checkpoint.Event{},
+		Pushed:    s.pushed,
+		Arrivals:  s.arrivals,
+		Seq:       s.seq,
+		Started:   s.started,
+		MaxSeenNs: checkpoint.TimeNs(s.maxSeen),
+		Buffer:    []bufferedMsg{},
+		Carry:     []checkpoint.Event{},
 	}
 	// Serialize the reorder buffer in canonical pop order (a heap's slice
 	// layout depends on insertion history; its pop order does not).
@@ -158,7 +157,7 @@ func (s *Streamer) Snapshot() ([]byte, error) {
 			return nil, fmt.Errorf("core: snapshot: %w", err)
 		}
 		st.Engine = &es
-		watermarkNs = es.LastTimeNs
+		watermarkNs = es.Inc.Merger.WatermarkNs
 		for i := range pending {
 			st.Carry = append(st.Carry, encodeEvent(&pending[i]))
 		}
@@ -187,8 +186,6 @@ func RestoreStreamer(d *Digester, snap []byte, opts StreamerOptions) (*Streamer,
 	s.seq = st.Seq
 	s.started = st.Started
 	s.maxSeen = checkpoint.NsTime(st.MaxSeenNs)
-	s.released = st.Released
-	s.frontier = checkpoint.NsTime(st.FrontierNs)
 	for _, bm := range st.Buffer {
 		s.buf.push(bufItem{
 			m: syslogmsg.Message{

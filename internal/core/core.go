@@ -620,7 +620,9 @@ type streamEngine interface {
 	Observe(stream.Message) ([]event.Event, error)
 	Drain() []event.Event
 	Close()
-	Watermark() time.Time
+	// Progress is how far the engine has been fed: the late-arrival check
+	// and Streamer.Watermark read it, and nothing keeps a copy.
+	Progress() grouping.Progress
 	Pending() int
 	Stats() grouping.IncStats
 	ActiveRules() map[rules.PairKey]int

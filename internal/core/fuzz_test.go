@@ -72,8 +72,8 @@ func FuzzRestoreStreamer(f *testing.F) {
 			// A snapshot the decoder accepted must yield a usable streamer.
 			m := probe
 			m.Time = s.maxSeen.Add(time.Hour)
-			if m.Time.Before(s.frontier) {
-				m.Time = s.frontier.Add(time.Hour)
+			if wm := s.Watermark(); m.Time.Before(wm) {
+				m.Time = wm.Add(time.Hour)
 			}
 			if _, err := s.Push(m); err != nil {
 				t.Logf("push after restore (%d workers): %v", opts.StreamWorkers, err)

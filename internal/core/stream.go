@@ -90,10 +90,11 @@ type Streamer struct {
 	seq      int    // dense engine sequence, assigned at release
 	pushed   uint64 // total Push calls, drops included (replay resume offset)
 
-	started  bool      // any arrival seen; maxSeen is meaningful
-	maxSeen  time.Time // newest arrival time
-	released bool      // any message released; frontier is meaningful
-	frontier time.Time // newest released time == engine watermark
+	// started and maxSeen are the reorder buffer's own high-water mark, the
+	// newest arrival. What has been released is the engine's progress, read
+	// from the engine (late).
+	started bool
+	maxSeen time.Time
 
 	// carry holds events recovered from a checkpoint that the snapshotted
 	// run had emitted into the engine's collection queue but the caller had
@@ -249,7 +250,7 @@ func (s *Streamer) Close() {
 func (s *Streamer) Push(m syslogmsg.Message) (*DigestResult, error) {
 	s.mPushed.Inc()
 	s.pushed++
-	if s.released && m.Time.Before(s.frontier) {
+	if s.late(m.Time) {
 		if s.opts.ReorderTolerance > 0 && m.Time.After(s.maxSeen.Add(-s.opts.ReorderTolerance)) {
 			s.mDroppedOvf.Inc()
 		} else {
@@ -363,19 +364,19 @@ func (s *Streamer) feed(m syslogmsg.Message) ([]event.Event, error) {
 	pm := s.d.kb.Augment(&m)
 	sm := streamMsg(&pm, s.seq)
 	s.seq++
-	evs, err := eng.Observe(sm)
-	if err != nil {
-		return nil, err
-	}
-	s.frontier = pm.Time
-	s.released = true
-	return evs, nil
+	return eng.Observe(sm)
+}
+
+// late reports whether t precedes what the engine has already been fed: a
+// message at t can no longer be released, only dropped.
+func (s *Streamer) late(t time.Time) bool {
+	return s.eng != nil && s.eng.Progress().Behind(t)
 }
 
 // Flush releases the reorder buffer and force-closes every open group,
 // returning the events (nil when nothing was pending). The engine's
-// temporal models, watermark, and the drop frontier persist: flushing is
-// an emission point, not a reset.
+// temporal models and its watermark, which is the drop frontier, persist:
+// flushing is an emission point, not a reset.
 //
 // If a feed fails mid-drain, the events already closed are returned with
 // the error (nothing emitted is lost), the unfed remainder stays buffered,
@@ -419,7 +420,7 @@ func (s *Streamer) Watermark() time.Time {
 	if s.eng == nil {
 		return time.Time{}
 	}
-	return s.eng.Watermark()
+	return s.eng.Progress().Time()
 }
 
 // bufItem is one buffered arrival; order breaks timestamp ties so equal

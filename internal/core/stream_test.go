@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -332,7 +333,7 @@ func TestStreamerReorderCapBoundary(t *testing.T) {
 	if len(s.buf) != cap {
 		t.Fatalf("buffer holds %d, want exactly %d", len(s.buf), cap)
 	}
-	released := s.frontier
+	released := s.Watermark()
 	// A full buffer plus an arrival older than everything buffered (but not
 	// behind the frontier): the arrival itself releases, never occupying a
 	// slot, and the buffer must not shrink or grow.
@@ -346,30 +347,32 @@ func TestStreamerReorderCapBoundary(t *testing.T) {
 	if len(s.buf) != cap {
 		t.Fatalf("direct-feed path changed buffer to %d, want %d", len(s.buf), cap)
 	}
-	if !s.frontier.Equal(mid) {
-		t.Fatalf("frontier %v, want %v (direct feed released the arrival)", s.frontier, mid)
+	if wm := s.Watermark(); !wm.Equal(mid) {
+		t.Fatalf("watermark %v, want %v (direct feed released the arrival)", wm, mid)
 	}
 }
 
 // failEngine is a streamEngine whose Observe fails on the Nth call,
 // emitting one synthetic event per successful call.
 type failEngine struct {
-	calls  int
-	failAt int
+	calls    int
+	failAt   int
+	progress grouping.Progress
 }
 
 var errBoom = errors.New("engine: boom")
 
-func (f *failEngine) Observe(stream.Message) ([]event.Event, error) {
+func (f *failEngine) Observe(m stream.Message) ([]event.Event, error) {
 	f.calls++
 	if f.calls >= f.failAt {
 		return nil, errBoom
 	}
+	f.progress.Advance(m.Time)
 	return []event.Event{{ID: f.calls}}, nil
 }
 func (f *failEngine) Drain() []event.Event                    { return nil }
 func (f *failEngine) Close()                                  {}
-func (f *failEngine) Watermark() time.Time                    { return time.Time{} }
+func (f *failEngine) Progress() grouping.Progress             { return f.progress }
 func (f *failEngine) Pending() int                            { return 0 }
 func (f *failEngine) Stats() grouping.IncStats                { return grouping.IncStats{} }
 func (f *failEngine) ActiveRules() map[rules.PairKey]int      { return nil }
@@ -449,8 +452,8 @@ func TestStreamerOverflowDropCounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !s.frontier.Equal(t0) {
-		t.Fatalf("setup: frontier %v, want %v", s.frontier, t0)
+	if wm := s.Watermark(); !wm.Equal(t0) {
+		t.Fatalf("setup: frontier %v, want %v", wm, t0)
 	}
 	// Behind the frontier but within tolerance of the newest arrival: only
 	// the undersized buffer lost its slot — an overflow drop.
@@ -589,6 +592,143 @@ func TestRestoreErrorsAreTyped(t *testing.T) {
 	}
 }
 
+// TestRestoreVersion1Snapshot: a version-1 snapshot — the same state with
+// the engine's progress also copied into the streamer (the released
+// frontier), the engine (its last accepted time) and every local (a
+// watermark each) — restores into the streamer today's snapshot of that
+// state restores into, in either engine shape: the two snapshot to the same
+// bytes, drop a late arrival the same way, and finish the feed with the
+// same events and updates.
+func TestRestoreVersion1Snapshot(t *testing.T) {
+	f := fixtureFor(t, corpusA)
+	msgs := f.ds.Messages[:3000]
+	const cut = 1200
+	d, err := NewDigester(f.kb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStreamerWith(d, StreamerOptions{StreamWorkers: 2, ProvisionalHorizon: provHorizon})
+	for _, m := range msgs[:cut] {
+		if _, err := st.Push(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := msgs[cut]
+	late.Time = st.Watermark().Add(-time.Hour) // behind the released frontier and the tolerance
+	st.Close()
+	old := asVersion1(t, snap)
+
+	for _, sh := range []shape{serial, {workers: 2}} {
+		var runs [2][]byte
+		for i, data := range [][]byte{snap, old} {
+			d2, err := NewDigester(f.kb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := RestoreStreamer(d2, data, f.options(t, sh, provHorizon))
+			if err != nil {
+				t.Fatalf("%v, version %d: %v", sh, 2-i, err)
+			}
+			reg := obs.NewRegistry()
+			s.Instrument(reg)
+			again, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Finals and updates apart: above one worker their interleaving
+			// is delivery timing, not output.
+			var finals, updates []byte
+			record := func(res *DigestResult, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res == nil {
+					return
+				}
+				for j := range res.Events {
+					finals = appendEvent(finals, &res.Events[j])
+				}
+				for j := range res.Updates {
+					updates = appendUpdate(updates, &res.Updates[j])
+				}
+			}
+			record(s.Push(late))
+			for _, m := range msgs[cut:] {
+				record(s.Push(m))
+			}
+			record(s.Flush())
+			s.Close()
+			if n := reg.Snapshot().Counter("stream.dropped.late"); n != 1 {
+				t.Fatalf("%v, version %d: stream.dropped.late = %d, want 1", sh, 2-i, n)
+			}
+			if len(finals) == 0 || len(updates) == 0 {
+				t.Fatalf("%v, version %d: the feed after the cut emitted %d final and %d update bytes; the check would be vacuous",
+					sh, 2-i, len(finals), len(updates))
+			}
+			runs[i] = slices.Concat(again, finals, []byte("--\n"), updates)
+		}
+		if !bytes.Equal(runs[0], runs[1]) {
+			t.Fatalf("%v: a version-1 snapshot restored into a different streamer (%d vs %d bytes of snapshot and output)",
+				sh, len(runs[1]), len(runs[0]))
+		}
+	}
+}
+
+// asVersion1 rewrites a snapshot in the version-1 layout: the envelope says
+// version 1, and beside the merger's progress the payload carries the
+// copies that version kept — "released"/"frontier_ns" in the streamer,
+// "started"/"last_time_ns" in the engine, and "started"/"watermark_ns" in
+// every local (each a second behind the last, as shards lag one another).
+func asVersion1(t *testing.T, snap []byte) []byte {
+	t.Helper()
+	object := func(raw []byte) map[string]json.RawMessage {
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	encode := func(v any) json.RawMessage {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	env := object(snap)
+	payload := object(env["payload"])
+	eng := object(payload["engine"])
+	inc := object(eng["inc"])
+	merger := object(inc["merger"])
+	var wm int64
+	if err := json.Unmarshal(merger["watermark_ns"], &wm); err != nil || wm == 0 {
+		t.Fatalf("merger watermark %d: %v", wm, err)
+	}
+	var locals []map[string]json.RawMessage
+	if err := json.Unmarshal(inc["locals"], &locals); err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range locals {
+		l["started"] = merger["started"]
+		l["watermark_ns"] = encode(wm - int64(i)*int64(time.Second))
+	}
+	inc["locals"] = encode(locals)
+	eng["inc"] = encode(inc)
+	eng["started"] = merger["started"]
+	eng["last_time_ns"] = merger["watermark_ns"]
+	payload["engine"] = encode(eng)
+	payload["released"] = merger["started"]
+	payload["frontier_ns"] = merger["watermark_ns"]
+	env["payload"] = encode(payload)
+	env["version"] = encode(1)
+	return encode(env)
+}
+
 // TestProvisionalScratchPoisoned proves the scratch contract of
 // Merger.TakeUpdates and of the closed-group slice: once a step's
 // publications have been turned into events, nothing reads their Members
@@ -691,11 +831,12 @@ func TestProvisionalScratchPoisoned(t *testing.T) {
 	}
 }
 
-// TestShardedLowWatermarkMonotone is the low-watermark property test: under
-// heavy shard skew (one router carries almost all traffic, so one shard
-// works while others idle), the merge stage's low watermark must be
-// nondecreasing, never ahead of the dispatcher watermark, and must reach
-// it at drain.
+// TestShardedLowWatermarkMonotone is the merge stage's progress property:
+// under heavy shard skew (one router carries almost all traffic, so one
+// shard works while others idle), the merge stage's watermark — the Merger's
+// record, published as stream.watermark_unix_seconds — must be
+// nondecreasing, never ahead of the dispatcher's record, and must reach it
+// at drain.
 func TestShardedLowWatermarkMonotone(t *testing.T) {
 	kb, _ := learnSmall(t, gen.DatasetA)
 	d, err := NewDigester(kb)
@@ -708,6 +849,9 @@ func TestShardedLowWatermarkMonotone(t *testing.T) {
 	}
 	defer eng.Close()
 	eng.SetBatchSize(16)
+	merged := obs.NewRegistry().Gauge("stream.watermark_unix_seconds")
+	eng.SetShardedMetrics(stream.ShardedMetrics{Metrics: stream.Metrics{Watermark: merged}})
+	dispatched := func() float64 { return float64(eng.Progress().Time().UnixNano()) / 1e9 }
 
 	t0 := time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC)
 	rng := rand.New(rand.NewSource(5))
@@ -722,26 +866,26 @@ func TestShardedLowWatermarkMonotone(t *testing.T) {
 	}
 	plus := kb.AugmentAll(msgs)
 
-	var low time.Time
+	var low float64
 	for i := range plus {
 		if _, err := eng.Observe(streamMsg(&plus[i], i)); err != nil {
 			t.Fatal(err)
 		}
-		lw := eng.LowWatermark()
-		if lw.Before(low) {
-			t.Fatalf("low watermark regressed: %v after %v", lw, low)
+		lw := merged.Value()
+		if lw < low {
+			t.Fatalf("merge watermark regressed: %v after %v", lw, low)
 		}
 		low = lw
-		if lw.After(eng.Watermark()) {
-			t.Fatalf("low watermark %v ahead of dispatcher watermark %v", lw, eng.Watermark())
+		if lw > dispatched() {
+			t.Fatalf("merge watermark %v ahead of dispatcher watermark %v", lw, dispatched())
 		}
 	}
-	if low.IsZero() {
-		t.Fatal("low watermark never advanced")
+	if low == 0 {
+		t.Fatal("merge watermark never advanced")
 	}
 	eng.Drain()
-	if lw := eng.LowWatermark(); !lw.Equal(eng.Watermark()) {
-		t.Fatalf("after drain low watermark %v != watermark %v", lw, eng.Watermark())
+	if lw := merged.Value(); lw != dispatched() {
+		t.Fatalf("after drain merge watermark %v != watermark %v", lw, dispatched())
 	}
 }
 

@@ -81,8 +81,9 @@ type ActiveRuleState struct {
 	Count int `json:"count"`
 }
 
-// MergerState is the global half: partition, closure list, cross ring,
-// tallies.
+// MergerState is the global half: progress, partition, closure list, cross
+// ring, tallies. Started and WatermarkNs are the engine's Progress, the one
+// record of it a snapshot holds.
 type MergerState struct {
 	Started        bool              `json:"started"`
 	WatermarkNs    int64             `json:"watermark_ns"`
@@ -120,11 +121,10 @@ type WindowState struct {
 
 // LocalState is one RouterLocal: models in least-recently-observed order
 // (head first, so restoring in sequence rebuilds the eviction list) and
-// rule windows sorted by router.
+// rule windows sorted by router. It holds no progress: a local needs none,
+// and snapshots from builds that kept a copy here restore without it.
 type LocalState struct {
-	Started     bool  `json:"started"`
-	WatermarkNs int64 `json:"watermark_ns"`
-	Evictions   int   `json:"evictions"`
+	Evictions int `json:"evictions"`
 	// Rule-pass scan tallies, cumulative like Evictions; absent in
 	// snapshots from builds before the template index (restore as 0).
 	RuleCandidates uint64 `json:"rule_candidates,omitempty"`
@@ -173,8 +173,8 @@ func (x *pendingIndexer) of(p *Pending) int {
 // order, then the cross ring, then the tallies.
 func captureMerger(x *pendingIndexer, mg *Merger) MergerState {
 	ms := MergerState{
-		Started:         mg.started,
-		WatermarkNs:     checkpoint.TimeNs(mg.watermark),
+		Started:         mg.progress.started,
+		WatermarkNs:     checkpoint.TimeNs(mg.progress.last),
 		Groups:          []GroupState{},
 		CrossWin:        []int{},
 		Active:          []ActiveRuleState{},
@@ -232,8 +232,6 @@ func captureMerger(x *pendingIndexer, mg *Merger) MergerState {
 // sorted by router.
 func captureLocal(x *pendingIndexer, rl *RouterLocal) LocalState {
 	ls := LocalState{
-		Started:        rl.started,
-		WatermarkNs:    checkpoint.TimeNs(rl.watermark),
 		Evictions:      rl.tally.Evictions,
 		RuleCandidates: rl.tally.RuleCandidates,
 		RulePairs:      rl.tally.RulePairs,
@@ -320,7 +318,7 @@ func restoreProv(mg *Merger, ms MergerState, groups []*incGroup) error {
 // number of RouterLocals wanted; localMax caps each one's model table
 // (<= 0: the Shardable bound). When the snapshot's shard count matches
 // workers, every local restores exactly (bounds, eviction order, per-shard
-// watermarks — byte-stable round trip). Otherwise the models and windows
+// tallies — byte-stable round trip). Otherwise the models and windows
 // are resharded through shardFor (router → shard; nil is allowed only for
 // workers == 1): outputs stay identical as long as the model tables remain
 // within bounds — the LRU interleaving is the one thing a reshard cannot
@@ -352,8 +350,7 @@ func (s *Shardable) RestoreParts(st IncState, workers, localMax int, shardFor fu
 
 	// Merger: groups in closure-list order, cross ring, tallies.
 	mg := s.NewMerger()
-	mg.started = st.Merger.Started
-	mg.watermark = checkpoint.NsTime(st.Merger.WatermarkNs)
+	mg.progress = Progress{started: st.Merger.Started, last: checkpoint.NsTime(st.Merger.WatermarkNs)}
 	mg.st.TemporalMerges = st.Merger.TemporalMerges
 	mg.st.RuleMerges = st.Merger.RuleMerges
 	mg.st.CrossMerges = st.Merger.CrossMerges
@@ -453,18 +450,13 @@ func (s *Shardable) RestoreParts(st IncState, workers, localMax int, shardFor fu
 			}
 		}
 	}
-	for _, rl := range locals {
-		rl.started, rl.watermark = mg.started, mg.watermark
-	}
 	for i, lst := range st.Locals {
-		// Progress and the cumulative tallies restore per local when the
-		// shard counts match. Across a reshard every local starts at the
-		// merger's watermark and the first carries all the tallies: nothing
+		// The cumulative tallies restore per local when the shard counts
+		// match. Across a reshard the first local carries them all: nothing
 		// says which did a past shard's work, and only the sums are read.
 		rl := locals[0]
 		if exact {
 			rl = locals[i]
-			rl.started, rl.watermark = lst.Started, checkpoint.NsTime(lst.WatermarkNs)
 		}
 		rl.tally.Evictions += lst.Evictions
 		rl.tally.RuleCandidates += lst.RuleCandidates

@@ -1,7 +1,6 @@
 package grouping
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -44,8 +43,8 @@ func newSerialWith(tb testing.TB, dict *locdict.Dictionary, rb *rules.RuleBase, 
 // Observe steps one message through both halves and returns the groups it
 // closed (scratch, valid until the next step).
 func (c *serial) Observe(m Message) ([]ClosedGroup, error) {
-	if c.merge.started && m.Time.Before(c.merge.watermark) {
-		return nil, fmt.Errorf("time regression: %v after watermark %v", m.Time, c.merge.watermark)
+	if err := c.merge.Progress().Check(m.Time); err != nil {
+		return nil, err
 	}
 	p := c.s.pool.Get(m)
 	if err := c.local.Step(p, &c.js); err != nil {
@@ -203,6 +202,9 @@ func TestIncrementalRejectsRegression(t *testing.T) {
 	back := Message{Seq: 1, Time: base.Add(-time.Second), Router: "r1", Template: 1}
 	if _, err := inc.Observe(back); err == nil {
 		t.Fatal("regression accepted")
+	}
+	if wm := inc.merge.Progress().Time(); !wm.Equal(base) {
+		t.Fatalf("the refused message moved the watermark to %v", wm)
 	}
 	// Equal-to-watermark is fine.
 	same := Message{Seq: 2, Time: base, Router: "r1", Template: 1}

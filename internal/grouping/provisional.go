@@ -110,7 +110,7 @@ func (q *provQueue) len() int { return len(q.buf) - q.head }
 func (mg *Merger) armProv(g *incGroup) {
 	p := g.members[0]
 	p.ref() // due-queue reference, released at pop (or Drain)
-	mg.provQueue.push(provEntry{p: p, gid: g.id, due: mg.watermark.Add(mg.provHorizon)})
+	mg.provQueue.push(provEntry{p: p, gid: g.id, due: mg.progress.last.Add(mg.provHorizon)})
 }
 
 // armDirty marks a published group changed and schedules its revision.
@@ -142,7 +142,7 @@ func (mg *Merger) publish(g *incGroup, kind UpdateKind) {
 // Runs inside Apply after the merge steps and before closure, so a revision
 // always precedes the final record it anticipates.
 func (mg *Merger) popDue() {
-	for !mg.provQueue.empty() && mg.watermark.After(mg.provQueue.front().due) {
+	for !mg.provQueue.empty() && mg.progress.last.After(mg.provQueue.front().due) {
 		e := mg.provQueue.pop()
 		g := e.p.g
 		e.p.unref()

@@ -415,8 +415,6 @@ type RouterLocal struct {
 
 	routerWin map[string]*memberRing
 
-	started   bool
-	watermark time.Time
 	// tally is the local's book as Stats reports it, except Streams, which
 	// is the size of the model table.
 	tally LocalStats
@@ -425,9 +423,6 @@ type RouterLocal struct {
 	// between steps.
 	matched []uint64
 }
-
-// Watermark is the maximum message time this local half has stepped.
-func (rl *RouterLocal) Watermark() time.Time { return rl.watermark }
 
 // Stats snapshots the local state.
 func (rl *RouterLocal) Stats() LocalStats {
@@ -473,8 +468,6 @@ func (rl *RouterLocal) Step(p *Pending, js *Joins) error {
 	if err := checkTemplate(p.msg.Template); err != nil {
 		return err
 	}
-	rl.started = true
-	rl.watermark = p.msg.Time
 	e := rl.resolve(p.msg.Loc)
 	if e.id < 0 {
 		rl.tally.UnresolvedLocs++
@@ -694,8 +687,7 @@ type Merger struct {
 	g       *Grouper
 	horizon time.Duration
 
-	started   bool
-	watermark time.Time
+	progress Progress // the engine's watermark
 
 	crossWin memberRing
 
@@ -832,8 +824,9 @@ func (mg *Merger) reclaimUpdates() {
 	mg.updBuf = mg.updBuf[:0]
 }
 
-// Watermark is the maximum message time applied so far.
-func (mg *Merger) Watermark() time.Time { return mg.watermark }
+// Progress is the engine's watermark: the maximum message time applied so
+// far.
+func (mg *Merger) Progress() Progress { return mg.progress }
 
 // ActiveRules is the cumulative per-pair rule-merge tally (Figure 12).
 // The returned map is a copy: callers may keep or mutate it freely without
@@ -858,15 +851,13 @@ func (mg *Merger) Stats() MergeStats { return mg.st }
 // callers that have fully consumed the Members buffers should hand them
 // back through Recycle.
 func (mg *Merger) Apply(p *Pending, js *Joins) ([]ClosedGroup, error) {
-	if mg.started && p.msg.Time.Before(mg.watermark) {
-		return nil, fmt.Errorf("grouping: incremental requires nondecreasing timestamps (got %v after watermark %v)",
-			p.msg.Time, mg.watermark)
+	if err := mg.progress.Check(p.msg.Time); err != nil {
+		return nil, err
 	}
 	if err := checkTemplate(p.msg.Template); err != nil {
 		return nil, err
 	}
-	mg.started = true
-	mg.watermark = p.msg.Time
+	mg.progress.Advance(p.msg.Time)
 	mg.reclaimUpdates()
 
 	g := &p.grp
@@ -1036,7 +1027,7 @@ func (mg *Merger) merge(a, b *Pending, tally *int) (bool, error) {
 
 // closeReady pops closed groups off the head of the closure list.
 func (mg *Merger) closeReady(out []ClosedGroup) []ClosedGroup {
-	for mg.oHead != nil && mg.watermark.Sub(mg.oHead.last) > mg.horizon {
+	for mg.oHead != nil && mg.progress.last.Sub(mg.oHead.last) > mg.horizon {
 		out = append(out, mg.closeGroup(mg.oHead))
 	}
 	return out

@@ -3,8 +3,10 @@
 // Every engine shape serializes to one EngineState, so a snapshot taken at
 // any shard count, in-process or clustered, restores at any other: the
 // grouping layer reshards (or exactly restores) the router-local state, and
-// the dispatcher-level fields (next event ID, last accepted time) are
-// shape-independent. Events already emitted but not yet collected by the
+// the one dispatcher-level field (the next event ID) is shape-independent.
+// Progress is the merger's (grouping.MergerState): a sharded engine snapshots
+// after a sync, when its dispatcher's record equals the merger's, and
+// restores it from there. Events already emitted but not yet collected by the
 // caller are returned alongside the state — they are the caller's to
 // persist, because dropping them would break exactly-once delivery across a
 // restart.
@@ -13,7 +15,6 @@ package stream
 import (
 	"fmt"
 
-	"syslogdigest/internal/checkpoint"
 	"syslogdigest/internal/event"
 	"syslogdigest/internal/grouping"
 )
@@ -22,10 +23,8 @@ import (
 // shape. Shard count, link kind, batch size, and metrics are runtime
 // configuration and deliberately absent.
 type EngineState struct {
-	NextID     int               `json:"next_id"`
-	LastTimeNs int64             `json:"last_time_ns"`
-	Started    bool              `json:"started"`
-	Inc        grouping.IncState `json:"inc"`
+	NextID int               `json:"next_id"`
+	Inc    grouping.IncState `json:"inc"`
 }
 
 // State snapshots the serial engine through the one capture path every
@@ -40,12 +39,7 @@ func (e *Engine) State() (EngineState, []event.Event, []event.Update, error) {
 	if err != nil {
 		return EngineState{}, nil, nil, err
 	}
-	return EngineState{
-		NextID:     e.em.nextID,
-		LastTimeNs: inc.Merger.WatermarkNs,
-		Started:    inc.Merger.Started,
-		Inc:        inc,
-	}, nil, append([]event.Update(nil), e.upd...), nil
+	return EngineState{NextID: e.em.nextID, Inc: inc}, nil, append([]event.Update(nil), e.upd...), nil
 }
 
 // Restore loads a snapshot taken by any engine shape at any shard count (a
@@ -96,12 +90,7 @@ func (e *ShardedEngine) State() (EngineState, []event.Event, []event.Update, err
 	if err != nil {
 		return EngineState{}, nil, nil, err
 	}
-	st := EngineState{
-		NextID:     e.em.nextID,
-		LastTimeNs: checkpoint.TimeNs(e.lastTime),
-		Started:    e.started,
-		Inc:        inc,
-	}
+	st := EngineState{NextID: e.em.nextID, Inc: inc}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return st, append([]event.Event(nil), e.out...), append([]event.Update(nil), e.upd...), nil
@@ -127,12 +116,6 @@ func (e *ShardedEngine) Restore(st EngineState) error {
 	}
 	e.em.nextID = st.NextID
 	e.em.pub = e.tallies()
-	e.started = st.Started
-	e.lastTime = checkpoint.NsTime(st.LastTimeNs)
-	if e.started {
-		ns := e.lastTime.UnixNano()
-		e.maxDispatched.Store(ns)
-		e.lowWMns.Store(ns)
-	}
+	e.dispatched = mg.Progress()
 	return nil
 }

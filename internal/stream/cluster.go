@@ -125,11 +125,7 @@ type tcpLink struct {
 // the merge stage can recycle any of the records.
 func (l *tcpLink) send(b shardBatch) {
 	l.sendSeq++
-	var punctNs int64
-	if !b.punct.IsZero() {
-		punctNs = b.punct.UnixNano()
-	}
-	l.c.SendBatch(l.sendSeq, punctNs, b.drain, b.msgs)
+	l.c.SendBatch(l.sendSeq, b.drain, b.msgs)
 }
 
 func (l *tcpLink) recv(sub []*grouping.Pending) shardResult {

@@ -35,11 +35,13 @@
 // merge backpressures the shards and a slow shard backpressures the
 // dispatcher — memory in flight is O(shards × depth × batch).
 //
-// Watermarks: the merge stage's low watermark is the punctuation (max
-// message time) of the last batch it fully applied — necessarily ≤ every
-// shard's own progress, and monotone because dispatch order is time order.
-// Group closure tests against the Merger's own watermark exactly as in the
-// serial engine, so closure (and thus emission) decisions are unchanged.
+// Progress: the engine keeps two records (grouping.Progress) and no other.
+// The dispatcher's runs ahead — it refuses a time regression the moment it
+// is observed — and the Merger's is the engine's watermark: group closure
+// tests against it exactly as in the serial engine, so closure (and thus
+// emission) decisions are unchanged, and a snapshot, taken after a sync,
+// stores it once. Shards keep none; a batch's punctuation (the dispatcher's
+// time when it was cut) never leaves the process.
 package stream
 
 import (
@@ -118,7 +120,6 @@ func MergeLagBounds() []float64 {
 // produced the batch's result, and must not write it.
 type shardBatch struct {
 	msgs  []*grouping.Pending // this shard's sub-batch, in global order
-	punct time.Time           // whole-batch punctuation watermark
 	drain bool                // drop join windows after the batch
 }
 
@@ -185,7 +186,7 @@ const (
 type batch struct {
 	subs  [][]*grouping.Pending // subs[k]: shard k's messages, in global order
 	order []uint8               // order[i]: the shard holding the i-th message
-	punct time.Time
+	punct time.Time             // the dispatcher's progress when the batch was cut
 	kind  ctrlKind
 }
 
@@ -210,11 +211,10 @@ type ShardedEngine struct {
 	// Observe time: each one is wrapped in a pooled Pending and appended
 	// straight to its shard's sub-batch in cur, with the order vector
 	// recording the interleaving.
-	running  bool
-	closed   bool
-	started  bool
-	lastTime time.Time
-	cur      *batch
+	running    bool
+	closed     bool
+	dispatched grouping.Progress // newest message observed; the Merger's lags it
+	cur        *batch
 
 	// locals holds a restored engine's RouterLocals until start hands each
 	// to its link.
@@ -225,8 +225,7 @@ type ShardedEngine struct {
 	ack       chan struct{}
 	mergeDone chan struct{}
 
-	maxDispatched atomic.Int64 // unixnano of newest dispatched message
-	lowWMns       atomic.Int64 // unixnano punctuation of last applied batch
+	maxDispatched atomic.Int64 // unixnano punctuation of the newest dispatched batch
 
 	// Merge-goroutine state. The caller may touch these only before start
 	// or in the quiet window after a sync/drain ack and before the next
@@ -350,14 +349,12 @@ func (e *ShardedEngine) Observe(m Message) ([]event.Event, error) {
 	if e.closed {
 		return nil, fmt.Errorf("stream: sharded engine closed")
 	}
-	if e.started && m.Time.Before(e.lastTime) {
-		// Same contract (and message) as the serial grouper: a regression
-		// is rejected before touching any state.
-		return nil, fmt.Errorf("grouping: incremental requires nondecreasing timestamps (got %v after watermark %v)",
-			m.Time, e.lastTime)
+	// Same contract (and message) as the serial engine: a regression is
+	// rejected before touching any state.
+	if err := e.dispatched.Check(m.Time); err != nil {
+		return nil, err
 	}
-	e.started = true
-	e.lastTime = m.Time
+	e.dispatched.Advance(m.Time)
 	// Partition on arrival: wrap the message in a pooled record (the one
 	// per-message struct copy, same as the serial engine's pool.Get) and
 	// append the pointer to its shard's sub-batch. The record's pipeline
@@ -381,12 +378,12 @@ func (e *ShardedEngine) dispatch(kind ctrlKind) {
 		e.start()
 	}
 	b := e.cur
-	b.punct, b.kind = e.lastTime, kind
-	if e.started {
+	b.punct, b.kind = e.dispatched.Time(), kind
+	if e.dispatched.Started() {
 		e.maxDispatched.Store(b.punct.UnixNano())
 	}
 	for k, l := range e.links {
-		l.send(shardBatch{msgs: b.subs[k], punct: b.punct, drain: kind == ctrlDrain})
+		l.send(shardBatch{msgs: b.subs[k], drain: kind == ctrlDrain})
 	}
 	e.mergeIn <- b
 	select {
@@ -443,15 +440,12 @@ func (e *ShardedEngine) mergeLoop() {
 			applied = true
 		}
 		if applied {
-			e.met.Watermark.Set(float64(e.merger.Watermark().UnixNano()) / 1e9)
+			e.met.Watermark.Set(float64(e.merger.Progress().Time().UnixNano()) / 1e9)
 		}
 		e.publishShards(results, b.punct)
-		if !b.punct.IsZero() {
-			if !failed && len(b.order) > 0 {
-				lag := time.Duration(e.maxDispatched.Load() - b.punct.UnixNano())
-				e.met.MergeLag.Observe(lag.Seconds())
-			}
-			e.lowWMns.Store(b.punct.UnixNano())
+		if !b.punct.IsZero() && !failed && len(b.order) > 0 {
+			lag := time.Duration(e.maxDispatched.Load() - b.punct.UnixNano())
+			e.met.MergeLag.Observe(lag.Seconds())
 		}
 		if !failed {
 			e.met.PunctApplied.Inc()
@@ -517,7 +511,7 @@ func (e *ShardedEngine) emit(closed []grouping.ClosedGroup) {
 		}
 	}
 	e.mu.Lock()
-	e.em.emit(gus, closed, e.merger.Watermark(), &e.out, &e.upd)
+	e.em.emit(gus, closed, e.merger.Progress().Time(), &e.out, &e.upd)
 	e.mu.Unlock()
 	e.met.MergeEmitted.Add(uint64(len(closed)))
 	e.merger.Recycle(closed)
@@ -612,20 +606,11 @@ func (e *ShardedEngine) Close() {
 	}
 }
 
-// Watermark is the maximum message time observed (dispatcher view — the
-// serial engine's watermark after the same Observe calls).
-func (e *ShardedEngine) Watermark() time.Time { return e.lastTime }
-
-// LowWatermark is the merge stage's progress: the punctuation of the last
-// fully applied batch, ≤ every shard watermark and monotone. Safe to call
-// concurrently with anything.
-func (e *ShardedEngine) LowWatermark() time.Time {
-	ns := e.lowWMns.Load()
-	if ns == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, ns)
-}
+// Progress is the dispatcher's record, the maximum message time observed —
+// the serial engine's watermark after the same Observe calls. The merge
+// stage's, which trails it by the batches in flight, shows in
+// stream.watermark_unix_seconds.
+func (e *ShardedEngine) Progress() grouping.Progress { return e.dispatched }
 
 // ActiveRules synchronizes and returns the merge stage's cumulative
 // per-pair rule-merge tally. The map is a snapshot copy; the caller may

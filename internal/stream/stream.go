@@ -18,9 +18,6 @@
 package stream
 
 import (
-	"fmt"
-	"time"
-
 	"syslogdigest/internal/event"
 	"syslogdigest/internal/grouping"
 	"syslogdigest/internal/locdict"
@@ -126,9 +123,9 @@ func (e *Engine) SetClusterMetrics(m ClusterMetrics) { e.em.setMetrics(m.Metrics
 // feed has no batch to rank within).
 func (e *Engine) Observe(m Message) ([]event.Event, error) {
 	// Validate before any state mutation: a time regression must leave the
-	// models untouched. (The merger's watermark is zero until it starts.)
-	if wm := e.merger.Watermark(); m.Time.Before(wm) {
-		return nil, fmt.Errorf("grouping: incremental requires nondecreasing timestamps (got %v after watermark %v)", m.Time, wm)
+	// models untouched.
+	if err := e.merger.Progress().Check(m.Time); err != nil {
+		return nil, err
 	}
 	p := e.shardable.Pool().Get(m)
 	if err := e.local.Step(p, &e.js); err != nil {
@@ -140,7 +137,7 @@ func (e *Engine) Observe(m Message) ([]event.Event, error) {
 		p.Release() // Apply consumes the reference only on success
 		return nil, err
 	}
-	e.em.met.Watermark.Set(float64(e.merger.Watermark().UnixNano()) / 1e9)
+	e.em.met.Watermark.Set(float64(e.merger.Progress().Time().UnixNano()) / 1e9)
 	return e.emit(closed), nil
 }
 
@@ -166,7 +163,7 @@ func (e *Engine) emit(closed []grouping.ClosedGroup) []event.Event {
 	if len(closed) > 0 {
 		evs = make([]event.Event, 0, len(closed))
 	}
-	e.em.emit(e.merger.TakeUpdates(), closed, e.merger.Watermark(), &evs, &e.upd)
+	e.em.emit(e.merger.TakeUpdates(), closed, e.merger.Progress().Time(), &evs, &e.upd)
 	e.merger.Recycle(closed)
 	e.em.publish(e.tallies)
 	return evs
@@ -192,8 +189,9 @@ func (e *Engine) TakeUpdates() []event.Update {
 // Close is load-bearing).
 func (e *Engine) Close() {}
 
-// Watermark is the maximum message time observed.
-func (e *Engine) Watermark() time.Time { return e.merger.Watermark() }
+// Progress is the engine's watermark, the maximum message time observed:
+// the Merger's record, the only one the serial engine keeps.
+func (e *Engine) Progress() grouping.Progress { return e.merger.Progress() }
 
 // ActiveRules is the cumulative per-pair rule-merge tally.
 func (e *Engine) ActiveRules() map[rules.PairKey]int { return e.merger.ActiveRules() }
