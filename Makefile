@@ -109,13 +109,17 @@ cli-smoke:
 # server applies a Restore frame (FuzzRestoreLocal), state frames off the
 # cluster wire (FuzzDecodeState), and Restore frame bytes taken down the
 # shard's whole restore path — decode, RestoreLocal, a probe Step
-# (FuzzRestoreFrame). None may panic; a crasher lands in the package's
-# testdata/fuzz and fails plain `go test` from then on. FuzzDecodeState is
+# (FuzzRestoreFrame); and for the streamer's reorder front end under
+# arbitrary arrival times, tolerance and cap, whose books must balance
+# after every call (FuzzStreamerFrontEnd). None may panic or fail; a
+# crasher lands in the package's testdata/fuzz and fails plain `go test`
+# from then on. FuzzDecodeState is
 # seeded with a real part of several kilobytes, and minimizing each new
 # input that size would take the whole ten seconds: it gets one second per
 # input instead of the default minute.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreStreamer$$' -fuzztime=10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamerFrontEnd$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreLocal$$' -fuzztime=10s ./internal/grouping
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreFrame$$' -fuzztime=10s ./internal/cluster

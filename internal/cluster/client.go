@@ -37,27 +37,27 @@ type ClientConfig struct {
 	KBSig      string
 	Config     GroupConfig
 
-	// StateEvery asks the shard for a state snapshot every N batches; the
-	// snapshot becomes the reconnect seed and truncates the replay log.
-	// <= 0 defaults to DefaultStateEvery.
-	StateEvery int
-	// MaxAttempts bounds consecutive failed dials before the client gives
-	// up and fails the engine. <= 0 defaults to DefaultMaxAttempts.
-	MaxAttempts int
-	// Backoff is the initial retry delay, doubling per attempt up to 2s.
-	// <= 0 defaults to 25ms.
-	Backoff time.Duration
-
 	Metrics ClientMetrics
 	Logf    func(format string, args ...any)
+
+	// stateEvery asks the shard for a state snapshot every N batches; the
+	// snapshot becomes the reconnect seed and truncates the replay log.
+	// <= 0 defaults to defaultStateEvery.
+	stateEvery int
+	// maxAttempts bounds consecutive failed dials before the client gives
+	// up and fails the engine. <= 0 defaults to defaultMaxAttempts.
+	maxAttempts int
+	// backoff is the initial retry delay, doubling per attempt up to
+	// maxBackoff. <= 0 defaults to defaultBackoff.
+	backoff time.Duration
 }
 
 const (
-	// DefaultStateEvery bounds the replay log to at most this many batches
+	// defaultStateEvery bounds the replay log to at most this many batches
 	// (plus whatever is in flight) per shard.
-	DefaultStateEvery = 64
-	// DefaultMaxAttempts bounds a reconnect storm before the engine fails.
-	DefaultMaxAttempts = 10
+	defaultStateEvery = 64
+	// defaultMaxAttempts bounds a reconnect storm before the engine fails.
+	defaultMaxAttempts = 10
 	defaultBackoff     = 25 * time.Millisecond
 	maxBackoff         = 2 * time.Second
 	clientQueueDepth   = 4
@@ -154,14 +154,14 @@ type Client struct {
 // checkpoint part before any batch is sent (a restored cluster engine); it
 // is encoded once, here. A seed the shard refuses fails the client.
 func NewClient(cfg ClientConfig, seed *grouping.LocalPartState) *Client {
-	if cfg.StateEvery <= 0 {
-		cfg.StateEvery = DefaultStateEvery
+	if cfg.stateEvery <= 0 {
+		cfg.stateEvery = defaultStateEvery
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = DefaultMaxAttempts
+	if cfg.maxAttempts <= 0 {
+		cfg.maxAttempts = defaultMaxAttempts
 	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = defaultBackoff
+	if cfg.backoff <= 0 {
+		cfg.backoff = defaultBackoff
 	}
 	c := &Client{
 		cfg:        cfg,
@@ -240,7 +240,7 @@ func (c *Client) SendBatch(seq uint64, drain bool, msgs []*grouping.Pending) {
 	c.sent.Add(1)
 	c.publishInflight()
 	c.sendCh <- sendReq{kind: reqBatch, seq: seq, frame: frame}
-	if seq%uint64(c.cfg.StateEvery) == 0 {
+	if seq%uint64(c.cfg.stateEvery) == 0 {
 		c.enqueueStateReq(seq, nil)
 	}
 }
@@ -389,9 +389,9 @@ func (c *Client) dropConn() {
 func (c *Client) redial() error {
 	hadConn := c.everConnected
 	c.dropConn()
-	backoff := c.cfg.Backoff
+	backoff := c.cfg.backoff
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < c.cfg.maxAttempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(backoff)
 			backoff *= 2
@@ -422,7 +422,7 @@ func (c *Client) redial() error {
 		return nil
 	}
 	return fmt.Errorf("cluster: shard %d unreachable at %s after %d attempts: %w",
-		c.cfg.Shard, c.cfg.Addr, c.cfg.MaxAttempts, lastErr)
+		c.cfg.Shard, c.cfg.Addr, c.cfg.maxAttempts, lastErr)
 }
 
 // rejectedError marks a server-side rejection of the Hello or of the seed

@@ -241,7 +241,7 @@ func TestClientReconnect(t *testing.T) {
 	srv := newTestServer(t, dict, rb)
 	reg := obs.NewRegistry()
 	cfg := testClientConfig(t, srv.Addr(), dict, rb)
-	cfg.StateEvery = 4 // force snapshot + Restore traffic across the kills
+	cfg.stateEvery = 4 // force snapshot + Restore traffic across the kills
 	cfg.Metrics = ClientMetrics{
 		Reconnects:   reg.Counter("test.reconnects"),
 		Replayed:     reg.Counter("test.replayed"),
@@ -368,8 +368,8 @@ func TestServerRejectsKnowledgeMismatch(t *testing.T) {
 	srv := newTestServer(t, dict, rb)
 	cfg := testClientConfig(t, srv.Addr(), dict, rb)
 	cfg.KBSig = "v1:bogus"
-	cfg.MaxAttempts = 3
-	cfg.Backoff = time.Millisecond
+	cfg.maxAttempts = 3
+	cfg.backoff = time.Millisecond
 	c := NewClient(cfg, nil)
 	defer c.Close()
 	sendPendings(c, 1, false, nil)
@@ -385,8 +385,8 @@ func TestServerRejectsKnowledgeMismatch(t *testing.T) {
 func TestClientFailsWhenUnreachable(t *testing.T) {
 	dict, rb := testKnowledge(t)
 	cfg := testClientConfig(t, "127.0.0.1:1", dict, rb) // nothing listens here
-	cfg.MaxAttempts = 2
-	cfg.Backoff = time.Millisecond
+	cfg.maxAttempts = 2
+	cfg.backoff = time.Millisecond
 	c := NewClient(cfg, nil)
 	defer c.Close()
 	sendPendings(c, 1, false, nil)

@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"syslogdigest/internal/checkpoint"
 	"syslogdigest/internal/event"
@@ -121,29 +122,8 @@ func decodeUpdate(cu *checkpoint.Update) (event.Update, error) {
 // exactly the events the uninterrupted run would have, each exactly once.
 // The live streamer remains usable afterwards.
 func (s *Streamer) Snapshot() ([]byte, error) {
-	st := streamerState{
-		Pushed:    s.pushed,
-		Arrivals:  s.arrivals,
-		Seq:       s.seq,
-		Started:   s.started,
-		MaxSeenNs: checkpoint.TimeNs(s.maxSeen),
-		Buffer:    []bufferedMsg{},
-		Carry:     []checkpoint.Event{},
-	}
-	// Serialize the reorder buffer in canonical pop order (a heap's slice
-	// layout depends on insertion history; its pop order does not).
-	heapCopy := append(reorderHeap(nil), s.buf...)
-	for len(heapCopy) > 0 {
-		it := heapCopy.pop()
-		st.Buffer = append(st.Buffer, bufferedMsg{
-			Index:  it.m.Index,
-			TimeNs: checkpoint.TimeNs(it.m.Time),
-			Router: it.m.Router,
-			Code:   it.m.Code,
-			Detail: it.m.Detail,
-			Order:  it.order,
-		})
-	}
+	st := streamerState{Seq: s.seq, Carry: []checkpoint.Event{}}
+	s.fe.capture(&st)
 	for i := range s.carry {
 		st.Carry = append(st.Carry, encodeEvent(&s.carry[i]))
 	}
@@ -181,23 +161,8 @@ func RestoreStreamer(d *Digester, snap []byte, opts StreamerOptions) (*Streamer,
 		return nil, err
 	}
 	s := NewStreamerWith(d, opts)
-	s.pushed = st.Pushed
-	s.arrivals = st.Arrivals
 	s.seq = st.Seq
-	s.started = st.Started
-	s.maxSeen = checkpoint.NsTime(st.MaxSeenNs)
-	for _, bm := range st.Buffer {
-		s.buf.push(bufItem{
-			m: syslogmsg.Message{
-				Index:  bm.Index,
-				Time:   checkpoint.NsTime(bm.TimeNs),
-				Router: bm.Router,
-				Code:   bm.Code,
-				Detail: bm.Detail,
-			},
-			order: bm.Order,
-		})
-	}
+	s.fe.restore(&st)
 	for i := range st.Carry {
 		s.carry = append(s.carry, decodeEvent(&st.Carry[i]))
 	}
@@ -220,4 +185,46 @@ func RestoreStreamer(d *Digester, snap []byte, opts StreamerOptions) (*Streamer,
 		}
 	}
 	return s, nil
+}
+
+// capture writes the front end's part of a snapshot: its arrival record and
+// the buffer in the order a flush would release it (a heap's slice layout
+// depends on its insertion history, its pop order does not).
+func (f *frontEnd) capture(st *streamerState) {
+	st.Pushed = f.pushed
+	st.Arrivals = f.arrivals
+	st.Started = f.started
+	st.MaxSeenNs = checkpoint.TimeNs(f.maxSeen)
+	st.Buffer = make([]bufferedMsg, 0, len(f.buf))
+	c := frontEnd{buf: slices.Clone(f.buf)}
+	for it, ok := c.pop(true); ok; it, ok = c.pop(true) {
+		st.Buffer = append(st.Buffer, bufferedMsg{
+			Index:  it.m.Index,
+			TimeNs: checkpoint.TimeNs(it.m.Time),
+			Router: it.m.Router,
+			Code:   it.m.Code,
+			Detail: it.m.Detail,
+			Order:  it.order,
+		})
+	}
+}
+
+// restore is capture's inverse, into a front end with no arrivals yet.
+func (f *frontEnd) restore(st *streamerState) {
+	f.pushed = st.Pushed
+	f.arrivals = st.Arrivals
+	f.started = st.Started
+	f.maxSeen = checkpoint.NsTime(st.MaxSeenNs)
+	for _, bm := range st.Buffer {
+		f.buf.push(bufItem{
+			m: syslogmsg.Message{
+				Index:  bm.Index,
+				Time:   checkpoint.NsTime(bm.TimeNs),
+				Router: bm.Router,
+				Code:   bm.Code,
+				Detail: bm.Detail,
+			},
+			order: bm.Order,
+		})
+	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"syslogdigest/internal/event"
 	"syslogdigest/internal/gen"
 	"syslogdigest/internal/locdict"
 	"syslogdigest/internal/obs"
@@ -353,19 +352,5 @@ func TestReportAndNarrative(t *testing.T) {
 	}
 	if err := (&KnowledgeBase{}).Report(&buf, 0); err == nil {
 		t.Fatal("uninitialized kb reported")
-	}
-}
-
-func TestFreqTop(t *testing.T) {
-	f := event.NewFreqTable()
-	f.Add("r1", 1, 10)
-	f.Add("r2", 2, 30)
-	f.Add("r3", 3, 20)
-	top := FreqTop(f, 2)
-	if len(top) != 2 || top[0].Count != 30 || top[1].Count != 20 {
-		t.Fatalf("FreqTop = %+v", top)
-	}
-	if len(FreqTop(f, 99)) != 3 || len(FreqTop(f, -1)) != 0 {
-		t.Fatal("FreqTop bounds wrong")
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"syslogdigest/internal/event"
 )
 
 // Report writes a human-readable audit of the knowledge base: parameters,
@@ -78,28 +76,6 @@ func shorten(s string) string {
 		return s[:69] + "..."
 	}
 	return s
-}
-
-// FreqTop is a helper for tooling: the top-k (router, template) signature
-// counts.
-func FreqTop(f *event.FreqTable, k int) []event.FreqEntry {
-	entries := f.Entries()
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Count != entries[j].Count {
-			return entries[i].Count > entries[j].Count
-		}
-		if entries[i].Router != entries[j].Router {
-			return entries[i].Router < entries[j].Router
-		}
-		return entries[i].Template < entries[j].Template
-	})
-	if k > len(entries) {
-		k = len(entries)
-	}
-	if k < 0 {
-		k = 0
-	}
-	return entries[:k]
 }
 
 // RulesNarrative renders each undirected rule pair once with template

@@ -6,6 +6,7 @@ import (
 
 	"syslogdigest/internal/cluster"
 	"syslogdigest/internal/event"
+	"syslogdigest/internal/grouping"
 	"syslogdigest/internal/obs"
 	"syslogdigest/internal/stream"
 	"syslogdigest/internal/syslogmsg"
@@ -80,21 +81,13 @@ type StreamerOptions struct {
 // streamer when the feed ends.
 type Streamer struct {
 	d    *Digester
-	opts StreamerOptions
+	opts StreamerOptions // the run's shape; the reorder fields are fe's
 
+	fe         frontEnd
 	eng        streamEngine
 	engMetrics stream.ClusterMetrics
 
-	buf      reorderHeap
-	arrivals uint64 // heap tiebreak: preserves arrival order at equal times
-	seq      int    // dense engine sequence, assigned at release
-	pushed   uint64 // total Push calls, drops included (replay resume offset)
-
-	// started and maxSeen are the reorder buffer's own high-water mark, the
-	// newest arrival. What has been released is the engine's progress, read
-	// from the engine (late).
-	started bool
-	maxSeen time.Time
+	seq int // dense engine sequence, assigned at release
 
 	// carry holds events recovered from a checkpoint that the snapshotted
 	// run had emitted into the engine's collection queue but the caller had
@@ -104,48 +97,29 @@ type Streamer struct {
 	// exactly-once too.
 	carry    []event.Event
 	carryUpd []event.Update
-
-	mBuffered   *obs.Gauge   // stream.buffered (reorder buffer depth)
-	mPushed     *obs.Counter // stream.pushed
-	mReordered  *obs.Counter // stream.reordered
-	mDropped    *obs.Counter // stream.dropped.late
-	mDroppedOvf *obs.Counter // stream.dropped.overflow
 }
 
 // NewStreamerWith wraps a digester with explicit options (the zero value is
 // the serial engine behind the default reorder buffer, final records only).
 func NewStreamerWith(d *Digester, opts StreamerOptions) *Streamer {
-	if opts.ReorderTolerance == 0 {
-		opts.ReorderTolerance = DefaultReorderTolerance
-	}
-	if opts.ReorderTolerance < 0 {
-		opts.ReorderTolerance = 0
-	}
-	if opts.ReorderCap <= 0 {
-		opts.ReorderCap = DefaultReorderCap
-	}
-	return &Streamer{d: d, opts: opts}
+	return &Streamer{d: d, opts: opts, fe: newFrontEnd(opts.ReorderTolerance, opts.ReorderCap)}
 }
 
-// Instrument publishes the streamer's metrics into reg: the reorder-buffer
-// counters (stream.pushed, stream.reordered, stream.dropped.late,
+// Instrument publishes the streamer's metrics into reg: the front end's
+// series (stream.pushed, stream.reordered, stream.dropped.{late,overflow},
 // stream.buffered), the engine's emission metrics (stream.emitted,
 // stream.emit_latency_seconds, stream.watermark_unix_seconds), its state
 // gauges (stream.state.{messages,groups,streams}, stream.state.evictions),
 // and the shared grouping merge counters (group.merges.*). In sharded mode
 // it additionally publishes per-shard series (stream.shard.<k>.{pushed,
-// streams,evictions,watermark_unix_seconds}) and the merge-stage series
-// (stream.merge.emitted, stream.merge.lag_seconds). In cluster mode the
-// wire-level series join them (stream.cluster.{bytes_out,bytes_in,
-// batches_sent,batches_acked,replayed_batches,reconnects,state_snapshots,
-// rtt_seconds,inflight,punctuations_applied}). A nil registry leaves the
-// streamer uninstrumented.
+// streams,evictions}) and the merge-stage series (stream.merge.emitted,
+// stream.merge.lag_seconds). In cluster mode the wire-level series join
+// them (stream.cluster.{bytes_out,bytes_in,batches_sent,batches_acked,
+// replayed_batches,reconnects,state_snapshots,rtt_seconds,inflight,
+// punctuations_applied}). A nil registry leaves the streamer
+// uninstrumented.
 func (s *Streamer) Instrument(reg *obs.Registry) {
-	s.mBuffered = reg.Gauge("stream.buffered")
-	s.mPushed = reg.Counter("stream.pushed")
-	s.mReordered = reg.Counter("stream.reordered")
-	s.mDropped = reg.Counter("stream.dropped.late")
-	s.mDroppedOvf = reg.Counter("stream.dropped.overflow")
+	s.fe.instrument(reg)
 	s.engMetrics = stream.ClusterMetrics{ShardedMetrics: stream.ShardedMetrics{Metrics: stream.Metrics{
 		Grouping: stream.IncMetrics{
 			MergeTemporal:   reg.Counter("group.merges.temporal"),
@@ -189,7 +163,6 @@ func (s *Streamer) Instrument(reg *obs.Registry) {
 				Pushed:    reg.Counter(fmt.Sprintf("stream.shard.%d.pushed", k)),
 				Streams:   reg.Gauge(fmt.Sprintf("stream.shard.%d.streams", k)),
 				Evictions: reg.Counter(fmt.Sprintf("stream.shard.%d.evictions", k)),
-				Watermark: reg.Gauge(fmt.Sprintf("stream.shard.%d.watermark_unix_seconds", k)),
 			}
 		}
 	}
@@ -246,75 +219,25 @@ func (s *Streamer) Close() {
 // (the buffer was undersized — retune ReorderCap, not the sender).
 //
 // On an engine error the events already closed during the call are
-// returned alongside the error, so nothing the engine emitted is lost.
+// returned alongside the error, so nothing the engine emitted is lost; the
+// message whose feed failed is gone, and everything not yet released,
+// the arrival included unless it was that message, stays buffered.
 func (s *Streamer) Push(m syslogmsg.Message) (*DigestResult, error) {
-	s.mPushed.Inc()
-	s.pushed++
-	if s.late(m.Time) {
-		if s.opts.ReorderTolerance > 0 && m.Time.After(s.maxSeen.Add(-s.opts.ReorderTolerance)) {
-			s.mDroppedOvf.Inc()
-		} else {
-			s.mDropped.Inc()
-		}
-		return s.finish(s.takeCarry(), nil)
-	}
-	if s.started && m.Time.Before(s.maxSeen) {
-		s.mReordered.Inc()
-	} else {
-		s.maxSeen = m.Time
-	}
-	s.started = true
-
 	events := s.takeCarry()
-	var ferr error
-	if len(s.buf) >= s.opts.ReorderCap {
-		// The buffer is at its documented bound: release one message now
-		// so it never holds more than ReorderCap. When the new arrival
-		// precedes everything buffered it is itself the one to release —
-		// feeding it directly keeps the feed order sorted without it ever
-		// occupying a slot.
-		if m.Time.Before(s.buf[0].m.Time) {
-			evs, err := s.feed(m)
-			events = append(events, evs...)
-			ferr = err
-		} else {
-			item := s.buf.pop()
-			evs, err := s.feed(item.m)
-			events = append(events, evs...)
-			if err != nil {
-				ferr = err
-			} else {
-				s.buf.push(bufItem{m: m, order: s.arrivals})
-				s.arrivals++
-			}
-		}
-	} else {
-		s.buf.push(bufItem{m: m, order: s.arrivals})
-		s.arrivals++
+	if !s.fe.admit(m, s.progress()) {
+		return s.finish(events, nil)
 	}
-	if ferr == nil {
-		evs, err := s.release()
-		events = append(events, evs...)
-		ferr = err
-	}
-	s.mBuffered.Set(float64(len(s.buf)))
-	return s.finish(events, ferr)
+	events, err := s.release(events, false)
+	return s.finish(events, err)
 }
 
-// release feeds the engine every buffered message that is either older than
-// maxSeen − tolerance (no in-tolerance arrival can precede it anymore) or
-// forced out by the buffer cap (possible after a restore into a smaller
-// cap; Push itself never overfills). Events closed before a feed error are
-// returned with it.
-func (s *Streamer) release() ([]event.Event, error) {
-	bound := s.maxSeen.Add(-s.opts.ReorderTolerance)
-	var events []event.Event
-	for len(s.buf) > 0 {
-		if s.buf[0].m.Time.After(bound) && len(s.buf) <= s.opts.ReorderCap {
-			break
-		}
-		item := s.buf.pop()
-		evs, err := s.feed(item.m)
+// release feeds the engine every message the front end's release rule lets
+// go (all of them when flushing), appending the events they close to
+// events. A feed error stops it: the events closed before it are returned
+// with the error, and the messages not yet popped stay buffered.
+func (s *Streamer) release(events []event.Event, flush bool) ([]event.Event, error) {
+	for it, ok := s.fe.pop(flush); ok; it, ok = s.fe.pop(flush) {
+		evs, err := s.feed(it.m)
 		events = append(events, evs...)
 		if err != nil {
 			return events, err
@@ -367,10 +290,12 @@ func (s *Streamer) feed(m syslogmsg.Message) ([]event.Event, error) {
 	return eng.Observe(sm)
 }
 
-// late reports whether t precedes what the engine has already been fed: a
-// message at t can no longer be released, only dropped.
-func (s *Streamer) late(t time.Time) bool {
-	return s.eng != nil && s.eng.Progress().Behind(t)
+// progress is what the engine has been fed (zero before the engine exists).
+func (s *Streamer) progress() grouping.Progress {
+	if s.eng == nil {
+		return grouping.Progress{}
+	}
+	return s.eng.Progress()
 }
 
 // Flush releases the reorder buffer and force-closes every open group,
@@ -382,33 +307,22 @@ func (s *Streamer) late(t time.Time) bool {
 // the error (nothing emitted is lost), the unfed remainder stays buffered,
 // and stream.buffered reflects it.
 func (s *Streamer) Flush() (*DigestResult, error) {
-	events := s.takeCarry()
-	var ferr error
-	for len(s.buf) > 0 {
-		item := s.buf.pop()
-		evs, err := s.feed(item.m)
-		events = append(events, evs...)
-		if err != nil {
-			ferr = err
-			break
-		}
-	}
-	s.mBuffered.Set(float64(len(s.buf)))
-	if ferr == nil && s.eng != nil {
+	events, err := s.release(s.takeCarry(), true)
+	if err == nil && s.eng != nil {
 		events = append(events, s.eng.Drain()...)
 	}
-	return s.finish(events, ferr)
+	return s.finish(events, err)
 }
 
 // Pushed is the number of Push calls this streamer has accepted, dropped
 // arrivals included. A replayable source that checkpoints the streamer can
 // skip exactly this many messages on restart to resume where it left off.
-func (s *Streamer) Pushed() uint64 { return s.pushed }
+func (s *Streamer) Pushed() uint64 { return s.fe.pushed }
 
 // Pending returns the number of messages held in the streamer: buffered for
 // reordering plus open (grouped but unemitted) in the engine.
 func (s *Streamer) Pending() int {
-	n := len(s.buf)
+	n := len(s.fe.buf)
 	if s.eng != nil {
 		n += s.eng.Pending()
 	}
@@ -416,67 +330,4 @@ func (s *Streamer) Pending() int {
 }
 
 // Watermark is the engine's watermark (zero before the first release).
-func (s *Streamer) Watermark() time.Time {
-	if s.eng == nil {
-		return time.Time{}
-	}
-	return s.eng.Progress().Time()
-}
-
-// bufItem is one buffered arrival; order breaks timestamp ties so equal
-// times release in arrival order.
-type bufItem struct {
-	m     syslogmsg.Message
-	order uint64
-}
-
-// reorderHeap is a min-heap on (time, arrival order). Hand-rolled rather
-// than container/heap: push/pop run once per message on the hot path, and
-// the concrete element type avoids the interface boxing allocation.
-type reorderHeap []bufItem
-
-func (h reorderHeap) less(i, j int) bool {
-	if !h[i].m.Time.Equal(h[j].m.Time) {
-		return h[i].m.Time.Before(h[j].m.Time)
-	}
-	return h[i].order < h[j].order
-}
-
-func (h *reorderHeap) push(it bufItem) {
-	*h = append(*h, it)
-	q := *h
-	for i := len(q) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-func (h *reorderHeap) pop() bufItem {
-	q := *h
-	n := len(q) - 1
-	it := q[0]
-	q[0] = q[n]
-	q[n] = bufItem{}
-	q = q[:n]
-	*h = q
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && q.less(l, small) {
-			small = l
-		}
-		if r < n && q.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		q[i], q[small] = q[small], q[i]
-		i = small
-	}
-	return it
-}
+func (s *Streamer) Watermark() time.Time { return s.progress().Time() }

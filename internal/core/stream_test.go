@@ -304,9 +304,9 @@ func TestKnowledgeBaseRoundTripStable(t *testing.T) {
 
 // TestStreamerReorderCapBoundary: the reorder buffer must never hold more
 // than ReorderCap messages — the historical off-by-one let it reach cap+1.
-// Covers both overflow paths: releasing the oldest buffered message to make
-// room, and feeding the new arrival directly when it precedes everything
-// buffered.
+// Covers both sides of the cap's release: the oldest buffered message
+// leaves to make room, and a new arrival that precedes everything buffered
+// is itself the head and leaves at once.
 func TestStreamerReorderCapBoundary(t *testing.T) {
 	kb, _ := learnSmall(t, gen.DatasetA)
 	d, err := NewDigester(kb)
@@ -326,38 +326,40 @@ func TestStreamerReorderCapBoundary(t *testing.T) {
 		if _, err := s.Push(mk(t0.Add(time.Duration(i) * time.Second))); err != nil {
 			t.Fatal(err)
 		}
-		if len(s.buf) > cap {
-			t.Fatalf("after push %d: buffer holds %d > cap %d", i, len(s.buf), cap)
+		if len(s.fe.buf) > cap {
+			t.Fatalf("after push %d: buffer holds %d > cap %d", i, len(s.fe.buf), cap)
 		}
 	}
-	if len(s.buf) != cap {
-		t.Fatalf("buffer holds %d, want exactly %d", len(s.buf), cap)
+	if len(s.fe.buf) != cap {
+		t.Fatalf("buffer holds %d, want exactly %d", len(s.fe.buf), cap)
 	}
 	released := s.Watermark()
 	// A full buffer plus an arrival older than everything buffered (but not
-	// behind the frontier): the arrival itself releases, never occupying a
-	// slot, and the buffer must not shrink or grow.
+	// behind the frontier): the arrival itself releases, and the buffer must
+	// not shrink or grow.
 	mid := released.Add(500 * time.Millisecond)
-	if mid.After(s.buf[0].m.Time) {
-		t.Fatalf("test setup: %v should precede buffered head %v", mid, s.buf[0].m.Time)
+	if mid.After(s.fe.buf[0].m.Time) {
+		t.Fatalf("test setup: %v should precede buffered head %v", mid, s.fe.buf[0].m.Time)
 	}
 	if _, err := s.Push(mk(mid)); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.buf) != cap {
-		t.Fatalf("direct-feed path changed buffer to %d, want %d", len(s.buf), cap)
+	if len(s.fe.buf) != cap {
+		t.Fatalf("releasing the arrival changed buffer to %d, want %d", len(s.fe.buf), cap)
 	}
 	if wm := s.Watermark(); !wm.Equal(mid) {
-		t.Fatalf("watermark %v, want %v (direct feed released the arrival)", wm, mid)
+		t.Fatalf("watermark %v, want %v (the arrival was the head released)", wm, mid)
 	}
 }
 
 // failEngine is a streamEngine whose Observe fails on the Nth call,
-// emitting one synthetic event per successful call.
+// emitting one synthetic event per successful call and recording what it
+// was fed.
 type failEngine struct {
 	calls    int
 	failAt   int
 	progress grouping.Progress
+	fed      []stream.Message
 }
 
 var errBoom = errors.New("engine: boom")
@@ -368,6 +370,7 @@ func (f *failEngine) Observe(m stream.Message) ([]event.Event, error) {
 		return nil, errBoom
 	}
 	f.progress.Advance(m.Time)
+	f.fed = append(f.fed, m)
 	return []event.Event{{ID: f.calls}}, nil
 }
 func (f *failEngine) Drain() []event.Event                    { return nil }
@@ -403,8 +406,8 @@ func TestStreamerFlushPartialOnError(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(s.buf) != 4 {
-		t.Fatalf("setup: buffered %d, want 4", len(s.buf))
+	if len(s.fe.buf) != 4 {
+		t.Fatalf("setup: buffered %d, want 4", len(s.fe.buf))
 	}
 	s.eng = &failEngine{failAt: 3}
 	res, err := s.Flush()
@@ -417,11 +420,57 @@ func TestStreamerFlushPartialOnError(t *testing.T) {
 	if res.Events[0].ID != 1 || res.Events[1].ID != 2 {
 		t.Fatalf("partial events %v, want IDs 1,2 in order", res.Events)
 	}
-	if len(s.buf) != 1 {
-		t.Fatalf("buffer holds %d after failed flush, want 1 (the unfed remainder)", len(s.buf))
+	if len(s.fe.buf) != 1 {
+		t.Fatalf("buffer holds %d after failed flush, want 1 (the unfed remainder)", len(s.fe.buf))
 	}
 	if got := reg.Snapshot().Gauge("stream.buffered"); got != 1 {
 		t.Fatalf("stream.buffered gauge = %v, want 1", got)
+	}
+}
+
+// TestStreamerCapReleaseKeepsArrival: an arrival that finds the buffer at
+// its cap forces the head out; when feeding that head fails, the error comes
+// back, the head is gone, and the arrival is still buffered — counted by
+// stream.pushed, it must not vanish without being fed, buffered or dropped.
+func TestStreamerCapReleaseKeepsArrival(t *testing.T) {
+	kb, _ := learnSmall(t, gen.DatasetA)
+	d, err := NewDigester(kb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cap = 4
+	s := NewStreamerWith(d, StreamerOptions{ReorderTolerance: time.Hour, ReorderCap: cap})
+	reg := obs.NewRegistry()
+	s.Instrument(reg)
+	s.eng = &failEngine{failAt: 1}
+	t0 := time.Date(2010, 1, 1, 12, 0, 0, 0, time.UTC)
+	mk := func(at time.Time) syslogmsg.Message {
+		return syslogmsg.Message{Time: at, Router: "x", Code: "A-1-B", Detail: "d"}
+	}
+	for i := 0; i < cap; i++ {
+		if _, err := s.Push(mk(t0.Add(time.Duration(i) * time.Second))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	arrival := t0.Add(time.Minute)
+	if _, err := s.Push(mk(arrival)); !errors.Is(err, errBoom) {
+		t.Fatalf("Push error = %v, want errBoom from the forced release", err)
+	}
+	if len(s.fe.buf) != cap {
+		t.Fatalf("buffer holds %d, want %d (the arrival in the released head's place)", len(s.fe.buf), cap)
+	}
+	kept := false
+	for _, it := range s.fe.buf {
+		kept = kept || it.m.Time.Equal(arrival)
+		if it.m.Time.Equal(t0) {
+			t.Fatal("the head whose feed failed is still buffered")
+		}
+	}
+	if !kept {
+		t.Fatal("the arrival was lost: neither fed, buffered nor dropped")
+	}
+	if got := reg.Snapshot().Gauge("stream.buffered"); got != cap {
+		t.Fatalf("stream.buffered = %v, want %d", got, cap)
 	}
 }
 

@@ -325,11 +325,3 @@ func (g *Grouper) finalize(msgs []Message, uf *unionFind, res *Result) {
 		res.Groups[id] = append(res.Groups[id], seq)
 	}
 }
-
-// CompressionRatio is #groups / #messages for this result (1 for empty).
-func (r *Result) CompressionRatio() float64 {
-	if len(r.GroupOf) == 0 {
-		return 1
-	}
-	return float64(len(r.Groups)) / float64(len(r.GroupOf))
-}

@@ -156,29 +156,11 @@ func (r *RouterDict) Intf(name string) *Intf {
 	return r.intfs[strings.ToLower(name)]
 }
 
-// IntfByIP returns the interface owning ip, or nil.
-func (r *RouterDict) IntfByIP(ip string) *Intf {
-	name, ok := r.byIP[ip]
-	if !ok {
-		return nil
-	}
-	return r.Intf(name)
-}
-
 // HasSlot reports whether the slot number is configured on this router.
 func (r *RouterDict) HasSlot(slot int) bool { return r.slots[slot] }
 
 // HasPort reports whether the "slot/port" position is configured.
 func (r *RouterDict) HasPort(port string) bool { return r.ports[port] }
-
-// Interfaces returns all interfaces in arbitrary order.
-func (r *RouterDict) Interfaces() []*Intf {
-	out := make([]*Intf, 0, len(r.intfs))
-	for _, i := range r.intfs {
-		out = append(out, i)
-	}
-	return out
-}
 
 // Link is one inferred point-to-point adjacency.
 type Link struct {
@@ -257,12 +239,6 @@ func pairKey(a, b string) string {
 
 // Routers returns the number of routers in the dictionary.
 func (d *Dictionary) Routers() int { return len(d.routers) }
-
-// Router returns the dictionary slice for a router, or nil.
-func (d *Dictionary) Router(name string) *RouterDict { return d.routers[name] }
-
-// HasRouter reports whether the router is known.
-func (d *Dictionary) HasRouter(name string) bool { return d.routers[name] != nil }
 
 // Region returns the configured region of a router ("" when unknown).
 func (d *Dictionary) Region(router string) string {

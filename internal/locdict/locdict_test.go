@@ -84,8 +84,8 @@ func TestBuildBasics(t *testing.T) {
 	if d.Routers() != 4 {
 		t.Fatalf("Routers = %d", d.Routers())
 	}
-	if !d.HasRouter("r1") || d.HasRouter("r9") {
-		t.Fatal("HasRouter wrong")
+	if d.routers["r1"] == nil || d.routers["r9"] != nil {
+		t.Fatal("router table wrong")
 	}
 	if d.Region("r1") != "TX" || d.Region("r9") != "" {
 		t.Fatal("Region wrong")
@@ -294,43 +294,6 @@ func TestNormalize(t *testing.T) {
 		if ok != c.ok || (ok && got != c.want) {
 			t.Errorf("Normalize(%q, %q) = (%v, %v), want (%v, %v)", c.router, c.token, got, ok, c.want, c.ok)
 		}
-	}
-}
-
-func TestCommonAncestor(t *testing.T) {
-	d := build(t)
-	a := IntfLoc("r1", "Serial1/0/1:0")
-	slot := Location{Router: "r1", Level: LevelSlot, Name: "1"}
-	got, ok := d.CommonAncestor(a, slot)
-	if !ok || got != slot {
-		t.Fatalf("CommonAncestor = (%v, %v), want slot 1", got, ok)
-	}
-	// Different interfaces on the same slot meet at the slot.
-	b := IntfLoc("r1", "Serial1/1/1:0")
-	got, ok = d.CommonAncestor(a, b)
-	if !ok || got.Level != LevelSlot {
-		t.Fatalf("CommonAncestor(%v, %v) = (%v, %v)", a, b, got, ok)
-	}
-	if _, ok := d.CommonAncestor(a, IntfLoc("r2", "Serial2/0/1:0")); ok {
-		t.Fatal("cross-router CommonAncestor should fail")
-	}
-}
-
-func TestHighestCommonLoc(t *testing.T) {
-	locs := []Location{
-		IntfLoc("r1", "Serial1/0/1:0"),
-		RouterLoc("r1"),
-		{Router: "r1", Level: LevelSlot, Name: "1"},
-	}
-	got, err := HighestCommonLoc(locs)
-	if err != nil || got.Level != LevelRouter {
-		t.Fatalf("HighestCommonLoc = (%v, %v)", got, err)
-	}
-	if _, err := HighestCommonLoc(nil); err == nil {
-		t.Fatal("want error for empty input")
-	}
-	if _, err := HighestCommonLoc([]Location{RouterLoc("r1"), RouterLoc("r2")}); err == nil {
-		t.Fatal("want error for mixed routers")
 	}
 }
 

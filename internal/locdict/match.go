@@ -1,7 +1,6 @@
 package locdict
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -231,24 +230,6 @@ func (d *Dictionary) sameOrBundle(router, x, y string) bool {
 	return false
 }
 
-// CommonAncestor returns the finest location that both a and b map up to,
-// with ok=false when they share nothing below "different routers".
-func (d *Dictionary) CommonAncestor(a, b Location) (Location, bool) {
-	if a.Router != b.Router {
-		return Location{}, false
-	}
-	bset := make(map[Location]bool)
-	for _, x := range d.Ancestors(b) {
-		bset[x] = true
-	}
-	for _, x := range d.Ancestors(a) {
-		if bset[x] {
-			return x, true
-		}
-	}
-	return RouterLoc(a.Router), true
-}
-
 // Normalize resolves a raw location token extracted from a message on the
 // given router into a dictionary-grounded Location. It accepts interface
 // names ("Serial1/0.10/10:0"), bare port paths ("1/1/1" — a V2 interface or
@@ -343,22 +324,3 @@ func (d *Dictionary) prefixIntf(rd *RouterDict, token string) (Location, bool) {
 }
 
 func isSep(c byte) bool { return c == '.' || c == ':' || c == '/' }
-
-// HighestCommonLoc returns, for a set of locations on one router, the
-// highest-level (coarsest) location present — used by presentation, which
-// shows "the most common highest level location" per router.
-func HighestCommonLoc(locs []Location) (Location, error) {
-	if len(locs) == 0 {
-		return Location{}, fmt.Errorf("locdict: no locations")
-	}
-	best := locs[0]
-	for _, l := range locs[1:] {
-		if l.Router != best.Router {
-			return Location{}, fmt.Errorf("locdict: locations span routers %s and %s", best.Router, l.Router)
-		}
-		if l.Level > best.Level {
-			best = l
-		}
-	}
-	return best, nil
-}

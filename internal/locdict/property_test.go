@@ -46,13 +46,27 @@ func randomLocations(rng *rand.Rand, d *Dictionary, n int) []Location {
 		case 2:
 			out = append(out, Location{Router: router, Level: LevelPort, Name: itoa(1+rng.Intn(4)) + "/" + itoa(rng.Intn(4))})
 		default:
-			ifs := d.Router(router).Interfaces()
+			ifs := interfaces(d, router)
 			if len(ifs) > 0 {
 				out = append(out, IntfLoc(router, ifs[rng.Intn(len(ifs))].Name))
 			} else {
 				out = append(out, RouterLoc(router))
 			}
 		}
+	}
+	return out
+}
+
+// interfaces lists a router's interfaces sorted by name.
+func interfaces(d *Dictionary, router string) []*Intf {
+	var names []string
+	for name := range d.routers[router].intfs {
+		names = append(names, name)
+	}
+	sortStrings(names)
+	out := make([]*Intf, len(names))
+	for i, name := range names {
+		out[i] = d.routers[router].intfs[name]
 	}
 	return out
 }

@@ -95,8 +95,7 @@ func TestSpatialMatchBundleSiblings(t *testing.T) {
 	d := randomNetworkDict(t, 3, 16)
 	checked := 0
 	for _, lk := range d.Links() {
-		rd := d.Router(lk.A)
-		info := rd.Intf(lk.AIntf)
+		info := d.routers[lk.A].Intf(lk.AIntf)
 		if info == nil || len(info.Members) < 2 {
 			continue
 		}
@@ -158,8 +157,7 @@ func benchDict(b *testing.B) *Dictionary {
 func pickTwo(b *testing.B, d *Dictionary) (Location, Location) {
 	b.Helper()
 	for _, lk := range d.Links() {
-		rd := d.Router(lk.A)
-		ifs := rd.Interfaces()
+		ifs := interfaces(d, lk.A)
 		if len(ifs) >= 2 {
 			return IntfLoc(lk.A, ifs[0].Name), IntfLoc(lk.A, ifs[1].Name)
 		}

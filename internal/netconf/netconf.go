@@ -79,17 +79,6 @@ func (c *Config) Loopback() *Interface {
 	return nil
 }
 
-// FindInterface returns the interface with the given name (case-insensitive
-// on the stem), or nil.
-func (c *Config) FindInterface(name string) *Interface {
-	for i := range c.Interfaces {
-		if strings.EqualFold(c.Interfaces[i].Name, name) {
-			return &c.Interfaces[i]
-		}
-	}
-	return nil
-}
-
 // PrefixLenToMask converts a prefix length to a dotted-quad netmask.
 func PrefixLenToMask(n int) (string, error) {
 	if n < 0 || n > 32 {

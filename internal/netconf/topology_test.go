@@ -73,6 +73,16 @@ func TestGenerateShape(t *testing.T) {
 	}
 }
 
+// findInterface returns c's interface with the given name, or nil.
+func findInterface(c *Config, name string) *Interface {
+	for i := range c.Interfaces {
+		if c.Interfaces[i].Name == name {
+			return &c.Interfaces[i]
+		}
+	}
+	return nil
+}
+
 func TestGenerateLinksHaveMatchingSubnets(t *testing.T) {
 	n := genNetwork(t, Spec{Routers: 16, Seed: 11, Vendor: syslogmsg.VendorV1, MultilinkFraction: 0.5})
 	for _, lk := range n.Links {
@@ -80,7 +90,7 @@ func TestGenerateLinksHaveMatchingSubnets(t *testing.T) {
 		if a == nil || b == nil {
 			t.Fatalf("link references unknown router: %+v", lk)
 		}
-		ai, bi := a.FindInterface(lk.AIntf), b.FindInterface(lk.BIntf)
+		ai, bi := findInterface(a, lk.AIntf), findInterface(b, lk.BIntf)
 		if ai == nil || bi == nil {
 			t.Fatalf("link interface missing from config: %+v", lk)
 		}
@@ -97,7 +107,7 @@ func TestGenerateLinksHaveMatchingSubnets(t *testing.T) {
 		}
 		// Bundled links have members pointing at the bundle.
 		for _, m := range lk.AMembers {
-			mi := a.FindInterface(m)
+			mi := findInterface(a, m)
 			if mi == nil || mi.Bundle != lk.AIntf {
 				t.Fatalf("member %s of %s not wired to bundle %s", m, lk.A, lk.AIntf)
 			}

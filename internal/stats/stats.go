@@ -32,9 +32,6 @@ func NewEWMA(alpha float64) *EWMA {
 	return &EWMA{alpha: alpha}
 }
 
-// Alpha returns the smoothing factor.
-func (e *EWMA) Alpha() float64 { return e.alpha }
-
 // Started reports whether at least one observation has been recorded.
 func (e *EWMA) Started() bool { return e.started }
 
@@ -236,69 +233,4 @@ func (h *Histogram) OutOfRange() (under, over int64) { return h.under, h.over }
 func (h *Histogram) BucketBounds(i int) (lo, hi float64) {
 	lo = h.min + float64(i)*h.width
 	return lo, lo + h.width
-}
-
-// Counter is a string-keyed frequency counter with deterministic iteration.
-type Counter struct {
-	counts map[string]int64
-}
-
-// NewCounter returns an empty counter.
-func NewCounter() *Counter {
-	return &Counter{counts: make(map[string]int64)}
-}
-
-// Add increments key by n.
-func (c *Counter) Add(key string, n int64) { c.counts[key] += n }
-
-// Inc increments key by one.
-func (c *Counter) Inc(key string) { c.counts[key]++ }
-
-// Get returns the count for key (0 when absent).
-func (c *Counter) Get(key string) int64 { return c.counts[key] }
-
-// Len returns the number of distinct keys.
-func (c *Counter) Len() int { return len(c.counts) }
-
-// Total returns the sum over all keys.
-func (c *Counter) Total() int64 {
-	var t int64
-	for _, v := range c.counts {
-		t += v
-	}
-	return t
-}
-
-// KV is one (key, count) pair produced by TopK and SortedDesc.
-type KV struct {
-	Key   string
-	Count int64
-}
-
-// SortedDesc returns all pairs sorted by descending count, breaking ties by
-// ascending key so the ordering is deterministic.
-func (c *Counter) SortedDesc() []KV {
-	out := make([]KV, 0, len(c.counts))
-	for k, v := range c.counts {
-		out = append(out, KV{k, v})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
-}
-
-// TopK returns the k most frequent pairs (all pairs when k exceeds Len).
-func (c *Counter) TopK(k int) []KV {
-	all := c.SortedDesc()
-	if k > len(all) {
-		k = len(all)
-	}
-	if k < 0 {
-		k = 0
-	}
-	return all[:k]
 }

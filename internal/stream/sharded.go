@@ -80,7 +80,6 @@ type ShardMetrics struct {
 	Pushed    *obs.Counter // stream.shard.<k>.pushed
 	Streams   *obs.Gauge   // stream.shard.<k>.streams
 	Evictions *obs.Counter // stream.shard.<k>.evictions
-	Watermark *obs.Gauge   // stream.shard.<k>.watermark_unix_seconds
 }
 
 // ShardedMetrics extend Metrics with the sharded topology's handles.
@@ -442,7 +441,7 @@ func (e *ShardedEngine) mergeLoop() {
 		if applied {
 			e.met.Watermark.Set(float64(e.merger.Progress().Time().UnixNano()) / 1e9)
 		}
-		e.publishShards(results, b.punct)
+		e.publishShards(results)
 		if !b.punct.IsZero() && !failed && len(b.order) > 0 {
 			lag := time.Duration(e.maxDispatched.Load() - b.punct.UnixNano())
 			e.met.MergeLag.Observe(lag.Seconds())
@@ -480,7 +479,7 @@ func (e *ShardedEngine) mergeLoop() {
 // series; the global series that aggregate the shards publish from the
 // recorded stats with the rest of the grouper's book (emitter.publish). A
 // restored engine starts from the restored tallies. Merge goroutine only.
-func (e *ShardedEngine) publishShards(results []shardResult, punct time.Time) {
+func (e *ShardedEngine) publishShards(results []shardResult) {
 	for k := range results {
 		res := &results[k]
 		if res.err != nil {
@@ -489,9 +488,6 @@ func (e *ShardedEngine) publishShards(results []shardResult, punct time.Time) {
 		sm, prev := e.met.shard(k), e.localStats[k]
 		sm.Pushed.Add(uint64(len(res.items)))
 		sm.Streams.Set(float64(res.stats.Streams))
-		if !punct.IsZero() {
-			sm.Watermark.Set(float64(punct.UnixNano()) / 1e9)
-		}
 		advance(sm.Evictions, uint64(prev.Evictions), uint64(res.stats.Evictions))
 		e.localStats[k] = res.stats
 	}

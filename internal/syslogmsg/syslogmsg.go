@@ -65,10 +65,6 @@ type Message struct {
 	Detail string // free-form detail text
 }
 
-// Key returns Code, the grouping key for template learning. (Sub-typing
-// below the code is the template learner's job.)
-func (m *Message) Key() string { return m.Code }
-
 // Format renders the message as its single-line serialized form.
 func (m *Message) Format() string {
 	return m.Time.Format(TimeLayout) + "|" + m.Router + "|" + m.Code + "|" + m.Detail

@@ -29,9 +29,11 @@ type linearEntry struct {
 // strings.
 type linearMatcher map[string][]linearEntry
 
-func newLinearMatcher(m *template.Matcher) linearMatcher {
+func newLinearMatcher(ts []template.Template) linearMatcher {
+	ts = append([]template.Template(nil), ts...)
+	sort.Slice(ts, func(i, j int) bool { return ts[i].ID < ts[j].ID })
 	lm := linearMatcher{}
-	for _, t := range m.Templates() { // by ID
+	for _, t := range ts {
 		lm[t.Code] = append(lm[t.Code], linearEntry{t, t.Literals()})
 	}
 	for _, es := range lm {
@@ -84,8 +86,8 @@ func TestMatcherDifferentialCorpus(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				m := template.NewMatcher(template.Learn(ds.Messages, template.Options{}))
-				lm := newLinearMatcher(m)
+				ts := template.Learn(ds.Messages, template.Options{})
+				m, lm := template.NewMatcher(ts), newLinearMatcher(ts)
 				for i := range ds.Messages {
 					diffCheck(t, m, lm, ds.Messages[i].Code,
 						textutil.Tokenize(ds.Messages[i].Detail))
@@ -139,8 +141,7 @@ func TestMatcherDifferentialRandom(t *testing.T) {
 	}
 	add("SMALL-5-CODE", 4) // below invertedIndexMin: inline scan
 	add("BIG-3-CODE", 48)  // far above: posting-list path
-	m := template.NewMatcher(tmpls)
-	lm := newLinearMatcher(m)
+	m, lm := template.NewMatcher(tmpls), newLinearMatcher(tmpls)
 
 	codes := []string{"SMALL-5-CODE", "BIG-3-CODE", "UNKNOWN-0-CODE"}
 	outOfVocab := []string{"zzz", "0x1A2B", "Serial1/0", "10.0.0.1"}

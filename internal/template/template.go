@@ -64,9 +64,6 @@ func (t Template) Literals() []string {
 	return out
 }
 
-// Specificity is the number of literal words; higher is more specific.
-func (t Template) Specificity() int { return len(t.Literals()) }
-
 // Equal reports whether two templates describe the same pattern (same code
 // and same word sequence).
 func (t Template) Equal(o Template) bool {
@@ -512,8 +509,6 @@ func leafPattern(group [][]string) []string {
 // exactly that.
 type Matcher struct {
 	byCode map[string]*codeIndex
-	byID   map[int]Template
-	sorted []Template       // by ID, built once; Templates() returns copies
 	pool   map[string]int32 // literal word → dense symbol
 	// prefilter[b] has bit l set when some pool word starts with byte b and
 	// has length l (capped at 63). Most message tokens are masked values —
@@ -580,7 +575,6 @@ type matchScratch struct {
 func NewMatcher(templates []Template) *Matcher {
 	m := &Matcher{
 		byCode: make(map[string]*codeIndex),
-		byID:   make(map[int]Template, len(templates)),
 		pool:   make(map[string]int32),
 	}
 	m.scratch.New = func() any { return &matchScratch{} }
@@ -602,7 +596,6 @@ func NewMatcher(templates []Template) *Matcher {
 			e.syms[i] = s
 		}
 		ci.entries = append(ci.entries, e)
-		m.byID[t.ID] = t
 	}
 	for _, ci := range m.byCode {
 		ts := ci.entries
@@ -615,11 +608,6 @@ func NewMatcher(templates []Template) *Matcher {
 		})
 		ci.buildIndex()
 	}
-	m.sorted = make([]Template, 0, len(m.byID))
-	for _, t := range m.byID {
-		m.sorted = append(m.sorted, t)
-	}
-	sort.Slice(m.sorted, func(i, j int) bool { return m.sorted[i].ID < m.sorted[j].ID })
 	return m
 }
 
@@ -689,19 +677,6 @@ func containsSymBefore(syms []int32, s int32, end int) bool {
 // a nil registry leaves the matcher uninstrumented.
 func (m *Matcher) Instrument(reg *obs.Registry) {
 	m.scanned = reg.Counter("digest.match.candidates_scanned")
-}
-
-// Templates returns all indexed templates sorted by ID. The sorted order is
-// built once at NewMatcher; each call returns a fresh copy the caller may
-// mutate freely.
-func (m *Matcher) Templates() []Template {
-	return append([]Template(nil), m.sorted...)
-}
-
-// ByID returns the template with the given ID.
-func (m *Matcher) ByID(id int) (Template, bool) {
-	t, ok := m.byID[id]
-	return t, ok
 }
 
 // Match finds the most specific template whose literal words appear in order

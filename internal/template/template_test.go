@@ -227,23 +227,6 @@ func TestMatcherNoTemplateMatches(t *testing.T) {
 	}
 }
 
-func TestMatcherByIDAndTemplates(t *testing.T) {
-	ts := []Template{
-		MustTemplate(0, "X-1-Y|a b"),
-		MustTemplate(1, "X-1-Y|a b c"),
-	}
-	m := NewMatcher(ts)
-	if got := m.Templates(); len(got) != 2 || got[0].ID != 0 || got[1].ID != 1 {
-		t.Fatalf("Templates() = %v", got)
-	}
-	if tp, ok := m.ByID(1); !ok || tp.Specificity() != 3 {
-		t.Fatalf("ByID(1) = %v %v", tp, ok)
-	}
-	if _, ok := m.ByID(99); ok {
-		t.Fatal("ByID(99) found a ghost")
-	}
-}
-
 // Property: every message in the learning corpus is matched by some learned
 // template of its code, and the matched template's literals appear in it.
 func TestLearnedTemplatesCoverCorpus(t *testing.T) {
@@ -341,8 +324,5 @@ func TestTemplateStringAndLiterals(t *testing.T) {
 	lits := tpl.Literals()
 	if strings.Join(lits, " ") != "Interface changed state to down" {
 		t.Fatalf("Literals = %v", lits)
-	}
-	if tpl.Specificity() != 5 {
-		t.Fatalf("Specificity = %d", tpl.Specificity())
 	}
 }

@@ -83,9 +83,6 @@ func NewGrouper(p Params) (*Grouper, error) {
 	return &Grouper{p: p, ewma: stats.NewEWMA(p.Alpha)}, nil
 }
 
-// Params returns the normalized parameters in use.
-func (g *Grouper) Params() Params { return g.p }
-
 // Observe ingests the next arrival and reports whether it belongs to the
 // same group as the previous one. The first arrival always starts a new
 // group (returns false). Out-of-order arrivals are treated as zero
@@ -168,15 +165,6 @@ func RestoreGrouper(p Params, st GrouperState) (*Grouper, error) {
 	}
 	g.started = st.Started
 	return g, nil
-}
-
-// Predicted returns the current interarrival prediction Ŝ and whether the
-// model has one yet.
-func (g *Grouper) Predicted() (time.Duration, bool) {
-	if !g.ewma.Started() {
-		return 0, false
-	}
-	return time.Duration(g.ewma.Value()), true
 }
 
 // GroupStream assigns a group id (0-based, nondecreasing) to each arrival

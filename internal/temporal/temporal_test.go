@@ -48,7 +48,7 @@ func TestGrouperFirstArrivalStartsGroup(t *testing.T) {
 	if g.Observe(t0) {
 		t.Fatal("first arrival must start a new group")
 	}
-	if _, ok := g.Predicted(); ok {
+	if g.ewma.Started() {
 		t.Fatal("no prediction should exist before the first interarrival")
 	}
 }
