@@ -48,8 +48,8 @@ bench-smoke:
 
 # CPU profile of the streaming hot path while working on it: the serial,
 # sharded and 2-shard loopback cluster Streamer over corpus A (the cluster
-# row puts dispatcher, wire and shards in one profile) plus the
-# RouterLocal.Step micro shapes.
+# row puts dispatcher, wire and shards in one profile), the RouterLocal.Step
+# micro shapes, and the augment miss path on a storm-shaped feed.
 # The profile and the test binary go to PROFILE_DIR, outside the tree (a
 # profile is a build product of one commit on one host, not a source file);
 # read it with `go tool pprof -top` or `-list ruleStep`. Not a measurement:
@@ -57,7 +57,7 @@ bench-smoke:
 PROFILE_DIR ?= /tmp/syslogdigest-profiles
 profile-stream:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) test -run '^$$' -bench 'BenchmarkStageStream|BenchmarkMicroRuleStep' \
+	$(GO) test -run '^$$' -bench 'BenchmarkStageStream|BenchmarkMicroRuleStep|BenchmarkMicroAugmentMiss' \
 		-cpuprofile $(PROFILE_DIR)/stream.cpu.prof -o $(PROFILE_DIR)/syslogdigest.test .
 	@echo "go tool pprof -top $(PROFILE_DIR)/syslogdigest.test $(PROFILE_DIR)/stream.cpu.prof"
 
@@ -111,7 +111,9 @@ cli-smoke:
 # shard's whole restore path — decode, RestoreLocal, a probe Step
 # (FuzzRestoreFrame); and for the streamer's reorder front end under
 # arbitrary arrival times, tolerance and cap, whose books must balance
-# after every call (FuzzStreamerFrontEnd). None may panic or fail; a
+# after every call (FuzzStreamerFrontEnd); and for token classification,
+# trimming and tokenizing, which must agree with their straightforward
+# references on any input (FuzzClassify). None may panic or fail; a
 # crasher lands in the package's testdata/fuzz and fails plain `go test`
 # from then on. FuzzDecodeState is
 # seeded with a real part of several kilobytes, and minimizing each new
@@ -123,3 +125,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreLocal$$' -fuzztime=10s ./internal/grouping
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreFrame$$' -fuzztime=10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzClassify$$' -fuzztime=10s ./internal/textutil

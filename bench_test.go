@@ -440,6 +440,39 @@ func BenchmarkMicroAugmentRepeated(b *testing.B) {
 	}
 }
 
+// BenchmarkMicroAugmentMiss measures the augment miss path — tokenize,
+// signature match, location parse — on a storm-shaped feed: corpus A's
+// network under the rate mix of go run ./benchmark's storm_serial
+// workload, where scanner noise with random source addresses and ports
+// outnumbers everything else and repeat-message caching cannot help. The
+// match cache is off, so every message pays the whole miss path; one op is
+// one message, so ns/op and allocs/op are per message.
+func BenchmarkMicroAugmentMiss(b *testing.B) {
+	c := mustCorpus(b, gen.DatasetA)
+	storm, err := gen.Generate(gen.Spec{
+		Kind: gen.DatasetA, Routers: c.Profile.Routers, Seed: c.Profile.Seed,
+		Start:    time.Date(2009, 12, 20, 0, 0, 0, 0, time.UTC),
+		Duration: 20 * time.Minute,
+		Rates: gen.Rates{
+			LinkFlap: 40, Controller: 6, BGPFlap: 20, CPUSpike: 60,
+			PeriodicMsg: 12000, Noise: 2400000, Config: 60, EnvAlarm: 24, TunnelFlap: 15,
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	msgs := storm.Messages
+	c.KB.SetMatchCache(-1)
+	// The corpus (and its KB) is cached across benchmarks: restore the
+	// default cache configuration on the way out.
+	defer c.KB.SetMatchCache(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = c.KB.Augment(&msgs[i%len(msgs)])
+	}
+}
+
 // BenchmarkMicroProvisionalRevision measures what the provisional tier pays
 // per member each time it republishes a group: one group grown to 4096
 // members — the two ends of a flapping link, four signatures each,

@@ -1,13 +1,12 @@
 // Package stats provides small statistical helpers used across the
-// SyslogDigest pipeline: exponentially weighted moving averages, simple
-// linear regression, histograms, and quantiles. All functions are pure and
+// SyslogDigest pipeline: exponentially weighted moving averages, means and
+// deviations, and simple linear regression. All functions are pure and
 // allocation-conscious; none of them depend on the rest of the repository.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // EWMA is an exponentially weighted moving average with smoothing factor
@@ -50,12 +49,6 @@ func (e *EWMA) Observe(x float64) float64 {
 	}
 	e.value = e.alpha*x + (1-e.alpha)*e.value
 	return e.value
-}
-
-// Reset clears the average back to its pre-observation state.
-func (e *EWMA) Reset() {
-	e.value = 0
-	e.started = false
 }
 
 // SetState overwrites the average's accumulated state, keeping the
@@ -116,35 +109,6 @@ func LinearRegression(xs, ys []float64) (LinearFit, error) {
 	return LinearFit{A: a, B: b, R2: r2, N: n}, nil
 }
 
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
-// interpolation between closest ranks. It returns 0 for an empty slice.
-// The input is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -170,67 +134,4 @@ func Stddev(xs []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(xs)))
-}
-
-// Histogram is a fixed-bucket counting histogram over float64 samples.
-type Histogram struct {
-	min, max float64
-	width    float64
-	counts   []int64
-	under    int64 // samples below min
-	over     int64 // samples at or above max
-	total    int64
-}
-
-// NewHistogram creates a histogram covering [min, max) with the given number
-// of equal-width buckets. It panics if max <= min or buckets < 1; both are
-// programmer errors, not data errors.
-func NewHistogram(min, max float64, buckets int) *Histogram {
-	if max <= min {
-		panic(fmt.Sprintf("stats: invalid histogram range [%v, %v)", min, max))
-	}
-	if buckets < 1 {
-		panic("stats: histogram needs at least one bucket")
-	}
-	return &Histogram{
-		min:    min,
-		max:    max,
-		width:  (max - min) / float64(buckets),
-		counts: make([]int64, buckets),
-	}
-}
-
-// Observe adds one sample.
-func (h *Histogram) Observe(x float64) {
-	h.total++
-	switch {
-	case x < h.min:
-		h.under++
-	case x >= h.max:
-		h.over++
-	default:
-		i := int((x - h.min) / h.width)
-		if i >= len(h.counts) { // guard against float rounding at the top edge
-			i = len(h.counts) - 1
-		}
-		h.counts[i]++
-	}
-}
-
-// Total returns the number of samples observed, including out-of-range ones.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.counts[i] }
-
-// Buckets returns the number of in-range buckets.
-func (h *Histogram) Buckets() int { return len(h.counts) }
-
-// OutOfRange returns the number of samples below min and at/above max.
-func (h *Histogram) OutOfRange() (under, over int64) { return h.under, h.over }
-
-// BucketBounds returns the half-open range [lo, hi) covered by bucket i.
-func (h *Histogram) BucketBounds(i int) (lo, hi float64) {
-	lo = h.min + float64(i)*h.width
-	return lo, lo + h.width
 }

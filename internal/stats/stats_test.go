@@ -51,15 +51,6 @@ func TestEWMAAlphaClamping(t *testing.T) {
 	}
 }
 
-func TestEWMAReset(t *testing.T) {
-	e := NewEWMA(0.2)
-	e.Observe(5)
-	e.Reset()
-	if e.Started() || e.Value() != 0 {
-		t.Fatal("reset did not clear state")
-	}
-}
-
 func TestEWMAAlphaOneTracksInput(t *testing.T) {
 	e := NewEWMA(1)
 	for _, x := range []float64{3, 9, -4, 0.5} {
@@ -141,34 +132,6 @@ func TestLinearRegressionNoisyR2(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	cases := []struct {
-		q, want float64
-	}{
-		{0, 1}, {1, 4}, {0.5, 2.5}, {0.25, 1.75},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almostEqual(got, c.want, 1e-9) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if got := Quantile(nil, 0.5); got != 0 {
-		t.Errorf("Quantile(empty) = %v, want 0", got)
-	}
-	if got := Quantile([]float64{7}, 0.9); got != 7 {
-		t.Errorf("Quantile(single) = %v, want 7", got)
-	}
-}
-
-func TestQuantileDoesNotMutateInput(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Quantile(xs, 0.5)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("input mutated: %v", xs)
-	}
-}
-
 func TestMeanStddev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); !almostEqual(got, 5, 1e-9) {
@@ -179,65 +142,5 @@ func TestMeanStddev(t *testing.T) {
 	}
 	if Mean(nil) != 0 || Stddev(nil) != 0 || Stddev([]float64{1}) != 0 {
 		t.Fatal("degenerate inputs should yield 0")
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.999, 10, 100} {
-		h.Observe(x)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("Total = %d, want 7", h.Total())
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Fatalf("OutOfRange = (%d, %d), want (1, 2)", under, over)
-	}
-	if h.Bucket(0) != 2 { // 0 and 1.9
-		t.Fatalf("Bucket(0) = %d, want 2", h.Bucket(0))
-	}
-	if h.Bucket(1) != 1 { // 2
-		t.Fatalf("Bucket(1) = %d, want 1", h.Bucket(1))
-	}
-	if h.Bucket(4) != 1 { // 9.999
-		t.Fatalf("Bucket(4) = %d, want 1", h.Bucket(4))
-	}
-	lo, hi := h.BucketBounds(2)
-	if !almostEqual(lo, 4, 1e-12) || !almostEqual(hi, 6, 1e-12) {
-		t.Fatalf("BucketBounds(2) = (%v, %v), want (4, 6)", lo, hi)
-	}
-}
-
-func TestHistogramPanicsOnBadRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic for max <= min")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
-// Property: histogram totals equal observations fed in.
-func TestHistogramTotalConserved(t *testing.T) {
-	f := func(xs []float64) bool {
-		h := NewHistogram(-100, 100, 7)
-		n := 0
-		for _, x := range xs {
-			if math.IsNaN(x) {
-				continue
-			}
-			h.Observe(x)
-			n++
-		}
-		var inRange int64
-		for i := 0; i < h.Buckets(); i++ {
-			inRange += h.Bucket(i)
-		}
-		under, over := h.OutOfRange()
-		return h.Total() == int64(n) && inRange+under+over == h.Total()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,15 +1,10 @@
 package syslogmsg
 
-import (
-	"fmt"
-	"sort"
-	"time"
-)
+import "fmt"
 
 // Store retains raw messages for event drill-down: an event digest carries
 // raw message indices (the paper's "index field that allows us to retrieve
-// these raw syslog messages"), and the store answers those lookups plus
-// time-range scans.
+// these raw syslog messages"), and the store answers those lookups.
 //
 // Messages must be index-sorted with contiguous indices (the shape the
 // reader and generator produce); lookups are then O(1) and range scans
@@ -59,17 +54,4 @@ func (s *Store) GetAll(indices []uint64) []Message {
 		}
 	}
 	return out
-}
-
-// Between returns the messages with Time in [start, end], in order.
-func (s *Store) Between(start, end time.Time) []Message {
-	if len(s.msgs) == 0 || end.Before(start) {
-		return nil
-	}
-	lo := sort.Search(len(s.msgs), func(i int) bool { return !s.msgs[i].Time.Before(start) })
-	hi := sort.Search(len(s.msgs), func(i int) bool { return s.msgs[i].Time.After(end) })
-	if lo >= hi {
-		return nil
-	}
-	return s.msgs[lo:hi]
 }

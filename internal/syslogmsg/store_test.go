@@ -54,24 +54,6 @@ func TestStoreGetAllSkipsUnknown(t *testing.T) {
 	}
 }
 
-func TestStoreBetween(t *testing.T) {
-	s, err := NewStore(storeMsgs(t, 10, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0 := time.Date(2010, 1, 10, 0, 0, 0, 0, time.UTC)
-	got := s.Between(t0.Add(2*time.Minute), t0.Add(5*time.Minute))
-	if len(got) != 4 || got[0].Index != 2 || got[3].Index != 5 {
-		t.Fatalf("Between = %v", got)
-	}
-	if got := s.Between(t0.Add(time.Hour), t0.Add(2*time.Hour)); got != nil {
-		t.Fatalf("out-of-range Between = %v", got)
-	}
-	if got := s.Between(t0.Add(5*time.Minute), t0.Add(2*time.Minute)); got != nil {
-		t.Fatalf("inverted Between = %v", got)
-	}
-}
-
 func TestStoreValidation(t *testing.T) {
 	msgs := storeMsgs(t, 5, 0)
 	msgs[3].Index = 7 // gap

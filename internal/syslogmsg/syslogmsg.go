@@ -18,7 +18,6 @@
 package syslogmsg
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"time"
@@ -117,16 +116,6 @@ func ParseCode(code string) CodeInfo {
 		}
 	}
 	return CodeInfo{Vendor: VendorUnknown, Severity: -1, Mnemonic: code}
-}
-
-// V1Code builds a V1-syntax error code.
-func V1Code(facility string, severity int, mnemonic string) string {
-	return fmt.Sprintf("%s-%d-%s", facility, severity, mnemonic)
-}
-
-// V2Code builds a V2-syntax error code.
-func V2Code(module, severityWord, event string) string {
-	return module + "-" + severityWord + "-" + event
 }
 
 // SortByTime reports whether a should sort before b in a merged stream:

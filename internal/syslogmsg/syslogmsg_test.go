@@ -72,6 +72,10 @@ func TestParseCodeV1(t *testing.T) {
 	if ci.Vendor != VendorV1 || ci.Severity != 1 {
 		t.Fatalf("got %+v", ci)
 	}
+	ci = ParseCode("OSPF-5-ADJCHG")
+	if ci.Facility != "OSPF" || ci.Severity != 5 || ci.Mnemonic != "ADJCHG" {
+		t.Fatalf("got %+v", ci)
+	}
 }
 
 func TestParseCodeV2(t *testing.T) {
@@ -100,20 +104,6 @@ func TestParseCodeUnknown(t *testing.T) {
 	// Severity 9 is out of the 0-7 V1 range.
 	if ci := ParseCode("A-9-B"); ci.Vendor != VendorUnknown {
 		t.Errorf("ParseCode(A-9-B) = %+v, want unknown vendor", ci)
-	}
-}
-
-func TestCodeBuilders(t *testing.T) {
-	if got := V1Code("LINK", 3, "UPDOWN"); got != "LINK-3-UPDOWN" {
-		t.Fatalf("V1Code = %q", got)
-	}
-	if got := V2Code("SNMP", "WARNING", "linkDown"); got != "SNMP-WARNING-linkDown" {
-		t.Fatalf("V2Code = %q", got)
-	}
-	// Round trip: builder output parses back to the same parts.
-	ci := ParseCode(V1Code("OSPF", 5, "ADJCHG"))
-	if ci.Facility != "OSPF" || ci.Severity != 5 || ci.Mnemonic != "ADJCHG" {
-		t.Fatalf("round trip failed: %+v", ci)
 	}
 }
 

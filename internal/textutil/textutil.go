@@ -24,41 +24,32 @@ const Mask = "*"
 // returns empty tokens; runs of whitespace collapse. Punctuation is kept
 // attached to words (router syslogs use trailing commas meaningfully, e.g.
 // "Serial1/0.10/20:0," — stripping is the caller's choice via TrimWord).
+// A detail with no words yields nil.
 func Tokenize(s string) []string {
-	return TokenizeInto(s, nil)
+	// strings.Fields sizes its result exactly, the one allocation a caller
+	// that keeps no buffer should pay.
+	if f := strings.Fields(s); len(f) > 0 {
+		return f
+	}
+	return nil
 }
 
 // TokenizeInto is Tokenize appending into buf[:0], letting hot paths reuse
 // one token buffer across messages instead of allocating per call. The
 // returned slice aliases buf's array when capacity suffices; tokens are
-// substrings of s. Splitting is identical to Tokenize/strings.Fields.
+// substrings of s. Splitting is identical to Tokenize/strings.Fields, in one
+// pass over an ASCII detail.
 func TokenizeInto(s string, buf []string) []string {
 	out := buf[:0]
-	for i := 0; i < len(s); i++ {
-		if s[i] >= utf8.RuneSelf {
-			// Rare non-ASCII detail: defer to strings.Fields for exact
-			// unicode whitespace semantics.
-			return append(out, strings.Fields(s)...)
-		}
-	}
-	// Pre-count fields so a fresh buffer is sized exactly once (the
-	// strings.Fields approach) instead of doubling through appends.
-	n := 0
-	inField := false
-	for i := 0; i < len(s); i++ {
-		if asciiSpace(s[i]) {
-			inField = false
-		} else if !inField {
-			inField = true
-			n++
-		}
-	}
-	if cap(out) < n {
-		out = make([]string, 0, n)
-	}
 	start := -1
 	for i := 0; i < len(s); i++ {
-		if asciiSpace(s[i]) {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			// Rare non-ASCII detail: defer to strings.Fields for exact
+			// unicode whitespace semantics.
+			return append(out[:0], strings.Fields(s)...)
+		}
+		if asciiSpace[c] {
 			if start >= 0 {
 				out = append(out, s[start:i])
 				start = -1
@@ -73,10 +64,8 @@ func TokenizeInto(s string, buf []string) []string {
 	return out
 }
 
-// asciiSpace mirrors strings.Fields' ASCII fast-path space set.
-func asciiSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
-}
+// asciiSpace is strings.Fields' ASCII space set.
+var asciiSpace = [256]bool{' ': true, '\t': true, '\n': true, '\v': true, '\f': true, '\r': true}
 
 // TrimWord removes leading and trailing punctuation that routers commonly
 // attach to embedded values: commas, periods, colons, parens, brackets and
@@ -84,16 +73,21 @@ func asciiSpace(c byte) bool {
 // returns the trimmed word and the trimmed prefix/suffix so callers can
 // reassemble the original token.
 func TrimWord(w string) (core, prefix, suffix string) {
-	const cutset = ",.:;()[]{}\"'"
 	start := 0
-	for start < len(w) && strings.ContainsRune(cutset, rune(w[start])) {
+	for start < len(w) && trimCut[w[start]] {
 		start++
 	}
 	end := len(w)
-	for end > start && strings.ContainsRune(cutset, rune(w[end-1])) {
+	for end > start && trimCut[w[end-1]] {
 		end--
 	}
 	return w[start:end], w[:start], w[end:]
+}
+
+// trimCut marks the bytes TrimWord strips from either end of a word.
+var trimCut = [256]bool{
+	',': true, '.': true, ':': true, ';': true, '(': true, ')': true,
+	'[': true, ']': true, '{': true, '}': true, '"': true, '\'': true,
 }
 
 // TokenClass describes the syntactic shape of a word, used both for masking
@@ -142,27 +136,47 @@ func init() {
 	}
 }
 
+// Byte shapes Classify gates its validators on. Every class but ClassWord
+// needs a digit, and each validator below needs the byte named beside it, so
+// one scan of the word rules out most validators before any of them runs.
+const (
+	shapeDigit uint8 = 1 << iota
+	shapeDot         // isIPv4Like: dotted octets
+	shapeColon       // isVRF: NNN:NNNN
+	shapeSlash       // isPortPath: two or more segments
+)
+
+var byteShape = [256]uint8{
+	'0': shapeDigit, '1': shapeDigit, '2': shapeDigit, '3': shapeDigit, '4': shapeDigit,
+	'5': shapeDigit, '6': shapeDigit, '7': shapeDigit, '8': shapeDigit, '9': shapeDigit,
+	'.': shapeDot, ':': shapeColon, '/': shapeSlash,
+}
+
 // Classify reports the TokenClass of a single word (after TrimWord). It is
 // deliberately conservative: when in doubt it returns ClassWord, because a
 // falsely masked constant word only makes a template slightly less specific,
 // whereas an unmasked variable word splits one template into many.
 func Classify(w string) TokenClass {
-	if w == "" {
+	var shape uint8
+	for i := 0; i < len(w); i++ {
+		shape |= byteShape[w[i]]
+	}
+	if shape&shapeDigit == 0 {
 		return ClassWord
 	}
-	if isIPv4Like(w) {
+	if shape&shapeDot != 0 && isIPv4Like(w) {
 		return ClassIPv4
 	}
-	if isVRF(w) {
+	if shape&shapeColon != 0 && isVRF(w) {
 		return ClassVRF
 	}
 	if isHex(w) {
 		return ClassHex
 	}
-	if isInterfaceName(w) {
+	if _, _, ok := InterfaceStem(w); ok {
 		return ClassInterface
 	}
-	if isPortPath(w) {
+	if shape&shapeSlash != 0 && isPortPath(w) {
 		return ClassPortPath
 	}
 	if isNumberLike(w) {
@@ -302,26 +316,6 @@ func isPathSegment(p string) bool {
 		}
 	}
 	return true
-}
-
-// isInterfaceName accepts a known interface stem followed by a digit-leading
-// path, e.g. Serial1/0.10/10:0, GigabitEthernet0/1, Multilink7.
-func isInterfaceName(s string) bool {
-	if s == "" || !interfaceLeadByte[s[0]] {
-		return false
-	}
-	for _, pre := range interfacePrefixes {
-		if len(s) > len(pre) && strings.EqualFold(s[:len(pre)], pre) {
-			rest := s[len(pre):]
-			if rest[0] >= '0' && rest[0] <= '9' {
-				// Remainder must be a path segment sequence.
-				if isPortPath(rest) || isPathSegment(rest) {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 // isNumberLike accepts integers, decimals, percentages and simple

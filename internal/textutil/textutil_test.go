@@ -53,39 +53,41 @@ func TestTrimWordReassembles(t *testing.T) {
 	}
 }
 
+// classifyCases is TestClassify's table; FuzzClassify seeds from it.
+var classifyCases = []struct {
+	in   string
+	want TokenClass
+}{
+	{"Interface", ClassWord},
+	{"down", ClassWord},
+	{"192.168.32.42", ClassIPv4},
+	{"10.1.2.1/30", ClassIPv4},
+	{"10.1.2.1:179", ClassIPv4},
+	{"1.2.3", ClassWord},     // three octets is not an IP
+	{"1.2.3.4.5", ClassWord}, // five octets is not an IP
+	{"1000:1001", ClassVRF},
+	{"0x1A2B", ClassHex},
+	{"0xZZ", ClassWord},
+	{"Serial1/0.10/10:0", ClassInterface},
+	{"GigabitEthernet0/1", ClassInterface},
+	{"Multilink7", ClassInterface},
+	{"Loopback0", ClassInterface},
+	{"Serial", ClassWord}, // stem without digits
+	{"1/1/1", ClassPortPath},
+	{"2/0", ClassPortPath},
+	{"2/0.10/2:0", ClassPortPath},
+	{"a/b", ClassWord},
+	{"95%", ClassNumber},
+	{"95%/1%", ClassWord}, // compound measurement, not a simple number
+	{"3.2s", ClassNumber},
+	{"42", ClassNumber},
+	{"42C", ClassNumber},
+	{"", ClassWord},
+	{"state", ClassWord},
+}
+
 func TestClassify(t *testing.T) {
-	cases := []struct {
-		in   string
-		want TokenClass
-	}{
-		{"Interface", ClassWord},
-		{"down", ClassWord},
-		{"192.168.32.42", ClassIPv4},
-		{"10.1.2.1/30", ClassIPv4},
-		{"10.1.2.1:179", ClassIPv4},
-		{"1.2.3", ClassWord},     // three octets is not an IP
-		{"1.2.3.4.5", ClassWord}, // five octets is not an IP
-		{"1000:1001", ClassVRF},
-		{"0x1A2B", ClassHex},
-		{"0xZZ", ClassWord},
-		{"Serial1/0.10/10:0", ClassInterface},
-		{"GigabitEthernet0/1", ClassInterface},
-		{"Multilink7", ClassInterface},
-		{"Loopback0", ClassInterface},
-		{"Serial", ClassWord}, // stem without digits
-		{"1/1/1", ClassPortPath},
-		{"2/0", ClassPortPath},
-		{"2/0.10/2:0", ClassPortPath},
-		{"a/b", ClassWord},
-		{"95%", ClassNumber},
-		{"95%/1%", ClassWord}, // compound measurement, not a simple number
-		{"3.2s", ClassNumber},
-		{"42", ClassNumber},
-		{"42C", ClassNumber},
-		{"", ClassWord},
-		{"state", ClassWord},
-	}
-	for _, c := range cases {
+	for _, c := range classifyCases {
 		if got := Classify(c.in); got != c.want {
 			t.Errorf("Classify(%q) = %v, want %v", c.in, got, c.want)
 		}
