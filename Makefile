@@ -103,13 +103,14 @@ alloc-guard:
 cli-smoke:
 	$(GO) test -run 'TestCLISmoke' -count=1 ./cmd/...
 
-# Ten seconds of fuzzing each for the four fuzzers that guard damaged state:
+# Ten seconds of fuzzing each for the fuzzers that guard damaged state:
 # checkpoint bytes restored into the serial and sharded streamer
 # (FuzzRestoreStreamer), a shard's part-state restored the way a shard
 # server applies a Restore frame (FuzzRestoreLocal), state frames off the
-# cluster wire (FuzzDecodeState), and Restore frame bytes taken down the
+# cluster wire (FuzzDecodeState), Restore frame bytes taken down the
 # shard's whole restore path — decode, RestoreLocal, a probe Step
-# (FuzzRestoreFrame); and for the streamer's reorder front end under
+# (FuzzRestoreFrame), and Hello bytes taken down the shard's handshake —
+# decode, NewShardable, NewLocal, a probe Step (FuzzHello); and for the streamer's reorder front end under
 # arbitrary arrival times, tolerance and cap, whose books must balance
 # after every call (FuzzStreamerFrontEnd); and for token classification,
 # trimming and tokenizing, which must agree with their straightforward
@@ -125,4 +126,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreLocal$$' -fuzztime=10s ./internal/grouping
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreFrame$$' -fuzztime=10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzHello$$' -fuzztime=10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzClassify$$' -fuzztime=10s ./internal/textutil

@@ -501,7 +501,7 @@ func BenchmarkMicroProvisionalRevision(b *testing.B) {
 	for _, k := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("every%d", k), func(b *testing.B) {
 			cfg := grouping.IncrementalConfig{ProvisionalHorizon: time.Duration(k)*time.Second - time.Nanosecond}
-			cfg.OnlyTemporal = true
+			cfg.Stage = grouping.StageTemporal
 			sh, err := grouping.NewShardable(dict, nil, cfg)
 			if err != nil {
 				b.Fatal(err)

@@ -35,7 +35,7 @@ type ClientConfig struct {
 	Workers    int // total shard count
 	MaxStreams int // per-shard temporal model cap
 	KBSig      string
-	Config     GroupConfig
+	Config     grouping.Config
 
 	Metrics ClientMetrics
 	Logf    func(format string, args ...any)

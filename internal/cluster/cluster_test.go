@@ -137,7 +137,7 @@ func testClientConfig(t *testing.T, addr string, dict *locdict.Dictionary, rb *r
 		Shard:   0,
 		Workers: 1,
 		KBSig:   Fingerprint(dict, rb),
-		Config:  ConfigFrom(testGroupingConfig()),
+		Config:  testGroupingConfig(),
 		Logf:    t.Logf,
 	}
 }
@@ -439,4 +439,37 @@ func TestClientRefusedSeedFails(t *testing.T) {
 	if n := reg.Counter("test.connections").Value(); n != 1 {
 		t.Fatalf("%d sessions, want 1", n)
 	}
+}
+
+// TestServerRejectsBadMaxScan: a Hello whose grouping configuration fails
+// validation — here a negative MaxScan, which would size a RouterLocal's
+// scan bitmap negative — is refused with the reason in the Welcome, and the
+// same server goes on to serve a valid session.
+func TestServerRejectsBadMaxScan(t *testing.T) {
+	dict, rb := testKnowledge(t)
+	srv := newTestServer(t, dict, rb)
+	bad := testClientConfig(t, srv.Addr(), dict, rb)
+	bad.Config.MaxScan = -1000
+	bad.maxAttempts = 3
+	bad.backoff = time.Millisecond
+	c := NewClient(bad, nil)
+	defer c.Close()
+	sendPendings(c, 1, false, nil)
+	if _, ok := <-c.Decisions(); ok {
+		t.Fatal("got a decision from a session with a negative MaxScan")
+	}
+	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "rejected") ||
+		!strings.Contains(err.Error(), "max scan -1000") {
+		t.Fatalf("err = %v, want a rejection naming the max scan", err)
+	}
+
+	good := NewClient(testClientConfig(t, srv.Addr(), dict, rb), nil)
+	defer good.Close()
+	s, err := grouping.NewShardable(dict, rb, grouping.IncrementalConfig{Config: testGroupingConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := testBatches(3, 20, 20)[0]
+	sendPendings(good, 1, false, batch)
+	checkBatch(t, s.NewLocal(0), batch, recvDecision(t, good))
 }

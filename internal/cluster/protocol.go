@@ -10,46 +10,7 @@ import (
 	"syslogdigest/internal/grouping"
 	"syslogdigest/internal/locdict"
 	"syslogdigest/internal/rules"
-	"syslogdigest/internal/temporal"
 )
-
-// GroupConfig is the grouping configuration a Hello ships: everything a
-// shard needs to build its RouterLocal identically to an in-process one.
-// The knowledge itself (location dictionary, rule base) is NOT shipped —
-// the shard loads the same KB file and the fingerprint check catches a
-// mismatch.
-type GroupConfig struct {
-	Temporal      temporal.Params `json:"temporal"`
-	RuleWindowNs  int64           `json:"rule_window_ns"`
-	CrossWindowNs int64           `json:"cross_window_ns"`
-	MaxScan       int             `json:"max_scan"`
-	OnlyTemporal  bool            `json:"only_temporal,omitempty"`
-	TemporalRules bool            `json:"temporal_rules,omitempty"`
-}
-
-// ConfigFrom flattens a grouping.Config for the wire.
-func ConfigFrom(cfg grouping.Config) GroupConfig {
-	return GroupConfig{
-		Temporal:      cfg.Temporal,
-		RuleWindowNs:  int64(cfg.RuleWindow),
-		CrossWindowNs: int64(cfg.CrossWindow),
-		MaxScan:       cfg.MaxScan,
-		OnlyTemporal:  cfg.OnlyTemporal,
-		TemporalRules: cfg.TemporalAndRules,
-	}
-}
-
-// GroupingConfig rebuilds the grouping.Config on the shard side.
-func (gc GroupConfig) GroupingConfig() grouping.Config {
-	return grouping.Config{
-		Temporal:         gc.Temporal,
-		RuleWindow:       time.Duration(gc.RuleWindowNs),
-		CrossWindow:      time.Duration(gc.CrossWindowNs),
-		MaxScan:          gc.MaxScan,
-		OnlyTemporal:     gc.OnlyTemporal,
-		TemporalAndRules: gc.TemporalRules,
-	}
-}
 
 // Fingerprint is a weak structural signature of the grouping knowledge:
 // enough to catch a shard pointed at the wrong KB file, cheap enough to
@@ -72,11 +33,15 @@ func Fingerprint(dict *locdict.Dictionary, rb *rules.RuleBase) string {
 
 // Hello opens a session.
 type Hello struct {
-	Shard      int         `json:"shard"`   // shard index, for logs/metrics
-	Workers    int         `json:"workers"` // total shard count
-	MaxStreams int         `json:"max_streams"`
-	KBSig      string      `json:"kb_sig"`
-	Config     GroupConfig `json:"config"`
+	Shard      int    `json:"shard"`   // shard index, for logs/metrics
+	Workers    int    `json:"workers"` // total shard count
+	MaxStreams int    `json:"max_streams"`
+	KBSig      string `json:"kb_sig"`
+	// Config is the grouping configuration the shard builds its
+	// RouterLocal from, exactly as an in-process engine would. The
+	// knowledge itself (location dictionary, rule base) is not shipped: the
+	// shard loads the same KB file and the KBSig check catches a mismatch.
+	Config grouping.Config `json:"config"`
 	// Restore says a Restore frame follows the Hello: the shard applies it
 	// before it answers, so a seed it refuses is a Welcome error.
 	Restore bool `json:"restore,omitempty"`

@@ -218,7 +218,7 @@ func (s *Server) session(conn net.Conn) {
 		return
 	}
 	shardable, err := grouping.NewShardable(s.cfg.Dict, s.cfg.Rules, grouping.IncrementalConfig{
-		Config:     hello.Config.GroupingConfig(),
+		Config:     hello.Config,
 		MaxStreams: hello.MaxStreams,
 	})
 	if err != nil {

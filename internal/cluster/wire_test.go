@@ -51,6 +51,7 @@ func TestFrameCorruption(t *testing.T) {
 		{"future version", func(b []byte) []byte { b[4] = Version + 1; return b }, ErrVersion},
 		{"version 1", func(b []byte) []byte { b[4] = 1; return b }, ErrVersion},
 		{"version 2", func(b []byte) []byte { b[4] = 2; return b }, ErrVersion},
+		{"version 3", func(b []byte) []byte { b[4] = 3; return b }, ErrVersion},
 		{"oversize length", func(b []byte) []byte {
 			binary.BigEndian.PutUint32(b[6:10], MaxFrameBytes+1)
 			return b
@@ -526,6 +527,45 @@ func FuzzRestoreFrame(f *testing.F) {
 	})
 }
 
+// FuzzHello feeds arbitrary Hello payloads down the path a shard takes in
+// the handshake — decode, NewShardable, NewLocal — then steps a probe
+// through the new local. Refusing is fine; a panic is not: nothing
+// recovers one in a session goroutine, so it would take down the whole
+// shard process.
+func FuzzHello(f *testing.F) {
+	dict, rb := testKnowledge(f)
+	good, err := json.Marshal(Hello{Workers: 1, KBSig: Fingerprint(dict, rb), Config: testGroupingConfig()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add([]byte(`{"workers":1,"config":{"max_scan":-1000}}`))
+	f.Add([]byte(`{"config":{"stage":7,"rule_window":-1,"temporal":{"Alpha":2}}}`))
+	f.Add([]byte{})
+
+	probe := grouping.Message{
+		Seq: 1, Time: testPartBase, Router: "r1", Template: 1,
+		Loc: locdict.IntfLoc("r1", "Serial1/0.10/10:0"),
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var hello Hello
+		if err := unmarshalJSONFrame(data, &hello); err != nil {
+			return
+		}
+		s, err := grouping.NewShardable(dict, rb, grouping.IncrementalConfig{Config: hello.Config, MaxStreams: hello.MaxStreams})
+		if err != nil {
+			return
+		}
+		local := s.NewLocal(hello.MaxStreams)
+		p := grouping.NewPending(probe)
+		var js grouping.Joins
+		if err := local.Step(p, &js); err != nil {
+			t.Fatalf("probe step: %v", err)
+		}
+		p.Release()
+	})
+}
+
 // fillNonZero sets every exported field under v (recursing into structs and
 // slices) to a distinct non-zero value.
 func fillNonZero(t *testing.T, v reflect.Value, next *int64) {
@@ -571,24 +611,26 @@ func fillValue(t *testing.T, name string, f reflect.Value, next *int64) {
 }
 
 // TestHelloConfigRoundTrip pins the handshake's coverage of
-// grouping.Config: with every exported field set, ConfigFrom → Hello JSON →
-// GroupingConfig must give the configuration back. A field added to Config
-// and forgotten on the wire fails here instead of silently running the
-// shard on its default.
+// grouping.Config, which the Hello carries as is: with every exported field
+// set, at each Stage, the configuration must come back from the Hello JSON
+// unchanged. A field added to Config that JSON cannot carry fails here
+// instead of silently running the shard on its default.
 func TestHelloConfigRoundTrip(t *testing.T) {
 	var want grouping.Config
 	var next int64
 	fillNonZero(t, reflect.ValueOf(&want).Elem(), &next)
-
-	raw, err := marshalJSONFrame(Hello{Config: ConfigFrom(want)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hello Hello
-	if err := unmarshalJSONFrame(raw, &hello); err != nil {
-		t.Fatal(err)
-	}
-	if got := hello.Config.GroupingConfig(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("grouping.Config changed across the handshake:\ngot  %+v\nwant %+v", got, want)
+	for _, st := range []grouping.Stage{grouping.StageFull, grouping.StageTemporal, grouping.StageTemporalRules} {
+		want.Stage = st
+		raw, err := marshalJSONFrame(Hello{Config: want})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hello Hello
+		if err := unmarshalJSONFrame(raw, &hello); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(hello.Config, want) {
+			t.Fatalf("stage %d: grouping.Config changed across the handshake:\ngot  %+v\nwant %+v", st, hello.Config, want)
+		}
 	}
 }

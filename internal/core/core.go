@@ -183,9 +183,6 @@ func (kb *KnowledgeBase) finish() error {
 	}
 	kb.dict = dict
 	kb.parser = locparse.New(dict)
-	// Nothing in the pipeline reads Info.Unresolved; dropping it saves an
-	// allocation per cache-missing message on the augment hot path.
-	kb.parser.DropUnresolved()
 	return nil
 }
 
@@ -449,16 +446,18 @@ func RuleEvents(plus []PlusMessage) []rules.Event {
 	return out
 }
 
-// Stage selects how much of the grouping pipeline runs (Table 7).
-type Stage int
+// Stage selects how much of the grouping pipeline runs (Table 7): the
+// grouping configuration's own stage, whose zero value runs all three
+// passes.
+type Stage = grouping.Stage
 
 const (
 	// StageTemporal runs temporal grouping only (T).
-	StageTemporal Stage = iota
+	StageTemporal = grouping.StageTemporal
 	// StageTemporalRules adds rule-based grouping (T+R).
-	StageTemporalRules
+	StageTemporalRules = grouping.StageTemporalRules
 	// StageFull adds cross-router grouping (T+R+C).
-	StageFull
+	StageFull = grouping.StageFull
 )
 
 // DigestResult is one online batch's output.
@@ -524,7 +523,6 @@ func NewDigester(kb *KnowledgeBase) (*Digester, error) {
 	}
 	return &Digester{
 		kb:      kb,
-		stage:   StageFull,
 		builder: event.NewBuilder(kb.Freq, labeler),
 		labeler: labeler,
 		pool:    par.New(kb.Params.Parallelism),
@@ -597,19 +595,13 @@ func (d *Digester) Digest(msgs []syslogmsg.Message) (*DigestResult, error) {
 // base's parameters and the selected stage; shared by the incremental
 // engine and the reference batch path.
 func (d *Digester) groupingConfig() grouping.Config {
-	cfg := grouping.Config{
+	return grouping.Config{
 		Temporal:    d.kb.Params.Temporal,
 		RuleWindow:  d.kb.Params.Rules.Window,
 		CrossWindow: d.kb.Params.CrossWindow,
 		MaxScan:     d.kb.Params.MaxScan,
+		Stage:       d.stage,
 	}
-	switch d.stage {
-	case StageTemporal:
-		cfg.OnlyTemporal = true
-	case StageTemporalRules:
-		cfg.TemporalAndRules = true
-	}
-	return cfg
 }
 
 // streamEngine is the surface Streamer and DigestPlus drive. Two types
@@ -727,16 +719,8 @@ func (d *Digester) DigestPlus(plus []PlusMessage) (*DigestResult, error) {
 
 	buildStart := time.Now()
 	// Emission order is closure order; the batch contract is rank order
-	// with deterministic IDs. Pre-sorting by earliest member reproduces the
-	// batch builder's group order, so the stable Rank yields the exact
-	// sequence (and therefore IDs) the three-pass path produced.
-	sort.Slice(events, func(a, b int) bool {
-		return events[a].MessageSeqs[0] < events[b].MessageSeqs[0]
-	})
-	event.Rank(events)
-	for i := range events {
-		events[i].ID = i
-	}
+	// with deterministic IDs.
+	rankBatch(events)
 	d.met.build.Observe(time.Since(buildStart).Seconds())
 
 	out := &DigestResult{Events: events, Messages: plus, ActiveRules: eng.ActiveRules()}
@@ -750,25 +734,46 @@ func (d *Digester) DigestPlus(plus []PlusMessage) (*DigestResult, error) {
 	return out, nil
 }
 
+// rankBatch puts a batch's events in rank order with IDs numbered along it.
+// Pre-sorting by earliest member makes the stable Rank's result (IDs
+// included) independent of the order the events were built in.
+func rankBatch(events []event.Event) {
+	sort.Slice(events, func(a, b int) bool {
+		return events[a].MessageSeqs[0] < events[b].MessageSeqs[0]
+	})
+	event.Rank(events)
+	for i := range events {
+		events[i].ID = i
+	}
+}
+
 // ReferenceDigestPlus is the original batch implementation — sort, three
 // grouping passes into a union-find, build, rank — kept as the oracle for
 // the streaming engine's differential tests. It records no metrics.
 func (d *Digester) ReferenceDigestPlus(plus []PlusMessage) (*DigestResult, error) {
-	g, err := grouping.New(d.kb.dict, d.kb.RuleBase, d.groupingConfig())
+	s, err := grouping.NewShardable(d.kb.dict, d.kb.RuleBase, grouping.IncrementalConfig{Config: d.groupingConfig()})
 	if err != nil {
 		return nil, err
 	}
 	batch := make([]grouping.Message, len(plus))
-	raw := make([]uint64, len(plus))
 	for i := range plus {
 		batch[i] = streamMsg(&plus[i], i)
-		raw[i] = plus[i].Index
 	}
-	res, err := g.Group(batch)
+	res, err := s.Group(batch)
 	if err != nil {
 		return nil, err
 	}
-	events := d.builder.Build(batch, res, raw)
+	// Members in ascending Seq order, as every engine folds them.
+	events := make([]event.Event, len(res.Groups))
+	var members []grouping.Message
+	for i, seqs := range res.Groups {
+		members = members[:0]
+		for _, seq := range seqs {
+			members = append(members, batch[seq])
+		}
+		events[i] = d.builder.BuildMessages(members)
+	}
+	rankBatch(events)
 	return &DigestResult{Events: events, Messages: plus, ActiveRules: res.ActiveRules}, nil
 }
 

@@ -110,9 +110,9 @@ func (e *Event) Span() time.Duration { return e.End.Sub(e.Start) }
 //
 // Every build is one accumulation: the members are folded one at a time
 // into an Accumulator (span, running score, member lists, per-router
-// location tally, template set) and the event is read off it. Build,
-// BuildGroup and BuildMessages fold a group into an empty accumulator of
-// the builder's own; Extend folds into one the caller keeps, and when the
+// location tally, template set) and the event is read off it. BuildGroup
+// and BuildMessages fold a group into an empty accumulator of the
+// builder's own; Extend folds into one the caller keeps, and when the
 // group's first members are exactly the ones that accumulator already
 // holds — a provisional event that has only grown since its last
 // publication — it folds in just the rest. The score is a sum over members
@@ -141,7 +141,7 @@ type Builder struct {
 	epoch     uint64     // bumped whenever the tables above start over
 
 	gen    uint64      // stamps equal to gen belong to the call in progress
-	one    Accumulator // the accumulator of Build, BuildGroup and BuildMessages
+	one    Accumulator // the accumulator of BuildGroup and BuildMessages
 	seqBuf []int       // mergeTail scratch
 	rawBuf []uint64
 
@@ -257,9 +257,9 @@ func NewBuilder(freq *FreqTable, labeler *Labeler) *Builder {
 }
 
 // Member is one message as event assembly sees it: the fields scoring and
-// presentation consume. Both the batch Build path and the streaming engine
-// feed the same per-member step, so a group's event is identical however it
-// was formed.
+// presentation consume. BuildGroup over Members and BuildMessages over the
+// grouping layer's records feed the same per-member step, so a group's
+// event is identical however it was formed.
 type Member struct {
 	Seq      int
 	Time     time.Time
@@ -267,40 +267,6 @@ type Member struct {
 	Template int
 	Loc      locdict.Location
 	Raw      uint64
-}
-
-// Build converts a grouping result into events, sorted by descending score
-// (rank order). rawIndex maps batch Seq to the raw syslog message index; a
-// nil rawIndex uses the Seq itself.
-func (b *Builder) Build(msgs []grouping.Message, res *grouping.Result, rawIndex []uint64) []Event {
-	bySeq := make([]*grouping.Message, len(msgs))
-	for i := range msgs {
-		bySeq[msgs[i].Seq] = &msgs[i]
-	}
-	events := make([]Event, 0, len(res.Groups))
-	for _, seqs := range res.Groups {
-		acc := &b.one
-		b.begin(acc, 0, len(seqs))
-		for _, seq := range seqs {
-			m := bySeq[seq]
-			if m == nil {
-				continue
-			}
-			raw := uint64(seq)
-			if rawIndex != nil {
-				raw = rawIndex[seq]
-			}
-			b.add(acc, seq, m.Time, m.Router, m.Template, &m.Loc, raw)
-		}
-		e := b.finish(acc, 0)
-		e.ID = len(events)
-		events = append(events, e)
-	}
-	Rank(events)
-	for i := range events {
-		events[i].ID = i
-	}
-	return events
 }
 
 // BuildGroup assembles, scores, and labels one group. Members must be in

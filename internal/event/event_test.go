@@ -33,12 +33,12 @@ func toyBatch() ([]grouping.Message, *grouping.Result) {
 	l1 := locdict.IntfLoc("r1", "Serial1/0.10/10:0")
 	l2 := locdict.IntfLoc("r2", "Serial1/0.20/20:0")
 	msgs := []grouping.Message{
-		{Seq: 0, Time: t0, Router: "r1", Template: 1, Loc: l1},
-		{Seq: 1, Time: t0, Router: "r2", Template: 1, Loc: l2},
-		{Seq: 2, Time: t0.Add(time.Second), Router: "r1", Template: 2, Loc: l1},
-		{Seq: 3, Time: t0.Add(31 * time.Second), Router: "r1", Template: 3, Loc: l1},
+		{Seq: 0, Time: t0, Router: "r1", Template: 1, Loc: l1, Raw: 100},
+		{Seq: 1, Time: t0, Router: "r2", Template: 1, Loc: l2, Raw: 101},
+		{Seq: 2, Time: t0.Add(time.Second), Router: "r1", Template: 2, Loc: l1, Raw: 102},
+		{Seq: 3, Time: t0.Add(31 * time.Second), Router: "r1", Template: 3, Loc: l1, Raw: 103},
 		// A separate router-level CPU event.
-		{Seq: 4, Time: t0.Add(time.Hour), Router: "r9", Template: 5, Loc: locdict.RouterLoc("r9")},
+		{Seq: 4, Time: t0.Add(time.Hour), Router: "r9", Template: 5, Loc: locdict.RouterLoc("r9"), Raw: 104},
 	}
 	res := &grouping.Result{
 		GroupOf: []int{0, 0, 0, 0, 1},
@@ -47,10 +47,29 @@ func toyBatch() ([]grouping.Message, *grouping.Result) {
 	return msgs, res
 }
 
+// buildRanked assembles a batch the way the batch digest does: one event
+// per group through BuildMessages, members in ascending Seq order, then
+// Rank and IDs numbered along it. msgs is indexed by Seq.
+func buildRanked(b *Builder, msgs []grouping.Message, res *grouping.Result) []Event {
+	events := make([]Event, 0, len(res.Groups))
+	for _, seqs := range res.Groups {
+		members := make([]grouping.Message, 0, len(seqs))
+		for _, seq := range seqs {
+			members = append(members, msgs[seq])
+		}
+		events = append(events, b.BuildMessages(members))
+	}
+	Rank(events)
+	for i := range events {
+		events[i].ID = i
+	}
+	return events
+}
+
 func TestBuildAssemblesEvent(t *testing.T) {
 	msgs, res := toyBatch()
 	b := NewBuilder(nil, NewLabeler(flapTemplates()))
-	events := b.Build(msgs, res, []uint64{100, 101, 102, 103, 104})
+	events := buildRanked(b, msgs, res)
 	if len(events) != 2 {
 		t.Fatalf("events = %d", len(events))
 	}
@@ -98,7 +117,7 @@ func TestScoringRareAndHighLevelWins(t *testing.T) {
 	}
 	res := &grouping.Result{GroupOf: []int{0, 1}, Groups: [][]int{{0}, {1}}}
 	b := NewBuilder(freq, NewLabeler(flapTemplates()))
-	events := b.Build(msgs, res, nil)
+	events := buildRanked(b, msgs, res)
 	// The rare, router-level event must rank first.
 	if events[0].Routers[0] != "r9" {
 		t.Fatalf("rank order wrong: %+v", events)
@@ -121,7 +140,7 @@ func TestScoreSizeMatters(t *testing.T) {
 		msgs = append(msgs, grouping.Message{Seq: i, Time: t0, Router: "r1", Template: 1, Loc: loc})
 	}
 	res := &grouping.Result{GroupOf: []int{0, 0, 0, 0, 1}, Groups: [][]int{{0, 1, 2, 3}, {4}}}
-	events := NewBuilder(nil, nil).Build(msgs, res, nil)
+	events := buildRanked(NewBuilder(nil, nil), msgs, res)
 	if events[0].Size() != 4 {
 		t.Fatalf("larger group should rank first: %+v", events)
 	}
@@ -222,7 +241,7 @@ func membersAt(router string, locs []locdict.Location) []Member {
 func TestDigestFormat(t *testing.T) {
 	msgs, res := toyBatch()
 	b := NewBuilder(nil, NewLabeler(flapTemplates()))
-	events := b.Build(msgs, res, nil)
+	events := buildRanked(b, msgs, res)
 	var flap *Event
 	for i := range events {
 		if events[i].Size() == 4 {
@@ -317,43 +336,6 @@ func TestItoa(t *testing.T) {
 	for n, want := range map[int]string{0: "0", 7: "7", 42: "42", -3: "-3", 1234: "1234"} {
 		if got := itoa(n); got != want {
 			t.Errorf("itoa(%d) = %q", n, got)
-		}
-	}
-}
-
-// TestBuildGroupMatchesBuild: assembling groups one at a time through the
-// streaming entry point yields exactly the events the batch Build produces
-// (before ranking renumbers them) — same scores, labels, spans, members.
-func TestBuildGroupMatchesBuild(t *testing.T) {
-	msgs, res := toyBatch()
-	raw := []uint64{100, 101, 102, 103, 104}
-	b := NewBuilder(nil, NewLabeler(flapTemplates()))
-	batch := b.Build(msgs, res, raw)
-
-	b2 := NewBuilder(nil, NewLabeler(flapTemplates()))
-	var single []Event
-	for _, group := range res.Groups {
-		members := make([]Member, 0, len(group))
-		for _, seq := range group {
-			m := msgs[seq]
-			members = append(members, Member{
-				Seq: m.Seq, Time: m.Time, Router: m.Router,
-				Template: m.Template, Loc: m.Loc, Raw: raw[seq],
-			})
-		}
-		single = append(single, b2.BuildGroup(members))
-	}
-	Rank(single)
-	for i := range single {
-		single[i].ID = i
-	}
-
-	if len(single) != len(batch) {
-		t.Fatalf("events: %d vs %d", len(single), len(batch))
-	}
-	for i := range single {
-		if !reflect.DeepEqual(single[i], batch[i]) {
-			t.Fatalf("event %d differs:\ngroup: %+v\nbatch: %+v", i, single[i], batch[i])
 		}
 	}
 }

@@ -24,7 +24,7 @@ func randomGrouping(rng *rand.Rand, n int) ([]grouping.Message, *grouping.Result
 		}
 		msgs[i] = grouping.Message{
 			Seq: i, Time: base.Add(time.Duration(rng.Intn(3600)) * time.Second),
-			Router: r, Template: rng.Intn(5), Loc: loc,
+			Router: r, Template: rng.Intn(5), Loc: loc, Raw: uint64(i),
 		}
 	}
 	// Random partition.
@@ -51,7 +51,7 @@ func randomGrouping(rng *rand.Rand, n int) ([]grouping.Message, *grouping.Result
 	return msgs, res
 }
 
-// Property: Build conserves messages, spans cover members, and the output
+// Property: batch assembly conserves messages, spans cover members, and the output
 // is rank-sorted with sequential IDs.
 func TestBuildInvariantsQuick(t *testing.T) {
 	b := NewBuilder(nil, nil)
@@ -59,7 +59,7 @@ func TestBuildInvariantsQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(sz%60) + 1
 		msgs, res := randomGrouping(rng, n)
-		events := b.Build(msgs, res, nil)
+		events := buildRanked(b, msgs, res)
 		if len(events) != len(res.Groups) {
 			return false
 		}
@@ -102,7 +102,7 @@ func TestRankStableQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(sz%40) + 2
 		msgs, res := randomGrouping(rng, n)
-		events := b.Build(msgs, res, nil)
+		events := buildRanked(b, msgs, res)
 
 		again := append([]Event(nil), events...)
 		Rank(again)

@@ -21,9 +21,9 @@
 //     window is within the closure horizon), so group identity for them is
 //     fully recovered from the open-group member lists.
 //
-// What is NOT serialized: the Grouper predicates and windows (knowledge,
-// supplied again at restore via the Shardable) and MaxStreams and worker
-// counts (runtime knobs).
+// What is NOT serialized: the grouping configuration and knowledge
+// (windows, stage, dictionary, rule base; supplied again at restore via the
+// Shardable) and MaxStreams and worker counts (runtime knobs).
 package grouping
 
 import (
@@ -532,7 +532,7 @@ func (s *Shardable) restoreModel(rl *RouterLocal, ms ModelState, at func(int) (*
 	if rl.models[key] != nil {
 		return corrupt("duplicate model %d/%q", ms.Template, ms.LocKey)
 	}
-	tg, err := temporal.RestoreGrouper(s.g.cfg.Temporal, ms.Temporal)
+	tg, err := temporal.RestoreGrouper(s.cfg.Temporal, ms.Temporal)
 	if err != nil {
 		return corrupt("model %q: %w", ms.LocKey, err)
 	}

@@ -41,26 +41,43 @@ type Message struct {
 	Raw      uint64             // caller-carried raw syslog index, opaque to grouping
 }
 
-// Config tunes the grouping passes.
+// Stage selects which grouping passes run (the Table 7 ablation). The
+// zero value runs all three.
+type Stage int
+
+const (
+	// StageFull runs temporal, rule-based and cross-router grouping (T+R+C).
+	StageFull Stage = iota
+	// StageTemporal runs temporal grouping only (T).
+	StageTemporal
+	// StageTemporalRules adds rule-based grouping (T+R).
+	StageTemporalRules
+)
+
+// maxScanLimit is a sanity cap on Config.MaxScan, far above any in use (the
+// storm experiments scan 4096): a Hello cannot size a scan bitmap at will.
+const maxScanLimit = 1 << 20
+
+// Config tunes the grouping passes. Every layer carries it as is, a cluster
+// Hello included (durations travel as nanoseconds).
 type Config struct {
 	// Temporal are the EWMA parameters for pass 1.
-	Temporal temporal.Params
+	Temporal temporal.Params `json:"temporal"`
 	// RuleWindow is W for pass 2; messages further apart than this never
 	// rule-group. Zero defaults to 120s.
-	RuleWindow time.Duration
+	RuleWindow time.Duration `json:"rule_window"`
 	// CrossWindow is the near-simultaneity bound for pass 3. Zero
 	// defaults to 1s.
-	CrossWindow time.Duration
+	CrossWindow time.Duration `json:"cross_window"`
 	// MaxScan caps how many following messages one message is compared
 	// against within a window, bounding worst-case storm cost. Zero
 	// defaults to 256.
-	MaxScan int
-	// Stage selection for the Table 7 ablation; all false means all on.
-	OnlyTemporal     bool // T
-	TemporalAndRules bool // T+R
+	MaxScan int `json:"max_scan"`
+	// Stage selects the passes that run; the zero value runs all three.
+	Stage Stage `json:"stage,omitempty"`
 	// linearScan turns off the template-indexed candidate lookup in the
 	// incremental rule and cross windows (RouterLocal, Merger), forcing the
-	// original O(window) scans; the batch Grouper always scans linearly.
+	// original O(window) scans; the batch reference always scans linearly.
 	// Output is byte-identical either way; the scans are kept as the
 	// reference this package's differential tests compare the index against,
 	// and being unexported the field can be set only from those tests
@@ -68,7 +85,21 @@ type Config struct {
 	linearScan bool
 }
 
-func (c Config) normalize() Config {
+// normalize validates the configuration and fills its defaults, before any
+// state is sized from it.
+func (c Config) normalize() (Config, error) {
+	if _, err := temporal.NewGrouper(c.Temporal); err != nil {
+		return c, err
+	}
+	if c.Stage < StageFull || c.Stage > StageTemporalRules {
+		return c, fmt.Errorf("grouping: unknown stage %d", c.Stage)
+	}
+	if c.RuleWindow < 0 || c.CrossWindow < 0 {
+		return c, fmt.Errorf("grouping: negative window (rule %v, cross %v)", c.RuleWindow, c.CrossWindow)
+	}
+	if c.MaxScan < 0 || c.MaxScan > maxScanLimit {
+		return c, fmt.Errorf("grouping: max scan %d outside [0, %d]", c.MaxScan, maxScanLimit)
+	}
 	if c.RuleWindow == 0 {
 		c.RuleWindow = 120 * time.Second
 	}
@@ -78,11 +109,11 @@ func (c Config) normalize() Config {
 	if c.MaxScan == 0 {
 		c.MaxScan = 256
 	}
-	return c
+	return c, nil
 }
 
-func (c Config) useRules() bool { return !c.OnlyTemporal }
-func (c Config) useCross() bool { return !c.OnlyTemporal && !c.TemporalAndRules }
+func (c Config) useRules() bool { return c.Stage != StageTemporal }
+func (c Config) useCross() bool { return c.Stage == StageFull }
 
 // Result is the grouped partition of one batch.
 type Result struct {
@@ -102,31 +133,10 @@ type Result struct {
 	CrossMerges    int
 }
 
-// Grouper applies the three passes using learned knowledge.
-type Grouper struct {
-	dict *locdict.Dictionary
-	rb   *rules.RuleBase
-	cfg  Config
-}
-
-// New builds a grouper. dict may not be nil; rb may be nil when rule-based
-// grouping is disabled or no rules were learned.
-func New(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config) (*Grouper, error) {
-	if dict == nil {
-		return nil, fmt.Errorf("grouping: nil dictionary")
-	}
-	if rb == nil {
-		rb = rules.NewRuleBase()
-	}
-	if _, err := temporal.NewGrouper(cfg.Temporal); err != nil {
-		return nil, err
-	}
-	return &Grouper{dict: dict, rb: rb, cfg: cfg.normalize()}, nil
-}
-
-// Group partitions a batch of messages into events. Messages must carry
+// Group is the batch reference: it partitions a batch of messages into
+// events with the three passes over one union-find. Messages must carry
 // dense Seq values 0..len-1 (any order in the slice).
-func (g *Grouper) Group(msgs []Message) (*Result, error) {
+func (s *Shardable) Group(msgs []Message) (*Result, error) {
 	n := len(msgs)
 	for i := range msgs {
 		if msgs[i].Seq < 0 || msgs[i].Seq >= n {
@@ -148,17 +158,17 @@ func (g *Grouper) Group(msgs []Message) (*Result, error) {
 		return byTime[i].Seq < byTime[j].Seq
 	})
 
-	if err := g.temporalPass(byTime, uf, &res.TemporalMerges); err != nil {
+	if err := s.temporalPass(byTime, uf, &res.TemporalMerges); err != nil {
 		return nil, err
 	}
-	if g.cfg.useRules() {
-		g.rulePass(byTime, uf, res.ActiveRules, &res.RuleMerges)
+	if s.cfg.useRules() {
+		s.rulePass(byTime, uf, res.ActiveRules, &res.RuleMerges)
 	}
-	if g.cfg.useCross() {
-		g.crossPass(byTime, uf, &res.CrossMerges)
+	if s.cfg.useCross() {
+		s.crossPass(byTime, uf, &res.CrossMerges)
 	}
 
-	g.finalize(msgs, uf, res)
+	finalize(msgs, uf, res)
 	return res, nil
 }
 
@@ -166,7 +176,7 @@ func (g *Grouper) Group(msgs []Message) (*Result, error) {
 // stream, merging consecutive same-group messages. Streams are visited in
 // first-appearance order; each has its own EWMA state and its merges only
 // ever join messages of that stream.
-func (g *Grouper) temporalPass(byTime []*Message, uf *unionFind, merges *int) error {
+func (s *Shardable) temporalPass(byTime []*Message, uf *unionFind, merges *int) error {
 	type streamKey struct {
 		template int
 		loc      string
@@ -181,7 +191,7 @@ func (g *Grouper) temporalPass(byTime []*Message, uf *unionFind, merges *int) er
 		streams[key] = append(streams[key], m)
 	}
 	for _, key := range keys {
-		tg, err := temporal.NewGrouper(g.cfg.Temporal)
+		tg, err := temporal.NewGrouper(s.cfg.Temporal)
 		if err != nil {
 			return err
 		}
@@ -202,7 +212,7 @@ func (g *Grouper) temporalPass(byTime []*Message, uf *unionFind, merges *int) er
 // iterate in sorted order — map order would make the ActiveRules tallies
 // depend on the run (per-router merge sets are disjoint at this stage, but
 // the iteration order of a map is still nondeterministic state to build on).
-func (g *Grouper) rulePass(byTime []*Message, uf *unionFind, active map[rules.PairKey]int, merges *int) {
+func (s *Shardable) rulePass(byTime []*Message, uf *unionFind, active map[rules.PairKey]int, merges *int) {
 	byRouter := make(map[string][]*Message)
 	routers := make([]string, 0, 16)
 	for _, m := range byTime {
@@ -215,15 +225,15 @@ func (g *Grouper) rulePass(byTime []*Message, uf *unionFind, active map[rules.Pa
 	for _, r := range routers {
 		stream := byRouter[r]
 		for i, mi := range stream {
-			deadline := mi.Time.Add(g.cfg.RuleWindow)
+			deadline := mi.Time.Add(s.cfg.RuleWindow)
 			scanned := 0
-			for j := i + 1; j < len(stream) && scanned < g.cfg.MaxScan; j++ {
+			for j := i + 1; j < len(stream) && scanned < s.cfg.MaxScan; j++ {
 				mj := stream[j]
 				if mj.Time.After(deadline) {
 					break
 				}
 				scanned++
-				if !g.ruleMatch(mi, mj) {
+				if !s.ruleMatch(mi, mj) {
 					continue
 				}
 				if uf.union(mi.Seq, mj.Seq) {
@@ -237,23 +247,23 @@ func (g *Grouper) rulePass(byTime []*Message, uf *unionFind, active map[rules.Pa
 
 // crossPass merges same-template messages on connected locations of
 // different routers within the near-simultaneity window.
-func (g *Grouper) crossPass(byTime []*Message, uf *unionFind, merges *int) {
+func (s *Shardable) crossPass(byTime []*Message, uf *unionFind, merges *int) {
 	for i, mi := range byTime {
-		deadline := mi.Time.Add(g.cfg.CrossWindow)
+		deadline := mi.Time.Add(s.cfg.CrossWindow)
 		scanned := 0
-		for j := i + 1; j < len(byTime) && scanned < g.cfg.MaxScan; j++ {
+		for j := i + 1; j < len(byTime) && scanned < s.cfg.MaxScan; j++ {
 			mj := byTime[j]
 			if mj.Time.After(deadline) {
 				break
 			}
 			scanned++
-			if !g.crossPair(mi, mj) {
+			if !crossPair(mi, mj) {
 				continue
 			}
 			if uf.same(mi.Seq, mj.Seq) {
 				continue
 			}
-			if g.crossLinked(mi, mj) {
+			if s.crossLinked(mi, mj) {
 				if uf.union(mi.Seq, mj.Seq) {
 					*merges++
 				}
@@ -266,14 +276,14 @@ func (g *Grouper) crossPass(byTime []*Message, uf *unionFind, merges *int) {
 // templates connected by a mined association rule on spatially matching
 // locations. The window and scan bounds are the caller's job — both the
 // batch pass and the incremental engine share this exact pair test.
-func (g *Grouper) ruleMatch(mi, mj *Message) bool {
+func (s *Shardable) ruleMatch(mi, mj *Message) bool {
 	if mi.Template == mj.Template {
 		return false // same-template grouping is pass 1's job
 	}
-	if !g.rb.HasPair(mi.Template, mj.Template) {
+	if !s.rb.HasPair(mi.Template, mj.Template) {
 		return false
 	}
-	return g.dict.SpatialMatch(mi.Loc, mj.Loc)
+	return s.dict.SpatialMatch(mi.Loc, mj.Loc)
 }
 
 // rulePair canonicalizes a template pair for the ActiveRules tally.
@@ -286,20 +296,20 @@ func rulePair(x, y int) rules.PairKey {
 
 // crossPair is the cheap structural half of the cross-router predicate
 // (§4.2.3): same template, different routers.
-func (g *Grouper) crossPair(mi, mj *Message) bool {
+func crossPair(mi, mj *Message) bool {
 	return mi.Template == mj.Template && mi.Router != mj.Router
 }
 
 // crossLinked is the topological half: the two locations are connected in
 // the dictionary, or either message names the other's router as a peer.
-func (g *Grouper) crossLinked(mi, mj *Message) bool {
-	return g.dict.Connected(mi.Loc, mj.Loc) || g.peerHinted(mi, mj) || g.peerHinted(mj, mi)
+func (s *Shardable) crossLinked(mi, mj *Message) bool {
+	return s.dict.Connected(mi.Loc, mj.Loc) || peerHinted(mi, mj) || peerHinted(mj, mi)
 }
 
 // peerHinted reports whether message a explicitly references b's router as
 // a peer (e.g. via a BGP neighbor address) — direct evidence of the
 // cross-router relation even when locations are router-level.
-func (g *Grouper) peerHinted(a, b *Message) bool {
+func peerHinted(a, b *Message) bool {
 	for _, p := range a.Peers {
 		if p == b.Router {
 			return true
@@ -309,7 +319,7 @@ func (g *Grouper) peerHinted(a, b *Message) bool {
 }
 
 // finalize converts the union-find into dense, deterministic group ids.
-func (g *Grouper) finalize(msgs []Message, uf *unionFind, res *Result) {
+func finalize(msgs []Message, uf *unionFind, res *Result) {
 	n := len(msgs)
 	res.GroupOf = make([]int, n)
 	rootToID := make(map[int]int)

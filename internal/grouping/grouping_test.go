@@ -81,16 +81,18 @@ func table2Messages(t *testing.T) []Message {
 	}
 }
 
-func newGrouper(t *testing.T, dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config) *Grouper {
+// newGrouper builds the Shardable whose Group is the three-pass batch
+// reference.
+func newGrouper(t *testing.T, dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config) *Shardable {
 	t.Helper()
 	if cfg.Temporal == (temporal.Params{}) {
 		cfg.Temporal = temporal.DefaultParams()
 	}
-	g, err := New(dict, rb, cfg)
+	s, err := NewShardable(dict, rb, IncrementalConfig{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g
+	return s
 }
 
 // TestTable2ToyBecomesOneEvent is the paper's §3 running example: 16 raw
@@ -127,8 +129,8 @@ func TestStagedCompression(t *testing.T) {
 		}
 		return len(res.Groups)
 	}
-	tOnly := count(Config{OnlyTemporal: true})
-	tr := count(Config{TemporalAndRules: true})
+	tOnly := count(Config{Stage: StageTemporal})
+	tr := count(Config{Stage: StageTemporalRules})
 	trc := count(Config{})
 	if !(tOnly > tr && tr > trc) {
 		t.Fatalf("staged groups T=%d T+R=%d T+R+C=%d, want strictly decreasing", tOnly, tr, trc)
@@ -151,7 +153,7 @@ func TestTemporalPassOnly(t *testing.T) {
 	}
 	// A different location on the same router stays separate.
 	msgs = append(msgs, Message{Seq: 6, Time: t0, Router: "r1", Template: tLinkDown, Loc: locdict.RouterLoc("r1")})
-	g := newGrouper(t, dict, nil, Config{OnlyTemporal: true})
+	g := newGrouper(t, dict, nil, Config{Stage: StageTemporal})
 	res, err := g.Group(msgs)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +174,7 @@ func TestRulePassRequiresSpatialMatch(t *testing.T) {
 		{Seq: 0, Time: t0, Router: "r1", Template: tLinkDown, Loc: l1},
 		{Seq: 1, Time: t0.Add(time.Second), Router: "r1", Template: tProtoDown, Loc: other},
 	}
-	g := newGrouper(t, dict, rb, Config{TemporalAndRules: true})
+	g := newGrouper(t, dict, rb, Config{Stage: StageTemporalRules})
 	res, err := g.Group(msgs)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +201,7 @@ func TestRulePassRespectsWindow(t *testing.T) {
 		{Seq: 0, Time: t0, Router: "r1", Template: tLinkDown, Loc: l1},
 		{Seq: 1, Time: t0.Add(10 * time.Minute), Router: "r1", Template: tProtoDown, Loc: l1},
 	}
-	g := newGrouper(t, dict, rb, Config{TemporalAndRules: true, RuleWindow: 2 * time.Minute})
+	g := newGrouper(t, dict, rb, Config{Stage: StageTemporalRules, RuleWindow: 2 * time.Minute})
 	res, err := g.Group(msgs)
 	if err != nil {
 		t.Fatal(err)
@@ -296,11 +298,30 @@ func TestGroupSliceOrderInvariance(t *testing.T) {
 
 func TestGroupErrors(t *testing.T) {
 	dict := toyDict(t)
-	if _, err := New(nil, nil, Config{Temporal: temporal.DefaultParams()}); err == nil {
+	if _, err := NewShardable(nil, nil, IncrementalConfig{Config: Config{Temporal: temporal.DefaultParams()}}); err == nil {
 		t.Fatal("nil dictionary accepted")
 	}
-	if _, err := New(dict, nil, Config{Temporal: temporal.Params{Alpha: -1}}); err == nil {
-		t.Fatal("bad temporal params accepted")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"bad temporal params", Config{Temporal: temporal.Params{Alpha: -1}}},
+		{"negative max scan", Config{MaxScan: -1000}},
+		{"max scan above the cap", Config{MaxScan: maxScanLimit + 1}},
+		{"unknown stage", Config{Stage: StageTemporalRules + 1}},
+		{"negative stage", Config{Stage: -1}},
+		{"negative rule window", Config{RuleWindow: -time.Second}},
+		{"negative cross window", Config{CrossWindow: -time.Second}},
+	} {
+		if tc.cfg.Temporal == (temporal.Params{}) {
+			tc.cfg.Temporal = temporal.DefaultParams()
+		}
+		if _, err := NewShardable(dict, nil, IncrementalConfig{Config: tc.cfg}); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+	if _, err := NewShardable(dict, nil, IncrementalConfig{Config: Config{Temporal: temporal.DefaultParams(), MaxScan: maxScanLimit}}); err != nil {
+		t.Errorf("max scan at the cap refused: %v", err)
 	}
 	g := newGrouper(t, dict, nil, Config{})
 	if _, err := g.Group([]Message{{Seq: 5}}); err == nil {
@@ -364,20 +385,20 @@ func TestUnionFind(t *testing.T) {
 // TestPerPassMergeCounts checks the merge accounting invariant: every merge
 // removes exactly one group, so the per-pass counts must sum to
 // n - len(Groups), and each ablation stage must zero out the passes it
-// disables (Table 7's T / R / C axes).
+// disables (Table 7's T / R / C axes). One row per Stage.
 func TestPerPassMergeCounts(t *testing.T) {
 	msgs := table2Messages(t)
 	for _, tc := range []struct {
 		name    string
-		cfg     Config
+		stage   Stage
 		noRule  bool
 		noCross bool
 	}{
-		{name: "T", cfg: Config{OnlyTemporal: true}, noRule: true, noCross: true},
-		{name: "T+R", cfg: Config{TemporalAndRules: true}, noCross: true},
-		{name: "T+R+C", cfg: Config{}},
+		{name: "T", stage: StageTemporal, noRule: true, noCross: true},
+		{name: "T+R", stage: StageTemporalRules, noCross: true},
+		{name: "T+R+C", stage: StageFull},
 	} {
-		g := newGrouper(t, toyDict(t), flapRuleBase(), tc.cfg)
+		g := newGrouper(t, toyDict(t), flapRuleBase(), Config{Stage: tc.stage})
 		res, err := g.Group(msgs)
 		if err != nil {
 			t.Fatal(err)
@@ -394,8 +415,9 @@ func TestPerPassMergeCounts(t *testing.T) {
 			t.Errorf("%s: cross merges %d on disabled pass", tc.name, res.CrossMerges)
 		}
 	}
-	// The full toy run must use the rule and cross passes (the toy's 20s
-	// same-template spacing is beyond Smin, so temporal contributes 0).
+	// The zero Config runs all three passes: the full toy run must use the
+	// rule and cross passes (the toy's 20s same-template spacing is beyond
+	// Smin, so temporal contributes 0).
 	g := newGrouper(t, toyDict(t), flapRuleBase(), Config{})
 	res, err := g.Group(msgs)
 	if err != nil {
@@ -426,7 +448,7 @@ func TestTemporalMergeCount(t *testing.T) {
 			Router: "r1", Template: tLinkDown, Loc: l1,
 		})
 	}
-	g := newGrouper(t, toyDict(t), nil, Config{OnlyTemporal: true})
+	g := newGrouper(t, toyDict(t), nil, Config{Stage: StageTemporal})
 	res, err := g.Group(msgs)
 	if err != nil {
 		t.Fatal(err)

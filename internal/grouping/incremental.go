@@ -1,7 +1,7 @@
-// Incremental grouping: the same three passes as Grouper.Group, run one
+// Incremental grouping: the same three passes as Shardable.Group, run one
 // message at a time over bounded state, with watermark-driven group closure.
 //
-// The batch grouper sorts a whole batch and scans it with a union-find; this
+// The batch reference sorts a whole batch and scans it with a union-find; this
 // file maintains the equivalent partition online. Each arriving message
 // starts as a singleton group, then up to three join steps run against
 // bounded windows of recent messages:

@@ -18,7 +18,7 @@ import (
 // Differential tests for the template-indexed rule and cross windows: with
 // Config.linearScan toggled, the incremental grouper must make byte-identical
 // join decisions, merge tallies, and pair counts — only the
-// candidates-scanned counters may (and should) shrink. (The batch Grouper is
+// candidates-scanned counters may (and should) shrink. (The batch reference is
 // the plain linear oracle; TestMixedCorpusMatchesBatch ties the two.)
 
 // stormBatch concentrates n messages on few templates in a tight time
@@ -408,7 +408,7 @@ func BenchmarkRuleStepIndexed(b *testing.B) { benchRuleStorm(b, Config{}) }
 func BenchmarkRuleStepLinear(b *testing.B)  { benchRuleStorm(b, Config{linearScan: true}) }
 
 // benchCross drives only the cross pass (temporal and rule disabled via a
-// degenerate rule base and OnlyTemporal off): every message lands in the
+// degenerate rule base and the full stage): every message lands in the
 // global cross ring.
 func benchCross(b *testing.B, cfg Config) {
 	batch := sortBatch(stormBatch(rand.New(rand.NewSource(13)), 2000))

@@ -291,11 +291,14 @@ func (r *memberRing) popAll() {
 }
 
 // Shardable is the validated, immutable knowledge shared by every half of
-// a (possibly sharded) incremental grouper: the batch Grouper (predicates
-// and windows), the closure horizon, and the state bound. Build the halves
-// from one Shardable so they agree on configuration.
+// a (possibly sharded) incremental grouper and by the batch reference
+// (Group): the normalized configuration, the dictionary and rule base the
+// predicates read, the closure horizon, and the state bound. Build the
+// halves from one Shardable so they agree on configuration.
 type Shardable struct {
-	g           *Grouper
+	cfg         Config
+	dict        *locdict.Dictionary
+	rb          *rules.RuleBase
 	maxStreams  int
 	horizon     time.Duration
 	provHorizon time.Duration
@@ -303,9 +306,16 @@ type Shardable struct {
 }
 
 // NewShardable validates the grouping knowledge and configuration. dict
-// may not be nil; rb may be nil.
+// may not be nil; rb may be nil when rule-based grouping is disabled or no
+// rules were learned.
 func NewShardable(dict *locdict.Dictionary, rb *rules.RuleBase, cfg IncrementalConfig) (*Shardable, error) {
-	g, err := New(dict, rb, cfg.Config)
+	if dict == nil {
+		return nil, fmt.Errorf("grouping: nil dictionary")
+	}
+	if rb == nil {
+		rb = rules.NewRuleBase()
+	}
+	c, err := cfg.Config.normalize()
 	if err != nil {
 		return nil, err
 	}
@@ -313,18 +323,18 @@ func NewShardable(dict *locdict.Dictionary, rb *rules.RuleBase, cfg IncrementalC
 	if maxStreams <= 0 {
 		maxStreams = DefaultMaxStreams
 	}
-	horizon := g.cfg.Temporal.Smax
-	if g.cfg.useRules() && g.cfg.RuleWindow > horizon {
-		horizon = g.cfg.RuleWindow
+	horizon := c.Temporal.Smax
+	if c.useRules() && c.RuleWindow > horizon {
+		horizon = c.RuleWindow
 	}
-	if g.cfg.useCross() && g.cfg.CrossWindow > horizon {
-		horizon = g.cfg.CrossWindow
+	if c.useCross() && c.CrossWindow > horizon {
+		horizon = c.CrossWindow
 	}
 	provHorizon := cfg.ProvisionalHorizon
 	if provHorizon < 0 {
 		provHorizon = 0
 	}
-	return &Shardable{g: g, maxStreams: maxStreams, horizon: horizon, provHorizon: provHorizon, pool: newPendingPool()}, nil
+	return &Shardable{cfg: c, dict: dict, rb: rb, maxStreams: maxStreams, horizon: horizon, provHorizon: provHorizon, pool: newPendingPool()}, nil
 }
 
 // Pool is the engine-scoped Pending pool shared by every half built from
@@ -344,19 +354,19 @@ func (s *Shardable) NewLocal(maxStreams int) *RouterLocal {
 		maxStreams = s.maxStreams
 	}
 	return &RouterLocal{
-		g:          s.g,
+		s:          s,
 		maxStreams: maxStreams,
 		locs:       make(map[locdict.Location]locEntry),
 		models:     make(map[modelKey]*model),
 		routerWin:  make(map[string]*memberRing),
-		matched:    make([]uint64, (s.g.cfg.MaxScan+63)/64),
+		matched:    make([]uint64, (s.cfg.MaxScan+63)/64),
 	}
 }
 
 // NewMerger builds the global half.
 func (s *Shardable) NewMerger() *Merger {
 	return &Merger{
-		g:           s.g,
+		s:           s,
 		horizon:     s.horizon,
 		provHorizon: s.provHorizon,
 		nextGroupID: 1, // 0 means "unassigned" in snapshots
@@ -401,7 +411,7 @@ type locEntry struct {
 // order; it emits join decisions and keeps no group state. Not safe for
 // concurrent use (one RouterLocal per shard goroutine).
 type RouterLocal struct {
-	g          *Grouper
+	s          *Shardable
 	maxStreams int
 
 	// locs is the one string-hashing lookup a message pays: everything
@@ -438,7 +448,7 @@ func (rl *RouterLocal) resolve(loc locdict.Location) locEntry {
 	if e, ok := rl.locs[loc]; ok {
 		return e
 	}
-	id, ok := rl.g.dict.LocID(loc)
+	id, ok := rl.s.dict.LocID(loc)
 	if !ok {
 		rl.overflows++
 		id = -rl.overflows
@@ -475,7 +485,7 @@ func (rl *RouterLocal) Step(p *Pending, js *Joins) error {
 	if err := rl.temporalStep(p, e.id, js); err != nil {
 		return err
 	}
-	if rl.g.cfg.useRules() {
+	if rl.s.cfg.useRules() {
 		rl.ruleStep(p, e, js)
 	}
 	return nil
@@ -505,7 +515,7 @@ func (rl *RouterLocal) temporalStep(p *Pending, loc int32, js *Joins) error {
 	key := packModelKey(p.msg.Template, loc)
 	md := rl.models[key]
 	if md == nil {
-		tg, err := temporal.NewGrouper(rl.g.cfg.Temporal)
+		tg, err := temporal.NewGrouper(rl.s.cfg.Temporal)
 		if err != nil {
 			return err
 		}
@@ -552,15 +562,15 @@ func (rl *RouterLocal) ruleStep(p *Pending, e locEntry, js *Joins) {
 	}
 	// Time is nondecreasing, so a front entry out of window for this
 	// message is out of window for every later one: expire before scanning.
-	for rw.n > 0 && p.msg.Time.After(rw.front().msg.Time.Add(rl.g.cfg.RuleWindow)) {
+	for rw.n > 0 && p.msg.Time.After(rw.front().msg.Time.Add(rl.s.cfg.RuleWindow)) {
 		rw.popFront()
 	}
 	var cand, matched uint64
-	if rl.g.cfg.linearScan {
+	if rl.s.cfg.linearScan {
 		for i := 0; i < rw.n; i++ {
 			mi := rw.at(i)
 			cand++
-			if rl.g.ruleMatch(&mi.msg, &p.msg) {
+			if rl.s.ruleMatch(&mi.msg, &p.msg) {
 				js.Rules = append(js.Rules, mi)
 				matched++
 			}
@@ -573,7 +583,7 @@ func (rl *RouterLocal) ruleStep(p *Pending, e locEntry, js *Joins) {
 			rl.matched = make([]uint64, words)
 		}
 		bm := rl.matched[:words]
-		for _, q := range rl.g.rb.Partners(p.msg.Template) {
+		for _, q := range rl.s.rb.Partners(p.msg.Template) {
 			if q == p.msg.Template {
 				continue // same-template grouping is the temporal pass's job
 			}
@@ -596,7 +606,7 @@ func (rl *RouterLocal) ruleStep(p *Pending, e locEntry, js *Joins) {
 	rl.tally.RuleCandidates += cand
 	rl.tally.RulePairs += matched
 	rw.push(p, e.id)
-	if rw.n > rl.g.cfg.MaxScan {
+	if rw.n > rl.s.cfg.MaxScan {
 		rw.popFront()
 	}
 }
@@ -610,9 +620,9 @@ func (rl *RouterLocal) spatialMatch(rw *memberRing, c bucketEnt, p *Pending, id 
 	case c.loc == id:
 		return true
 	case c.loc < 0 || id < 0:
-		return rl.g.dict.SpatialMatchLinear(rw.atAbs(c.abs).msg.Loc, p.msg.Loc)
+		return rl.s.dict.SpatialMatchLinear(rw.atAbs(c.abs).msg.Loc, p.msg.Loc)
 	default:
-		return rl.g.dict.SpatialMatchID(c.loc, id)
+		return rl.s.dict.SpatialMatchID(c.loc, id)
 	}
 }
 
@@ -684,7 +694,7 @@ type MergeStats struct {
 // serial grouper's partition, closure order, and tallies exactly. Not safe
 // for concurrent use (one Merger per merge goroutine).
 type Merger struct {
-	g       *Grouper
+	s       *Shardable
 	horizon time.Duration
 
 	progress Progress // the engine's watermark
@@ -890,7 +900,7 @@ func (mg *Merger) Apply(p *Pending, js *Joins) ([]ClosedGroup, error) {
 			mg.active[rulePair(mi.msg.Template, p.msg.Template)]++
 		}
 	}
-	if mg.g.cfg.useCross() {
+	if mg.s.cfg.useCross() {
 		if err := mg.crossStep(p); err != nil {
 			return nil, err
 		}
@@ -940,11 +950,11 @@ func (mg *Merger) Drain() []ClosedGroup {
 // scan.
 func (mg *Merger) crossStep(p *Pending) error {
 	cw := &mg.crossWin
-	for cw.n > 0 && p.msg.Time.After(cw.front().msg.Time.Add(mg.g.cfg.CrossWindow)) {
+	for cw.n > 0 && p.msg.Time.After(cw.front().msg.Time.Add(mg.s.cfg.CrossWindow)) {
 		cw.popFront()
 	}
 	var cand uint64
-	if mg.g.cfg.linearScan {
+	if mg.s.cfg.linearScan {
 		for i := 0; i < cw.n; i++ {
 			mi := cw.at(i)
 			cand++
@@ -962,7 +972,7 @@ func (mg *Merger) crossStep(p *Pending) error {
 	}
 	mg.st.CrossCandidates += cand
 	cw.push(p, 0)
-	if cw.n > mg.g.cfg.MaxScan {
+	if cw.n > mg.s.cfg.MaxScan {
 		cw.popFront()
 	}
 	return nil
@@ -971,13 +981,13 @@ func (mg *Merger) crossStep(p *Pending) error {
 // crossExamine applies the full cross-router predicate to one candidate and
 // merges on success — the shared body of both scan modes.
 func (mg *Merger) crossExamine(mi, p *Pending) error {
-	if !mg.g.crossPair(&mi.msg, &p.msg) {
+	if !crossPair(&mi.msg, &p.msg) {
 		return nil
 	}
 	if mi.g == p.g {
 		return nil
 	}
-	if mg.g.crossLinked(&mi.msg, &p.msg) {
+	if mg.s.crossLinked(&mi.msg, &p.msg) {
 		if _, err := mg.merge(mi, p, &mg.st.CrossMerges); err != nil {
 			return err
 		}

@@ -12,7 +12,7 @@
 //   - IP addresses owned by *another* router (link far ends, BGP neighbor
 //     loopbacks) become peer-router hints used by cross-router grouping;
 //   - everything else (scanner addresses, counters that look like paths)
-//     is reported as unresolved and ignored by grouping.
+//     grounds to nothing and is dropped.
 package locparse
 
 import (
@@ -35,17 +35,11 @@ type Info struct {
 	// PeerRouters are other routers referenced by the message (via IPs
 	// they own), deduplicated in order of appearance.
 	PeerRouters []string
-	// Unresolved are location-shaped tokens that ground to nothing.
-	Unresolved []string
 }
 
 // Parser resolves message locations against a dictionary.
 type Parser struct {
 	dict *locdict.Dictionary
-
-	// skipUnresolved drops Info.Unresolved accumulation (see
-	// DropUnresolved).
-	skipUnresolved bool
 
 	// routerOnly caches, per router, the shared one-element slice returned
 	// as Info.All when a message grounds no finer location — the dominant
@@ -59,12 +53,6 @@ type Parser struct {
 func New(dict *locdict.Dictionary) *Parser {
 	return &Parser{dict: dict}
 }
-
-// DropUnresolved stops the parser from accumulating Info.Unresolved,
-// skipping that allocation on the augment hot path. Call before first use;
-// intended for pipelines that never read the field (nothing in the online
-// path does — it exists for diagnostics and tests).
-func (p *Parser) DropUnresolved() { p.skipUnresolved = true }
 
 // Parse extracts and grounds the locations of one message.
 func (p *Parser) Parse(m *syslogmsg.Message) Info {
@@ -134,8 +122,8 @@ func (p *Parser) routerOnlyAll(router string) []locdict.Location {
 	return v.([]locdict.Location)
 }
 
-// ground resolves one candidate token, routing it into locations, peer
-// hints, or the unresolved list. Deduplication is a linear scan of the
+// ground resolves one candidate token, routing it into locations or peer
+// hints; a token that grounds to neither is dropped. Deduplication is a linear scan of the
 // accumulated slices — messages carry a handful of candidates, and the scan
 // replaces two map allocations on the augment hot path.
 func (p *Parser) ground(router, token string, info *Info) {
@@ -165,10 +153,6 @@ func (p *Parser) ground(router, token string, info *Info) {
 		if !containsStr(info.PeerRouters, peer) {
 			info.PeerRouters = append(info.PeerRouters, peer)
 		}
-		return
-	}
-	if !p.skipUnresolved {
-		info.Unresolved = append(info.Unresolved, token)
 	}
 }
 

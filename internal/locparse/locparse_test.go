@@ -1,6 +1,8 @@
 package locparse
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -44,6 +46,18 @@ func msg(router, code, detail string) *syslogmsg.Message {
 	}
 }
 
+// groundsNothing asserts that token contributes nothing to the parse of
+// detail: it resolves to no Primary, no All entry and no peer hint that the
+// same message without the token lacks.
+func groundsNothing(t *testing.T, p *Parser, router, code, detail, token string) {
+	t.Helper()
+	with := p.Parse(msg(router, code, detail))
+	without := p.Parse(msg(router, code, strings.Replace(detail, token, "", 1)))
+	if !reflect.DeepEqual(with, without) {
+		t.Fatalf("%q grounded: parse %+v, without it %+v", token, with, without)
+	}
+}
+
 func TestParseInterfaceMessage(t *testing.T) {
 	p := New(testDict(t))
 	info := p.Parse(msg("r1", "LINK-3-UPDOWN", "Interface Serial1/0/1:0, changed state to down"))
@@ -51,11 +65,9 @@ func TestParseInterfaceMessage(t *testing.T) {
 	if info.Primary != want {
 		t.Fatalf("Primary = %v, want %v", info.Primary, want)
 	}
-	if len(info.Unresolved) != 0 {
-		t.Fatalf("Unresolved = %v", info.Unresolved)
-	}
-	// All includes the interface and the router fallback, finest first.
-	if len(info.All) < 2 || info.All[0] != want || info.All[len(info.All)-1] != locdict.RouterLoc("r1") {
+	// Every location token grounds: All is exactly the interface and the
+	// router fallback, finest first.
+	if !reflect.DeepEqual(info.All, []locdict.Location{want, locdict.RouterLoc("r1")}) {
 		t.Fatalf("All = %v", info.All)
 	}
 }
@@ -112,9 +124,7 @@ func TestParseScannerIPUnresolved(t *testing.T) {
 	if info.Primary != locdict.IntfLoc("r1", "Loopback0") {
 		t.Fatalf("Primary = %v", info.Primary)
 	}
-	if len(info.Unresolved) != 1 || info.Unresolved[0] != "203.0.113.99" {
-		t.Fatalf("Unresolved = %v", info.Unresolved)
-	}
+	groundsNothing(t, p, "r1", "TCP-6-BADAUTH", "Invalid MD5 digest from 203.0.113.99:4444 to 192.168.0.1:179", "203.0.113.99")
 }
 
 func TestParseControllerPort(t *testing.T) {
@@ -147,9 +157,7 @@ func TestParseRatioDoesNotResolveAsPort(t *testing.T) {
 	if info.Primary != locdict.RouterLoc("r1") {
 		t.Fatalf("Primary = %v", info.Primary)
 	}
-	if len(info.Unresolved) != 1 {
-		t.Fatalf("Unresolved = %v", info.Unresolved)
-	}
+	groundsNothing(t, p, "r1", "SYS-2-MALLOCFAIL", "Pool 9/9 exhausted", "9/9")
 }
 
 func TestParseDeduplicatesLocations(t *testing.T) {
@@ -172,9 +180,9 @@ func TestParseUnknownRouter(t *testing.T) {
 	if info.Primary != locdict.RouterLoc("r99") {
 		t.Fatalf("Primary = %v", info.Primary)
 	}
-	if len(info.Unresolved) == 0 {
-		t.Fatal("interface on unknown router should be unresolved")
-	}
+	// The interface exists only on r1: on an unknown router it grounds to
+	// nothing.
+	groundsNothing(t, p, "r99", "LINK-3-UPDOWN", "Interface Serial1/0/1:0, changed state to down", "Serial1/0/1:0")
 }
 
 func TestParseAllSortedFinestFirst(t *testing.T) {

@@ -70,7 +70,6 @@ func NewCluster(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config, addrs 
 		return nil, fmt.Errorf("stream: shard address count %d out of range [1, %d]", len(addrs), MaxShardWorkers)
 	}
 	addrs = append([]string(nil), addrs...)
-	ccfg := cluster.ConfigFrom(cfg.Grouping.Config)
 	kbSig := cluster.Fingerprint(dict, rb)
 	return newSharded(dict, rb, cfg, len(addrs), func(e *ShardedEngine, k int, local *grouping.RouterLocal) shardLink {
 		// A restored shard's state ships in the session handshake on first
@@ -90,7 +89,7 @@ func NewCluster(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config, addrs 
 				Workers:    e.workers,
 				MaxStreams: e.perShard,
 				KBSig:      kbSig,
-				Config:     ccfg,
+				Config:     cfg.Grouping.Config,
 				Metrics:    e.met.Client,
 				Logf:       log.Printf,
 			}, seed),

@@ -76,8 +76,8 @@ func TestShardedLinkFaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := Config{Grouping: grouping.IncrementalConfig{Config: grouping.Config{
-				Temporal:     temporal.Params{Alpha: 0.05, Beta: 5, Smin: time.Second, Smax: 30 * time.Second},
-				OnlyTemporal: true,
+				Temporal: temporal.Params{Alpha: 0.05, Beta: 5, Smin: time.Second, Smax: 30 * time.Second},
+				Stage:    grouping.StageTemporal,
 			}}}
 			gate := make(chan struct{})
 			links := []*faultLink{

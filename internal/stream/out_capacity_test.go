@@ -22,8 +22,8 @@ func TestShardedOutCapacityStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Grouping: grouping.IncrementalConfig{Config: grouping.Config{
-		Temporal:     temporal.Params{Alpha: 0.05, Beta: 5, Smin: time.Second, Smax: 30 * time.Second},
-		OnlyTemporal: true,
+		Temporal: temporal.Params{Alpha: 0.05, Beta: 5, Smin: time.Second, Smax: 30 * time.Second},
+		Stage:    grouping.StageTemporal,
 	}}}
 	e, err := NewSharded(dict, nil, cfg, 4)
 	if err != nil {
