@@ -78,9 +78,11 @@ profile-stream:
 # (TestExtendMatchesFullBuild). A version-1 checkpoint, which also kept
 # copies of the engine's progress, must restore into the streamer today's
 # snapshot of the same state does, serial and sharded
-# (TestRestoreVersion1Snapshot).
+# (TestRestoreVersion1Snapshot), and a version-2 checkpoint an earlier build
+# wrote must restore and snapshot again byte for byte
+# (TestRestoreCommittedSnapshot).
 equiv:
-	$(GO) test -run 'TestDifferential|TestPublishedRecordsMatchFreshBuilds|TestRestoreVersion1Snapshot' -count=1 ./internal/core
+	$(GO) test -run 'TestDifferential|TestPublishedRecordsMatchFreshBuilds|TestRestoreVersion1Snapshot|TestRestoreCommittedSnapshot' -count=1 ./internal/core
 	$(GO) test -run TestExtendMatchesFullBuild -count=1 ./internal/event
 
 # The steady-state allocation gate: testing.AllocsPerRun over the vendor
@@ -110,11 +112,15 @@ cli-smoke:
 # cluster wire (FuzzDecodeState), Restore frame bytes taken down the
 # shard's whole restore path — decode, RestoreLocal, a probe Step
 # (FuzzRestoreFrame), and Hello bytes taken down the shard's handshake —
-# decode, NewShardable, NewLocal, a probe Step (FuzzHello); and for the streamer's reorder front end under
+# decode, NewShardable, NewLocal, a probe Step (FuzzHello), and Decisions
+# frames, every field required, which must re-encode to what they decoded
+# to (FuzzDecodeDecisions); and for the streamer's reorder front end under
 # arbitrary arrival times, tolerance and cap, whose books must balance
-# after every call (FuzzStreamerFrontEnd); and for token classification,
-# trimming and tokenizing, which must agree with their straightforward
-# references on any input (FuzzClassify). None may panic or fail; a
+# after every call (FuzzStreamerFrontEnd); for the collector's input, raw
+# syslog lines parsed from a string and from bytes, which must agree on any
+# line (FuzzParseWire); and for token classification, trimming and
+# tokenizing, which must agree with their straightforward references on any
+# input (FuzzClassify). None may panic or fail; a
 # crasher lands in the package's testdata/fuzz and fails plain `go test`
 # from then on. FuzzDecodeState is
 # seeded with a real part of several kilobytes, and minimizing each new
@@ -127,4 +133,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreFrame$$' -fuzztime=10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzHello$$' -fuzztime=10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDecisions$$' -fuzztime=10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzParseWire$$' -fuzztime=10s ./internal/syslogmsg
 	$(GO) test -run '^$$' -fuzz '^FuzzClassify$$' -fuzztime=10s ./internal/textutil

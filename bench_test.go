@@ -530,7 +530,7 @@ func BenchmarkMicroProvisionalRevision(b *testing.B) {
 						builder.Extend(acc, cg.Members)
 						delete(accs, cg.ID)
 					} else {
-						builder.BuildMessages(cg.Members)
+						builder.BuildGroup(cg.Members)
 					}
 				}
 				merger.Recycle(closed)

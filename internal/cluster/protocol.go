@@ -273,16 +273,33 @@ type DecisionBatch struct {
 	Err      error
 }
 
-// appendDecisions appends a Decisions frame payload. The unresolved-location
-// tally trails the items and is written only when non-zero: a decoder that
-// predates it stops after the items, and one that knows it reads what is
-// left, so the frame needs no version bump.
+// appendLocalStats appends a local's book, every field as a uvarint in
+// declaration order. The Decisions frame and the part body both carry it.
+func appendLocalStats(b []byte, ls *grouping.LocalStats) []byte {
+	b = binary.AppendUvarint(b, uint64(ls.Streams))
+	b = binary.AppendUvarint(b, uint64(ls.Evictions))
+	b = binary.AppendUvarint(b, ls.RuleCandidates)
+	b = binary.AppendUvarint(b, ls.RulePairs)
+	return binary.AppendUvarint(b, ls.UnresolvedLocs)
+}
+
+// readLocalStats decodes an appendLocalStats record into ls.
+func readLocalStats(r *wireReader, ls *grouping.LocalStats) error {
+	var streams, evictions uint64
+	for _, f := range [...]*uint64{&streams, &evictions, &ls.RuleCandidates, &ls.RulePairs, &ls.UnresolvedLocs} {
+		var err error
+		if *f, err = r.uvarint(); err != nil {
+			return err
+		}
+	}
+	ls.Streams, ls.Evictions = int(streams), int(evictions)
+	return nil
+}
+
+// appendDecisions appends a Decisions frame payload.
 func appendDecisions(b []byte, seq uint64, items []DecisionItem, ruleArena []uint64, stats grouping.LocalStats, shardErr string) []byte {
 	b = binary.AppendUvarint(b, seq)
-	b = binary.AppendUvarint(b, uint64(stats.Streams))
-	b = binary.AppendUvarint(b, uint64(stats.Evictions))
-	b = binary.AppendUvarint(b, stats.RuleCandidates)
-	b = binary.AppendUvarint(b, stats.RulePairs)
+	b = appendLocalStats(b, &stats)
 	b = binary.AppendUvarint(b, uint64(len(shardErr)))
 	b = append(b, shardErr...)
 	b = binary.AppendUvarint(b, uint64(len(items)))
@@ -292,9 +309,6 @@ func appendDecisions(b []byte, seq uint64, items []DecisionItem, ruleArena []uin
 		for _, d := range ruleArena[it.RS:it.RE] {
 			b = binary.AppendUvarint(b, d)
 		}
-	}
-	if stats.UnresolvedLocs > 0 {
-		b = binary.AppendUvarint(b, stats.UnresolvedLocs)
 	}
 	return b
 }
@@ -306,19 +320,7 @@ func decodeDecisions(payload []byte, db *DecisionBatch) error {
 	if db.Seq, err = r.uvarint(); err != nil {
 		return err
 	}
-	u, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	db.Stats.Streams = int(u)
-	if u, err = r.uvarint(); err != nil {
-		return err
-	}
-	db.Stats.Evictions = int(u)
-	if db.Stats.RuleCandidates, err = r.uvarint(); err != nil {
-		return err
-	}
-	if db.Stats.RulePairs, err = r.uvarint(); err != nil {
+	if err := readLocalStats(&r, &db.Stats); err != nil {
 		return err
 	}
 	en, err := r.uvarint()
@@ -363,13 +365,7 @@ func decodeDecisions(payload []byte, db *DecisionBatch) error {
 		it.RE = int32(len(db.Rules))
 		db.Items = append(db.Items, it)
 	}
-	db.Stats.UnresolvedLocs = 0
-	if len(r.rest()) > 0 {
-		if db.Stats.UnresolvedLocs, err = r.uvarint(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.done()
 }
 
 // appendStateReq / decodeStateReq carry just the request token.
@@ -448,7 +444,7 @@ func decodeRestore(payload []byte) (Restore, error) {
 }
 
 // appendPart appends a self-contained part body: the pendings as message
-// records, then the local — its tallies, models as template,
+// records, then the local — its book (appendLocalStats), models as template,
 // loc-key and router symbols, EWMA bits, flags, LastNs and Last, and
 // windows as router plus member indexes. The body carries its own symbol
 // table, so the same bytes mean the same part in any session.
@@ -465,10 +461,7 @@ func appendPart(b []byte, part *grouping.LocalPartState) []byte {
 		b = appendMsg(b, d, &cur, &m)
 	}
 	ls := &part.Local
-	b = binary.AppendVarint(b, int64(ls.Evictions))
-	b = binary.AppendUvarint(b, ls.RuleCandidates)
-	b = binary.AppendUvarint(b, ls.RulePairs)
-	b = binary.AppendUvarint(b, ls.UnresolvedLocs)
+	b = appendLocalStats(b, &ls.LocalStats)
 	b = appendCount(b, len(ls.Models), ls.Models == nil)
 	var lastNs int64
 	for i := range ls.Models {
@@ -532,18 +525,7 @@ func decodePart(body []byte) (grouping.LocalPartState, error) {
 		}
 	}
 	ls := &part.Local
-	ev, err := r.varint()
-	if err != nil {
-		return part, err
-	}
-	ls.Evictions = int(ev)
-	if ls.RuleCandidates, err = r.uvarint(); err != nil {
-		return part, err
-	}
-	if ls.RulePairs, err = r.uvarint(); err != nil {
-		return part, err
-	}
-	if ls.UnresolvedLocs, err = r.uvarint(); err != nil {
+	if err := readLocalStats(r, &ls.LocalStats); err != nil {
 		return part, err
 	}
 	if n, err = r.count(minModelBytes); err != nil {

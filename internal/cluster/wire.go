@@ -37,7 +37,7 @@ import (
 
 // Version is the protocol version. A frame with any other version is
 // rejected (ErrVersion): neither side speaks an older or a newer protocol.
-const Version = 4
+const Version = 5
 
 const (
 	frameMagic = 0x53445731 // "SDW1"

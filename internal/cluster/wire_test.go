@@ -52,6 +52,7 @@ func TestFrameCorruption(t *testing.T) {
 		{"version 1", func(b []byte) []byte { b[4] = 1; return b }, ErrVersion},
 		{"version 2", func(b []byte) []byte { b[4] = 2; return b }, ErrVersion},
 		{"version 3", func(b []byte) []byte { b[4] = 3; return b }, ErrVersion},
+		{"version 4", func(b []byte) []byte { b[4] = 4; return b }, ErrVersion},
 		{"oversize length", func(b []byte) []byte {
 			binary.BigEndian.PutUint32(b[6:10], MaxFrameBytes+1)
 			return b
@@ -223,11 +224,8 @@ func TestDecisionsRoundTrip(t *testing.T) {
 		{Temporal: 1, RS: 2, RE: 3},
 	}
 	arena := []uint64{4, 9, 1}
-	old := grouping.LocalStats{Streams: 12, Evictions: 3, RuleCandidates: 44, RulePairs: 7}
-	withTail := old
-	withTail.UnresolvedLocs = 300
-	oldLen := len(appendDecisions(nil, 17, items, arena, old, "boom"))
-	for _, stats := range []grouping.LocalStats{old, withTail} {
+	full := grouping.LocalStats{Streams: 12, Evictions: 3, RuleCandidates: 44, RulePairs: 7, UnresolvedLocs: 300}
+	for _, stats := range []grouping.LocalStats{{}, full} {
 		payload := appendDecisions(nil, 17, items, arena, stats, "boom")
 		db := DecisionBatch{Stats: grouping.LocalStats{UnresolvedLocs: 9}} // reused batches must not keep a stale tally
 		if err := decodeDecisions(payload, &db); err != nil {
@@ -249,19 +247,16 @@ func TestDecisionsRoundTrip(t *testing.T) {
 				t.Fatalf("arena %d: %d != %d", i, d, arena[i])
 			}
 		}
-		// Truncation anywhere inside must error, never panic — except at the
-		// one cut that leaves exactly the frame an older shard sends: the
-		// unresolved-location tally is a trailing optional field.
+		// Every field is required: truncation anywhere must error, never
+		// panic, and so must a byte past the last item.
 		for cut := 0; cut < len(payload); cut++ {
 			var trunc DecisionBatch
-			err := decodeDecisions(payload[:cut], &trunc)
-			if cut == oldLen {
-				if err != nil || trunc.Stats != old {
-					t.Fatalf("cut %d (the older frame): %v, stats %+v", cut, err, trunc.Stats)
-				}
-			} else if err == nil {
-				t.Fatalf("cut %d: no error", cut)
+			if err := decodeDecisions(payload[:cut], &trunc); err == nil {
+				t.Fatalf("cut %d of %d: no error", cut, len(payload))
 			}
+		}
+		if err := decodeDecisions(append(payload, 0), &db); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("trailing byte: %v, want ErrMalformed", err)
 		}
 	}
 }
@@ -324,11 +319,13 @@ func withSlice(t *testing.T, part grouping.LocalPartState, k int, empty bool) gr
 
 // TestStateRoundTrip pins the state request and the part codec's coverage:
 // with every field of PendingState, locdict.Location, ModelState,
-// temporal.GrouperState and LocalState set, with each slice in turn nil and
-// empty, at extreme values, and for a real capture, a part must come back
-// out of a State body and out of a Restore body equal to what went in as
-// JSON bytes, the form it takes in a checkpoint. A field added to those
-// types and forgotten by the codec fails here.
+// temporal.GrouperState and LocalState set (all five fields of its embedded
+// LocalStats included), with each slice in turn nil and empty, at extreme
+// values, and for a real capture, a part must come back out of a State body
+// and out of a Restore body equal to what went in as JSON bytes, the form
+// it takes in a checkpoint, and with the same book (JSON leaves out
+// Streams, the wire does not). A field added to those types and forgotten
+// by the codec fails here.
 func TestStateRoundTrip(t *testing.T) {
 	token, err := decodeStateReq(appendStateReq(nil, 99))
 	if err != nil || token != 99 {
@@ -361,6 +358,9 @@ func TestStateRoundTrip(t *testing.T) {
 		}
 		if g := mustJSON(t, got); g != want {
 			t.Fatalf("part %d changed across a State body:\n got %s\nwant %s", i, g, want)
+		}
+		if got.Local.LocalStats != part.Local.LocalStats {
+			t.Fatalf("part %d: book %+v across a State body, want %+v", i, got.Local.LocalStats, part.Local.LocalStats)
 		}
 		restore := appendRestore(nil, 17, []string{"r1", "Serial1/0.10/10:0"}, body)
 		res, err := decodeRestore(restore)
@@ -442,14 +442,28 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
+// FuzzDecodeDecisions: damaged Decisions payloads are refused, never a
+// panic, and whatever decodes re-encodes to a payload that decodes the same.
 func FuzzDecodeDecisions(f *testing.F) {
 	f.Add(appendDecisions(nil, 3,
 		[]DecisionItem{{Temporal: 1, RS: 0, RE: 1}}, []uint64{2},
 		grouping.LocalStats{Streams: 1}, ""))
+	f.Add(appendDecisions(nil, 9,
+		[]DecisionItem{{}, {Temporal: 4, RS: 0, RE: 2}}, []uint64{7, 1},
+		grouping.LocalStats{Streams: 2, Evictions: 3, RuleCandidates: 4, RulePairs: 5, UnresolvedLocs: 6}, "boom"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var db DecisionBatch
-		decodeDecisions(data, &db)
+		if decodeDecisions(data, &db) != nil {
+			return
+		}
+		var again DecisionBatch
+		if err := decodeDecisions(appendDecisions(nil, db.Seq, db.Items, db.Rules, db.Stats, db.ShardErr), &again); err != nil {
+			t.Fatalf("re-encoded %+v does not decode: %v", db, err)
+		}
+		if !reflect.DeepEqual(again, db) {
+			t.Fatalf("re-encoded batch decodes to %+v, was %+v", again, db)
+		}
 	})
 }
 

@@ -730,7 +730,8 @@ func (d *Digester) DigestPlus(plus []PlusMessage) (*DigestResult, error) {
 	d.met.batchSize.Observe(float64(len(plus)))
 	d.met.ratio.Set(out.CompressionRatio())
 	// The engine lived for this batch only: its whole book is the batch's work.
-	d.met.grouping.Publish(&stream.Tallies{}, &stream.Tallies{IncStats: eng.Stats()})
+	book := eng.Stats()
+	d.met.grouping.Publish(&grouping.IncStats{}, &book)
 	return out, nil
 }
 
@@ -771,7 +772,7 @@ func (d *Digester) ReferenceDigestPlus(plus []PlusMessage) (*DigestResult, error
 		for _, seq := range seqs {
 			members = append(members, batch[seq])
 		}
-		events[i] = d.builder.BuildMessages(members)
+		events[i] = d.builder.BuildGroup(members)
 	}
 	rankBatch(events)
 	return &DigestResult{Events: events, Messages: plus, ActiveRules: res.ActiveRules}, nil

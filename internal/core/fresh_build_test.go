@@ -59,7 +59,7 @@ func TestPublishedRecordsMatchFreshBuilds(t *testing.T) {
 			}
 			check := func(w *event.Update, members []grouping.Message, evID int) {
 				t.Helper()
-				ev := event.NewBuilder(cfg.Freq, cfg.Labeler).BuildMessages(members)
+				ev := event.NewBuilder(cfg.Freq, cfg.Labeler).BuildGroup(members)
 				ev.ID = evID
 				if math.Float64bits(ev.Score) != math.Float64bits(w.Event.Score) || !reflect.DeepEqual(ev, w.Event) {
 					t.Fatalf("record %d (%d rev%d %v) differs from a fresh build of its %d members\nengine: %+v\n fresh: %+v",

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"slices"
 	"testing"
@@ -778,11 +779,107 @@ func asVersion1(t *testing.T, snap []byte) []byte {
 	return encode(env)
 }
 
+// TestRestoreCommittedSnapshot: testdata holds a version-2 checkpoint an
+// earlier build wrote (serial, provisional tier on, the first 300 messages
+// of corpus A's fixture with every 40th repeated under a hostname no config
+// names, so every tally but the evictions and cross merges is non-zero). It
+// must restore and snapshot again byte for byte: the checkpoint format —
+// the grouper's books in it included — has not moved.
+func TestRestoreCommittedSnapshot(t *testing.T) {
+	f := fixtureFor(t, corpusA)
+	old, err := os.ReadFile("testdata/snapshot-v2-serial-provisional.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDigester(f.kb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := RestoreStreamer(d, old, StreamerOptions{ProvisionalHorizon: provHorizon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	again, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, old) {
+		t.Fatalf("the committed snapshot (%d bytes) re-encodes to %d different bytes", len(old), len(again))
+	}
+}
+
+// TestRestoreStatsInMemory: an engine's State restored into a new engine in
+// memory, with no JSON in between, and the streamer's snapshot restored
+// through JSON both give back the Stats the engine had, serial and at two
+// workers. A state carries the books whole; the live levels in them
+// (OpenGroups, OpenMessages, Streams) are recounted on restore, never
+// added to what the restored structure counts.
+func TestRestoreStatsInMemory(t *testing.T) {
+	f := fixtureFor(t, corpusA)
+	msgs := f.ds.Messages[:3000]
+	for _, sh := range []shape{serial, sharded(2)} {
+		t.Run(sh.String(), func(t *testing.T) {
+			opts := f.options(t, sh, provHorizon)
+			d, err := NewDigester(f.kb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := NewStreamerWith(d, opts)
+			defer st.Close()
+			for _, m := range msgs {
+				if _, err := st.Push(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			eng, err := st.engine()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := eng.Stats()
+			if want.OpenGroups == 0 || want.Streams == 0 || want.RulePairs == 0 {
+				t.Fatalf("nothing open or tallied (%+v): the check would be vacuous", want)
+			}
+			state, _, _, err := eng.State()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem, err := d.newStreamEngine(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mem.Close()
+			if err := mem.Restore(state); err != nil {
+				t.Fatal(err)
+			}
+			if got := mem.Stats(); got != want {
+				t.Fatalf("restored in memory: Stats()\n got %+v\nwant %+v", got, want)
+			}
+			snap, err := st.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaJSON, err := RestoreStreamer(d, snap, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer viaJSON.Close()
+			eng, err = viaJSON.engine()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := eng.Stats(); got != want {
+				t.Fatalf("restored through the snapshot: Stats()\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}
+
 // TestProvisionalScratchPoisoned proves the scratch contract of
 // Merger.TakeUpdates and of the closed-group slice: once a step's
 // publications have been turned into events, nothing reads their Members
 // again. It composes the serial engine's step by hand — RouterLocal.Step,
-// Merger.Apply, TakeUpdates, one BuildMessages per record, Recycle — and,
+// Merger.Apply, TakeUpdates, one BuildGroup per record, Recycle — and,
 // before the next step, overwrites every Members buffer it was handed, to
 // its full capacity, with garbage. The buffers go back into circulation
 // poisoned; if the Merger re-read one, handed one out twice within a step,
@@ -830,13 +927,13 @@ func TestProvisionalScratchPoisoned(t *testing.T) {
 				u.Status = event.StatusProvisional
 			}
 			if gu.Kind != grouping.UpdateSuperseded {
-				u.Event = builder.BuildMessages(gu.Members)
+				u.Event = builder.BuildGroup(gu.Members)
 				u.Event.ID = -1
 			}
 			got = append(got, u)
 		}
 		for i := range closed {
-			ev := builder.BuildMessages(closed[i].Members)
+			ev := builder.BuildGroup(closed[i].Members)
 			ev.ID = nextID
 			nextID++
 			got = append(got, event.Update{EventID: closed[i].ID, Revision: closed[i].Revision, Status: event.StatusFinal, Event: ev})

@@ -111,8 +111,8 @@ func (e *Event) Span() time.Duration { return e.End.Sub(e.Start) }
 // Every build is one accumulation: the members are folded one at a time
 // into an Accumulator (span, running score, member lists, per-router
 // location tally, template set) and the event is read off it. BuildGroup
-// and BuildMessages fold a group into an empty accumulator of the
-// builder's own; Extend folds into one the caller keeps, and when the
+// folds a group into an empty accumulator of the builder's own; Extend
+// folds into one the caller keeps, and when the
 // group's first members are exactly the ones that accumulator already
 // holds — a provisional event that has only grown since its last
 // publication — it folds in just the rest. The score is a sum over members
@@ -141,7 +141,7 @@ type Builder struct {
 	epoch     uint64     // bumped whenever the tables above start over
 
 	gen    uint64      // stamps equal to gen belong to the call in progress
-	one    Accumulator // the accumulator of BuildGroup and BuildMessages
+	one    Accumulator // the accumulator of BuildGroup
 	seqBuf []int       // mergeTail scratch
 	rawBuf []uint64
 
@@ -256,18 +256,12 @@ func NewBuilder(freq *FreqTable, labeler *Labeler) *Builder {
 	}
 }
 
-// Member is one message as event assembly sees it: the fields scoring and
-// presentation consume. BuildGroup over Members and BuildMessages over the
-// grouping layer's records feed the same per-member step, so a group's
-// event is identical however it was formed.
-type Member struct {
-	Seq      int
-	Time     time.Time
-	Router   string
-	Template int
-	Loc      locdict.Location
-	Raw      uint64
-}
+// Member is one message as event assembly sees it: the grouping layer's own
+// record (a closed group's or a provisional publication's Members), so the
+// streaming engines hand their groups over without a conversion copy.
+// Scoring and presentation read Seq, Time, Router, Template, Loc and Raw,
+// the carried raw index.
+type Member = grouping.Message
 
 // BuildGroup assembles, scores, and labels one group. Members must be in
 // ascending Seq order: the score is a float sum over members, so the
@@ -276,46 +270,31 @@ type Member struct {
 // which makes their scores bit-identical, not merely close. The caller
 // assigns ID.
 func (b *Builder) BuildGroup(members []Member) Event {
-	acc := &b.one
-	b.begin(acc, 0, len(members))
-	for i := range members {
-		m := &members[i]
-		b.add(acc, m.Seq, m.Time, m.Router, m.Template, &m.Loc, m.Raw)
-	}
-	return b.finish(acc, 0)
+	return b.Extend(&b.one, members) // finish leaves the builder's own accumulator empty
 }
 
-// BuildMessages is BuildGroup over the grouping layer's own records (a
-// closed group's or a provisional publication's Members), sparing the
-// streaming engines a conversion copy per member per revision. Raw is the
-// record's carried raw index.
-func (b *Builder) BuildMessages(ms []grouping.Message) Event {
-	return b.Extend(&b.one, ms) // finish leaves the builder's own accumulator empty
-}
-
-// Extend is BuildMessages resuming from acc, and leaves acc holding ms for
+// Extend is BuildGroup resuming from acc, and leaves acc holding ms for
 // the next call. ms must be in ascending Seq order, as for BuildGroup. When
 // the Seqs acc holds are the Seqs of ms's first members and acc was folded
 // under the builder's current epoch, only the members after them are folded
 // in; otherwise — a merge brought in older members, or the frequency table
-// changed — acc starts over. Either way the event is BuildMessages(ms), bit
+// changed — acc starts over. Either way the event is BuildGroup(ms), bit
 // for bit.
-func (b *Builder) Extend(acc *Accumulator, ms []grouping.Message) Event {
+func (b *Builder) Extend(acc *Accumulator, ms []Member) Event {
 	k := len(acc.seqs)
 	if k > len(ms) || !heldPrefix(acc.seqs, ms) {
 		k = 0
 	}
 	k = b.begin(acc, k, len(ms))
 	for i := k; i < len(ms); i++ {
-		m := &ms[i]
-		b.add(acc, m.Seq, m.Time, m.Router, m.Template, &m.Loc, m.Raw)
+		b.add(acc, &ms[i])
 	}
 	return b.finish(acc, k)
 }
 
 // heldPrefix reports whether seqs are the Seqs of ms's first len(seqs)
 // members.
-func heldPrefix(seqs []int, ms []grouping.Message) bool {
+func heldPrefix(seqs []int, ms []Member) bool {
 	for i, s := range seqs {
 		if ms[i].Seq != s {
 			return false
@@ -366,24 +345,24 @@ func (b *Builder) begin(acc *Accumulator, k, n int) int {
 }
 
 // add is the per-member step every build path shares.
-func (b *Builder) add(acc *Accumulator, seq int, t time.Time, router string, template int, loc *locdict.Location, raw uint64) {
-	if acc.start.IsZero() || t.Before(acc.start) {
-		acc.start = t
+func (b *Builder) add(acc *Accumulator, m *Member) {
+	if acc.start.IsZero() || m.Time.Before(acc.start) {
+		acc.start = m.Time
 	}
-	if t.After(acc.end) {
-		acc.end = t
+	if m.Time.After(acc.end) {
+		acc.end = m.Time
 	}
-	acc.seqs = append(acc.seqs, seq)
-	acc.raws = append(acc.raws, raw)
+	acc.seqs = append(acc.seqs, m.Seq)
+	acc.raws = append(acc.raws, m.Raw)
 
-	a := b.router(acc, router)
-	tally(acc, &acc.routers[a.slot], loc)
-	s := b.sig(a, template)
+	a := b.router(acc, m.Router)
+	tally(acc, &acc.routers[a.slot], &m.Loc)
+	s := b.sig(a, m.Template)
 	if s.stamp != b.gen {
 		s.stamp = b.gen
-		acc.tpls = append(acc.tpls, template)
+		acc.tpls = append(acc.tpls, m.Template)
 	}
-	acc.score += loc.Level.Weight() / s.logf
+	acc.score += m.Loc.Level.Weight() / s.logf
 }
 
 // router finds (interning at first sight) the named router and enrols it

@@ -48,7 +48,7 @@ func toyBatch() ([]grouping.Message, *grouping.Result) {
 }
 
 // buildRanked assembles a batch the way the batch digest does: one event
-// per group through BuildMessages, members in ascending Seq order, then
+// per group through BuildGroup, members in ascending Seq order, then
 // Rank and IDs numbered along it. msgs is indexed by Seq.
 func buildRanked(b *Builder, msgs []grouping.Message, res *grouping.Result) []Event {
 	events := make([]Event, 0, len(res.Groups))
@@ -57,7 +57,7 @@ func buildRanked(b *Builder, msgs []grouping.Message, res *grouping.Result) []Ev
 		for _, seq := range seqs {
 			members = append(members, msgs[seq])
 		}
-		events = append(events, b.BuildMessages(members))
+		events = append(events, b.BuildGroup(members))
 	}
 	Rank(events)
 	for i := range events {
@@ -470,9 +470,9 @@ func sameEvent(t *testing.T, what string, got, want Event) {
 }
 
 // TestBuildGroupMatchesReference drives one reused Builder through
-// generated groups and checks every event against the reference, through
-// both member representations. The generator covers what the working state
-// could get wrong: routers interleaved member by member, signatures repeated
+// generated groups and checks every event against the reference. The
+// generator covers what the working state could get wrong: routers
+// interleaved member by member, signatures repeated
 // within and across groups, signatures the frequency table has never seen
 // (f = 0), unknown (-1), negative and very large template IDs, every level
 // including out-of-range ones, more locations per router than a member
@@ -531,12 +531,7 @@ func TestBuildGroupMatchesReference(t *testing.T) {
 	check := func(what string, members []Member) {
 		t.Helper()
 		want := referenceBuildGroup(b, members)
-		sameEvent(t, what+" (BuildGroup)", b.BuildGroup(members), want)
-		ms := make([]grouping.Message, len(members))
-		for i, m := range members {
-			ms[i] = grouping.Message{Seq: m.Seq, Time: m.Time, Router: m.Router, Template: m.Template, Loc: m.Loc, Raw: m.Raw}
-		}
-		sameEvent(t, what+" (BuildMessages)", b.BuildMessages(ms), want)
+		sameEvent(t, what, b.BuildGroup(members), want)
 	}
 
 	noRouterLevel := levels[:5]

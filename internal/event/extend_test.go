@@ -82,12 +82,8 @@ func TestExtendMatchesFullBuild(t *testing.T) {
 		epoch, before := id.acc.epoch, memberSteps.Load()
 		got := b.Extend(id.acc, id.members)
 		steps := int(memberSteps.Load() - before)
-		members := make([]Member, len(id.members))
-		for i, m := range id.members {
-			members[i] = Member{Seq: m.Seq, Time: m.Time, Router: m.Router, Template: m.Template, Loc: m.Loc, Raw: m.Raw}
-		}
-		sameEvent(t, what+" vs a fresh builder", got, NewBuilder(freq, labeler).BuildMessages(id.members))
-		sameEvent(t, what+" vs the reference", got, referenceBuildGroup(b, members))
+		sameEvent(t, what+" vs a fresh builder", got, NewBuilder(freq, labeler).BuildGroup(id.members))
+		sameEvent(t, what+" vs the reference", got, referenceBuildGroup(b, id.members))
 		want, how := len(id.members), "full"
 		if gained >= 0 && epoch == b.epoch {
 			want, how = gained, "resumed"

@@ -82,20 +82,20 @@ type ActiveRuleState struct {
 }
 
 // MergerState is the global half: progress, partition, closure list, cross
-// ring, tallies. Started and WatermarkNs are the engine's Progress, the one
-// record of it a snapshot holds.
+// ring, and the merger's book. Started and WatermarkNs are the engine's
+// Progress, the one record of it a snapshot holds.
 type MergerState struct {
-	Started        bool              `json:"started"`
-	WatermarkNs    int64             `json:"watermark_ns"`
-	Groups         []GroupState      `json:"groups"` // closure-list order, oldest first
-	CrossWin       []int             `json:"cross_win"`
-	Active         []ActiveRuleState `json:"active"`
-	TemporalMerges int               `json:"temporal_merges"`
-	RuleMerges     int               `json:"rule_merges"`
-	CrossMerges    int               `json:"cross_merges"`
-	// CrossCandidates is cumulative like the merge tallies; absent in
-	// snapshots from builds before the template index (restores as 0).
-	CrossCandidates uint64 `json:"cross_candidates,omitempty"`
+	Started     bool              `json:"started"`
+	WatermarkNs int64             `json:"watermark_ns"`
+	Groups      []GroupState      `json:"groups"` // closure-list order, oldest first
+	CrossWin    []int             `json:"cross_win"`
+	Active      []ActiveRuleState `json:"active"`
+	// MergeStats is the merger's book, its tallies under their own keys
+	// (CrossCandidates is absent in snapshots from builds before the
+	// template index and restores as 0). The live levels are not written,
+	// and a restore ignores them (an in-memory state carries them): it
+	// recounts them from Groups.
+	MergeStats
 	// NextGroupID and ProvQueue are the two-tier emission cursors (PR 9);
 	// absent in snapshots from older builds (restore assigns fresh
 	// identities and re-arms open groups at the restored watermark).
@@ -124,16 +124,13 @@ type WindowState struct {
 // rule windows sorted by router. It holds no progress: a local needs none,
 // and snapshots from builds that kept a copy here restore without it.
 type LocalState struct {
-	Evictions int `json:"evictions"`
-	// Rule-pass scan tallies, cumulative like Evictions; absent in
-	// snapshots from builds before the template index (restore as 0).
-	RuleCandidates uint64 `json:"rule_candidates,omitempty"`
-	RulePairs      uint64 `json:"rule_pairs,omitempty"`
-	// UnresolvedLocs is cumulative too; absent in snapshots from builds
-	// before the resolved-location windows (restores as 0).
-	UnresolvedLocs uint64        `json:"unresolved_locations,omitempty"`
-	Models         []ModelState  `json:"models"`
-	Windows        []WindowState `json:"windows"`
+	// LocalStats is the local's book, its tallies under their own keys
+	// (the rule-pass and unresolved-location tallies are absent in
+	// snapshots from builds before them and restore as 0). Streams is not
+	// written, and a restore ignores it: it is len(Models).
+	LocalStats
+	Models  []ModelState  `json:"models"`
+	Windows []WindowState `json:"windows"`
 }
 
 // IncState is the complete incremental-grouper snapshot: the shared
@@ -173,16 +170,13 @@ func (x *pendingIndexer) of(p *Pending) int {
 // order, then the cross ring, then the tallies.
 func captureMerger(x *pendingIndexer, mg *Merger) MergerState {
 	ms := MergerState{
-		Started:         mg.progress.started,
-		WatermarkNs:     checkpoint.TimeNs(mg.progress.last),
-		Groups:          []GroupState{},
-		CrossWin:        []int{},
-		Active:          []ActiveRuleState{},
-		TemporalMerges:  mg.st.TemporalMerges,
-		RuleMerges:      mg.st.RuleMerges,
-		CrossMerges:     mg.st.CrossMerges,
-		CrossCandidates: mg.st.CrossCandidates,
-		NextGroupID:     mg.nextGroupID,
+		Started:     mg.progress.started,
+		WatermarkNs: checkpoint.TimeNs(mg.progress.last),
+		Groups:      []GroupState{},
+		CrossWin:    []int{},
+		Active:      []ActiveRuleState{},
+		MergeStats:  mg.st,
+		NextGroupID: mg.nextGroupID,
 	}
 	gidx := make(map[uint64]int)
 	for g := mg.oHead; g != nil; g = g.next {
@@ -232,12 +226,9 @@ func captureMerger(x *pendingIndexer, mg *Merger) MergerState {
 // sorted by router.
 func captureLocal(x *pendingIndexer, rl *RouterLocal) LocalState {
 	ls := LocalState{
-		Evictions:      rl.tally.Evictions,
-		RuleCandidates: rl.tally.RuleCandidates,
-		RulePairs:      rl.tally.RulePairs,
-		UnresolvedLocs: rl.tally.UnresolvedLocs,
-		Models:         []ModelState{},
-		Windows:        []WindowState{},
+		LocalStats: rl.tally,
+		Models:     []ModelState{},
+		Windows:    []WindowState{},
 	}
 	for md := rl.mHead; md != nil; md = md.next {
 		// The live key packs a location ID private to this local; the
@@ -351,10 +342,8 @@ func (s *Shardable) RestoreParts(st IncState, workers, localMax int, shardFor fu
 	// Merger: groups in closure-list order, cross ring, tallies.
 	mg := s.NewMerger()
 	mg.progress = Progress{started: st.Merger.Started, last: checkpoint.NsTime(st.Merger.WatermarkNs)}
-	mg.st.TemporalMerges = st.Merger.TemporalMerges
-	mg.st.RuleMerges = st.Merger.RuleMerges
-	mg.st.CrossMerges = st.Merger.CrossMerges
-	mg.st.CrossCandidates = st.Merger.CrossCandidates
+	mg.st = st.Merger.MergeStats
+	mg.st.OpenMessages, mg.st.OpenGroups = 0, 0 // levels, not tallies: recounted below
 	groups := make([]*incGroup, len(st.Merger.Groups))
 	for gi, gs := range st.Merger.Groups {
 		if len(gs.Members) == 0 {
@@ -458,10 +447,7 @@ func (s *Shardable) RestoreParts(st IncState, workers, localMax int, shardFor fu
 		if exact {
 			rl = locals[i]
 		}
-		rl.tally.Evictions += lst.Evictions
-		rl.tally.RuleCandidates += lst.RuleCandidates
-		rl.tally.RulePairs += lst.RulePairs
-		rl.tally.UnresolvedLocs += lst.UnresolvedLocs
+		rl.tally.add(lst.LocalStats)
 	}
 	// Incorporation complete: drop the materialization references so every
 	// record carries exactly the references the live engine would hold.

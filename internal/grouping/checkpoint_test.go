@@ -222,6 +222,54 @@ func TestIncrementalStateRoundTripStable(t *testing.T) {
 	}
 }
 
+// TestSnapshotBookFormat pins the snapshot form of the two books, each
+// embedded in its half's state: the tallies under the keys, in the order and
+// with the omitempty the checkpoint format has always had, and the live
+// levels (Streams, OpenMessages, OpenGroups) not written at all. The bytes
+// decode and encode again unchanged, so every key reaches its field.
+func TestSnapshotBookFormat(t *testing.T) {
+	local := LocalState{
+		LocalStats: LocalStats{Streams: 9, Evictions: 1, RuleCandidates: 2, RulePairs: 3, UnresolvedLocs: 4},
+		Models:     []ModelState{},
+		Windows:    []WindowState{},
+	}
+	merger := MergerState{
+		Started: true, WatermarkNs: 5,
+		Groups: []GroupState{}, CrossWin: []int{}, Active: []ActiveRuleState{},
+		MergeStats: MergeStats{
+			OpenMessages: 9, OpenGroups: 9,
+			TemporalMerges: 6, RuleMerges: 7, CrossMerges: 8, CrossCandidates: 10,
+		},
+		NextGroupID: 11,
+	}
+	for _, tc := range []struct {
+		v    any
+		want string
+	}{
+		{local, `{"evictions":1,"rule_candidates":2,"rule_pairs":3,"unresolved_locations":4,"models":[],"windows":[]}`},
+		{LocalState{}, `{"evictions":0,"models":null,"windows":null}`},
+		{merger, `{"started":true,"watermark_ns":5,"groups":[],"cross_win":[],"active":[],` +
+			`"temporal_merges":6,"rule_merges":7,"cross_merges":8,"cross_candidates":10,"next_group_id":11}`},
+		{MergerState{}, `{"started":false,"watermark_ns":0,"groups":null,"cross_win":null,"active":null,` +
+			`"temporal_merges":0,"rule_merges":0,"cross_merges":0}`},
+	} {
+		raw, err := json.Marshal(tc.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(raw) != tc.want {
+			t.Fatalf("%T marshals to\n%s\nwant\n%s", tc.v, raw, tc.want)
+		}
+		back := reflect.New(reflect.TypeOf(tc.v))
+		if err := json.Unmarshal(raw, back.Interface()); err != nil {
+			t.Fatal(err)
+		}
+		if again, err := json.Marshal(back.Interface()); err != nil || string(again) != tc.want {
+			t.Fatalf("%T decodes and encodes again to %s (%v), want %s", tc.v, again, err, tc.want)
+		}
+	}
+}
+
 // TestRestorePartsResharding snapshots a 3-shard arrangement and restores
 // it at 1 worker: the merged engine must continue exactly like a serial
 // engine that saw the same prefix (model tables stay within bounds here, so

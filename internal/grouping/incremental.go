@@ -76,16 +76,15 @@ type IncrementalConfig struct {
 	ProvisionalHorizon time.Duration
 }
 
-// IncStats is a point-in-time snapshot of the incremental grouper: its
-// merger's stats and its locals' summed (see LocalStats for what the
-// cumulative ones count).
+// IncStats is the incremental grouper's book at one point in time: its
+// merger's and its locals' summed (see LocalStats and MergeStats for what
+// each tally counts), and its Pending pool's. An engine's Stats leaves Pool
+// zero: a pool counts from its own creation and starts over in a restored
+// engine, while the rest of the book carries across the restore.
 type IncStats struct {
 	MergeStats
-	Streams         int // live temporal models
-	StreamEvictions int
-	RuleCandidates  uint64
-	RulePairs       uint64
-	UnresolvedLocs  uint64
+	LocalStats
+	Pool PoolStats
 }
 
 // ClosedGroup is one finished group: its members in ascending Seq order,
@@ -103,11 +102,7 @@ type ClosedGroup struct {
 func SumStats(ms MergeStats, locals ...LocalStats) IncStats {
 	st := IncStats{MergeStats: ms}
 	for _, ls := range locals {
-		st.Streams += ls.Streams
-		st.StreamEvictions += ls.Evictions
-		st.RuleCandidates += ls.RuleCandidates
-		st.RulePairs += ls.RulePairs
-		st.UnresolvedLocs += ls.UnresolvedLocs
+		st.add(ls)
 	}
 	return st
 }

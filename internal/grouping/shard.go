@@ -374,22 +374,35 @@ func (s *Shardable) NewMerger() *Merger {
 	}
 }
 
-// LocalStats snapshots one RouterLocal.
+// LocalStats is one RouterLocal's book: the cumulative tallies, which a
+// snapshot carries under these JSON keys (LocalState embeds the struct),
+// and the live level Streams, which it does not. A new tally is a field
+// here, a line in add and in the cluster wire's LocalStats codec, and a
+// handle that stream's IncMetrics.Publish advances.
 type LocalStats struct {
-	Streams   int
-	Evictions int
+	Streams   int `json:"-"` // live temporal models, the size of the model table
+	Evictions int `json:"evictions"`
 	// RuleCandidates counts window entries the rule pass examined
 	// (cumulative); RulePairs counts those whose pair predicate matched.
 	// With the template index off (the tests' linear reference) candidates
 	// equal the whole window per arrival — the ratio between the two modes
 	// is the index's win.
-	RuleCandidates uint64
-	RulePairs      uint64
+	RuleCandidates uint64 `json:"rule_candidates,omitempty"`
+	RulePairs      uint64 `json:"rule_pairs,omitempty"`
 	// UnresolvedLocs counts messages (cumulative) whose location the
 	// dictionary never interned — an unconfigured router, typically. They
 	// group exactly as before, through the chain-walking spatial match, but
 	// a rising count says the dictionary is missing part of the network.
-	UnresolvedLocs uint64
+	UnresolvedLocs uint64 `json:"unresolved_locations,omitempty"`
+}
+
+// add sums another local's book into ls, field by field.
+func (ls *LocalStats) add(o LocalStats) {
+	ls.Streams += o.Streams
+	ls.Evictions += o.Evictions
+	ls.RuleCandidates += o.RuleCandidates
+	ls.RulePairs += o.RulePairs
+	ls.UnresolvedLocs += o.UnresolvedLocs
 }
 
 // locEntry is what a RouterLocal resolves a message location to, once per
@@ -425,8 +438,8 @@ type RouterLocal struct {
 
 	routerWin map[string]*memberRing
 
-	// tally is the local's book as Stats reports it, except Streams, which
-	// is the size of the model table.
+	// tally is the local's book as Stats reports it, except Streams: Stats
+	// reads that level off the model table, and nothing reads it here.
 	tally LocalStats
 	// matched is the rule pass's bitmap over ring offsets, one bit per
 	// window entry (a ring holds at most MaxScan at scan time); all zero
@@ -675,16 +688,19 @@ func (rl *RouterLocal) evictModels() {
 	}
 }
 
-// MergeStats snapshots a Merger.
+// MergeStats is a Merger's book: the cumulative tallies, which a snapshot
+// carries under these JSON keys (MergerState embeds the struct), and the
+// live levels OpenMessages and OpenGroups, which it does not (a restore
+// recounts them from the open groups).
 type MergeStats struct {
-	OpenMessages   int // messages in not-yet-closed groups
-	OpenGroups     int
-	TemporalMerges int
-	RuleMerges     int
-	CrossMerges    int
+	OpenMessages   int `json:"-"` // messages in not-yet-closed groups
+	OpenGroups     int `json:"-"`
+	TemporalMerges int `json:"temporal_merges"`
+	RuleMerges     int `json:"rule_merges"`
+	CrossMerges    int `json:"cross_merges"`
 	// CrossCandidates counts window entries the cross pass examined
 	// (cumulative); the template index shrinks it without changing a match.
-	CrossCandidates uint64
+	CrossCandidates uint64 `json:"cross_candidates,omitempty"`
 }
 
 // Merger is the global half of the incremental grouper: it owns the group

@@ -52,7 +52,7 @@ func (e *Engine) Restore(st EngineState) error {
 	}
 	e.local, e.merger = locals[0], mg
 	e.em.nextID = st.NextID
-	e.em.pub = e.tallies()
+	e.em.pub = e.em.book(e.Stats())
 	return nil
 }
 
@@ -115,7 +115,7 @@ func (e *ShardedEngine) Restore(st EngineState) error {
 		e.localStats[k] = rl.Stats()
 	}
 	e.em.nextID = st.NextID
-	e.em.pub = e.tallies()
+	e.em.pub = e.em.book(e.stats())
 	e.dispatched = mg.Progress()
 	return nil
 }

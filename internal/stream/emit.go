@@ -28,20 +28,23 @@ type emitter struct {
 	spare   []*event.Accumulator
 	met     Metrics
 	grouped bool // met.Grouping holds a handle (setMetrics)
+	// pool is the engine's Pending pool, whose tallies complete the book.
+	pool *grouping.PendingPool
 	// pub is the grouper's book as the handles last saw it; before the first
 	// publication, the book the engine was built (zero) or restored with.
-	pub Tallies
+	pub grouping.IncStats
 }
 
 func (em *emitter) setMetrics(m Metrics) {
 	em.met, em.grouped = m, m.Grouping != (IncMetrics{})
 }
 
-func newEmitter(cfg Config) emitter {
+func newEmitter(cfg Config, pool *grouping.PendingPool) emitter {
 	return emitter{
 		builder: event.NewBuilder(cfg.Freq, cfg.Labeler),
 		prov:    cfg.Grouping.ProvisionalHorizon > 0,
 		accs:    make(map[uint64]*event.Accumulator),
+		pool:    pool,
 	}
 }
 
@@ -63,7 +66,7 @@ func (em *emitter) emit(gus []grouping.GroupUpdate, closed []grouping.ClosedGrou
 			ev = em.builder.Extend(acc, cg.Members)
 			em.retire(cg.ID, acc)
 		} else {
-			ev = em.builder.BuildMessages(cg.Members)
+			ev = em.builder.BuildGroup(cg.Members)
 		}
 		ev.ID = em.nextID
 		em.nextID++
@@ -154,20 +157,13 @@ type IncMetrics struct {
 	PoolLive        *obs.Gauge   // stream.pool.pending.live
 }
 
-// Tallies is one reading of the grouper's book: an engine's Stats() and its
-// Pending pool's.
-type Tallies struct {
-	grouping.IncStats
-	Pool grouping.PoolStats
-}
-
 // Publish moves the handles from one reading of the book to a later one:
 // each counter advances by how far its tally moved, each gauge shows the
 // later level. Every engine shape and the batch digest publish through it,
 // starting from the book the engine was built or restored with, so a counter
 // reads the work this process did; a restored engine's earlier life is in
 // its Stats() and its checkpoints, not in its metrics.
-func (m *IncMetrics) Publish(from, to *Tallies) {
+func (m *IncMetrics) Publish(from, to *grouping.IncStats) {
 	advance(m.MergeTemporal, uint64(from.TemporalMerges), uint64(to.TemporalMerges))
 	advance(m.MergeRule, uint64(from.RuleMerges), uint64(to.RuleMerges))
 	advance(m.MergeCross, uint64(from.CrossMerges), uint64(to.CrossMerges))
@@ -175,7 +171,7 @@ func (m *IncMetrics) Publish(from, to *Tallies) {
 	advance(m.RulePairs, from.RulePairs, to.RulePairs)
 	advance(m.CrossCandidates, from.CrossCandidates, to.CrossCandidates)
 	advance(m.UnresolvedLocs, from.UnresolvedLocs, to.UnresolvedLocs)
-	advance(m.StreamEvictions, uint64(from.StreamEvictions), uint64(to.StreamEvictions))
+	advance(m.StreamEvictions, uint64(from.Evictions), uint64(to.Evictions))
 	advance(m.PoolGets, from.Pool.Gets, to.Pool.Gets)
 	advance(m.PoolPuts, from.Pool.Puts, to.Pool.Puts)
 	m.OpenMessages.Set(float64(to.OpenMessages))
@@ -192,14 +188,20 @@ func advance(c *obs.Counter, from, to uint64) {
 	}
 }
 
+// book completes an engine's Stats with its pool's tallies.
+func (em *emitter) book(st grouping.IncStats) grouping.IncStats {
+	st.Pool = em.pool.Stats()
+	return st
+}
+
 // publish brings the handles up to the book as read now. With no handle
 // installed it reads nothing and leaves pub alone, so handles installed late
 // start from the engine's beginning, not from their installation.
-func (em *emitter) publish(read func() Tallies) {
+func (em *emitter) publish(read func() grouping.IncStats) {
 	if !em.grouped {
 		return
 	}
-	now := read()
+	now := em.book(read())
 	em.met.Grouping.Publish(&em.pub, &now)
 	em.pub = now
 }

@@ -261,7 +261,7 @@ func newSharded(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config, worker
 		batchSize:  DefaultShardBatch,
 		newLink:    newLink,
 		merger:     s.NewMerger(),
-		em:         newEmitter(cfg),
+		em:         newEmitter(cfg, s.Pool()),
 		localStats: make([]grouping.LocalStats, workers),
 	}
 	e.cur = e.newBatch()
@@ -457,7 +457,7 @@ func (e *ShardedEngine) mergeLoop() {
 		// Every link has answered this batch and the merger is done with it
 		// (a drain included), so after a sync or drain batch — the links
 		// parked, nothing in flight — the book published here is exact.
-		e.em.publish(e.tallies)
+		e.em.publish(e.stats)
 		kind := b.kind
 		for k := range b.subs {
 			clear(b.subs[k])
@@ -627,11 +627,6 @@ func (e *ShardedEngine) Stats() grouping.IncStats {
 // merge goroutine's view, or the caller's in a quiet window.
 func (e *ShardedEngine) stats() grouping.IncStats {
 	return grouping.SumStats(e.merger.Stats(), e.localStats...)
-}
-
-// tallies reads the grouper's book from the same view as stats.
-func (e *ShardedEngine) tallies() Tallies {
-	return Tallies{IncStats: e.stats(), Pool: e.shardable.Pool().Stats()}
 }
 
 // Pending is the number of messages in not-yet-closed groups (synchronizes

@@ -109,7 +109,7 @@ func New(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config) (*Engine, err
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{shardable: s, local: s.NewLocal(0), merger: s.NewMerger(), em: newEmitter(cfg)}, nil
+	return &Engine{shardable: s, local: s.NewLocal(0), merger: s.NewMerger(), em: newEmitter(cfg, s.Pool())}, nil
 }
 
 // SetClusterMetrics installs observability handles. The serial engine has
@@ -165,13 +165,8 @@ func (e *Engine) emit(closed []grouping.ClosedGroup) []event.Event {
 	}
 	e.em.emit(e.merger.TakeUpdates(), closed, e.merger.Progress().Time(), &evs, &e.upd)
 	e.merger.Recycle(closed)
-	e.em.publish(e.tallies)
+	e.em.publish(e.Stats)
 	return evs
-}
-
-// tallies reads the grouper's book.
-func (e *Engine) tallies() Tallies {
-	return Tallies{IncStats: e.Stats(), Pool: e.shardable.Pool().Stats()}
 }
 
 // TakeUpdates returns and clears the tier-tagged updates queued since the
