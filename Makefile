@@ -120,7 +120,10 @@ cli-smoke:
 # syslog lines parsed from a string and from bytes, which must agree on any
 # line (FuzzParseWire); and for token classification, trimming and
 # tokenizing, which must agree with their straightforward references on any
-# input (FuzzClassify). None may panic or fail; a
+# input (FuzzClassify); and for the offline learner, the temporal sweep's
+# one-pass scoring against a GroupStream replay per grid point
+# (FuzzCalibrate) and dense rule counting against the map-based reference
+# (FuzzMineStream), on any streams and grid. None may panic or fail; a
 # crasher lands in the package's testdata/fuzz and fails plain `go test`
 # from then on. FuzzDecodeState is
 # seeded with a real part of several kilobytes, and minimizing each new
@@ -136,3 +139,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDecisions$$' -fuzztime=10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzParseWire$$' -fuzztime=10s ./internal/syslogmsg
 	$(GO) test -run '^$$' -fuzz '^FuzzClassify$$' -fuzztime=10s ./internal/textutil
+	$(GO) test -run '^$$' -fuzz '^FuzzCalibrate$$' -fuzztime=10s ./internal/temporal
+	$(GO) test -run '^$$' -fuzz '^FuzzMineStream$$' -fuzztime=10s ./internal/rules

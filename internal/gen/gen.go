@@ -21,10 +21,13 @@
 package gen
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"syslogdigest/internal/netconf"
@@ -162,16 +165,21 @@ type Dataset struct {
 	Net        *netconf.Network
 	Messages   []syslogmsg.Message
 	Conditions []Condition
+	// Labels is parallel to Messages: Labels[i] is the index in Conditions
+	// of the condition that emitted Messages[i], or -1 for a background
+	// message that belongs to none.
+	Labels []int32
 }
 
 // sim carries generation state.
 type sim struct {
-	spec Spec
-	net  *netconf.Network
-	rng  *rand.Rand
-	msgs []syslogmsg.Message
-	cond []Condition
-	cur  int // index of the condition being emitted, -1 for none
+	spec   Spec
+	net    *netconf.Network
+	rng    *rand.Rand
+	msgs   []syslogmsg.Message
+	labels []int32 // parallel to msgs: the emitting condition, -1 for none
+	cond   []Condition
+	cur    int // index of the condition being emitted, -1 for none
 }
 
 // Generate builds a dataset. Same spec, same output.
@@ -245,16 +253,72 @@ func Generate(spec Spec) (*Dataset, error) {
 		}
 	}
 
-	// Sort the merged stream and assign raw indices.
-	sort.SliceStable(s.msgs, func(i, j int) bool {
-		return syslogmsg.SortByTime(&s.msgs[i], &s.msgs[j])
-	})
-	for i := range s.msgs {
-		s.msgs[i].Index = uint64(i)
+	msgs, labels := s.sortedStream()
+	conds, renumber := s.sortedConditions()
+	for i, l := range labels {
+		if l >= 0 {
+			labels[i] = renumber[l]
+		}
 	}
-	sort.SliceStable(s.cond, func(i, j int) bool { return s.cond[i].Start.Before(s.cond[j].Start) })
+	return &Dataset{Spec: spec, Net: net, Messages: msgs, Conditions: conds, Labels: labels}, nil
+}
 
-	return &Dataset{Spec: spec, Net: net, Messages: s.msgs, Conditions: s.cond}, nil
+// streamKey is one emitted message's sort key: its time as Unix seconds and
+// nanoseconds, its router, and its emission position.
+type streamKey struct {
+	sec    int64
+	router string
+	nsec   int32
+	i      int
+}
+
+// sortedStream returns the emitted messages in syslogmsg.SortByTime order
+// with raw indices assigned, and their labels carried along. Emission
+// order breaks ties, as a stable sort of the messages would (no index is
+// assigned yet, so SortByTime's index tie-break never decides). The sort
+// moves one small key per message; the messages move once, at the end.
+func (s *sim) sortedStream() ([]syslogmsg.Message, []int32) {
+	keys := make([]streamKey, len(s.msgs))
+	for i := range s.msgs {
+		t := s.msgs[i].Time
+		keys[i] = streamKey{sec: t.Unix(), router: s.msgs[i].Router, nsec: int32(t.Nanosecond()), i: i}
+	}
+	slices.SortFunc(keys, func(a, b streamKey) int {
+		switch {
+		case a.sec != b.sec:
+			return cmp.Compare(a.sec, b.sec)
+		case a.nsec != b.nsec:
+			return cmp.Compare(a.nsec, b.nsec)
+		case a.router != b.router:
+			return strings.Compare(a.router, b.router)
+		}
+		return cmp.Compare(a.i, b.i)
+	})
+	msgs := make([]syslogmsg.Message, len(keys))
+	labels := make([]int32, len(keys))
+	for j, k := range keys {
+		msgs[j] = s.msgs[k.i]
+		msgs[j].Index = uint64(j)
+		labels[j] = s.labels[k.i]
+	}
+	return msgs, labels
+}
+
+// sortedConditions returns the conditions stably sorted by Start, and
+// renumber, which maps a condition's emission index to its index there.
+func (s *sim) sortedConditions() ([]Condition, []int32) {
+	order := make([]int, len(s.cond))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return s.cond[order[a]].Start.Before(s.cond[order[b]].Start) })
+	conds := make([]Condition, len(order))
+	renumber := make([]int32, len(order))
+	for j, i := range order {
+		conds[j] = s.cond[i]
+		renumber[i] = int32(j)
+	}
+	return conds, renumber
 }
 
 // poisson draws a Poisson variate: Knuth's method for modest rates, a
@@ -308,12 +372,13 @@ func (s *sim) beginCondition(kind string, start time.Time, routers []string, det
 func (s *sim) endCondition() { s.cur = -1 }
 
 // emit appends one message (time truncated to the syslog's one-second
-// granularity) and accounts it to the open condition.
+// granularity), labels it with the open condition and accounts it there.
 func (s *sim) emit(t time.Time, router, code, detail string) {
 	t = t.Truncate(time.Second)
 	s.msgs = append(s.msgs, syslogmsg.Message{
 		Time: t, Router: router, Code: code, Detail: detail,
 	})
+	s.labels = append(s.labels, int32(s.cur))
 	if s.cur >= 0 {
 		c := &s.cond[s.cur]
 		c.Messages++

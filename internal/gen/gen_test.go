@@ -123,6 +123,32 @@ func TestGenerateConditionsAccountMessages(t *testing.T) {
 	if total != len(ds.Messages) {
 		t.Fatalf("condition message counts %d != stream length %d", total, len(ds.Messages))
 	}
+
+	// Every message carries the label of the condition that emitted it:
+	// each condition's label count is its Messages, and a labeled message
+	// lies inside its condition's span.
+	if len(ds.Labels) != len(ds.Messages) {
+		t.Fatalf("%d labels for %d messages", len(ds.Labels), len(ds.Messages))
+	}
+	counts := make([]int, len(ds.Conditions))
+	for i, l := range ds.Labels {
+		if l < -1 || int(l) >= len(ds.Conditions) {
+			t.Fatalf("message %d label %d out of range", i, l)
+		}
+		if l == -1 {
+			continue
+		}
+		counts[l]++
+		c, m := &ds.Conditions[l], &ds.Messages[i]
+		if m.Time.Before(c.Start) || m.Time.After(c.End) {
+			t.Fatalf("message %d at %v outside its condition %q [%v, %v]", i, m.Time, c.Kind, c.Start, c.End)
+		}
+	}
+	for i, c := range ds.Conditions {
+		if counts[i] != c.Messages {
+			t.Fatalf("condition %d %q: %d labeled messages, Messages = %d", i, c.Kind, counts[i], c.Messages)
+		}
+	}
 }
 
 func TestGenerateLocationsResolve(t *testing.T) {

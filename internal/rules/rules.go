@@ -82,8 +82,14 @@ func (c Config) normalize() (Config, error) {
 	if c.MaxItemsPerTx == 0 {
 		c.MaxItemsPerTx = 64
 	}
+	if c.MaxItemsPerTx < 0 {
+		return c, fmt.Errorf("rules: negative MaxItemsPerTx %d", c.MaxItemsPerTx)
+	}
 	if c.MinEvidence == 0 {
 		c.MinEvidence = 5
+	}
+	if c.MinEvidence < 0 {
+		return c, fmt.Errorf("rules: negative MinEvidence %d", c.MinEvidence)
 	}
 	if c.Pool == nil {
 		c.Pool = par.New(0)
@@ -143,11 +149,13 @@ func Mine(events []Event, cfg Config) (*Result, error) {
 			PairTx: make(map[PairKey]int),
 			cfg:    cfg,
 		}
+		t := newTally()
 		for _, r := range routers[shards[i][0]:shards[i][1]] {
 			stream := byRouter[r]
 			sort.SliceStable(stream, func(i, j int) bool { return stream[i].Time.Before(stream[j].Time) })
-			mineStream(stream, cfg, part)
+			t.mineStream(stream, cfg)
 		}
+		t.fold(part)
 		return part, nil
 	})
 
@@ -175,12 +183,58 @@ func Mine(events []Event, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// mineStream slides a window over one router's sorted events, emitting one
-// transaction per message.
-func mineStream(stream []Event, cfg Config, res *Result) {
+// tally is one worker's mining counts over dense template IDs, numbered in
+// order of first sight: the per-transaction distinct set is a generation
+// stamp per ID, item counts are a slice, and a pair is one packed uint64
+// map key (a dense D×D table would have no memory bound when templates are
+// many). fold adds the counts into a Result's template-keyed maps once the
+// worker is done.
+type tally struct {
+	ids          map[int]int32 // template -> dense ID
+	templates    []int         // dense ID -> template
+	itemTx       []int         // transactions containing each dense ID
+	seen         []uint32      // seen[d] == gen: d is in the current transaction
+	gen          uint32
+	pairTx       map[uint64]int // packPair(x, y) -> transactions containing both
+	transactions int
+
+	dense, items []int32 // reused buffers: a stream's IDs, a transaction's distinct IDs
+}
+
+func newTally() *tally {
+	return &tally{ids: make(map[int]int32), pairTx: make(map[uint64]int)}
+}
+
+// id returns the template's dense ID, numbering it on first sight.
+func (t *tally) id(template int) int32 {
+	if d, ok := t.ids[template]; ok {
+		return d
+	}
+	d := int32(len(t.templates))
+	t.ids[template] = d
+	t.templates = append(t.templates, template)
+	t.itemTx = append(t.itemTx, 0)
+	t.seen = append(t.seen, 0)
+	return d
+}
+
+// packPair keys the unordered pair of dense IDs x != y.
+func packPair(x, y int32) uint64 {
+	if x > y {
+		x, y = y, x
+	}
+	return uint64(x)<<32 | uint64(y)
+}
+
+// mineStream slides a window over one router's sorted events, counting one
+// transaction per message: the distinct templates in the next W, capped at
+// cfg.MaxItemsPerTx in order of first appearance.
+func (t *tally) mineStream(stream []Event, cfg Config) {
+	t.dense = t.dense[:0]
+	for i := range stream {
+		t.dense = append(t.dense, t.id(stream[i].Template))
+	}
 	j := 0
-	items := make([]int, 0, cfg.MaxItemsPerTx)
-	seen := make(map[int]bool, cfg.MaxItemsPerTx)
 	for i := range stream {
 		deadline := stream[i].Time.Add(cfg.Window)
 		if j < i {
@@ -189,31 +243,45 @@ func mineStream(stream []Event, cfg Config, res *Result) {
 		for j < len(stream) && !stream[j].Time.After(deadline) {
 			j++
 		}
-		// Transaction = distinct templates in stream[i:j], capped.
-		items = items[:0]
-		for k := range seen {
-			delete(seen, k)
+		if t.gen++; t.gen == 0 {
+			clear(t.seen)
+			t.gen = 1
 		}
-		for k := i; k < j && len(items) < cfg.MaxItemsPerTx; k++ {
-			t := stream[k].Template
-			if !seen[t] {
-				seen[t] = true
-				items = append(items, t)
+		items := t.items[:0]
+		for _, d := range t.dense[i:j] {
+			if len(items) == cfg.MaxItemsPerTx {
+				break
+			}
+			if t.seen[d] != t.gen {
+				t.seen[d] = t.gen
+				items = append(items, d)
 			}
 		}
-		res.Transactions++
-		for _, t := range items {
-			res.ItemTx[t]++
-		}
-		for a := 0; a < len(items); a++ {
-			for b := a + 1; b < len(items); b++ {
-				x, y := items[a], items[b]
-				if x > y {
-					x, y = y, x
-				}
-				res.PairTx[PairKey{x, y}]++
+		t.items = items
+		t.transactions++
+		for a, x := range items {
+			t.itemTx[x]++
+			for _, y := range items[a+1:] {
+				t.pairTx[packPair(x, y)]++
 			}
 		}
+	}
+}
+
+// fold adds the tally into res under template IDs, pairs canonical X < Y.
+// Every numbered template has a count: its own message's transaction
+// starts with it.
+func (t *tally) fold(res *Result) {
+	res.Transactions += t.transactions
+	for d, n := range t.itemTx {
+		res.ItemTx[t.templates[d]] += n
+	}
+	for k, n := range t.pairTx {
+		x, y := t.templates[k>>32], t.templates[uint32(k)]
+		if x > y {
+			x, y = y, x
+		}
+		res.PairTx[PairKey{x, y}] += n
 	}
 }
 

@@ -157,6 +157,8 @@ func TestMineEmptyAndConfigErrors(t *testing.T) {
 		{Window: -time.Second},
 		{SPmin: 2},
 		{ConfMin: -0.1},
+		{MaxItemsPerTx: -1},
+		{MinEvidence: -1},
 	} {
 		if _, err := Mine(nil, bad); err == nil {
 			t.Errorf("config %+v accepted", bad)

@@ -189,21 +189,11 @@ func GroupStream(ts []time.Time, p Params) ([]int, error) {
 // streams and returns (total groups) / (total arrivals) — the paper's
 // compression ratio for the temporal stage. Empty input returns 1.
 func CompressionRatio(streams [][]time.Time, p Params) (float64, error) {
-	groups, msgs := 0, 0
-	for _, ts := range streams {
-		ids, err := GroupStream(ts, p)
-		if err != nil {
-			return 0, err
-		}
-		msgs += len(ts)
-		if len(ids) > 0 {
-			groups += ids[len(ids)-1] + 1
-		}
+	r, err := newInterarrivals(streams).ratios(p, p.Alpha, []float64{p.Beta})
+	if err != nil {
+		return 0, err
 	}
-	if msgs == 0 {
-		return 1, nil
-	}
-	return float64(groups) / float64(msgs), nil
+	return r[0], nil
 }
 
 // SweepPoint is one (parameter, ratio) sample from a calibration sweep.
@@ -215,15 +205,14 @@ type SweepPoint struct {
 // SweepAlpha computes the compression ratio for each alpha at fixed beta,
 // reproducing the x-axis of the paper's Figure 10.
 func SweepAlpha(streams [][]time.Time, alphas []float64, beta float64, base Params) ([]SweepPoint, error) {
+	ia := newInterarrivals(streams)
 	out := make([]SweepPoint, 0, len(alphas))
 	for _, a := range alphas {
-		p := base
-		p.Alpha, p.Beta = a, beta
-		r, err := CompressionRatio(streams, p)
+		r, err := ia.ratios(base, a, []float64{beta})
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, SweepPoint{Alpha: a, Beta: beta, Ratio: r})
+		out = append(out, SweepPoint{Alpha: a, Beta: beta, Ratio: r[0]})
 	}
 	return out, nil
 }
@@ -231,32 +220,30 @@ func SweepAlpha(streams [][]time.Time, alphas []float64, beta float64, base Para
 // SweepBeta computes the compression ratio for each beta at fixed alpha,
 // reproducing the x-axis of the paper's Figure 11.
 func SweepBeta(streams [][]time.Time, betas []float64, alpha float64, base Params) ([]SweepPoint, error) {
+	rs, err := newInterarrivals(streams).ratios(base, alpha, betas)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]SweepPoint, 0, len(betas))
-	for _, b := range betas {
-		p := base
-		p.Alpha, p.Beta = alpha, b
-		r, err := CompressionRatio(streams, p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SweepPoint{Alpha: alpha, Beta: b, Ratio: r})
+	for i, b := range betas {
+		out = append(out, SweepPoint{Alpha: alpha, Beta: b, Ratio: rs[i]})
 	}
 	return out, nil
 }
 
 // Calibrate picks the (alpha, beta) pair minimizing the compression ratio
-// over the given grids, the offline procedure of §5.2.3. Ties prefer the
-// smaller alpha, then the smaller beta (cheaper, more stable settings).
-// The grid is evaluated on a default worker pool; see CalibrateWith.
+// over the given grids, the offline procedure of §5.2.3. Ties keep the
+// earlier grid point, alphas outer and betas inner, so list the preferred
+// settings first. The grid is evaluated on a default worker pool; see
+// CalibrateWith.
 func Calibrate(streams [][]time.Time, alphas, betas []float64, base Params) (Params, error) {
 	return CalibrateWith(nil, streams, alphas, betas, base)
 }
 
-// CalibrateWith is Calibrate with an explicit worker pool: every (alpha,
-// beta) grid point replays the streams independently, so the sweep is
-// evaluated concurrently and the winner is then selected serially in grid
-// order — identical to the serial sweep at any worker count. A nil pool
-// means a default pool at GOMAXPROCS.
+// CalibrateWith is Calibrate with an explicit worker pool: each alpha is
+// one task that walks the streams once and scores every beta, and the
+// winner is then selected serially in grid order — identical to the serial
+// sweep at any worker count. A nil pool means a default pool at GOMAXPROCS.
 func CalibrateWith(pool *par.Pool, streams [][]time.Time, alphas, betas []float64, base Params) (Params, error) {
 	if len(alphas) == 0 || len(betas) == 0 {
 		return Params{}, fmt.Errorf("temporal: empty calibration grid")
@@ -264,16 +251,9 @@ func CalibrateWith(pool *par.Pool, streams [][]time.Time, alphas, betas []float6
 	if pool == nil {
 		pool = par.New(0)
 	}
-	grid := make([]Params, 0, len(alphas)*len(betas))
-	for _, a := range alphas {
-		for _, b := range betas {
-			p := base
-			p.Alpha, p.Beta = a, b
-			grid = append(grid, p)
-		}
-	}
-	ratios, err := par.Map(pool, len(grid), func(i int) (float64, error) {
-		return CompressionRatio(streams, grid[i])
+	ia := newInterarrivals(streams)
+	ratios, err := par.Map(pool, len(alphas), func(i int) ([]float64, error) {
+		return ia.ratios(base, alphas[i], betas)
 	})
 	if err != nil {
 		return Params{}, err
@@ -281,14 +261,101 @@ func CalibrateWith(pool *par.Pool, streams [][]time.Time, alphas, betas []float6
 	best := base
 	bestRatio := 2.0
 	found := false
-	for i, r := range ratios {
-		if !found || r < bestRatio {
-			found = true
-			bestRatio = r
-			best = grid[i]
+	for i, a := range alphas {
+		for j, b := range betas {
+			if r := ratios[i][j]; !found || r < bestRatio {
+				found = true
+				bestRatio = r
+				best.Alpha, best.Beta = a, b
+			}
 		}
 	}
 	return best, nil
+}
+
+// interarrivals is a set of arrival streams reduced to what scoring reads:
+// every stream's gaps, clamped at zero as Grouper.Observe clamps them,
+// stored back to back. It is built once per sweep and only read after.
+type interarrivals struct {
+	gaps    []time.Duration
+	ends    []int // one past each non-empty stream's last gap in gaps
+	streams int   // streams given, empty ones included
+	msgs    int   // arrivals over all streams
+}
+
+func newInterarrivals(streams [][]time.Time) *interarrivals {
+	ia := &interarrivals{streams: len(streams)}
+	for _, ts := range streams {
+		ia.msgs += len(ts)
+	}
+	ia.gaps = make([]time.Duration, 0, ia.msgs)
+	for _, ts := range streams {
+		if len(ts) == 0 {
+			continue
+		}
+		for i := 1; i < len(ts); i++ {
+			ia.gaps = append(ia.gaps, max(ts[i].Sub(ts[i-1]), 0))
+		}
+		ia.ends = append(ia.ends, len(ia.gaps))
+	}
+	return ia
+}
+
+// ratios returns the compression ratio at (alpha, beta) for every beta,
+// each bit-identical to a GroupStream replay per stream. One EWMA walk
+// serves every beta: the predictor trains on every gap whatever the
+// grouping decision, so only the comparison depends on beta. As in
+// CompressionRatio, a point's parameters are validated only when there is
+// at least one stream, and the first invalid beta's error is returned.
+func (ia *interarrivals) ratios(base Params, alpha float64, betas []float64) ([]float64, error) {
+	p := base
+	bs := make([]float64, len(betas))
+	for i, b := range betas {
+		pt := base
+		pt.Alpha, pt.Beta = alpha, b
+		pt, err := pt.normalize()
+		if err != nil && ia.streams > 0 {
+			return nil, err
+		}
+		p, bs[i] = pt, pt.Beta
+	}
+	out := make([]float64, len(betas))
+	if ia.msgs == 0 {
+		for i := range out {
+			out[i] = 1
+		}
+		return out, nil
+	}
+
+	// all counts the groups every beta opens: each stream's first arrival,
+	// and every gap at or past Smax or before the predictor has started.
+	all := len(ia.ends)
+	breaks := make([]int, len(bs))
+	ewma := stats.NewEWMA(p.Alpha)
+	lo := 0
+	for _, hi := range ia.ends {
+		ewma.SetState(0, false)
+		for _, st := range ia.gaps[lo:hi] {
+			switch {
+			case st <= p.Smin:
+			case st >= p.Smax || !ewma.Started():
+				all++
+			default:
+				v := ewma.Value()
+				for i, b := range bs {
+					if !(float64(st) <= b*v) {
+						breaks[i]++
+					}
+				}
+			}
+			ewma.Observe(float64(min(st, p.Smax)))
+		}
+		lo = hi
+	}
+	for i := range out {
+		out[i] = float64(all+breaks[i]) / float64(ia.msgs)
+	}
+	return out, nil
 }
 
 // Periodicity describes a detected periodic arrival pattern.
