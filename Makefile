@@ -123,7 +123,11 @@ cli-smoke:
 # input (FuzzClassify); and for the offline learner, the temporal sweep's
 # one-pass scoring against a GroupStream replay per grid point
 # (FuzzCalibrate) and dense rule counting against the map-based reference
-# (FuzzMineStream), on any streams and grid. None may panic or fail; a
+# (FuzzMineStream), on any streams and grid; and for the collector's TCP
+# connection reader, whose reader/delivery pipeline must deliver, count and
+# report what the single-goroutine reference loop does on any bytes split
+# into any writes under a 16–64-byte line cap (FuzzConnReader). None may
+# panic or fail; a
 # crasher lands in the package's testdata/fuzz and fails plain `go test`
 # from then on. FuzzDecodeState is
 # seeded with a real part of several kilobytes, and minimizing each new
@@ -141,3 +145,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzClassify$$' -fuzztime=10s ./internal/textutil
 	$(GO) test -run '^$$' -fuzz '^FuzzCalibrate$$' -fuzztime=10s ./internal/temporal
 	$(GO) test -run '^$$' -fuzz '^FuzzMineStream$$' -fuzztime=10s ./internal/rules
+	$(GO) test -run '^$$' -fuzz '^FuzzConnReader$$' -fuzztime=10s ./internal/collector

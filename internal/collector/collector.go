@@ -20,8 +20,21 @@
 // obs.Registry (Config.Metrics) under collector.udp.* / collector.tcp.*,
 // so an exporter can serve them live.
 //
-// Shutdown is graceful: Close unblocks the listeners and waits for every
-// per-connection goroutine to drain.
+// Each TCP connection is a two-stage pipeline so that parsing overlaps the
+// handler: a reader goroutine frames lines, skips oversized ones, numbers
+// and parses them into a fixed ring of reusable batches, and a delivery
+// goroutine hands each batch's messages to the handler in order. The
+// reader hands a batch over when it is full or just before it reads the
+// socket again (the moment it might block), so a quiet connection's line
+// is delivered at once and a busy one pays one handoff per buffer of lines.
+// When every batch is waiting for the handler the reader stops reading, the
+// socket buffer fills and TCP flow control slows the sender — the same
+// backpressure as a single loop. UDP stays one loop: a datagram socket
+// cannot tell whether more is queued without a syscall.
+//
+// Shutdown is graceful: Close stops the listeners, ends every TCP
+// connection once it has gone quiet (what a peer has already sent is still
+// read and delivered) and waits for every per-connection goroutine.
 package collector
 
 import (
@@ -30,17 +43,45 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"syslogdigest/internal/obs"
 	"syslogdigest/internal/syslogmsg"
 )
 
 // Handler receives each successfully parsed message. Handlers are called
-// from multiple goroutines (one per TCP connection plus the UDP loop) and
-// must be safe for concurrent use.
+// from multiple goroutines (one delivery goroutine per TCP connection plus
+// the UDP loop) and must be safe for concurrent use. Calls for one
+// connection come from one goroutine, in arrival order; while a handler
+// runs, that connection's reader parses up to 1 024 lines ahead of it and
+// then stops reading the socket.
 type Handler func(m syslogmsg.Message)
+
+// A TCP connection's reader parses into connBatches batches of
+// connBatchSize messages, reused for the connection's lifetime.
+const (
+	connBatches   = 4
+	connBatchSize = 256
+)
+
+// After Close, a TCP connection is read until it has been quiet for
+// closeQuiet, or until closeDrain after Close for a peer that keeps
+// sending.
+const (
+	closeQuiet = 250 * time.Millisecond
+	closeDrain = 5 * time.Second
+)
+
+// A persistent Accept failure (EMFILE) is retried after a pause that starts
+// at acceptBackoffMin and doubles up to acceptBackoffMax, as net/http's
+// Server does; a successful Accept resets it.
+const (
+	acceptBackoffMin = 5 * time.Millisecond
+	acceptBackoffMax = time.Second
+)
 
 // Config configures a Collector.
 type Config struct {
@@ -88,7 +129,9 @@ type Collector struct {
 	wg      sync.WaitGroup
 	mu      sync.Mutex
 	started bool
-	closed  bool
+	done    chan struct{}         // closed by Close
+	drainBy time.Time             // set by Close before done is closed
+	live    map[net.Conn]struct{} // open TCP connections, under mu
 	nextIdx atomic.Uint64
 
 	udpMet    transportMetrics
@@ -118,6 +161,8 @@ func New(cfg Config, handler Handler) (*Collector, error) {
 	return &Collector{
 		cfg:     cfg,
 		handler: handler,
+		done:    make(chan struct{}),
+		live:    map[net.Conn]struct{}{},
 		udpMet: transportMetrics{
 			received: reg.Counter("collector.udp.received"),
 			dropped:  reg.Counter("collector.udp.dropped"),
@@ -139,7 +184,7 @@ func (c *Collector) Start() error {
 	if c.started {
 		return errors.New("collector: already started")
 	}
-	if c.closed {
+	if c.isClosed() {
 		return errors.New("collector: already closed")
 	}
 	if c.cfg.UDPAddr != "" {
@@ -200,15 +245,20 @@ func (c *Collector) Stats() Stats {
 	}
 }
 
-// Close stops the listeners and waits for in-flight deliveries to finish.
-// It is idempotent.
+// Close stops the listeners, ends every TCP connection once it has gone
+// quiet and waits for in-flight deliveries to finish: a connection is still
+// read — and what its peer already sent delivered — until no byte arrives
+// for closeQuiet, or at most until closeDrain after Close. A line left
+// incomplete when a connection ends is delivered as it stands, as at the
+// end of a stream. It is idempotent.
 func (c *Collector) Close() error {
 	c.mu.Lock()
-	if c.closed {
+	if c.isClosed() {
 		c.mu.Unlock()
 		return nil
 	}
-	c.closed = true
+	c.drainBy = time.Now().Add(closeDrain)
+	close(c.done)
 	udp, tcp := c.udp, c.tcp
 	c.mu.Unlock()
 
@@ -223,14 +273,25 @@ func (c *Collector) Close() error {
 			first = err
 		}
 	}
+	// Wake every reader blocked on its socket; it reads on under the drain
+	// deadline (tcpConn.Read). A connection accepted after this loop sees
+	// done closed on its first read.
+	c.mu.Lock()
+	for conn := range c.live {
+		_ = conn.SetReadDeadline(time.Now())
+	}
+	c.mu.Unlock()
 	c.wg.Wait()
 	return first
 }
 
 func (c *Collector) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
+	select {
+	case <-c.done:
+		return true
+	default:
+		return false
+	}
 }
 
 func (c *Collector) serveUDP(pc net.PacketConn) {
@@ -262,6 +323,7 @@ func (c *Collector) serveUDP(pc net.PacketConn) {
 
 func (c *Collector) serveTCP(ln net.Listener) {
 	defer c.wg.Done()
+	var backoff time.Duration
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -269,24 +331,68 @@ func (c *Collector) serveTCP(ln net.Listener) {
 				return
 			}
 			c.observe(fmt.Errorf("collector: accept: %w", err))
+			backoff = min(max(2*backoff, acceptBackoffMin), acceptBackoffMax)
+			select {
+			case <-time.After(backoff):
+			case <-c.done:
+				return
+			}
 			continue
 		}
+		backoff = 0
 		c.conns.Inc()
-		c.wg.Add(1)
-		go c.serveConn(conn)
+		c.serveConn(conn)
 	}
 }
 
-// serveConn reads newline-framed lines. A line longer than MaxLineBytes is
+// serveConn starts a connection's reader and delivery goroutines. The
+// batches cycle from free to the reader, through full to delivery, and
+// back; all of them are one allocation.
+func (c *Collector) serveConn(conn net.Conn) {
+	c.mu.Lock()
+	c.live[conn] = struct{}{}
+	c.mu.Unlock()
+	t := &tcpConn{
+		c:    c,
+		conn: conn,
+		full: make(chan []syslogmsg.Message, connBatches),
+		free: make(chan []syslogmsg.Message, connBatches),
+	}
+	backing := make([]syslogmsg.Message, connBatches*connBatchSize)
+	for i := 0; i < connBatches; i++ {
+		t.free <- backing[i*connBatchSize : i*connBatchSize : (i+1)*connBatchSize]
+	}
+	c.wg.Add(2)
+	go t.read()
+	go t.deliver()
+}
+
+// tcpConn is one TCP connection's pipeline.
+type tcpConn struct {
+	c          *Collector
+	conn       net.Conn
+	cur        []syslogmsg.Message // the batch the reader is filling
+	full, free chan []syslogmsg.Message
+}
+
+// read reads newline-framed lines. A line longer than MaxLineBytes is
 // skipped and counted — bufio.Scanner would instead return ErrTooLong and
 // end the loop, silently discarding every later message on the connection
 // (one chatty router's single giant line used to blind the collector to
 // that router until it reconnected).
-func (c *Collector) serveConn(conn net.Conn) {
+func (t *tcpConn) read() {
+	c := t.c
 	defer c.wg.Done()
-	defer conn.Close()
+	defer close(t.full)
+	defer func() {
+		t.conn.Close()
+		c.mu.Lock()
+		delete(c.live, t.conn)
+		c.mu.Unlock()
+	}()
+	t.cur = <-t.free
 	// +1 so a line of exactly MaxLineBytes plus its newline still fits.
-	br := bufio.NewReaderSize(conn, c.cfg.MaxLineBytes+1)
+	br := bufio.NewReaderSize(t, c.cfg.MaxLineBytes+1)
 	for {
 		line, err := br.ReadSlice('\n')
 		if err == bufio.ErrBufferFull {
@@ -298,7 +404,7 @@ func (c *Collector) serveConn(conn net.Conn) {
 				_, err = br.ReadSlice('\n')
 			}
 			if err != nil {
-				c.connDone(err)
+				t.end(err)
 				return
 			}
 			continue
@@ -306,20 +412,74 @@ func (c *Collector) serveConn(conn net.Conn) {
 		if len(line) > 0 && line[len(line)-1] == '\n' {
 			line = line[:len(line)-1]
 		}
-		if len(line) > 0 {
-			c.deliverLine(line, &c.tcpMet)
+		if m, ok := c.parseLine(line, &c.tcpMet); ok {
+			t.cur = append(t.cur, m)
+			if len(t.cur) == connBatchSize {
+				t.handOver()
+			}
 		}
 		if err != nil {
-			c.connDone(err)
+			t.end(err)
 			return
 		}
 	}
 }
 
-// connDone reports a connection's terminal error (EOF is a clean close).
-func (c *Collector) connDone(err error) {
-	if err != io.EOF && !c.isClosed() {
-		c.observe(fmt.Errorf("collector: conn read: %w", err))
+// end hands over the last messages and reports the connection's terminal
+// error (EOF is a clean close).
+func (t *tcpConn) end(err error) {
+	if len(t.cur) > 0 {
+		t.full <- t.cur
+	}
+	if err != io.EOF && !t.c.isClosed() {
+		t.c.observe(fmt.Errorf("collector: conn read: %w", err))
+	}
+}
+
+// handOver passes the filled batch to delivery and takes a free one,
+// waiting while every batch is in use.
+func (t *tcpConn) handOver() {
+	t.full <- t.cur
+	t.cur = <-t.free
+}
+
+// Read is the line reader's source. Before every socket read — the moment
+// the reader might block — the messages parsed so far go to delivery. Once
+// the collector is closed each read gets the drain deadline, and only that
+// deadline ends the connection: Close's wake-up, which may land on a read
+// begun before or after, is retried.
+func (t *tcpConn) Read(p []byte) (int, error) {
+	if len(t.cur) > 0 {
+		t.handOver()
+	}
+	for {
+		var deadline time.Time
+		if t.c.isClosed() {
+			deadline = time.Now().Add(closeQuiet)
+			if t.c.drainBy.Before(deadline) {
+				deadline = t.c.drainBy
+			}
+			_ = t.conn.SetReadDeadline(deadline)
+		}
+		n, err := t.conn.Read(p)
+		if n > 0 || !errors.Is(err, os.ErrDeadlineExceeded) ||
+			(!deadline.IsZero() && !time.Now().Before(deadline)) {
+			return n, err
+		}
+	}
+}
+
+// deliver calls the handler for each message of each batch, in order, and
+// returns the batch cleared so it does not pin line strings.
+func (t *tcpConn) deliver() {
+	defer t.c.wg.Done()
+	for b := range t.full {
+		for i := range b {
+			t.c.tcpMet.received.Inc()
+			t.c.handler(b[i])
+		}
+		clear(b)
+		t.free <- b[:0]
 	}
 }
 
@@ -328,20 +488,22 @@ func (c *Collector) deliverLines(payload []byte, tm *transportMetrics) {
 	start := 0
 	for i := 0; i <= len(payload); i++ {
 		if i == len(payload) || payload[i] == '\n' {
-			if i > start {
-				c.deliverLine(payload[start:i], tm)
+			if m, ok := c.parseLine(payload[start:i], tm); ok {
+				tm.received.Inc()
+				c.handler(m)
 			}
 			start = i + 1
 		}
 	}
 }
 
-// deliverLine parses one wire line in place — line aliases a transport
-// buffer and is only valid for the duration of the call; ParseWireBytes
-// copies what the Message keeps.
-func (c *Collector) deliverLine(line []byte, tm *transportMetrics) {
+// parseLine numbers and parses one wire line in place — line aliases a
+// transport buffer and is only valid for the duration of the call;
+// ParseWireBytes copies what the Message keeps. A malformed line is counted
+// on tm and reported; an empty one is skipped unnumbered.
+func (c *Collector) parseLine(line []byte, tm *transportMetrics) (syslogmsg.Message, bool) {
 	if len(line) == 0 {
-		return
+		return syslogmsg.Message{}, false
 	}
 	if line[len(line)-1] == '\r' {
 		line = line[:len(line)-1]
@@ -351,10 +513,9 @@ func (c *Collector) deliverLine(line []byte, tm *transportMetrics) {
 	if err != nil {
 		tm.dropped.Inc()
 		c.observe(err)
-		return
+		return m, false
 	}
-	tm.received.Inc()
-	c.handler(m)
+	return m, true
 }
 
 func (c *Collector) observe(err error) {
