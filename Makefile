@@ -117,8 +117,8 @@ cli-smoke:
 # to (FuzzDecodeDecisions); and for the streamer's reorder front end under
 # arbitrary arrival times, tolerance and cap, whose books must balance
 # after every call (FuzzStreamerFrontEnd); for the collector's input, raw
-# syslog lines parsed from a string and from bytes, which must agree on any
-# line (FuzzParseWire); and for token classification, trimming and
+# syslog lines in any wire format, each accepted one with a router and a
+# code (FuzzParseWire); and for token classification, trimming and
 # tokenizing, which must agree with their straightforward references on any
 # input (FuzzClassify); and for the offline learner, the temporal sweep's
 # one-pass scoring against a GroupStream replay per grid point

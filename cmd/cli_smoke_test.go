@@ -6,6 +6,8 @@ package cmd_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -140,6 +142,39 @@ func TestCLISmoke(t *testing.T) {
 			if !strings.Contains(errb.String(), "-top and -show require the batch digest") {
 				t.Fatalf("-stream %s 3 failed without naming the conflict:\n%s", flag, errb)
 			}
+		}
+	})
+
+	t.Run("sddigest -stream-workers without -stream is refused", func(t *testing.T) {
+		cmd, out, errb := c.command("sddigest", "-kb", kb, "-syslog", syslog, "-stream-workers", "4")
+		if err := cmd.Run(); err == nil {
+			t.Fatalf("-stream-workers 4 without -stream exited 0 (%d bytes of output): the flag is ignored, not refused", out.Len())
+		}
+		if !strings.Contains(errb.String(), "-stream-workers requires -stream") {
+			t.Fatalf("-stream-workers 4 failed without naming the flag:\n%s", errb)
+		}
+	})
+
+	// A destination that records what reaches it: the refused replay must
+	// exit before its first datagram.
+	t.Run("sdreplay -udp refuses -kb", func(t *testing.T) {
+		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pc.Close()
+		cmd, _, errb := c.command("sdreplay", "-syslog", syslog, "-udp", pc.LocalAddr().String(), "-kb", kb)
+		if err := cmd.Run(); err == nil {
+			t.Fatal("-udp with -kb exited 0: the flag is ignored, not refused")
+		}
+		if !strings.Contains(errb.String(), "-kb applies to local mode only") {
+			t.Fatalf("-udp with -kb failed without naming the flag:\n%s", errb)
+		}
+		pc.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+		buf := make([]byte, 64<<10)
+		n, _, err := pc.ReadFrom(buf)
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("the refused replay sent a datagram (%d bytes, err %v): %q", n, err, buf[:n])
 		}
 	})
 

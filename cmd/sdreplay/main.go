@@ -19,7 +19,9 @@
 // and -checkpoint makes the replay resumable: streaming state is
 // snapshotted to the file periodically, and a restarted replay restores it
 // and skips the prefix of the stream the previous run already pushed,
-// printing each event exactly once across restarts.
+// printing each event exactly once across restarts. The local-mode flags
+// (-kb, -stream-workers, -shards, -provisional, -checkpoint,
+// -checkpoint-interval) are refused with -udp or -tcp.
 package main
 
 import (
@@ -58,6 +60,14 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if !local {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "kb", "stream-workers", "shards", "provisional", "checkpoint", "checkpoint-interval":
+				fatalf("-%s applies to local mode only (with -kb and no -udp/-tcp destination)", f.Name)
+			}
+		})
+	}
 
 	f, err := os.Open(*syslogPath)
 	if err != nil {
@@ -78,9 +88,6 @@ func main() {
 			ProvisionalHorizon: *provisional,
 		}, *ckptPath, *ckptEvery)
 		return
-	}
-	if *provisional != 0 {
-		fatalf("-provisional applies to local mode only (with -kb and no destination)")
 	}
 
 	var render func(m *syslogmsg.Message) string

@@ -5,7 +5,7 @@
 //
 // Collector listens on UDP (datagram-per-message, classic syslog) and/or
 // TCP (newline-framed, octet-stuffing style) and parses each message with
-// syslogmsg.ParseWire, which accepts RFC 5424, RFC 3164 and the
+// syslogmsg.ParseWireBytes, which accepts RFC 5424, RFC 3164 and the
 // repository's own line format. Parsed messages are handed to a caller
 // handler in arrival order per connection; malformed input is counted and
 // dropped, never fatal — an operational collector must survive garbage.

@@ -74,13 +74,13 @@ type Params struct {
 	CalibrateTemporal bool
 	// Parallelism bounds the worker fan-out of every parallel stage: offline
 	// template learning, temporal calibration and rule mining, and online
-	// batch augmentation (grouping is not fanned out here — see
-	// Digester.SetStreamWorkers). 0 means runtime.GOMAXPROCS(0); 1 forces
-	// the serial path. Every parallel path is deterministic — output is
-	// byte-identical at any setting. Runtime knob only: it is not part of
-	// the learned knowledge and is not serialized into the knowledge base (a
-	// reloaded base defaults to 0 and can be re-tuned per process via the -j
-	// flags).
+	// batch augmentation (grouping is not fanned out here: a batch groups
+	// on the serial engine, a streamer on its StreamerOptions shape). 0
+	// means runtime.GOMAXPROCS(0); 1 forces the serial path. Every parallel
+	// path is deterministic — output is byte-identical at any setting.
+	// Runtime knob only: it is not part of the learned knowledge and is not
+	// serialized into the knowledge base (a reloaded base defaults to 0 and
+	// can be re-tuned per process via the -j flags).
 	Parallelism int
 	// MatchCache bounds the repeat-message augment cache in entries:
 	// messages whose (router, code, detail) was augmented before reuse the
@@ -499,17 +499,16 @@ type digestMetrics struct {
 
 // Digester is the online half of SyslogDigest. Batch augmentation fans out
 // over one worker pool sized by the knowledge base's Params.Parallelism
-// (overridable via SetParallelism); batch grouping runs on the engine
-// SetStreamWorkers selects. The shape of a streaming run is not decided
-// here: it is StreamerOptions, per streamer.
+// (overridable via SetParallelism); batch grouping runs on the serial
+// engine. The shape of a streaming run is not decided here: it is
+// StreamerOptions, per streamer.
 type Digester struct {
-	kb          *KnowledgeBase
-	stage       Stage
-	builder     *event.Builder
-	labeler     *event.Labeler
-	pool        *par.Pool
-	streamWorks int // Digest's engine only (SetStreamWorkers)
-	met         digestMetrics
+	kb      *KnowledgeBase
+	stage   Stage
+	builder *event.Builder
+	labeler *event.Labeler
+	pool    *par.Pool
+	met     digestMetrics
 }
 
 // NewDigester builds a digester over a learned knowledge base.
@@ -536,13 +535,6 @@ func (d *Digester) SetStage(s Stage) { d.stage = s }
 // GOMAXPROCS, 1 = serial). Results are byte-identical at any setting.
 // Call before Instrument so the new pool's metrics are registered.
 func (d *Digester) SetParallelism(n int) { d.pool = par.New(n) }
-
-// SetStreamWorkers selects the engine that groups subsequent batch Digest
-// and DigestPlus calls: <= 1 the serial engine, N > 1 the sharded engine
-// with N router-hashed workers. Byte-identical output at any setting.
-// Batch-only: a Streamer takes its shape from StreamerOptions and never
-// reads this.
-func (d *Digester) SetStreamWorkers(n int) { d.streamWorks = n }
 
 // Instrument publishes the digester's metrics (digest.*, group.merges.*)
 // into reg: wall-time histograms for the augment/group/build stages, batch
@@ -604,10 +596,10 @@ func (d *Digester) groupingConfig() grouping.Config {
 	}
 }
 
-// streamEngine is the surface Streamer and DigestPlus drive. Two types
-// satisfy it with byte-identical output: the serial stream.Engine, and
-// stream.ShardedEngine — one dispatcher/merge core whose shards sit behind
-// either in-process or TCP links.
+// streamEngine is the surface a Streamer drives. Two types satisfy it with
+// byte-identical output: the serial stream.Engine, and stream.ShardedEngine
+// — one dispatcher/merge core whose shards sit behind either in-process or
+// TCP links.
 type streamEngine interface {
 	Observe(stream.Message) ([]event.Event, error)
 	Drain() []event.Event
@@ -681,18 +673,17 @@ func streamMsg(pm *PlusMessage, seq int) stream.Message {
 }
 
 // DigestPlus processes a batch that is already augmented. It drives the
-// same incremental engine the Streamer runs: messages feed in time order,
+// serial incremental engine a Streamer runs: messages feed in time order,
 // events close behind the watermark, a final drain closes the rest, and one
 // global rank restores the batch presentation order. The retired three-pass
 // batch implementation survives as ReferenceDigestPlus, the differential
 // oracle the streaming path is tested against.
 func (d *Digester) DigestPlus(plus []PlusMessage) (*DigestResult, error) {
 	groupStart := time.Now()
-	eng, err := d.newStreamEngine(StreamerOptions{StreamWorkers: d.streamWorks})
+	eng, err := stream.New(d.kb.dict, d.kb.RuleBase, d.engineConfig(0, 0))
 	if err != nil {
 		return nil, err
 	}
-	defer eng.Close()
 	// Feed order: ascending time, ties by batch position — the same order
 	// the batch grouper sorted into, so partitions match exactly.
 	order := make([]int, len(plus))

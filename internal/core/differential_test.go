@@ -641,16 +641,13 @@ func check(t *testing.T, p plan, got *run) {
 func checkShards(t *testing.T, k int, sr segRun) {
 	t.Helper()
 	m, n := sr.met, sr.shape.count()
-	if n > 1 { // the per-shard and merge series exist from two shards up
+	if n > 1 { // the per-shard series exist from two shards up
 		var shardPushed uint64
 		for i := 0; i < n; i++ {
 			shardPushed += m.Counter(fmt.Sprintf("stream.shard.%d.pushed", i))
 		}
 		if shardPushed != uint64(sr.fed) {
 			t.Fatalf("segment %d (%v): per-shard pushed sums to %d, engine fed %d", k, sr.shape, shardPushed, sr.fed)
-		}
-		if em, mem := m.Counter("stream.emitted"), m.Counter("stream.merge.emitted"); em != mem {
-			t.Fatalf("segment %d (%v): emitted %d, merge.emitted %d", k, sr.shape, em, mem)
 		}
 	}
 	if sr.shape.shards == 0 {
@@ -933,9 +930,8 @@ func TestCheckpointRestoreAcrossWorkerCounts(t *testing.T) {
 // TestStreamingMatchesBatch is the oracle the references answer to. Per
 // vendor corpus, the engine-backed Digest reproduces the retired three-pass
 // batch implementation (ReferenceDigestPlus) exactly — events, scores,
-// labels, ranks, IDs — at augment parallelism 1 and 8, and DigestPlus on
-// the sharded engine at 2 and 8 workers equals the serial engine's, active
-// rules included. (reference holds the serial streamer to DigestPlus.)
+// labels, ranks, IDs — at augment parallelism 1 and 8. (reference holds
+// the serial streamer to DigestPlus.)
 func TestStreamingMatchesBatch(t *testing.T) {
 	for _, kind := range []gen.DatasetKind{gen.DatasetA, gen.DatasetB} {
 		f := fixtureFor(t, corpus(kind))
@@ -947,9 +943,9 @@ func TestStreamingMatchesBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, tc := range []struct{ j, workers int }{{1, 2}, {8, 8}} {
-			t.Run(fmt.Sprintf("kind%d-j%d", kind, tc.j), func(t *testing.T) {
-				d.SetParallelism(tc.j)
+		for _, j := range []int{1, 8} {
+			t.Run(fmt.Sprintf("kind%d-j%d", kind, j), func(t *testing.T) {
+				d.SetParallelism(j)
 				got, err := d.Digest(f.ds.Messages)
 				if err != nil {
 					t.Fatal(err)
@@ -959,16 +955,6 @@ func TestStreamingMatchesBatch(t *testing.T) {
 				}
 				if len(got.ActiveRules) == 0 {
 					t.Fatal("engine digest reported no active rules")
-				}
-
-				d.SetStreamWorkers(tc.workers)
-				sh, err := d.DigestPlus(got.Messages)
-				d.SetStreamWorkers(0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(sh.Events, got.Events) || !reflect.DeepEqual(sh.ActiveRules, got.ActiveRules) {
-					t.Fatalf("DigestPlus at %d workers differs from serial", tc.workers)
 				}
 			})
 		}

@@ -112,12 +112,11 @@ func NewStreamerWith(d *Digester, opts StreamerOptions) *Streamer {
 // gauges (stream.state.{messages,groups,streams}, stream.state.evictions),
 // and the shared grouping merge counters (group.merges.*). In sharded mode
 // it additionally publishes per-shard series (stream.shard.<k>.{pushed,
-// streams,evictions}) and the merge-stage series (stream.merge.emitted,
-// stream.merge.lag_seconds). In cluster mode the wire-level series join
-// them (stream.cluster.{bytes_out,bytes_in,batches_sent,batches_acked,
-// replayed_batches,reconnects,state_snapshots,rtt_seconds,inflight,
-// punctuations_applied}). A nil registry leaves the streamer
-// uninstrumented.
+// streams,evictions}) and the merge-stage lag (stream.merge.lag_seconds).
+// In cluster mode the wire-level series join them (stream.cluster.{
+// bytes_out,bytes_in,batches_sent,batches_acked,replayed_batches,
+// reconnects,state_snapshots,rtt_seconds,inflight,punctuations_applied}).
+// A nil registry leaves the streamer uninstrumented.
 func (s *Streamer) Instrument(reg *obs.Registry) {
 	s.fe.instrument(reg)
 	s.engMetrics = stream.ClusterMetrics{ShardedMetrics: stream.ShardedMetrics{Metrics: stream.Metrics{
@@ -155,7 +154,6 @@ func (s *Streamer) Instrument(reg *obs.Registry) {
 		shards = len(s.opts.ShardAddrs) // one shard per address
 	}
 	if shards > 1 {
-		s.engMetrics.MergeEmitted = reg.Counter("stream.merge.emitted")
 		s.engMetrics.MergeLag = reg.Histogram("stream.merge.lag_seconds", stream.MergeLagBounds())
 		s.engMetrics.Shards = make([]stream.ShardMetrics, shards)
 		for k := 0; k < shards; k++ {

@@ -26,19 +26,17 @@ import (
 // TestStreamerOptionsDecideShape pins the literal meaning of the three shape
 // fields of StreamerOptions — there is nothing to inherit them from: the
 // engine is serial unless StreamWorkers > 1 (sharded) or ShardAddrs is set
-// (sharded over the wire, whatever StreamWorkers says), the run carries
-// Updates only under a positive ProvisionalHorizon, and the digester's
-// batch-engine choice (SetStreamWorkers) does not reach a streamer.
+// (sharded over the wire, whatever StreamWorkers says), and the run carries
+// Updates only under a positive ProvisionalHorizon.
 func TestStreamerOptionsDecideShape(t *testing.T) {
 	kb, ds := learnSmall(t, gen.DatasetA)
 	srv := fixtureFor(t, corpusA).server(t)
 	for _, tc := range []struct {
-		name         string
-		batchWorkers int // Digester.SetStreamWorkers before the streamer is built
-		opts         StreamerOptions
-		sharded      bool // the engine is the dispatcher/merge core
-		wire         bool // its shards sit behind TCP links
-		updates      bool
+		name    string
+		opts    StreamerOptions
+		sharded bool // the engine is the dispatcher/merge core
+		wire    bool // its shards sit behind TCP links
+		updates bool
 	}{
 		{name: "zero value", opts: StreamerOptions{}},
 		{name: "workers 1", opts: StreamerOptions{StreamWorkers: 1}},
@@ -47,14 +45,12 @@ func TestStreamerOptionsDecideShape(t *testing.T) {
 		{name: "addrs over workers 1", opts: StreamerOptions{StreamWorkers: 1, ShardAddrs: loopbackAddrs(srv, 1)}, sharded: true, wire: true},
 		{name: "horizon negative", opts: StreamerOptions{ProvisionalHorizon: -provHorizon}},
 		{name: "horizon positive", opts: StreamerOptions{ProvisionalHorizon: provHorizon}, updates: true},
-		{name: "batch workers stay out", batchWorkers: 4, opts: StreamerOptions{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d, err := NewDigester(kb)
 			if err != nil {
 				t.Fatal(err)
 			}
-			d.SetStreamWorkers(tc.batchWorkers)
 			s := NewStreamerWith(d, tc.opts)
 			defer s.Close()
 			reg := obs.NewRegistry()

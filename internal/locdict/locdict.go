@@ -214,7 +214,7 @@ type Dictionary struct {
 type spatEntry struct {
 	anc    [3]int32 // ancestor IDs, self excluded, coarser last
 	router int32    // ID of the location's router-level location (its own, at router level)
-	nanc   int8     // live prefix of anc; -1 disables the fast path
+	nanc   int8     // live prefix of anc
 	level  Level
 	name   int32 // interface-name symbol, -1 unless interface-level
 	bundle int32 // parent-bundle name symbol, -1 when none
@@ -515,14 +515,11 @@ func (d *Dictionary) buildSpatialIndex() {
 	for id := 0; id < len(d.spatLocs); id++ {
 		loc := d.spatLocs[id]
 		e := spatEntry{level: loc.Level, name: -1, bundle: -1, router: d.intern(RouterLoc(loc.Router))}
-		chain := d.Ancestors(loc)
-		if len(chain)-1 > len(e.anc) {
-			e.nanc = -1 // cannot happen by construction; stay exact if it does
-		} else {
-			for _, a := range chain[1:] {
-				e.anc[e.nanc] = d.intern(a)
-				e.nanc++
-			}
+		// A chain is at most interface → port → slot → router, so its
+		// ancestors fit anc.
+		for _, a := range d.Ancestors(loc)[1:] {
+			e.anc[e.nanc] = d.intern(a)
+			e.nanc++
 		}
 		if loc.Level == LevelInterface {
 			e.name = d.symbol(strings.ToLower(loc.Name))

@@ -103,9 +103,6 @@ func (d *Dictionary) SpatialMatchID(a, b int32) bool {
 	if ea.router != eb.router {
 		return false // bundle symbols are per name, not per router
 	}
-	if ea.nanc < 0 || eb.nanc < 0 {
-		return d.SpatialMatchLinear(d.spatLocs[a], d.spatLocs[b])
-	}
 	for _, x := range ea.anc[:ea.nanc] {
 		if x == b {
 			return true

@@ -57,6 +57,16 @@ func TestSpatialMatchIndexedMatchesLinear(t *testing.T) {
 			if got, ok := d.LocID(loc); !ok || got != int32(id) {
 				t.Fatalf("seed %d: LocID(%+v) = %d, %v; interned as %d", seed, loc, got, ok, id)
 			}
+			// Every interned entry carries its whole ancestor chain.
+			e, chain := d.spatEnt[id], d.Ancestors(loc)
+			if int(e.nanc) != len(chain)-1 {
+				t.Fatalf("seed %d: %+v holds %d ancestors, chain has %d", seed, loc, e.nanc, len(chain)-1)
+			}
+			for i, a := range chain[1:] {
+				if got, _ := d.LocID(a); e.anc[i] != got {
+					t.Fatalf("seed %d: %+v ancestor %d is ID %d, want %d (%+v)", seed, loc, i, e.anc[i], got, a)
+				}
+			}
 			perRouter[loc.Router] = append(perRouter[loc.Router], int32(id))
 		}
 		var busiest, other string

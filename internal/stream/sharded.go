@@ -91,9 +91,8 @@ type ShardMetrics struct {
 // LocalStats every link result carries.
 type ShardedMetrics struct {
 	Metrics
-	MergeEmitted *obs.Counter   // stream.merge.emitted
-	MergeLag     *obs.Histogram // stream.merge.lag_seconds
-	Shards       []ShardMetrics // index = shard; missing entries record nothing
+	MergeLag *obs.Histogram // stream.merge.lag_seconds
+	Shards   []ShardMetrics // index = shard; missing entries record nothing
 }
 
 func (m *ShardedMetrics) shard(k int) ShardMetrics {
@@ -509,7 +508,6 @@ func (e *ShardedEngine) emit(closed []grouping.ClosedGroup) {
 	e.mu.Lock()
 	e.em.emit(gus, closed, e.merger.Progress().Time(), &e.out, &e.upd)
 	e.mu.Unlock()
-	e.met.MergeEmitted.Add(uint64(len(closed)))
 	e.merger.Recycle(closed)
 }
 

@@ -1,7 +1,6 @@
 package syslogmsg
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"time"
@@ -113,17 +112,4 @@ func daysIn(year, month int) int {
 		}
 		return 28
 	}
-}
-
-// ParseWireBytes is ParseWire for a []byte line. The repository line
-// format — the hot path when replaying corpora through the collector — is
-// parsed with ParseLineBytes; RFC 5424/3164 framings take the string
-// parser (their cold path allocates the same as before).
-func ParseWireBytes(line []byte, index uint64, year int) (Message, error) {
-	if len(line) > 0 && line[0] == '<' {
-		if i := bytes.IndexByte(line, '>'); i > 0 && i <= 4 {
-			return ParseWire(string(line), index, year)
-		}
-	}
-	return ParseLineBytes(line, index)
 }

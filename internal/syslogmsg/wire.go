@@ -1,6 +1,7 @@
 package syslogmsg
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -13,20 +14,22 @@ import (
 // into the same Message model the rest of the pipeline consumes. The
 // router-private line format (ParseLine) remains the storage format.
 
-// ParseWire parses one syslog wire datagram/line in whichever format it
-// uses: RFC 5424 (leading "<pri>1 "), RFC 3164 (leading "<pri>" + BSD
-// timestamp), or the repository's own line format as a fallback.
-func ParseWire(line string, index uint64, year int) (Message, error) {
-	if strings.HasPrefix(line, "<") {
-		if i := strings.IndexByte(line, '>'); i > 0 && i <= 4 {
-			rest := line[i+1:]
-			if strings.HasPrefix(rest, "1 ") {
-				return parseRFC5424(line, index)
+// ParseWireBytes parses one syslog wire datagram/line in whichever format
+// it uses: RFC 5424 (leading "<pri>1 "), RFC 3164 (leading "<pri>" + BSD
+// timestamp), or the repository's own line format as a fallback. It is the
+// one place a wire line's format is decided. The repository line format —
+// the hot path when replaying corpora through the collector — is parsed
+// with ParseLineBytes; RFC 5424/3164 framings take the string parsers.
+func ParseWireBytes(line []byte, index uint64, year int) (Message, error) {
+	if len(line) > 0 && line[0] == '<' {
+		if i := bytes.IndexByte(line, '>'); i > 0 && i <= 4 {
+			if bytes.HasPrefix(line[i+1:], []byte("1 ")) {
+				return parseRFC5424(string(line), index)
 			}
-			return parseRFC3164(line, index, year)
+			return parseRFC3164(string(line), index, year)
 		}
 	}
-	return ParseLine(line, index)
+	return ParseLineBytes(line, index)
 }
 
 // parsePri extracts and validates the <pri> prefix, returning facility*8+severity

@@ -8,7 +8,7 @@ import (
 
 func TestParseRFC3164(t *testing.T) {
 	line := "<189>Jan 10 00:00:15 r1 %LINK-3-UPDOWN: Interface Serial13/0.10/20:0, changed state to down"
-	m, err := ParseWire(line, 3, 2010)
+	m, err := ParseWireBytes([]byte(line), 3, 2010)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestParseRFC3164(t *testing.T) {
 
 func TestParseRFC3164SpacePaddedDay(t *testing.T) {
 	line := "<189>Feb  2 13:01:02 ra SNMP-WARNING-linkDown: Interface 0/0/1 is not operational"
-	m, err := ParseWire(line, 0, 2010)
+	m, err := ParseWireBytes([]byte(line), 0, 2010)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestParseRFC3164SpacePaddedDay(t *testing.T) {
 
 func TestParseRFC3164DefaultYear(t *testing.T) {
 	line := "<189>Mar 15 08:30:00 r9 %SYS-5-CONFIG_I: Configured from console"
-	m, err := ParseWire(line, 0, 0)
+	m, err := ParseWireBytes([]byte(line), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,15 +58,15 @@ func TestParseRFC3164Errors(t *testing.T) {
 		"<999>Jan 10 00:00:15 r1 %A-1-B: d", // pri out of range
 	}
 	for _, c := range cases {
-		if _, err := ParseWire(c, 0, 2010); err == nil {
-			t.Errorf("ParseWire(%q) succeeded", c)
+		if _, err := ParseWireBytes([]byte(c), 0, 2010); err == nil {
+			t.Errorf("ParseWireBytes(%q) succeeded", c)
 		}
 	}
 }
 
 func TestParseRFC5424WithMsgID(t *testing.T) {
 	line := "<189>1 2010-01-10T00:00:15Z r5 router - LINK-3-UPDOWN - Interface Serial2/0.10/2:0, changed state to down"
-	m, err := ParseWire(line, 7, 0)
+	m, err := ParseWireBytes([]byte(line), 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestParseRFC5424WithMsgID(t *testing.T) {
 
 func TestParseRFC5424NilMsgIDFallsBackToTag(t *testing.T) {
 	line := "<189>1 2010-01-10T00:00:15Z rb router - - - SVCMGR-MAJOR-sapPortStateChangeProcessed: The status of all affected SAPs on port 1/1/1 has been updated"
-	m, err := ParseWire(line, 0, 0)
+	m, err := ParseWireBytes([]byte(line), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestParseRFC5424NilMsgIDFallsBackToTag(t *testing.T) {
 
 func TestParseRFC5424StructuredData(t *testing.T) {
 	line := `<189>1 2010-01-10T00:00:15Z r5 router - BGP-5-ADJCHANGE [meta seq="42"][origin ip="10.0.0.1"] neighbor 192.168.0.2 vpn vrf 1000:1001 Up`
-	m, err := ParseWire(line, 0, 0)
+	m, err := ParseWireBytes([]byte(line), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestParseRFC5424StructuredData(t *testing.T) {
 
 func TestParseRFC5424TimezoneNormalized(t *testing.T) {
 	line := "<189>1 2010-01-10T05:00:15+05:00 r5 router - X-1-Y - detail"
-	m, err := ParseWire(line, 0, 0)
+	m, err := ParseWireBytes([]byte(line), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,15 +125,15 @@ func TestParseRFC5424Errors(t *testing.T) {
 		"<189>1 2010-01-10T00:00:15Z r5 a b X-1-Y [unterminated msg", // bad SD
 	}
 	for _, c := range cases {
-		if _, err := ParseWire(c, 0, 0); err == nil {
-			t.Errorf("ParseWire(%q) succeeded", c)
+		if _, err := ParseWireBytes([]byte(c), 0, 0); err == nil {
+			t.Errorf("ParseWireBytes(%q) succeeded", c)
 		}
 	}
 }
 
 func TestParseWireFallsBackToLineFormat(t *testing.T) {
 	line := "2010-01-10 00:00:15|r1|LINK-3-UPDOWN|Interface Serial1/0, changed state to down"
-	m, err := ParseWire(line, 5, 0)
+	m, err := ParseWireBytes([]byte(line), 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestWireRoundTripRFC3164(t *testing.T) {
 		Detail: "Interface Serial1/0, changed state to down",
 	}
 	wire := FormatRFC3164(&orig, 189)
-	back, err := ParseWire(wire, 0, 2010)
+	back, err := ParseWireBytes([]byte(wire), 0, 2010)
 	if err != nil {
 		t.Fatalf("%v (wire %q)", err, wire)
 	}
@@ -165,7 +165,7 @@ func TestWireRoundTripRFC5424(t *testing.T) {
 		Detail: "Interface 0/0/1 is not operational",
 	}
 	wire := FormatRFC5424(&orig, 28)
-	back, err := ParseWire(wire, 0, 0)
+	back, err := ParseWireBytes([]byte(wire), 0, 0)
 	if err != nil {
 		t.Fatalf("%v (wire %q)", err, wire)
 	}

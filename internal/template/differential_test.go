@@ -98,10 +98,9 @@ func TestMatcherDifferentialCorpus(t *testing.T) {
 }
 
 // TestMatcherDifferentialRandom is a seeded property test over synthetic
-// template sets built to exercise both matching paths: a code below
-// invertedIndexMin (inline rarest-literal scan) and one far above it
-// (posting-list merge), with literal-free templates, duplicate literals, and
-// out-of-vocabulary message tokens.
+// template sets: a code of learned size and one far larger than the
+// learner's degree prune allows, with literal-free templates, duplicate
+// literals, and out-of-vocabulary message tokens.
 func TestMatcherDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	vocab := []string{
@@ -131,7 +130,7 @@ func TestMatcherDifferentialRandom(t *testing.T) {
 			id++
 		}
 		// A couple of literal-free templates per code: they match any
-		// message and populate the index's always-list.
+		// message, so the rarest-literal prune never skips them.
 		for i := 0; i < 2; i++ {
 			tmpls = append(tmpls, template.Template{
 				ID: id, Code: code, Words: []string{textutil.Mask, textutil.Mask},
@@ -139,8 +138,8 @@ func TestMatcherDifferentialRandom(t *testing.T) {
 			id++
 		}
 	}
-	add("SMALL-5-CODE", 4) // below invertedIndexMin: inline scan
-	add("BIG-3-CODE", 48)  // far above: posting-list path
+	add("SMALL-5-CODE", 4) // a learned code's size
+	add("BIG-3-CODE", 48)  // far above the degree prune
 	m, lm := template.NewMatcher(tmpls), newLinearMatcher(tmpls)
 
 	codes := []string{"SMALL-5-CODE", "BIG-3-CODE", "UNKNOWN-0-CODE"}

@@ -498,18 +498,18 @@ func leafPattern(group [][]string) []string {
 // a dense int32 symbol; message tokens are resolved through the pool once per
 // match, so ordered-containment tests compare integers instead of strings,
 // and a token absent from the pool (symbol -1) can never equal a literal —
-// unknown words reject for free. Per error code the matcher also keeps a
-// rarest-literal inverted index: each template is filed under its most
-// discriminating literal (the one occurring in the fewest templates of that
-// code), and a match only tests templates whose discriminating literal
-// actually occurs in the message, plus the literal-free templates that match
-// anything. Candidates are tested in the same most-specific-first order as a
-// full scan, so results are byte-identical to a linear string scan; the
-// differential tests, which keep that scan as their reference, assert
-// exactly that.
+// unknown words reject for free. Each error code's templates are scanned
+// most-specific-first, and every template carries its most discriminating
+// literal (the one occurring in the fewest templates of that code): a
+// template whose discriminating literal is absent from the message is
+// skipped before any containment test. The learner's k = 10 degree prune
+// keeps a code to a handful of templates, so one ordered scan is all a
+// code needs. The first hit is the same template a linear string scan
+// returns; the differential tests, which keep that scan as their
+// reference, assert exactly that.
 type Matcher struct {
-	byCode map[string]*codeIndex
-	pool   map[string]int32 // literal word → dense symbol
+	byCode map[string][]matchEntry // per code, most-specific-first
+	pool   map[string]int32        // literal word → dense symbol
 	// prefilter[b] has bit l set when some pool word starts with byte b and
 	// has length l (capped at 63). Most message tokens are masked values —
 	// interface names, addresses, numbers — that appear in no template, and
@@ -542,48 +542,21 @@ type matchEntry struct {
 	rarest int32
 }
 
-// invertedIndexMin is the per-code template count above which the posting-
-// list inverted index pays for its merge overhead. Below it (the common
-// case — the learner's K=10 degree prune caps sub-types per code) the
-// rarest-literal check runs inline over the ordered scan, which prunes
-// identically without map lookups or a candidate sort.
-const invertedIndexMin = 16
-
-// codeIndex holds one error code's templates, most-specific-first, plus the
-// rarest-literal inverted index over them.
-type codeIndex struct {
-	entries []matchEntry
-	// byRarest files each entry (by position in entries) under its rarest
-	// literal. Posting lists are ascending, and every entry with at least
-	// one literal is in exactly one list. nil for codes below
-	// invertedIndexMin, which scan inline instead.
-	byRarest map[int32][]int32
-	// always holds entries with no literals; they match any message.
-	// Populated only alongside byRarest.
-	always []int32
-}
-
 // matchScratch is the per-call working memory of MatchTokens, pooled so the
 // steady-state match path allocates nothing.
 type matchScratch struct {
 	syms []int32
-	cand []int32
 }
 
 // NewMatcher indexes templates for matching. Within each code, templates are
 // ordered most-specific-first so Match can return the first hit.
 func NewMatcher(templates []Template) *Matcher {
 	m := &Matcher{
-		byCode: make(map[string]*codeIndex),
+		byCode: make(map[string][]matchEntry),
 		pool:   make(map[string]int32),
 	}
 	m.scratch.New = func() any { return &matchScratch{} }
 	for _, t := range templates {
-		ci := m.byCode[t.Code]
-		if ci == nil {
-			ci = &codeIndex{}
-			m.byCode[t.Code] = ci
-		}
 		lits := t.Literals()
 		e := matchEntry{t: t, lits: lits, syms: make([]int32, len(lits))}
 		for i, w := range lits {
@@ -595,10 +568,9 @@ func NewMatcher(templates []Template) *Matcher {
 			}
 			e.syms[i] = s
 		}
-		ci.entries = append(ci.entries, e)
+		m.byCode[t.Code] = append(m.byCode[t.Code], e)
 	}
-	for _, ci := range m.byCode {
-		ts := ci.entries
+	for _, ts := range m.byCode {
 		sort.SliceStable(ts, func(i, j int) bool {
 			si, sj := len(ts[i].lits), len(ts[j].lits)
 			if si != sj {
@@ -606,28 +578,27 @@ func NewMatcher(templates []Template) *Matcher {
 			}
 			return ts[i].t.ID < ts[j].t.ID
 		})
-		ci.buildIndex()
+		rankLiterals(ts)
 	}
 	return m
 }
 
-// buildIndex computes each entry's discriminating literal and, for codes
-// with many templates, files entries into the inverted index. Called once
-// per code after entries are sorted.
-func (ci *codeIndex) buildIndex() {
+// rankLiterals computes the discriminating literal of each of one code's
+// entries.
+func rankLiterals(entries []matchEntry) {
 	// Document frequency of each symbol within this code (counted once per
 	// entry).
 	freq := make(map[int32]int)
-	for i := range ci.entries {
-		e := &ci.entries[i]
+	for i := range entries {
+		e := &entries[i]
 		for j, s := range e.syms {
 			if !containsSymBefore(e.syms, s, j) {
 				freq[s]++
 			}
 		}
 	}
-	for i := range ci.entries {
-		e := &ci.entries[i]
+	for i := range entries {
+		e := &entries[i]
 		e.rarest = noSym
 		if len(e.syms) == 0 {
 			continue
@@ -639,18 +610,6 @@ func (ci *codeIndex) buildIndex() {
 			}
 		}
 		e.rarest = rarest
-	}
-	if len(ci.entries) < invertedIndexMin {
-		return
-	}
-	ci.byRarest = make(map[int32][]int32)
-	for i := range ci.entries {
-		e := &ci.entries[i]
-		if e.rarest == noSym {
-			ci.always = append(ci.always, int32(i))
-			continue
-		}
-		ci.byRarest[e.rarest] = append(ci.byRarest[e.rarest], int32(i))
 	}
 }
 
@@ -683,7 +642,7 @@ func (m *Matcher) Instrument(reg *obs.Registry) {
 // in the message detail. ok is false when no template of the message's code
 // matches.
 func (m *Matcher) Match(code, detail string) (Template, bool) {
-	if m.byCode[code] == nil {
+	if len(m.byCode[code]) == 0 {
 		return Template{}, false
 	}
 	return m.MatchTokens(code, textutil.Tokenize(detail))
@@ -694,8 +653,8 @@ func (m *Matcher) Match(code, detail string) (Template, bool) {
 // Results are byte-identical to a linear string scan at a fraction of the
 // comparisons; the steady-state path allocates nothing.
 func (m *Matcher) MatchTokens(code string, toks []string) (Template, bool) {
-	ci := m.byCode[code]
-	if ci == nil {
+	entries := m.byCode[code]
+	if len(entries) == 0 {
 		return Template{}, false
 	}
 	sc := m.scratch.Get().(*matchScratch)
@@ -715,43 +674,16 @@ func (m *Matcher) MatchTokens(code string, toks []string) (Template, bool) {
 		ok      bool
 		scanned int
 	)
-	if ci.byRarest == nil {
-		// Few templates: ordered scan with the rarest-literal prune inline.
-		for i := range ci.entries {
-			e := &ci.entries[i]
-			if e.rarest != noSym && !containsSym(syms, e.rarest) {
-				continue
-			}
-			scanned++
-			if matchesSymbols(e.syms, syms) {
-				hit, ok = e.t, true
-				break
-			}
+	for i := range entries {
+		e := &entries[i]
+		if e.rarest != noSym && !containsSym(syms, e.rarest) {
+			continue
 		}
-	} else {
-		// Many templates: gather candidates from the inverted index —
-		// templates filed under a symbol the message actually contains,
-		// plus the always-match (literal-free) templates. Each entry lives
-		// in exactly one posting list, and message symbols are
-		// deduplicated, so no entry is gathered twice; sorting ascending
-		// restores the most-specific-first order of the full scan.
-		cand := sc.cand[:0]
-		for i, s := range syms {
-			if s == noSym || containsSymBefore(syms, s, i) {
-				continue
-			}
-			cand = append(cand, ci.byRarest[s]...)
+		scanned++
+		if matchesSymbols(e.syms, syms) {
+			hit, ok = e.t, true
+			break
 		}
-		cand = append(cand, ci.always...)
-		sortInt32(cand)
-		for _, ei := range cand {
-			scanned++
-			if matchesSymbols(ci.entries[ei].syms, syms) {
-				hit, ok = ci.entries[ei].t, true
-				break
-			}
-		}
-		sc.cand = cand
 	}
 	m.scanned.Add(uint64(scanned))
 	sc.syms = syms
@@ -780,17 +712,6 @@ func matchesSymbols(lits, syms []int32) bool {
 		}
 	}
 	return k == len(lits)
-}
-
-// sortInt32 insertion-sorts a small candidate slice ascending — candidate
-// sets are a handful of entries, below the crossover where sort.Slice (and
-// its allocation) would pay off.
-func sortInt32(a []int32) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // FractionMatching is an accuracy helper used by the §5.2.1 evaluation: the

@@ -60,8 +60,8 @@ type (
 	KnowledgeBase = core.KnowledgeBase
 	// Learner runs offline domain knowledge learning.
 	Learner = core.Learner
-	// Digester runs online digesting over a knowledge base. Its
-	// SetStreamWorkers picks the engine behind batch Digest calls only.
+	// Digester runs online digesting over a knowledge base. Batch Digest
+	// calls group on the serial engine.
 	Digester = core.Digester
 	// Streamer adapts the digester to a continuous feed: a bounded reorder
 	// buffer in front of the incremental engine, emitting each event as
