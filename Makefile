@@ -19,10 +19,18 @@ fmt:
 # The grouper keeps plain tallies and internal/stream publishes them (DESIGN
 # "Observability"); an obs import in internal/grouping is a second book
 # growing back, so it fails here. Test files are not in .Imports.
+# A socket reaches a streamer through one composition, streamrun.Live (the
+# benchmark keeps its own until it is ported); a collector.New call in any
+# other non-test file is a second live path growing back, so it fails too.
 vet:
 	$(GO) vet ./...
 	@if $(GO) list -f '{{join .Imports "\n"}}' ./internal/grouping | grep -qx 'syslogdigest/internal/obs'; then \
 		echo "internal/grouping imports internal/obs: keep tallies there, publish them in internal/stream"; exit 1; \
+	fi
+	@bad=$$(find . -path './.*' -prune -o -path ./benchmark -prune -o -path ./internal/streamrun -prune -o \
+		-path ./internal/collector -prune -o -name '*.go' ! -name '*_test.go' -print | xargs grep -l 'collector\.New(' ); \
+	if [ -n "$$bad" ]; then \
+		echo "collector.New outside internal/streamrun: compose the live path with streamrun.StartLive in" $$bad; exit 1; \
 	fi
 
 build:
@@ -97,11 +105,15 @@ alloc-guard:
 	$(GO) test -run 'TestStreamAllocs' -count=1 ./internal/core
 
 # The command-line surfaces end to end, on binaries built into a temporary
-# directory: sdgen -> sdlearn -> sddigest, then the same corpus through
-# `sddigest -stream` (digest lines, and NDJSON with -json), `sdreplay -kb`,
-# and an `sdreplay -kb -checkpoint` run killed and started again — every
-# surface must report the batch digest's event count, and the killed and
-# resumed runs between them must print the uninterrupted run's lines.
+# directory (sdgen, sdlearn, sddigest, sdreplay, sdcollect): sdgen -> sdlearn
+# -> sddigest, then the same corpus through `sddigest -stream` (digest
+# lines, and NDJSON with -json), a `sddigest -stream -checkpoint` run killed
+# and started again, and `sdreplay -tcp` into a live `sdcollect`, stopped
+# with SIGINT, once draining and once with -checkpoint and a restart that
+# must restore it. Every surface must report the batch digest's event
+# count; the killed and resumed runs between them, and sdcollect, must
+# print the uninterrupted stream's lines, and sdcollect must receive every
+# message.
 cli-smoke:
 	$(GO) test -run 'TestCLISmoke' -count=1 ./cmd/...
 

@@ -1,13 +1,14 @@
 // Package cmd_test drives the built commands end to end, the way the verify
 // recipe does by hand: sdgen → sdlearn → sddigest, then the same corpus
-// through every local streaming surface. It is `make cli-smoke`.
+// through the streaming surfaces: sddigest -stream, and sdreplay -tcp into
+// a live sdcollect. It is `make cli-smoke`.
 package cmd_test
 
 import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,8 +16,11 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"syslogdigest/internal/obs"
 )
 
 // summaryRE matches the "N messages -> M events" line every digesting
@@ -62,6 +66,93 @@ func summary(t *testing.T, what, stderr string) (msgs, events int) {
 	return msgs, events
 }
 
+// syncBuffer is a command's stderr, read while the command runs.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// waitLine waits for a line matching re on a running command's stderr and
+// returns its first submatch.
+func waitLine(t *testing.T, stderr *syncBuffer, re *regexp.Regexp) string {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if m := re.FindStringSubmatch(stderr.String()); m != nil {
+			return m[1]
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no line matching %q on stderr:\n%s", re, stderr)
+		}
+	}
+}
+
+var (
+	tcpRE      = regexp.MustCompile(`listening tcp (\S+)`)
+	metricsRE  = regexp.MustCompile(`metrics on http://(\S+)/metrics`)
+	receivedRE = regexp.MustCompile(`received (\d+), dropped`)
+)
+
+// collect runs sdcollect on an ephemeral TCP port, replays the corpus into
+// it with sdreplay -tcp, waits until the collector has received every
+// message, and stops it with SIGINT. It returns sdcollect's stdout and
+// stderr.
+func (c cli) collect(t *testing.T, kb, syslog string, msgs int, args ...string) (stdout, stderr string) {
+	t.Helper()
+	col := exec.Command(filepath.Join(c.bin, "sdcollect"),
+		append([]string{"-kb", kb, "-udp", "", "-tcp", "127.0.0.1:0", "-metrics", "127.0.0.1:0"}, args...)...)
+	var out bytes.Buffer
+	var errb syncBuffer
+	col.Stdout, col.Stderr = &out, &errb
+	if err := col.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer col.Process.Kill()
+	addr := waitLine(t, &errb, tcpRE)
+	metrics := waitLine(t, &errb, metricsRE)
+	c.run("sdreplay", "-syslog", syslog, "-tcp", addr)
+	// sdreplay is done when its bytes are sent; wait for the collector to
+	// have read them before interrupting it.
+	for deadline := time.Now().Add(30 * time.Second); received(t, metrics) < uint64(msgs); time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("sdcollect received %d of %d messages in 30 s\n%s", received(t, metrics), msgs, errb.String())
+		}
+	}
+	if err := col.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	if err := col.Wait(); err != nil {
+		t.Fatalf("sdcollect after SIGINT: %v\n%s", err, errb.String())
+	}
+	return out.String(), errb.String()
+}
+
+// received reads collector.tcp.received off an exporter.
+func received(t *testing.T, metrics string) uint64 {
+	t.Helper()
+	resp, err := http.Get("http://" + metrics + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap obs.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap.Counter("collector.tcp.received")
+}
+
 // lines splits captured stdout into its complete lines (a process killed
 // mid-write may leave a torn last one, which is dropped).
 func lines(stdout string) []string {
@@ -77,7 +168,7 @@ func TestCLISmoke(t *testing.T) {
 	}
 	c := cli{t: t, bin: t.TempDir(), dir: t.TempDir()}
 	build := exec.Command("go", "build", "-o", c.bin+string(filepath.Separator),
-		"./sdgen", "./sdlearn", "./sddigest", "./sdreplay")
+		"./sdgen", "./sdlearn", "./sddigest", "./sdreplay", "./sdcollect")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -96,13 +187,14 @@ func TestCLISmoke(t *testing.T) {
 		t.Fatalf("sddigest printed %d digest lines, its summary says %d events", got, want)
 	}
 
+	var streamed []string // the uninterrupted stream's digest lines
 	t.Run("sddigest -stream", func(t *testing.T) {
 		out, errb := c.run("sddigest", "-kb", kb, "-syslog", syslog, "-stream")
 		if _, got := summary(t, "sddigest -stream", errb); got != want {
 			t.Fatalf("%d events, the batch digest %d", got, want)
 		}
-		if got := len(lines(out)); got != want {
-			t.Fatalf("%d digest lines for %d events", got, want)
+		if streamed = lines(out); len(streamed) != want {
+			t.Fatalf("%d digest lines for %d events", len(streamed), want)
 		}
 	})
 
@@ -155,37 +247,15 @@ func TestCLISmoke(t *testing.T) {
 		}
 	})
 
-	// A destination that records what reaches it: the refused replay must
-	// exit before its first datagram.
-	t.Run("sdreplay -udp refuses -kb", func(t *testing.T) {
-		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer pc.Close()
-		cmd, _, errb := c.command("sdreplay", "-syslog", syslog, "-udp", pc.LocalAddr().String(), "-kb", kb)
-		if err := cmd.Run(); err == nil {
-			t.Fatal("-udp with -kb exited 0: the flag is ignored, not refused")
-		}
-		if !strings.Contains(errb.String(), "-kb applies to local mode only") {
-			t.Fatalf("-udp with -kb failed without naming the flag:\n%s", errb)
-		}
-		pc.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-		buf := make([]byte, 64<<10)
-		n, _, err := pc.ReadFrom(buf)
-		if !errors.Is(err, os.ErrDeadlineExceeded) {
-			t.Fatalf("the refused replay sent a datagram (%d bytes, err %v): %q", n, err, buf[:n])
-		}
-	})
-
-	var replayed []string // the uninterrupted local replay's digest lines
-	t.Run("sdreplay -kb", func(t *testing.T) {
-		out, errb := c.run("sdreplay", "-syslog", syslog, "-kb", kb)
-		if _, got := summary(t, "sdreplay -kb", errb); got != want {
-			t.Fatalf("%d events, the batch digest %d", got, want)
-		}
-		if replayed = lines(out); len(replayed) != want {
-			t.Fatalf("%d digest lines for %d events", len(replayed), want)
+	t.Run("sddigest -speed and -checkpoint without -stream are refused", func(t *testing.T) {
+		for _, args := range [][]string{{"-speed", "100"}, {"-checkpoint", c.path("batch.ckpt")}, {"-checkpoint-interval", "1s"}} {
+			cmd, out, errb := c.command("sddigest", append([]string{"-kb", kb, "-syslog", syslog}, args...)...)
+			if err := cmd.Run(); err == nil {
+				t.Fatalf("%s without -stream exited 0 (%d bytes of output): the flag is ignored, not refused", args[0], out.Len())
+			}
+			if !strings.Contains(errb.String(), args[0]+" requires -stream") {
+				t.Fatalf("%s without -stream failed without naming the flag:\n%s", args[0], errb)
+			}
 		}
 	})
 
@@ -193,14 +263,14 @@ func TestCLISmoke(t *testing.T) {
 	// two runs, print the uninterrupted run's lines: the first run a prefix
 	// (whatever it printed after its last checkpoint is printed again — kill
 	// -9 leaves no chance to say so), the second run exactly the rest.
-	t.Run("sdreplay -kb -checkpoint killed and resumed", func(t *testing.T) {
-		if replayed == nil {
-			t.Skip("no uninterrupted replay to compare with")
+	t.Run("sddigest -stream -checkpoint killed and resumed", func(t *testing.T) {
+		if streamed == nil {
+			t.Skip("no uninterrupted stream to compare with")
 		}
-		ckpt := c.path("replay.ckpt")
+		ckpt := c.path("stream.ckpt")
 		// Two days of log at 40000x is 4.3 s of wall clock: the kill lands
 		// well inside the run.
-		first, out1, err1 := c.command("sdreplay", "-syslog", syslog, "-kb", kb,
+		first, out1, err1 := c.command("sddigest", "-syslog", syslog, "-kb", kb, "-stream",
 			"-speed", "40000", "-checkpoint", ckpt, "-checkpoint-interval", "100ms")
 		if err := first.Start(); err != nil {
 			t.Fatal(err)
@@ -224,27 +294,87 @@ func TestCLISmoke(t *testing.T) {
 		}
 		printed1 := lines(out1.String())
 
-		out2, err2 := c.run("sdreplay", "-syslog", syslog, "-kb", kb, "-checkpoint", ckpt)
+		out2, err2 := c.run("sddigest", "-syslog", syslog, "-kb", kb, "-stream", "-checkpoint", ckpt)
 		if !strings.Contains(err2, "restored checkpoint") {
 			t.Fatalf("the second run did not restore:\n%s", err2)
 		}
-		resumedMsgs, resumedEvents := summary(t, "resumed sdreplay", err2)
+		resumedMsgs, resumedEvents := summary(t, "resumed sddigest -stream", err2)
 		if resumedMsgs == 0 || resumedMsgs >= msgs {
-			t.Fatalf("the second run replayed %d of %d messages: not a resume", resumedMsgs, msgs)
+			t.Fatalf("the second run streamed %d of %d messages: not a resume", resumedMsgs, msgs)
 		}
 		printed2 := lines(out2)
 		if len(printed2) != resumedEvents {
 			t.Fatalf("the second run printed %d lines, its summary says %d events", len(printed2), resumedEvents)
 		}
-		rest := len(replayed) - len(printed2)
-		if rest < 0 || !slices.Equal(printed2, replayed[rest:]) {
+		rest := len(streamed) - len(printed2)
+		if rest < 0 || !slices.Equal(printed2, streamed[rest:]) {
 			t.Fatalf("the resumed run's %d lines are not the uninterrupted run's last %d", len(printed2), len(printed2))
 		}
-		if len(printed1) < rest || !slices.Equal(printed1, replayed[:len(printed1)]) {
+		if len(printed1) < rest || !slices.Equal(printed1, streamed[:len(printed1)]) {
 			t.Fatalf("the killed run printed %d lines; want a prefix of the uninterrupted run at least %d long (%d events in all)",
-				len(printed1), rest, len(replayed))
+				len(printed1), rest, len(streamed))
 		}
 		t.Logf("killed after %d lines, resumed at message %d, %d + %d = %d events",
-			len(printed1), msgs-resumedMsgs, rest, len(printed2), len(replayed))
+			len(printed1), msgs-resumedMsgs, rest, len(printed2), len(streamed))
+	})
+
+	t.Run("sdcollect refuses non-positive intervals", func(t *testing.T) {
+		for _, flag := range []string{"-idle", "-checkpoint-interval"} {
+			cmd, _, errb := c.command("sdcollect", "-kb", kb, "-udp", "", "-tcp", "127.0.0.1:0", flag, "0")
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Fatalf("%s 0: %v, want exit status 1\n%s", flag, err, errb)
+			}
+			if !strings.Contains(errb.String(), flag+" 0s: must be positive") || strings.Contains(errb.String(), "listening") {
+				t.Fatalf("%s 0 was not refused before listening, by name:\n%s", flag, errb)
+			}
+		}
+	})
+
+	// The live path: sdreplay -tcp into sdcollect prints what sddigest
+	// -stream prints for the same file, and receives every message.
+	t.Run("sdcollect fed by sdreplay -tcp", func(t *testing.T) {
+		if streamed == nil {
+			t.Skip("no uninterrupted stream to compare with")
+		}
+		out, errb := c.collect(t, kb, syslog, msgs)
+		if got := lines(out); !slices.Equal(got, streamed) {
+			t.Fatalf("sdcollect printed %d lines that are not sddigest -stream's %d", len(got), len(streamed))
+		}
+		if m := receivedRE.FindStringSubmatch(errb); m == nil || m[1] != strconv.Itoa(msgs) {
+			t.Fatalf("want \"received %d\" on stderr:\n%s", msgs, errb)
+		}
+	})
+
+	// Interrupted with -checkpoint, sdcollect keeps its open groups in the
+	// file instead of draining them, and the next start restores them.
+	t.Run("sdcollect -checkpoint restarted", func(t *testing.T) {
+		if streamed == nil {
+			t.Skip("no uninterrupted stream to compare with")
+		}
+		ckpt := c.path("collect.ckpt")
+		out, _ := c.collect(t, kb, syslog, msgs, "-checkpoint", ckpt)
+		got := lines(out)
+		if len(got) >= len(streamed) || !slices.Equal(got, streamed[:len(got)]) {
+			t.Fatalf("the checkpointed run printed %d lines; want a proper prefix of sddigest -stream's %d", len(got), len(streamed))
+		}
+		again := exec.Command(filepath.Join(c.bin, "sdcollect"), "-kb", kb, "-udp", "", "-tcp", "127.0.0.1:0", "-checkpoint", ckpt)
+		var errb syncBuffer
+		again.Stderr = &errb
+		if err := again.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer again.Process.Kill()
+		waitLine(t, &errb, tcpRE)
+		if !strings.Contains(errb.String(), "restored checkpoint "+ckpt) {
+			t.Fatalf("the restart did not restore:\n%s", errb.String())
+		}
+		if err := again.Process.Signal(os.Interrupt); err != nil {
+			t.Fatal(err)
+		}
+		if err := again.Wait(); err != nil {
+			t.Fatalf("restarted sdcollect after SIGINT: %v\n%s", err, errb.String())
+		}
 	})
 }

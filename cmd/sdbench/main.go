@@ -25,6 +25,7 @@ import (
 	"syslogdigest/internal/experiments"
 	"syslogdigest/internal/gen"
 	"syslogdigest/internal/obs"
+	"syslogdigest/internal/streamrun"
 )
 
 func main() {
@@ -213,12 +214,9 @@ func pipelineMetrics(c *experiments.Corpus) (string, error) {
 	d.Instrument(reg)
 	st := core.NewStreamerWith(d, core.StreamerOptions{})
 	st.Instrument(reg)
-	for _, m := range c.Online.Messages {
-		if _, err := st.Push(m); err != nil {
-			return "", err
-		}
-	}
-	if _, err := st.Flush(); err != nil {
+	err = streamrun.Replay(st, c.Online.Messages, streamrun.ReplayOptions{},
+		func(*core.DigestResult) error { return nil })
+	if err != nil {
 		return "", err
 	}
 	snap := reg.Snapshot()

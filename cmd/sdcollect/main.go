@@ -16,7 +16,7 @@
 // stream.dropped.overflow when an undersized buffer forced the frontier
 // forward early). -idle bounds quiet-feed latency: when no message arrives
 // for an interval and groups are still open, the engine is drained so the
-// tail events print.
+// tail events print. -idle and -checkpoint-interval must be positive.
 //
 // -provisional turns on two-tier emission: besides the final closure lines,
 // each open group prints a tagged provisional line once the given log-time
@@ -39,7 +39,7 @@
 //
 //	sdgen -kind A -out ds && sdlearn -syslog ds/syslog.log -configs ds/configs -kb kb.json
 //	sdcollect -kb kb.json -udp 127.0.0.1:5514 &
-//	# replay: while read l; do echo "$l" > /dev/udp/127.0.0.1/5514; done < ds/syslog.log
+//	sdreplay -syslog ds/syslog.log -udp 127.0.0.1:5514
 package main
 
 import (
@@ -47,15 +47,13 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
 	"syslogdigest"
-	"syslogdigest/cmd/internal/streamrun"
 	"syslogdigest/internal/collector"
 	"syslogdigest/internal/obs"
-	"syslogdigest/internal/syslogmsg"
+	"syslogdigest/internal/streamrun"
 )
 
 func main() {
@@ -65,7 +63,7 @@ func main() {
 		tcpAddr     = flag.String("tcp", "", "TCP listen address ('' disables)")
 		reorder     = flag.Duration("reorder", 0, "reorder-buffer tolerance (0 = default 2s, negative = strict arrival order)")
 		idle        = flag.Duration("idle", 30*time.Second, "drain open groups after this much feed silence")
-		year        = flag.Int("year", 0, "year for RFC3164 timestamps (0 = current)")
+		year        = flag.Int("year", 0, "year for RFC3164 timestamps (0 = the year that puts each timestamp nearest the clock)")
 		verbose     = flag.Bool("v", false, "log parse errors to stderr")
 		metricsAddr = flag.String("metrics", "", "serve /metrics and /healthz on this address ('' disables)")
 		matchCache  = flag.Int("match-cache", 0, "match-cache entries (0 = default, negative = disabled; output is identical at any setting)")
@@ -76,6 +74,12 @@ func main() {
 		ckptEvery   = flag.Duration("checkpoint-interval", time.Minute, "how often to write the checkpoint (with -checkpoint)")
 	)
 	flag.Parse()
+	if *idle <= 0 {
+		fatalf("-idle %s: must be positive", *idle)
+	}
+	if *ckptEvery <= 0 {
+		fatalf("-checkpoint-interval %s: must be positive", *ckptEvery)
+	}
 
 	var (
 		reg    *obs.Registry
@@ -122,113 +126,36 @@ func main() {
 	}
 	st.Instrument(reg)
 
-	var (
-		mu      sync.Mutex
-		lastMsg time.Time
-	)
-	out := streamrun.Printer{W: os.Stdout}
-	printEvents := func(res *syslogdigest.DigestResult) {
-		if err := out.Print(res); err != nil {
-			fmt.Fprintln(os.Stderr, "sdcollect: write:", err)
-		}
-	}
+	logErr := func(err error) { fmt.Fprintln(os.Stderr, "sdcollect:", err) }
 	cfg := collector.Config{UDPAddr: *udpAddr, TCPAddr: *tcpAddr, Year: *year, Metrics: reg}
 	if *verbose {
-		cfg.OnError = func(err error) { fmt.Fprintln(os.Stderr, "sdcollect:", err) }
+		cfg.OnError = logErr
 	}
-	col, err := collector.New(cfg, func(m syslogmsg.Message) {
-		mu.Lock()
-		defer mu.Unlock()
-		lastMsg = time.Now()
-		res, err := st.Push(m)
-		if err != nil {
-			// Events closed before the failure still arrive in res;
-			// print them — they are already emitted, not retryable.
-			fmt.Fprintln(os.Stderr, "sdcollect: stream:", err)
-		}
-		printEvents(res)
-	})
+	out := streamrun.Printer{W: os.Stdout}
+	live, err := streamrun.StartLive(st, cfg, streamrun.LiveOptions{
+		Idle:            *idle,
+		CheckpointPath:  *ckptPath,
+		CheckpointEvery: *ckptEvery,
+		Health:          health,
+		OnError:         logErr,
+	}, out.Print)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if err := col.Start(); err != nil {
-		fatalf("%v", err)
-	}
-	if a := col.UDPAddr(); a != nil {
+	if a := live.UDPAddr(); a != nil {
 		fmt.Fprintf(os.Stderr, "sdcollect: listening udp %s\n", a)
 	}
-	if a := col.TCPAddr(); a != nil {
+	if a := live.TCPAddr(); a != nil {
 		fmt.Fprintf(os.Stderr, "sdcollect: listening tcp %s\n", a)
-	}
-
-	drain := func() {
-		mu.Lock()
-		defer mu.Unlock()
-		res, err := st.Flush()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sdcollect: drain:", err)
-		}
-		printEvents(res)
-	}
-
-	// writeCkpt snapshots the streamer under the push mutex and writes the
-	// checkpoint atomically; a failure is logged, never fatal — the feed
-	// keeps flowing and the previous checkpoint stays intact.
-	writeCkpt := func() {
-		mu.Lock()
-		snap, err := st.Snapshot()
-		mu.Unlock()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sdcollect: checkpoint:", err)
-			return
-		}
-		if err := syslogdigest.WriteCheckpoint(*ckptPath, snap); err != nil {
-			fmt.Fprintln(os.Stderr, "sdcollect: checkpoint:", err)
-		}
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	tick := time.NewTicker(*idle)
-	defer tick.Stop()
-	var ckptTick <-chan time.Time
-	if *ckptPath != "" {
-		ct := time.NewTicker(*ckptEvery)
-		defer ct.Stop()
-		ckptTick = ct.C
-	}
-	for {
-		select {
-		case <-ckptTick:
-			writeCkpt()
-		case <-tick.C:
-			// The idle loop running is this process's liveness signal.
-			health.Progress()
-			// Watermark-driven closure stalls when the feed does: drain
-			// open groups once the feed has been silent for an interval.
-			mu.Lock()
-			quiet := !lastMsg.IsZero() && time.Since(lastMsg) >= *idle && st.Pending() > 0
-			mu.Unlock()
-			if quiet {
-				drain()
-			}
-		case <-sig:
-			col.Close()
-			if *ckptPath != "" {
-				// Preserve open groups for the next run instead of
-				// force-closing them: the restored process resumes
-				// mid-stream with exactly-once emission.
-				writeCkpt()
-			} else {
-				drain()
-			}
-			st.Close()
-			cst := col.Stats()
-			fmt.Fprintf(os.Stderr, "sdcollect: received %d, dropped %d, truncated %d, oversized %d, conns %d\n",
-				cst.Received, cst.Dropped, cst.Truncated, cst.Oversized, cst.Conns)
-			return
-		}
-	}
+	<-sig
+	live.Close()
+	cst := live.Stats()
+	fmt.Fprintf(os.Stderr, "sdcollect: received %d, dropped %d, truncated %d, oversized %d, conns %d\n",
+		cst.Received, cst.Dropped, cst.Truncated, cst.Oversized, cst.Conns)
 }
 
 func fatalf(format string, args ...any) {

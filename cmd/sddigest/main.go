@@ -7,7 +7,7 @@
 // Usage:
 //
 //	sddigest -kb kb.json -syslog live.log [-top 20] [-stage T+R+C] [-raw]
-//	         [-metrics 127.0.0.1:9090]
+//	         [-metrics 127.0.0.1:9090] [-stream [-speed 3600] [-checkpoint f]]
 //
 // -raw additionally prints each event's raw message indices so the original
 // lines can be retrieved (the paper's index field).
@@ -17,6 +17,12 @@
 // would have surfaced them — instead of batch rank order. The event set is
 // identical to the batch digest. -top and -show need the ranked batch and
 // are rejected with -stream; -json emits newline-delimited JSON either way.
+//
+// -speed N paces the replay at N log seconds per wall second. -checkpoint
+// makes it resumable: the state is snapshotted every -checkpoint-interval
+// and once the replay completes, and a restarted run restores it and skips
+// the messages already pushed, printing each event once across restarts.
+// The streaming flags are refused without -stream.
 //
 // -provisional (with -stream) turns on two-tier emission: each group also
 // prints a tagged provisional line shortly after the given log-time horizon
@@ -39,11 +45,12 @@ import (
 	"sort"
 	"strings"
 	"syscall"
+	"time"
 
 	"syslogdigest"
-	"syslogdigest/cmd/internal/streamrun"
 	"syslogdigest/internal/event"
 	"syslogdigest/internal/obs"
+	"syslogdigest/internal/streamrun"
 	"syslogdigest/internal/syslogmsg"
 )
 
@@ -63,11 +70,22 @@ func main() {
 		streamWorks = flag.Int("stream-workers", 0, "streaming-engine shard workers (with -stream; <= 1 = serial engine, N > 1 = router-sharded engine; output is identical at any setting)")
 		shardAddrs  = flag.String("shards", "", "comma-separated sdshard addresses (with -stream): distribute the engine's shards across processes over the wire protocol (one shard per entry; output is identical at any setting; overrides -stream-workers)")
 		matchCache  = flag.Int("match-cache", 0, "match-cache entries (0 = default, negative = disabled; output is identical at any setting)")
+		speed       = flag.Float64("speed", 0, "log seconds per wall second (with -stream; 0 = no pacing)")
+		ckptPath    = flag.String("checkpoint", "", "checkpoint file (with -stream): restore streaming state from it on start, skipping the messages the snapshotted run already pushed, and snapshot into it periodically")
+		ckptEvery   = flag.Duration("checkpoint-interval", 30*time.Second, "how often to write the checkpoint (with -checkpoint)")
 	)
 	flag.Parse()
 	if *syslogPath == "" {
 		flag.Usage()
 		os.Exit(2)
+	}
+	if !*streaming {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "stream-workers", "shards", "provisional", "speed", "checkpoint", "checkpoint-interval":
+				fatalf("-%s requires -stream (a batch digest groups the whole file in-process, on the serial engine)", f.Name)
+			}
+		})
 	}
 
 	var (
@@ -117,29 +135,24 @@ func main() {
 		fatalf("unknown -stage %q (want T, T+R, or T+R+C)", *stageFlag)
 	}
 
-	addrs := streamrun.SplitAddrs(*shardAddrs)
 	if *streaming {
 		if *top != 0 || *show != 0 {
 			fatalf("-top and -show require the batch digest (closure order has no rank to cut, and -stream keeps no message store)")
 		}
-		st := syslogdigest.NewStreamerWith(d, syslogdigest.StreamerOptions{
+		st, restored, err := streamrun.Open(d, syslogdigest.StreamerOptions{
 			StreamWorkers:      *streamWorks,
-			ShardAddrs:         addrs,
+			ShardAddrs:         streamrun.SplitAddrs(*shardAddrs),
 			ProvisionalHorizon: *provisional,
-		})
+		}, *ckptPath)
+		if err != nil {
+			fatalf("%v", err)
+		}
 		st.Instrument(reg)
-		streamDigest(st, msgs, &streamrun.Printer{W: os.Stdout, JSON: *asJSON, Raw: *raw})
+		streamDigest(st, restored, msgs, streamrun.ReplayOptions{
+			Speed: *speed, CheckpointPath: *ckptPath, CheckpointEvery: *ckptEvery,
+		}, &streamrun.Printer{W: os.Stdout, JSON: *asJSON, Raw: *raw})
 		waitIfServing(*metricsAddr)
 		return
-	}
-	if len(addrs) > 0 {
-		fatalf("-shards requires -stream (a batch digest runs in-process)")
-	}
-	if *provisional != 0 {
-		fatalf("-provisional requires -stream (a batch digest is final by nature)")
-	}
-	if *streamWorks > 1 {
-		fatalf("-stream-workers requires -stream (a batch digest groups on the serial engine)")
 	}
 
 	res, err := d.Digest(msgs)
@@ -187,20 +200,26 @@ func main() {
 	waitIfServing(*metricsAddr)
 }
 
-// streamDigest replays the corpus through the incremental engine, printing
-// each event the moment the watermark closes it.
-func streamDigest(st *syslogdigest.Streamer, msgs []syslogmsg.Message, out *streamrun.Printer) {
-	sorted := append([]syslogmsg.Message(nil), msgs...)
-	sort.SliceStable(sorted, func(i, j int) bool { return syslogmsg.SortByTime(&sorted[i], &sorted[j]) })
-	if err := streamrun.Replay(st, sorted, streamrun.ReplayOptions{}, out.Print); err != nil {
+// streamDigest sorts the corpus by time and replays it through the
+// incremental engine, printing each event the moment the watermark closes
+// it. A restored streamer resumes after the messages it has pushed.
+func streamDigest(st *syslogdigest.Streamer, restored bool, msgs []syslogmsg.Message, o streamrun.ReplayOptions, out *streamrun.Printer) {
+	sort.SliceStable(msgs, func(i, j int) bool { return syslogmsg.SortByTime(&msgs[i], &msgs[j]) })
+	skip := 0
+	if restored {
+		if skip = int(st.Pushed()); skip > len(msgs) {
+			fatalf("checkpoint %s is ahead of the stream: %d pushed, %d messages", o.CheckpointPath, skip, len(msgs))
+		}
+		fmt.Fprintf(os.Stderr, "sddigest: restored checkpoint %s, resuming at message %d\n", o.CheckpointPath, skip)
+	}
+	if err := streamrun.Replay(st, msgs, o, out.Print); err != nil {
 		fatalf("%v", err)
 	}
+	tier := ""
 	if out.Updates > 0 {
-		fmt.Fprintf(os.Stderr, "%d messages -> %d events (streamed, closure order; %d provisional-tier lines)\n",
-			len(msgs), out.Events, out.Updates)
-		return
+		tier = fmt.Sprintf("; %d provisional-tier lines", out.Updates)
 	}
-	fmt.Fprintf(os.Stderr, "%d messages -> %d events (streamed, closure order)\n", len(msgs), out.Events)
+	fmt.Fprintf(os.Stderr, "%d messages -> %d events (streamed, closure order%s)\n", len(msgs)-skip, out.Events, tier)
 }
 
 // waitIfServing blocks until interrupt when the metrics exporter is up, so

@@ -27,7 +27,7 @@ import (
 	"time"
 
 	"syslogdigest"
-	"syslogdigest/cmd/internal/streamrun"
+	"syslogdigest/internal/streamrun"
 	"syslogdigest/internal/syslogmsg"
 )
 

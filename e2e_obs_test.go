@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,6 +18,7 @@ import (
 	"syslogdigest/internal/gen"
 	"syslogdigest/internal/obs"
 	"syslogdigest/internal/stream"
+	"syslogdigest/internal/streamrun"
 	"syslogdigest/internal/syslogmsg"
 )
 
@@ -100,21 +100,24 @@ func livePipelineRun(t *testing.T, kb *syslogdigest.KnowledgeBase, ds *gen.Datas
 		StreamWorkers:      workers,
 		ProvisionalHorizon: 30 * time.Second,
 	})
-	defer st.Close()
 	st.Instrument(reg)
 	health.SetReady(true)
 
+	// The counts are written under the Live's lock and read after Close.
 	var (
-		mu        sync.Mutex
 		digested  int
 		eventsOut int
 		updSeen   [4]uint64 // delivered updates by Status
 		pubVisits uint64    // members across delivered provisional and revised records
 	)
-	countUpdates := func(res *syslogdigest.DigestResult) {
+	deliver := func(res *syslogdigest.DigestResult) error {
 		if res == nil {
-			return
+			return nil
 		}
+		for _, e := range res.Events {
+			digested += e.Size()
+		}
+		eventsOut += len(res.Events)
 		for i := range res.Updates {
 			u := &res.Updates[i]
 			updSeen[u.Status]++
@@ -122,38 +125,22 @@ func livePipelineRun(t *testing.T, kb *syslogdigest.KnowledgeBase, ds *gen.Datas
 				pubVisits += uint64(u.Event.Size())
 			}
 		}
+		return nil
 	}
-	col, err := collector.New(collector.Config{
+	// An hour of feed silence never comes: only Close drains.
+	live, err := streamrun.StartLive(st, collector.Config{
 		TCPAddr: "127.0.0.1:0", MaxLineBytes: 2048, Metrics: reg,
-	}, func(m syslogmsg.Message) {
-		mu.Lock()
-		defer mu.Unlock()
-		res, err := st.Push(m)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if res != nil {
-			for _, e := range res.Events {
-				digested += e.Size()
-			}
-			eventsOut += len(res.Events)
-		}
-		countUpdates(res)
-	})
+	}, streamrun.LiveOptions{Idle: time.Hour, Health: health, OnError: func(err error) { t.Error(err) }}, deliver)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := col.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
 
 	// One connection carries the whole feed, with a garbage line and an
 	// oversized line injected mid-stream: both must be absorbed without
 	// losing any later message.
-	conn, err := net.Dial("tcp", col.TCPAddr().String())
+	conn, err := net.Dial("tcp", live.TCPAddr().String())
 	if err != nil {
+		live.Close()
 		t.Fatal(err)
 	}
 	sent := 0
@@ -163,6 +150,7 @@ func livePipelineRun(t *testing.T, kb *syslogdigest.KnowledgeBase, ds *gen.Datas
 			fmt.Fprintf(conn, "%s\n", strings.Repeat("x", 8000))
 		}
 		if _, err := fmt.Fprintf(conn, "%s\n", m.Format()); err != nil {
+			live.Close()
 			t.Fatal(err)
 		}
 		sent++
@@ -171,31 +159,16 @@ func livePipelineRun(t *testing.T, kb *syslogdigest.KnowledgeBase, ds *gen.Datas
 
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if col.Stats().Received == uint64(sent) {
+		if live.Stats().Received == uint64(sent) {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if err := col.Close(); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	res, err := st.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res != nil {
-		for _, e := range res.Events {
-			digested += e.Size()
-		}
-		eventsOut += len(res.Events)
-	}
-	countUpdates(res)
-	mu.Unlock()
+	live.Close()
 
 	// In-process reconciliation: received == digested, and every sent line
 	// is accounted for.
-	cst := col.Stats()
+	cst := live.Stats()
 	if cst.Received != uint64(sent) {
 		t.Fatalf("received %d != sent %d (dropped %d oversized %d)", cst.Received, sent, cst.Dropped, cst.Oversized)
 	}

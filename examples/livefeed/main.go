@@ -5,11 +5,12 @@
 //
 // A generated dataset-A stretch is replayed over real loopback UDP in RFC
 // 3164 framing; the collector parses the wire format back into messages and
-// pushes each one straight into the streaming engine. With a provisional
-// horizon set, every group prints a first signal seconds of log time after
-// its birth, is folded into its absorbing event on a merge, and flips to
-// final at closure — the live view an operator watches, hours before the
-// exact closure rule could speak.
+// pushes each one straight into the streaming engine through streamrun.Live,
+// the composition sdcollect runs. With a provisional horizon set, every
+// group prints a first signal seconds of log time after its birth, is
+// folded into its absorbing event on a merge, and flips to final at closure
+// — the live view an operator watches, hours before the exact closure rule
+// could speak.
 //
 // Run with: go run ./examples/livefeed
 package main
@@ -18,12 +19,12 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"sync"
 	"time"
 
 	"syslogdigest"
 	"syslogdigest/internal/collector"
 	"syslogdigest/internal/gen"
+	"syslogdigest/internal/streamrun"
 	"syslogdigest/internal/syslogmsg"
 )
 
@@ -52,12 +53,11 @@ func main() {
 	st := syslogdigest.NewStreamerWith(d, syslogdigest.StreamerOptions{
 		ProvisionalHorizon: 30 * time.Second,
 	})
-	defer st.Close()
 
 	var counts [4]int
-	show := func(res *syslogdigest.DigestResult) {
+	show := func(res *syslogdigest.DigestResult) error {
 		if res == nil {
-			return
+			return nil
 		}
 		for i := range res.Updates {
 			u := &res.Updates[i]
@@ -68,29 +68,18 @@ func main() {
 				fmt.Println(u.Digest())
 			}
 		}
+		return nil
 	}
 
 	// Start the collector on an ephemeral loopback UDP port, feeding the
-	// streamer directly — no batching anywhere.
-	var mu sync.Mutex
-	col, err := collector.New(collector.Config{UDPAddr: "127.0.0.1:0", Year: 2009},
-		func(m syslogmsg.Message) {
-			mu.Lock()
-			defer mu.Unlock()
-			res, err := st.Push(m)
-			if err != nil {
-				log.Println("stream:", err)
-			}
-			show(res)
-		})
+	// streamer directly — no batching anywhere. The feed below never pauses
+	// for a minute, so only Close drains the open groups.
+	live, err := streamrun.StartLive(st, collector.Config{UDPAddr: "127.0.0.1:0", Year: 2009},
+		streamrun.LiveOptions{Idle: time.Minute, OnError: func(err error) { log.Println(err) }}, show)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := col.Start(); err != nil {
-		log.Fatal(err)
-	}
-	defer col.Close()
-	fmt.Println("collector listening on", col.UDPAddr())
+	fmt.Println("collector listening on", live.UDPAddr())
 
 	// Replay a fresh stretch of traffic over the wire in RFC 3164 framing —
 	// exactly what a router's "logging host" configuration would send.
@@ -102,7 +91,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	conn, err := net.Dial("udp", col.UDPAddr().String())
+	conn, err := net.Dial("udp", live.UDPAddr().String())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -119,25 +108,18 @@ func main() {
 		}
 	}
 
-	// Wait for the datagrams to drain, then flush: open groups force-close
+	// Wait for the datagrams to drain, then close: open groups force-close
 	// and every surviving identity resolves to final.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if int(col.Stats().Received)+int(col.Stats().Dropped) >= sent {
+		if int(live.Stats().Received)+int(live.Stats().Dropped) >= sent {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	cst := col.Stats()
+	cst := live.Stats()
 	fmt.Printf("sent %d datagrams; collector received %d, dropped %d\n", sent, cst.Received, cst.Dropped)
-
-	mu.Lock()
-	res, err := st.Flush()
-	if err != nil {
-		log.Fatal(err)
-	}
-	show(res)
-	mu.Unlock()
+	live.Close()
 
 	fmt.Printf("\ntwo-tier books: %d provisional, %d revised, %d superseded, %d final\n",
 		counts[syslogdigest.StatusProvisional], counts[syslogdigest.StatusRevised],

@@ -90,8 +90,8 @@ type Config struct {
 	UDPAddr string
 	// TCPAddr is the TCP listen address; empty disables TCP.
 	TCPAddr string
-	// Year is applied to year-less RFC 3164 timestamps; 0 means the
-	// current year.
+	// Year is applied to year-less RFC 3164 timestamps; 0 dates each in the
+	// year that puts it nearest the clock.
 	Year int
 	// OnError, when non-nil, observes per-line parse errors plus oversized
 	// and truncated input (for logging); errors never stop the collector.

@@ -1,8 +1,8 @@
-// Package streamrun is the set-up and output the streaming commands share
-// (sdcollect, sdreplay -kb, sddigest -stream, sdviz -live): load the
+// Package streamrun is the set-up, feeding and output the streaming
+// commands share (sdcollect, sddigest -stream, sdviz -live): load the
 // knowledge base, parse -shards, build the run's streamer — restored from a
-// checkpoint file when there is one — replay a message file into it, and
-// print what each push returns.
+// checkpoint file when there is one — feed it, and print what each push
+// returns. A file reaches a streamer through Replay, a socket through Live.
 // The commands keep their own flags; a run's shape reaches the library as
 // one syslogdigest.StreamerOptions value.
 package streamrun
@@ -123,16 +123,26 @@ func Replay(st *syslogdigest.Streamer, msgs []syslogdigest.Message, o ReplayOpti
 		}
 		if o.CheckpointPath != "" && (flush || time.Since(lastCkpt) >= o.CheckpointEvery) {
 			snap, err := st.Snapshot()
-			if err == nil {
-				err = syslogdigest.WriteCheckpoint(o.CheckpointPath, snap)
-			}
-			if err != nil {
-				return fmt.Errorf("checkpoint: %w", err)
+			if err := writeCheckpoint(o.CheckpointPath, snap, err); err != nil {
+				return err
 			}
 			lastCkpt = time.Now()
 		}
 	}
 	st.Close()
+	return nil
+}
+
+// writeCheckpoint writes what Streamer.Snapshot returned (snap, err) to the
+// file at path, atomically: a failed write leaves the previous checkpoint
+// intact. The snapshot needs the streamer; the write does not.
+func writeCheckpoint(path string, snap []byte, err error) error {
+	if err == nil {
+		err = syslogdigest.WriteCheckpoint(path, snap)
+	}
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
 	return nil
 }
 

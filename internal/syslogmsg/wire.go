@@ -58,9 +58,9 @@ var rfc3164Months = map[string]time.Month{
 }
 
 // parseRFC3164 parses "<pri>Mmm dd hh:mm:ss host tag: content". BSD
-// timestamps carry no year; the caller supplies one (collectors use the
-// current year). The router message type is recovered from the tag, e.g.
-// "%LINK-3-UPDOWN:" or "LINK-3-UPDOWN:".
+// timestamps carry no year; the caller supplies one, or 0 for the year that
+// puts the timestamp nearest the clock (nearestYear). The router message
+// type is recovered from the tag, e.g. "%LINK-3-UPDOWN:" or "LINK-3-UPDOWN:".
 func parseRFC3164(line string, index uint64, year int) (Message, error) {
 	_, rest, err := parsePri(line)
 	if err != nil {
@@ -86,10 +86,10 @@ func parseRFC3164(line string, index uint64, year int) (Message, error) {
 	if errH != nil || errM != nil || errS != nil || clock[2] != ':' || clock[5] != ':' {
 		return Message{}, fmt.Errorf("syslogmsg: bad clock in %q", line)
 	}
-	if year == 0 {
-		year = time.Now().UTC().Year()
-	}
 	ts := time.Date(year, mon, day, hh, mm, ss, 0, time.UTC)
+	if year == 0 {
+		ts = nearestYear(mon, day, hh, mm, ss, time.Now())
+	}
 
 	fields := strings.Fields(rest[15:])
 	if len(fields) < 2 {
@@ -104,6 +104,20 @@ func parseRFC3164(line string, index uint64, year int) (Message, error) {
 		return Message{}, fmt.Errorf("syslogmsg: empty tag in %q", line)
 	}
 	return Message{Index: index, Time: ts, Router: host, Code: code, Detail: detail}, nil
+}
+
+// nearestYear dates a year-less timestamp in whichever of the years before,
+// of and after now puts it nearest now: a Dec 31 line received just after
+// New Year is last year's, not next year's.
+func nearestYear(mon time.Month, day, hh, mm, ss int, now time.Time) (best time.Time) {
+	y := now.UTC().Year()
+	for _, c := range []int{y - 1, y, y + 1} {
+		t := time.Date(c, mon, day, hh, mm, ss, 0, time.UTC)
+		if best.IsZero() || t.Sub(now).Abs() < best.Sub(now).Abs() {
+			best = t
+		}
+	}
+	return best
 }
 
 // parseRFC5424 parses

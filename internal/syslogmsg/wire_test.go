@@ -38,14 +38,53 @@ func TestParseRFC3164SpacePaddedDay(t *testing.T) {
 	}
 }
 
+// TestParseRFC3164DefaultYear: with no year given, the parser dates a
+// year-less timestamp within half a year of the clock — a line stamped
+// with the current month and day is this year's.
 func TestParseRFC3164DefaultYear(t *testing.T) {
-	line := "<189>Mar 15 08:30:00 r9 %SYS-5-CONFIG_I: Configured from console"
+	now := time.Now().UTC()
+	line := "<189>" + now.Format(time.Stamp) + " r9 %SYS-5-CONFIG_I: Configured from console"
 	m, err := ParseWireBytes([]byte(line), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Time.Year() != time.Now().UTC().Year() {
-		t.Fatalf("default year = %d", m.Time.Year())
+	if m.Time.Year() != now.Year() {
+		t.Fatalf("default year = %d, the clock says %d", m.Time.Year(), now.Year())
+	}
+}
+
+// TestNearestYear: either side of New Year, a year-less timestamp takes the
+// year that puts it nearest the clock; an explicit year still wins.
+func TestNearestYear(t *testing.T) {
+	for _, c := range []struct {
+		now   time.Time
+		stamp string // "Mmm dd hh:mm:ss"
+		want  time.Time
+	}{
+		{time.Date(2027, 1, 1, 0, 0, 5, 0, time.UTC), "Dec 31 23:59:58", time.Date(2026, 12, 31, 23, 59, 58, 0, time.UTC)},
+		{time.Date(2026, 12, 31, 23, 59, 58, 0, time.UTC), "Jan  1 00:00:03", time.Date(2027, 1, 1, 0, 0, 3, 0, time.UTC)},
+		{time.Date(2026, 12, 31, 23, 59, 58, 0, time.UTC), "Dec 31 23:59:50", time.Date(2026, 12, 31, 23, 59, 50, 0, time.UTC)},
+		{time.Date(2027, 1, 1, 0, 0, 5, 0, time.UTC), "Jan  1 00:00:01", time.Date(2027, 1, 1, 0, 0, 1, 0, time.UTC)},
+		{time.Date(2026, 6, 15, 12, 0, 0, 0, time.UTC), "Jun 14 08:00:00", time.Date(2026, 6, 14, 8, 0, 0, 0, time.UTC)},
+		{time.Date(2026, 3, 1, 0, 0, 0, 0, time.UTC), "Nov 20 10:00:00", time.Date(2025, 11, 20, 10, 0, 0, 0, time.UTC)},
+		{time.Date(2026, 10, 1, 0, 0, 0, 0, time.UTC), "Feb  3 10:00:00", time.Date(2027, 2, 3, 10, 0, 0, 0, time.UTC)},
+	} {
+		line := "<189>" + c.stamp + " r1 %LINK-3-UPDOWN: Interface Serial1/0, changed state to down"
+		m, err := ParseWireBytes([]byte(line), 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := nearestYear(m.Time.Month(), m.Time.Day(), m.Time.Hour(), m.Time.Minute(), m.Time.Second(), c.now)
+		if !got.Equal(c.want) {
+			t.Errorf("%q received %s: dated %s, want %s", c.stamp, c.now.Format(time.RFC3339), got.Format(time.RFC3339), c.want.Format(time.RFC3339))
+		}
+		fixed, err := ParseWireBytes([]byte(line), 0, 2010)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fixed.Time.Year() != 2010 {
+			t.Errorf("%q with year 2010: dated %d", c.stamp, fixed.Time.Year())
+		}
 	}
 }
 
