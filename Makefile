@@ -57,7 +57,8 @@ bench-smoke:
 # CPU profile of the streaming hot path while working on it: the serial,
 # sharded and 2-shard loopback cluster Streamer over corpus A (the cluster
 # row puts dispatcher, wire and shards in one profile), the RouterLocal.Step
-# micro shapes, and the augment miss path on a storm-shaped feed.
+# micro shapes, and augment on a storm-shaped feed with the match cache off
+# (the miss path alone) and on (the miss path plus the cache's own cost).
 # The profile and the test binary go to PROFILE_DIR, outside the tree (a
 # profile is a build product of one commit on one host, not a source file);
 # read it with `go tool pprof -top` or `-list ruleStep`. Not a measurement:
@@ -65,7 +66,7 @@ bench-smoke:
 PROFILE_DIR ?= /tmp/syslogdigest-profiles
 profile-stream:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) test -run '^$$' -bench 'BenchmarkStageStream|BenchmarkMicroRuleStep|BenchmarkMicroAugmentMiss' \
+	$(GO) test -run '^$$' -bench 'BenchmarkStageStream|BenchmarkMicroRuleStep|BenchmarkMicroAugmentMiss|BenchmarkMicroAugmentCached' \
 		-cpuprofile $(PROFILE_DIR)/stream.cpu.prof -o $(PROFILE_DIR)/syslogdigest.test .
 	@echo "go tool pprof -top $(PROFILE_DIR)/syslogdigest.test $(PROFILE_DIR)/stream.cpu.prof"
 

@@ -448,6 +448,20 @@ func BenchmarkMicroAugmentRepeated(b *testing.B) {
 // match cache is off, so every message pays the whole miss path; one op is
 // one message, so ns/op and allocs/op are per message.
 func BenchmarkMicroAugmentMiss(b *testing.B) {
+	benchAugmentStorm(b, -1)
+}
+
+// BenchmarkMicroAugmentCached is BenchmarkMicroAugmentMiss with the default
+// match cache on: nearly every message still misses, so the difference
+// between the two is what the cache itself costs per message (hashing the
+// key, a lookup and an insert with its eviction).
+func BenchmarkMicroAugmentCached(b *testing.B) {
+	benchAugmentStorm(b, 0)
+}
+
+// benchAugmentStorm augments the storm-shaped feed one message per op with
+// the match cache set to matchCache (see core.KnowledgeBase.SetMatchCache).
+func benchAugmentStorm(b *testing.B, matchCache int) {
 	c := mustCorpus(b, gen.DatasetA)
 	storm, err := gen.Generate(gen.Spec{
 		Kind: gen.DatasetA, Routers: c.Profile.Routers, Seed: c.Profile.Seed,
@@ -462,7 +476,7 @@ func BenchmarkMicroAugmentMiss(b *testing.B) {
 		b.Fatal(err)
 	}
 	msgs := storm.Messages
-	c.KB.SetMatchCache(-1)
+	c.KB.SetMatchCache(matchCache)
 	// The corpus (and its KB) is cached across benchmarks: restore the
 	// default cache configuration on the way out.
 	defer c.KB.SetMatchCache(0)

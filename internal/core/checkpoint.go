@@ -14,7 +14,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"syslogdigest/internal/checkpoint"
 	"syslogdigest/internal/event"
@@ -188,16 +187,16 @@ func RestoreStreamer(d *Digester, snap []byte, opts StreamerOptions) (*Streamer,
 }
 
 // capture writes the front end's part of a snapshot: its arrival record and
-// the buffer in the order a flush would release it (a heap's slice layout
-// depends on its insertion history, its pop order does not).
+// the buffer in release order (how the buffer splits between run and heap,
+// and the heap's slice layout, depend on its arrival history; the release
+// order does not).
 func (f *frontEnd) capture(st *streamerState) {
 	st.Pushed = f.pushed
 	st.Arrivals = f.arrivals
 	st.Started = f.started
 	st.MaxSeenNs = checkpoint.TimeNs(f.maxSeen)
-	st.Buffer = make([]bufferedMsg, 0, len(f.buf))
-	c := frontEnd{buf: slices.Clone(f.buf)}
-	for it, ok := c.pop(true); ok; it, ok = c.pop(true) {
+	st.Buffer = make([]bufferedMsg, 0, f.len())
+	for _, it := range f.inOrder() {
 		st.Buffer = append(st.Buffer, bufferedMsg{
 			Index:  it.m.Index,
 			TimeNs: checkpoint.TimeNs(it.m.Time),
@@ -209,14 +208,15 @@ func (f *frontEnd) capture(st *streamerState) {
 	}
 }
 
-// restore is capture's inverse, into a front end with no arrivals yet.
+// restore is capture's inverse, into a front end with no arrivals yet. A
+// snapshot's buffer is in release order, so it all lands in the run.
 func (f *frontEnd) restore(st *streamerState) {
 	f.pushed = st.Pushed
 	f.arrivals = st.Arrivals
 	f.started = st.Started
 	f.maxSeen = checkpoint.NsTime(st.MaxSeenNs)
 	for _, bm := range st.Buffer {
-		f.buf.push(bufItem{
+		f.buffer(bufItem{
 			m: syslogmsg.Message{
 				Index:  bm.Index,
 				Time:   checkpoint.NsTime(bm.TimeNs),

@@ -258,14 +258,12 @@ func (kb *KnowledgeBase) Augment(m *syslogmsg.Message) PlusMessage {
 	pm := PlusMessage{Message: *m, Template: -1}
 	c := kb.cache
 	var key cacheKey
+	var h uint64
 	if c != nil {
 		key = cacheKey{router: m.Router, code: m.Code, detail: m.Detail}
-		if v, ok := c.get(key); ok {
+		h = c.hash(key)
+		if c.get(key, h, &pm) {
 			kb.met.cacheHits.Inc()
-			pm.Template = v.template
-			pm.Loc = v.info.Primary
-			pm.AllLocs = v.info.All
-			pm.Peers = v.info.PeerRouters
 			return pm
 		}
 		kb.met.cacheMisses.Inc()
@@ -282,7 +280,7 @@ func (kb *KnowledgeBase) Augment(m *syslogmsg.Message) PlusMessage {
 	pm.AllLocs = info.All
 	pm.Peers = info.PeerRouters
 	if c != nil {
-		if c.put(key, cacheVal{template: pm.Template, info: info}) {
+		if c.put(key, h, cacheVal{template: pm.Template, info: info}) {
 			kb.met.cacheEvictions.Inc()
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"syslogdigest/internal/grouping"
@@ -19,8 +20,15 @@ type frontEnd struct {
 	tolerance time.Duration // hold time behind the newest arrival; 0: none
 	cap       int
 
-	buf      reorderHeap
-	arrivals uint64 // heap tiebreak: preserves arrival order at equal times
+	// The buffer is two sequences in (time, arrival) order: run holds, from
+	// head on, the arrivals that came no earlier than the run's newest, so
+	// an in-order feed only appends and advances head; late holds the
+	// rest. pop takes the smaller of their heads.
+	run  []bufItem
+	head int
+	late reorderHeap
+
+	arrivals uint64 // tiebreak: preserves arrival order at equal times
 	pushed   uint64 // every arrival, drops included (replay resume offset)
 
 	// started and maxSeen record the newest arrival, the point the
@@ -82,24 +90,71 @@ func (f *frontEnd) admit(m syslogmsg.Message, released grouping.Progress) bool {
 		f.maxSeen = m.Time
 	}
 	f.started = true
-	f.buf.push(bufItem{m: m, order: f.arrivals})
+	f.buffer(bufItem{m: m, order: f.arrivals})
 	f.arrivals++
-	f.mBuffered.Set(float64(len(f.buf)))
+	f.mBuffered.Set(float64(f.len()))
 	return true
 }
+
+// buffer places it: at the run's end unless it precedes the run's newest,
+// else in the heap.
+func (f *frontEnd) buffer(it bufItem) {
+	if f.head < len(f.run) && it.before(&f.run[len(f.run)-1]) {
+		f.late.push(it)
+		return
+	}
+	// Reuse the released prefix once it is at least half of a full slice,
+	// so the run's slice stays within twice its peak length.
+	if len(f.run) == cap(f.run) && 2*f.head >= len(f.run) {
+		n := copy(f.run, f.run[f.head:])
+		clear(f.run[n:])
+		f.run, f.head = f.run[:n], 0
+	}
+	f.run = append(f.run, it)
+}
+
+// len is the number of buffered arrivals.
+func (f *frontEnd) len() int { return len(f.run) - f.head + len(f.late) }
 
 // pop is the release rule: it hands out the buffer's head while the head is
 // no later than newest arrival − tolerance (no arrival within tolerance can
 // precede it any more), while the buffer holds more than its cap, or, when
 // flushing, until the buffer is empty. Heads leave in (time, arrival) order.
 func (f *frontEnd) pop(flush bool) (bufItem, bool) {
-	if len(f.buf) == 0 ||
-		!flush && len(f.buf) <= f.cap && f.buf[0].m.Time.After(f.maxSeen.Add(-f.tolerance)) {
+	fromRun := f.head < len(f.run) && (len(f.late) == 0 || f.run[f.head].before(&f.late[0]))
+	var next *bufItem
+	switch {
+	case fromRun:
+		next = &f.run[f.head]
+	case len(f.late) > 0:
+		next = &f.late[0]
+	default:
 		return bufItem{}, false
 	}
-	it := f.buf.pop()
-	f.mBuffered.Set(float64(len(f.buf)))
+	if !flush && f.len() <= f.cap && next.m.Time.After(f.maxSeen.Add(-f.tolerance)) {
+		return bufItem{}, false
+	}
+	it := *next
+	if fromRun {
+		f.run[f.head] = bufItem{}
+		if f.head++; f.head == len(f.run) {
+			f.run, f.head = f.run[:0], 0
+		}
+	} else {
+		f.late.pop()
+	}
+	f.mBuffered.Set(float64(f.len()))
 	return it, true
+}
+
+// inOrder lists the buffered arrivals in the order pop releases them.
+func (f *frontEnd) inOrder() []bufItem {
+	c := frontEnd{run: slices.Clone(f.run[f.head:]), late: slices.Clone(f.late)}
+	out := make([]bufItem, 0, c.len())
+	for it, ok := c.pop(true); ok; it, ok = c.pop(true) {
+		out = append(out, it)
+	}
+	return out
 }
 
 // bufItem is one buffered arrival; order breaks timestamp ties so equal
@@ -109,17 +164,20 @@ type bufItem struct {
 	order uint64
 }
 
-// reorderHeap is a min-heap on (time, arrival order). Hand-rolled rather
-// than container/heap: push/pop run once per message on the hot path, and
-// the concrete element type avoids the interface boxing allocation.
+// before orders buffered arrivals by (time, arrival order).
+func (it *bufItem) before(o *bufItem) bool {
+	if !it.m.Time.Equal(o.m.Time) {
+		return it.m.Time.Before(o.m.Time)
+	}
+	return it.order < o.order
+}
+
+// reorderHeap is a min-heap on (time, arrival order) for the arrivals that
+// precede the run's newest. Hand-rolled rather than container/heap: the
+// concrete element type avoids the interface boxing allocation.
 type reorderHeap []bufItem
 
-func (h reorderHeap) less(i, j int) bool {
-	if !h[i].m.Time.Equal(h[j].m.Time) {
-		return h[i].m.Time.Before(h[j].m.Time)
-	}
-	return h[i].order < h[j].order
-}
+func (h reorderHeap) less(i, j int) bool { return h[i].before(&h[j]) }
 
 func (h *reorderHeap) push(it bufItem) {
 	*h = append(*h, it)

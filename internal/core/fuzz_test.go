@@ -106,6 +106,12 @@ func FuzzStreamerFrontEnd(f *testing.F) {
 	f.Add([]byte{3, 2, 0x41, 0x43, 0x80, 0x42, 0x4f, 0xc0, 0, 0x41})
 	f.Add([]byte{0, 0, 0x40, 0x40, 0x40, 0x41, 0x40, 0xc5, 0x43, 0x4a})
 	f.Add([]byte{7, 5, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0, 0x08})
+	// Late arrivals tied in time with in-order ones still buffered: 0x01 and
+	// 0x02 land one and two seconds behind the clock, on the times of the
+	// arrivals before them, so equal times release in arrival order across
+	// the in-order run and the heap of late arrivals.
+	f.Add([]byte{7, 5, 0x40, 0x40, 0x01, 0x40, 0x02, 0x01, 0x41, 0, 0x40, 0x01})
+	f.Add([]byte{3, 3, 0x40, 0x40, 0x40, 0x01, 0x02, 0x41, 0x01, 0x80, 0x02, 0x03})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -157,7 +163,7 @@ func FuzzStreamerFrontEnd(f *testing.F) {
 					t.Fatalf("step %d: fed %v (arrival %d) after %v (arrival %d)", i, q.Time, q.Raw, p.Time, p.Raw)
 				}
 			}
-			buffered := uint64(len(s.fe.buf))
+			buffered := uint64(s.fe.len())
 			if buffered > uint64(cap) || snap.Gauge("stream.buffered") != float64(buffered) {
 				t.Fatalf("step %d: buffer %d, gauge %v, cap %d", i, buffered, snap.Gauge("stream.buffered"), cap)
 			}

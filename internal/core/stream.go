@@ -320,7 +320,7 @@ func (s *Streamer) Pushed() uint64 { return s.fe.pushed }
 // Pending returns the number of messages held in the streamer: buffered for
 // reordering plus open (grouped but unemitted) in the engine.
 func (s *Streamer) Pending() int {
-	n := len(s.fe.buf)
+	n := s.fe.len()
 	if s.eng != nil {
 		n += s.eng.Pending()
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
@@ -323,29 +324,129 @@ func TestStreamerReorderCapBoundary(t *testing.T) {
 		if _, err := s.Push(mk(t0.Add(time.Duration(i) * time.Second))); err != nil {
 			t.Fatal(err)
 		}
-		if len(s.fe.buf) > cap {
-			t.Fatalf("after push %d: buffer holds %d > cap %d", i, len(s.fe.buf), cap)
+		if s.fe.len() > cap {
+			t.Fatalf("after push %d: buffer holds %d > cap %d", i, s.fe.len(), cap)
 		}
 	}
-	if len(s.fe.buf) != cap {
-		t.Fatalf("buffer holds %d, want exactly %d", len(s.fe.buf), cap)
+	if s.fe.len() != cap {
+		t.Fatalf("buffer holds %d, want exactly %d", s.fe.len(), cap)
 	}
 	released := s.Watermark()
 	// A full buffer plus an arrival older than everything buffered (but not
 	// behind the frontier): the arrival itself releases, and the buffer must
 	// not shrink or grow.
 	mid := released.Add(500 * time.Millisecond)
-	if mid.After(s.fe.buf[0].m.Time) {
-		t.Fatalf("test setup: %v should precede buffered head %v", mid, s.fe.buf[0].m.Time)
+	if head := s.fe.inOrder()[0].m.Time; mid.After(head) {
+		t.Fatalf("test setup: %v should precede buffered head %v", mid, head)
 	}
 	if _, err := s.Push(mk(mid)); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.fe.buf) != cap {
-		t.Fatalf("releasing the arrival changed buffer to %d, want %d", len(s.fe.buf), cap)
+	if s.fe.len() != cap {
+		t.Fatalf("releasing the arrival changed buffer to %d, want %d", s.fe.len(), cap)
 	}
 	if wm := s.Watermark(); !wm.Equal(mid) {
 		t.Fatalf("watermark %v, want %v (the arrival was the head released)", wm, mid)
+	}
+}
+
+// TestStreamerSnapshotSplitBuffer snapshots a streamer whose reorder buffer
+// holds both in-order arrivals (the run) and late ones (the heap), late
+// ones tied in time with run entries. Snapshot → restore → snapshot gives
+// equal bytes; the restored streamer, fed the rest of the feed, matches the
+// uninterrupted one in its events, in its snapshot, and in the order its
+// front end releases what is still buffered at the end.
+func TestStreamerSnapshotSplitBuffer(t *testing.T) {
+	kb, ds := learnSmall(t, gen.DatasetA)
+	// Corpus A's first 2000 messages; every third is followed by a late
+	// repeat of the message two before it, at that message's time.
+	var feed []syslogmsg.Message
+	for i, m := range ds.Messages[:2000] {
+		m.Index = uint64(len(feed))
+		feed = append(feed, m)
+		if i%3 == 2 {
+			dup := ds.Messages[i-2]
+			dup.Index = uint64(len(feed))
+			feed = append(feed, dup)
+		}
+	}
+	opts := StreamerOptions{ReorderTolerance: 10 * time.Minute}
+	newStreamer := func() *Streamer {
+		d, err := NewDigester(kb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewStreamerWith(d, opts)
+	}
+	var events [2][]event.Event
+	push := func(k int, s *Streamer, msgs []syslogmsg.Message) {
+		for _, m := range msgs {
+			res, err := s.Push(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res != nil {
+				events[k] = append(events[k], res.Events...)
+			}
+		}
+	}
+	cut := len(feed) / 2
+	whole := newStreamer()
+	defer whole.Close()
+	push(0, whole, feed[:cut])
+	if whole.fe.head == len(whole.fe.run) || len(whole.fe.late) == 0 {
+		t.Fatalf("setup: buffer not split: run %d, heap %d", len(whole.fe.run)-whole.fe.head, len(whole.fe.late))
+	}
+	snap, err := whole.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDigester(kb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreStreamer(d, snap, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	again, err := restored.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap, again) {
+		t.Fatal("snapshot → restore → snapshot changed the bytes")
+	}
+	events[1] = slices.Clone(events[0])
+	push(0, whole, feed[cut:])
+	push(1, restored, feed[cut:])
+	if !reflect.DeepEqual(events[0], events[1]) {
+		t.Fatalf("restored run closed %d events, uninterrupted %d, or they differ", len(events[1]), len(events[0]))
+	}
+	a, err := whole.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := restored.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("restored and uninterrupted snapshots differ at the end of the feed")
+	}
+	// Release what is still buffered into recording engines.
+	var fed [2][]stream.Message
+	for k, s := range []*Streamer{whole, restored} {
+		s.eng.Close()
+		rec := &failEngine{failAt: math.MaxInt}
+		s.eng = rec
+		if _, err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		fed[k] = rec.fed
+	}
+	if len(fed[0]) == 0 || !reflect.DeepEqual(fed[0], fed[1]) {
+		t.Fatalf("final release: uninterrupted fed %d messages, restored %d, or in another order", len(fed[0]), len(fed[1]))
 	}
 }
 
@@ -403,8 +504,8 @@ func TestStreamerFlushPartialOnError(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(s.fe.buf) != 4 {
-		t.Fatalf("setup: buffered %d, want 4", len(s.fe.buf))
+	if s.fe.len() != 4 {
+		t.Fatalf("setup: buffered %d, want 4", s.fe.len())
 	}
 	s.eng = &failEngine{failAt: 3}
 	res, err := s.Flush()
@@ -417,8 +518,8 @@ func TestStreamerFlushPartialOnError(t *testing.T) {
 	if res.Events[0].ID != 1 || res.Events[1].ID != 2 {
 		t.Fatalf("partial events %v, want IDs 1,2 in order", res.Events)
 	}
-	if len(s.fe.buf) != 1 {
-		t.Fatalf("buffer holds %d after failed flush, want 1 (the unfed remainder)", len(s.fe.buf))
+	if s.fe.len() != 1 {
+		t.Fatalf("buffer holds %d after failed flush, want 1 (the unfed remainder)", s.fe.len())
 	}
 	if got := reg.Snapshot().Gauge("stream.buffered"); got != 1 {
 		t.Fatalf("stream.buffered gauge = %v, want 1", got)
@@ -453,11 +554,11 @@ func TestStreamerCapReleaseKeepsArrival(t *testing.T) {
 	if _, err := s.Push(mk(arrival)); !errors.Is(err, errBoom) {
 		t.Fatalf("Push error = %v, want errBoom from the forced release", err)
 	}
-	if len(s.fe.buf) != cap {
-		t.Fatalf("buffer holds %d, want %d (the arrival in the released head's place)", len(s.fe.buf), cap)
+	if s.fe.len() != cap {
+		t.Fatalf("buffer holds %d, want %d (the arrival in the released head's place)", s.fe.len(), cap)
 	}
 	kept := false
-	for _, it := range s.fe.buf {
+	for _, it := range s.fe.inOrder() {
 		kept = kept || it.m.Time.Equal(arrival)
 		if it.m.Time.Equal(t0) {
 			t.Fatal("the head whose feed failed is still buffered")
