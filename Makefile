@@ -89,9 +89,13 @@ profile-stream:
 # snapshot of the same state does, serial and sharded
 # (TestRestoreVersion1Snapshot), and a version-2 checkpoint an earlier build
 # wrote must restore and snapshot again byte for byte
-# (TestRestoreCommittedSnapshot).
+# (TestRestoreCommittedSnapshot). Across commits, the knowledge bases, batch
+# digests, streaming transcripts, a flushed snapshot and the batch digest's
+# match counters must equal the values in internal/core/testdata/golden.json
+# (TestGolden; a change that moves output on purpose rewrites the file with
+# -update and names the entries that moved).
 equiv:
-	$(GO) test -run 'TestDifferential|TestPublishedRecordsMatchFreshBuilds|TestRestoreVersion1Snapshot|TestRestoreCommittedSnapshot' -count=1 ./internal/core
+	$(GO) test -run 'TestDifferential|TestPublishedRecordsMatchFreshBuilds|TestRestoreVersion1Snapshot|TestRestoreCommittedSnapshot|TestGolden' -count=1 ./internal/core
 	$(GO) test -run TestExtendMatchesFullBuild -count=1 ./internal/event
 
 # The steady-state allocation gate: testing.AllocsPerRun over the vendor

@@ -666,26 +666,21 @@ func BenchmarkStageRuleMining(b *testing.B) {
 
 func BenchmarkStageFullDigest(b *testing.B) {
 	c := mustCorpus(b, gen.DatasetA)
-	for _, j := range []int{1, 4} {
-		b.Run(fmt.Sprintf("j%d", j), func(b *testing.B) {
-			d, err := core.NewDigester(c.KB)
-			if err != nil {
-				b.Fatal(err)
-			}
-			d.SetParallelism(j)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := d.Digest(c.Online.Messages)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(float64(len(res.Events)), "events")
-				}
-			}
-			b.ReportMetric(float64(len(c.Online.Messages)), "msgs/op")
-		})
+	d, err := core.NewDigester(c.KB)
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := d.Digest(c.Online.Messages)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.ReportMetric(float64(len(res.Events)), "events")
+		}
+	}
+	b.ReportMetric(float64(len(c.Online.Messages)), "msgs/op")
 }
 
 // BenchmarkStageStream drives the live path — reorder buffer plus

@@ -33,7 +33,7 @@ func main() {
 		profileFlag = flag.String("profile", "small", "experiment profile: small or full")
 		datasetFlag = flag.String("dataset", "both", "dataset: A, B, or both")
 		outPath     = flag.String("out", "", "also write the report to this file")
-		workers     = flag.Int("j", 0, "worker parallelism for learning and digesting (0 = GOMAXPROCS, 1 = serial; results are identical at any setting)")
+		workers     = flag.Int("j", 0, "worker parallelism for learning (0 = GOMAXPROCS, 1 = serial; results are identical at any setting)")
 	)
 	flag.Parse()
 

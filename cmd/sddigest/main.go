@@ -66,7 +66,6 @@ func main() {
 		streaming   = flag.Bool("stream", false, "drive the incremental engine; print events in closure order")
 		provisional = flag.Duration("provisional", 0, "two-tier emission horizon (with -stream): print provisional/revised/superseded lines this much log time after group birth (0 disables; the final stream is identical at any setting)")
 		metricsAddr = flag.String("metrics", "", "serve /metrics and /healthz on this address ('' disables)")
-		workers     = flag.Int("j", 0, "worker parallelism for the batch augment (0 = GOMAXPROCS, 1 = serial; output is identical at any setting)")
 		streamWorks = flag.Int("stream-workers", 0, "streaming-engine shard workers (with -stream; <= 1 = serial engine, N > 1 = router-sharded engine; output is identical at any setting)")
 		shardAddrs  = flag.String("shards", "", "comma-separated sdshard addresses (with -stream): distribute the engine's shards across processes over the wire protocol (one shard per entry; output is identical at any setting; overrides -stream-workers)")
 		matchCache  = flag.Int("match-cache", 0, "match-cache entries (0 = default, negative = disabled; output is identical at any setting)")
@@ -122,7 +121,6 @@ func main() {
 	if err != nil {
 		fatalf("digester: %v", err)
 	}
-	d.SetParallelism(*workers)
 	d.Instrument(reg)
 	switch strings.ToUpper(*stageFlag) {
 	case "T":

@@ -187,9 +187,15 @@ func (c *Collector) Start() error {
 	if c.isClosed() {
 		return errors.New("collector: already closed")
 	}
+	// Bind every listener before starting any goroutine, so a failed bind
+	// leaves nothing running.
+	var (
+		pc  net.PacketConn
+		ln  net.Listener
+		err error
+	)
 	if c.cfg.UDPAddr != "" {
-		pc, err := net.ListenPacket("udp", c.cfg.UDPAddr)
-		if err != nil {
+		if pc, err = net.ListenPacket("udp", c.cfg.UDPAddr); err != nil {
 			return fmt.Errorf("collector: udp listen: %w", err)
 		}
 		// Syslog arrives in bursts (one storm = hundreds of datagrams in a
@@ -198,18 +204,21 @@ func (c *Collector) Start() error {
 		if uc, ok := pc.(*net.UDPConn); ok {
 			_ = uc.SetReadBuffer(4 << 20)
 		}
+	}
+	if c.cfg.TCPAddr != "" {
+		if ln, err = net.Listen("tcp", c.cfg.TCPAddr); err != nil {
+			if pc != nil {
+				pc.Close()
+			}
+			return fmt.Errorf("collector: tcp listen: %w", err)
+		}
+	}
+	if pc != nil {
 		c.udp = pc
 		c.wg.Add(1)
 		go c.serveUDP(pc)
 	}
-	if c.cfg.TCPAddr != "" {
-		ln, err := net.Listen("tcp", c.cfg.TCPAddr)
-		if err != nil {
-			if c.udp != nil {
-				c.udp.Close()
-			}
-			return fmt.Errorf("collector: tcp listen: %w", err)
-		}
+	if ln != nil {
 		c.tcp = ln
 		c.wg.Add(1)
 		go c.serveTCP(ln)

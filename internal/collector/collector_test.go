@@ -5,6 +5,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -223,6 +224,37 @@ func TestStartTwice(t *testing.T) {
 	c := startCollector(t, Config{UDPAddr: "127.0.0.1:0"}, s.handle)
 	if err := c.Start(); err == nil {
 		t.Fatal("second Start accepted")
+	}
+}
+
+// TestStartFailedTCPLeavesNothingRunning: when the TCP port is taken, Start
+// fails before any reader starts. A UDP reader started first would spin on
+// its closed socket, reporting "use of closed network connection" through
+// OnError until the process exits.
+func TestStartFailedTCPLeavesNothingRunning(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	var errs atomic.Int64
+	c, err := New(Config{
+		UDPAddr: "127.0.0.1:0", TCPAddr: taken.Addr().String(),
+		OnError: func(error) { errs.Add(1) },
+	}, func(syslogmsg.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Start(); err == nil {
+		t.Fatal("Start on a taken TCP port succeeded")
+	}
+	time.Sleep(100 * time.Millisecond)
+	if n := errs.Load(); n != 0 {
+		t.Fatalf("OnError fired %d times after a failed Start", n)
+	}
+	if c.UDPAddr() != nil {
+		t.Fatalf("failed Start kept a UDP socket: %v", c.UDPAddr())
 	}
 }
 

@@ -72,12 +72,12 @@ type Params struct {
 	// CalibrateTemporal makes Learn sweep alpha/beta grids instead of
 	// trusting Temporal as given.
 	CalibrateTemporal bool
-	// Parallelism bounds the worker fan-out of every parallel stage: offline
-	// template learning, temporal calibration and rule mining, and online
-	// batch augmentation (grouping is not fanned out here: a batch groups
-	// on the serial engine, a streamer on its StreamerOptions shape). 0
-	// means runtime.GOMAXPROCS(0); 1 forces the serial path. Every parallel
-	// path is deterministic — output is byte-identical at any setting.
+	// Parallelism bounds the learner's worker fan-out: template learning,
+	// temporal calibration and rule mining. Augment always runs on the
+	// caller's goroutine, and a batch groups on the serial engine (a
+	// streamer on its StreamerOptions shape). 0 means
+	// runtime.GOMAXPROCS(0); 1 forces the serial path. Every parallel path
+	// is deterministic — output is byte-identical at any setting.
 	// Runtime knob only: it is not part of the learned knowledge and is not
 	// serialized into the knowledge base (a reloaded base defaults to 0 and
 	// can be re-tuned per process via the -j flags).
@@ -133,9 +133,10 @@ func (p Params) normalize() Params {
 //
 // Concurrency: the derived indexes (template matcher, location dictionary,
 // location parser) are built once by finish() and never mutated afterwards
-// — matching and parsing are pure lookups. Augment and AugmentAll are
-// therefore safe to call from any number of goroutines concurrently, which
-// is what lets the digester shard batches across workers. Mutating methods
+// — matching and parsing are pure lookups, and the match cache holds its
+// own lock. Augment and AugmentAll are therefore safe to call from any
+// number of goroutines concurrently (several streamers may share one base;
+// the pipeline itself augments on one goroutine per caller). Mutating methods
 // (Relearn, UpdateRules, ApplyExpert) are NOT safe to run concurrently
 // with augmentation; they follow the paper's periodic-offline cadence.
 type KnowledgeBase struct {
@@ -203,7 +204,7 @@ func (kb *KnowledgeBase) resetMatchCache() {
 
 // SetMatchCache resizes the repeat-message augment cache (0 = default,
 // negative = disabled) and flushes it. Not safe to call concurrently with
-// augmentation — it is a between-batches tuning knob, like SetParallelism.
+// augmentation — it is a between-batches tuning knob.
 func (kb *KnowledgeBase) SetMatchCache(entries int) {
 	kb.Params.MatchCache = entries
 	kb.resetMatchCache()
@@ -287,7 +288,9 @@ func (kb *KnowledgeBase) Augment(m *syslogmsg.Message) PlusMessage {
 	return pm
 }
 
-// AugmentAll converts a batch serially.
+// AugmentAll converts a batch in order on the caller's goroutine, so the
+// match cache sees the same access sequence, and its counters read the same,
+// on every run over the same input.
 func (kb *KnowledgeBase) AugmentAll(msgs []syslogmsg.Message) []PlusMessage {
 	out := make([]PlusMessage, len(msgs))
 	for i := range msgs {
@@ -296,26 +299,9 @@ func (kb *KnowledgeBase) AugmentAll(msgs []syslogmsg.Message) []PlusMessage {
 	return out
 }
 
-// augmentWith shards a batch across the pool's workers, writing each shard
-// into its slot of the output slice — order-preserving, so the result is
-// identical to AugmentAll.
-func (kb *KnowledgeBase) augmentWith(pool *par.Pool, msgs []syslogmsg.Message) []PlusMessage {
-	if pool.Workers() <= 1 {
-		return kb.AugmentAll(msgs)
-	}
-	out := make([]PlusMessage, len(msgs))
-	_ = pool.Chunks(len(msgs), func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			out[i] = kb.Augment(&msgs[i])
-		}
-		return nil
-	})
-	return out
-}
-
-// Learner runs the offline domain knowledge learning of Figure 1. Every
-// stage fans out over one worker pool sized by Params.Parallelism; see
-// Instrument for its metrics.
+// Learner runs the offline domain knowledge learning of Figure 1. Template
+// learning, calibration and rule mining fan out over one worker pool sized
+// by Params.Parallelism; see Instrument for its metrics.
 type Learner struct {
 	params Params
 	pool   *par.Pool
@@ -362,7 +348,7 @@ func (l *Learner) Learn(historical []syslogmsg.Message, configs []*netconf.Confi
 
 	// Augment the history once; every remaining learning step consumes the
 	// Syslog+ view.
-	plus := kb.augmentWith(l.pool, historical)
+	plus := kb.AugmentAll(historical)
 
 	// Signature frequency per router (scoring input).
 	kb.Freq = event.NewFreqTable()
@@ -396,7 +382,7 @@ func (l *Learner) Learn(historical []syslogmsg.Message, configs []*netconf.Confi
 // refresh) to the knowledge base.
 func (l *Learner) UpdateRules(kb *KnowledgeBase, period []syslogmsg.Message) (rules.UpdateStats, error) {
 	_, rcfg := l.stageOptions()
-	plus := kb.augmentWith(l.pool, period)
+	plus := kb.AugmentAll(period)
 	res, err := rules.Mine(RuleEvents(plus), rcfg)
 	if err != nil {
 		return rules.UpdateStats{}, fmt.Errorf("core: rule mining: %w", err)
@@ -495,17 +481,14 @@ type digestMetrics struct {
 	grouping stream.IncMetrics
 }
 
-// Digester is the online half of SyslogDigest. Batch augmentation fans out
-// over one worker pool sized by the knowledge base's Params.Parallelism
-// (overridable via SetParallelism); batch grouping runs on the serial
-// engine. The shape of a streaming run is not decided here: it is
-// StreamerOptions, per streamer.
+// Digester is the online half of SyslogDigest. A batch augments on the
+// caller's goroutine and groups on the serial engine. The shape of a
+// streaming run is not decided here: it is StreamerOptions, per streamer.
 type Digester struct {
 	kb      *KnowledgeBase
 	stage   Stage
 	builder *event.Builder
 	labeler *event.Labeler
-	pool    *par.Pool
 	met     digestMetrics
 }
 
@@ -522,17 +505,11 @@ func NewDigester(kb *KnowledgeBase) (*Digester, error) {
 		kb:      kb,
 		builder: event.NewBuilder(kb.Freq, labeler),
 		labeler: labeler,
-		pool:    par.New(kb.Params.Parallelism),
 	}, nil
 }
 
 // SetStage restricts the grouping pipeline (for the Table 7 ablation).
 func (d *Digester) SetStage(s Stage) { d.stage = s }
-
-// SetParallelism rebuilds the digester's worker pool with n workers (0 =
-// GOMAXPROCS, 1 = serial). Results are byte-identical at any setting.
-// Call before Instrument so the new pool's metrics are registered.
-func (d *Digester) SetParallelism(n int) { d.pool = par.New(n) }
 
 // Instrument publishes the digester's metrics (digest.*, group.merges.*)
 // into reg: wall-time histograms for the augment/group/build stages, batch
@@ -555,28 +532,16 @@ func (d *Digester) Instrument(reg *obs.Registry) {
 			MergeCross:    reg.Counter("group.merges.cross"),
 		},
 	}
-	d.pool.Instrument(reg, "digest.pool")
 	d.kb.Instrument(reg)
 }
 
 // Labeler exposes the event labeler for expert naming overrides.
 func (d *Digester) Labeler() *event.Labeler { return d.labeler }
 
-// parallelBatchMin is the batch size below which sharding the augment
-// across workers costs more in goroutine handoff than it saves.
-const parallelBatchMin = 2048
-
-// Digest processes one batch of raw messages into ranked events. Batches
-// of parallelBatchMin or more augment in parallel over the digester's pool
-// (the knowledge base is immutable during digesting; see KnowledgeBase).
+// Digest processes one batch of raw messages into ranked events.
 func (d *Digester) Digest(msgs []syslogmsg.Message) (*DigestResult, error) {
 	start := time.Now()
-	var plus []PlusMessage
-	if len(msgs) >= parallelBatchMin {
-		plus = d.kb.augmentWith(d.pool, msgs)
-	} else {
-		plus = d.kb.AugmentAll(msgs)
-	}
+	plus := d.kb.AugmentAll(msgs)
 	d.met.augment.Observe(time.Since(start).Seconds())
 	return d.DigestPlus(plus)
 }

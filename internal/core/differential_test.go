@@ -930,33 +930,29 @@ func TestCheckpointRestoreAcrossWorkerCounts(t *testing.T) {
 // TestStreamingMatchesBatch is the oracle the references answer to. Per
 // vendor corpus, the engine-backed Digest reproduces the retired three-pass
 // batch implementation (ReferenceDigestPlus) exactly — events, scores,
-// labels, ranks, IDs — at augment parallelism 1 and 8. (reference holds
-// the serial streamer to DigestPlus.)
+// labels, ranks, IDs. (reference holds the serial streamer to DigestPlus.)
 func TestStreamingMatchesBatch(t *testing.T) {
 	for _, kind := range []gen.DatasetKind{gen.DatasetA, gen.DatasetB} {
-		f := fixtureFor(t, corpus(kind))
-		d, err := NewDigester(f.kb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := d.ReferenceDigestPlus(f.kb.AugmentAll(f.ds.Messages))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, j := range []int{1, 8} {
-			t.Run(fmt.Sprintf("kind%d-j%d", kind, j), func(t *testing.T) {
-				d.SetParallelism(j)
-				got, err := d.Digest(f.ds.Messages)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got.Events, want.Events) {
-					t.Fatalf("engine digest differs from the batch oracle (%d vs %d events)", len(got.Events), len(want.Events))
-				}
-				if len(got.ActiveRules) == 0 {
-					t.Fatal("engine digest reported no active rules")
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("kind%d", kind), func(t *testing.T) {
+			f := fixtureFor(t, corpus(kind))
+			d, err := NewDigester(f.kb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := d.ReferenceDigestPlus(f.kb.AugmentAll(f.ds.Messages))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := d.Digest(f.ds.Messages)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Events, want.Events) {
+				t.Fatalf("engine digest differs from the batch oracle (%d vs %d events)", len(got.Events), len(want.Events))
+			}
+			if len(got.ActiveRules) == 0 {
+				t.Fatal("engine digest reported no active rules")
+			}
+		})
 	}
 }

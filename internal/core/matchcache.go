@@ -43,8 +43,8 @@ type cacheVal struct {
 //
 // The cache is an optimization, never a semantic: values are exactly what
 // the miss path would compute from the immutable knowledge base, so results
-// are byte-identical whatever the hit pattern, worker count, or eviction
-// history. Safe for concurrent use.
+// are byte-identical whatever the hit pattern or eviction history. Safe for
+// concurrent use.
 type matchCache struct {
 	seed  maphash.Seed
 	mu    sync.Mutex
@@ -103,7 +103,7 @@ func (c *matchCache) get(key cacheKey, h uint64, pm *PlusMessage) bool {
 }
 
 // put inserts key → val, where h is key's hash, reporting whether an
-// existing entry was evicted. Concurrent workers may race to insert the
+// existing entry was evicted. Concurrent callers may race to insert the
 // same key; the duplicate insert overwrites with an identical value, so the
 // race is benign. A different key resident under h is evicted in place.
 func (c *matchCache) put(key cacheKey, h uint64, val cacheVal) (evicted bool) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"syslogdigest/internal/gen"
+	"syslogdigest/internal/obs"
 )
 
 // parallelTestCorpus generates a learning + online split for determinism
@@ -66,29 +67,48 @@ func TestLearnDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestDigestDeterministicAcrossParallelism checks the online half: events,
-// their grouping, and the augmented view are identical at any worker count.
+// TestDigestDeterministicAcrossParallelism checks the online half: a
+// knowledge base learned at any worker count digests the online split into
+// the same events, augmented view and active rules, and publishes the same
+// match counters. Augment runs on the caller's goroutine, so cache hits,
+// misses and candidate scans are a function of the input, equal on every
+// digest of it.
 func TestDigestDeterministicAcrossParallelism(t *testing.T) {
 	for _, kind := range []gen.DatasetKind{gen.DatasetA, gen.DatasetB} {
 		t.Run(kind.String(), func(t *testing.T) {
 			learn, online := parallelTestCorpus(t, kind)
-			kb, err := NewLearner(DefaultParams()).Learn(learn.Messages, learn.Net.Configs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var baseline *DigestResult
+			var (
+				baseline *DigestResult
+				counters map[string]uint64
+			)
 			for _, j := range []int{1, 2, 8} {
+				params := DefaultParams()
+				params.Parallelism = j
+				kb, err := NewLearner(params).Learn(learn.Messages, learn.Net.Configs)
+				if err != nil {
+					t.Fatalf("j=%d: %v", j, err)
+				}
 				d, err := NewDigester(kb)
 				if err != nil {
 					t.Fatalf("j=%d: %v", j, err)
 				}
-				d.SetParallelism(j)
+				reg := obs.NewRegistry()
+				d.Instrument(reg)
 				res, err := d.Digest(online.Messages)
 				if err != nil {
 					t.Fatalf("j=%d: %v", j, err)
 				}
+				snap := reg.Snapshot()
+				got := make(map[string]uint64, len(matchCounters))
+				for _, name := range matchCounters {
+					got[name] = snap.Counter(name)
+				}
+				if got["digest.match.cache.hits"]+got["digest.match.cache.misses"] != uint64(len(online.Messages)) {
+					t.Fatalf("j=%d: cache hits + misses = %d, want one per message (%d)", j,
+						got["digest.match.cache.hits"]+got["digest.match.cache.misses"], len(online.Messages))
+				}
 				if baseline == nil {
-					baseline = res
+					baseline, counters = res, got
 					continue
 				}
 				if !reflect.DeepEqual(baseline.Events, res.Events) {
@@ -100,6 +120,9 @@ func TestDigestDeterministicAcrossParallelism(t *testing.T) {
 				}
 				if !reflect.DeepEqual(baseline.ActiveRules, res.ActiveRules) {
 					t.Fatalf("j=%d active rules differ from serial", j)
+				}
+				if !reflect.DeepEqual(counters, got) {
+					t.Fatalf("j=%d match counters %v, serial %v", j, got, counters)
 				}
 			}
 		})

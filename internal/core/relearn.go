@@ -76,7 +76,7 @@ func (l *Learner) Relearn(kb *KnowledgeBase, period []syslogmsg.Message) (Relear
 	}
 
 	// Refresh frequencies and rules with the period's augmented view.
-	plus := kb.augmentWith(l.pool, period)
+	plus := kb.AugmentAll(period)
 	for i := range plus {
 		kb.Freq.Add(plus[i].Router, plus[i].Template, 1)
 	}

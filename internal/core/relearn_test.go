@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"syslogdigest/internal/gen"
-	"syslogdigest/internal/par"
 	"syslogdigest/internal/syslogmsg"
 )
 
@@ -90,65 +89,5 @@ func TestRelearnAddsNewFormats(t *testing.T) {
 func TestRelearnUninitialized(t *testing.T) {
 	if _, err := NewLearner(DefaultParams()).Relearn(&KnowledgeBase{}, nil); err == nil {
 		t.Fatal("uninitialized kb accepted")
-	}
-}
-
-// TestAugmentWithPoolMatchesSerial: the pool fan-out Digest and Relearn
-// augment through is order-preserving at any worker count (0: GOMAXPROCS).
-func TestAugmentWithPoolMatchesSerial(t *testing.T) {
-	kb, ds := learnSmall(t, gen.DatasetA)
-	msgs := ds.Messages[:3000]
-	serial := kb.AugmentAll(msgs)
-	for _, workers := range []int{0, 1, 2, 7, 64} {
-		got := kb.augmentWith(par.New(workers), msgs)
-		if len(got) != len(serial) {
-			t.Fatalf("workers=%d: length %d != %d", workers, len(got), len(serial))
-		}
-		for i := range serial {
-			if got[i].Template != serial[i].Template || got[i].Loc != serial[i].Loc {
-				t.Fatalf("workers=%d: message %d differs: %+v vs %+v", workers, i, got[i], serial[i])
-			}
-			if len(got[i].Peers) != len(serial[i].Peers) {
-				t.Fatalf("workers=%d: message %d peers differ", workers, i)
-			}
-		}
-	}
-}
-
-func TestAugmentWithPoolEmpty(t *testing.T) {
-	kb, _ := learnSmall(t, gen.DatasetA)
-	if out := kb.augmentWith(par.New(4), nil); len(out) != 0 {
-		t.Fatalf("empty input produced %d", len(out))
-	}
-}
-
-func TestDigestLargeBatchUsesParallelPath(t *testing.T) {
-	// Functional equivalence: digesting above and below the parallel
-	// threshold must give identical events for identical input.
-	kb, ds := learnSmall(t, gen.DatasetA)
-	d, err := NewDigester(kb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds.Messages) < 5000 {
-		t.Skip("corpus too small")
-	}
-	batch := ds.Messages[:5000]
-	res1, err := d.Digest(batch) // parallel path (>= 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plus := kb.AugmentAll(batch)
-	res2, err := d.DigestPlus(plus) // serial path
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res1.Events) != len(res2.Events) {
-		t.Fatalf("parallel %d events != serial %d", len(res1.Events), len(res2.Events))
-	}
-	for i := range res1.Events {
-		if res1.Events[i].Digest() != res2.Events[i].Digest() {
-			t.Fatalf("event %d differs between paths", i)
-		}
 	}
 }

@@ -35,8 +35,8 @@ type Profile struct {
 	Seed           int64
 	Weeks          int           // rule-evolution periods (paper: 12)
 	WeekDuration   time.Duration // simulated traffic per "week"
-	// Parallelism is the worker fan-out for learning and digesting (0 =
-	// GOMAXPROCS, 1 = serial). Every measured quantity is byte-identical
+	// Parallelism is the learner's worker fan-out (0 = GOMAXPROCS, 1 =
+	// serial). Every measured quantity is byte-identical
 	// at any setting; only wall-clock changes.
 	Parallelism int
 }

@@ -92,11 +92,14 @@ type ReplayOptions struct {
 // where it stopped and delivers each event once across the restarts.
 func Replay(st *syslogdigest.Streamer, msgs []syslogdigest.Message, o ReplayOptions, deliver func(*syslogdigest.DigestResult) error) error {
 	start, lastCkpt := time.Now(), time.Now()
+	// Pacing runs from the first message this call pushes: the prefix a
+	// restored streamer already pushed is not waited for again.
+	first := int(st.Pushed())
 	// Step len(msgs) is the Flush; what follows a Push follows it too.
-	for i := int(st.Pushed()); i <= len(msgs); i++ {
+	for i := first; i <= len(msgs); i++ {
 		flush := i == len(msgs)
 		if !flush && o.Speed > 0 {
-			due := start.Add(time.Duration(float64(msgs[i].Time.Sub(msgs[0].Time)) / o.Speed))
+			due := start.Add(time.Duration(float64(msgs[i].Time.Sub(msgs[first].Time)) / o.Speed))
 			if d := time.Until(due); d > 0 {
 				if o.BeforeSleep != nil {
 					o.BeforeSleep()

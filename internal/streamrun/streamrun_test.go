@@ -66,3 +66,54 @@ func TestOpenNamesRefusal(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayResumedPacesFromItsFirstPush: a streamer restored mid-file skips
+// the prefix it pushed, and pacing starts at the first message it pushes
+// now. Here the skipped prefix ends an hour of log time before the rest,
+// and the rest spans no log time, so at 3600 log seconds per wall second
+// the resumed replay must not sleep the second the skipped hour is worth.
+func TestReplayResumedPacesFromItsFirstPush(t *testing.T) {
+	ds, err := gen.Generate(gen.Spec{Kind: gen.DatasetA, Routers: 8, Seed: 9, Duration: 12 * time.Hour, RateScale: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb, err := syslogdigest.NewLearner(syslogdigest.DefaultParams()).Learn(ds.Messages, ds.Net.Configs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := syslogdigest.NewDigester(kb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := append([]syslogdigest.Message(nil), ds.Messages...)
+	skipped := len(msgs) / 2
+	if skipped < 50 {
+		t.Fatalf("corpus too small: %d messages", len(msgs))
+	}
+	resume := msgs[0].Time.Add(time.Hour)
+	for i := skipped; i < len(msgs); i++ {
+		msgs[i].Time = resume
+	}
+	st := syslogdigest.NewStreamerWith(d, syslogdigest.StreamerOptions{})
+	for _, m := range msgs[:skipped] {
+		if _, err := st.Push(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := st.Snapshot()
+	st.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := syslogdigest.RestoreStreamer(d, snap, syslogdigest.StreamerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	began := time.Now()
+	if err := Replay(restored, msgs, ReplayOptions{Speed: 3600}, func(*syslogdigest.DigestResult) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(began); took > 500*time.Millisecond {
+		t.Fatalf("resumed replay of messages spanning 0 s of log time took %v", took)
+	}
+}

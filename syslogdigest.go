@@ -53,8 +53,9 @@ type (
 	// Status is the tier of one Update.
 	Status = event.Status
 	// Params bundles the learning and grouping tunables (Table 6 of the
-	// paper) plus two per-process knobs that are never serialized
-	// (Parallelism, MatchCache). Nothing about a streaming run lives here.
+	// paper) plus two per-process knobs that are never serialized: the
+	// learner's worker count (Parallelism) and the match cache's size
+	// (MatchCache). Nothing about a streaming run lives here.
 	Params = core.Params
 	// KnowledgeBase is the offline learning output.
 	KnowledgeBase = core.KnowledgeBase
