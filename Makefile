@@ -140,7 +140,10 @@ cli-smoke:
 # input (FuzzClassify); and for the offline learner, the temporal sweep's
 # one-pass scoring against a GroupStream replay per grid point
 # (FuzzCalibrate) and dense rule counting against the map-based reference
-# (FuzzMineStream), on any streams and grid; and for the collector's TCP
+# (FuzzMineStream), on any streams and grid, and the rule base's partner
+# lists against a recomputation from its rule map after any sequence of
+# adds, removes and updates over template IDs on both sides of 8 192
+# (FuzzRuleBase); and for the collector's TCP
 # connection reader, whose reader/delivery pipeline must deliver, count and
 # report what the single-goroutine reference loop does on any bytes split
 # into any writes under a 16–64-byte line cap (FuzzConnReader). None may
@@ -162,4 +165,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzClassify$$' -fuzztime=10s ./internal/textutil
 	$(GO) test -run '^$$' -fuzz '^FuzzCalibrate$$' -fuzztime=10s ./internal/temporal
 	$(GO) test -run '^$$' -fuzz '^FuzzMineStream$$' -fuzztime=10s ./internal/rules
+	$(GO) test -run '^$$' -fuzz '^FuzzRuleBase$$' -fuzztime=10s ./internal/rules
 	$(GO) test -run '^$$' -fuzz '^FuzzConnReader$$' -fuzztime=10s ./internal/collector

@@ -571,8 +571,6 @@ type streamEngine interface {
 	// and Streamer.Watermark read it, and nothing keeps a copy.
 	Progress() grouping.Progress
 	Pending() int
-	Stats() grouping.IncStats
-	ActiveRules() map[rules.PairKey]int
 	// SetClusterMetrics takes the superset metric struct; each engine
 	// installs the handles it has a use for.
 	SetClusterMetrics(stream.ClusterMetrics)

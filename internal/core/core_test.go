@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"syslogdigest/internal/event"
 	"syslogdigest/internal/gen"
 	"syslogdigest/internal/locdict"
 	"syslogdigest/internal/obs"
@@ -181,6 +185,78 @@ func TestKnowledgeBaseSaveLoadRoundTrip(t *testing.T) {
 		if r1.Events[i].Digest() != r2.Events[i].Digest() {
 			t.Fatalf("event %d differs after reload", i)
 		}
+	}
+}
+
+// TestKnowledgeBaseRoundTripKeepsTuning: every parameter with output
+// semantics survives Save and Load. The storm tuning's raised scan cap is
+// the one that shows: a base reloaded with the 256 default digests a storm
+// differently.
+func TestKnowledgeBaseRoundTripKeepsTuning(t *testing.T) {
+	f := learnStorm(t)
+	kb := cloneKB(t, f.kb)
+	kb.Params.Rules.Window = f.kb.Params.Rules.Window
+	kb.Params.MaxScan = f.kb.Params.MaxScan
+	kb.Params.Rules.MinEvidence = 9
+	kb.Params.Rules.MaxItemsPerTx = 32
+	reloaded := cloneKB(t, kb)
+	learned := func(p Params) Params {
+		p.Parallelism, p.MatchCache, p.Template.Pool, p.Rules.Pool = 0, 0, nil, nil // runtime knobs, never serialized
+		return p
+	}
+	if got, want := learned(reloaded.Params), learned(kb.Params); !reflect.DeepEqual(got, want) {
+		t.Fatalf("params after Save/Load = %+v, want %+v", got, want)
+	}
+	// The first 10 000 storm messages already fill a rule window past the
+	// 256 default: digested at that cap they come out as one more event.
+	msgs := f.ds.Messages[:10000]
+	digest := func(kb *KnowledgeBase) []event.Event {
+		d, err := NewDigester(kb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := d.Digest(msgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Events
+	}
+	want, got := digest(kb), digest(reloaded)
+	if len(got) != len(want) {
+		t.Fatalf("reloaded base digests %d messages into %d events, want %d", len(msgs), len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Digest() != want[i].Digest() {
+			t.Fatalf("event %d differs after Save/Load", i)
+		}
+	}
+}
+
+// TestAugmentUnknownRoutersRetainNothing: a feed of router names no config
+// knows (spoofed or relay-mangled senders) leaves nothing behind on the
+// augment path once the match cache is off — no per-name entry anywhere.
+func TestAugmentUnknownRoutersRetainNothing(t *testing.T) {
+	kb, ds := mutableKB(t, gen.DatasetA)
+	kb.SetMatchCache(-1)
+	m := syslogmsg.Message{Time: ds.Messages[0].Time, Code: ds.Messages[0].Code, Detail: "state changed"}
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	const names = 100000
+	for i := 0; i < names; i++ {
+		m.Router = "spoofed-" + strconv.Itoa(i)
+		if pm := kb.Augment(&m); pm.Loc != locdict.RouterLoc(m.Router) {
+			t.Fatalf("unknown router %q located at %+v", m.Router, pm.Loc)
+		}
+	}
+	grew := heap() - before
+	runtime.KeepAlive(kb) // the base is what would hold the entries
+	if grew > 1<<20 {
+		t.Fatalf("augmenting %d unknown router names retained %d bytes of heap", names, grew)
 	}
 }
 

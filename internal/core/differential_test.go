@@ -70,6 +70,14 @@ func memoFixture(t testing.TB, key any, build func() *fixture) *fixture {
 	return f
 }
 
+// engineBook is what the tests read off a streamer's engine beyond what the
+// streamer itself uses: the grouper's book and the active-rule tally, which
+// every engine shape keeps.
+type engineBook interface {
+	Stats() grouping.IncStats
+	ActiveRules() map[rules.PairKey]int
+}
+
 type learnKey struct {
 	kind   gen.DatasetKind
 	params Params
@@ -427,7 +435,7 @@ func runPlan(t *testing.T, p plan) *run {
 				t.Fatalf("restored into %v at %d: Pending() = %d, %d before the snapshot", sg.shape, start, got, pending)
 			}
 			if st.eng != nil {
-				if got := st.eng.Stats(); got != stats {
+				if got := st.eng.(engineBook).Stats(); got != stats {
 					t.Fatalf("restored into %v at %d: Stats()\n got %+v\nwant %+v (before the snapshot)", sg.shape, start, got, stats)
 				}
 			}
@@ -448,7 +456,7 @@ func runPlan(t *testing.T, p plan) *run {
 				kills = kills[1:]
 				// Synchronize first: the sessions are live and quiescent, so the
 				// kill drops exactly one per shard.
-				st.eng.Stats()
+				st.eng.(engineBook).Stats()
 				f.srv.KillSessions()
 			}
 			if p.probe > 0 && i%p.probe == 0 && st.Pending() < 0 {
@@ -462,7 +470,7 @@ func runPlan(t *testing.T, p plan) *run {
 				t.Fatalf("cut at %d leaves nothing open: the carry-over check would be vacuous", end)
 			}
 			if st.eng != nil {
-				stats = st.eng.Stats()
+				stats = st.eng.(engineBook).Stats()
 			}
 			if stats.RulePairs == 0 && end > len(msgs)/10 {
 				t.Fatalf("cut at %d: no rule join yet, the carried Stats() check would be vacuous", end)
@@ -475,7 +483,7 @@ func runPlan(t *testing.T, p plan) *run {
 			if n := st.Pending(); n != 0 {
 				t.Fatalf("pending after flush = %d", n)
 			}
-			r.active = st.eng.ActiveRules()
+			r.active = st.eng.(engineBook).ActiveRules()
 		}
 		fed := st.seq - seq0
 		st.Close() // the link goroutines have exited: the books are final

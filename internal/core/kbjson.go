@@ -41,6 +41,12 @@ type paramsJSON struct {
 	SPmin         float64 `json:"spmin"`
 	ConfMin       float64 `json:"confmin"`
 	CrossSeconds  float64 `json:"cross_window_seconds"`
+	// The scan cap and the mining bounds change output like the windows
+	// do; omitted at zero (their defaults) so a base that never set them
+	// keeps its bytes.
+	MaxScan       int `json:"max_scan,omitempty"`
+	MaxItemsPerTx int `json:"max_items_per_tx,omitempty"`
+	MinEvidence   int `json:"min_evidence,omitempty"`
 	// Template learning options and the calibration switch used to round-
 	// trip silently as zero values, so a reloaded knowledge base no longer
 	// matched the configuration it was learned with.
@@ -74,6 +80,9 @@ func (kb *KnowledgeBase) Save(w io.Writer) error {
 			SPmin:         kb.Params.Rules.SPmin,
 			ConfMin:       kb.Params.Rules.ConfMin,
 			CrossSeconds:  kb.Params.CrossWindow.Seconds(),
+			MaxScan:       kb.Params.MaxScan,
+			MaxItemsPerTx: kb.Params.Rules.MaxItemsPerTx,
+			MinEvidence:   kb.Params.Rules.MinEvidence,
 			Template: templateOptsJSON{
 				K:                kb.Params.Template.K,
 				MaxDepth:         kb.Params.Template.MaxDepth,
@@ -114,6 +123,7 @@ func LoadKnowledgeBase(r io.Reader) (*KnowledgeBase, error) {
 				MinChildFraction: in.Params.Template.MinChildFraction,
 				MinChildCount:    in.Params.Template.MinChildCount,
 			},
+			MaxScan:           in.Params.MaxScan,
 			CalibrateTemporal: in.Params.Calibrate,
 		},
 	}
@@ -124,6 +134,8 @@ func LoadKnowledgeBase(r io.Reader) (*KnowledgeBase, error) {
 	kb.Params.Rules.Window = secs(in.Params.WindowSeconds)
 	kb.Params.Rules.SPmin = in.Params.SPmin
 	kb.Params.Rules.ConfMin = in.Params.ConfMin
+	kb.Params.Rules.MaxItemsPerTx = in.Params.MaxItemsPerTx
+	kb.Params.Rules.MinEvidence = in.Params.MinEvidence
 	kb.Params.CrossWindow = secs(in.Params.CrossSeconds)
 	kb.Params = kb.Params.normalize()
 

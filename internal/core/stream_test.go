@@ -19,7 +19,6 @@ import (
 	"syslogdigest/internal/grouping"
 	"syslogdigest/internal/locdict"
 	"syslogdigest/internal/obs"
-	"syslogdigest/internal/rules"
 	"syslogdigest/internal/stream"
 	"syslogdigest/internal/syslogmsg"
 )
@@ -475,8 +474,6 @@ func (f *failEngine) Drain() []event.Event                    { return nil }
 func (f *failEngine) Close()                                  {}
 func (f *failEngine) Progress() grouping.Progress             { return f.progress }
 func (f *failEngine) Pending() int                            { return 0 }
-func (f *failEngine) Stats() grouping.IncStats                { return grouping.IncStats{} }
-func (f *failEngine) ActiveRules() map[rules.PairKey]int      { return nil }
 func (f *failEngine) SetClusterMetrics(stream.ClusterMetrics) {}
 func (f *failEngine) TakeUpdates() []event.Update             { return nil }
 func (f *failEngine) State() (stream.EngineState, []event.Event, []event.Update, error) {
@@ -933,7 +930,7 @@ func TestRestoreStatsInMemory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := eng.Stats()
+			want := eng.(engineBook).Stats()
 			if want.OpenGroups == 0 || want.Streams == 0 || want.RulePairs == 0 {
 				t.Fatalf("nothing open or tallied (%+v): the check would be vacuous", want)
 			}
@@ -949,7 +946,7 @@ func TestRestoreStatsInMemory(t *testing.T) {
 			if err := mem.Restore(state); err != nil {
 				t.Fatal(err)
 			}
-			if got := mem.Stats(); got != want {
+			if got := mem.(engineBook).Stats(); got != want {
 				t.Fatalf("restored in memory: Stats()\n got %+v\nwant %+v", got, want)
 			}
 			snap, err := st.Snapshot()
@@ -965,7 +962,7 @@ func TestRestoreStatsInMemory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := eng.Stats(); got != want {
+			if got := eng.(engineBook).Stats(); got != want {
 				t.Fatalf("restored through the snapshot: Stats()\n got %+v\nwant %+v", got, want)
 			}
 		})

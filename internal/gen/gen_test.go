@@ -95,7 +95,7 @@ func TestGenerateMessagesRoundTrip(t *testing.T) {
 	ds := generate(t, smallSpec(DatasetB))
 	for i := range ds.Messages {
 		line := ds.Messages[i].Format()
-		back, err := syslogmsg.ParseLine(line, ds.Messages[i].Index)
+		back, err := syslogmsg.ParseLineBytes([]byte(line), ds.Messages[i].Index)
 		if err != nil {
 			t.Fatalf("message %d does not round trip: %v (%q)", i, err, line)
 		}

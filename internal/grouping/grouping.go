@@ -20,6 +20,7 @@ package grouping
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -226,6 +227,7 @@ func (s *Shardable) rulePass(byTime []*Message, uf *unionFind, active map[rules.
 		stream := byRouter[r]
 		for i, mi := range stream {
 			deadline := mi.Time.Add(s.cfg.RuleWindow)
+			partners := s.rb.Partners(mi.Template)
 			scanned := 0
 			for j := i + 1; j < len(stream) && scanned < s.cfg.MaxScan; j++ {
 				mj := stream[j]
@@ -233,7 +235,7 @@ func (s *Shardable) rulePass(byTime []*Message, uf *unionFind, active map[rules.
 					break
 				}
 				scanned++
-				if !s.ruleMatch(mi, mj) {
+				if !s.ruleMatch(partners, mj, mi, mj) {
 					continue
 				}
 				if uf.union(mi.Seq, mj.Seq) {
@@ -272,15 +274,18 @@ func (s *Shardable) crossPass(byTime []*Message, uf *unionFind, merges *int) {
 	}
 }
 
-// ruleMatch is the rule-based grouping predicate (§4.2.2): different
-// templates connected by a mined association rule on spatially matching
-// locations. The window and scan bounds are the caller's job — both the
-// batch pass and the incremental engine share this exact pair test.
-func (s *Shardable) ruleMatch(mi, mj *Message) bool {
+// ruleMatch is the rule-based grouping predicate (§4.2.2) between an
+// earlier message mi and a later mj: different templates connected by a
+// mined association rule on spatially matching locations. partners is the
+// rule partner list of whichever of the two the caller holds fixed, looked
+// up once for all its candidates, and other is the one that is not. The
+// window and scan bounds are the caller's job — the batch pass and the
+// incremental engine's linear reference share this exact pair test.
+func (s *Shardable) ruleMatch(partners []int, other, mi, mj *Message) bool {
 	if mi.Template == mj.Template {
 		return false // same-template grouping is pass 1's job
 	}
-	if !s.rb.HasPair(mi.Template, mj.Template) {
+	if _, ok := slices.BinarySearch(partners, other.Template); !ok {
 		return false
 	}
 	return s.dict.SpatialMatch(mi.Loc, mj.Loc)

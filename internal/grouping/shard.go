@@ -579,11 +579,12 @@ func (rl *RouterLocal) ruleStep(p *Pending, e locEntry, js *Joins) {
 		rw.popFront()
 	}
 	var cand, matched uint64
+	partners := rl.s.rb.Partners(p.msg.Template)
 	if rl.s.cfg.linearScan {
 		for i := 0; i < rw.n; i++ {
 			mi := rw.at(i)
 			cand++
-			if rl.s.ruleMatch(&mi.msg, &p.msg) {
+			if rl.s.ruleMatch(partners, &mi.msg, &mi.msg, &p.msg) {
 				js.Rules = append(js.Rules, mi)
 				matched++
 			}
@@ -596,7 +597,7 @@ func (rl *RouterLocal) ruleStep(p *Pending, e locEntry, js *Joins) {
 			rl.matched = make([]uint64, words)
 		}
 		bm := rl.matched[:words]
-		for _, q := range rl.s.rb.Partners(p.msg.Template) {
+		for _, q := range partners {
 			if q == p.msg.Template {
 				continue // same-template grouping is the temporal pass's job
 			}

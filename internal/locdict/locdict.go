@@ -20,6 +20,7 @@ package locdict
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -239,6 +240,16 @@ func pairKey(a, b string) string {
 
 // Routers returns the number of routers in the dictionary.
 func (d *Dictionary) Routers() int { return len(d.routers) }
+
+// RouterNames returns the configured router names, sorted.
+func (d *Dictionary) RouterNames() []string {
+	names := make([]string, 0, len(d.routers))
+	for r := range d.routers {
+		names = append(names, r)
+	}
+	sort.Strings(names)
+	return names
+}
 
 // Region returns the configured region of a router ("" when unknown).
 func (d *Dictionary) Region(router string) string {

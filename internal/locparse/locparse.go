@@ -17,7 +17,6 @@ package locparse
 
 import (
 	"strings"
-	"sync"
 
 	"syslogdigest/internal/locdict"
 	"syslogdigest/internal/syslogmsg"
@@ -41,17 +40,26 @@ type Info struct {
 type Parser struct {
 	dict *locdict.Dictionary
 
-	// routerOnly caches, per router, the shared one-element slice returned
-	// as Info.All when a message grounds no finer location — the dominant
-	// case on noisy feeds, and without the cache a fresh allocation per
-	// message. The slices are immutable (len == cap, callers hold All
-	// read-only), so sharing them across messages is safe.
-	routerOnly sync.Map // string → []locdict.Location
+	// routerOnly holds, per configured router, the shared one-element
+	// slice returned as Info.All when a message grounds no finer location
+	// — the dominant case on noisy feeds, and without it a fresh
+	// allocation per message. It is built once with the parser and never
+	// grows, so a feed's unknown or spoofed router names cannot grow it:
+	// theirs get a fresh slice. The slices are immutable (len == cap,
+	// callers hold All read-only), so sharing them across messages is safe.
+	routerOnly map[string][]locdict.Location
 }
 
 // New builds a parser.
 func New(dict *locdict.Dictionary) *Parser {
-	return &Parser{dict: dict}
+	names := dict.RouterNames()
+	p := &Parser{dict: dict, routerOnly: make(map[string][]locdict.Location, len(names))}
+	locs := make([]locdict.Location, len(names))
+	for i, r := range names {
+		locs[i] = locdict.RouterLoc(r)
+		p.routerOnly[r] = locs[i : i+1 : i+1]
+	}
+	return p
 }
 
 // Parse extracts and grounds the locations of one message.
@@ -107,19 +115,12 @@ func (p *Parser) ParseTokens(m *syslogmsg.Message, toks []string) Info {
 		sortByLevel(info.All)
 	} else {
 		// Nothing grounded: All is exactly [RouterLoc], shared across every
-		// such message from this router.
-		info.All = p.routerOnlyAll(m.Router)
+		// such message from a configured router.
+		if info.All = p.routerOnly[m.Router]; info.All == nil {
+			info.All = []locdict.Location{info.Primary}
+		}
 	}
 	return info
-}
-
-// routerOnlyAll returns the shared [RouterLoc(router)] slice for router.
-func (p *Parser) routerOnlyAll(router string) []locdict.Location {
-	if v, ok := p.routerOnly.Load(router); ok {
-		return v.([]locdict.Location)
-	}
-	v, _ := p.routerOnly.LoadOrStore(router, []locdict.Location{locdict.RouterLoc(router)})
-	return v.([]locdict.Location)
 }
 
 // ground resolves one candidate token, routing it into locations or peer

@@ -2,11 +2,12 @@
 // over an index space with ordered collection and deterministic error
 // propagation, instrumented through internal/obs.
 //
-// Every parallel stage of the pipeline (template learning, temporal
-// calibration, rule mining, augmentation, temporal grouping) is an
-// embarrassingly parallel loop over independent work items — error codes,
-// grid points, routers, messages, (template, location) streams. par gives
-// those loops one shape:
+// Every parallel stage of the offline learner (template learning, temporal
+// calibration, rule mining) is an embarrassingly parallel loop over
+// independent work items — messages to tokenize, error codes, grid points,
+// routers. Augmentation and grouping run on the caller's goroutine (a
+// streamer shards grouping by router on its own engines, not through par).
+// par gives those loops one shape:
 //
 //	pool := par.New(workers) // workers <= 0 means GOMAXPROCS
 //	err := pool.ForEach(len(items), func(i int) error { ... })
@@ -146,7 +147,8 @@ func (p *Pool) ForEach(n int, fn func(i int) error) error {
 
 // Chunks splits [0, n) into at most Workers() contiguous ranges and runs
 // fn(lo, hi) for each — the right shape when per-item work is too small to
-// schedule individually (e.g. augmenting one message).
+// schedule individually (e.g. tokenizing one message for template
+// learning).
 func (p *Pool) Chunks(n int, fn func(lo, hi int) error) error {
 	ranges := Ranges(n, p.Workers())
 	return p.ForEach(len(ranges), func(i int) error {

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -30,10 +31,11 @@ func partnersNaive(rb *RuleBase, t int) []int {
 	return out
 }
 
-// checkAdjacency verifies the derived index against the rule map over the
-// given template universe.
+// checkAdjacency verifies the partner lists against the rule map over the
+// given template universe, which must hold every template of the base.
 func checkAdjacency(t *testing.T, rb *RuleBase, ids []int) {
 	t.Helper()
+	listed := 0
 	for _, x := range ids {
 		for _, y := range ids {
 			if got, want := rb.HasPair(x, y), hasPairNaive(rb, x, y); got != want {
@@ -42,37 +44,50 @@ func checkAdjacency(t *testing.T, rb *RuleBase, ids []int) {
 		}
 		got := rb.Partners(x)
 		want := partnersNaive(rb, x)
-		if len(got) != len(want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("Partners(%d) = %v, want %v", x, got, want)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("Partners(%d) = %v, want %v", x, got, want)
-			}
+		if len(want) > 0 {
+			listed++
 		}
+	}
+	if len(rb.partners) != listed {
+		t.Fatalf("%d partner lists, want %d: an emptied list was kept", len(rb.partners), listed)
 	}
 }
 
-// TestAdjacencyTracksMutations drives a random Add/Remove/Update sequence
-// and checks the O(1) probes against the rule map after every step.
+// TestAdjacencyTracksMutations drives a random Add/Remove sequence and
+// checks the partner lists against the rule map after every step, over
+// small template IDs and over IDs on both sides of 8 192 (the ceiling the
+// retired dense pair bitset fell back at).
 func TestAdjacencyTracksMutations(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	rb := NewRuleBase()
-	ids := []int{0, 1, 2, 3, 5, 8, 13}
-	for step := 0; step < 400; step++ {
-		x, y := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
-		switch rng.Intn(3) {
-		case 0:
-			rb.Add(Rule{X: x, Y: y, Support: 0.1, Conf: 0.9})
-		case 1:
-			rb.Remove(x, y)
-		case 2:
-			// A reverse-direction add then a one-direction remove is the
-			// case a naive unlink gets wrong.
-			rb.Add(Rule{X: y, Y: x, Support: 0.1, Conf: 0.9})
-			rb.Remove(x, y)
-		}
-		checkAdjacency(t, rb, ids)
+	for _, tc := range []struct {
+		name string
+		ids  []int
+	}{
+		{"small IDs", []int{0, 1, 2, 3, 5, 8, 13}},
+		{"large IDs", []int{1, 2, 3, 1<<13 - 1, 1 << 13, 1<<13 + 1, 1 << 15, 1<<15 + 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			rb := NewRuleBase()
+			ids := tc.ids
+			for step := 0; step < 400; step++ {
+				x, y := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
+				switch rng.Intn(3) {
+				case 0:
+					rb.Add(Rule{X: x, Y: y, Support: 0.1, Conf: 0.9})
+				case 1:
+					rb.Remove(x, y)
+				case 2:
+					// A reverse-direction add then a one-direction remove
+					// is the case a naive unlink gets wrong.
+					rb.Add(Rule{X: y, Y: x, Support: 0.1, Conf: 0.9})
+					rb.Remove(x, y)
+				}
+				checkAdjacency(t, rb, ids)
+			}
+		})
 	}
 }
 
@@ -99,16 +114,41 @@ func TestAdjacencySurvivesUpdate(t *testing.T) {
 	}
 }
 
-// TestAdjacencyLargeIDsFallBack: template IDs beyond the bitset ceiling
-// must still probe correctly via the pair set.
-func TestAdjacencyLargeIDsFallBack(t *testing.T) {
-	rb := NewRuleBase()
-	rb.Add(Rule{X: 2, Y: 3, Support: 0.1, Conf: 0.9})
-	big := bitsetMaxID * 4
-	rb.Add(Rule{X: big, Y: 2, Support: 0.1, Conf: 0.9})
-	checkAdjacency(t, rb, []int{1, 2, 3, big, big + 1})
-	rb.Remove(big, 2)
-	checkAdjacency(t, rb, []int{1, 2, 3, big, big + 1})
+// FuzzRuleBase drives Add, Remove and Update from a byte string, three
+// bytes a step, over template IDs on both sides of 8 192, and holds
+// Partners and HasPair to a recomputation from the rule map after every
+// step. An Update step measures one pair: both templates in 50 of 100
+// transactions, the pair in 0–50 of them, so it adds the pair's rules
+// (confidence ≥ 0.8), deletes the rules out of either template it
+// contradicts, or both.
+func FuzzRuleBase(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 1, 0, 1})
+	f.Add([]byte{0, 3, 4, 3, 4, 3, 1, 3, 4, 0, 5, 5, 2, 2, 3})
+	f.Add([]byte{123, 1, 6, 0, 6, 1, 0, 7, 6, 2, 6, 7, 5, 6, 1, 1, 6, 7})
+	ids := []int{0, 1, 2, 7, 1<<13 - 1, 1 << 13, 1<<13 + 1, 1 << 20}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		rb := NewRuleBase()
+		for ; len(ops) >= 3; ops = ops[3:] {
+			x, y := ids[int(ops[1])%len(ids)], ids[int(ops[2])%len(ids)]
+			switch ops[0] % 3 {
+			case 0:
+				rb.Add(Rule{X: x, Y: y, Support: 0.1, Conf: 0.9})
+			case 1:
+				rb.Remove(x, y)
+			case 2:
+				pk := PairKey{min(x, y), max(x, y)}
+				res := &Result{
+					Transactions: 100,
+					ItemTx:       map[int]int{x: 50, y: 50},
+					PairTx:       map[PairKey]int{pk: int(ops[0]/3) % 51},
+					cfg:          Config{SPmin: 0.0005, ConfMin: 0.8, MinEvidence: 5},
+				}
+				res.Rules = res.rulesFromStats()
+				rb.Update(res)
+			}
+			checkAdjacency(t, rb, ids)
+		}
+	})
 }
 
 func BenchmarkHasPair(b *testing.B) {

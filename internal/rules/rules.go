@@ -19,6 +19,7 @@ package rules
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -330,34 +331,23 @@ func (r *Result) Conf(x, y int) (conf float64, measurable bool) {
 
 // RuleBase is the evolving rule knowledge base.
 //
-// Alongside the directional rule map it maintains a derived partner
-// adjacency over template IDs: a sorted partner list per template and an
-// unordered-pair membership structure (a dense bitset when IDs are small,
-// a set otherwise). The adjacency makes HasPair an O(1) probe and lets
-// grouping enumerate exactly the templates a given template can rule-pair
-// with (Partners), which is what turns the rule-window scan into a bucket
-// lookup. It is maintained eagerly on every mutation — never lazily — so
-// read-only use from concurrent shard goroutines stays race-free.
+// Alongside the directional rule map it keeps one derived index: a sorted
+// partner list per template, holding every template it rule-pairs with in
+// either direction. Grouping enumerates exactly those templates (Partners),
+// which is what turns the rule-window scan into a bucket lookup, and
+// HasPair is a binary search of one list. The index is maintained eagerly
+// on every mutation — never lazily — so read-only use from concurrent
+// shard goroutines stays race-free.
 type RuleBase struct {
-	rules map[PairKey]Rule
-
-	partners map[int][]int        // template -> ascending rule partners (either direction)
-	pairs    map[PairKey]struct{} // unordered pair set, keys canonical X <= Y
-	bits     []uint64             // dense pair bitset, nil when IDs exceed bitsetMaxID
-	stride   int                  // bitset row width = max template ID + 1
+	rules    map[PairKey]Rule
+	partners map[int][]int // template -> ascending rule partners (either direction)
 }
-
-// bitsetMaxID bounds the dense pair bitset: IDs above this fall back to the
-// pair-set probe ((2^13)^2 bits = 8 MiB ceiling; template IDs are dense
-// small ints in practice, so the bitset is normally a few KiB).
-const bitsetMaxID = 1 << 13
 
 // NewRuleBase returns an empty rule base.
 func NewRuleBase() *RuleBase {
 	return &RuleBase{
 		rules:    make(map[PairKey]Rule),
 		partners: make(map[int][]int),
-		pairs:    make(map[PairKey]struct{}),
 	}
 }
 
@@ -367,7 +357,7 @@ func (rb *RuleBase) Len() int { return len(rb.rules) }
 // Add inserts or replaces one rule directly. Normal operation goes through
 // Update; Add exists for loading a serialized knowledge base and for the
 // optional expert adjustment the paper mentions (a domain expert may insert
-// or correct rules by hand). The adjacency updates incrementally —
+// or correct rules by hand). The partner lists update incrementally —
 // O(partners) — so loading a serialized base rule by rule stays linear.
 func (rb *RuleBase) Add(r Rule) {
 	rb.rules[PairKey{r.X, r.Y}] = r
@@ -384,7 +374,8 @@ func (rb *RuleBase) Remove(x, y int) bool {
 	delete(rb.rules, k)
 	// The unordered pair survives while the opposite direction remains.
 	if _, ok := rb.rules[PairKey{y, x}]; !ok {
-		rb.unlink(x, y)
+		removeSorted(rb.partners, x, y)
+		removeSorted(rb.partners, y, x)
 	}
 	return true
 }
@@ -396,144 +387,49 @@ func (rb *RuleBase) Has(x, y int) bool {
 }
 
 // HasPair reports whether either direction between the two templates is
-// present — grouping ignores rule direction (§4.2.2). One bitset probe when
-// IDs are dense, one set probe otherwise.
+// present — grouping ignores rule direction (§4.2.2).
 func (rb *RuleBase) HasPair(x, y int) bool {
-	if rb.bits != nil {
-		if uint(x) < uint(rb.stride) && uint(y) < uint(rb.stride) {
-			bit := uint(x*rb.stride + y)
-			return rb.bits[bit>>6]&(1<<(bit&63)) != 0
-		}
-		return false // every interned pair is inside the bitset's range
-	}
-	if x > y {
-		x, y = y, x
-	}
-	_, ok := rb.pairs[PairKey{x, y}]
+	_, ok := slices.BinarySearch(rb.partners[x], y)
 	return ok
 }
 
 // Partners returns the templates that rule-pair with t (either direction),
-// ascending. The returned slice is the base's internal adjacency — callers
+// ascending. The returned slice is the base's internal index — callers
 // must not modify it, and must not retain it across a mutation.
 func (rb *RuleBase) Partners(t int) []int { return rb.partners[t] }
 
-// link records the unordered pair (x, y) in the adjacency; idempotent.
+// link records the unordered pair (x, y) in both partner lists; idempotent.
 func (rb *RuleBase) link(x, y int) {
-	k := canonPair(x, y)
-	if _, ok := rb.pairs[k]; ok {
-		return
-	}
-	rb.pairs[k] = struct{}{}
 	insertSorted(rb.partners, x, y)
-	if x != y {
-		insertSorted(rb.partners, y, x)
-	}
-	rb.setBit(x, y)
+	insertSorted(rb.partners, y, x)
 }
 
-// unlink removes the unordered pair (x, y) from the adjacency.
-func (rb *RuleBase) unlink(x, y int) {
-	k := canonPair(x, y)
-	if _, ok := rb.pairs[k]; !ok {
-		return
-	}
-	delete(rb.pairs, k)
-	removeSorted(rb.partners, x, y)
-	if x != y {
-		removeSorted(rb.partners, y, x)
-	}
-	rb.clearBit(x, y)
-}
-
-// setBit marks (x, y) in both orientations, growing (or abandoning) the
-// bitset as needed. A nil bitset with pairs present means IDs outgrew
-// bitsetMaxID and HasPair probes the pair set instead.
-func (rb *RuleBase) setBit(x, y int) {
-	if x < 0 || y < 0 || x > bitsetMaxID || y > bitsetMaxID {
-		rb.bits, rb.stride = nil, 0
-		return
-	}
-	if hi := max(x, y); hi >= rb.stride {
-		rb.rebuildBits(hi + 1)
-		return // rebuild replays every pair, including this one
-	}
-	if rb.bits == nil {
-		return // previously abandoned: stay on the pair-set path
-	}
-	for _, b := range [2]uint{uint(x*rb.stride + y), uint(y*rb.stride + x)} {
-		rb.bits[b>>6] |= 1 << (b & 63)
-	}
-}
-
-func (rb *RuleBase) clearBit(x, y int) {
-	if rb.bits == nil || uint(x) >= uint(rb.stride) || uint(y) >= uint(rb.stride) {
-		return
-	}
-	for _, b := range [2]uint{uint(x*rb.stride + y), uint(y*rb.stride + x)} {
-		rb.bits[b>>6] &^= 1 << (b & 63)
-	}
-}
-
-// rebuildBits resizes the bitset to the given stride and replays every
-// known pair into it.
-func (rb *RuleBase) rebuildBits(stride int) {
-	rb.stride = stride
-	rb.bits = make([]uint64, (stride*stride+63)/64)
-	for k := range rb.pairs {
-		if k.X < 0 || k.Y < 0 || k.X >= stride || k.Y >= stride {
-			rb.bits, rb.stride = nil, 0
-			return
-		}
-		for _, b := range [2]uint{uint(k.X*stride + k.Y), uint(k.Y*stride + k.X)} {
-			rb.bits[b>>6] |= 1 << (b & 63)
-		}
-	}
-}
-
-// reindex rebuilds the whole adjacency from the rule map.
+// reindex rebuilds the partner lists from the rule map.
 func (rb *RuleBase) reindex() {
 	rb.partners = make(map[int][]int)
-	rb.pairs = make(map[PairKey]struct{})
-	rb.bits, rb.stride = nil, 0
 	for k := range rb.rules {
 		rb.link(k.X, k.Y)
 	}
 }
 
-func canonPair(x, y int) PairKey {
-	if x > y {
-		x, y = y, x
-	}
-	return PairKey{x, y}
-}
-
 // insertSorted adds v to m[key]'s ascending list if absent.
 func insertSorted(m map[int][]int, key, v int) {
-	s := m[key]
-	i := sort.SearchInts(s, v)
-	if i < len(s) && s[i] == v {
-		return
+	if i, ok := slices.BinarySearch(m[key], v); !ok {
+		m[key] = slices.Insert(m[key], i, v)
 	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	m[key] = s
 }
 
 // removeSorted drops v from m[key]'s ascending list if present, deleting
 // the key once empty.
 func removeSorted(m map[int][]int, key, v int) {
 	s := m[key]
-	i := sort.SearchInts(s, v)
-	if i >= len(s) || s[i] != v {
-		return
-	}
-	s = append(s[:i], s[i+1:]...)
-	if len(s) == 0 {
+	i, ok := slices.BinarySearch(s, v)
+	switch {
+	case !ok:
+	case len(s) == 1:
 		delete(m, key)
-	} else {
-		m[key] = s
+	default:
+		m[key] = slices.Delete(s, i, i+1)
 	}
 }
 
@@ -552,19 +448,16 @@ func (rb *RuleBase) Rules() []Rule {
 	return out
 }
 
-// Pairs returns the distinct unordered template pairs covered by the base.
+// Pairs returns the distinct unordered template pairs covered by the base,
+// canonical X <= Y, sorted.
 func (rb *RuleBase) Pairs() []PairKey {
-	seen := make(map[PairKey]bool)
-	for pk := range rb.rules {
-		k := pk
-		if k.X > k.Y {
-			k.X, k.Y = k.Y, k.X
+	var out []PairKey
+	for x, ps := range rb.partners {
+		for _, y := range ps {
+			if x <= y {
+				out = append(out, PairKey{x, y})
+			}
 		}
-		seen[k] = true
-	}
-	out := make([]PairKey, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].X != out[j].X {
@@ -600,7 +493,7 @@ func (rb *RuleBase) Update(res *Result) UpdateStats {
 		}
 	}
 	// A batch of adds and deletes may have touched many pairs; rebuild the
-	// adjacency wholesale rather than tracking the delta per deletion.
+	// partner lists wholesale rather than tracking the delta per deletion.
 	rb.reindex()
 	st.Total = len(rb.rules)
 	return st

@@ -11,21 +11,13 @@ import (
 // the scanner's []byte token directly avoids materializing a string per
 // line. ParseLineBytes performs exactly one allocation per accepted
 // message: the string holding router, code and detail (which must outlive
-// the scanner buffer). ParseLine shares the same generic implementation,
-// so the two paths agree on every input by construction — the fuzz targets
-// verify the one place they could drift, the fast timestamp path.
+// the scanner buffer).
 
-// ParseLineBytes is ParseLine for a []byte line, e.g. a bufio.Scanner
-// token. The returned Message copies what it keeps; line may be reused or
-// overwritten by the caller immediately.
+// ParseLineBytes parses one serialized message line, e.g. a bufio.Scanner
+// token. The index is supplied by the caller since it reflects stream
+// position, not line content. The returned Message copies what it keeps;
+// line may be reused or overwritten by the caller immediately.
 func ParseLineBytes(line []byte, index uint64) (Message, error) {
-	return parseLineAny(line, index)
-}
-
-// parseLineAny is the shared parser. For string input the field string is
-// a free re-slice of the caller's line (ParseLine's historical behavior);
-// for []byte input it is the single per-message copy.
-func parseLineAny[T ~string | ~[]byte](line T, index uint64) (Message, error) {
 	// Locate the first three '|' separators without allocating a split
 	// slice; the detail field keeps any further '|' bytes.
 	var sep [3]int
@@ -75,7 +67,7 @@ func parseLineAny[T ~string | ~[]byte](line T, index uint64) (Message, error) {
 // non-digit, out-of-range field, leap-second notation — which then falls
 // back to time.Parse so edge-case acceptance and error text stay identical
 // to the historical parser.
-func fastTimestamp[T ~string | ~[]byte](b T) (time.Time, bool) {
+func fastTimestamp(b []byte) (time.Time, bool) {
 	if len(b) != 19 || b[4] != '-' || b[7] != '-' || b[10] != ' ' || b[13] != ':' || b[16] != ':' {
 		return time.Time{}, false
 	}

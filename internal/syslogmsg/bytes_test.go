@@ -37,7 +37,7 @@ func TestFastTimestampAgreesWithTimeParse(t *testing.T) {
 	)
 	for _, c := range cases {
 		want, wantErr := time.Parse(TimeLayout, c)
-		got, ok := fastTimestamp(c)
+		got, ok := fastTimestamp([]byte(c))
 		if ok && wantErr != nil {
 			t.Errorf("fastTimestamp accepted %q, time.Parse rejects: %v", c, wantErr)
 			continue
@@ -99,17 +99,6 @@ func TestReaderReadAllocs(t *testing.T) {
 	// at one allocation per message (64) with slack for the reader itself.
 	if allocs > 72 {
 		t.Errorf("Reader run allocated %.1f times for 64 messages", allocs)
-	}
-}
-
-func BenchmarkParseLine(b *testing.B) {
-	line := "2010-01-10 00:00:15|edge-router-7|LINK-3-UPDOWN|Interface Serial1/0, changed state to down"
-	b.ReportAllocs()
-	b.SetBytes(int64(len(line)))
-	for i := 0; i < b.N; i++ {
-		if _, err := ParseLine(line, 0); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

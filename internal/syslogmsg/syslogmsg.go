@@ -72,14 +72,6 @@ func (m *Message) Format() string {
 // String implements fmt.Stringer.
 func (m Message) String() string { return m.Format() }
 
-// ParseLine parses one serialized message line. The index is supplied by the
-// caller since it reflects stream position, not line content. The parsed
-// fields re-slice line; ParseLineBytes is the allocation-free variant for
-// callers holding a reusable []byte buffer.
-func ParseLine(line string, index uint64) (Message, error) {
-	return parseLineAny(line, index)
-}
-
 // severityWords maps V2 severity words to a numeric severity on the V1 scale
 // (0 = most severe). The mapping is approximate by design: the paper argues
 // vendor severities are not comparable across vendors anyway.

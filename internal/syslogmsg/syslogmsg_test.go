@@ -19,7 +19,7 @@ func mustTime(t *testing.T, s string) time.Time {
 
 func TestParseLineRoundTrip(t *testing.T) {
 	line := "2010-01-10 00:00:15|r1|LINK-3-UPDOWN|Interface Serial13/0.10/20:0, changed state to down"
-	m, err := ParseLine(line, 7)
+	m, err := ParseLineBytes([]byte(line), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestParseLineRoundTrip(t *testing.T) {
 
 func TestParseLineDetailMayContainPipes(t *testing.T) {
 	line := "2010-01-10 00:00:15|r1|SYS-5-CONFIG_I|Configured from console | by admin"
-	m, err := ParseLine(line, 0)
+	m, err := ParseLineBytes([]byte(line), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +57,8 @@ func TestParseLineErrors(t *testing.T) {
 		"2010-01-10 00:00:15|r1||detail",            // empty code
 	}
 	for _, c := range cases {
-		if _, err := ParseLine(c, 0); err == nil {
-			t.Errorf("ParseLine(%q) succeeded, want error", c)
+		if _, err := ParseLineBytes([]byte(c), 0); err == nil {
+			t.Errorf("ParseLineBytes(%q) succeeded, want error", c)
 		}
 	}
 }

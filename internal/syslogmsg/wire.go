@@ -12,7 +12,7 @@ import (
 // syslog protocol (the paper's reference [6]); the payload formats seen in
 // practice are BSD-style RFC 3164 and the newer RFC 5424. Both are parsed
 // into the same Message model the rest of the pipeline consumes. The
-// router-private line format (ParseLine) remains the storage format.
+// router-private line format (ParseLineBytes) remains the storage format.
 
 // ParseWireBytes parses one syslog wire datagram/line in whichever format
 // it uses: RFC 5424 (leading "<pri>1 "), RFC 3164 (leading "<pri>" + BSD
