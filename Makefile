@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet test race build bench bench-smoke profile-stream equiv alloc-guard cli-smoke fuzz-smoke
+.PHONY: check fmt vet test race build bench bench-smoke profile-stream profile-learn equiv alloc-guard cli-smoke fuzz-smoke
 
 check: fmt vet race equiv alloc-guard bench-smoke cli-smoke fuzz-smoke
 
@@ -41,7 +41,7 @@ test:
 
 # Every package under the race detector, the differential harness
 # (TestDifferential) included, within go test's default 10-minute package
-# timeout: internal/core, the slowest package, takes about 4 minutes on a
+# timeout: internal/core, the slowest package, takes 5 to 7 minutes on a
 # 2-CPU host, so a package that runs past 10 minutes is hung, not slow.
 race:
 	$(GO) test -race ./...
@@ -69,6 +69,17 @@ profile-stream:
 	$(GO) test -run '^$$' -bench 'BenchmarkStageStream|BenchmarkMicroRuleStep|BenchmarkMicroAugmentMiss|BenchmarkMicroAugmentCached' \
 		-cpuprofile $(PROFILE_DIR)/stream.cpu.prof -o $(PROFILE_DIR)/syslogdigest.test .
 	@echo "go tool pprof -top $(PROFILE_DIR)/syslogdigest.test $(PROFILE_DIR)/stream.cpu.prof"
+
+# CPU profile of offline learning, the same way: the whole Learner (template
+# learning, augmenting the history, temporal calibration, rule mining) over
+# corpus A, template learning alone over corpus A and over the storm-shaped
+# feed (nearly every detail distinct: the learner's worst case), and rule
+# mining alone. Output in PROFILE_DIR; for looking, not for claims.
+profile-learn:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench 'BenchmarkStageLearn$$|BenchmarkStageTemplateLearning|BenchmarkStageRuleMining' \
+		-cpuprofile $(PROFILE_DIR)/learn.cpu.prof -o $(PROFILE_DIR)/syslogdigest.test .
+	@echo "go tool pprof -top $(PROFILE_DIR)/syslogdigest.test $(PROFILE_DIR)/learn.cpu.prof"
 
 # The differential harness once more without the race detector, as the
 # fast standalone equivalence gate (`make race` already runs it under
@@ -140,7 +151,11 @@ cli-smoke:
 # input (FuzzClassify); and for the offline learner, the temporal sweep's
 # one-pass scoring against a GroupStream replay per grid point
 # (FuzzCalibrate) and dense rule counting against the map-based reference
-# (FuzzMineStream), on any streams and grid, and the rule base's partner
+# (FuzzMineStream), on any streams and grid, and template learning, which
+# reads each distinct (code, detail) once weighted by its count, against
+# the per-message reference, at 1 and 4 workers, masked and unmasked, on
+# any corpus of repeated and interleaved lines (FuzzLearnTemplates), and
+# the rule base's partner
 # lists against a recomputation from its rule map after any sequence of
 # adds, removes and updates over template IDs on both sides of 8 192
 # (FuzzRuleBase); and for the collector's TCP
@@ -150,9 +165,10 @@ cli-smoke:
 # panic or fail; a
 # crasher lands in the package's testdata/fuzz and fails plain `go test`
 # from then on. FuzzDecodeState is
-# seeded with a real part of several kilobytes, and minimizing each new
-# input that size would take the whole ten seconds: it gets one second per
-# input instead of the default minute.
+# seeded with a real part of several kilobytes, and FuzzLearnTemplates with
+# a generated corpus of a thousand messages; minimizing each new input that
+# size would take the whole ten seconds, so each gets one second per input
+# instead of the default minute.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreStreamer$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamerFrontEnd$$' -fuzztime=10s ./internal/core
@@ -165,5 +181,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzClassify$$' -fuzztime=10s ./internal/textutil
 	$(GO) test -run '^$$' -fuzz '^FuzzCalibrate$$' -fuzztime=10s ./internal/temporal
 	$(GO) test -run '^$$' -fuzz '^FuzzMineStream$$' -fuzztime=10s ./internal/rules
+	$(GO) test -run '^$$' -fuzz '^FuzzLearnTemplates$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/template
 	$(GO) test -run '^$$' -fuzz '^FuzzRuleBase$$' -fuzztime=10s ./internal/rules
 	$(GO) test -run '^$$' -fuzz '^FuzzConnReader$$' -fuzztime=10s ./internal/collector

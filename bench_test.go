@@ -29,6 +29,7 @@ import (
 	"syslogdigest/internal/netconf"
 	"syslogdigest/internal/par"
 	"syslogdigest/internal/rules"
+	"syslogdigest/internal/syslogmsg"
 	"syslogdigest/internal/template"
 	"syslogdigest/internal/temporal"
 )
@@ -379,21 +380,50 @@ func BenchmarkSeverityFilterBaseline(b *testing.B) {
 
 // Microbenchmarks: raw throughput of the pipeline stages.
 
+// BenchmarkStageTemplateLearning learns templates from corpus A's learning
+// period, where a few thousand distinct (code, detail) pairs repeat across
+// the messages, and from the storm-shaped feed of BenchmarkMicroAugmentMiss,
+// where nearly every detail is distinct: learning reads each distinct
+// detail once, so the storm rows are its worst case, paying for the
+// counting and saving nothing.
 func BenchmarkStageTemplateLearning(b *testing.B) {
 	c := mustCorpus(b, gen.DatasetA)
-	for _, j := range []int{1, 4} {
-		b.Run(fmt.Sprintf("j%d", j), func(b *testing.B) {
-			opt := template.Options{Pool: par.New(j)}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ts := template.Learn(c.Learn.Messages, opt)
-				if len(ts) == 0 {
-					b.Fatal("no templates")
+	storm := stormFeed(b, c)
+	for _, row := range []struct {
+		name string
+		msgs []syslogmsg.Message
+	}{{"corpusA", c.Learn.Messages}, {"storm", storm}} {
+		for _, j := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%s/j%d", row.name, j), func(b *testing.B) {
+				opt := template.Options{Pool: par.New(j)}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ts := template.Learn(row.msgs, opt)
+					if len(ts) == 0 {
+						b.Fatal("no templates")
+					}
 				}
-			}
-			b.ReportMetric(float64(len(c.Learn.Messages)), "msgs/op")
-		})
+				b.ReportMetric(float64(len(row.msgs)), "msgs/op")
+			})
+		}
 	}
+}
+
+// BenchmarkStageLearn is the whole offline learner on corpus A's learning
+// period, the batch_learn workload's set-up: template learning, augmenting
+// the history, temporal calibration and rule mining.
+func BenchmarkStageLearn(b *testing.B) {
+	c := mustCorpus(b, gen.DatasetA)
+	params := experiments.ParamsFor(gen.DatasetA)
+	params.CalibrateTemporal = true
+	l := core.NewLearner(params)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := l.Learn(c.Learn.Messages, c.Learn.Net.Configs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(c.Learn.Messages)), "msgs/op")
 }
 
 func BenchmarkStageAugment(b *testing.B) {
@@ -459,10 +489,11 @@ func BenchmarkMicroAugmentCached(b *testing.B) {
 	benchAugmentStorm(b, 0)
 }
 
-// benchAugmentStorm augments the storm-shaped feed one message per op with
-// the match cache set to matchCache (see core.KnowledgeBase.SetMatchCache).
-func benchAugmentStorm(b *testing.B, matchCache int) {
-	c := mustCorpus(b, gen.DatasetA)
+// stormFeed is corpus A's network under the rate mix of go run
+// ./benchmark's storm_serial workload for 20 minutes: scanner noise with
+// random source addresses and ports outnumbers everything else, so nearly
+// every message is distinct.
+func stormFeed(b *testing.B, c *experiments.Corpus) []syslogmsg.Message {
 	storm, err := gen.Generate(gen.Spec{
 		Kind: gen.DatasetA, Routers: c.Profile.Routers, Seed: c.Profile.Seed,
 		Start:    time.Date(2009, 12, 20, 0, 0, 0, 0, time.UTC),
@@ -475,7 +506,14 @@ func benchAugmentStorm(b *testing.B, matchCache int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	msgs := storm.Messages
+	return storm.Messages
+}
+
+// benchAugmentStorm augments the storm-shaped feed one message per op with
+// the match cache set to matchCache (see core.KnowledgeBase.SetMatchCache).
+func benchAugmentStorm(b *testing.B, matchCache int) {
+	c := mustCorpus(b, gen.DatasetA)
+	msgs := stormFeed(b, c)
 	c.KB.SetMatchCache(matchCache)
 	// The corpus (and its KB) is cached across benchmarks: restore the
 	// default cache configuration on the way out.

@@ -5,6 +5,7 @@
 package cmd_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -344,6 +345,39 @@ func TestCLISmoke(t *testing.T) {
 		}
 		if m := receivedRE.FindStringSubmatch(errb); m == nil || m[1] != strconv.Itoa(msgs) {
 			t.Fatalf("want \"received %d\" on stderr:\n%s", msgs, errb)
+		}
+	})
+
+	// An interrupt sent the moment sdcollect announces its port finds the
+	// handler in place: the run drains, prints its exit line and exits 0,
+	// every time.
+	t.Run("sdcollect interrupted on its listening line", func(t *testing.T) {
+		for i := 0; i < 20; i++ {
+			col := exec.Command(filepath.Join(c.bin, "sdcollect"), "-kb", kb, "-udp", "", "-tcp", "127.0.0.1:0")
+			stderr, err := col.StderrPipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := col.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer col.Process.Kill()
+			var errb strings.Builder
+			sc := bufio.NewScanner(stderr)
+			for sc.Scan() {
+				errb.WriteString(sc.Text() + "\n")
+				if tcpRE.MatchString(sc.Text()) {
+					if err := col.Process.Signal(os.Interrupt); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := col.Wait(); err != nil {
+				t.Fatalf("run %d: sdcollect interrupted on its listening line: %v\n%s", i, err, errb.String())
+			}
+			if !receivedRE.MatchString(errb.String()) {
+				t.Fatalf("run %d: no \"received\" line on stderr:\n%s", i, errb.String())
+			}
 		}
 	})
 

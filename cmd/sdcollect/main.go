@@ -142,15 +142,16 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	// Whoever reads a listening line may interrupt at once, so the handler
+	// is in place before the lines are printed.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	if a := live.UDPAddr(); a != nil {
 		fmt.Fprintf(os.Stderr, "sdcollect: listening udp %s\n", a)
 	}
 	if a := live.TCPAddr(); a != nil {
 		fmt.Fprintf(os.Stderr, "sdcollect: listening tcp %s\n", a)
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	live.Close()
 	cst := live.Stats()

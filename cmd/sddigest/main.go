@@ -226,9 +226,9 @@ func waitIfServing(addr string) {
 	if addr == "" {
 		return
 	}
-	fmt.Fprintln(os.Stderr, "sddigest: digest done; serving metrics until interrupted (Ctrl-C to exit)")
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	fmt.Fprintln(os.Stderr, "sddigest: digest done; serving metrics until interrupted (Ctrl-C to exit)")
 	<-sig
 }
 

@@ -88,12 +88,13 @@ func main() {
 		log.Printf("sdshard: metrics on http://%s/metrics", ms.Addr())
 	}
 
-	// The dispatcher discovers an ephemeral port from this line.
-	fmt.Printf("listening %s\n", srv.Addr())
-	log.Printf("sdshard: serving shards on %s (kb %s)", srv.Addr(), cluster.Fingerprint(kb.Dictionary(), kb.RuleBase))
-
+	// The dispatcher discovers an ephemeral port from this line, and may
+	// interrupt the shard as soon as it has read it: the handler goes in
+	// first.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	fmt.Printf("listening %s\n", srv.Addr())
+	log.Printf("sdshard: serving shards on %s (kb %s)", srv.Addr(), cluster.Fingerprint(kb.Dictionary(), kb.RuleBase))
 	<-sig
 	log.Printf("sdshard: shutting down")
 	srv.Close()

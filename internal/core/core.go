@@ -395,11 +395,11 @@ func (l *Learner) UpdateRules(kb *KnowledgeBase, period []syslogmsg.Message) (ru
 func TemporalStreams(plus []PlusMessage) [][]time.Time {
 	type key struct {
 		template int
-		loc      string
+		loc      locdict.Location
 	}
 	m := make(map[key][]time.Time)
 	for i := range plus {
-		k := key{plus[i].Template, plus[i].Loc.Key()}
+		k := key{plus[i].Template, plus[i].Loc}
 		m[k] = append(m[k], plus[i].Time)
 	}
 	out := make([][]time.Time, 0, len(m))

@@ -28,6 +28,8 @@ package template
 
 import (
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -132,27 +134,35 @@ func (o *Options) normalize() {
 
 // Learn builds templates from a historical message corpus. Output order is
 // deterministic: codes sorted lexicographically, leaves in construction
-// order; IDs are assigned sequentially from 0. Learning fans out over
-// opt.Pool — tokenization/masking in chunks, then one sub-type tree per
-// error code — and is byte-identical to the serial path at any worker
-// count (each unit is independent; collection is index-ordered and ID
-// assignment stays sequential).
+// order; IDs are assigned sequentially from 0.
+//
+// Router syslog repeats itself, so learning reads each distinct (code,
+// detail) once: it counts them in order of first appearance, tokenizes and
+// masks only the distinct details, and hands each code's sub-type tree one
+// entry per distinct detail, weighted by its message count. Masking is a
+// pure function of the detail, so each masked structure first appears with
+// the earliest detail that masks to it, at the same point in the message
+// order as if every message were read. Learning fans out over opt.Pool —
+// tokenization/masking in chunks, then one sub-type tree per error code —
+// and is byte-identical to the serial path at any worker count (each unit
+// is independent; collection is index-ordered and ID assignment stays
+// sequential).
 func Learn(msgs []syslogmsg.Message, opt Options) []Template {
 	opt.normalize()
-	toks := make([][]string, len(msgs))
-	_ = opt.Pool.Chunks(len(msgs), func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			ts := textutil.Tokenize(msgs[i].Detail)
+	details := countDetails(msgs)
+	_ = opt.Pool.Chunks(len(details), func(lo, hi int) error {
+		for j := lo; j < hi; j++ {
+			ts := textutil.Tokenize(details[j].detail)
 			if !opt.NoPreMask {
 				ts = textutil.MaskTokens(ts)
 			}
-			toks[i] = ts
+			details[j].tokens = ts
 		}
 		return nil
 	})
-	byCode := make(map[string][][]string)
-	for i := range msgs {
-		byCode[msgs[i].Code] = append(byCode[msgs[i].Code], toks[i])
+	byCode := make(map[string][]uniqueSeq)
+	for j := range details {
+		byCode[details[j].code] = append(byCode[details[j].code], details[j].uniqueSeq)
 	}
 	codes := make([]string, 0, len(byCode))
 	for c := range byCode {
@@ -172,8 +182,47 @@ func Learn(msgs []syslogmsg.Message, opt Options) []Template {
 	return out
 }
 
-// uniqueSeq is one distinct masked word structure and how many raw messages
-// collapse onto it. Learning operates on unique structures weighted by
+// distinctDetail is one distinct (code, detail) pair of a corpus: its
+// index hash, and its word sequence (tokenized once counting is done)
+// weighted by its number of messages.
+type distinctDetail struct {
+	code, detail string
+	hash         uint64
+	uniqueSeq
+}
+
+// countDetails returns a corpus's distinct (code, detail) pairs in order of
+// first appearance, each with its number of messages. The index is an
+// open-addressing table of more than twice as many slots as messages,
+// allocated once: it never grows, so a corpus of nearly all-distinct
+// details (a message storm) rehashes no string, and a corpus repeated over
+// and over allocates no more than the corpus once.
+func countDetails(msgs []syslogmsg.Message) []distinctDetail {
+	seed := maphash.MakeSeed()
+	mask := uint64(1)<<bits.Len(uint(2*len(msgs))) - 1
+	slots := make([]int32, mask+1) // 1 + an index into out; 0 is free
+	var out []distinctDetail
+	for i := range msgs {
+		m := &msgs[i]
+		h := maphash.String(seed, m.Detail) ^ maphash.String(seed, m.Code)*0x9e3779b97f4a7c15
+		for s := h & mask; ; s = (s + 1) & mask {
+			j := slots[s] - 1
+			if j < 0 {
+				slots[s] = int32(len(out)) + 1
+				out = append(out, distinctDetail{code: m.Code, detail: m.Detail, hash: h, uniqueSeq: uniqueSeq{count: 1}})
+				break
+			}
+			if d := &out[j]; d.hash == h && d.detail == m.Detail && d.code == m.Code {
+				d.count++
+				break
+			}
+		}
+	}
+	return out
+}
+
+// uniqueSeq is one distinct word sequence and how many raw messages
+// collapse onto it. Learning operates on unique sequences weighted by
 // count, which keeps the tree algorithms independent of corpus size.
 type uniqueSeq struct {
 	tokens []string
@@ -181,16 +230,17 @@ type uniqueSeq struct {
 }
 
 // learnCode learns the sub-type patterns for one error code from its
-// messages' pre-tokenized (and pre-masked) details.
-func learnCode(details [][]string, opt Options) [][]string {
+// distinct details, tokenized (and masked) and weighted by message count,
+// in order of first appearance.
+func learnCode(details []uniqueSeq, opt Options) [][]string {
 	uniq := make(map[string]*uniqueSeq)
 	var order []string
-	for _, toks := range details {
-		key := strings.Join(toks, "\x00")
+	for _, d := range details {
+		key := strings.Join(d.tokens, "\x00")
 		if u := uniq[key]; u != nil {
-			u.count++
+			u.count += d.count
 		} else {
-			uniq[key] = &uniqueSeq{tokens: toks, count: 1}
+			uniq[key] = &uniqueSeq{tokens: d.tokens, count: d.count}
 			order = append(order, key)
 		}
 	}
