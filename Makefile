@@ -22,6 +22,9 @@ fmt:
 # A socket reaches a streamer through one composition, streamrun.Live (the
 # benchmark keeps its own until it is ported); a collector.New call in any
 # other non-test file is a second live path growing back, so it fails too.
+# Learning fans out over runtime.GOMAXPROCS, read in internal/par alone (the
+# benchmark records it as run metadata); a call in any other non-test file
+# is a per-stage worker knob growing back, so it fails as well.
 vet:
 	$(GO) vet ./...
 	@if $(GO) list -f '{{join .Imports "\n"}}' ./internal/grouping | grep -qx 'syslogdigest/internal/obs'; then \
@@ -32,6 +35,11 @@ vet:
 	if [ -n "$$bad" ]; then \
 		echo "collector.New outside internal/streamrun: compose the live path with streamrun.StartLive in" $$bad; exit 1; \
 	fi
+	@bad=$$(find . -path './.*' -prune -o -path ./benchmark -prune -o -path ./internal/par -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs grep -l 'runtime\.GOMAXPROCS(' ); \
+	if [ -n "$$bad" ]; then \
+		echo "runtime.GOMAXPROCS outside internal/par: fan out with par.ForEach, par.Chunks or par.Map in" $$bad; exit 1; \
+	fi
 
 build:
 	$(GO) build ./...
@@ -41,8 +49,10 @@ test:
 
 # Every package under the race detector, the differential harness
 # (TestDifferential) included, within go test's default 10-minute package
-# timeout: internal/core, the slowest package, takes 5 to 7 minutes on a
-# 2-CPU host, so a package that runs past 10 minutes is hung, not slow.
+# timeout: internal/core, the slowest package, takes about 4 minutes on a
+# 2-CPU host (234–259 s; 279–345 s before the checkpoint envelope made one
+# pass over its payload), so a package that runs past 10 minutes is hung,
+# not slow.
 race:
 	$(GO) test -race ./...
 
@@ -121,7 +131,8 @@ alloc-guard:
 	$(GO) test -run 'TestStreamAllocs' -count=1 ./internal/core
 
 # The command-line surfaces end to end, on binaries built into a temporary
-# directory (sdgen, sdlearn, sddigest, sdreplay, sdcollect): sdgen -> sdlearn
+# directory (sdgen, sdlearn, sddigest, sdreplay, sdcollect, sdbench): the
+# removed worker and match-cache flags must each exit 2, and sdgen -> sdlearn
 # -> sddigest, then the same corpus through `sddigest -stream` (digest
 # lines, and NDJSON with -json), a `sddigest -stream -checkpoint` run killed
 # and started again, and `sdreplay -tcp` into a live `sdcollect`, stopped
@@ -146,14 +157,15 @@ cli-smoke:
 # arbitrary arrival times, tolerance and cap, whose books must balance
 # after every call (FuzzStreamerFrontEnd); for the collector's input, raw
 # syslog lines in any wire format, each accepted one with a router and a
-# code (FuzzParseWire); and for token classification, trimming and
+# code, and an accepted RFC 3164 line dated on the month and day it says
+# (FuzzParseWire); and for token classification, trimming and
 # tokenizing, which must agree with their straightforward references on any
 # input (FuzzClassify); and for the offline learner, the temporal sweep's
 # one-pass scoring against a GroupStream replay per grid point
 # (FuzzCalibrate) and dense rule counting against the map-based reference
 # (FuzzMineStream), on any streams and grid, and template learning, which
 # reads each distinct (code, detail) once weighted by its count, against
-# the per-message reference, at 1 and 4 workers, masked and unmasked, on
+# the per-message reference, at GOMAXPROCS 1 and 4, masked and unmasked, on
 # any corpus of repeated and interleaved lines (FuzzLearnTemplates), and
 # the rule base's partner
 # lists against a recomputation from its rule map after any sequence of

@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -27,7 +28,6 @@ import (
 	"syslogdigest/internal/grouping"
 	"syslogdigest/internal/locdict"
 	"syslogdigest/internal/netconf"
-	"syslogdigest/internal/par"
 	"syslogdigest/internal/rules"
 	"syslogdigest/internal/syslogmsg"
 	"syslogdigest/internal/template"
@@ -385,7 +385,7 @@ func BenchmarkSeverityFilterBaseline(b *testing.B) {
 // the messages, and from the storm-shaped feed of BenchmarkMicroAugmentMiss,
 // where nearly every detail is distinct: learning reads each distinct
 // detail once, so the storm rows are its worst case, paying for the
-// counting and saving nothing.
+// counting and saving nothing. Rows jN learn at GOMAXPROCS N.
 func BenchmarkStageTemplateLearning(b *testing.B) {
 	c := mustCorpus(b, gen.DatasetA)
 	storm := stormFeed(b, c)
@@ -395,10 +395,10 @@ func BenchmarkStageTemplateLearning(b *testing.B) {
 	}{{"corpusA", c.Learn.Messages}, {"storm", storm}} {
 		for _, j := range []int{1, 4} {
 			b.Run(fmt.Sprintf("%s/j%d", row.name, j), func(b *testing.B) {
-				opt := template.Options{Pool: par.New(j)}
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(j))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					ts := template.Learn(row.msgs, opt)
+					ts := template.Learn(row.msgs, template.Options{})
 					if len(ts) == 0 {
 						b.Fatal("no templates")
 					}

@@ -169,7 +169,7 @@ func TestCLISmoke(t *testing.T) {
 	}
 	c := cli{t: t, bin: t.TempDir(), dir: t.TempDir()}
 	build := exec.Command("go", "build", "-o", c.bin+string(filepath.Separator),
-		"./sdgen", "./sdlearn", "./sddigest", "./sdreplay", "./sdcollect")
+		"./sdgen", "./sdlearn", "./sddigest", "./sdreplay", "./sdcollect", "./sdbench")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -317,6 +317,28 @@ func TestCLISmoke(t *testing.T) {
 		}
 		t.Logf("killed after %d lines, resumed at message %d, %d + %d = %d events",
 			len(printed1), msgs-resumedMsgs, rest, len(printed2), len(streamed))
+	})
+
+	// Learning fans out over GOMAXPROCS and the match cache keeps its
+	// default size, so the flags that set either are gone: each is refused
+	// at flag parse, by name, before any work starts.
+	t.Run("removed worker and match-cache flags are refused", func(t *testing.T) {
+		for _, args := range [][]string{
+			{"sdlearn", "-j", "2", "-syslog", syslog, "-configs", filepath.Join(ds, "configs"), "-kb", c.path("j.json")},
+			{"sdbench", "-j", "2", "-dataset", "A"},
+			{"sddigest", "-match-cache", "64", "-kb", kb, "-syslog", syslog},
+			{"sdcollect", "-match-cache", "64", "-kb", kb, "-udp", "", "-tcp", "127.0.0.1:0"},
+		} {
+			cmd, _, errb := c.command(args[0], args[1:]...)
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("%s %s %s: %v, want exit status 2\n%s", args[0], args[1], args[2], err, errb)
+			}
+			if !strings.Contains(errb.String(), "flag provided but not defined: "+args[1]) {
+				t.Fatalf("%s %s %s failed without naming the flag:\n%s", args[0], args[1], args[2], errb)
+			}
+		}
 	})
 
 	t.Run("sdcollect refuses non-positive intervals", func(t *testing.T) {

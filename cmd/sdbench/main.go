@@ -10,7 +10,9 @@
 //	sdbench -profile full    # paper-scale profile (minutes)
 //	sdbench -dataset A       # one dataset only
 //	sdbench -out results.txt # also write the report to a file
-//	sdbench -j 4             # worker parallelism (0 = GOMAXPROCS)
+//
+// Learning fans out over GOMAXPROCS workers; results are identical at any
+// count.
 package main
 
 import (
@@ -33,7 +35,6 @@ func main() {
 		profileFlag = flag.String("profile", "small", "experiment profile: small or full")
 		datasetFlag = flag.String("dataset", "both", "dataset: A, B, or both")
 		outPath     = flag.String("out", "", "also write the report to this file")
-		workers     = flag.Int("j", 0, "worker parallelism for learning (0 = GOMAXPROCS, 1 = serial; results are identical at any setting)")
 	)
 	flag.Parse()
 
@@ -58,7 +59,6 @@ func main() {
 	default:
 		fatalf("unknown -dataset %q", *datasetFlag)
 	}
-	profile.Parallelism = *workers
 
 	var out io.Writer = os.Stdout
 	if *outPath != "" {

@@ -66,7 +66,6 @@ func main() {
 		year        = flag.Int("year", 0, "year for RFC3164 timestamps (0 = the year that puts each timestamp nearest the clock)")
 		verbose     = flag.Bool("v", false, "log parse errors to stderr")
 		metricsAddr = flag.String("metrics", "", "serve /metrics and /healthz on this address ('' disables)")
-		matchCache  = flag.Int("match-cache", 0, "match-cache entries (0 = default, negative = disabled; output is identical at any setting)")
 		streamWorks = flag.Int("stream-workers", 0, "streaming-engine shard workers (<= 1 = serial engine, N > 1 = router-sharded engine; output is identical at any setting)")
 		shardAddrs  = flag.String("shards", "", "comma-separated sdshard addresses: distribute the engine's shards across processes over the wire protocol (one shard per entry; repeat an address to host several shards in one process; output is identical at any setting; overrides -stream-workers)")
 		provisional = flag.Duration("provisional", 0, "two-tier emission horizon: print provisional/revised/superseded lines this much log time after group birth (0 disables; the final stream is identical at any setting)")
@@ -100,9 +99,6 @@ func main() {
 	kb, err := streamrun.LoadKB(*kbPath)
 	if err != nil {
 		fatalf("%v", err)
-	}
-	if *matchCache != 0 {
-		kb.SetMatchCache(*matchCache)
 	}
 	d, err := syslogdigest.NewDigester(kb)
 	if err != nil {

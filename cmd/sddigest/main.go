@@ -68,7 +68,6 @@ func main() {
 		metricsAddr = flag.String("metrics", "", "serve /metrics and /healthz on this address ('' disables)")
 		streamWorks = flag.Int("stream-workers", 0, "streaming-engine shard workers (with -stream; <= 1 = serial engine, N > 1 = router-sharded engine; output is identical at any setting)")
 		shardAddrs  = flag.String("shards", "", "comma-separated sdshard addresses (with -stream): distribute the engine's shards across processes over the wire protocol (one shard per entry; output is identical at any setting; overrides -stream-workers)")
-		matchCache  = flag.Int("match-cache", 0, "match-cache entries (0 = default, negative = disabled; output is identical at any setting)")
 		speed       = flag.Float64("speed", 0, "log seconds per wall second (with -stream; 0 = no pacing)")
 		ckptPath    = flag.String("checkpoint", "", "checkpoint file (with -stream): restore streaming state from it on start, skipping the messages the snapshotted run already pushed, and snapshot into it periodically")
 		ckptEvery   = flag.Duration("checkpoint-interval", 30*time.Second, "how often to write the checkpoint (with -checkpoint)")
@@ -106,9 +105,6 @@ func main() {
 	kb, err := streamrun.LoadKB(*kbPath)
 	if err != nil {
 		fatalf("%v", err)
-	}
-	if *matchCache != 0 {
-		kb.SetMatchCache(*matchCache)
 	}
 	health.SetReady(true)
 

@@ -8,6 +8,8 @@
 //
 // Flags mirror the paper's Table 6 parameters; -calibrate derives alpha and
 // beta from the data by the §5.2.3 compression-ratio sweep instead.
+// Learning fans out over GOMAXPROCS workers (set the GOMAXPROCS environment
+// variable to bound its CPU); the knowledge base is identical at any count.
 package main
 
 import (
@@ -33,7 +35,6 @@ func main() {
 		beta       = flag.Float64("beta", 5, "temporal tolerance beta")
 		calibrate  = flag.Bool("calibrate", false, "derive alpha/beta from the data instead of -alpha/-beta")
 		expertPath = flag.String("expert", "", "optional expert adjustments file (rule add/del, template names)")
-		workers    = flag.Int("j", 0, "worker parallelism for learning stages (0 = GOMAXPROCS, 1 = serial; output is identical at any setting)")
 	)
 	flag.Parse()
 	if *syslogPath == "" || *configDir == "" {
@@ -76,7 +77,6 @@ func main() {
 	params.Temporal.Alpha = *alpha
 	params.Temporal.Beta = *beta
 	params.CalibrateTemporal = *calibrate
-	params.Parallelism = *workers
 
 	started := time.Now()
 	kb, err := syslogdigest.NewLearner(params).Learn(msgs, configs)

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"syslogdigest/internal/locdict"
@@ -60,43 +61,46 @@ var (
 	ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
 )
 
-// envelope is the outer JSON document. Payload stays raw on decode so the
-// caller chooses the concrete state type.
-type envelope struct {
-	Format      string          `json:"format"`
-	Version     int             `json:"version"`
-	WatermarkNs int64           `json:"watermark_ns"`
-	Payload     json.RawMessage `json:"payload"`
+// envelope is the outer JSON document. Encode writes the payload as a
+// value at depth 1 and Decode reads it straight into the caller's type, so
+// each side makes one pass over the payload.
+type envelope[P any] struct {
+	Format      string `json:"format"`
+	Version     int    `json:"version"`
+	WatermarkNs int64  `json:"watermark_ns"`
+	Payload     P      `json:"payload"`
 }
 
 // Encode wraps a payload in the versioned envelope. watermarkNs keys the
 // snapshot: the Unix-nanosecond low watermark whose effects the payload
 // fully contains (0 when nothing has been processed yet).
 func Encode(watermarkNs int64, payload any) ([]byte, error) {
-	raw, err := json.MarshalIndent(payload, " ", " ")
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: encode payload: %w", err)
-	}
-	out, err := json.MarshalIndent(envelope{
+	out, err := json.MarshalIndent(envelope[any]{
 		Format:      Format,
 		Version:     Version,
 		WatermarkNs: watermarkNs,
-		Payload:     raw,
+		Payload:     payload,
 	}, "", " ")
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: encode envelope: %w", err)
+		return nil, fmt.Errorf("checkpoint: encode: %w", err)
 	}
 	return append(out, '\n'), nil
 }
 
 // Decode validates the envelope and unmarshals the payload into dst,
 // returning the snapshot's low watermark. Unknown magics and versions newer
-// than this build are ErrUnsupportedVersion; malformed envelopes and
-// payloads are ErrCorrupt — Decode never panics on corrupted or truncated
-// input.
-func Decode(data []byte, dst any) (int64, error) {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
+// than this build are ErrUnsupportedVersion, checked before any payload
+// error; malformed JSON, a malformed envelope field, and a payload that is
+// missing, null or of the wrong shape are ErrCorrupt — Decode never panics
+// on corrupted or truncated input.
+func Decode[T any](data []byte, dst *T) (int64, error) {
+	var env envelope[*T]
+	err := json.Unmarshal(data, &env)
+	// A syntax error stops before anything is decoded; a type error leaves
+	// the other fields decoded, so the envelope is judged before it.
+	var syntax *json.SyntaxError
+	var typ *json.UnmarshalTypeError
+	if errors.As(err, &syntax) || errors.As(err, &typ) && !strings.HasPrefix(typ.Field, "payload") {
 		return 0, fmt.Errorf("%w: envelope: %w", ErrCorrupt, err)
 	}
 	if env.Format != Format {
@@ -105,9 +109,13 @@ func Decode(data []byte, dst any) (int64, error) {
 	if env.Version < 1 || env.Version > Version {
 		return 0, fmt.Errorf("%w: version %d not in [1, %d] (snapshot from a newer build?)", ErrUnsupportedVersion, env.Version, Version)
 	}
-	if err := json.Unmarshal(env.Payload, dst); err != nil {
+	if err != nil {
 		return 0, fmt.Errorf("%w: payload: %w", ErrCorrupt, err)
 	}
+	if env.Payload == nil {
+		return 0, fmt.Errorf("%w: no payload", ErrCorrupt)
+	}
+	*dst = *env.Payload
 	return env.WatermarkNs, nil
 }
 

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -95,6 +96,44 @@ func TestDecodeMalformedInputErrors(t *testing.T) {
 		if _, err := Decode(data, &dst); err == nil {
 			t.Errorf("case %d: Decode accepted malformed input", i)
 		}
+	}
+}
+
+// TestDecodeErrorClasses: every refusal wraps the class a caller acts on.
+// A format or version this build cannot read is judged before the payload,
+// so a newer build's snapshot is never reported as damage.
+func TestDecodeErrorClasses(t *testing.T) {
+	doc := func(format string, version, payload string) []byte {
+		d := `{"format":` + format + `,"version":` + version + `,"watermark_ns":5`
+		if payload != "" {
+			d += `,"payload":` + payload
+		}
+		return []byte(d + "}")
+	}
+	ok := `"` + Format + `"`
+	for _, c := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"syntax error", doc(ok, "1", `{"a":1`), ErrCorrupt},
+		{"truncated", doc(ok, "1", `{"a":1}`)[:20], ErrCorrupt},
+		{"wrong format", doc(`"other"`, "1", `{"a":1}`), ErrUnsupportedVersion},
+		{"newer version", doc(ok, "3", `{"a":1}`), ErrUnsupportedVersion},
+		{"newer version, payload of another shape", doc(ok, "3", `["x"]`), ErrUnsupportedVersion},
+		{"version of the wrong type", doc(ok, `"2"`, `{"a":1}`), ErrCorrupt},
+		{"payload of the wrong type", doc(ok, "1", `{"a":"x"}`), ErrCorrupt},
+		{"payload missing", doc(ok, "1", ""), ErrCorrupt},
+		{"payload null", doc(ok, "1", "null"), ErrCorrupt},
+	} {
+		var dst map[string]int
+		if _, err := Decode(c.data, &dst); !errors.Is(err, c.want) {
+			t.Errorf("%s: Decode = %v, want %v", c.name, err, c.want)
+		}
+	}
+	var dst map[string]int
+	if wm, err := Decode(doc(ok, "1", `{"a":1}`), &dst); err != nil || wm != 5 || dst["a"] != 1 {
+		t.Fatalf("well-formed document: %v, %d, %v", dst, wm, err)
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"syslogdigest/internal/locparse"
 	"syslogdigest/internal/netconf"
 	"syslogdigest/internal/obs"
-	"syslogdigest/internal/par"
 	"syslogdigest/internal/rules"
 	"syslogdigest/internal/stream"
 	"syslogdigest/internal/syslogmsg"
@@ -72,25 +71,6 @@ type Params struct {
 	// CalibrateTemporal makes Learn sweep alpha/beta grids instead of
 	// trusting Temporal as given.
 	CalibrateTemporal bool
-	// Parallelism bounds the learner's worker fan-out: template learning,
-	// temporal calibration and rule mining. Augment always runs on the
-	// caller's goroutine, and a batch groups on the serial engine (a
-	// streamer on its StreamerOptions shape). 0 means
-	// runtime.GOMAXPROCS(0); 1 forces the serial path. Every parallel path
-	// is deterministic — output is byte-identical at any setting.
-	// Runtime knob only: it is not part of the learned knowledge and is not
-	// serialized into the knowledge base (a reloaded base defaults to 0 and
-	// can be re-tuned per process via the -j flags).
-	Parallelism int
-	// MatchCache bounds the repeat-message augment cache in entries:
-	// messages whose (router, code, detail) was augmented before reuse the
-	// cached template match and parsed locations instead of re-matching.
-	// 0 means DefaultMatchCache; negative disables caching. Like
-	// Parallelism this is a runtime knob, never serialized: cached values
-	// are exactly what the miss path computes, so the setting (and the hit
-	// pattern) can never change output. Tune per process via SetMatchCache
-	// or the -match-cache flags.
-	MatchCache int
 }
 
 // DefaultParams returns the paper's Table 6 configuration for dataset A;
@@ -153,8 +133,11 @@ type KnowledgeBase struct {
 	dict    *locdict.Dictionary
 	parser  *locparse.Parser
 	cache   *matchCache
-	met     kbMetrics
-	reg     *obs.Registry
+	// cacheSize is the match cache's capacity as SetMatchCache last set
+	// it: 0 means DefaultMatchCache, negative disables the cache.
+	cacheSize int
+	met       kbMetrics
+	reg       *obs.Registry
 }
 
 // kbMetrics are the knowledge base's optional augment-path counters; the
@@ -187,11 +170,11 @@ func (kb *KnowledgeBase) finish() error {
 	return nil
 }
 
-// resetMatchCache (re)builds the repeat-message cache from Params.MatchCache.
+// resetMatchCache (re)builds the repeat-message cache at kb.cacheSize.
 // Any mutation of the matching inputs (Relearn swapping the matcher) must
 // call it: stale entries would otherwise serve the old matcher's answers.
 func (kb *KnowledgeBase) resetMatchCache() {
-	size := kb.Params.MatchCache
+	size := kb.cacheSize
 	if size == 0 {
 		size = DefaultMatchCache
 	}
@@ -204,9 +187,11 @@ func (kb *KnowledgeBase) resetMatchCache() {
 
 // SetMatchCache resizes the repeat-message augment cache (0 = default,
 // negative = disabled) and flushes it. Not safe to call concurrently with
-// augmentation — it is a between-batches tuning knob.
+// augmentation — it is a between-batches knob. Cached values are exactly
+// what the miss path computes, so the size (and the hit pattern) never
+// changes output.
 func (kb *KnowledgeBase) SetMatchCache(entries int) {
-	kb.Params.MatchCache = entries
+	kb.cacheSize = entries
 	kb.resetMatchCache()
 }
 
@@ -250,7 +235,7 @@ type tokenBuf struct {
 //
 // Repeated messages — same (router, code, detail), the dominant shape of
 // operational syslog — are served from the bounded match cache when enabled
-// (Params.MatchCache): tokenization, signature matching, and location
+// (see SetMatchCache): tokenization, signature matching, and location
 // parsing are all skipped. Cache hits share the AllLocs and Peers backing
 // arrays across the PlusMessages of identical raw messages; the pipeline
 // never mutates them, and neither may callers (treat both as read-only,
@@ -300,46 +285,25 @@ func (kb *KnowledgeBase) AugmentAll(msgs []syslogmsg.Message) []PlusMessage {
 }
 
 // Learner runs the offline domain knowledge learning of Figure 1. Template
-// learning, calibration and rule mining fan out over one worker pool sized
-// by Params.Parallelism; see Instrument for its metrics.
+// learning, calibration and rule mining fan out over par's GOMAXPROCS
+// workers; the knowledge base is identical at any worker count.
 type Learner struct {
 	params Params
-	pool   *par.Pool
 }
 
 // NewLearner builds a learner; zero-value fields in params take Table 6
 // defaults.
 func NewLearner(params Params) *Learner {
-	params = params.normalize()
-	return &Learner{params: params, pool: par.New(params.Parallelism)}
-}
-
-// Instrument publishes the learner's worker-pool metrics (learn.pool.*:
-// workers gauge, tasks counter, queue-wait histogram) into reg. A nil
-// registry leaves the learner uninstrumented.
-func (l *Learner) Instrument(reg *obs.Registry) {
-	l.pool.Instrument(reg, "learn.pool")
-}
-
-// stageOptions returns the per-stage configs with the learner's pool
-// threaded in (the pool is a runtime handle, deliberately kept out of the
-// Params struct the knowledge base persists).
-func (l *Learner) stageOptions() (template.Options, rules.Config) {
-	topt := l.params.Template
-	topt.Pool = l.pool
-	rcfg := l.params.Rules
-	rcfg.Pool = l.pool
-	return topt, rcfg
+	return &Learner{params: params.normalize()}
 }
 
 // Learn builds a knowledge base from historical messages and router
 // configs. When CalibrateTemporal is set, alpha and beta are chosen by the
 // §5.2.3 compression-ratio sweep over the historical streams.
 func (l *Learner) Learn(historical []syslogmsg.Message, configs []*netconf.Config) (*KnowledgeBase, error) {
-	topt, rcfg := l.stageOptions()
 	kb := &KnowledgeBase{
 		Params:    l.params,
-		Templates: template.Learn(historical, topt),
+		Templates: template.Learn(historical, l.params.Template),
 		Configs:   configs,
 	}
 	if err := kb.finish(); err != nil {
@@ -361,7 +325,7 @@ func (l *Learner) Learn(historical []syslogmsg.Message, configs []*netconf.Confi
 		streams := TemporalStreams(plus)
 		alphas := []float64{0.01, 0.025, 0.05, 0.075, 0.1, 0.2, 0.3, 0.45, 0.6}
 		betas := []float64{2, 3, 4, 5, 6, 7}
-		best, err := temporal.CalibrateWith(l.pool, streams, alphas, betas, l.params.Temporal)
+		best, err := temporal.Calibrate(streams, alphas, betas, l.params.Temporal)
 		if err != nil {
 			return nil, fmt.Errorf("core: temporal calibration: %w", err)
 		}
@@ -369,7 +333,7 @@ func (l *Learner) Learn(historical []syslogmsg.Message, configs []*netconf.Confi
 	}
 
 	// Association rule mining over the whole history.
-	res, err := rules.Mine(RuleEvents(plus), rcfg)
+	res, err := rules.Mine(RuleEvents(plus), l.params.Rules)
 	if err != nil {
 		return nil, fmt.Errorf("core: rule mining: %w", err)
 	}
@@ -381,9 +345,8 @@ func (l *Learner) Learn(historical []syslogmsg.Message, configs []*netconf.Confi
 // UpdateRules applies one period's incremental mining (the paper's weekly
 // refresh) to the knowledge base.
 func (l *Learner) UpdateRules(kb *KnowledgeBase, period []syslogmsg.Message) (rules.UpdateStats, error) {
-	_, rcfg := l.stageOptions()
 	plus := kb.AugmentAll(period)
-	res, err := rules.Mine(RuleEvents(plus), rcfg)
+	res, err := rules.Mine(RuleEvents(plus), l.params.Rules)
 	if err != nil {
 		return rules.UpdateStats{}, fmt.Errorf("core: rule mining: %w", err)
 	}

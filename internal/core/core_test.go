@@ -200,11 +200,7 @@ func TestKnowledgeBaseRoundTripKeepsTuning(t *testing.T) {
 	kb.Params.Rules.MinEvidence = 9
 	kb.Params.Rules.MaxItemsPerTx = 32
 	reloaded := cloneKB(t, kb)
-	learned := func(p Params) Params {
-		p.Parallelism, p.MatchCache, p.Template.Pool, p.Rules.Pool = 0, 0, nil, nil // runtime knobs, never serialized
-		return p
-	}
-	if got, want := learned(reloaded.Params), learned(kb.Params); !reflect.DeepEqual(got, want) {
+	if got, want := reloaded.Params, kb.Params; !reflect.DeepEqual(got, want) {
 		t.Fatalf("params after Save/Load = %+v, want %+v", got, want)
 	}
 	// The first 10 000 storm messages already fill a rule window past the

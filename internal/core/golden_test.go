@@ -38,12 +38,13 @@ var matchCounters = []string{
 // TestGolden pins the pipeline's output across commits, where
 // TestDifferential only compares run shapes with each other at one commit.
 // On corpora A and B it hashes the knowledge base learned with calibration
-// at 1 and 4 workers, the batch digest (its JSON export) at each stage, the
-// serial, 4-worker, 2-shard loopback and provisional streaming transcripts,
-// and the serial streamer's snapshot at three fixed cuts and after Flush;
-// it also records the batch digest's match counters. A mid-feed sharded
-// snapshot is left out: it holds whatever the merge goroutine has closed
-// by then, so it is not yet a function of the input (ROADMAP item 6(a)).
+// at GOMAXPROCS 1 and 4, the batch digest (its JSON export) at each stage,
+// the serial, 4-worker, 2-shard loopback and provisional streaming
+// transcripts, and the serial streamer's snapshot at three fixed cuts and
+// after Flush; it also records the batch digest's match counters. A
+// mid-feed sharded snapshot is left out: it holds whatever the merge
+// goroutine has closed by then, so it is not yet a function of the input
+// (ROADMAP item 6(a)).
 //
 // A change that alters output on purpose rewrites the file with
 //
@@ -62,8 +63,7 @@ func TestGolden(t *testing.T) {
 		for _, j := range []int{1, 4} {
 			p := DefaultParams()
 			p.CalibrateTemporal = true
-			p.Parallelism = j
-			kb, err := NewLearner(p).Learn(f.ds.Messages, f.ds.Net.Configs)
+			kb, err := learnAt(j, p, f.ds)
 			if err != nil {
 				t.Fatal(err)
 			}

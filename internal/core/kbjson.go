@@ -17,11 +17,11 @@ import (
 // the config *is* the serialization of the location dictionary, exactly as
 // in the offline learning design.
 //
-// Params.Parallelism and Params.MatchCache (and the Pool handles inside the
-// stage configs) are deliberately NOT serialized: they are per-process
-// runtime knobs, not learned knowledge, and a knowledge base must produce
-// byte-identical digests regardless of the worker count or cache size it
-// was learned or loaded with.
+// Every field of Params is serialized, so a base's Params survive the
+// round trip. What a process may vary — the learner's worker count
+// (GOMAXPROCS) and the match cache's size (SetMatchCache) — lives outside
+// Params, and a knowledge base produces byte-identical digests whatever
+// either was when it was learned or loaded.
 
 type kbJSON struct {
 	Params    paramsJSON        `json:"params"`

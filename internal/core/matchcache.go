@@ -7,7 +7,8 @@ import (
 	"syslogdigest/internal/locparse"
 )
 
-// DefaultMatchCache is the match-cache capacity when Params.MatchCache is 0.
+// DefaultMatchCache is the match-cache capacity unless SetMatchCache sets
+// another.
 const DefaultMatchCache = 8192
 
 // cacheKey identifies one augmentation outcome. The detail alone is not

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,13 @@ import (
 	"syslogdigest/internal/gen"
 	"syslogdigest/internal/obs"
 )
+
+// learnAt learns at GOMAXPROCS procs, the learner's worker count, and
+// restores the previous value.
+func learnAt(procs int, p Params, ds *gen.Dataset) (*KnowledgeBase, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return NewLearner(p).Learn(ds.Messages, ds.Net.Configs)
+}
 
 // parallelTestCorpus generates a learning + online split for determinism
 // checks; distinct seeds keep the halves independent like the paper's
@@ -34,9 +42,8 @@ func parallelTestCorpus(t *testing.T, kind gen.DatasetKind) (*gen.Dataset, *gen.
 	return learn, online
 }
 
-// TestLearnDeterministicAcrossParallelism is the tentpole's core guarantee:
-// the knowledge base serializes to byte-identical JSON at any worker count,
-// including the calibration sweep.
+// TestLearnDeterministicAcrossParallelism: the knowledge base serializes to
+// byte-identical JSON at any GOMAXPROCS, including the calibration sweep.
 func TestLearnDeterministicAcrossParallelism(t *testing.T) {
 	for _, kind := range []gen.DatasetKind{gen.DatasetA, gen.DatasetB} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -44,9 +51,8 @@ func TestLearnDeterministicAcrossParallelism(t *testing.T) {
 			var baseline []byte
 			for _, j := range []int{1, 2, 8} {
 				params := DefaultParams()
-				params.Parallelism = j
 				params.CalibrateTemporal = true
-				kb, err := NewLearner(params).Learn(learn.Messages, learn.Net.Configs)
+				kb, err := learnAt(j, params, learn)
 				if err != nil {
 					t.Fatalf("j=%d: %v", j, err)
 				}
@@ -68,7 +74,7 @@ func TestLearnDeterministicAcrossParallelism(t *testing.T) {
 }
 
 // TestDigestDeterministicAcrossParallelism checks the online half: a
-// knowledge base learned at any worker count digests the online split into
+// knowledge base learned at any GOMAXPROCS digests the online split into
 // the same events, augmented view and active rules, and publishes the same
 // match counters. Augment runs on the caller's goroutine, so cache hits,
 // misses and candidate scans are a function of the input, equal on every
@@ -82,9 +88,7 @@ func TestDigestDeterministicAcrossParallelism(t *testing.T) {
 				counters map[string]uint64
 			)
 			for _, j := range []int{1, 2, 8} {
-				params := DefaultParams()
-				params.Parallelism = j
-				kb, err := NewLearner(params).Learn(learn.Messages, learn.Net.Configs)
+				kb, err := learnAt(j, DefaultParams(), learn)
 				if err != nil {
 					t.Fatalf("j=%d: %v", j, err)
 				}

@@ -36,8 +36,7 @@ func (l *Learner) Relearn(kb *KnowledgeBase, period []syslogmsg.Message) (Relear
 	if kb == nil || kb.matcher == nil {
 		return st, fmt.Errorf("core: knowledge base not initialized")
 	}
-	topt, rcfg := l.stageOptions()
-	fresh := template.Learn(period, topt)
+	fresh := template.Learn(period, l.params.Template)
 
 	maxID := -1
 	for _, t := range kb.Templates {
@@ -80,7 +79,7 @@ func (l *Learner) Relearn(kb *KnowledgeBase, period []syslogmsg.Message) (Relear
 	for i := range plus {
 		kb.Freq.Add(plus[i].Router, plus[i].Template, 1)
 	}
-	res, err := rules.Mine(RuleEvents(plus), rcfg)
+	res, err := rules.Mine(RuleEvents(plus), l.params.Rules)
 	if err != nil {
 		return st, fmt.Errorf("core: rule mining: %w", err)
 	}

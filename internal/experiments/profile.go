@@ -35,10 +35,6 @@ type Profile struct {
 	Seed           int64
 	Weeks          int           // rule-evolution periods (paper: 12)
 	WeekDuration   time.Duration // simulated traffic per "week"
-	// Parallelism is the learner's worker fan-out (0 = GOMAXPROCS, 1 =
-	// serial). Every measured quantity is byte-identical
-	// at any setting; only wall-clock changes.
-	Parallelism int
 }
 
 // SmallProfile is the test/bench default: seconds of wall-clock per
@@ -103,8 +99,8 @@ var (
 // a distinct seed, mirroring the paper's Sep–Nov training / Dec 1–14
 // reporting split.
 func Load(kind gen.DatasetKind, p Profile) (*Corpus, error) {
-	key := fmt.Sprintf("%v|%s|%d|%d|%d|%f|%d|%d", kind, p.Name, p.Routers,
-		p.LearnDuration, p.OnlineDuration, p.RateScale, p.Seed, p.Parallelism)
+	key := fmt.Sprintf("%v|%s|%d|%d|%d|%f|%d", kind, p.Name, p.Routers,
+		p.LearnDuration, p.OnlineDuration, p.RateScale, p.Seed)
 	corpusMu.Lock()
 	defer corpusMu.Unlock()
 	if c, ok := corpusCache[key]; ok {
@@ -127,9 +123,7 @@ func Load(kind gen.DatasetKind, p Profile) (*Corpus, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: online corpus: %w", err)
 	}
-	params := ParamsFor(kind)
-	params.Parallelism = p.Parallelism
-	kb, err := core.NewLearner(params).Learn(learn.Messages, learn.Net.Configs)
+	kb, err := core.NewLearner(ParamsFor(kind)).Learn(learn.Messages, learn.Net.Configs)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: learning: %w", err)
 	}

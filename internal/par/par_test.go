@@ -6,44 +6,40 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-
-	"syslogdigest/internal/obs"
 )
 
+// setProcs sets GOMAXPROCS, the worker count of every loop here, for the
+// rest of the test and restores it afterwards.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func TestWorkers(t *testing.T) {
-	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := Workers(-3); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers(-3) = %d", got)
-	}
-	if got := Workers(7); got != 7 {
-		t.Fatalf("Workers(7) = %d", got)
+	setProcs(t, 3)
+	if got := Workers(); got != 3 {
+		t.Fatalf("Workers() = %d at GOMAXPROCS 3", got)
 	}
 }
 
-func TestNilAndZeroPoolsRunInline(t *testing.T) {
-	var nilPool *Pool
-	for name, p := range map[string]*Pool{"nil": nilPool, "zero": {}} {
-		if p.Workers() != 1 {
-			t.Fatalf("%s pool Workers() = %d, want 1", name, p.Workers())
-		}
-		sum := 0
-		if err := p.ForEach(5, func(i int) error { sum += i; return nil }); err != nil {
-			t.Fatalf("%s pool ForEach: %v", name, err)
-		}
-		if sum != 10 {
-			t.Fatalf("%s pool sum = %d", name, sum)
-		}
+func TestOneWorkerRunsInline(t *testing.T) {
+	setProcs(t, 1)
+	sum := 0 // unsynchronized: a second goroutine would race here
+	if err := ForEach(5, func(i int) error { sum += i; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if sum != 10 {
+		t.Fatalf("sum = %d", sum)
 	}
 }
 
 func TestForEachCoversAllIndices(t *testing.T) {
-	for _, w := range []int{1, 2, 3, 8, 100} {
-		p := New(w)
+	for _, w := range []int{1, 2, 3, 8, 16} {
+		setProcs(t, w)
 		const n = 57
 		var hits [n]atomic.Int32
-		if err := p.ForEach(n, func(i int) error { hits[i].Add(1); return nil }); err != nil {
+		if err := ForEach(n, func(i int) error { hits[i].Add(1); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		for i := range hits {
@@ -56,8 +52,8 @@ func TestForEachCoversAllIndices(t *testing.T) {
 
 func TestForEachLowestIndexErrorWins(t *testing.T) {
 	for _, w := range []int{1, 4} {
-		p := New(w)
-		err := p.ForEach(20, func(i int) error {
+		setProcs(t, w)
+		err := ForEach(20, func(i int) error {
 			if i%3 == 0 && i > 0 {
 				return fmt.Errorf("fail at %d", i)
 			}
@@ -71,8 +67,8 @@ func TestForEachLowestIndexErrorWins(t *testing.T) {
 
 func TestMapOrdered(t *testing.T) {
 	for _, w := range []int{1, 2, 8} {
-		p := New(w)
-		out, err := Map(p, 33, func(i int) (int, error) { return i * i, nil })
+		setProcs(t, w)
+		out, err := Map(33, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +78,8 @@ func TestMapOrdered(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Map(New(4), 5, func(i int) (int, error) {
+	setProcs(t, 4)
+	if _, err := Map(5, func(i int) (int, error) {
 		return 0, errors.New("boom")
 	}); err == nil {
 		t.Fatal("Map swallowed error")
@@ -91,13 +88,15 @@ func TestMapOrdered(t *testing.T) {
 
 func TestChunksCoverExactly(t *testing.T) {
 	for _, w := range []int{1, 3, 4, 16} {
-		p := New(w)
+		setProcs(t, w)
 		for _, n := range []int{0, 1, 5, 16, 17, 1000} {
 			var covered atomic.Int64
-			err := p.Chunks(n, func(lo, hi int) error {
+			var chunks atomic.Int32
+			err := Chunks(n, func(lo, hi int) error {
 				if lo >= hi || lo < 0 || hi > n {
 					return fmt.Errorf("bad chunk [%d, %d)", lo, hi)
 				}
+				chunks.Add(1)
 				covered.Add(int64(hi - lo))
 				return nil
 			})
@@ -106,6 +105,9 @@ func TestChunksCoverExactly(t *testing.T) {
 			}
 			if covered.Load() != int64(n) {
 				t.Fatalf("workers=%d n=%d covered %d", w, n, covered.Load())
+			}
+			if int(chunks.Load()) > w {
+				t.Fatalf("workers=%d n=%d ran %d chunks", w, n, chunks.Load())
 			}
 		}
 	}
@@ -132,28 +134,4 @@ func TestRanges(t *testing.T) {
 			t.Fatalf("Ranges(%d,%d) covers %d", tc.n, tc.parts, want)
 		}
 	}
-}
-
-func TestInstrument(t *testing.T) {
-	reg := obs.NewRegistry()
-	p := New(4)
-	p.Instrument(reg, "test.pool")
-	if err := p.ForEach(10, func(int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if got := snap.Gauge("test.pool.workers"); got != 4 {
-		t.Fatalf("workers gauge = %v", got)
-	}
-	if got := snap.Counter("test.pool.tasks"); got != 10 {
-		t.Fatalf("tasks counter = %d", got)
-	}
-	h := snap.Histogram("test.pool.queue_wait_seconds")
-	if h == nil || h.Count != 10 {
-		t.Fatalf("queue wait histogram = %+v", h)
-	}
-	// Nil registry and nil pool are no-ops.
-	p.Instrument(nil, "x")
-	var np *Pool
-	np.Instrument(reg, "y")
 }

@@ -3,11 +3,10 @@ package rules
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
-
-	"syslogdigest/internal/par"
 )
 
 // The references below count transactions the straightforward way: a map
@@ -147,15 +146,15 @@ func checkAgainstReference(t *testing.T, events []Event, cfg Config) {
 	}
 
 	want := refMine(t, events, cfg)
-	for _, workers := range []int{1, 3} {
-		cfg.Pool = par.New(workers)
+	for _, procs := range []int{1, 3} {
+		prev := runtime.GOMAXPROCS(procs)
 		got, err := Mine(events, cfg)
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want.cfg.Pool = cfg.Pool
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Mine at %d workers, cap %d: %+v, reference %+v", workers, norm.MaxItemsPerTx, got, want)
+			t.Fatalf("Mine at GOMAXPROCS %d, cap %d: %+v, reference %+v", procs, norm.MaxItemsPerTx, got, want)
 		}
 	}
 }

@@ -53,12 +53,6 @@ type Config struct {
 	// period for conf(X ⇒ Y) to be considered re-measured (used by
 	// RuleBase deletion). Zero defaults to 5.
 	MinEvidence int
-	// Pool bounds mining's worker fan-out: routers are partitioned across
-	// workers, each counting transactions into a private tally that is
-	// merged afterwards (counts are additive, so the result is identical
-	// at any worker count). Nil means a default pool at GOMAXPROCS.
-	// Runtime knob only — never serialized.
-	Pool *par.Pool
 }
 
 func (c Config) normalize() (Config, error) {
@@ -92,9 +86,6 @@ func (c Config) normalize() (Config, error) {
 	if c.MinEvidence < 0 {
 		return c, fmt.Errorf("rules: negative MinEvidence %d", c.MinEvidence)
 	}
-	if c.Pool == nil {
-		c.Pool = par.New(0)
-	}
 	return c, nil
 }
 
@@ -124,8 +115,8 @@ type Result struct {
 }
 
 // Mine builds transactions from events (any order; sorted internally per
-// router) and mines pairwise rules. Routers are partitioned across
-// cfg.Pool's workers, each counting into a private tally; the tallies are
+// router) and mines pairwise rules. Routers are partitioned across par's
+// GOMAXPROCS workers, each counting into a private tally; the tallies are
 // merged afterwards. Transaction counts are additive across routers, so
 // the result is identical to a serial pass at any worker count.
 func Mine(events []Event, cfg Config) (*Result, error) {
@@ -143,8 +134,8 @@ func Mine(events []Event, cfg Config) (*Result, error) {
 	}
 	sort.Strings(routers)
 
-	shards := par.Ranges(len(routers), cfg.Pool.Workers())
-	partials, _ := par.Map(cfg.Pool, len(shards), func(i int) (*Result, error) {
+	shards := par.Ranges(len(routers), par.Workers())
+	partials, _ := par.Map(len(shards), func(i int) (*Result, error) {
 		part := &Result{
 			ItemTx: make(map[int]int),
 			PairTx: make(map[PairKey]int),

@@ -1,6 +1,7 @@
 package syslogmsg
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -48,13 +49,27 @@ func FuzzParseWire(f *testing.F) {
 	f.Add("<>x")
 	f.Add("<189>1 2010-01-10T00:00:15Z r5 a b C [sd")
 	f.Add("2010-01-10 00:00:15|r1|X-1-Y|d")
+	f.Add("<189>Feb 29 00:00:15 r1 %A-1-B: not a leap year")
+	f.Add("<189>Apr 31 00:00:15 r1 %A-1-B: no such day")
 	f.Fuzz(func(t *testing.T, line string) {
-		m, err := ParseWireBytes([]byte(line), 0, 2010)
-		if err != nil {
-			return
-		}
-		if m.Router == "" || m.Code == "" {
-			t.Fatalf("accepted message without router/code: %q -> %+v", line, m)
+		// 2012 has a Feb 29; 0 dates the line in the year nearest the clock.
+		for _, year := range []int{2012, 2010, 0} {
+			m, err := ParseWireBytes([]byte(line), 0, year)
+			if err != nil {
+				continue
+			}
+			if m.Router == "" || m.Code == "" {
+				t.Fatalf("accepted message without router/code: %q -> %+v", line, m)
+			}
+			// An accepted RFC 3164 line is dated on the month and day it
+			// says: no day rolls over into the next month.
+			if i := strings.IndexByte(line, '>'); line[0] == '<' && i > 0 && i <= 4 && !strings.HasPrefix(line[i+1:], "1 ") {
+				stamp := line[i+1:]
+				day, _ := strconv.Atoi(strings.TrimSpace(stamp[4:6]))
+				if m.Time.Month() != rfc3164Months[stamp[:3]] || m.Time.Day() != day {
+					t.Fatalf("year %d: %q dated %s", year, line, m.Time.Format(time.RFC3339))
+				}
+			}
 		}
 	})
 }

@@ -83,12 +83,21 @@ func parseRFC3164(line string, index uint64, year int) (Message, error) {
 	hh, errH := strconv.Atoi(clock[0:2])
 	mm, errM := strconv.Atoi(clock[3:5])
 	ss, errS := strconv.Atoi(clock[6:8])
-	if errH != nil || errM != nil || errS != nil || clock[2] != ':' || clock[5] != ':' {
+	if errH != nil || errM != nil || errS != nil || clock[2] != ':' || clock[5] != ':' ||
+		hh < 0 || hh > 23 || mm < 0 || mm > 59 || ss < 0 || ss > 59 {
 		return Message{}, fmt.Errorf("syslogmsg: bad clock in %q", line)
 	}
-	ts := time.Date(year, mon, day, hh, mm, ss, 0, time.UTC)
+	// time.Date would roll a day the month lacks into the next month
+	// (Feb 30 into March), so such a date is refused, as the line format's
+	// parser refuses it.
+	var ts time.Time
 	if year == 0 {
-		ts = nearestYear(mon, day, hh, mm, ss, time.Now())
+		ts, ok = nearestYear(mon, day, hh, mm, ss, time.Now())
+	} else if ok = day <= daysIn(year, int(mon)); ok {
+		ts = time.Date(year, mon, day, hh, mm, ss, 0, time.UTC)
+	}
+	if !ok {
+		return Message{}, fmt.Errorf("syslogmsg: no such date in %q", line)
 	}
 
 	fields := strings.Fields(rest[15:])
@@ -108,16 +117,21 @@ func parseRFC3164(line string, index uint64, year int) (Message, error) {
 
 // nearestYear dates a year-less timestamp in whichever of the years before,
 // of and after now puts it nearest now: a Dec 31 line received just after
-// New Year is last year's, not next year's.
-func nearestYear(mon time.Month, day, hh, mm, ss int, now time.Time) (best time.Time) {
+// New Year is last year's, not next year's. Only years that have the date
+// are candidates (Feb 29 exists in leap years alone); ok is false when none
+// of the three does.
+func nearestYear(mon time.Month, day, hh, mm, ss int, now time.Time) (best time.Time, ok bool) {
 	y := now.UTC().Year()
 	for _, c := range []int{y - 1, y, y + 1} {
+		if day > daysIn(c, int(mon)) {
+			continue
+		}
 		t := time.Date(c, mon, day, hh, mm, ss, 0, time.UTC)
-		if best.IsZero() || t.Sub(now).Abs() < best.Sub(now).Abs() {
-			best = t
+		if !ok || t.Sub(now).Abs() < best.Sub(now).Abs() {
+			best, ok = t, true
 		}
 	}
-	return best
+	return best, ok
 }
 
 // parseRFC5424 parses

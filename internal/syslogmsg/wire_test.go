@@ -1,6 +1,7 @@
 package syslogmsg
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -74,8 +75,8 @@ func TestNearestYear(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := nearestYear(m.Time.Month(), m.Time.Day(), m.Time.Hour(), m.Time.Minute(), m.Time.Second(), c.now)
-		if !got.Equal(c.want) {
+		got, ok := nearestYear(m.Time.Month(), m.Time.Day(), m.Time.Hour(), m.Time.Minute(), m.Time.Second(), c.now)
+		if !ok || !got.Equal(c.want) {
 			t.Errorf("%q received %s: dated %s, want %s", c.stamp, c.now.Format(time.RFC3339), got.Format(time.RFC3339), c.want.Format(time.RFC3339))
 		}
 		fixed, err := ParseWireBytes([]byte(line), 0, 2010)
@@ -88,11 +89,73 @@ func TestNearestYear(t *testing.T) {
 	}
 }
 
+// TestParseRFC3164ImpossibleDates: a day the month does not have is
+// refused, not rolled into the next month. With an explicit year, Feb 29
+// exists in leap years only; with none, the date takes the nearest of the
+// three years around the clock that has it, and is refused when none does.
+func TestParseRFC3164ImpossibleDates(t *testing.T) {
+	line := func(stamp string) []byte {
+		return []byte("<189>" + stamp + " 10:00:00 r1 %LINK-3-UPDOWN: Interface Serial1/0, changed state to down")
+	}
+	for _, c := range []struct {
+		stamp string
+		year  int
+		want  time.Time // zero: refused
+	}{
+		{"Feb 29", 2024, time.Date(2024, 2, 29, 10, 0, 0, 0, time.UTC)},
+		{"Feb 29", 2025, time.Time{}},
+		{"Feb 30", 2024, time.Time{}},
+		{"Feb 30", 2025, time.Time{}},
+		{"Apr 31", 2024, time.Time{}},
+		{"Apr 31", 2025, time.Time{}},
+		{"Apr 30", 2025, time.Date(2025, 4, 30, 10, 0, 0, 0, time.UTC)},
+	} {
+		m, err := ParseWireBytes(line(c.stamp), 0, c.year)
+		switch {
+		case c.want.IsZero() && err == nil:
+			t.Errorf("%s with year %d: accepted as %s", c.stamp, c.year, m.Time.Format(time.RFC3339))
+		case !c.want.IsZero() && (err != nil || !m.Time.Equal(c.want)):
+			t.Errorf("%s with year %d: %v, %v; want %s", c.stamp, c.year, m.Time, err, c.want.Format(time.RFC3339))
+		}
+	}
+	// Feb 30 and Apr 31 exist in no year, whatever the clock reads.
+	for _, stamp := range []string{"Feb 30", "Apr 31"} {
+		if m, err := ParseWireBytes(line(stamp), 0, 0); err == nil {
+			t.Errorf("%s with no year: accepted as %s", stamp, m.Time.Format(time.RFC3339))
+		}
+	}
+	for _, c := range []struct {
+		stamp string
+		now   time.Time
+		want  time.Time // zero: no candidate year has the date
+	}{
+		{"Feb 29", time.Date(2025, 3, 10, 0, 0, 0, 0, time.UTC), time.Date(2024, 2, 29, 10, 0, 0, 0, time.UTC)},
+		{"Feb 29", time.Date(2026, 10, 20, 0, 0, 0, 0, time.UTC), time.Time{}},
+		{"Feb 29", time.Date(2027, 6, 1, 0, 0, 0, 0, time.UTC), time.Date(2028, 2, 29, 10, 0, 0, 0, time.UTC)},
+		{"Feb 30", time.Date(2025, 3, 10, 0, 0, 0, 0, time.UTC), time.Time{}},
+		{"Feb 30", time.Date(2026, 10, 20, 0, 0, 0, 0, time.UTC), time.Time{}},
+		{"Feb 30", time.Date(2027, 6, 1, 0, 0, 0, 0, time.UTC), time.Time{}},
+		{"Apr 31", time.Date(2025, 3, 10, 0, 0, 0, 0, time.UTC), time.Time{}},
+		{"Apr 31", time.Date(2026, 10, 20, 0, 0, 0, 0, time.UTC), time.Time{}},
+		{"Apr 31", time.Date(2027, 6, 1, 0, 0, 0, 0, time.UTC), time.Time{}},
+	} {
+		mon := rfc3164Months[c.stamp[:3]]
+		day, _ := strconv.Atoi(c.stamp[4:])
+		got, ok := nearestYear(mon, day, 10, 0, 0, c.now)
+		if ok != !c.want.IsZero() || !got.Equal(c.want) {
+			t.Errorf("%s received %s: dated %s (ok %v), want %s", c.stamp, c.now.Format(time.RFC3339),
+				got.Format(time.RFC3339), ok, c.want.Format(time.RFC3339))
+		}
+	}
+}
+
 func TestParseRFC3164Errors(t *testing.T) {
 	cases := []string{
 		"<189>Xxx 10 00:00:15 r1 %A-1-B: d", // bad month
 		"<189>Jan 99 00:00:15 r1 %A-1-B: d", // bad day
 		"<189>Jan 10 00-00-15 r1 %A-1-B: d", // bad clock
+		"<189>Jan 10 00:00:-1 r1 %A-1-B: d", // negative second: would roll into Jan 9
+		"<189>Jan 10 24:00:00 r1 %A-1-B: d", // hour 24: would roll into Jan 11
 		"<189>Jan 10 00:00:15",              // missing host/tag
 		"<999>Jan 10 00:00:15 r1 %A-1-B: d", // pri out of range
 	}

@@ -9,12 +9,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"syslogdigest/internal/gen"
-	"syslogdigest/internal/par"
 	"syslogdigest/internal/syslogmsg"
 	"syslogdigest/internal/template"
 )
@@ -106,7 +106,7 @@ func genSeed(tb testing.TB) (string, []byte) {
 }
 
 // FuzzLearnTemplates checks Learn against the per-message reference on any
-// corpus, at 1 and 4 workers, masked and unmasked.
+// corpus, at GOMAXPROCS 1 and 4, masked and unmasked.
 func FuzzLearnTemplates(f *testing.F) {
 	for _, seed := range []int64{1, 2} {
 		lines, picks := alphabetSeed(seed, 12*int(seed), 200*int(seed))
@@ -120,11 +120,14 @@ func FuzzLearnTemplates(f *testing.F) {
 		}
 		msgs := fuzzCorpus(lines, picks)
 		for _, noPreMask := range []bool{false, true} {
-			want := template.LearnPerMessage(msgs, template.Options{NoPreMask: noPreMask, Pool: par.New(1)})
-			for _, workers := range []int{1, 4} {
-				got := template.Learn(msgs, template.Options{NoPreMask: noPreMask, Pool: par.New(workers)})
+			opt := template.Options{NoPreMask: noPreMask}
+			want := template.LearnPerMessage(msgs, opt)
+			for _, procs := range []int{1, 4} {
+				prev := runtime.GOMAXPROCS(procs)
+				got := template.Learn(msgs, opt)
+				runtime.GOMAXPROCS(prev)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("NoPreMask=%v, %d workers: Learn\n%sthe per-message reference\n%s", noPreMask, workers, render(got), render(want))
+					t.Fatalf("NoPreMask=%v, GOMAXPROCS %d: Learn\n%sthe per-message reference\n%s", noPreMask, procs, render(got), render(want))
 				}
 			}
 		}
@@ -155,9 +158,9 @@ func TestLearnAllocsPerDistinctDetail(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		repeated = append(repeated, once...)
 	}
-	opt := template.Options{Pool: par.New(1)}
+	// AllocsPerRun measures at GOMAXPROCS 1, so learning runs inline.
 	allocs := func(msgs []syslogmsg.Message) float64 {
-		return testing.AllocsPerRun(3, func() { template.Learn(msgs, opt) })
+		return testing.AllocsPerRun(3, func() { template.Learn(msgs, template.Options{}) })
 	}
 	a1, a20 := allocs(once), allocs(repeated)
 	t.Logf("%d messages: %.0f allocations; repeated 20 times: %.0f", len(once), a1, a20)

@@ -106,12 +106,6 @@ type Options struct {
 	MinChildFraction float64
 	// MinChildCount is the absolute floor on child support; 0 means 2.
 	MinChildCount int
-	// Pool bounds learning's worker fan-out (chunked tokenization, one
-	// sub-type tree per error code). Nil means a default pool at
-	// GOMAXPROCS; a one-worker pool forces the serial path. Output is
-	// byte-identical at any worker count. Runtime knob only — it is not
-	// part of the learned knowledge and is never serialized.
-	Pool *par.Pool
 }
 
 func (o *Options) normalize() {
@@ -127,9 +121,6 @@ func (o *Options) normalize() {
 	if o.MinChildCount <= 0 {
 		o.MinChildCount = 2
 	}
-	if o.Pool == nil {
-		o.Pool = par.New(0)
-	}
 }
 
 // Learn builds templates from a historical message corpus. Output order is
@@ -142,15 +133,15 @@ func (o *Options) normalize() {
 // entry per distinct detail, weighted by its message count. Masking is a
 // pure function of the detail, so each masked structure first appears with
 // the earliest detail that masks to it, at the same point in the message
-// order as if every message were read. Learning fans out over opt.Pool —
-// tokenization/masking in chunks, then one sub-type tree per error code —
-// and is byte-identical to the serial path at any worker count (each unit
-// is independent; collection is index-ordered and ID assignment stays
-// sequential).
+// order as if every message were read. Learning fans out over par's
+// GOMAXPROCS workers — tokenization/masking in chunks, then one sub-type
+// tree per error code — and is byte-identical to the serial path at any
+// worker count (each unit is independent; collection is index-ordered and
+// ID assignment stays sequential).
 func Learn(msgs []syslogmsg.Message, opt Options) []Template {
 	opt.normalize()
 	details := countDetails(msgs)
-	_ = opt.Pool.Chunks(len(details), func(lo, hi int) error {
+	_ = par.Chunks(len(details), func(lo, hi int) error {
 		for j := lo; j < hi; j++ {
 			ts := textutil.Tokenize(details[j].detail)
 			if !opt.NoPreMask {
@@ -170,7 +161,7 @@ func Learn(msgs []syslogmsg.Message, opt Options) []Template {
 	}
 	sort.Strings(codes)
 
-	perCode, _ := par.Map(opt.Pool, len(codes), func(i int) ([][]string, error) {
+	perCode, _ := par.Map(len(codes), func(i int) ([][]string, error) {
 		return learnCode(byCode[codes[i]], opt), nil
 	})
 	var out []Template

@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
-
-	"syslogdigest/internal/par"
 )
 
 // The references below score a parameter point the straightforward way: a
@@ -82,15 +81,17 @@ func diffPoints(got, want []SweepPoint) string {
 }
 
 // checkAgainstReplay holds every entry point of the sweep — Calibrate at
-// one and at several workers, SweepAlpha, SweepBeta and CompressionRatio —
+// GOMAXPROCS 1 and 3, SweepAlpha, SweepBeta and CompressionRatio —
 // to the replays on one grid.
 func checkAgainstReplay(t *testing.T, streams [][]time.Time, alphas, betas []float64, base Params) {
 	t.Helper()
 	want, wantErr := replayCalibrate(streams, alphas, betas, base)
-	for _, workers := range []int{1, 3} {
-		got, err := CalibrateWith(par.New(workers), streams, alphas, betas, base)
+	for _, procs := range []int{1, 3} {
+		prev := runtime.GOMAXPROCS(procs)
+		got, err := Calibrate(streams, alphas, betas, base)
+		runtime.GOMAXPROCS(prev)
 		if !sameErr(err, wantErr) || got != want {
-			t.Fatalf("CalibrateWith(%d workers) = %+v, %v; replay = %+v, %v", workers, got, err, want, wantErr)
+			t.Fatalf("Calibrate at GOMAXPROCS %d = %+v, %v; replay = %+v, %v", procs, got, err, want, wantErr)
 		}
 	}
 	for _, a := range alphas {

@@ -234,25 +234,15 @@ func SweepBeta(streams [][]time.Time, betas []float64, alpha float64, base Param
 // Calibrate picks the (alpha, beta) pair minimizing the compression ratio
 // over the given grids, the offline procedure of §5.2.3. Ties keep the
 // earlier grid point, alphas outer and betas inner, so list the preferred
-// settings first. The grid is evaluated on a default worker pool; see
-// CalibrateWith.
+// settings first. Each alpha is one par task that walks the streams once
+// and scores every beta, and the winner is then selected serially in grid
+// order — identical to the serial sweep at any worker count.
 func Calibrate(streams [][]time.Time, alphas, betas []float64, base Params) (Params, error) {
-	return CalibrateWith(nil, streams, alphas, betas, base)
-}
-
-// CalibrateWith is Calibrate with an explicit worker pool: each alpha is
-// one task that walks the streams once and scores every beta, and the
-// winner is then selected serially in grid order — identical to the serial
-// sweep at any worker count. A nil pool means a default pool at GOMAXPROCS.
-func CalibrateWith(pool *par.Pool, streams [][]time.Time, alphas, betas []float64, base Params) (Params, error) {
 	if len(alphas) == 0 || len(betas) == 0 {
 		return Params{}, fmt.Errorf("temporal: empty calibration grid")
 	}
-	if pool == nil {
-		pool = par.New(0)
-	}
 	ia := newInterarrivals(streams)
-	ratios, err := par.Map(pool, len(alphas), func(i int) ([]float64, error) {
+	ratios, err := par.Map(len(alphas), func(i int) ([]float64, error) {
 		return ia.ratios(base, alphas[i], betas)
 	})
 	if err != nil {
